@@ -6,10 +6,6 @@ rescaled postselected values and their anomalies, postselected and maximal
 Fisher information, a non-contextuality functional on the joint outcome
 probabilities, a parametric gate-imperfection model, Poissonian coincidence
 counting, and angle estimation with Cramér-Rao comparison.
-
-Hot grid/Monte-Carlo kernels run through numba when available; set
-``WEAKPS_NO_NUMBA=1`` to force the pure-numpy fallback (see
-:mod:`weakps.kernels`).
 """
 
 __version__ = "0.1.0"

@@ -61,7 +61,6 @@ from .weak import (
     QUANTUM_FISHER_INFORMATION,
     fisher_curve_grid,
     fisher_ps_definition,
-    postselect_probability,
     weak_value_curve_grid,
 )
 
@@ -461,13 +460,16 @@ def _cmd_sweep_fisher(args) -> None:
     for sign in signs:
         columns.append(f"budget_lhs_{sign}")
     f_series = {sign: fisher_curve_grid(grid, kappa, sign) for sign in signs}
+    budget_series = {
+        sign: f_series[sign] * kernels.postselect_probability(grid, kappa, sign_factor(sign))
+        for sign in signs
+    }
     records = []
     for i, theta_deg in enumerate(grid_deg):
         rec: dict[str, object] = {"theta_deg": float(theta_deg), "q": QUANTUM_FISHER_INFORMATION}
         for sign in signs:
-            f = float(f_series[sign][i])
-            rec[f"f_ps_{sign}"] = f
-            rec[f"budget_lhs_{sign}"] = f * postselect_probability(float(grid[i]), kappa, sign)
+            rec[f"f_ps_{sign}"] = float(f_series[sign][i])
+            rec[f"budget_lhs_{sign}"] = float(budget_series[sign][i])
         records.append(rec)
 
     meta = {

@@ -68,7 +68,7 @@ class PuseyRecord:
     def __post_init__(self) -> None:
         if self.p_phi <= 0.0:
             raise ValueError("p_phi must be strictly positive")
-        expected_pd = 1.0 - math.sqrt(1.0 - self.kappa**2)
+        expected_pd = Strength(self.kappa).dephasing_weight
         if abs(self.p_d - expected_pd) > 1e-12:
             raise ValueError(f"p_d = {self.p_d!r} inconsistent with kappa = {self.kappa!r}")
 
@@ -100,9 +100,8 @@ def pusey_from_probabilities(p_x: float, p_phi: float, s: "Strength | float") ->
     probabilities): ``p_x/p_phi - (1+kappa)/2 - p_d/p_phi``."""
     if p_phi <= PROB_FLOOR:
         raise OrthogonalPostselection(f"p_phi = {p_phi!r} is numerically zero")
-    kappa = as_strength(s).kappa
-    p_d = 1.0 - math.sqrt(1.0 - kappa * kappa)
-    return p_x / p_phi - (1.0 + kappa) / 2.0 - p_d / p_phi
+    strength = as_strength(s)
+    return p_x / p_phi - (1.0 + strength.kappa) / 2.0 - strength.dephasing_weight / p_phi
 
 
 def pusey_functional(psi: PureQubit, phi: PureQubit, s: "Strength | float", x: int) -> float:

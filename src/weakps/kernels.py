@@ -1,19 +1,12 @@
-"""Hot numeric kernels: grid evaluation of postselected-value curves, their
+"""Numpy array kernels: grid evaluation of postselected-value curves, their
 information content, the non-contextuality functional, and batched curve
 inversion.
 
-Two interchangeable backends live here:
-
-* a numba ``@njit`` path (scalar loops, compiled on first use), and
-* a pure-numpy vectorized fallback.
-
-The numba path is used when numba imports cleanly, unless the environment
-variable ``WEAKPS_NO_NUMBA`` is set to ``1``/``true``/``yes``/``on`` at import
-time.  ``USING_NUMBA`` records which path is active and ``IMPLEMENTATIONS``
-exposes both for benchmarks and cross-checks (see ``benchmarks/``).
+Each quantity has one closed form in ``(theta, kappa, sign)``, evaluated
+vectorized over an angle (or target) array.
 
 Kernels are deliberately unvalidated: callers in :mod:`weakps.weak`,
-:mod:`weakps.contextuality` and :mod:`weakps.estimation` enforce the
+:mod:`weakps.contextuality` and :mod:`weakps.cli` enforce the
 preconditions (``0 < kappa <= 1``, ``sign`` is +-1) and map non-finite
 outputs back to typed errors.
 
@@ -25,14 +18,10 @@ Conventions: ``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "USING_NUMBA",
-    "NUMBA_IMPORTED",
-    "IMPLEMENTATIONS",
     "weak_value_curve",
     "weak_value_slope",
     "postselect_probability",
@@ -44,15 +33,7 @@ __all__ = [
 _PHI_FLOOR = 1e-30
 
 
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("WEAKPS_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
-
-def np_weak_value_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
+def weak_value_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     """Rescaled postselected value cos(4t) / (1 + sign*r*sin(4t)), r = sqrt(1-k^2)."""
     theta = np.asarray(theta, dtype=np.float64)
     r = math.sqrt(1.0 - kappa * kappa)
@@ -60,7 +41,7 @@ def np_weak_value_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndar
         return np.cos(4.0 * theta) / (1.0 + sign * r * np.sin(4.0 * theta))
 
 
-def np_weak_value_slope(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
+def weak_value_slope(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     """d(sigma)/d(theta) of the curve above: -4(sin(4t) + sign*r) / den^2."""
     theta = np.asarray(theta, dtype=np.float64)
     r = math.sqrt(1.0 - kappa * kappa)
@@ -70,14 +51,14 @@ def np_weak_value_slope(theta: np.ndarray, kappa: float, sign: float) -> np.ndar
         return -4.0 * (s4 + sign * r) / (den * den)
 
 
-def np_postselect_probability(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
+def postselect_probability(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     """Success probability of the postselection: (1 + sign*r*sin(4t)) / 2."""
     theta = np.asarray(theta, dtype=np.float64)
     r = math.sqrt(1.0 - kappa * kappa)
     return (1.0 + sign * r * np.sin(4.0 * theta)) / 2.0
 
 
-def np_fisher_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
+def fisher_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     """Postselected Fisher information 16 k^2 / den^2 (per squared radian).
 
     Algebraically identical to k^2 (d sigma)^2 / (1 - k^2 sigma^2) wherever
@@ -91,7 +72,7 @@ def np_fisher_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
         return 16.0 * kappa * kappa / (den * den)
 
 
-def np_pusey_curves(
+def pusey_curves(
     theta: np.ndarray, kappa: float, sign: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Non-contextuality functionals (i0, i1) and the overlap p_phi per grid
@@ -116,7 +97,7 @@ def np_pusey_curves(
     return i0, i1, p_phi
 
 
-def np_invert_sigma(
+def invert_sigma(
     targets: np.ndarray,
     kappa: float,
     sign: float,
@@ -133,8 +114,8 @@ def np_invert_sigma(
     targets = np.asarray(targets, dtype=np.float64)
     lo_arr = np.full(targets.shape, lo)
     hi_arr = np.full(targets.shape, hi)
-    f_lo = np_weak_value_curve(lo_arr, kappa, sign) - targets
-    f_hi = np_weak_value_curve(hi_arr, kappa, sign) - targets
+    f_lo = weak_value_curve(lo_arr, kappa, sign) - targets
+    f_hi = weak_value_curve(hi_arr, kappa, sign) - targets
     out = np.full(targets.shape, np.nan)
     exact_lo = f_lo == 0.0
     exact_hi = f_hi == 0.0
@@ -148,7 +129,7 @@ def np_invert_sigma(
         if not np.any(active):
             break
         mid = 0.5 * (a + b)
-        fm = np_weak_value_curve(mid, kappa, sign) - targets
+        fm = weak_value_curve(mid, kappa, sign) - targets
         left = (fa * fm <= 0.0) & active
         b = np.where(left, mid, b)
         a = np.where(left | ~active, a, mid)
@@ -157,160 +138,3 @@ def np_invert_sigma(
     done = (f_lo * f_hi < 0.0) & ~exact_lo & ~exact_hi
     out[done] = 0.5 * (a + b)[done]
     return out
-
-
-_NUMPY_IMPL: dict[str, object] = {
-    "weak_value_curve": np_weak_value_curve,
-    "weak_value_slope": np_weak_value_slope,
-    "postselect_probability": np_postselect_probability,
-    "fisher_curve": np_fisher_curve,
-    "pusey_curves": np_pusey_curves,
-    "invert_sigma": np_invert_sigma,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend (scalar loops); compiled lazily, cached on disk
-# ---------------------------------------------------------------------------
-
-NUMBA_IMPORTED = False
-_NUMBA_IMPL: dict[str, object] = {}
-
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        NUMBA_IMPORTED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_IMPORTED = False
-
-if NUMBA_IMPORTED:
-
-    @njit(cache=True)
-    def nb_weak_value_curve(theta, kappa, sign):
-        n = theta.shape[0]
-        out = np.empty(n)
-        r = math.sqrt(1.0 - kappa * kappa)
-        for i in range(n):
-            out[i] = math.cos(4.0 * theta[i]) / (1.0 + sign * r * math.sin(4.0 * theta[i]))
-        return out
-
-    @njit(cache=True)
-    def nb_weak_value_slope(theta, kappa, sign):
-        n = theta.shape[0]
-        out = np.empty(n)
-        r = math.sqrt(1.0 - kappa * kappa)
-        for i in range(n):
-            s4 = math.sin(4.0 * theta[i])
-            den = 1.0 + sign * r * s4
-            out[i] = -4.0 * (s4 + sign * r) / (den * den)
-        return out
-
-    @njit(cache=True)
-    def nb_postselect_probability(theta, kappa, sign):
-        n = theta.shape[0]
-        out = np.empty(n)
-        r = math.sqrt(1.0 - kappa * kappa)
-        for i in range(n):
-            out[i] = (1.0 + sign * r * math.sin(4.0 * theta[i])) / 2.0
-        return out
-
-    @njit(cache=True)
-    def nb_fisher_curve(theta, kappa, sign):
-        n = theta.shape[0]
-        out = np.empty(n)
-        r = math.sqrt(1.0 - kappa * kappa)
-        for i in range(n):
-            den = 1.0 + sign * r * math.sin(4.0 * theta[i])
-            out[i] = 16.0 * kappa * kappa / (den * den)
-        return out
-
-    @njit(cache=True)
-    def nb_pusey_curves(theta, kappa, sign):
-        n = theta.shape[0]
-        i0 = np.empty(n)
-        i1 = np.empty(n)
-        p_phi = np.empty(n)
-        r = math.sqrt(1.0 - kappa * kappa)
-        p_d = 1.0 - r
-        for i in range(n):
-            s4 = math.sin(4.0 * theta[i])
-            c4 = math.cos(4.0 * theta[i])
-            p_post = (1.0 + sign * r * s4) / 2.0
-            half_diff = kappa * c4 / 2.0
-            p0 = (p_post + half_diff) / 2.0
-            p1 = (p_post - half_diff) / 2.0
-            ph = (1.0 + sign * s4) / 2.0
-            p_phi[i] = ph
-            if ph <= _PHI_FLOOR:
-                i0[i] = np.nan
-                i1[i] = np.nan
-            else:
-                i0[i] = p0 / ph - (1.0 + kappa) / 2.0 - p_d / ph
-                i1[i] = p1 / ph - (1.0 + kappa) / 2.0 - p_d / ph
-        return i0, i1, p_phi
-
-    @njit(cache=True)
-    def nb_invert_sigma(targets, kappa, sign, lo, hi, xtol=1e-12, max_iter=200):
-        n = targets.shape[0]
-        out = np.empty(n)
-        r = math.sqrt(1.0 - kappa * kappa)
-
-        def _curve(t):
-            return math.cos(4.0 * t) / (1.0 + sign * r * math.sin(4.0 * t))
-
-        f_lo0 = _curve(lo)
-        f_hi0 = _curve(hi)
-        for i in range(n):
-            tgt = targets[i]
-            fa = f_lo0 - tgt
-            fb = f_hi0 - tgt
-            if fa == 0.0:
-                out[i] = lo
-                continue
-            if fb == 0.0:
-                out[i] = hi
-                continue
-            if fa * fb > 0.0:
-                out[i] = np.nan
-                continue
-            a = lo
-            b = hi
-            for _ in range(max_iter):
-                mid = 0.5 * (a + b)
-                fm = _curve(mid) - tgt
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a = mid
-                    fa = fm
-                if b - a <= xtol:
-                    break
-            out[i] = 0.5 * (a + b)
-        return out
-
-    _NUMBA_IMPL = {
-        "weak_value_curve": nb_weak_value_curve,
-        "weak_value_slope": nb_weak_value_slope,
-        "postselect_probability": nb_postselect_probability,
-        "fisher_curve": nb_fisher_curve,
-        "pusey_curves": nb_pusey_curves,
-        "invert_sigma": nb_invert_sigma,
-    }
-
-
-USING_NUMBA = NUMBA_IMPORTED
-
-IMPLEMENTATIONS: dict[str, dict[str, object]] = {
-    name: {"numpy": _NUMPY_IMPL[name], "numba": _NUMBA_IMPL.get(name)}
-    for name in _NUMPY_IMPL
-}
-
-_ACTIVE = _NUMBA_IMPL if USING_NUMBA else _NUMPY_IMPL
-
-weak_value_curve = _ACTIVE["weak_value_curve"]
-weak_value_slope = _ACTIVE["weak_value_slope"]
-postselect_probability = _ACTIVE["postselect_probability"]
-fisher_curve = _ACTIVE["fisher_curve"]
-pusey_curves = _ACTIVE["pusey_curves"]
-invert_sigma = _ACTIVE["invert_sigma"]

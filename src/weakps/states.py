@@ -141,7 +141,7 @@ class Strength:
     def dephasing_weight(self) -> float:
         """The probability weight 1 - sqrt(1 - kappa^2) of the disturbed part
         of the consolidated postselection operator."""
-        return 1.0 - math.sqrt(1.0 - self.kappa**2)
+        return 1.0 - math.sqrt(1.0 - self.kappa * self.kappa)
 
 
 def as_strength(s: "Strength | float") -> Strength:

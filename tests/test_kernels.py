@@ -1,58 +1,27 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from weakps import kernels
-from weakps.weak import weak_value_curve, weak_value_slope
+from weakps.weak import postselect_probability, weak_value_curve, weak_value_slope
 
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
 THETA = np.linspace(0.0, math.pi / 2, 1001)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_IMPORTED, reason="numba backend not loaded")
-@pytest.mark.parametrize("name", sorted(kernels.IMPLEMENTATIONS))
-def test_backends_agree(name):
-    pair = kernels.IMPLEMENTATIONS[name]
-    np_fn, nb_fn = pair["numpy"], pair["numba"]
-    for kappa in KAPPAS:
-        for sign in (-1.0, 1.0):
-            if name == "invert_sigma":
-                r = math.sqrt(1 - kappa**2)
-                lo, hi = 0.0, math.asin(r) / 4 - 1e-9
-                if sign > 0:
-                    # the plus curve falls on [0, lo_peak]; bracket stays valid
-                    lo, hi = 0.0, math.pi / 8
-                targets = np.linspace(-0.9, 0.9, 101)
-                a = np_fn(targets, kappa, sign, lo, hi)
-                b = nb_fn(targets, kappa, sign, lo, hi)
-            else:
-                a = np_fn(THETA, kappa, sign)
-                b = nb_fn(THETA, kappa, sign)
-            if isinstance(a, tuple):
-                for x, y in zip(a, b):
-                    np.testing.assert_allclose(x, y, rtol=0, atol=1e-12, equal_nan=True)
-            else:
-                mask = np.isfinite(a) | np.isfinite(b)
-                np.testing.assert_allclose(
-                    a[mask], b[mask], rtol=0, atol=1e-10, equal_nan=True
-                )
-
-
 def test_curve_kernel_matches_scalar_op():
+    pairs = (
+        (kernels.postselect_probability, postselect_probability, 1e-15),
+        (kernels.weak_value_curve, weak_value_curve, 1e-14),
+        (kernels.weak_value_slope, weak_value_slope, 1e-11),
+    )
     for kappa in KAPPAS:
         for sign_label, sign in (("minus", -1.0), ("plus", 1.0)):
-            grid = kernels.weak_value_curve(THETA, kappa, sign)
-            slope = kernels.weak_value_slope(THETA, kappa, sign)
-            for i in (0, 250, 500, 750, 1000):
-                assert grid[i] == pytest.approx(
-                    weak_value_curve(float(THETA[i]), kappa, sign_label), abs=1e-14
-                )
-                assert slope[i] == pytest.approx(
-                    weak_value_slope(float(THETA[i]), kappa, sign_label), abs=1e-11
+            for kernel, scalar, atol in pairs:
+                expected = [scalar(t, kappa, sign_label) for t in THETA.tolist()]
+                np.testing.assert_allclose(
+                    kernel(THETA, kappa, sign), expected, rtol=0, atol=atol
                 )
 
 
@@ -89,24 +58,3 @@ def test_pusey_kernel_skips_orthogonal_point():
     i0, i1, p_phi = kernels.pusey_curves(np.array([math.pi / 8]), 0.335, -1.0)
     assert p_phi[0] <= 1e-30
     assert math.isnan(i0[0]) and math.isnan(i1[0])
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, WEAKPS_NO_NUMBA="1")
-    code = (
-        "from weakps import kernels; "
-        "assert not kernels.USING_NUMBA; "
-        "assert not kernels.NUMBA_IMPORTED; "
-        "import numpy as np; "
-        "out = kernels.weak_value_curve(np.array([0.0]), 0.335, -1.0); "
-        "assert abs(out[0] - 1.0) < 1e-15"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_backend_flag_consistency():
-    # in this process numba should be active unless the env flag was set
-    if os.environ.get("WEAKPS_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}:
-        assert not kernels.USING_NUMBA
-    else:
-        assert kernels.USING_NUMBA == kernels.NUMBA_IMPORTED
