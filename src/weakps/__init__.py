@@ -36,9 +36,11 @@ from .estimation import (
     EstimateResult,
     ModelParams,
     Table1Row,
+    assess_estimate,
     build_calibration,
     cramer_rao_variance,
     estimate_theta,
+    invert_branch,
     load_baseline,
     propagate_variance,
     table1_pipeline,

@@ -39,11 +39,10 @@ from .errors import ConfigError, WeakpsError
 from .estimation import (
     TABLE1_THETAS_DEG,
     ModelParams,
+    assess_estimate,
     build_calibration,
-    cramer_rao_variance,
-    estimate_theta,
+    invert_branch,
     load_baseline,
-    propagate_variance,
     table1_pipeline,
 )
 from .imperfections import VISIBILITY_MODEL, ImperfectionParams, imperfect_joint_probs
@@ -57,12 +56,7 @@ from .states import (
     make_signal_state,
     sign_factor,
 )
-from .weak import (
-    QUANTUM_FISHER_INFORMATION,
-    fisher_curve_grid,
-    fisher_ps_definition,
-    weak_value_curve_grid,
-)
+from .weak import QUANTUM_FISHER_INFORMATION, fisher_curve_grid
 
 SCHEMA_VERSION = 1
 
@@ -295,19 +289,27 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _resolve_output_path(output: str) -> str:
+def _stamp(metadata: dict) -> dict:
+    """Copy of ``metadata`` with the schema version and the generation time."""
+    return {**metadata, "schema_version": SCHEMA_VERSION,
+            "generated_at": datetime.now(timezone.utc).isoformat()}
+
+
+def _emit(output: str, text: str) -> None:
+    """Write ``text`` to ``output`` ('-' is stdout); relative paths resolve
+    against ``WEAKPS_OUTPUT_DIR`` when it is set."""
     if output == "-":
-        return output
+        sys.stdout.write(text)
+        return
     base = os.environ.get("WEAKPS_OUTPUT_DIR", "")
     if base and not os.path.isabs(output):
-        return os.path.join(base, output)
-    return output
+        output = os.path.join(base, output)
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _write(output: str, fmt: str, metadata: dict, columns: list[str], records: list[dict]) -> None:
-    metadata = dict(metadata)
-    metadata["schema_version"] = SCHEMA_VERSION
-    metadata["generated_at"] = datetime.now(timezone.utc).isoformat()
+    metadata = _stamp(metadata)
     if fmt == "json":
         payload = json.dumps({"metadata": metadata, "records": records}, indent=2)
         text = payload + "\n"
@@ -317,12 +319,7 @@ def _write(output: str, fmt: str, metadata: dict, columns: list[str], records: l
         for rec in records:
             lines.append(",".join(_fmt(rec[c]) for c in columns))
         text = "\n".join(lines) + "\n"
-    path = _resolve_output_path(output)
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(output, text)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +350,7 @@ def _cmd_sweep_weak_value(args) -> None:
     grid = np.deg2rad(grid_deg)
     signs = _signs(args.postselect)
 
-    series: dict[str, np.ndarray] = {}
-    for sign in signs:
-        if imperfections is None:
-            series[sign] = weak_value_curve_grid(grid, kappa, sign)
-        else:
-            model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=imperfections)
-            series[sign] = np.array([model.sigma(float(t)) for t in grid])
+    series = {sign: ModelParams(kappa, sign, imperfections).sigma_array(grid) for sign in signs}
 
     columns = ["theta_deg"]
     for sign in signs:
@@ -472,15 +463,11 @@ def _cmd_sweep_fisher(args) -> None:
             rec[f"budget_lhs_{sign}"] = float(budget_series[sign][i])
         records.append(rec)
 
-    meta = {
-        "command": args.command,
-        "kappa": kappa,
-        "mu_deg": math.degrees(mu),
-        "postselect": args.postselect,
-        "theta_start": args.theta_start,
-        "theta_end": args.theta_end,
-        "theta_step": args.theta_step,
-    }
+    meta = _model_metadata(args, kappa, mu, None)
+    meta.update(postselect=args.postselect, theta_start=args.theta_start,
+                theta_end=args.theta_end, theta_step=args.theta_step)
+    for sign in signs:  # saturated points: no Fisher information, written as nan
+        meta[f"skipped_{sign}"] = int(np.isnan(f_series[sign]).sum())
     _write(args.output, args.format, meta, columns, records)
 
 
@@ -558,31 +545,30 @@ def _cmd_estimate(args) -> None:
         "theta_deg", "sigma_hat", "sigma_variance", "theta_hat_deg",
         "variance_theta_deg2", "f_ps", "m_ps", "sigma_cr_deg2",
     ]
-    records = []
+    measured = []  # (input record, m_ps, sigma_hat, sigma_variance)
     for rec_in in in_records:
-        config = replace(acquisition, seed=int(rec_in.get("seed", 0)))
         counts = CountRecord(
             n_mp=int(rec_in["n_mp"]),
             n_mm=int(rec_in["n_mm"]),
             n_pp=int(rec_in["n_pp"]),
             n_pm=int(rec_in["n_pm"]),
-            config=config,
+            config=replace(acquisition, seed=int(rec_in.get("seed", 0))),
         )
-        sigma_hat, var_sigma = weak_value_from_counts(counts, kappa, sign)
-        theta_hat = estimate_theta(curve, sigma_hat, branch)
-        var_theta = propagate_variance(curve, theta_hat, var_sigma)
-        n_a, n_b = counts.postselected(sign)
-        m_ps = n_a + n_b
-        sigma_cr = cramer_rao_variance(theta_hat, kappa, sign, m_ps)
+        measured.append((rec_in, sum(counts.postselected(sign)),
+                         *weak_value_from_counts(counts, kappa, sign)))
+    theta_hats = invert_branch(curve, [m[2] for m in measured], branch).tolist()
+    records = []
+    for (rec_in, m_ps, sigma_hat, var_sigma), theta_hat in zip(measured, theta_hats):
+        est = assess_estimate(curve, branch, theta_hat, sigma_hat, var_sigma, m_ps)
         records.append({
             "theta_deg": float(rec_in.get("theta_deg", math.nan)),
             "sigma_hat": sigma_hat,
             "sigma_variance": var_sigma,
-            "theta_hat_deg": math.degrees(theta_hat),
-            "variance_theta_deg2": var_theta,
-            "f_ps": fisher_ps_definition(theta_hat, kappa, sign),
+            "theta_hat_deg": est.theta_hat_deg,
+            "variance_theta_deg2": est.variance_theta_deg2,
+            "f_ps": est.f_ps,
             "m_ps": m_ps,
-            "sigma_cr_deg2": sigma_cr,
+            "sigma_cr_deg2": est.sigma_cr_deg2,
         })
 
     meta = _model_metadata(args, kappa, mu, imperfections)
@@ -649,29 +635,16 @@ def _cmd_decompose(args) -> None:
         phi_label = f"angle:{args.phi_angle}"
     result = decompose_consolidated(phi, kappa)
 
-    meta = {
-        "command": args.command,
-        "kappa": kappa,
-        "mu_deg": math.degrees(mu),
-        "phi": phi_label,
-    }
+    meta = _model_metadata(args, kappa, mu, None)
+    meta["phi"] = phi_label
     if args.format == "json":
-        metadata = dict(meta)
-        metadata["schema_version"] = SCHEMA_VERSION
-        metadata["generated_at"] = datetime.now(timezone.utc).isoformat()
         payload = {
-            "metadata": metadata,
+            "metadata": _stamp(meta),
             "p_d": result.p_d,
             "s_matrix": [[float(x.real) for x in row] for row in result.s_matrix],
             "e_d": [[float(x.real) for x in row] for row in result.e_d],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        path = _resolve_output_path(args.output)
-        if path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _emit(args.output, json.dumps(payload, indent=2) + "\n")
         return
     columns = ["p_d", "s_00", "s_01", "s_10", "s_11", "e_d_00", "e_d_01", "e_d_10", "e_d_11"]
     s = result.s_matrix

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with weakps, not on the first draw
 
 from .errors import EmptyChannel, ZeroStrength
 from .states import ProbabilityRecord, Strength, as_strength, sign_factor

@@ -2,8 +2,15 @@
 
 Each class marks one well-defined failure mode of the numerical pipeline,
 so callers (and the CLI) can distinguish "your input is outside the model"
-from genuine bugs.
+from genuine bugs.  Messages give angles in degrees, as the CLI does.
 """
+
+import math
+
+
+def angle_text(theta: float) -> str:
+    """An angle in radians as plain degrees, for error messages."""
+    return f"{math.degrees(theta):.12g} deg"
 
 
 class WeakpsError(Exception):

@@ -2,11 +2,12 @@
 with variance propagation and comparison against the Cramér-Rao limit of the
 postselected events.
 
-Inversion uses the exact model curve with bracketed root finding on a caller
-chosen monotone branch (the curve is not injective over a quarter turn, so
-branch selection is explicit).  Reported variances are in squared degrees;
-all internal information quantities stay in inverse squared radians, with the
-unit conversion applied exactly once here.
+Inversion bisects the exact model curve for a batch of measured values at
+once, on a caller-chosen monotone branch (the curve is not injective over a
+quarter turn, so branch selection is explicit) that is probed for monotonicity
+once per batch.  Reported variances are in squared degrees; all internal
+information quantities stay in inverse squared radians, with the unit
+conversion applied exactly once here.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import kernels
 from .counting import AcquisitionConfig, derive_seeds, simulate_counts, weak_value_from_counts
-from .errors import AmbiguousBranch, FlatCurve, OutOfRange, WeakpsError
+from .errors import AmbiguousBranch, FlatCurve, OutOfRange, WeakpsError, angle_text
 from .imperfections import ImperfectionParams, imperfect_joint_probs
 from .states import (
     ProbabilityRecord,
@@ -35,6 +36,7 @@ from .weak import (
     postselect_probability,
     weak_value,
     weak_value_curve,
+    weak_value_curve_grid,
     weak_value_slope,
 )
 
@@ -46,8 +48,10 @@ __all__ = [
     "EstimateResult",
     "Table1Row",
     "build_calibration",
+    "invert_branch",
     "estimate_theta",
     "propagate_variance",
+    "assess_estimate",
     "cramer_rao_variance",
     "table1_pipeline",
     "load_baseline",
@@ -63,6 +67,7 @@ TABLE1_THETAS_DEG = {
 
 _SLOPE_FLOOR = 1e-9
 _FD_STEP = 1e-6  # central-difference step for curves without a closed form
+_PROBE_SAMPLES = 65  # angles at which a branch is checked for monotonicity
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,12 @@ class ModelParams:
         pc0, pc1 = conditional_probabilities(*record.postselected(self.postselect_sign))
         return weak_value(pc0, pc1, self.kappa)
 
+    def sigma_array(self, thetas: np.ndarray) -> np.ndarray:
+        """:meth:`sigma` over a one-dimensional array of angles."""
+        if self.imperfections is None:
+            return weak_value_curve_grid(thetas, self.kappa, self.postselect_sign)
+        return np.array([self.sigma(t) for t in np.asarray(thetas, dtype=np.float64).tolist()])
+
     def sigma_slope(self, theta: float) -> float:
         """Angle derivative of the model curve; analytic for the ideal model,
         central differences otherwise."""
@@ -107,8 +118,8 @@ class ModelParams:
 class CalibrationCurve:
     """Tabulated model curve linking the postselected value to the angle.
 
-    The grid is for bracketing and branch bookkeeping only; evaluation always
-    goes through the exact model.
+    The grid is for branch bookkeeping only; inversion always evaluates the
+    exact model.
     """
 
     theta_grid: np.ndarray
@@ -130,9 +141,6 @@ class CalibrationCurve:
         values.setflags(write=False)
         object.__setattr__(self, "theta_grid", grid)
         object.__setattr__(self, "sigma_values", values)
-
-    def evaluate(self, theta: float) -> float:
-        return self.model.sigma(theta)
 
     def slope(self, theta: float) -> float:
         return self.model.sigma_slope(theta)
@@ -165,14 +173,14 @@ class CalibrationCurve:
         grid = self.theta_grid
         last = grid.size - 1
         if not grid[0] <= theta <= grid[-1]:
-            raise OutOfRange(f"theta = {theta!r} outside the tabulated range")
+            raise OutOfRange(f"theta = {angle_text(theta)} outside the tabulated range")
         for i, j in self.branches():
             lo_idx = i if i == 0 else i + 1
             hi_idx = j if j == last else j - 1
             if lo_idx < hi_idx and grid[lo_idx] <= theta <= grid[hi_idx]:
                 return float(grid[lo_idx]), float(grid[hi_idx])
         raise AmbiguousBranch(
-            f"theta = {theta!r} sits within one grid cell of a curve turning point"
+            f"theta = {angle_text(theta)} sits within one grid cell of a curve turning point"
         )
 
 
@@ -187,46 +195,41 @@ def build_calibration(
         raise ValueError("theta range must be non-empty")
     n = int(round((theta_stop - theta_start) / step))
     grid = theta_start + step * np.arange(n + 1)
-    values = np.array([model.sigma(float(t)) for t in grid])
-    return CalibrationCurve(theta_grid=grid, sigma_values=values, model=model)
+    return CalibrationCurve(theta_grid=grid, sigma_values=model.sigma_array(grid), model=model)
 
 
-def _assert_monotone(curve: CalibrationCurve, lo: float, hi: float, samples: int = 65) -> None:
-    probe = np.linspace(lo, hi, samples)
-    values = np.array([curve.evaluate(float(t)) for t in probe])
-    d = np.diff(values)
+def invert_branch(
+    curve: CalibrationCurve, sigmas: "np.ndarray | list[float]", branch: tuple[float, float]
+) -> np.ndarray:
+    """Invert the calibration curve on a monotone branch for a batch of
+    measured values: one angle per value, NaN where the value falls outside
+    the branch's range.  Raises AmbiguousBranch when the branch spans a
+    turning point.  Roots are bisected to 1e-12 radians.
+    """
+    lo, hi = float(branch[0]), float(branch[1])
+    if hi <= lo:
+        raise ValueError("branch must be a non-empty interval (lo, hi)")
+    d = np.diff(curve.model.sigma_array(np.linspace(lo, hi, _PROBE_SAMPLES)))
     if np.any(d > 0.0) and np.any(d < 0.0):
-        raise AmbiguousBranch(
-            f"curve is not monotone on [{lo!r}, {hi!r}]; it spans a turning point"
-        )
+        raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
+                              "it spans a turning point")
+    return kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
+
+
+def _out_of_range(curve: CalibrationCurve, sigma: float, branch: tuple[float, float]) -> OutOfRange:
+    ends = curve.model.sigma_array(np.asarray(branch, dtype=np.float64))
+    return OutOfRange(f"sigma = {sigma:.12g} outside [{ends.min():.12g}, {ends.max():.12g}], the "
+                      f"range of branch [{angle_text(branch[0])}, {angle_text(branch[1])}]")
 
 
 def estimate_theta(
     curve: CalibrationCurve, sigma_measured: float, branch: tuple[float, float]
 ) -> float:
-    """Invert the calibration curve on a monotone branch.
-
-    Raises OutOfRange when the measured value falls outside the branch's
-    value range and AmbiguousBranch when the branch spans a turning point.
-    Root is bracketed and polished to 1e-12 radians.
-    """
-    lo, hi = float(branch[0]), float(branch[1])
-    if hi <= lo:
-        raise ValueError("branch must be a non-empty interval (lo, hi)")
-    _assert_monotone(curve, lo, hi)
-    f_lo = curve.evaluate(lo) - sigma_measured
-    f_hi = curve.evaluate(hi) - sigma_measured
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise OutOfRange(
-            f"sigma = {sigma_measured!r} outside branch range "
-            f"[{min(curve.evaluate(lo), curve.evaluate(hi))!r}, "
-            f"{max(curve.evaluate(lo), curve.evaluate(hi))!r}]"
-        )
-    return float(brentq(lambda t: curve.evaluate(t) - sigma_measured, lo, hi, xtol=1e-12))
+    """Scalar :func:`invert_branch`; raises OutOfRange where it gives NaN."""
+    theta = float(invert_branch(curve, [sigma_measured], branch)[0])
+    if math.isnan(theta):
+        raise _out_of_range(curve, sigma_measured, branch)
+    return theta
 
 
 def propagate_variance(curve: CalibrationCurve, theta_hat: float, variance_sigma: float) -> float:
@@ -239,7 +242,9 @@ def propagate_variance(curve: CalibrationCurve, theta_hat: float, variance_sigma
         raise ValueError("variance must be nonnegative")
     slope = curve.slope(theta_hat)
     if abs(slope) < _SLOPE_FLOOR:
-        raise FlatCurve(f"curve slope {slope!r} at theta = {theta_hat!r} is numerically zero")
+        raise FlatCurve(
+            f"curve slope {slope:.12g} at theta = {angle_text(theta_hat)} is numerically zero"
+        )
     return variance_sigma / (slope * slope) * RAD2_TO_DEG2
 
 
@@ -270,6 +275,34 @@ class EstimateResult:
             raise ValueError("variance must be nonnegative")
         if self.sigma_cr_deg2 <= 0.0:
             raise ValueError("Cramér-Rao variance must be positive")
+
+
+def assess_estimate(
+    curve: CalibrationCurve, branch: tuple[float, float], theta_hat: float,
+    sigma_hat: float, var_sigma: float, m_ps: int,
+) -> EstimateResult:
+    """Error budget of ``theta_hat``, inverted from ``sigma_hat`` on ``branch``:
+    propagated variance, Fisher information and the Cramér-Rao limit for
+    ``m_ps`` postselected events, with the per-attempt budget audited.
+    Raises OutOfRange when ``theta_hat`` is NaN (``sigma_hat`` missed the
+    branch), and FlatCurve or DegenerateConditional at the curve's extrema.
+    """
+    if math.isnan(theta_hat):
+        raise _out_of_range(curve, sigma_hat, branch)
+    kappa, sign = curve.model.kappa, curve.model.postselect_sign
+    var_theta = propagate_variance(curve, theta_hat, var_sigma)
+    f_ps = fisher_ps_definition(theta_hat, kappa, sign)
+    budget = f_ps * postselect_probability(theta_hat, kappa, sign)
+    if budget > QUANTUM_FISHER_INFORMATION + 1e-9:
+        raise RuntimeError(f"information budget audit failed: {budget!r} > 16")
+    return EstimateResult(
+        theta_hat_deg=math.degrees(theta_hat),
+        variance_theta_deg2=var_theta,
+        sigma_cr_deg2=1.0 / (f_ps * m_ps) * RAD2_TO_DEG2,
+        f_ps=f_ps,
+        m_ps=m_ps,
+        postselect_sign=sign,
+    )
 
 
 @dataclass(frozen=True)
@@ -316,34 +349,6 @@ class Table1Row:
         return float(np.mean([e.m_ps for e in self.estimates]))
 
 
-def _estimate_once(
-    curve: CalibrationCurve,
-    probs: ProbabilityRecord,
-    config: AcquisitionConfig,
-    branch: tuple[float, float],
-    model: ModelParams,
-) -> EstimateResult:
-    counts = simulate_counts(probs, config)
-    sigma_hat, var_sigma = weak_value_from_counts(counts, model.kappa, model.postselect_sign)
-    theta_hat = estimate_theta(curve, sigma_hat, branch)
-    var_theta = propagate_variance(curve, theta_hat, var_sigma)
-    n_a, n_b = counts.postselected(model.postselect_sign)
-    m_ps = n_a + n_b
-    f_ps = fisher_ps_definition(theta_hat, model.kappa, model.postselect_sign)
-    sigma_cr = 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2
-    budget = f_ps * postselect_probability(theta_hat, model.kappa, model.postselect_sign)
-    if budget > QUANTUM_FISHER_INFORMATION + 1e-9:
-        raise RuntimeError(f"information budget audit failed: {budget!r} > 16")
-    return EstimateResult(
-        theta_hat_deg=math.degrees(theta_hat),
-        variance_theta_deg2=var_theta,
-        sigma_cr_deg2=sigma_cr,
-        f_ps=f_ps,
-        m_ps=m_ps,
-        postselect_sign=model.postselect_sign,
-    )
-
-
 def table1_pipeline(
     theta_list_deg: "list[float] | tuple[float, ...]",
     model: ModelParams,
@@ -352,14 +357,16 @@ def table1_pipeline(
 ) -> list[Table1Row]:
     """Simulate, estimate, and audit every working point.
 
-    Per angle and repetition: draw counts, estimate the postselected value
-    and its variance, invert on the monotone branch containing the true
-    angle, propagate the variance, and compute the Cramér-Rao comparison
-    with the realized postselected event count.  Failed repetitions are
-    recorded per row, never dropped silently.
+    Per angle: draw counts and estimate the postselected value and its
+    variance for every repetition, invert them together on the monotone
+    branch containing the true angle, then per repetition propagate the
+    variance and compute the Cramér-Rao comparison with the realized
+    postselected event count.  Failed repetitions are recorded per row,
+    never dropped silently.
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
+    sign = model.postselect_sign
     curve = build_calibration(model, 0.0, math.pi / 2.0, math.radians(0.05))
     all_seeds = derive_seeds(acquisition.seed, len(theta_list_deg) * repetitions)
     rows: list[Table1Row] = []
@@ -368,22 +375,33 @@ def table1_pipeline(
         probs = model.probability_record(theta)
         branch = curve.branch_containing(theta)
         seeds = all_seeds[row_index * repetitions : (row_index + 1) * repetitions]
-        estimates: list[EstimateResult] = []
-        failures: list[str] = []
+        failed: dict[int, WeakpsError] = {}
+        measured: list[tuple[int, int, float, float]] = []  # (rep, m_ps, sigma, var)
         for i, seed in enumerate(seeds):
-            config = replace(acquisition, seed=seed)
+            counts = simulate_counts(probs, replace(acquisition, seed=seed))
             try:
-                estimates.append(_estimate_once(curve, probs, config, branch, model))
+                sigma_var = weak_value_from_counts(counts, model.kappa, sign)
             except WeakpsError as exc:
-                failures.append(f"rep {i}: {type(exc).__name__}: {exc}")
-        rows.append(
-            Table1Row(
-                theta_deg=float(theta_deg),
-                postselect_sign=model.postselect_sign,
-                estimates=tuple(estimates),
-                failures=tuple(failures),
-            )
-        )
+                failed[i] = exc
+                continue
+            measured.append((i, sum(counts.postselected(sign)), *sigma_var))
+        try:
+            theta_hats = invert_branch(curve, [m[2] for m in measured], branch).tolist()
+        except WeakpsError as exc:
+            failed.update((m[0], exc) for m in measured)
+            theta_hats = []
+        estimates: list[EstimateResult] = []
+        for (i, m_ps, sigma_hat, var_sigma), theta_hat in zip(measured, theta_hats):
+            try:
+                estimates.append(assess_estimate(curve, branch, theta_hat, sigma_hat, var_sigma, m_ps))
+            except WeakpsError as exc:
+                failed[i] = exc
+        rows.append(Table1Row(
+            theta_deg=float(theta_deg),
+            postselect_sign=sign,
+            estimates=tuple(estimates),
+            failures=tuple(f"rep {i}: {type(e).__name__}: {e}" for i, e in sorted(failed.items())),
+        ))
     return rows
 
 

@@ -1,14 +1,14 @@
 """Numpy array kernels: grid evaluation of postselected-value curves, their
-information content, the non-contextuality functional, and batched curve
-inversion.
+information content, the non-contextuality functional, and batched bisection
+of a vectorised curve.
 
 Each quantity has one closed form in ``(theta, kappa, sign)``, evaluated
-vectorized over an angle (or target) array.
+vectorized over an angle array; the bisection takes the curve as a callable.
 
 Kernels are deliberately unvalidated: callers in :mod:`weakps.weak`,
-:mod:`weakps.contextuality` and :mod:`weakps.cli` enforce the
-preconditions (``0 < kappa <= 1``, ``sign`` is +-1) and map non-finite
-outputs back to typed errors.
+:mod:`weakps.contextuality`, :mod:`weakps.estimation` and :mod:`weakps.cli`
+enforce the preconditions (``0 < kappa <= 1``, ``sign`` is +-1) and map
+non-finite outputs back to typed errors.
 
 Conventions: ``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for
 ``<+|``; it enters all formulas through the postselection denominator
@@ -18,6 +18,7 @@ Conventions: ``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -99,42 +100,39 @@ def pusey_curves(
 
 def invert_sigma(
     targets: np.ndarray,
-    kappa: float,
-    sign: float,
+    curve: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     xtol: float = 1e-12,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Batched bisection of the postselected-value curve on a monotone bracket.
+    """Batched bisection of a vectorised curve on a monotone bracket.
 
+    ``curve`` maps an angle array to the curve's values at those angles.
     Returns the angle solving curve(theta) = target for each target, NaN for
     targets not bracketed by [curve(lo), curve(hi)].
     """
     targets = np.asarray(targets, dtype=np.float64)
-    lo_arr = np.full(targets.shape, lo)
-    hi_arr = np.full(targets.shape, hi)
-    f_lo = weak_value_curve(lo_arr, kappa, sign) - targets
-    f_hi = weak_value_curve(hi_arr, kappa, sign) - targets
+    c_lo, c_hi = curve(np.array([lo, hi]))
+    f_lo = c_lo - targets
+    f_hi = c_hi - targets
     out = np.full(targets.shape, np.nan)
-    exact_lo = f_lo == 0.0
-    exact_hi = f_hi == 0.0
-    out[exact_lo] = lo
-    out[exact_hi] = hi
-    active = (f_lo * f_hi < 0.0) & ~exact_lo & ~exact_hi
-    a = lo_arr.copy()
-    b = hi_arr.copy()
+    out[f_lo == 0.0] = lo
+    out[f_hi == 0.0] = hi
+    bracketed = f_lo * f_hi < 0.0  # excludes the exact endpoint hits above
+    active = bracketed
+    a = np.full(targets.shape, lo)
+    b = np.full(targets.shape, hi)
     fa = f_lo.copy()
     for _ in range(max_iter):
         if not np.any(active):
             break
         mid = 0.5 * (a + b)
-        fm = weak_value_curve(mid, kappa, sign) - targets
+        fm = curve(mid) - targets
         left = (fa * fm <= 0.0) & active
         b = np.where(left, mid, b)
         a = np.where(left | ~active, a, mid)
         fa = np.where(left | ~active, fa, fm)
         active = active & ((b - a) > xtol)
-    done = (f_lo * f_hi < 0.0) & ~exact_lo & ~exact_hi
-    out[done] = 0.5 * (a + b)[done]
+    out[bracketed] = 0.5 * (a + b)[bracketed]
     return out

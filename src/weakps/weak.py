@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateConditional, SaturatedWeakValue, ZeroPostselection, ZeroStrength
+from .errors import angle_text
 from .states import (
     MINUS,
     PLUS,
@@ -179,7 +180,7 @@ def weak_value_curve_grid(
     out = kernels.weak_value_curve(thetas, kappa, sign_factor(postselect_sign))
     if not np.all(np.isfinite(out)):
         bad = thetas[~np.isfinite(out)][0]
-        raise ZeroPostselection(f"postselection probability vanishes at theta = {bad!r}")
+        raise ZeroPostselection(f"postselection probability vanishes at theta = {angle_text(bad)}")
     return out
 
 
@@ -199,7 +200,7 @@ def fisher_ps_definition(theta: float, s: "Strength | float", postselect_sign: s
     sigma = weak_value_curve(theta, kappa, postselect_sign)
     if 1.0 - abs(kappa * sigma) < SATURATION_TOL:
         raise DegenerateConditional(
-            f"a conditional probability vanishes at theta = {theta!r}"
+            f"a conditional probability vanishes at theta = {angle_text(theta)}"
         )
     dsigma = weak_value_slope(theta, kappa, postselect_sign)
     pc0 = (1.0 + kappa * sigma) / 2.0
@@ -227,7 +228,9 @@ def fisher_curve_grid(
 ) -> np.ndarray:
     """Vectorized postselected Fisher information over an angle grid.
 
-    Raises DegenerateConditional naming the first saturated grid point.
+    NaN at saturated grid points, where a conditional probability vanishes
+    and the information is undefined (as :func:`fisher_ps_definition` raises
+    DegenerateConditional there).
     """
     kappa = as_strength(s).kappa
     if kappa == 0.0:
@@ -236,11 +239,7 @@ def fisher_curve_grid(
     sgn = sign_factor(postselect_sign)
     sigma = kernels.weak_value_curve(thetas, kappa, sgn)
     sat = 1.0 - np.abs(kappa * sigma) < SATURATION_TOL
-    if np.any(sat):
-        raise DegenerateConditional(
-            f"a conditional probability vanishes at theta = {thetas[sat][0]!r}"
-        )
-    return kernels.fisher_curve(thetas, kappa, sgn)
+    return np.where(sat, np.nan, kernels.fisher_curve(thetas, kappa, sgn))
 
 
 def quantum_fisher_information(theta: float) -> float:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import weakps
 from weakps import weak_value_curve
 from weakps.cli import main
 
@@ -95,6 +99,21 @@ def test_sweep_fisher_schema_and_budget(tmp_path):
     assert any(float(row[1]) > 16.0 for row in rows)
 
 
+def test_sweep_fisher_skips_saturated_points(tmp_path):
+    # the grid starts on the peak of the minus curve, where a conditional
+    # probability vanishes: that point is written as nan and counted
+    peak_deg = math.degrees(math.asin(math.sqrt(1 - 0.335**2)) / 4)
+    out = tmp_path / "fisher.csv"
+    assert main(["sweep-fisher", "--kappa", "0.335", "--theta-start", repr(peak_deg),
+                 "--theta-end", repr(peak_deg + 3), "--theta-step", "1",
+                 "--output", str(out)]) == 0
+    meta, header, rows = _read_csv(out)
+    assert (meta["skipped_minus"], meta["skipped_plus"]) == ("1", "0")
+    assert rows[0][header.index("f_ps_minus")] == "nan"
+    assert rows[0][header.index("budget_lhs_minus")] == "nan"
+    assert all("nan" not in row for row in rows[1:])
+
+
 def test_simulate_counts_then_estimate_round_trip(tmp_path):
     counts_path = tmp_path / "counts.json"
     assert main(["simulate-counts", "--kappa", "0.335", "--theta-start", "20",
@@ -124,7 +143,14 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
     rc = main(["estimate", "--input", str(counts_path), "--postselect", "minus",
                "--branch", "0,45", "--output", str(tmp_path / "x.csv")])
     assert rc == 1
-    assert "AmbiguousBranch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "AmbiguousBranch" in err and "np.float64" not in err
+    # the 20 deg record's value lies above the range of the rising branch
+    rc = main(["estimate", "--input", str(counts_path), "--postselect", "minus",
+               "--branch", "0,10", "--output", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "OutOfRange" in err and "[0 deg, 10 deg]" in err and "np.float64" not in err
 
 
 def test_table1_schema_and_baseline(tmp_path):
@@ -250,3 +276,24 @@ def test_unwritable_output_path(tmp_path, capsys):
     rc = main(["sweep-weak-value", "--kappa", "0.335",
                "--output", str(tmp_path / "no" / "such" / "dir.csv")])
     assert rc == 1
+
+
+def test_runtime_loads_no_third_party_package_but_numpy(tmp_path):
+    # numpy is the only runtime dependency: neither importing the CLI nor
+    # running the estimation pipeline may load any other installed package
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import weakps.cli\n"
+        "loaded = [set(sys.modules) - before]\n"
+        "weakps.cli.main(['table1', '--kappa', '0.335', '--repetitions', '2',\n"
+        "                 '--output', sys.argv[1]])\n"
+        "loaded.append(set(sys.modules) - before)\n"
+        "from importlib.metadata import packages_distributions\n"
+        "others = set(packages_distributions()) - {'numpy', 'weakps'}\n"
+        "print([sorted({m.split('.')[0] for m in new} & others) for new in loaded])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakps.__file__)))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[[], []]"

@@ -12,6 +12,7 @@ from weakps import (
     cramer_rao_variance,
     estimate_theta,
     imperfect_joint_probs,
+    invert_branch,
     load_baseline,
     propagate_variance,
     simulate_batch,
@@ -91,7 +92,7 @@ def test_estimate_out_of_range():
 
 def test_estimate_ambiguous_branch():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
-    with pytest.raises(AmbiguousBranch):
+    with pytest.raises(AmbiguousBranch, match=r"\[0 deg, 30 deg\]"):
         estimate_theta(curve, 1.5, (0.0, 30 * D2R))  # spans the peak at 17.6 deg
 
 
@@ -102,7 +103,7 @@ def test_branch_containing_shrinks_at_turning_points():
     theta_valley = (math.pi - math.asin(R)) / 4.0
     assert lo > theta_peak
     assert hi < theta_valley
-    with pytest.raises(AmbiguousBranch):
+    with pytest.raises(AmbiguousBranch, match=r"theta = 17\.6\d* deg"):
         # within one grid cell of the peak there is no safe branch
         curve.branch_containing(theta_peak)
 
@@ -225,20 +226,14 @@ def test_propagated_variance_saturates_cramer_rao_without_kappa_noise():
         assert est.variance_theta_deg2 > est.sigma_cr_deg2
 
 
-def test_scalar_and_batch_inverters_agree():
-    from weakps import kernels
-
-    curve = build_calibration(MINUS_MODEL, 0.0, math.pi / 2, 0.05 * D2R)
-    lo, hi = curve.branch_containing(22.0 * D2R)
-    targets = np.linspace(
-        weak_value_curve(hi, KAPPA, "minus") + 1e-6,
-        weak_value_curve(lo, KAPPA, "minus") - 1e-6,
-        50,
-    )
-    batch = kernels.invert_sigma(targets, KAPPA, -1.0, lo, hi)
-    for target, theta_batch in zip(targets, batch):
-        theta_scalar = estimate_theta(curve, float(target), (lo, hi))
-        assert theta_batch == pytest.approx(theta_scalar, abs=1e-9)
+def test_imperfect_round_trip_through_batched_inversion():
+    params = ImperfectionParams(0.78, 0.98, 0.34)
+    model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=params)
+    curve = build_calibration(model, 0.0, 45 * D2R, 0.5 * D2R)
+    lo, hi = curve.branch_containing(22.5 * D2R)
+    thetas = np.linspace(lo + 1e-3, hi - 1e-3, 9)
+    solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
+    np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
 
 
 def test_load_baseline_packaged():

@@ -44,13 +44,15 @@ def test_invert_round_trip():
     peak = math.asin(r) / 4
     thetas = np.linspace(0.0, peak - 1e-3, 200)
     targets = kernels.weak_value_curve(thetas, kappa, -1.0)
-    solved = kernels.invert_sigma(targets, kappa, -1.0, 0.0, peak - 1e-6)
+    curve = lambda t: kernels.weak_value_curve(t, kappa, -1.0)
+    solved = kernels.invert_sigma(targets, curve, 0.0, peak - 1e-6)
     np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
 
 
 def test_invert_flags_unbracketed_targets():
     kappa = 0.335
-    out = kernels.invert_sigma(np.array([5.0, 1.5]), kappa, -1.0, 0.0, 0.05)
+    curve = lambda t: kernels.weak_value_curve(t, kappa, -1.0)
+    out = kernels.invert_sigma(np.array([5.0, 1.5]), curve, 0.0, 0.05)
     assert math.isnan(out[0])
 
 
