@@ -36,7 +36,7 @@ from .estimation import (
     EstimateResult,
     ModelParams,
     Table1Row,
-    assess_estimate,
+    assess_estimates,
     build_calibration,
     cramer_rao_variance,
     estimate_theta,
@@ -87,6 +87,7 @@ from .weak import (
     weak_value_curve,
     weak_value_curve_grid,
     weak_value_slope,
+    weak_value_slope_grid,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

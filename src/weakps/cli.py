@@ -23,11 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, kernels
-from .contextuality import (
-    decompose_consolidated,
-    p_phi_from_postselection,
-    pusey_from_probabilities,
-)
+from .contextuality import decompose_consolidated, p_phi_from_postselection
 from .counting import (
     AcquisitionConfig,
     CountRecord,
@@ -38,8 +34,9 @@ from .counting import (
 from .errors import ConfigError, WeakpsError
 from .estimation import (
     TABLE1_THETAS_DEG,
+    EstimateResult,
     ModelParams,
-    assess_estimate,
+    assess_estimates,
     build_calibration,
     invert_branch,
     load_baseline,
@@ -50,7 +47,6 @@ from .states import (
     MINUS,
     ONE,
     PLUS,
-    PROB_FLOOR,
     ZERO,
     ideal_probability_record,
     make_signal_state,
@@ -254,11 +250,14 @@ def _resolve_imperfections(args: argparse.Namespace) -> ImperfectionParams | Non
     given = [args.visibility, args.t_h, args.t_v]
     if all(v is None for v in given):
         return None
-    return ImperfectionParams(
-        visibility=1.0 if args.visibility is None else args.visibility,
-        t_h=1.0 if args.t_h is None else args.t_h,
-        t_v=1.0 / 3.0 if args.t_v is None else args.t_v,
-    )
+    try:
+        return ImperfectionParams(
+            visibility=1.0 if args.visibility is None else args.visibility,
+            t_h=1.0 if args.t_h is None else args.t_h,
+            t_v=1.0 / 3.0 if args.t_v is None else args.t_v,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _theta_grid_deg(args: argparse.Namespace) -> np.ndarray:
@@ -275,12 +274,15 @@ def _signs(postselect: str) -> list[str]:
 
 
 def _acquisition(args: argparse.Namespace) -> AcquisitionConfig:
-    return AcquisitionConfig(
-        seed=args.seed,
-        rate=args.rate,
-        duration=args.duration,
-        kappa_uncertainty=args.kappa_uncertainty,
-    )
+    try:
+        return AcquisitionConfig(
+            seed=args.seed,
+            rate=args.rate,
+            duration=args.duration,
+            kappa_uncertainty=args.kappa_uncertainty,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(value: object) -> str:
@@ -376,65 +378,35 @@ def _cmd_sweep_pusey(args) -> None:
     grid_deg = _theta_grid_deg(args)
     grid = np.deg2rad(grid_deg)
     signs = _signs(args.postselect)
-    acquisition = _acquisition(args) if args.simulate else None
-    seeds = derive_seeds(args.seed, grid.size) if args.simulate else None
+    meta = _model_metadata(args, kappa, mu, None)
+    meta.update(postselect=args.postselect, p_phi_convention=args.p_phi,
+                simulated_counts=args.simulate, theta_start=args.theta_start,
+                theta_end=args.theta_end, theta_step=args.theta_step)
+    if args.simulate:  # one draw per grid point, read for every postselection
+        acquisition = _acquisition(args)
+        seeds = derive_seeds(args.seed, grid.size)
+        counts = [simulate_counts(ideal_probability_record(theta, kappa),
+                                  replace(acquisition, seed=seed))
+                  for theta, seed in zip(grid.tolist(), seeds)]
+        totals = np.array([c.total for c in counts], dtype=np.float64)
+        meta.update(seed=args.seed, rate=args.rate, duration=args.duration)
 
     columns = ["theta_deg"]
-    for sign in signs:
-        columns.extend([f"i0_{sign}", f"i1_{sign}"])
     records: list[dict] = [{"theta_deg": float(t)} for t in grid_deg]
-    skipped = {sign: 0 for sign in signs}
-
     for sign in signs:
-        sgn = sign_factor(sign)
-        if not args.simulate:
-            i0, i1, _ = kernels.pusey_curves(grid, kappa, sgn)
-            for i in range(grid.size):
-                records[i][f"i0_{sign}"] = float(i0[i])
-                records[i][f"i1_{sign}"] = float(i1[i])
-                if not math.isfinite(i0[i]):
-                    skipped[sign] += 1
-            continue
-        for i, theta in enumerate(grid):
-            probs = ideal_probability_record(float(theta), kappa)
-            config = replace(acquisition, seed=seeds[i])
-            counts = simulate_counts(probs, config)
-            total = counts.total
-            if total == 0:
-                records[i][f"i0_{sign}"] = math.nan
-                records[i][f"i1_{sign}"] = math.nan
-                skipped[sign] += 1
-                continue
-            n0, n1 = counts.postselected(sign)
-            p0_hat, p1_hat = n0 / total, n1 / total
-            if args.p_phi == "model":
-                phi = MINUS if sgn < 0 else PLUS
-                p_phi = abs(phi.overlap(make_signal_state(float(theta)))) ** 2
-            else:
-                p_phi = p_phi_from_postselection(p0_hat + p1_hat, kappa)
-            if p_phi <= PROB_FLOOR:
-                records[i][f"i0_{sign}"] = math.nan
-                records[i][f"i1_{sign}"] = math.nan
-                skipped[sign] += 1
-                continue
-            records[i][f"i0_{sign}"] = pusey_from_probabilities(p0_hat, p_phi, kappa)
-            records[i][f"i1_{sign}"] = pusey_from_probabilities(p1_hat, p_phi, kappa)
-
-    meta = {
-        "command": args.command,
-        "kappa": kappa,
-        "mu_deg": math.degrees(mu),
-        "postselect": args.postselect,
-        "p_phi_convention": args.p_phi,
-        "simulated_counts": args.simulate,
-        "theta_start": args.theta_start,
-        "theta_end": args.theta_end,
-        "theta_step": args.theta_step,
-    }
-    if args.simulate:
-        meta.update(seed=args.seed, rate=args.rate, duration=args.duration)
-    for sign in signs:
-        meta[f"skipped_{sign}"] = skipped[sign]
+        p0, p1, p_phi = kernels.pusey_probabilities(grid, kappa, sign_factor(sign))
+        if args.simulate:  # frequencies; NaN where no coincidence was counted
+            pairs = np.array([c.postselected(sign) for c in counts], dtype=np.float64)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p0, p1 = pairs.T / totals
+            if args.p_phi == "counts":
+                p_phi = p_phi_from_postselection(p0 + p1, kappa)
+        i0, i1 = kernels.pusey_functional(np.stack([p0, p1]), p_phi, kappa)
+        columns.extend([f"i0_{sign}", f"i1_{sign}"])
+        meta[f"skipped_{sign}"] = int(np.isnan(i0).sum())
+        for rec, v0, v1 in zip(records, i0.tolist(), i1.tolist()):
+            rec[f"i0_{sign}"] = v0
+            rec[f"i1_{sign}"] = v1
     _write(args.output, args.format, meta, columns, records)
 
 
@@ -534,32 +506,41 @@ def _cmd_estimate(args) -> None:
     curve = build_calibration(model, 0.0, math.pi / 2.0, math.radians(0.05))
     branch = (math.radians(lo_deg), math.radians(hi_deg))
 
-    acquisition = AcquisitionConfig(
-        seed=0,
-        rate=in_meta.get("rate", 2000.0),
-        duration=in_meta.get("duration", 5.0),
-        kappa_uncertainty=in_meta.get("kappa_uncertainty", 0.0),
-    )
+    try:
+        acquisition = AcquisitionConfig(
+            seed=0,
+            rate=in_meta.get("rate", 2000.0),
+            duration=in_meta.get("duration", 5.0),
+            kappa_uncertainty=in_meta.get("kappa_uncertainty", 0.0),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"input metadata: {exc}") from exc
 
     columns = [
         "theta_deg", "sigma_hat", "sigma_variance", "theta_hat_deg",
         "variance_theta_deg2", "f_ps", "m_ps", "sigma_cr_deg2",
     ]
-    measured = []  # (input record, m_ps, sigma_hat, sigma_variance)
-    for rec_in in in_records:
-        counts = CountRecord(
-            n_mp=int(rec_in["n_mp"]),
-            n_mm=int(rec_in["n_mm"]),
-            n_pp=int(rec_in["n_pp"]),
-            n_pm=int(rec_in["n_pm"]),
-            config=replace(acquisition, seed=int(rec_in.get("seed", 0))),
-        )
-        measured.append((rec_in, sum(counts.postselected(sign)),
+    measured = []  # (m_ps, sigma_hat, sigma_variance) per input record
+    for index, rec_in in enumerate(in_records):
+        try:
+            counts = CountRecord(
+                n_mp=int(rec_in["n_mp"]),
+                n_mm=int(rec_in["n_mm"]),
+                n_pp=int(rec_in["n_pp"]),
+                n_pm=int(rec_in["n_pm"]),
+                config=replace(acquisition, seed=int(rec_in.get("seed", 0))),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
+        measured.append((sum(counts.postselected(sign)),
                          *weak_value_from_counts(counts, kappa, sign)))
-    theta_hats = invert_branch(curve, [m[2] for m in measured], branch).tolist()
+    m_ps, sigmas, variances = zip(*measured)
+    results = assess_estimates(curve, branch, invert_branch(curve, sigmas, branch),
+                               sigmas, variances, m_ps)
     records = []
-    for (rec_in, m_ps, sigma_hat, var_sigma), theta_hat in zip(measured, theta_hats):
-        est = assess_estimate(curve, branch, theta_hat, sigma_hat, var_sigma, m_ps)
+    for rec_in, sigma_hat, var_sigma, est in zip(in_records, sigmas, variances, results):
+        if not isinstance(est, EstimateResult):
+            raise est  # the first failing record, in file order, stops the run
         records.append({
             "theta_deg": float(rec_in.get("theta_deg", math.nan)),
             "sigma_hat": sigma_hat,
@@ -567,7 +548,7 @@ def _cmd_estimate(args) -> None:
             "theta_hat_deg": est.theta_hat_deg,
             "variance_theta_deg2": est.variance_theta_deg2,
             "f_ps": est.f_ps,
-            "m_ps": m_ps,
+            "m_ps": est.m_ps,
             "sigma_cr_deg2": est.sigma_cr_deg2,
         })
 
@@ -581,6 +562,8 @@ def _cmd_table1(args) -> None:
     kappa, mu = _resolve_strength(args)
     imperfections = _resolve_imperfections(args)
     acquisition = _acquisition(args)
+    if args.repetitions <= 0:
+        raise ConfigError(f"--repetitions must be positive, got {args.repetitions}")
     baseline = load_baseline(args.baseline)
     signs = _signs(args.postselect)
 

@@ -97,11 +97,11 @@ class SDecomposition:
 
 def pusey_from_probabilities(p_x: float, p_phi: float, s: "Strength | float") -> float:
     """Functional evaluated from raw numbers (e.g. count-estimated
-    probabilities): ``p_x/p_phi - (1+kappa)/2 - p_d/p_phi``."""
+    probabilities): ``p_x/p_phi - (1+kappa)/2 - p_d/p_phi``
+    (:func:`weakps.kernels.pusey_functional` at one point)."""
     if p_phi <= PROB_FLOOR:
         raise OrthogonalPostselection(f"p_phi = {p_phi!r} is numerically zero")
-    strength = as_strength(s)
-    return p_x / p_phi - (1.0 + strength.kappa) / 2.0 - strength.dephasing_weight / p_phi
+    return float(kernels.pusey_functional(p_x, p_phi, as_strength(s).kappa))
 
 
 def pusey_functional(psi: PureQubit, phi: PureQubit, s: "Strength | float", x: int) -> float:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import kernels
 from .counting import AcquisitionConfig, derive_seeds, simulate_counts, weak_value_from_counts
-from .errors import AmbiguousBranch, FlatCurve, OutOfRange, WeakpsError, angle_text
+from .errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange, WeakpsError,
+                     angle_text)
 from .imperfections import ImperfectionParams, imperfect_joint_probs
 from .states import (
     ProbabilityRecord,
@@ -32,12 +33,10 @@ from .states import (
 )
 from .weak import (
     QUANTUM_FISHER_INFORMATION,
-    fisher_ps_definition,
-    postselect_probability,
+    fisher_curve_grid,
     weak_value,
-    weak_value_curve,
     weak_value_curve_grid,
-    weak_value_slope,
+    weak_value_slope_grid,
 )
 
 __all__ = [
@@ -51,7 +50,7 @@ __all__ = [
     "invert_branch",
     "estimate_theta",
     "propagate_variance",
-    "assess_estimate",
+    "assess_estimates",
     "cramer_rao_variance",
     "table1_pipeline",
     "load_baseline",
@@ -92,26 +91,26 @@ class ModelParams:
             return ideal_probability_record(theta, self.kappa)
         return imperfect_joint_probs(theta, self.mu, self.imperfections)
 
-    def sigma(self, theta: float) -> float:
-        """Model postselected value at ``theta`` (nominal-kappa rescaling)."""
-        if self.imperfections is None:
-            return weak_value_curve(theta, self.kappa, self.postselect_sign)
-        record = self.probability_record(theta)
-        pc0, pc1 = conditional_probabilities(*record.postselected(self.postselect_sign))
-        return weak_value(pc0, pc1, self.kappa)
-
     def sigma_array(self, thetas: np.ndarray) -> np.ndarray:
-        """:meth:`sigma` over a one-dimensional array of angles."""
+        """Model postselected value (nominal-kappa rescaling) over a
+        one-dimensional array of angles."""
         if self.imperfections is None:
             return weak_value_curve_grid(thetas, self.kappa, self.postselect_sign)
-        return np.array([self.sigma(t) for t in np.asarray(thetas, dtype=np.float64).tolist()])
+        out = []
+        for theta in np.asarray(thetas, dtype=np.float64).tolist():
+            record = self.probability_record(theta)
+            pc0, pc1 = conditional_probabilities(*record.postselected(self.postselect_sign))
+            out.append(weak_value(pc0, pc1, self.kappa))
+        return np.array(out)
 
-    def sigma_slope(self, theta: float) -> float:
-        """Angle derivative of the model curve; analytic for the ideal model,
-        central differences otherwise."""
+    def sigma_slope(self, thetas: np.ndarray) -> np.ndarray:
+        """Angle derivative of the model curve over a one-dimensional array of
+        angles; analytic for the ideal model, central differences otherwise."""
         if self.imperfections is None:
-            return weak_value_slope(theta, self.kappa, self.postselect_sign)
-        return (self.sigma(theta + _FD_STEP) - self.sigma(theta - _FD_STEP)) / (2.0 * _FD_STEP)
+            return weak_value_slope_grid(thetas, self.kappa, self.postselect_sign)
+        thetas = np.asarray(thetas, dtype=np.float64)
+        ahead = self.sigma_array(thetas + _FD_STEP)
+        return (ahead - self.sigma_array(thetas - _FD_STEP)) / (2.0 * _FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,6 @@ class CalibrationCurve:
         values.setflags(write=False)
         object.__setattr__(self, "theta_grid", grid)
         object.__setattr__(self, "sigma_values", values)
-
-    def slope(self, theta: float) -> float:
-        return self.model.sigma_slope(theta)
 
     def branches(self) -> list[tuple[int, int]]:
         """Index ranges [i, j] of maximal monotone runs of the tabulated curve."""
@@ -216,8 +212,7 @@ def invert_branch(
     return kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
 
 
-def _out_of_range(curve: CalibrationCurve, sigma: float, branch: tuple[float, float]) -> OutOfRange:
-    ends = curve.model.sigma_array(np.asarray(branch, dtype=np.float64))
+def _out_of_range(sigma: float, ends: np.ndarray, branch: tuple[float, float]) -> OutOfRange:
     return OutOfRange(f"sigma = {sigma:.12g} outside [{ends.min():.12g}, {ends.max():.12g}], the "
                       f"range of branch [{angle_text(branch[0])}, {angle_text(branch[1])}]")
 
@@ -228,8 +223,35 @@ def estimate_theta(
     """Scalar :func:`invert_branch`; raises OutOfRange where it gives NaN."""
     theta = float(invert_branch(curve, [sigma_measured], branch)[0])
     if math.isnan(theta):
-        raise _out_of_range(curve, sigma_measured, branch)
+        raise _out_of_range(sigma_measured, curve.model.sigma_array(branch), branch)
     return theta
+
+
+def _flat_curve(slope: float, theta: float) -> FlatCurve:
+    return FlatCurve(f"curve slope {slope:.12g} at theta = {angle_text(theta)} is numerically zero")
+
+
+def _degenerate(theta: float) -> DegenerateConditional:
+    text = angle_text(theta)
+    return DegenerateConditional(f"a conditional probability vanishes at theta = {text}")
+
+
+def _propagated(model: ModelParams, thetas: np.ndarray,
+                variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-order angle variances ``var(sigma) / (d sigma / d theta)^2`` in
+    squared degrees, and the slopes they divide by, at each angle."""
+    slopes = model.sigma_slope(thetas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return variances / (slopes * slopes) * RAD2_TO_DEG2, slopes
+
+
+def _cramer_rao(thetas: np.ndarray, s: "Strength | float", postselect_sign: str,
+                m_ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cramér-Rao limits ``1 / (F_ps * m_ps)`` in squared degrees, and the
+    Fisher information (NaN at saturated angles) they come from."""
+    f_ps = fisher_curve_grid(thetas, s, postselect_sign)
+    with np.errstate(divide="ignore"):
+        return 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2, f_ps
 
 
 def propagate_variance(curve: CalibrationCurve, theta_hat: float, variance_sigma: float) -> float:
@@ -240,23 +262,26 @@ def propagate_variance(curve: CalibrationCurve, theta_hat: float, variance_sigma
     """
     if variance_sigma < 0.0:
         raise ValueError("variance must be nonnegative")
-    slope = curve.slope(theta_hat)
-    if abs(slope) < _SLOPE_FLOOR:
-        raise FlatCurve(
-            f"curve slope {slope:.12g} at theta = {angle_text(theta_hat)} is numerically zero"
-        )
-    return variance_sigma / (slope * slope) * RAD2_TO_DEG2
+    var_theta, slope = _propagated(curve.model, np.array([theta_hat]), variance_sigma)
+    if abs(slope[0]) < _SLOPE_FLOOR:
+        raise _flat_curve(float(slope[0]), theta_hat)
+    return float(var_theta[0])
 
 
 def cramer_rao_variance(
     theta: float, s: "Strength | float", postselect_sign: str, m_ps: int
 ) -> float:
     """Cramér-Rao limit ``1 / (F_ps * m_ps)`` for ``m_ps`` postselected
-    events, reported in squared degrees."""
+    events, reported in squared degrees.
+
+    Raises DegenerateConditional where a conditional probability vanishes.
+    """
     if m_ps <= 0:
         raise ValueError("m_ps must be positive")
-    f_ps = fisher_ps_definition(theta, s, postselect_sign)
-    return 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2
+    limit, f_ps = _cramer_rao(np.array([theta]), s, postselect_sign, m_ps)
+    if math.isnan(f_ps[0]):
+        raise _degenerate(theta)
+    return float(limit[0])
 
 
 @dataclass(frozen=True)
@@ -277,32 +302,50 @@ class EstimateResult:
             raise ValueError("Cramér-Rao variance must be positive")
 
 
-def assess_estimate(
-    curve: CalibrationCurve, branch: tuple[float, float], theta_hat: float,
-    sigma_hat: float, var_sigma: float, m_ps: int,
-) -> EstimateResult:
-    """Error budget of ``theta_hat``, inverted from ``sigma_hat`` on ``branch``:
-    propagated variance, Fisher information and the Cramér-Rao limit for
-    ``m_ps`` postselected events, with the per-attempt budget audited.
-    Raises OutOfRange when ``theta_hat`` is NaN (``sigma_hat`` missed the
-    branch), and FlatCurve or DegenerateConditional at the curve's extrema.
+def assess_estimates(
+    curve: CalibrationCurve, branch: tuple[float, float], theta_hats: np.ndarray,
+    sigma_hats: "list[float]", var_sigmas: "list[float]", m_ps: "list[int]",
+) -> "list[EstimateResult | WeakpsError]":
+    """Error budgets of estimates ``theta_hats`` inverted from ``sigma_hats``
+    on ``branch``: propagated variance, Fisher information and the Cramér-Rao
+    limit for ``m_ps`` postselected events, with the per-attempt information
+    budget audited (RuntimeError if it fails).
+
+    Returns, per estimate, its EstimateResult or the first error that stops
+    it: OutOfRange where ``theta_hat`` is NaN, then FlatCurve where the slope
+    vanishes, then DegenerateConditional where a conditional probability does.
     """
-    if math.isnan(theta_hat):
-        raise _out_of_range(curve, sigma_hat, branch)
-    kappa, sign = curve.model.kappa, curve.model.postselect_sign
-    var_theta = propagate_variance(curve, theta_hat, var_sigma)
-    f_ps = fisher_ps_definition(theta_hat, kappa, sign)
-    budget = f_ps * postselect_probability(theta_hat, kappa, sign)
-    if budget > QUANTUM_FISHER_INFORMATION + 1e-9:
-        raise RuntimeError(f"information budget audit failed: {budget!r} > 16")
-    return EstimateResult(
-        theta_hat_deg=math.degrees(theta_hat),
-        variance_theta_deg2=var_theta,
-        sigma_cr_deg2=1.0 / (f_ps * m_ps) * RAD2_TO_DEG2,
-        f_ps=f_ps,
-        m_ps=m_ps,
-        postselect_sign=sign,
-    )
+    model, sign = curve.model, curve.model.postselect_sign
+    theta_hats = np.asarray(theta_hats, dtype=np.float64)
+    found = ~np.isnan(theta_hats)  # the model curve is evaluated only where found
+    var_theta, slopes = np.full((2, theta_hats.size), np.nan)
+    var_theta[found], slopes[found] = _propagated(
+        model, theta_hats[found], np.asarray(var_sigmas, dtype=np.float64)[found])
+    limits, f_ps = _cramer_rao(theta_hats, model.kappa, sign, np.asarray(m_ps, dtype=np.int64))
+    budget = f_ps * kernels.postselect_probability(theta_hats, model.kappa, sign_factor(sign))
+    if np.any(budget > QUANTUM_FISHER_INFORMATION + 1e-9):
+        raise RuntimeError(f"information budget audit failed: {np.nanmax(budget)!r} > 16")
+    ends = None if np.all(found) else model.sigma_array(branch)
+    results: list[EstimateResult | WeakpsError] = []
+    for theta_hat, sigma_hat, var, slope, limit, f, m in zip(
+            theta_hats.tolist(), sigma_hats, var_theta.tolist(), slopes.tolist(),
+            limits.tolist(), f_ps.tolist(), m_ps):
+        if math.isnan(theta_hat):
+            results.append(_out_of_range(sigma_hat, ends, branch))
+        elif abs(slope) < _SLOPE_FLOOR:
+            results.append(_flat_curve(slope, theta_hat))
+        elif math.isnan(f):
+            results.append(_degenerate(theta_hat))
+        else:
+            results.append(EstimateResult(
+                theta_hat_deg=math.degrees(theta_hat),
+                variance_theta_deg2=var,
+                sigma_cr_deg2=limit,
+                f_ps=f,
+                m_ps=m,
+                postselect_sign=sign,
+            ))
+    return results
 
 
 @dataclass(frozen=True)
@@ -359,10 +402,10 @@ def table1_pipeline(
 
     Per angle: draw counts and estimate the postselected value and its
     variance for every repetition, invert them together on the monotone
-    branch containing the true angle, then per repetition propagate the
-    variance and compute the Cramér-Rao comparison with the realized
-    postselected event count.  Failed repetitions are recorded per row,
-    never dropped silently.
+    branch containing the true angle, then assess them together
+    (:func:`assess_estimates`): propagated variance and the Cramér-Rao
+    comparison with each repetition's realized postselected event count.
+    Failed repetitions are recorded per row, never dropped silently.
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
@@ -385,17 +428,14 @@ def table1_pipeline(
                 failed[i] = exc
                 continue
             measured.append((i, sum(counts.postselected(sign)), *sigma_var))
+        reps, m_ps, sigmas, variances = zip(*measured) if measured else [()] * 4
         try:
-            theta_hats = invert_branch(curve, [m[2] for m in measured], branch).tolist()
+            theta_hats = invert_branch(curve, sigmas, branch)
+            results = assess_estimates(curve, branch, theta_hats, sigmas, variances, m_ps)
         except WeakpsError as exc:
-            failed.update((m[0], exc) for m in measured)
-            theta_hats = []
-        estimates: list[EstimateResult] = []
-        for (i, m_ps, sigma_hat, var_sigma), theta_hat in zip(measured, theta_hats):
-            try:
-                estimates.append(assess_estimate(curve, branch, theta_hat, sigma_hat, var_sigma, m_ps))
-            except WeakpsError as exc:
-                failed[i] = exc
+            results = [exc] * len(reps)
+        estimates = [r for r in results if isinstance(r, EstimateResult)]
+        failed.update((i, r) for i, r in zip(reps, results) if not isinstance(r, EstimateResult))
         rows.append(Table1Row(
             theta_deg=float(theta_deg),
             postselect_sign=sign,

@@ -1,18 +1,21 @@
-"""Numpy array kernels: grid evaluation of postselected-value curves, their
-information content, the non-contextuality functional, and batched bisection
-of a vectorised curve.
+"""Numpy array kernels: the one place each closed form of the model is
+written (postselection probability, postselected value and its slope,
+postselected Fisher information, Pusey's functional), evaluated vectorized
+over an angle or probability array, plus batched bisection of any vectorised
+curve.
 
-Each quantity has one closed form in ``(theta, kappa, sign)``, evaluated
-vectorized over an angle array; the bisection takes the curve as a callable.
+Kernels are deliberately unvalidated.  The functions that validate and then
+call them are :func:`weakps.weak.postselect_probability`,
+``weak_value_curve[_grid]``, ``weak_value_slope[_grid]`` and
+``fisher_curve_grid`` in :mod:`weakps.weak`, and
+:func:`weakps.contextuality.pusey_from_probabilities`; they enforce
+``0 < kappa <= 1`` and the sign label, and map non-finite outputs to typed
+errors.  :mod:`weakps.estimation` and :mod:`weakps.cli` call the kernels on
+whole batches and grids.
 
-Kernels are deliberately unvalidated: callers in :mod:`weakps.weak`,
-:mod:`weakps.contextuality`, :mod:`weakps.estimation` and :mod:`weakps.cli`
-enforce the preconditions (``0 < kappa <= 1``, ``sign`` is +-1) and map
-non-finite outputs back to typed errors.
-
-Conventions: ``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for
-``<+|``; it enters all formulas through the postselection denominator
-``1 + sign * sqrt(1-kappa^2) * sin(4*theta)``.
+``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for ``<+|``; it
+enters every curve through the postselection probability ``p_ps``, whose
+double ``1 + sign * sqrt(1-kappa^2) * sin(4t)`` is the curves' denominator.
 """
 
 from __future__ import annotations
@@ -22,34 +25,34 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .states import PROB_FLOOR, Strength
+
 __all__ = [
     "weak_value_curve",
     "weak_value_slope",
     "postselect_probability",
     "fisher_curve",
+    "pusey_probabilities",
+    "pusey_functional",
     "pusey_curves",
     "invert_sigma",
 ]
-
-_PHI_FLOOR = 1e-30
 
 
 def weak_value_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     """Rescaled postselected value cos(4t) / (1 + sign*r*sin(4t)), r = sqrt(1-k^2)."""
     theta = np.asarray(theta, dtype=np.float64)
-    r = math.sqrt(1.0 - kappa * kappa)
+    den = 2.0 * postselect_probability(theta, kappa, sign)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.cos(4.0 * theta) / (1.0 + sign * r * np.sin(4.0 * theta))
+        return np.cos(4.0 * theta) / den
 
 
 def weak_value_slope(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     """d(sigma)/d(theta) of the curve above: -4(sin(4t) + sign*r) / den^2."""
     theta = np.asarray(theta, dtype=np.float64)
-    r = math.sqrt(1.0 - kappa * kappa)
-    s4 = np.sin(4.0 * theta)
-    den = 1.0 + sign * r * s4
+    den = 2.0 * postselect_probability(theta, kappa, sign)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -4.0 * (s4 + sign * r) / (den * den)
+        return -4.0 * (np.sin(4.0 * theta) + sign * math.sqrt(1.0 - kappa * kappa)) / (den * den)
 
 
 def postselect_probability(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
@@ -66,11 +69,33 @@ def fisher_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     the latter is defined, and is its continuous extension across the
     isolated points where a conditional probability vanishes.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    r = math.sqrt(1.0 - kappa * kappa)
-    den = 1.0 + sign * r * np.sin(4.0 * theta)
+    den = 2.0 * postselect_probability(theta, kappa, sign)
     with np.errstate(divide="ignore", invalid="ignore"):
         return 16.0 * kappa * kappa / (den * den)
+
+
+def pusey_probabilities(
+    theta: np.ndarray, kappa: float, sign: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact joint probabilities (p0, p1) of each outcome with successful
+    postselection, and the overlap p_phi = (1 + sign*sin(4t)) / 2."""
+    theta = np.asarray(theta, dtype=np.float64)
+    p_post = postselect_probability(theta, kappa, sign)
+    half_diff = kappa * np.cos(4.0 * theta) / 2.0
+    p_phi = (1.0 + sign * np.sin(4.0 * theta)) / 2.0
+    return (p_post + half_diff) / 2.0, (p_post - half_diff) / 2.0, p_phi
+
+
+def pusey_functional(p_x: np.ndarray, p_phi: np.ndarray, kappa: float) -> np.ndarray:
+    """Non-contextuality functional p_x/p_phi - (1+k)/2 - p_d/p_phi, with
+    p_d the dephasing weight of the strength.  NaN where p_phi is at or below
+    the probability floor (or NaN)."""
+    p_x = np.asarray(p_x, dtype=np.float64)
+    p_phi = np.asarray(p_phi, dtype=np.float64)
+    p_d = Strength(kappa).dephasing_weight
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = p_x / p_phi - (1.0 + kappa) / 2.0 - p_d / p_phi
+    return np.where(p_phi <= PROB_FLOOR, np.nan, value)
 
 
 def pusey_curves(
@@ -79,22 +104,8 @@ def pusey_curves(
     """Non-contextuality functionals (i0, i1) and the overlap p_phi per grid
     point.  Points with p_phi at the numerical floor yield NaN functionals.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    r = math.sqrt(1.0 - kappa * kappa)
-    s4 = np.sin(4.0 * theta)
-    c4 = np.cos(4.0 * theta)
-    p_post = (1.0 + sign * r * s4) / 2.0
-    half_diff = kappa * c4 / 2.0
-    p0 = (p_post + half_diff) / 2.0
-    p1 = (p_post - half_diff) / 2.0
-    p_phi = (1.0 + sign * s4) / 2.0
-    p_d = 1.0 - r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        i0 = p0 / p_phi - (1.0 + kappa) / 2.0 - p_d / p_phi
-        i1 = p1 / p_phi - (1.0 + kappa) / 2.0 - p_d / p_phi
-    bad = p_phi <= _PHI_FLOOR
-    i0 = np.where(bad, np.nan, i0)
-    i1 = np.where(bad, np.nan, i1)
+    p0, p1, p_phi = pusey_probabilities(theta, kappa, sign)
+    i0, i1 = pusey_functional(np.stack([p0, p1]), p_phi, kappa)
     return i0, i1, p_phi
 
 

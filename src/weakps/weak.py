@@ -38,6 +38,7 @@ __all__ = [
     "weak_value_curve",
     "weak_value_curve_grid",
     "weak_value_slope",
+    "weak_value_slope_grid",
     "postselect_probability",
     "fisher_ps_definition",
     "fisher_ps_closed_form",
@@ -132,56 +133,57 @@ def evaluate_weak_value(theta: float, s: "Strength | float", postselect_sign: st
 
 
 def postselect_probability(theta: float, s: "Strength | float", postselect_sign: str) -> float:
-    """Closed-form success probability of the postselection at ``theta``."""
+    """Closed-form success probability of the postselection at ``theta``
+    (:func:`weakps.kernels.postselect_probability` at one angle)."""
     kappa = as_strength(s).kappa
-    sgn = sign_factor(postselect_sign)
-    r = math.sqrt(1.0 - kappa * kappa)
-    return (1.0 + sgn * r * math.sin(4.0 * theta)) / 2.0
+    return float(kernels.postselect_probability(theta, kappa, sign_factor(postselect_sign)))
 
 
-def weak_value_curve(theta: float, s: "Strength | float", postselect_sign: str) -> float:
-    """Closed-form weak value ``cos(4t) / (1 + sign * sqrt(1-k^2) sin(4t))``.
-
-    Agrees with :func:`evaluate_weak_value` wherever the pipeline is defined.
-    """
+def _curve_kernel(kernel, thetas, s: "Strength | float", postselect_sign: str) -> np.ndarray:
+    """``kernel`` over ``thetas`` after the checks the rescaled curve needs:
+    ZeroStrength at ``kappa = 0``, ZeroPostselection where the postselection
+    probability is at the floor."""
     kappa = as_strength(s).kappa
     if kappa == 0.0:
         raise ZeroStrength("weak value undefined at kappa = 0")
     sgn = sign_factor(postselect_sign)
-    r = math.sqrt(1.0 - kappa * kappa)
-    den = 1.0 + sgn * r * math.sin(4.0 * theta)
-    if den / 2.0 <= PROB_FLOOR:
-        raise ZeroPostselection("postselection probability vanishes at this angle")
-    return math.cos(4.0 * theta) / den
-
-
-def weak_value_slope(theta: float, s: "Strength | float", postselect_sign: str) -> float:
-    """Analytic angle-derivative of :func:`weak_value_curve`."""
-    kappa = as_strength(s).kappa
-    if kappa == 0.0:
-        raise ZeroStrength("weak value undefined at kappa = 0")
-    sgn = sign_factor(postselect_sign)
-    r = math.sqrt(1.0 - kappa * kappa)
-    s4 = math.sin(4.0 * theta)
-    den = 1.0 + sgn * r * s4
-    if den / 2.0 <= PROB_FLOOR:
-        raise ZeroPostselection("postselection probability vanishes at this angle")
-    return -4.0 * (s4 + sgn * r) / (den * den)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    starved = kernels.postselect_probability(thetas, kappa, sgn) <= PROB_FLOOR
+    if np.any(starved):
+        bad = float(thetas[starved][0])
+        raise ZeroPostselection(f"postselection probability vanishes at theta = {angle_text(bad)}")
+    return kernel(thetas, kappa, sgn)
 
 
 def weak_value_curve_grid(
     thetas: np.ndarray, s: "Strength | float", postselect_sign: str
 ) -> np.ndarray:
-    """Vectorized :func:`weak_value_curve` over an angle grid (kernel path)."""
-    kappa = as_strength(s).kappa
-    if kappa == 0.0:
-        raise ZeroStrength("weak value undefined at kappa = 0")
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    out = kernels.weak_value_curve(thetas, kappa, sign_factor(postselect_sign))
-    if not np.all(np.isfinite(out)):
-        bad = thetas[~np.isfinite(out)][0]
-        raise ZeroPostselection(f"postselection probability vanishes at theta = {angle_text(bad)}")
-    return out
+    """Closed-form weak value ``cos(4t) / (1 + sign * sqrt(1-k^2) sin(4t))``
+    over an angle array (:func:`weakps.kernels.weak_value_curve`).
+
+    Agrees with :func:`evaluate_weak_value` wherever the pipeline is defined.
+    """
+    return _curve_kernel(kernels.weak_value_curve, thetas, s, postselect_sign)
+
+
+def weak_value_slope_grid(
+    thetas: np.ndarray, s: "Strength | float", postselect_sign: str
+) -> np.ndarray:
+    """Analytic angle-derivative of the weak-value curve over an angle array
+    (:func:`weakps.kernels.weak_value_slope`)."""
+    return _curve_kernel(kernels.weak_value_slope, thetas, s, postselect_sign)
+
+
+def weak_value_curve(theta: float, s: "Strength | float", postselect_sign: str) -> float:
+    """Closed-form weak value at ``theta``: :func:`weak_value_curve_grid` at
+    one angle."""
+    return float(weak_value_curve_grid(theta, s, postselect_sign))
+
+
+def weak_value_slope(theta: float, s: "Strength | float", postselect_sign: str) -> float:
+    """Analytic angle-derivative of :func:`weak_value_curve`:
+    :func:`weak_value_slope_grid` at one angle."""
+    return float(weak_value_slope_grid(theta, s, postselect_sign))
 
 
 def fisher_ps_definition(theta: float, s: "Strength | float", postselect_sign: str) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import weakps
-from weakps import weak_value_curve
+from weakps import cli, simulate_counts, weak_value_curve
 from weakps.cli import main
 
 D2R = math.pi / 180.0
@@ -84,6 +84,27 @@ def test_sweep_pusey_simulated_counts(tmp_path):
     assert len(payload["records"]) == 18
 
 
+def test_simulated_pusey_draws_each_point_once(tmp_path, monkeypatch):
+    # both postselections are read off one draw per grid point, so the minus
+    # columns equal those of a minus-only sweep
+    draws = []
+
+    def counted(probs, config):
+        draws.append(config.seed)
+        return simulate_counts(probs, config)
+
+    monkeypatch.setattr(cli, "simulate_counts", counted)
+    args = ["sweep-pusey", "--kappa", "0.335", "--theta-step", "5", "--simulate", "--seed", "7",
+            "--p-phi", "counts"]
+    assert main(args + ["--postselect", "both", "--output", str(tmp_path / "both.csv")]) == 0
+    assert len(draws) == 18
+    assert main(args + ["--postselect", "minus", "--output", str(tmp_path / "minus.csv")]) == 0
+    _, header, both = _read_csv(tmp_path / "both.csv")
+    _, _, minus = _read_csv(tmp_path / "minus.csv")
+    assert [row[:3] for row in both] == minus
+    assert header == ["theta_deg", "i0_minus", "i1_minus", "i0_plus", "i1_plus"]
+
+
 def test_sweep_fisher_schema_and_budget(tmp_path):
     out = tmp_path / "fisher.csv"
     assert main(["sweep-fisher", "--kappa", "0.335", "--postselect", "both",
@@ -151,6 +172,25 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "OutOfRange" in err and "[0 deg, 10 deg]" in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["table1", "--kappa", "0.335", "--repetitions", "0"], None),
+    (["simulate-counts", "--kappa", "0.335", "--rate", "-5"], None),
+    (["simulate-counts", "--kappa", "0.335", "--seed", "-1"], None),
+    (["sweep-weak-value", "--kappa", "0.335", "--visibility", "1.5"], None),
+    (["estimate", "--branch", "18,27"], {"n_mp": 900, "n_mm": 100, "n_pp": 500}),
+    (["estimate", "--branch", "18,27"], {"n_mp": 900, "n_mm": -1, "n_pp": 500, "n_pm": 400}),
+], ids=["repetitions-0", "negative-rate", "negative-seed", "visibility-above-1",
+        "record-without-n_pm", "record-with-negative-count"])
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, record):
+    if record is not None:
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": [record]}))
+        argv = argv + ["--input", str(counts)]
+    assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_table1_schema_and_baseline(tmp_path):

@@ -5,8 +5,10 @@ import pytest
 
 from weakps import (
     AcquisitionConfig,
+    EstimateResult,
     ImperfectionParams,
     ModelParams,
+    assess_estimates,
     build_calibration,
     conditional_probabilities,
     cramer_rao_variance,
@@ -22,7 +24,7 @@ from weakps import (
     weak_value_from_counts,
     weak_value_slope,
 )
-from weakps.errors import AmbiguousBranch, FlatCurve, OutOfRange
+from weakps.errors import AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange
 from weakps.estimation import RAD2_TO_DEG2, TABLE1_THETAS_DEG
 from weakps.weak import fisher_ps_definition, postselect_probability
 
@@ -140,6 +142,26 @@ def test_cramer_rao_values():
     )
     with pytest.raises(ValueError):
         cramer_rao_variance(22.5 * D2R, KAPPA, "minus", 0)
+
+
+def test_assess_estimates_keeps_position_and_precedence():
+    # one result per estimate, in order: OutOfRange for a missed branch, then
+    # FlatCurve before DegenerateConditional at the peak (both apply there),
+    # DegenerateConditional alone just beside it
+    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
+    peak = math.asin(R) / 4.0
+    theta_hats = [10 * D2R, math.nan, peak, peak + 1e-6]
+    results = assess_estimates(curve, (0.0, peak), theta_hats, [0.5, 5.0, 3.0, 3.0],
+                               [0.01] * 4, [1000] * 4)
+    assert [type(r) for r in results] == [EstimateResult, OutOfRange, FlatCurve,
+                                          DegenerateConditional]
+    # the scalar wrappers run the same code
+    assert results[0].variance_theta_deg2 == propagate_variance(curve, 10 * D2R, 0.01)
+    assert results[0].sigma_cr_deg2 == cramer_rao_variance(10 * D2R, KAPPA, "minus", 1000)
+    with pytest.raises(FlatCurve):
+        propagate_variance(curve, peak, 0.01)
+    with pytest.raises(DegenerateConditional):
+        cramer_rao_variance(peak + 1e-6, KAPPA, "minus", 1000)
 
 
 def test_monte_carlo_round_trip_consistency():

@@ -2,27 +2,75 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from weakps import kernels
-from weakps.weak import postselect_probability, weak_value_curve, weak_value_slope
+from weakps import (
+    evaluate_weak_value,
+    ideal_probability_record,
+    joint_probability,
+    kernels,
+    make_signal_state,
+)
+from weakps.contextuality import pusey_functional
+from weakps.states import postselect_state
 
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
 THETA = np.linspace(0.0, math.pi / 2, 1001)
+SIGNS = (("minus", -1.0), ("plus", 1.0))
+
+# Deterministic examples and no example database: Tier-1 stays repeatable
+# and leaves no .hypothesis/ directory behind.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+KAPPA = st.floats(0.01, 1.0)
 
 
-def test_curve_kernel_matches_scalar_op():
-    pairs = (
-        (kernels.postselect_probability, postselect_probability, 1e-15),
-        (kernels.weak_value_curve, weak_value_curve, 1e-14),
-        (kernels.weak_value_slope, weak_value_slope, 1e-11),
-    )
+def test_curve_kernels_match_probability_pipeline():
+    # the kernels' closed forms against routes with other formulas: the
+    # joint probabilities of the signal family, and their conditioning and
+    # rescaling (whose rounding in pc0 - pc1 the 1/kappa rescaling amplifies)
     for kappa in KAPPAS:
-        for sign_label, sign in (("minus", -1.0), ("plus", 1.0)):
-            for kernel, scalar, atol in pairs:
-                expected = [scalar(t, kappa, sign_label) for t in THETA.tolist()]
-                np.testing.assert_allclose(
-                    kernel(THETA, kappa, sign), expected, rtol=0, atol=atol
-                )
+        records = [ideal_probability_record(t, kappa) for t in THETA.tolist()]
+        for sign_label, sign in SIGNS:
+            np.testing.assert_allclose(
+                kernels.postselect_probability(THETA, kappa, sign),
+                [rec.postselect_probability(sign_label) for rec in records],
+                rtol=0, atol=1e-15,
+            )
+            np.testing.assert_allclose(
+                kernels.weak_value_curve(THETA, kappa, sign),
+                [evaluate_weak_value(t, kappa, sign_label).sigma_w for t in THETA.tolist()],
+                rtol=0, atol=2e-14 / kappa,
+            )
+
+
+@PROPERTY
+@given(kappa=KAPPA, offset=st.floats(-math.pi / 4, math.pi / 4), sign=st.sampled_from((-1.0, 1.0)))
+def test_information_budget_property(kappa, offset, sign):
+    # a period of angles about the one where F_ps * p_ps is largest
+    # (sin 4t = -sign, where it equals 8 (1 + sqrt(1 - kappa^2)))
+    theta = math.pi / 4 + sign * math.pi / 8 + offset
+    sigma = float(kernels.weak_value_curve(theta, kappa, sign))
+    assume(1.0 - abs(kappa * sigma) > 1e-9)  # away from saturation
+    budget = kernels.fisher_curve(theta, kappa, sign) * kernels.postselect_probability(
+        theta, kappa, sign)
+    assert budget <= 16.0 + 1e-9
+
+
+@PROPERTY
+@given(kappa=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi / 2), sign=st.sampled_from(SIGNS))
+def test_pusey_kernel_matches_kraus_route(kappa, theta, sign):
+    label, sgn = sign
+    i0, i1, p_phi = kernels.pusey_curves(np.array([theta]), kappa, sgn)
+    assume(p_phi[0] > 1e-3)  # the functional divides by p_phi
+    psi, phi = make_signal_state(theta), postselect_state(label)
+    overlap = abs(phi.overlap(psi)) ** 2
+    for x, got in ((0, i0[0]), (1, i1[0])):
+        # the functional written out, on the Kraus-operator probabilities
+        p_x, p_d = joint_probability(psi, phi, kappa, x), 1 - math.sqrt(1 - kappa**2)
+        written_out = p_x / overlap - (1 + kappa) / 2 - p_d / overlap
+        assert got == pytest.approx(pusey_functional(psi, phi, kappa, x), rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(written_out, rel=1e-12, abs=1e-12)
 
 
 def test_fisher_kernel_equals_conditional_form():
