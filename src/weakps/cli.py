@@ -42,7 +42,7 @@ from .estimation import (
     load_baseline,
     table1_pipeline,
 )
-from .imperfections import VISIBILITY_MODEL, ImperfectionParams, imperfect_joint_probs
+from .imperfections import VISIBILITY_MODEL, ImperfectionParams, renormalized_records
 from .states import (
     MINUS,
     ONE,
@@ -55,6 +55,9 @@ from .states import (
 from .weak import QUANTUM_FISHER_INFORMATION, fisher_curve_grid
 
 SCHEMA_VERSION = 1
+
+# Most points an angle grid may hold; a larger grid is refused before it is built.
+MAX_GRID_POINTS = 1_000_000
 
 _NAMED_STATES = {"plus": PLUS, "minus": MINUS, "zero": ZERO, "one": ONE}
 
@@ -261,12 +264,19 @@ def _resolve_imperfections(args: argparse.Namespace) -> ImperfectionParams | Non
 
 
 def _theta_grid_deg(args: argparse.Namespace) -> np.ndarray:
+    for flag, value in (("--theta-start", args.theta_start), ("--theta-end", args.theta_end),
+                        ("--theta-step", args.theta_step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.theta_step <= 0.0:
         raise ConfigError("--theta-step must be positive")
     if args.theta_start >= args.theta_end:
         raise ConfigError("--theta-start must be below --theta-end")
-    n = int(math.ceil((args.theta_end - args.theta_start) / args.theta_step - 1e-12))
-    return args.theta_start + args.theta_step * np.arange(n)
+    points = (args.theta_end - args.theta_start) / args.theta_step - 1e-12
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"the angle grid would hold {points:.6g} points; "
+                          f"at most {MAX_GRID_POINTS} are allowed")
+    return args.theta_start + args.theta_step * np.arange(int(math.ceil(points)))
 
 
 def _signs(postselect: str) -> list[str]:
@@ -375,6 +385,9 @@ def _cmd_sweep_weak_value(args) -> None:
 
 def _cmd_sweep_pusey(args) -> None:
     kappa, mu = _resolve_strength(args)
+    if args.simulate and args.p_phi == "counts" and kappa == 1.0:
+        raise ConfigError("--p-phi counts needs kappa < 1: the overlap cannot be recovered "
+                          "from a projective measurement")
     grid_deg = _theta_grid_deg(args)
     grid = np.deg2rad(grid_deg)
     signs = _signs(args.postselect)
@@ -451,15 +464,15 @@ def _cmd_simulate_counts(args) -> None:
     seeds = derive_seeds(args.seed, grid_deg.size)
 
     columns = ["theta_deg", "n_mp", "n_mm", "n_pp", "n_pm", "seed"]
+    thetas = [math.radians(float(theta_deg)) for theta_deg in grid_deg]
+    if imperfections is None:
+        channel_probs = [ideal_probability_record(theta, kappa) for theta in thetas]
+    else:
+        channel_probs = renormalized_records(np.array(thetas), mu, imperfections)
     records = []
-    for i, theta_deg in enumerate(grid_deg):
-        theta = math.radians(float(theta_deg))
-        if imperfections is None:
-            probs = ideal_probability_record(theta, kappa)
-        else:
-            probs = imperfect_joint_probs(theta, mu, imperfections)
-        counts = simulate_counts(probs, replace(acquisition, seed=seeds[i]))
-        rec = {"theta_deg": float(theta_deg), "seed": seeds[i]}
+    for theta_deg, probs, seed in zip(grid_deg, channel_probs, seeds):
+        counts = simulate_counts(probs, replace(acquisition, seed=seed))
+        rec = {"theta_deg": float(theta_deg), "seed": seed}
         rec.update(counts.as_dict())
         records.append(rec)
 

@@ -21,20 +21,21 @@ import numpy as np
 from . import kernels
 from .counting import AcquisitionConfig, derive_seeds, simulate_counts, weak_value_from_counts
 from .errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange, WeakpsError,
-                     angle_text)
-from .imperfections import ImperfectionParams, imperfect_joint_probs
+                     ZeroPostselection, ZeroStrength, angle_text)
+from .imperfections import (ImperfectionParams, coincidence_probabilities,
+                            renormalized_probabilities, renormalized_records)
 from .states import (
+    PROB_FLOOR,
     ProbabilityRecord,
     Strength,
     as_strength,
-    conditional_probabilities,
     ideal_probability_record,
     sign_factor,
 )
 from .weak import (
     QUANTUM_FISHER_INFORMATION,
+    SATURATION_TOL,
     fisher_curve_grid,
-    weak_value,
     weak_value_curve_grid,
     weak_value_slope_grid,
 )
@@ -69,6 +70,12 @@ _FD_STEP = 1e-6  # central-difference step for curves without a closed form
 _PROBE_SAMPLES = 65  # angles at which a branch is checked for monotonicity
 
 
+def _postselected(probs: np.ndarray, postselect_sign: str) -> np.ndarray:
+    """The (outcome-0, outcome-1) rows of channel rows ``(mp, mm, pp, pm)``,
+    as :meth:`ProbabilityRecord.postselected` picks them."""
+    return probs[:2] if sign_factor(postselect_sign) < 0 else probs[2:]
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """What generated (or is assumed to generate) the measured values."""
@@ -89,19 +96,25 @@ class ModelParams:
     def probability_record(self, theta: float) -> ProbabilityRecord:
         if self.imperfections is None:
             return ideal_probability_record(theta, self.kappa)
-        return imperfect_joint_probs(theta, self.mu, self.imperfections)
+        return renormalized_records(theta, self.mu, self.imperfections)[0]
 
     def sigma_array(self, thetas: np.ndarray) -> np.ndarray:
         """Model postselected value (nominal-kappa rescaling) over a
         one-dimensional array of angles."""
         if self.imperfections is None:
             return weak_value_curve_grid(thetas, self.kappa, self.postselect_sign)
-        out = []
-        for theta in np.asarray(thetas, dtype=np.float64).tolist():
-            record = self.probability_record(theta)
-            pc0, pc1 = conditional_probabilities(*record.postselected(self.postselect_sign))
-            out.append(weak_value(pc0, pc1, self.kappa))
-        return np.array(out)
+        thetas = np.asarray(thetas, dtype=np.float64)
+        probs = renormalized_probabilities(thetas, self.mu, self.imperfections)
+        p0, p1 = _postselected(probs, self.postselect_sign)
+        total = p0 + p1
+        starved = total <= PROB_FLOOR
+        if np.any(starved):
+            bad = angle_text(float(thetas[starved][0]))
+            raise ZeroPostselection(f"postselection probability vanishes at theta = {bad}")
+        if self.kappa == 0.0:
+            raise ZeroStrength("weak value undefined at kappa = 0")
+        pc0 = p0 / total
+        return (pc0 - (1.0 - pc0)) / self.kappa
 
     def sigma_slope(self, thetas: np.ndarray) -> np.ndarray:
         """Angle derivative of the model curve over a one-dimensional array of
@@ -245,13 +258,34 @@ def _propagated(model: ModelParams, thetas: np.ndarray,
         return variances / (slopes * slopes) * RAD2_TO_DEG2, slopes
 
 
-def _cramer_rao(thetas: np.ndarray, s: "Strength | float", postselect_sign: str,
-                m_ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cramér-Rao limits ``1 / (F_ps * m_ps)`` in squared degrees, and the
-    Fisher information (NaN at saturated angles) they come from."""
-    f_ps = fisher_curve_grid(thetas, s, postselect_sign)
+def _information(model: ModelParams, thetas: np.ndarray,
+                 slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fisher information of the postselected distribution under ``model``
+    (NaN at saturated angles), and the per-attempt probability of the
+    postselection, at each angle; ``slopes`` are the model curve's there.
+
+    The ideal model has both in closed form.  Under imperfections the
+    information is that of any binary postselected distribution,
+    ``k^2 sigma'^2 / (1 - k^2 sigma^2)``, and the probability is not
+    renormalized on a coincidence, so that ``F_ps * p <= 16`` bounds the
+    information per attempt.
+    """
+    kappa, sign = model.kappa, model.postselect_sign
+    if model.imperfections is None:
+        return (fisher_curve_grid(thetas, kappa, sign),
+                kernels.postselect_probability(thetas, kappa, sign_factor(sign)))
+    sigma = model.sigma_array(thetas)
+    saturated = 1.0 - np.abs(kappa * sigma) < SATURATION_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_ps = np.where(saturated, np.nan, kernels.fisher_from_weak_value(sigma, slopes, kappa))
+    p0, p1 = _postselected(coincidence_probabilities(thetas, model.mu, model.imperfections), sign)
+    return f_ps, p0 + p1
+
+
+def _cramer_rao(f_ps: np.ndarray, m_ps: np.ndarray) -> np.ndarray:
+    """Cramér-Rao limits ``1 / (F_ps * m_ps)`` in squared degrees."""
     with np.errstate(divide="ignore"):
-        return 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2, f_ps
+        return 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2
 
 
 def propagate_variance(curve: CalibrationCurve, theta_hat: float, variance_sigma: float) -> float:
@@ -278,10 +312,10 @@ def cramer_rao_variance(
     """
     if m_ps <= 0:
         raise ValueError("m_ps must be positive")
-    limit, f_ps = _cramer_rao(np.array([theta]), s, postselect_sign, m_ps)
+    f_ps = fisher_curve_grid(np.array([theta]), s, postselect_sign)
     if math.isnan(f_ps[0]):
         raise _degenerate(theta)
-    return float(limit[0])
+    return float(_cramer_rao(f_ps, m_ps)[0])
 
 
 @dataclass(frozen=True)
@@ -308,8 +342,8 @@ def assess_estimates(
 ) -> "list[EstimateResult | WeakpsError]":
     """Error budgets of estimates ``theta_hats`` inverted from ``sigma_hats``
     on ``branch``: propagated variance, Fisher information and the Cramér-Rao
-    limit for ``m_ps`` postselected events, with the per-attempt information
-    budget audited (RuntimeError if it fails).
+    limit for ``m_ps`` postselected events, all under the curve's model, with
+    the per-attempt information budget audited (RuntimeError if it fails).
 
     Returns, per estimate, its EstimateResult or the first error that stops
     it: OutOfRange where ``theta_hat`` is NaN, then FlatCurve where the slope
@@ -318,11 +352,12 @@ def assess_estimates(
     model, sign = curve.model, curve.model.postselect_sign
     theta_hats = np.asarray(theta_hats, dtype=np.float64)
     found = ~np.isnan(theta_hats)  # the model curve is evaluated only where found
-    var_theta, slopes = np.full((2, theta_hats.size), np.nan)
+    var_theta, slopes, f_ps, p_ps = np.full((4, theta_hats.size), np.nan)
     var_theta[found], slopes[found] = _propagated(
         model, theta_hats[found], np.asarray(var_sigmas, dtype=np.float64)[found])
-    limits, f_ps = _cramer_rao(theta_hats, model.kappa, sign, np.asarray(m_ps, dtype=np.int64))
-    budget = f_ps * kernels.postselect_probability(theta_hats, model.kappa, sign_factor(sign))
+    f_ps[found], p_ps[found] = _information(model, theta_hats[found], slopes[found])
+    limits = _cramer_rao(f_ps, np.asarray(m_ps, dtype=np.int64))
+    budget = f_ps * p_ps
     if np.any(budget > QUANTUM_FISHER_INFORMATION + 1e-9):
         raise RuntimeError(f"information budget audit failed: {np.nanmax(budget)!r} > 16")
     ends = None if np.all(found) else model.sigma_array(branch)
@@ -416,7 +451,6 @@ def table1_pipeline(
     for row_index, theta_deg in enumerate(theta_list_deg):
         theta = math.radians(theta_deg)
         probs = model.probability_record(theta)
-        branch = curve.branch_containing(theta)
         seeds = all_seeds[row_index * repetitions : (row_index + 1) * repetitions]
         failed: dict[int, WeakpsError] = {}
         measured: list[tuple[int, int, float, float]] = []  # (rep, m_ps, sigma, var)
@@ -430,6 +464,7 @@ def table1_pipeline(
             measured.append((i, sum(counts.postselected(sign)), *sigma_var))
         reps, m_ps, sigmas, variances = zip(*measured) if measured else [()] * 4
         try:
+            branch = curve.branch_containing(theta)
             theta_hats = invert_branch(curve, sigmas, branch)
             results = assess_estimates(curve, branch, theta_hats, sigmas, variances, m_ps)
         except WeakpsError as exc:

@@ -18,6 +18,22 @@ density operator, followed by renormalization on coincidence detection:
    ``|0>`` and ``sqrt(t_h)`` on ``|1>``); the residual global attenuation
    drops out on renormalization.
 
+Every stage operator is diagonal and the input is pure, so the model has a
+closed form (:func:`coincidence_probabilities`).  With ``c, s = cos 2t,
+sin 2t`` and ``c_mu, s_mu = cos 2mu, sin 2mu``, the balanced coherent
+amplitude is
+
+    b = t_h * (t_v c c_mu, t_v c s_mu, t_v s c_mu, (2 t_v - 1) s s_mu),
+
+and the channel with signal sign ``s_sig`` and meter sign ``m`` (each +-1)
+has per-attempt probability ``[v (u.b)^2 + (1 - v) |b|^2] / 4`` with
+``u = (1, m, s_sig, s_sig m)``.  The four sum to the coincidence probability
+``|b|^2``.  ``t_h`` multiplies every amplitude, so it cancels from every
+renormalized probability: it changes only whether the gate is starved
+(``t_h = 0``) and the per-attempt probabilities.  :func:`imperfect_joint_probs`
+walks the three stages on 4x4 density matrices; it is the reference route
+that tests compare the closed form against.
+
 ``t_h`` and ``t_v`` are intensity transmissions (amplitudes are their square
 roots); this convention is recorded in CLI output metadata.  Residual
 polarization rotations of the physical setup are not modeled.
@@ -33,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GateStarved
+from .errors import GateStarved, angle_text
 from .states import (
     MINUS,
     PLUS,
@@ -52,6 +68,9 @@ __all__ = [
     "balance_operator",
     "dephase_computational",
     "imperfect_joint_probs",
+    "coincidence_probabilities",
+    "renormalized_probabilities",
+    "renormalized_records",
     "effective_kappa",
 ]
 
@@ -96,7 +115,9 @@ def dephase_computational(rho: np.ndarray) -> np.ndarray:
 
 
 def imperfect_joint_probs(theta: float, mu: float, params: ImperfectionParams) -> ProbabilityRecord:
-    """Coincidence outcome probabilities of the imperfect gate.
+    """Coincidence outcome probabilities of the imperfect gate, renormalized,
+    from 4x4 density matrices stage by stage: the reference route for
+    :func:`renormalized_records`, which the library uses.
 
     Raises GateStarved when the total coincidence probability is numerically
     zero.  The record's ``kappa`` is the nominal ``sin(4*mu)``; see
@@ -134,6 +155,50 @@ def imperfect_joint_probs(theta: float, mu: float, params: ImperfectionParams) -
     )
 
 
+# Signs (s_sig, m) of the four channels in ProbabilityRecord order: mp, mm, pp, pm.
+_CHANNEL_VECTORS = np.array([(1.0, m, s_sig, s_sig * m)
+                             for s_sig, m in ((-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, -1.0))])
+
+
+def coincidence_probabilities(thetas, mu: float, params: ImperfectionParams) -> np.ndarray:
+    """Per-attempt probabilities of the four coincidence channels, rows
+    ``(p_mp, p_mm, p_pp, p_pm)``, over a one-dimensional array of angles
+    (the closed form in the module docstring).
+
+    The rows sum to the coincidence probability; raises GateStarved where
+    that is numerically zero.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    c, s = np.cos(2.0 * thetas), np.sin(2.0 * thetas)
+    c_mu, s_mu = math.cos(2.0 * mu), math.sin(2.0 * mu)
+    t_v = params.t_v
+    b = params.t_h * np.stack([t_v * c * c_mu, t_v * c * s_mu, t_v * s * c_mu,
+                               (2.0 * t_v - 1.0) * s * s_mu])
+    ub = _CHANNEL_VECTORS @ b
+    v = params.visibility
+    probs = (v * ub * ub + (1.0 - v) * np.sum(b * b, axis=0)) / 4.0
+    starved = probs.sum(axis=0) <= PROB_FLOOR
+    if np.any(starved):
+        bad = float(thetas[starved][0])
+        raise GateStarved(f"coincidence probability vanishes at theta = {angle_text(bad)}")
+    return probs
+
+
+def renormalized_probabilities(thetas, mu: float, params: ImperfectionParams) -> np.ndarray:
+    """The four channel probabilities given a coincidence:
+    :func:`coincidence_probabilities` divided by their sum at each angle."""
+    probs = coincidence_probabilities(thetas, mu, params)
+    return probs / probs.sum(axis=0)
+
+
+def renormalized_records(thetas, mu: float, params: ImperfectionParams) -> list[ProbabilityRecord]:
+    """One :class:`ProbabilityRecord` of :func:`renormalized_probabilities`
+    per angle, with the nominal ``kappa = sin(4*mu)``."""
+    kappa = math.sin(4.0 * mu)
+    return [ProbabilityRecord(*p, kappa=kappa)
+            for p in renormalized_probabilities(thetas, mu, params).T.tolist()]
+
+
 def effective_kappa(
     params: ImperfectionParams, mu: float, theta_step_deg: float = 1.0
 ) -> float:
@@ -144,9 +209,7 @@ def effective_kappa(
     over a theta grid.  Equals ``sin(4*mu)`` for ideal parameters.
     """
     thetas = np.deg2rad(np.arange(0.0, 90.0, theta_step_deg))
-    diffs = np.empty(thetas.shape)
-    for i, theta in enumerate(thetas):
-        rec = imperfect_joint_probs(float(theta), mu, params)
-        diffs[i] = (rec.p_pp + rec.p_mp) - (rec.p_pm + rec.p_mm)
+    p_mp, p_mm, p_pp, p_pm = renormalized_probabilities(thetas, mu, params)
+    diffs = (p_pp + p_mp) - (p_pm + p_mm)
     cos4 = np.cos(4.0 * thetas)
     return float(np.dot(cos4, diffs) / np.dot(cos4, cos4))

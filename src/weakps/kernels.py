@@ -1,13 +1,13 @@
 """Numpy array kernels: the one place each closed form of the model is
 written (postselection probability, postselected value and its slope,
-postselected Fisher information, Pusey's functional), evaluated vectorized
-over an angle or probability array, plus batched bisection of any vectorised
-curve.
+postselected Fisher information, also in terms of any model's postselected
+value and slope, Pusey's functional), evaluated vectorized over an angle or
+probability array, plus batched bisection of any vectorised curve.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
 call them are :func:`weakps.weak.postselect_probability`,
-``weak_value_curve[_grid]``, ``weak_value_slope[_grid]`` and
-``fisher_curve_grid`` in :mod:`weakps.weak`, and
+``weak_value_curve[_grid]``, ``weak_value_slope[_grid]``,
+``fisher_curve_grid`` and ``fisher_ps_closed_form`` in :mod:`weakps.weak`, and
 :func:`weakps.contextuality.pusey_from_probabilities`; they enforce
 ``0 < kappa <= 1`` and the sign label, and map non-finite outputs to typed
 errors.  :mod:`weakps.estimation` and :mod:`weakps.cli` call the kernels on
@@ -32,6 +32,7 @@ __all__ = [
     "weak_value_slope",
     "postselect_probability",
     "fisher_curve",
+    "fisher_from_weak_value",
     "pusey_probabilities",
     "pusey_functional",
     "pusey_curves",
@@ -72,6 +73,15 @@ def fisher_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
     den = 2.0 * postselect_probability(theta, kappa, sign)
     with np.errstate(divide="ignore", invalid="ignore"):
         return 16.0 * kappa * kappa / (den * den)
+
+
+def fisher_from_weak_value(sigma: np.ndarray, slope: np.ndarray, kappa: float) -> np.ndarray:
+    """Fisher information of a binary postselected distribution with
+    conditionals (1 +- k sigma) / 2, in terms of its rescaled value and the
+    value's slope: k^2 slope^2 / (1 - k^2 sigma^2), for any model of them."""
+    ks = kappa * np.asarray(sigma, dtype=np.float64)
+    slope = np.asarray(slope, dtype=np.float64)
+    return kappa * kappa * slope * slope / (1.0 - ks * ks)
 
 
 def pusey_probabilities(

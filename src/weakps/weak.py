@@ -222,7 +222,7 @@ def fisher_ps_closed_form(sigma_w: float, dsigma_dtheta: float, s: "Strength | f
     ks = kappa * sigma_w
     if 1.0 - abs(ks) < SATURATION_TOL:
         raise SaturatedWeakValue(f"|kappa*sigma| = {abs(ks)!r} sits on the boundary")
-    return kappa * kappa * dsigma_dtheta * dsigma_dtheta / (1.0 - ks * ks)
+    return float(kernels.fisher_from_weak_value(sigma_w, dsigma_dtheta, kappa))
 
 
 def fisher_curve_grid(

@@ -181,8 +181,15 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
     (["sweep-weak-value", "--kappa", "0.335", "--visibility", "1.5"], None),
     (["estimate", "--branch", "18,27"], {"n_mp": 900, "n_mm": 100, "n_pp": 500}),
     (["estimate", "--branch", "18,27"], {"n_mp": 900, "n_mm": -1, "n_pp": 500, "n_pm": 400}),
+    (["sweep-pusey", "--kappa", "1", "--simulate", "--p-phi", "counts"], None),
+    (["sweep-weak-value", "--kappa", "0.3", "--theta-start", "nan"], None),
+    (["sweep-weak-value", "--kappa", "0.3", "--theta-end", "inf"], None),
+    (["sweep-fisher", "--kappa", "0.3", "--theta-step", "nan"], None),
+    (["sweep-weak-value", "--kappa", "0.3", "--theta-step", "1e-300", "--theta-end", "1e-290"],
+     None),
 ], ids=["repetitions-0", "negative-rate", "negative-seed", "visibility-above-1",
-        "record-without-n_pm", "record-with-negative-count"])
+        "record-without-n_pm", "record-with-negative-count", "projective-p-phi-counts",
+        "nan-theta-start", "infinite-theta-end", "nan-theta-step", "grid-above-cap"])
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, record):
     if record is not None:
         counts = tmp_path / "counts.json"
@@ -206,6 +213,34 @@ def test_table1_schema_and_baseline(tmp_path):
     assert float(row[header.index("baseline_variance_deg2")]) == 0.036
     assert float(row[header.index("baseline_cramer_rao_deg2")]) == 0.33
     assert meta["baseline_note"].startswith("baseline columns are published reference")
+
+
+def test_table1_records_a_turning_point_per_row(tmp_path):
+    # at --mu 5, 27.5 deg sits within a calibration grid cell of the curve
+    # minimum: that row fails every repetition, the others are still written
+    out = tmp_path / "table1.csv"
+    assert main(["table1", "--mu", "5", "--postselect", "minus", "--repetitions", "3",
+                 "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    by_theta = {float(r[1]): dict(zip(header, r)) for r in rows}
+    assert (by_theta[27.5]["n_ok"], by_theta[27.5]["n_failed"]) == ("0", "3")
+    assert by_theta[22.5]["n_ok"] == "3"
+
+
+def test_imperfect_runs_never_use_the_density_matrix_route(tmp_path, monkeypatch):
+    # the density-matrix model is a test oracle: production goes through the
+    # closed form in weakps.imperfections
+    def refuse(*args, **kwargs):
+        raise AssertionError("imperfect_joint_probs called outside the tests")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "weakps" and hasattr(module, "imperfect_joint_probs"):
+            monkeypatch.setattr(module, "imperfect_joint_probs", refuse)
+    gate = ["--visibility", "0.78", "--t-h", "0.98", "--t-v", "0.34"]
+    assert main(["table1", "--kappa", "0.335", "--repetitions", "2", *gate,
+                 "--output", str(tmp_path / "t.csv")]) == 0
+    assert main(["simulate-counts", "--kappa", "0.335", "--theta-step", "5", *gate,
+                 "--output", str(tmp_path / "c.csv")]) == 0
 
 
 def test_decompose_json(tmp_path):

@@ -230,16 +230,20 @@ def test_failures_are_reported_not_dropped():
     assert all("OutOfRange" in f or "Degenerate" in f for f in row.failures)
 
 
-def test_propagated_variance_saturates_cramer_rao_without_kappa_noise():
+@pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
+                         ids=["ideal", "realistic-gate"])
+def test_propagated_variance_saturates_cramer_rao_without_kappa_noise(imperfections):
     # delta-method algebra: Var(sigma_hat) = (1 - k^2 sigma^2)/(k^2 N), and
-    # dividing by the squared slope reproduces 1/(F(theta_hat) N) exactly.
+    # dividing by the squared slope reproduces 1/(F(theta_hat) N) exactly,
+    # for any model whose information F is the conditional one.
     # The inversion estimator is the conditional-distribution MLE, so its
     # first-order variance sits on the Cramér-Rao limit; the strength
     # uncertainty term is what lifts it above.
-    model = MINUS_MODEL
+    model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=imperfections)
     config = AcquisitionConfig(seed=5150, rate=2000.0, duration=5.0)
     rows = table1_pipeline([20.0, 22.5, 25.0], model, config, repetitions=10)
     for row in rows:
+        assert row.n_ok == 10
         for est in row.estimates:
             assert est.variance_theta_deg2 == pytest.approx(est.sigma_cr_deg2, rel=1e-9)
     noisy = AcquisitionConfig(seed=5150, rate=2000.0, duration=5.0, kappa_uncertainty=0.008)
@@ -256,6 +260,19 @@ def test_imperfect_round_trip_through_batched_inversion():
     thetas = np.linspace(lo + 1e-3, hi - 1e-3, 9)
     solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
     np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
+
+
+def test_imperfect_cramer_rao_comes_from_the_generating_model():
+    # under imperfections the Cramér-Rao column must use the model that drew
+    # the counts: the ideal model's information is ~35x larger under this
+    # gate, and its limit would sit far below the empirical variance
+    gate = ImperfectionParams(0.78, 0.98, 0.34)
+    config = AcquisitionConfig(seed=90210, rate=2000.0, duration=5.0)
+    for sign, theta_deg in (("minus", 22.5), ("plus", 70.0)):
+        model = ModelParams(kappa=KAPPA, postselect_sign=sign, imperfections=gate)
+        (row,) = table1_pipeline([theta_deg], model, config, repetitions=200)
+        assert row.n_ok == 200
+        assert 0.7 <= row.empirical_variance_deg2 / row.mean_sigma_cr_deg2 <= 1.4
 
 
 def test_load_baseline_packaged():

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakps import (
     IDEAL_GATE,
+    EstimateResult,
     ImperfectionParams,
+    ModelParams,
+    assess_estimates,
+    build_calibration,
     circuit_probability_record,
     conditional_probabilities,
     effective_kappa,
@@ -13,13 +19,27 @@ from weakps import (
     weak_value,
 )
 from weakps.errors import GateStarved
-from weakps.imperfections import balance_operator, central_splitter_operator, dephase_computational
+from weakps.imperfections import (
+    balance_operator,
+    central_splitter_operator,
+    coincidence_probabilities,
+    dephase_computational,
+    renormalized_probabilities,
+)
 from weakps.states import TwoQubitDensity, make_meter_state, make_signal_state
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
 MU = math.asin(KAPPA) / 4.0
 REALISTIC_GATE = ImperfectionParams(visibility=0.78, t_h=0.98, t_v=0.34)
+CHANNELS = ("p_mp", "p_mm", "p_pp", "p_pm")
+
+# Deterministic examples and no example database: Tier-1 stays repeatable
+# and leaves no .hypothesis/ directory behind.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+GATES = st.builds(ImperfectionParams, visibility=st.floats(0.0, 1.0),
+                  t_h=st.floats(0.05, 1.0), t_v=st.floats(0.05, 1.0))
+MUS = st.floats(0.01, 0.99).map(lambda kappa: math.asin(kappa) / 4.0)
 
 
 def _sigma(theta, params, sign="minus", kappa=KAPPA):
@@ -128,3 +148,44 @@ def test_effective_kappa_splitting_error_is_small():
 def test_gate_starved():
     with pytest.raises(GateStarved):
         imperfect_joint_probs(0.0, MU, ImperfectionParams(1.0, 0.0, 1 / 3))
+    with pytest.raises(GateStarved, match="theta = 0 deg"):
+        coincidence_probabilities([0.0, 0.3], MU, ImperfectionParams(1.0, 0.0, 1 / 3))
+
+
+@PROPERTY
+@given(gate=GATES, mu=MUS, theta=st.floats(-math.pi, math.pi))
+def test_closed_form_matches_density_matrix_route(gate, mu, theta):
+    closed = renormalized_probabilities([theta], mu, gate)[:, 0]
+    oracle = imperfect_joint_probs(theta, mu, gate)
+    np.testing.assert_allclose(closed, [getattr(oracle, key) for key in CHANNELS],
+                               rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(gate=GATES, mu=MUS, t_h=st.floats(0.05, 1.0))
+def test_renormalized_channels_sum_to_one_and_ignore_t_h(gate, mu, t_h):
+    thetas = np.linspace(0.0, math.pi, 181)
+    probs = renormalized_probabilities(thetas, mu, gate)
+    np.testing.assert_allclose(probs.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+    # t_h scales every amplitude alike, so it cancels on renormalization
+    other = ImperfectionParams(gate.visibility, t_h, gate.t_v)
+    np.testing.assert_allclose(renormalized_probabilities(thetas, mu, other), probs,
+                               rtol=0, atol=1e-15)
+
+
+@PROPERTY
+@given(gate=GATES, kappa=st.floats(0.01, 0.99), sign=st.sampled_from(("minus", "plus")))
+def test_per_attempt_information_budget(gate, kappa, sign):
+    # the Fisher information assess_estimates reports under imperfections,
+    # times the per-attempt (not renormalized) postselection probability,
+    # stays within one attempt's ceiling of 16 at every angle
+    model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=gate)
+    curve = build_calibration(model, 0.0, math.pi / 2, math.radians(0.25))
+    thetas = curve.theta_grid
+    results = assess_estimates(curve, (0.0, math.pi / 2), thetas, curve.sigma_values,
+                               [0.0] * thetas.size, [1000] * thetas.size)
+    probs = coincidence_probabilities(thetas, model.mu, gate)
+    per_attempt = probs[0] + probs[1] if sign == "minus" else probs[2] + probs[3]
+    for result, p in zip(results, per_attempt.tolist()):
+        if isinstance(result, EstimateResult):
+            assert result.f_ps * p <= 16.0 + 1e-9
