@@ -230,16 +230,7 @@ def test_failures_are_reported_not_dropped():
     assert all("OutOfRange" in f or "Degenerate" in f for f in row.failures)
 
 
-@pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
-                         ids=["ideal", "realistic-gate"])
-def test_propagated_variance_saturates_cramer_rao_without_kappa_noise(imperfections):
-    # delta-method algebra: Var(sigma_hat) = (1 - k^2 sigma^2)/(k^2 N), and
-    # dividing by the squared slope reproduces 1/(F(theta_hat) N) exactly,
-    # for any model whose information F is the conditional one.
-    # The inversion estimator is the conditional-distribution MLE, so its
-    # first-order variance sits on the Cramér-Rao limit; the strength
-    # uncertainty term is what lifts it above.
-    model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=imperfections)
+def _assert_variance_saturates_cramer_rao(model):
     config = AcquisitionConfig(seed=5150, rate=2000.0, duration=5.0)
     rows = table1_pipeline([20.0, 22.5, 25.0], model, config, repetitions=10)
     for row in rows:
@@ -250,6 +241,24 @@ def test_propagated_variance_saturates_cramer_rao_without_kappa_noise(imperfecti
     rows = table1_pipeline([20.0], model, noisy, repetitions=10)
     for est in rows[0].estimates:
         assert est.variance_theta_deg2 > est.sigma_cr_deg2
+
+
+def test_propagated_variance_saturates_cramer_rao_without_kappa_noise():
+    # delta-method algebra: Var(sigma_hat) = (1 - k^2 sigma^2)/(k^2 N), and
+    # dividing by the squared slope reproduces 1/(F(theta_hat) N) exactly,
+    # for any model whose information F is the conditional one.
+    # The inversion estimator is the conditional-distribution MLE, so its
+    # first-order variance sits on the Cramér-Rao limit; the strength
+    # uncertainty term is what lifts it above.
+    _assert_variance_saturates_cramer_rao(MINUS_MODEL)
+
+
+def test_imperfect_propagated_variance_saturates_cramer_rao_without_kappa_noise():
+    # the same identity holds under the lossy gate, whose information is the
+    # conditional one of the imperfect model
+    gate = ImperfectionParams(0.78, 0.98, 0.34)
+    _assert_variance_saturates_cramer_rao(
+        ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=gate))
 
 
 def test_imperfect_round_trip_through_batched_inversion():
