@@ -27,9 +27,10 @@ from .counting import (
     AcquisitionConfig,
     CountRecord,
     derive_seeds,
-    simulate_batch,
+    draw_counts,
     simulate_counts,
     weak_value_from_counts,
+    weak_values_from_counts,
 )
 from .estimation import (
     CalibrationCurve,
@@ -38,11 +39,9 @@ from .estimation import (
     Table1Row,
     assess_estimates,
     build_calibration,
-    cramer_rao_variance,
     estimate_theta,
     invert_branch,
     load_baseline,
-    propagate_variance,
     table1_pipeline,
 )
 from .imperfections import (

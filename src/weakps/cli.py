@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,11 +24,13 @@ import numpy as np
 from . import __version__, kernels
 from .contextuality import decompose_consolidated, p_phi_from_postselection
 from .counting import (
+    COUNT_COLUMNS,
     AcquisitionConfig,
-    CountRecord,
     derive_seeds,
-    simulate_counts,
-    weak_value_from_counts,
+    draw_counts,
+    empty_channel,
+    postselected_counts,
+    weak_values_from_counts,
 )
 from .errors import ConfigError, WeakpsError
 from .estimation import (
@@ -42,16 +43,8 @@ from .estimation import (
     load_baseline,
     table1_pipeline,
 )
-from .imperfections import VISIBILITY_MODEL, ImperfectionParams, renormalized_records
-from .states import (
-    MINUS,
-    ONE,
-    PLUS,
-    ZERO,
-    ideal_probability_record,
-    make_signal_state,
-    sign_factor,
-)
+from .imperfections import VISIBILITY_MODEL, ImperfectionParams, renormalized_probabilities
+from .states import MINUS, ONE, PLUS, ZERO, make_signal_state, sign_factor
 from .weak import QUANTUM_FISHER_INFORMATION, fisher_curve_grid
 
 SCHEMA_VERSION = 1
@@ -320,16 +313,39 @@ def _emit(output: str, text: str) -> None:
         fh.write(text)
 
 
-def _write(output: str, fmt: str, metadata: dict, columns: list[str], records: list[dict]) -> None:
+def _csv_column(values: "np.ndarray | list") -> list[str]:
+    """Each value of a column as a CSV field, formatted as :func:`_fmt` does."""
+    if isinstance(values, np.ndarray):
+        return list(map("{:.12g}".format if values.dtype.kind == "f" else str, values.tolist()))
+    return list(map(_fmt, values))
+
+
+def _json_column(values: "np.ndarray | list") -> list[str]:
+    """Each value of a column of numbers or strings as ``json.dumps`` writes it."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    elif any(isinstance(v, str) for v in values):  # a string may hold the separator
+        return [json.dumps(v) for v in values]
+    return json.dumps(values)[1:-1].split(", ") if len(values) else []
+
+
+def _write(output: str, fmt: str, metadata: dict, columns: list[str],
+           data: "dict[str, np.ndarray | list]") -> None:
+    """Write the columns of ``data`` under ``metadata``: as CSV with the
+    header ``columns``, or as ``json.dumps({"metadata": ..., "records": ...},
+    indent=2)`` would write one record per row, keys in ``data``'s order."""
     metadata = _stamp(metadata)
     if fmt == "json":
-        payload = json.dumps({"metadata": metadata, "records": records}, indent=2)
-        text = payload + "\n"
+        head = json.dumps({"metadata": metadata}, indent=2)[:-2]  # without the closing "\n}"
+        keys = [json.dumps(key).replace("{", "{{").replace("}", "}}") for key in data]
+        record = "    {{\n" + ",\n".join(f"      {key}: {{}}" for key in keys) + "\n    }}"
+        records = [record.format(*row) for row in zip(*map(_json_column, data.values()))]
+        body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+        text = f'{head},\n  "records": {body}\n}}\n'
     else:
         lines = [f"# {key} = {_fmt(val)}" for key, val in metadata.items()]
         lines.append(",".join(columns))
-        for rec in records:
-            lines.append(",".join(_fmt(rec[c]) for c in columns))
+        lines.extend(map(",".join, zip(*(_csv_column(data[c]) for c in columns))))
         text = "\n".join(lines) + "\n"
     _emit(output, text)
 
@@ -362,25 +378,17 @@ def _cmd_sweep_weak_value(args) -> None:
     grid = np.deg2rad(grid_deg)
     signs = _signs(args.postselect)
 
-    series = {sign: ModelParams(kappa, sign, imperfections).sigma_array(grid) for sign in signs}
-
-    columns = ["theta_deg"]
+    data = {"theta_deg": grid_deg}
     for sign in signs:
-        columns.append(f"sigma_w_{sign}")
-    for sign in signs:
-        columns.append(f"anomalous_{sign}")
-    records = []
-    for i, theta_deg in enumerate(grid_deg):
-        rec: dict[str, object] = {"theta_deg": float(theta_deg)}
-        for sign in signs:
-            rec[f"sigma_w_{sign}"] = float(series[sign][i])
-            rec[f"anomalous_{sign}"] = int(abs(series[sign][i]) > 1.0)
-        records.append(rec)
+        sigma = ModelParams(kappa, sign, imperfections).sigma_array(grid)
+        data[f"sigma_w_{sign}"] = sigma
+        data[f"anomalous_{sign}"] = (np.abs(sigma) > 1.0).astype(np.int64)
+    columns = ["theta_deg", *(f"sigma_w_{s}" for s in signs), *(f"anomalous_{s}" for s in signs)]
 
     meta = _model_metadata(args, kappa, mu, imperfections)
     meta.update(postselect=args.postselect, theta_start=args.theta_start,
                 theta_end=args.theta_end, theta_step=args.theta_step)
-    _write(args.output, args.format, meta, columns, records)
+    _write(args.output, args.format, meta, columns, data)
 
 
 def _cmd_sweep_pusey(args) -> None:
@@ -396,31 +404,23 @@ def _cmd_sweep_pusey(args) -> None:
                 simulated_counts=args.simulate, theta_start=args.theta_start,
                 theta_end=args.theta_end, theta_step=args.theta_step)
     if args.simulate:  # one draw per grid point, read for every postselection
-        acquisition = _acquisition(args)
-        seeds = derive_seeds(args.seed, grid.size)
-        counts = [simulate_counts(ideal_probability_record(theta, kappa),
-                                  replace(acquisition, seed=seed))
-                  for theta, seed in zip(grid.tolist(), seeds)]
-        totals = np.array([c.total for c in counts], dtype=np.float64)
+        counts = draw_counts(kernels.channel_probabilities(grid, kappa).T,
+                             derive_seeds(args.seed, grid.size), _acquisition(args))
+        totals = counts.sum(axis=1).astype(np.float64)
         meta.update(seed=args.seed, rate=args.rate, duration=args.duration)
 
-    columns = ["theta_deg"]
-    records: list[dict] = [{"theta_deg": float(t)} for t in grid_deg]
+    data = {"theta_deg": grid_deg}
     for sign in signs:
         p0, p1, p_phi = kernels.pusey_probabilities(grid, kappa, sign_factor(sign))
         if args.simulate:  # frequencies; NaN where no coincidence was counted
-            pairs = np.array([c.postselected(sign) for c in counts], dtype=np.float64)
             with np.errstate(divide="ignore", invalid="ignore"):
-                p0, p1 = pairs.T / totals
+                p0, p1 = postselected_counts(counts, sign).T / totals
             if args.p_phi == "counts":
                 p_phi = p_phi_from_postselection(p0 + p1, kappa)
         i0, i1 = kernels.pusey_functional(np.stack([p0, p1]), p_phi, kappa)
-        columns.extend([f"i0_{sign}", f"i1_{sign}"])
+        data[f"i0_{sign}"], data[f"i1_{sign}"] = i0, i1
         meta[f"skipped_{sign}"] = int(np.isnan(i0).sum())
-        for rec, v0, v1 in zip(records, i0.tolist(), i1.tolist()):
-            rec[f"i0_{sign}"] = v0
-            rec[f"i1_{sign}"] = v1
-    _write(args.output, args.format, meta, columns, records)
+    _write(args.output, args.format, meta, list(data), data)
 
 
 def _cmd_sweep_fisher(args) -> None:
@@ -428,53 +428,37 @@ def _cmd_sweep_fisher(args) -> None:
     grid_deg = _theta_grid_deg(args)
     grid = np.deg2rad(grid_deg)
     signs = _signs(args.postselect)
-
-    columns = ["theta_deg"]
-    for sign in signs:
-        columns.append(f"f_ps_{sign}")
-    columns.append("q")
-    for sign in signs:
-        columns.append(f"budget_lhs_{sign}")
-    f_series = {sign: fisher_curve_grid(grid, kappa, sign) for sign in signs}
-    budget_series = {
-        sign: f_series[sign] * kernels.postselect_probability(grid, kappa, sign_factor(sign))
-        for sign in signs
-    }
-    records = []
-    for i, theta_deg in enumerate(grid_deg):
-        rec: dict[str, object] = {"theta_deg": float(theta_deg), "q": QUANTUM_FISHER_INFORMATION}
-        for sign in signs:
-            rec[f"f_ps_{sign}"] = float(f_series[sign][i])
-            rec[f"budget_lhs_{sign}"] = float(budget_series[sign][i])
-        records.append(rec)
-
     meta = _model_metadata(args, kappa, mu, None)
     meta.update(postselect=args.postselect, theta_start=args.theta_start,
                 theta_end=args.theta_end, theta_step=args.theta_step)
-    for sign in signs:  # saturated points: no Fisher information, written as nan
-        meta[f"skipped_{sign}"] = int(np.isnan(f_series[sign]).sum())
-    _write(args.output, args.format, meta, columns, records)
+
+    data = {"theta_deg": grid_deg, "q": np.full(grid.size, QUANTUM_FISHER_INFORMATION)}
+    for sign in signs:
+        f_ps = fisher_curve_grid(grid, kappa, sign)
+        data[f"f_ps_{sign}"] = f_ps
+        data[f"budget_lhs_{sign}"] = f_ps * kernels.postselect_probability(
+            grid, kappa, sign_factor(sign))
+        # saturated points: no Fisher information, written as nan
+        meta[f"skipped_{sign}"] = int(np.isnan(f_ps).sum())
+    columns = ["theta_deg", *(f"f_ps_{s}" for s in signs), "q",
+               *(f"budget_lhs_{s}" for s in signs)]
+    _write(args.output, args.format, meta, columns, data)
 
 
 def _cmd_simulate_counts(args) -> None:
     kappa, mu = _resolve_strength(args)
     imperfections = _resolve_imperfections(args)
     grid_deg = _theta_grid_deg(args)
+    grid = np.deg2rad(grid_deg)
     acquisition = _acquisition(args)
     seeds = derive_seeds(args.seed, grid_deg.size)
 
-    columns = ["theta_deg", "n_mp", "n_mm", "n_pp", "n_pm", "seed"]
-    thetas = [math.radians(float(theta_deg)) for theta_deg in grid_deg]
     if imperfections is None:
-        channel_probs = [ideal_probability_record(theta, kappa) for theta in thetas]
+        probs = kernels.channel_probabilities(grid, kappa)
     else:
-        channel_probs = renormalized_records(np.array(thetas), mu, imperfections)
-    records = []
-    for theta_deg, probs, seed in zip(grid_deg, channel_probs, seeds):
-        counts = simulate_counts(probs, replace(acquisition, seed=seed))
-        rec = {"theta_deg": float(theta_deg), "seed": seed}
-        rec.update(counts.as_dict())
-        records.append(rec)
+        probs = renormalized_probabilities(grid, mu, imperfections)
+    data = {"theta_deg": grid_deg, "seed": seeds}
+    data.update(zip(COUNT_COLUMNS, draw_counts(probs.T, seeds, acquisition).T))
 
     meta = _model_metadata(args, kappa, mu, imperfections)
     meta.update(
@@ -486,7 +470,29 @@ def _cmd_simulate_counts(args) -> None:
         seed=args.seed,
         kappa_uncertainty=args.kappa_uncertainty,
     )
-    _write(args.output, args.format, meta, columns, records)
+    _write(args.output, args.format, meta, ["theta_deg", *COUNT_COLUMNS, "seed"], data)
+
+
+def _read_counts(records: list, sign: str) -> np.ndarray:
+    """Count rows ``(n_mp, n_mm, n_pp, n_pm)`` of simulate-counts records,
+    checked in file order: the first invalid record stops the run with a
+    ConfigError, the first without postselected counts with EmptyChannel."""
+    counts = np.empty((len(records), 4), dtype=np.int64)
+    for index, rec in enumerate(records):
+        try:
+            row = [int(rec[name]) for name in COUNT_COLUMNS]
+            seed = int(rec.get("seed", 0))
+            if seed < 0:
+                raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+            for name, n in zip(COUNT_COLUMNS, row):
+                if n < 0:
+                    raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+            counts[index] = row
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
+        if not postselected_counts(counts[index : index + 1], sign).any():
+            raise empty_channel(sign)
+    return counts
 
 
 def _cmd_estimate(args) -> None:
@@ -529,46 +535,30 @@ def _cmd_estimate(args) -> None:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"input metadata: {exc}") from exc
 
-    columns = [
-        "theta_deg", "sigma_hat", "sigma_variance", "theta_hat_deg",
-        "variance_theta_deg2", "f_ps", "m_ps", "sigma_cr_deg2",
-    ]
-    measured = []  # (m_ps, sigma_hat, sigma_variance) per input record
-    for index, rec_in in enumerate(in_records):
-        try:
-            counts = CountRecord(
-                n_mp=int(rec_in["n_mp"]),
-                n_mm=int(rec_in["n_mm"]),
-                n_pp=int(rec_in["n_pp"]),
-                n_pm=int(rec_in["n_pm"]),
-                config=replace(acquisition, seed=int(rec_in.get("seed", 0))),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
-        measured.append((sum(counts.postselected(sign)),
-                         *weak_value_from_counts(counts, kappa, sign)))
-    m_ps, sigmas, variances = zip(*measured)
+    counts = _read_counts(in_records, sign)
+    sigmas, variances = weak_values_from_counts(counts, kappa, sign,
+                                                acquisition.kappa_uncertainty)
+    m_ps = postselected_counts(counts, sign).sum(axis=1)
     results = assess_estimates(curve, branch, invert_branch(curve, sigmas, branch),
                                sigmas, variances, m_ps)
-    records = []
-    for rec_in, sigma_hat, var_sigma, est in zip(in_records, sigmas, variances, results):
+    for est in results:
         if not isinstance(est, EstimateResult):
             raise est  # the first failing record, in file order, stops the run
-        records.append({
-            "theta_deg": float(rec_in.get("theta_deg", math.nan)),
-            "sigma_hat": sigma_hat,
-            "sigma_variance": var_sigma,
-            "theta_hat_deg": est.theta_hat_deg,
-            "variance_theta_deg2": est.variance_theta_deg2,
-            "f_ps": est.f_ps,
-            "m_ps": est.m_ps,
-            "sigma_cr_deg2": est.sigma_cr_deg2,
-        })
+    data = {
+        "theta_deg": [float(rec.get("theta_deg", math.nan)) for rec in in_records],
+        "sigma_hat": sigmas,
+        "sigma_variance": variances,
+        "theta_hat_deg": [est.theta_hat_deg for est in results],
+        "variance_theta_deg2": [est.variance_theta_deg2 for est in results],
+        "f_ps": [est.f_ps for est in results],
+        "m_ps": m_ps,
+        "sigma_cr_deg2": [est.sigma_cr_deg2 for est in results],
+    }
 
     meta = _model_metadata(args, kappa, mu, imperfections)
     meta.update(postselect=sign, branch_lo_deg=lo_deg, branch_hi_deg=hi_deg,
                 input=os.path.basename(args.input))
-    _write(args.output, args.format, meta, columns, records)
+    _write(args.output, args.format, meta, list(data), data)
 
 
 def _cmd_table1(args) -> None:
@@ -578,32 +568,20 @@ def _cmd_table1(args) -> None:
     if args.repetitions <= 0:
         raise ConfigError(f"--repetitions must be positive, got {args.repetitions}")
     baseline = load_baseline(args.baseline)
-    signs = _signs(args.postselect)
 
+    rows = []  # one tuple of the columns below per working point
+    for sign in _signs(args.postselect):
+        model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=imperfections)
+        for row in table1_pipeline(TABLE1_THETAS_DEG[sign], model, acquisition, args.repetitions):
+            rows.append((sign, row.theta_deg, row.mean_theta_hat_deg, row.mean_variance_deg2,
+                         row.mean_sigma_cr_deg2, row.empirical_variance_deg2, row.mean_m_ps,
+                         row.n_ok, len(row.failures),
+                         *baseline.get((sign, row.theta_deg), (math.nan, math.nan))))
     columns = [
         "postselect", "theta_deg", "mean_theta_hat_deg", "variance_theta_deg2",
         "sigma_cr_deg2", "empirical_variance_deg2", "mean_m_ps", "n_ok", "n_failed",
         "baseline_variance_deg2", "baseline_cramer_rao_deg2",
     ]
-    records = []
-    for sign in signs:
-        model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=imperfections)
-        rows = table1_pipeline(TABLE1_THETAS_DEG[sign], model, acquisition, args.repetitions)
-        for row in rows:
-            base = baseline.get((sign, row.theta_deg), (math.nan, math.nan))
-            records.append({
-                "postselect": sign,
-                "theta_deg": row.theta_deg,
-                "mean_theta_hat_deg": row.mean_theta_hat_deg,
-                "variance_theta_deg2": row.mean_variance_deg2,
-                "sigma_cr_deg2": row.mean_sigma_cr_deg2,
-                "empirical_variance_deg2": row.empirical_variance_deg2,
-                "mean_m_ps": row.mean_m_ps,
-                "n_ok": row.n_ok,
-                "n_failed": len(row.failures),
-                "baseline_variance_deg2": base[0],
-                "baseline_cramer_rao_deg2": base[1],
-            })
 
     meta = _model_metadata(args, kappa, mu, imperfections)
     meta.update(
@@ -616,7 +594,7 @@ def _cmd_table1(args) -> None:
         baseline_source=args.baseline or "packaged",
         baseline_note="baseline columns are published reference labels, not targets",
     )
-    _write(args.output, args.format, meta, columns, records)
+    _write(args.output, args.format, meta, columns, dict(zip(columns, zip(*rows))))
 
 
 def _cmd_decompose(args) -> None:
@@ -643,16 +621,9 @@ def _cmd_decompose(args) -> None:
         _emit(args.output, json.dumps(payload, indent=2) + "\n")
         return
     columns = ["p_d", "s_00", "s_01", "s_10", "s_11", "e_d_00", "e_d_01", "e_d_10", "e_d_11"]
-    s = result.s_matrix
-    e = result.e_d
-    record = {
-        "p_d": result.p_d,
-        "s_00": float(s[0, 0].real), "s_01": float(s[0, 1].real),
-        "s_10": float(s[1, 0].real), "s_11": float(s[1, 1].real),
-        "e_d_00": float(e[0, 0].real), "e_d_01": float(e[0, 1].real),
-        "e_d_10": float(e[1, 0].real), "e_d_11": float(e[1, 1].real),
-    }
-    _write(args.output, args.format, meta, columns, [record])
+    values = [result.p_d, *result.s_matrix.real.ravel().tolist(),
+              *result.e_d.real.ravel().tolist()]
+    _write(args.output, args.format, meta, columns, {c: [v] for c, v in zip(columns, values)})
 
 
 _COMMANDS = {

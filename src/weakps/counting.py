@@ -2,16 +2,18 @@
 postselected value with propagated error bars.
 
 Counts in the four coincidence channels are independent Poisson draws with
-means ``rate * duration * p_channel``.  Error propagation on the rescaled
-postselected value is first order (delta method) with two terms, matching
-the two modeled error sources: Poisson channel noise and the calibration
-uncertainty on the strength.
+means ``rate * duration * p_channel``.  Every record has its own generator,
+one PCG64 seeded with the record's seed from :func:`derive_seeds`, which
+draws the four channels in the order (mp, mm, pp, pm).  Error propagation on
+the rescaled postselected value is first order (delta method) with two terms,
+matching the two modeled error sources: Poisson channel noise and the
+calibration uncertainty on the strength.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with weakps, not on the first draw
@@ -20,13 +22,26 @@ from .errors import EmptyChannel, ZeroStrength
 from .states import ProbabilityRecord, Strength, as_strength, sign_factor
 
 __all__ = [
+    "COUNT_COLUMNS",
+    "MAX_EXPECTED_TOTAL",
     "AcquisitionConfig",
     "CountRecord",
+    "draw_counts",
+    "postselected_counts",
     "simulate_counts",
-    "simulate_batch",
     "weak_value_from_counts",
+    "weak_values_from_counts",
     "derive_seeds",
 ]
+
+# The channels of a count row, in draw order.
+COUNT_COLUMNS = ("n_mp", "n_mm", "n_pp", "n_pm")
+
+# Largest mean numpy's Poisson sampler accepts.
+MAX_EXPECTED_TOTAL = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+# Above this postselected total the cube in the Poisson variance leaves int64.
+_INT64_CUBE_MAX = 2_097_151
 
 
 @dataclass(frozen=True)
@@ -35,7 +50,8 @@ class AcquisitionConfig:
 
     ``rate`` is the mean *total* coincidence rate before postselection
     (counts per second); the default 2000/s makes the postselected channels
-    collect order 10^3 events in the default 5 s window.
+    collect order 10^3 events in the default 5 s window.  Their product, the
+    expected total, is at most :data:`MAX_EXPECTED_TOTAL`.
     ``kappa_uncertainty`` is the one-sigma calibration error folded into
     error bars (0 disables the term).
     """
@@ -50,6 +66,9 @@ class AcquisitionConfig:
             raise ValueError(f"rate must be positive, got {self.rate!r}")
         if self.duration <= 0.0 or not math.isfinite(self.duration):
             raise ValueError(f"duration must be positive, got {self.duration!r}")
+        if not self.expected_total <= MAX_EXPECTED_TOTAL:
+            raise ValueError(f"rate * duration = {self.expected_total!r} exceeds the largest "
+                             f"Poisson mean, {MAX_EXPECTED_TOTAL!r}")
         if self.kappa_uncertainty < 0.0 or not math.isfinite(self.kappa_uncertainty):
             raise ValueError(f"kappa_uncertainty must be >= 0, got {self.kappa_uncertainty!r}")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -71,7 +90,7 @@ class CountRecord:
     config: AcquisitionConfig
 
     def __post_init__(self) -> None:
-        for name in ("n_mp", "n_mm", "n_pp", "n_pm"):
+        for name in COUNT_COLUMNS:
             v = getattr(self, name)
             if int(v) != v or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
@@ -90,67 +109,104 @@ class CountRecord:
         return {"n_mp": self.n_mp, "n_mm": self.n_mm, "n_pp": self.n_pp, "n_pm": self.n_pm}
 
 
-def simulate_counts(probs: ProbabilityRecord, config: AcquisitionConfig) -> CountRecord:
-    """Draw one acquisition window of Poissonian channel counts.
+def draw_counts(probs: np.ndarray, seeds: "list[int]", config: AcquisitionConfig) -> np.ndarray:
+    """Poissonian channel counts, one row ``(n_mp, n_mm, n_pp, n_pm)`` per seed.
 
-    Deterministic given the config seed; the channel draw order is fixed
-    (mp, mm, pp, pm).
+    ``probs`` holds one row of channel probabilities per seed, shape
+    ``(len(seeds), 4)``, or one row shape ``(4,)`` for every seed.  Row ``i``
+    is drawn by ``np.random.default_rng(seeds[i])``, channel by channel, with
+    means ``config.expected_total * probs[i]``; ``config.seed`` is not used.
+    Raises ValueError unless every probability is finite and nonnegative and
+    every row sums to 1 within 1e-9.
     """
-    if abs(probs.total - 1.0) > 1e-9:
-        raise ValueError(f"channel probabilities must sum to 1, got {probs.total!r}")
-    rng = np.random.default_rng(config.seed)
-    mean = config.expected_total
-    return CountRecord(
-        n_mp=int(rng.poisson(mean * probs.p_mp)),
-        n_mm=int(rng.poisson(mean * probs.p_mm)),
-        n_pp=int(rng.poisson(mean * probs.p_pp)),
-        n_pm=int(rng.poisson(mean * probs.p_pm)),
-        config=config,
-    )
+    probs = np.asarray(probs, dtype=np.float64)
+    rows = np.atleast_2d(probs)
+    bad = ~np.isfinite(rows) | (rows < -1e-12)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"p{COUNT_COLUMNS[j][1:]} must be a nonnegative probability, "
+                         f"got {float(rows[i, j])!r}")
+    totals = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+    off = np.abs(totals - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"channel probabilities must sum to 1, got {float(totals[off][0])!r}")
+    means = (config.expected_total * rows).tolist()
+    if probs.ndim == 1:
+        means = means * len(seeds)
+    elif len(means) != len(seeds):
+        raise ValueError(f"{len(means)} probability rows for {len(seeds)} seeds")
+    counts = np.empty((len(seeds), 4), dtype=np.int64)
+    for i, (seed, (m_mp, m_mm, m_pp, m_pm)) in enumerate(zip(seeds, means)):
+        poisson = np.random.default_rng(seed).poisson
+        counts[i] = poisson(m_mp), poisson(m_mm), poisson(m_pp), poisson(m_pm)
+    return counts
+
+
+def simulate_counts(probs: ProbabilityRecord, config: AcquisitionConfig) -> CountRecord:
+    """Draw one acquisition window of Poissonian channel counts: the scalar
+    form of :func:`draw_counts`, seeded with ``config.seed``."""
+    row = [probs.p_mp, probs.p_mm, probs.p_pp, probs.p_pm]
+    return CountRecord(*draw_counts(row, [config.seed], config)[0].tolist(), config=config)
 
 
 def derive_seeds(root_seed: int, n: int) -> list[int]:
     """Independent per-task integer seeds derived from a root seed via the
     splittable seed-sequence expansion (stable across runs)."""
-    state = np.random.SeedSequence(root_seed).generate_state(n, dtype=np.uint64)
-    return [int(s) for s in state]
+    return np.random.SeedSequence(root_seed).generate_state(n, dtype=np.uint64).tolist()
 
 
-def simulate_batch(
-    probs: ProbabilityRecord, config: AcquisitionConfig, repetitions: int
-) -> list[CountRecord]:
-    """Independent repetitions of one acquisition, seeds derived from
-    ``config.seed``.  Order matches the derived-seed order, so results are
-    reproducible regardless of execution strategy."""
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    seeds = derive_seeds(config.seed, repetitions)
-    return [simulate_counts(probs, replace(config, seed=s)) for s in seeds]
+def postselected_counts(counts: np.ndarray, postselect_sign: str) -> np.ndarray:
+    """The (outcome-0, outcome-1) columns of count rows
+    ``(n_mp, n_mm, n_pp, n_pm)``, as :meth:`CountRecord.postselected` picks them."""
+    return counts[:, :2] if sign_factor(postselect_sign) < 0 else counts[:, 2:]
 
 
-def weak_value_from_counts(
-    rec: CountRecord, kappa: "Strength | float", postselect_sign: str
-) -> tuple[float, float]:
-    """Estimate the rescaled postselected value and its variance from counts.
+def empty_channel(postselect_sign: str) -> EmptyChannel:
+    """The error of a record whose postselected channels hold no count."""
+    return EmptyChannel(f"no counts in the {postselect_sign} postselection channels")
 
-    Returns ``(sigma_hat, variance)`` with
-    ``sigma_hat = (n_a - n_b) / (kappa (n_a + n_b))`` and the delta-method
+
+def weak_values_from_counts(
+    counts: np.ndarray, kappa: "Strength | float", postselect_sign: str,
+    kappa_uncertainty: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate the rescaled postselected value and its variance from count
+    rows ``(n_mp, n_mm, n_pp, n_pm)``, NaN for both where the postselected
+    pair ``(n_a, n_b)`` holds no count.
+
+    ``sigma_hat = (n_a - n_b) / (kappa (n_a + n_b))``, with the delta-method
     variance
 
         4 n_a n_b / (kappa^2 (n_a + n_b)^3)  +  sigma_hat^2 (dk/k)^2,
 
     the first term from independent Poisson channel noise, the second from
-    the strength calibration uncertainty ``dk`` in the acquisition config.
+    the strength calibration uncertainty ``dk``.
     """
     k = as_strength(kappa).kappa
     if k == 0.0:
         raise ZeroStrength("count rescaling undefined at kappa = 0")
-    n_a, n_b = rec.postselected(postselect_sign)
+    pair = postselected_counts(np.asarray(counts, dtype=np.int64), postselect_sign)
+    n_a, n_b = pair[:, 0], pair[:, 1]
     total = n_a + n_b
-    if total == 0:
-        raise EmptyChannel(f"no counts in the {postselect_sign} postselection channels")
-    sigma_hat = (n_a - n_b) / (k * total)
-    var_poisson = 4.0 * n_a * n_b / (k * k * total**3)
-    dk = rec.config.kappa_uncertainty
-    var_kappa = sigma_hat * sigma_hat * (dk / k) ** 2
-    return sigma_hat, var_poisson + var_kappa
+    cube = (total**3).astype(np.float64)  # exact before rounding, as Python's int power
+    big = total > _INT64_CUBE_MAX
+    if np.any(big):
+        cube[big] = [float(t**3) for t in total[big].tolist()]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where the pair is empty
+        sigma_hat = (n_a - n_b) / (k * total)
+        var_poisson = 4.0 * n_a * n_b / (k * k * cube)
+    return sigma_hat, var_poisson + sigma_hat * sigma_hat * (kappa_uncertainty / k) ** 2
+
+
+def weak_value_from_counts(
+    rec: CountRecord, kappa: "Strength | float", postselect_sign: str
+) -> tuple[float, float]:
+    """The scalar form of :func:`weak_values_from_counts` for one record,
+    with the strength uncertainty of its acquisition config; raises
+    EmptyChannel where the postselected channels hold no count."""
+    counts = np.array([[rec.n_mp, rec.n_mm, rec.n_pp, rec.n_pm]], dtype=np.int64)
+    sigma_hat, variance = weak_values_from_counts(counts, kappa, postselect_sign,
+                                                  rec.config.kappa_uncertainty)
+    if math.isnan(sigma_hat[0]):
+        raise empty_channel(postselect_sign)
+    return float(sigma_hat[0]), float(variance[0])

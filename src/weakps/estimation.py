@@ -13,25 +13,19 @@ conversion applied exactly once here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import kernels
-from .counting import AcquisitionConfig, derive_seeds, simulate_counts, weak_value_from_counts
+from .counting import (AcquisitionConfig, derive_seeds, draw_counts, empty_channel,
+                       postselected_counts, weak_values_from_counts)
 from .errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange, WeakpsError,
                      ZeroPostselection, ZeroStrength, angle_text)
 from .imperfections import (ImperfectionParams, coincidence_probabilities,
-                            renormalized_probabilities, renormalized_records)
-from .states import (
-    PROB_FLOOR,
-    ProbabilityRecord,
-    Strength,
-    as_strength,
-    ideal_probability_record,
-    sign_factor,
-)
+                            renormalized_probabilities)
+from .states import PROB_FLOOR, as_strength, sign_factor
 from .weak import (
     QUANTUM_FISHER_INFORMATION,
     SATURATION_TOL,
@@ -50,9 +44,7 @@ __all__ = [
     "build_calibration",
     "invert_branch",
     "estimate_theta",
-    "propagate_variance",
     "assess_estimates",
-    "cramer_rao_variance",
     "table1_pipeline",
     "load_baseline",
 ]
@@ -93,10 +85,12 @@ class ModelParams:
         """Meter angle realizing the nominal strength."""
         return math.asin(self.kappa) / 4.0
 
-    def probability_record(self, theta: float) -> ProbabilityRecord:
+    def channel_probabilities(self, thetas: np.ndarray) -> np.ndarray:
+        """Probabilities of the four coincidence channels given a coincidence,
+        rows ``(p_mp, p_mm, p_pp, p_pm)`` over an array of angles."""
         if self.imperfections is None:
-            return ideal_probability_record(theta, self.kappa)
-        return renormalized_records(theta, self.mu, self.imperfections)[0]
+            return kernels.channel_probabilities(thetas, self.kappa)
+        return renormalized_probabilities(thetas, self.mu, self.imperfections)
 
     def sigma_array(self, thetas: np.ndarray) -> np.ndarray:
         """Model postselected value (nominal-kappa rescaling) over a
@@ -288,36 +282,6 @@ def _cramer_rao(f_ps: np.ndarray, m_ps: np.ndarray) -> np.ndarray:
         return 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2
 
 
-def propagate_variance(curve: CalibrationCurve, theta_hat: float, variance_sigma: float) -> float:
-    """First-order variance of the angle estimate, in squared degrees:
-    ``var(sigma) / (d sigma / d theta)^2`` at the estimate.
-
-    Raises FlatCurve at curve extrema where the propagation is singular.
-    """
-    if variance_sigma < 0.0:
-        raise ValueError("variance must be nonnegative")
-    var_theta, slope = _propagated(curve.model, np.array([theta_hat]), variance_sigma)
-    if abs(slope[0]) < _SLOPE_FLOOR:
-        raise _flat_curve(float(slope[0]), theta_hat)
-    return float(var_theta[0])
-
-
-def cramer_rao_variance(
-    theta: float, s: "Strength | float", postselect_sign: str, m_ps: int
-) -> float:
-    """Cramér-Rao limit ``1 / (F_ps * m_ps)`` for ``m_ps`` postselected
-    events, reported in squared degrees.
-
-    Raises DegenerateConditional where a conditional probability vanishes.
-    """
-    if m_ps <= 0:
-        raise ValueError("m_ps must be positive")
-    f_ps = fisher_curve_grid(np.array([theta]), s, postselect_sign)
-    if math.isnan(f_ps[0]):
-        raise _degenerate(theta)
-    return float(_cramer_rao(f_ps, m_ps)[0])
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     """One estimation run: the angle estimate and its error budget."""
@@ -338,33 +302,38 @@ class EstimateResult:
 
 def assess_estimates(
     curve: CalibrationCurve, branch: tuple[float, float], theta_hats: np.ndarray,
-    sigma_hats: "list[float]", var_sigmas: "list[float]", m_ps: "list[int]",
+    sigma_hats: "np.ndarray | list[float]", var_sigmas: "np.ndarray | list[float]",
+    m_ps: "np.ndarray | list[int]",
 ) -> "list[EstimateResult | WeakpsError]":
     """Error budgets of estimates ``theta_hats`` inverted from ``sigma_hats``
     on ``branch``: propagated variance, Fisher information and the Cramér-Rao
-    limit for ``m_ps`` postselected events, all under the curve's model, with
-    the per-attempt information budget audited (RuntimeError if it fails).
+    limit for ``m_ps`` postselected events (each positive, else ValueError),
+    all under the curve's model, with the per-attempt information budget
+    audited (RuntimeError if it fails).
 
     Returns, per estimate, its EstimateResult or the first error that stops
     it: OutOfRange where ``theta_hat`` is NaN, then FlatCurve where the slope
     vanishes, then DegenerateConditional where a conditional probability does.
     """
     model, sign = curve.model, curve.model.postselect_sign
+    m_ps = np.asarray(m_ps, dtype=np.int64)
+    if np.any(m_ps <= 0):
+        raise ValueError("m_ps must be positive")
     theta_hats = np.asarray(theta_hats, dtype=np.float64)
     found = ~np.isnan(theta_hats)  # the model curve is evaluated only where found
     var_theta, slopes, f_ps, p_ps = np.full((4, theta_hats.size), np.nan)
     var_theta[found], slopes[found] = _propagated(
         model, theta_hats[found], np.asarray(var_sigmas, dtype=np.float64)[found])
     f_ps[found], p_ps[found] = _information(model, theta_hats[found], slopes[found])
-    limits = _cramer_rao(f_ps, np.asarray(m_ps, dtype=np.int64))
+    limits = _cramer_rao(f_ps, m_ps)
     budget = f_ps * p_ps
     if np.any(budget > QUANTUM_FISHER_INFORMATION + 1e-9):
         raise RuntimeError(f"information budget audit failed: {np.nanmax(budget)!r} > 16")
     ends = None if np.all(found) else model.sigma_array(branch)
     results: list[EstimateResult | WeakpsError] = []
     for theta_hat, sigma_hat, var, slope, limit, f, m in zip(
-            theta_hats.tolist(), sigma_hats, var_theta.tolist(), slopes.tolist(),
-            limits.tolist(), f_ps.tolist(), m_ps):
+            theta_hats.tolist(), np.asarray(sigma_hats, dtype=np.float64).tolist(),
+            var_theta.tolist(), slopes.tolist(), limits.tolist(), f_ps.tolist(), m_ps.tolist()):
         if math.isnan(theta_hat):
             results.append(_out_of_range(sigma_hat, ends, branch))
         elif abs(slope) < _SLOPE_FLOOR:
@@ -450,19 +419,16 @@ def table1_pipeline(
     rows: list[Table1Row] = []
     for row_index, theta_deg in enumerate(theta_list_deg):
         theta = math.radians(theta_deg)
-        probs = model.probability_record(theta)
         seeds = all_seeds[row_index * repetitions : (row_index + 1) * repetitions]
-        failed: dict[int, WeakpsError] = {}
-        measured: list[tuple[int, int, float, float]] = []  # (rep, m_ps, sigma, var)
-        for i, seed in enumerate(seeds):
-            counts = simulate_counts(probs, replace(acquisition, seed=seed))
-            try:
-                sigma_var = weak_value_from_counts(counts, model.kappa, sign)
-            except WeakpsError as exc:
-                failed[i] = exc
-                continue
-            measured.append((i, sum(counts.postselected(sign)), *sigma_var))
-        reps, m_ps, sigmas, variances = zip(*measured) if measured else [()] * 4
+        counts = draw_counts(model.channel_probabilities([theta])[:, 0], seeds, acquisition)
+        sigmas, variances = weak_values_from_counts(counts, model.kappa, sign,
+                                                    acquisition.kappa_uncertainty)
+        m_ps = postselected_counts(counts, sign).sum(axis=1)
+        empty = m_ps == 0
+        failed: dict[int, WeakpsError] = {i: empty_channel(sign)
+                                           for i in np.flatnonzero(empty).tolist()}
+        reps = np.flatnonzero(~empty).tolist()
+        sigmas, variances, m_ps = sigmas[~empty], variances[~empty], m_ps[~empty]
         try:
             branch = curve.branch_containing(theta)
             theta_hats = invert_branch(curve, sigmas, branch)

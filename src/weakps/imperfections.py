@@ -70,7 +70,6 @@ __all__ = [
     "imperfect_joint_probs",
     "coincidence_probabilities",
     "renormalized_probabilities",
-    "renormalized_records",
     "effective_kappa",
 ]
 
@@ -117,7 +116,7 @@ def dephase_computational(rho: np.ndarray) -> np.ndarray:
 def imperfect_joint_probs(theta: float, mu: float, params: ImperfectionParams) -> ProbabilityRecord:
     """Coincidence outcome probabilities of the imperfect gate, renormalized,
     from 4x4 density matrices stage by stage: the reference route for
-    :func:`renormalized_records`, which the library uses.
+    :func:`renormalized_probabilities`, which the library uses.
 
     Raises GateStarved when the total coincidence probability is numerically
     zero.  The record's ``kappa`` is the nominal ``sin(4*mu)``; see
@@ -189,14 +188,6 @@ def renormalized_probabilities(thetas, mu: float, params: ImperfectionParams) ->
     :func:`coincidence_probabilities` divided by their sum at each angle."""
     probs = coincidence_probabilities(thetas, mu, params)
     return probs / probs.sum(axis=0)
-
-
-def renormalized_records(thetas, mu: float, params: ImperfectionParams) -> list[ProbabilityRecord]:
-    """One :class:`ProbabilityRecord` of :func:`renormalized_probabilities`
-    per angle, with the nominal ``kappa = sin(4*mu)``."""
-    kappa = math.sin(4.0 * mu)
-    return [ProbabilityRecord(*p, kappa=kappa)
-            for p in renormalized_probabilities(thetas, mu, params).T.tolist()]
 
 
 def effective_kappa(

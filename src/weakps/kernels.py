@@ -1,5 +1,6 @@
 """Numpy array kernels: the one place each closed form of the model is
-written (postselection probability, postselected value and its slope,
+written (the four channel probabilities, postselection probability,
+postselected value and its slope,
 postselected Fisher information, also in terms of any model's postselected
 value and slope, Pusey's functional), evaluated vectorized over an angle or
 probability array, plus batched bisection of any vectorised curve.
@@ -7,7 +8,8 @@ probability array, plus batched bisection of any vectorised curve.
 Kernels are deliberately unvalidated.  The functions that validate and then
 call them are :func:`weakps.weak.postselect_probability`,
 ``weak_value_curve[_grid]``, ``weak_value_slope[_grid]``,
-``fisher_curve_grid`` and ``fisher_ps_closed_form`` in :mod:`weakps.weak`, and
+``fisher_curve_grid`` and ``fisher_ps_closed_form`` in :mod:`weakps.weak`,
+:func:`weakps.states.ideal_probability_record`, and
 :func:`weakps.contextuality.pusey_from_probabilities`; they enforce
 ``0 < kappa <= 1`` and the sign label, and map non-finite outputs to typed
 errors.  :mod:`weakps.estimation` and :mod:`weakps.cli` call the kernels on
@@ -28,6 +30,7 @@ import numpy as np
 from .states import PROB_FLOOR, Strength
 
 __all__ = [
+    "channel_probabilities",
     "weak_value_curve",
     "weak_value_slope",
     "postselect_probability",
@@ -38,6 +41,20 @@ __all__ = [
     "pusey_curves",
     "invert_sigma",
 ]
+
+
+def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
+    """Joint probabilities of the four coincidence channels, rows
+    ``(p_mp, p_mm, p_pp, p_pm)`` over the angle array: ``(a c -+ b s)^2 / 2``
+    and ``(b c -+ a s)^2 / 2`` with a, b = sqrt((1 +- k) / 2) and
+    c, s = cos(2t), sin(2t).  Squares go through ``pow`` as Python's ``**``
+    does, so the scalar record keeps its values bit for bit."""
+    theta = np.asarray(theta, dtype=np.float64)
+    a = math.sqrt((1.0 + kappa) / 2.0)
+    b = math.sqrt((1.0 - kappa) / 2.0)
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    amplitudes = np.stack([a * c - b * s, b * c - a * s, a * c + b * s, b * c + a * s])
+    return np.float_power(amplitudes, 2.0) / 2.0
 
 
 def weak_value_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:

@@ -392,22 +392,13 @@ def circuit_probability_record(theta: float, mu: float) -> ProbabilityRecord:
 
 
 def ideal_probability_record(theta: float, s: "Strength | float") -> ProbabilityRecord:
-    """Closed-form joint probabilities for the standard signal family.
+    """Closed-form joint probabilities for the standard signal family: the
+    scalar form of :func:`weakps.kernels.channel_probabilities`.
 
     Equivalent to :func:`joint_probability_record` at
-    ``psi = make_signal_state(theta)``; kept as the fast path for sweeps and
-    Monte Carlo batches.
+    ``psi = make_signal_state(theta)``.
     """
-    strength = as_strength(s)
-    kappa = strength.kappa
-    a = math.sqrt((1.0 + kappa) / 2.0)
-    b = math.sqrt((1.0 - kappa) / 2.0)
-    c = math.cos(2.0 * theta)
-    sn = math.sin(2.0 * theta)
-    return ProbabilityRecord(
-        p_mp=(a * c - b * sn) ** 2 / 2.0,
-        p_mm=(b * c - a * sn) ** 2 / 2.0,
-        p_pp=(a * c + b * sn) ** 2 / 2.0,
-        p_pm=(b * c + a * sn) ** 2 / 2.0,
-        kappa=kappa,
-    )
+    from .kernels import channel_probabilities  # kernels imports this module
+
+    kappa = as_strength(s).kappa
+    return ProbabilityRecord(*channel_probabilities(theta, kappa).tolist(), kappa=kappa)

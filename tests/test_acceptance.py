@@ -285,27 +285,26 @@ def test_criterion_09_monte_carlo_statistics():
     second = w.simulate_counts(probs, config)
     determinism_ok = first.as_dict() == second.as_dict()
 
+    def batch(seed):  # independent repetitions, seeded as table1 seeds them
+        config = w.AcquisitionConfig(seed=seed)
+        row = [probs.p_mp, probs.p_mm, probs.p_pp, probs.p_pm]
+        return w.draw_counts(row, w.derive_seeds(seed, reps), config)
+
     sigma_ideal = w.weak_value_curve(theta, kappa, "minus")
-    covered = 0
     reps = 1000
-    batch = w.simulate_batch(probs, w.AcquisitionConfig(seed=515151), reps)
-    for rec in batch:
-        sigma_hat, var = w.weak_value_from_counts(rec, kappa, "minus")
-        if abs(sigma_hat - sigma_ideal) <= math.sqrt(var):
-            covered += 1
-    coverage = covered / reps
+    sigma_hats, variances = w.weak_values_from_counts(batch(515151), kappa, "minus")
+    coverage = int(np.sum(np.abs(sigma_hats - sigma_ideal) <= np.sqrt(variances))) / reps
     coverage_ok = 0.62 <= coverage <= 0.74
 
     model = w.ModelParams(kappa=kappa, postselect_sign="minus")
     curve = w.build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
     branch = curve.branch_containing(theta)
-    theta_hats, propagated = [], []
-    for rec in w.simulate_batch(probs, w.AcquisitionConfig(seed=424243), reps):
-        sigma_hat, var_sigma = w.weak_value_from_counts(rec, kappa, "minus")
-        theta_hat = w.estimate_theta(curve, sigma_hat, branch)
-        theta_hats.append(theta_hat)
-        propagated.append(w.propagate_variance(curve, theta_hat, var_sigma))
-    theta_hats = np.array(theta_hats)
+    counts = batch(424243)
+    sigma_hats, var_sigmas = w.weak_values_from_counts(counts, kappa, "minus")
+    theta_hats = w.invert_branch(curve, sigma_hats, branch)
+    results = w.assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas,
+                                 counts[:, :2].sum(axis=1))
+    propagated = [r.variance_theta_deg2 for r in results]
     se = theta_hats.std(ddof=1) / math.sqrt(reps)
     bias_ok = abs(theta_hats.mean() - theta) < 3 * se
     empirical_deg2 = float(np.var(np.degrees(theta_hats), ddof=1))

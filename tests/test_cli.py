@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import weakps
-from weakps import cli, simulate_counts, weak_value_curve
+from weakps import cli, draw_counts, weak_value_curve
 from weakps.cli import main
 
 D2R = math.pi / 180.0
@@ -89,20 +89,58 @@ def test_simulated_pusey_draws_each_point_once(tmp_path, monkeypatch):
     # columns equal those of a minus-only sweep
     draws = []
 
-    def counted(probs, config):
-        draws.append(config.seed)
-        return simulate_counts(probs, config)
+    def counted(probs, seeds, config):
+        draws.extend(seeds)
+        return draw_counts(probs, seeds, config)
 
-    monkeypatch.setattr(cli, "simulate_counts", counted)
+    monkeypatch.setattr(cli, "draw_counts", counted)
     args = ["sweep-pusey", "--kappa", "0.335", "--theta-step", "5", "--simulate", "--seed", "7",
             "--p-phi", "counts"]
     assert main(args + ["--postselect", "both", "--output", str(tmp_path / "both.csv")]) == 0
-    assert len(draws) == 18
+    assert len(draws) == len(set(draws)) == 18
     assert main(args + ["--postselect", "minus", "--output", str(tmp_path / "minus.csv")]) == 0
     _, header, both = _read_csv(tmp_path / "both.csv")
     _, _, minus = _read_csv(tmp_path / "minus.csv")
     assert [row[:3] for row in both] == minus
     assert header == ["theta_deg", "i0_minus", "i1_minus", "i0_plus", "i1_plus"]
+
+
+_WRITE_CASES = {
+    "numbers": {
+        "x": np.array([0.0, -0.0, 1 / 3, 1e-300, 1e300, np.nan, np.inf, -np.inf]),
+        "n": np.arange(8, dtype=np.int64) - 3,
+        "seed": [0, 1, 2**64 - 1, 7, 8, 9, 10, 11],
+        "flag": [1.5, 2, -3, 4.25, 0, 1, 2, 3],
+    },
+    "strings": {
+        "label": ["plain", 'a, "quoted", b', "caf\u00e9 \u2192", "{brace}", "tab\tnew\nline"],
+        'key {with} "quotes", commas': np.array([1.0, 2.0, np.nan, 4.0, 5.0]),
+    },
+    "empty-columns": {"x": np.array([]), "label": []},
+    "no-columns": {},
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITE_CASES))
+def test_write_matches_row_by_row_formatting(tmp_path, monkeypatch, case):
+    # JSON is exactly json.dumps(..., indent=2); CSV formats floats with 12
+    # significant digits and everything else with str
+    monkeypatch.setattr(cli, "_stamp", lambda metadata: metadata)
+    data = _WRITE_CASES[case]
+    meta = {"command": "test", "kappa": 0.335, "note": "a, b"}
+    columns = list(data)[::-1]
+    rows = [dict(zip(data, values)) for values in zip(*(
+        col.tolist() if isinstance(col, np.ndarray) else col for col in data.values()))]
+
+    cli._write(str(tmp_path / "out.json"), "json", meta, columns, data)
+    expected = json.dumps({"metadata": meta, "records": rows}, indent=2) + "\n"
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
+
+    cli._write(str(tmp_path / "out.csv"), "csv", meta, columns, data)
+    fmt = lambda v: f"{v:.12g}" if isinstance(v, float) else str(v)
+    lines = [f"# {k} = {fmt(v)}" for k, v in meta.items()] + [",".join(columns)]
+    lines += [",".join(fmt(row[c]) for c in columns) for row in rows]
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_sweep_fisher_schema_and_budget(tmp_path):
@@ -187,9 +225,17 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
     (["sweep-fisher", "--kappa", "0.3", "--theta-step", "nan"], None),
     (["sweep-weak-value", "--kappa", "0.3", "--theta-step", "1e-300", "--theta-end", "1e-290"],
      None),
+    *[([*command, "--rate", rate, "--duration", duration], None)
+      for command in (["simulate-counts", "--kappa", "0.335"],
+                      ["table1", "--kappa", "0.335", "--repetitions", "2"],
+                      ["sweep-pusey", "--kappa", "0.335", "--simulate"])
+      for rate, duration in (("1e18", "100"), ("1e300", "1e10"))],
 ], ids=["repetitions-0", "negative-rate", "negative-seed", "visibility-above-1",
         "record-without-n_pm", "record-with-negative-count", "projective-p-phi-counts",
-        "nan-theta-start", "infinite-theta-end", "nan-theta-step", "grid-above-cap"])
+        "nan-theta-start", "infinite-theta-end", "nan-theta-step", "grid-above-cap",
+        *[f"{command}-poisson-mean-{size}" for command in ("simulate-counts", "table1",
+                                                          "sweep-pusey-simulated")
+          for size in ("above-limit", "infinite")]])
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, record):
     if record is not None:
         counts = tmp_path / "counts.json"
@@ -198,6 +244,27 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, record):
     assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("records, rc, message", [
+    # an empty minus pair before an invalid record: the empty pair stops the run
+    ([{"n_mp": 0, "n_mm": 0, "n_pp": 5, "n_pm": 5}, {"n_mp": -1}], 1,
+     "error: EmptyChannel: no counts in the minus postselection channels"),
+    ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": 5, "seed": -3},
+      {"n_mp": 0, "n_mm": 0, "n_pp": 5, "n_pm": 5}], 2,
+     "error: input record 0: missing or invalid count: seed must be a nonnegative integer"),
+    ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": 5}, {"n_mp": "x"}], 2,
+     "error: input record 1: missing or invalid count: invalid literal"),
+    ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": math.inf}], 2,
+     "error: input record 0: missing or invalid count: cannot convert float infinity"),
+], ids=["empty-pair-first", "negative-seed-first", "bad-count-second", "infinite-count"])
+def test_estimate_stops_at_the_first_failing_record(tmp_path, capsys, records, rc, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": records}))
+    assert main(["estimate", "--input", str(counts), "--branch", "18,27",
+                 "--output", str(tmp_path / "out.csv")]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_table1_schema_and_baseline(tmp_path):

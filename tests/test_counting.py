@@ -8,13 +8,16 @@ from weakps import (
     CountRecord,
     ProbabilityRecord,
     derive_seeds,
+    draw_counts,
     ideal_probability_record,
-    simulate_batch,
     simulate_counts,
     weak_value_curve,
     weak_value_from_counts,
+    weak_values_from_counts,
 )
+from weakps.counting import MAX_EXPECTED_TOTAL
 from weakps.errors import EmptyChannel, ZeroStrength
+from weakps.kernels import channel_probabilities
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -29,6 +32,80 @@ def test_config_validation():
         AcquisitionConfig(seed=1, kappa_uncertainty=-0.1)
     with pytest.raises(ValueError):
         AcquisitionConfig(seed=-2)
+    # numpy's Poisson sampler takes no larger mean
+    AcquisitionConfig(seed=1, rate=MAX_EXPECTED_TOTAL, duration=1.0)
+    for rate, duration in ((1e18, 100.0), (1e300, 1e10)):
+        with pytest.raises(ValueError, match="exceeds the largest Poisson mean"):
+            AcquisitionConfig(seed=1, rate=rate, duration=duration)
+
+
+def _batch(theta, config, repetitions):
+    """Count rows of independent repetitions at one angle, seeded from the
+    config seed as table1 seeds its working points."""
+    probs = channel_probabilities([theta], KAPPA)[:, 0]
+    return draw_counts(probs, derive_seeds(config.seed, repetitions), config)
+
+
+def test_draws_match_one_generator_per_seed():
+    # row i is four scalar draws, in channel order, from default_rng(seeds[i])
+    config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
+    seeds = derive_seeds(42, 25) + [0, 1, 2**64 - 1]
+    probs = channel_probabilities(np.linspace(0.0, math.pi / 2, len(seeds)), KAPPA).T
+    expected = []
+    for seed, row in zip(seeds, probs.tolist()):
+        rng = np.random.default_rng(seed)
+        expected.append([rng.poisson(config.expected_total * p) for p in row])
+    counts = draw_counts(probs, seeds, config)
+    assert counts.dtype == np.int64 and counts.shape == (len(seeds), 4)
+    assert counts.tolist() == expected
+    # one row for every seed is that row repeated
+    repeated = draw_counts(probs[3], seeds, config)
+    assert repeated.tolist() == draw_counts(np.tile(probs[3], (len(seeds), 1)), seeds,
+                                            config).tolist()
+    # the scalar record is the one-seed batch
+    rec = simulate_counts(ProbabilityRecord(*probs[3]), AcquisitionConfig(seed=seeds[3]))
+    assert list(rec.as_dict().values()) == draw_counts(probs[3], [seeds[3]],
+                                                       AcquisitionConfig(seed=0)).tolist()[0]
+
+
+def test_draw_rejects_invalid_probabilities():
+    config = AcquisitionConfig(seed=1)
+    with pytest.raises(ValueError, match="must sum to 1, got 1.2"):
+        draw_counts([[0.25] * 4, [0.3] * 4], [1, 2], config)
+    with pytest.raises(ValueError, match="p_pp must be a nonnegative probability"):
+        draw_counts([0.5, 0.5, -0.1, 0.1], [1], config)
+    with pytest.raises(ValueError, match="p_mm must be a nonnegative probability"):
+        draw_counts([0.5, math.nan, 0.25, 0.25], [1], config)
+    with pytest.raises(ValueError, match="2 probability rows for 3 seeds"):
+        draw_counts([[0.25] * 4] * 2, [1, 2, 3], config)
+
+
+def test_weak_values_match_the_scalar_estimator_bit_for_bit():
+    rng = np.random.default_rng(3)
+    counts = np.vstack([
+        rng.integers(0, 50, size=(200, 4)),
+        rng.integers(0, 3_000_000, size=(20, 4)),  # totals whose cube leaves int64
+        [[0, 0, 7, 1], [5, 0, 0, 0], [0, 9, 0, 0]],
+    ])
+    for sign in ("minus", "plus"):
+        config = AcquisitionConfig(seed=1, kappa_uncertainty=0.008)
+        sigmas, variances = weak_values_from_counts(counts, KAPPA, sign, 0.008)
+        for row, sigma, var in zip(counts.tolist(), sigmas.tolist(), variances.tolist()):
+            rec = CountRecord(*row, config=config)
+            if sum(rec.postselected(sign)) == 0:
+                assert math.isnan(sigma) and math.isnan(var)
+                with pytest.raises(EmptyChannel):
+                    weak_value_from_counts(rec, KAPPA, sign)
+                continue
+            n_a, n_b = rec.postselected(sign)
+            total = n_a + n_b
+            sigma_ref = (n_a - n_b) / (KAPPA * total)
+            var_ref = (4.0 * n_a * n_b / (KAPPA * KAPPA * total**3)
+                       + sigma_ref * sigma_ref * (0.008 / KAPPA) ** 2)
+            assert (sigma, var) == (sigma_ref, var_ref)
+            assert weak_value_from_counts(rec, KAPPA, sign) == (sigma_ref, var_ref)
+    with pytest.raises(ZeroStrength):
+        weak_values_from_counts(counts, 0.0, "minus")
 
 
 def test_seed_determinism():
@@ -62,14 +139,9 @@ def test_rejects_unnormalized_probabilities():
 
 def test_estimator_mean_matches_ideal_value():
     theta = 20 * D2R
-    probs = ideal_probability_record(theta, KAPPA)
     sigma_ideal = weak_value_curve(theta, KAPPA, "minus")
     config = AcquisitionConfig(seed=2026, rate=2000.0, duration=5.0)
-    values = []
-    for rec in simulate_batch(probs, config, 10_000):
-        sigma_hat, _ = weak_value_from_counts(rec, KAPPA, "minus")
-        values.append(sigma_hat)
-    values = np.array(values)
+    values, _ = weak_values_from_counts(_batch(theta, config, 10_000), KAPPA, "minus")
     se = values.std(ddof=1) / math.sqrt(values.size)
     assert abs(values.mean() - sigma_ideal) < 3 * se
 
@@ -131,27 +203,18 @@ def test_derive_seeds_reproducible_and_distinct():
 
 def test_one_sigma_coverage_window():
     theta = 20 * D2R
-    probs = ideal_probability_record(theta, KAPPA)
     sigma_ideal = weak_value_curve(theta, KAPPA, "minus")
     config = AcquisitionConfig(seed=515151, rate=2000.0, duration=5.0)
-    covered = 0
     reps = 1000
-    for rec in simulate_batch(probs, config, reps):
-        sigma_hat, var = weak_value_from_counts(rec, KAPPA, "minus")
-        if abs(sigma_hat - sigma_ideal) <= math.sqrt(var):
-            covered += 1
+    sigma_hats, variances = weak_values_from_counts(_batch(theta, config, reps), KAPPA, "minus")
+    covered = int(np.sum(np.abs(sigma_hats - sigma_ideal) <= np.sqrt(variances)))
     assert 0.62 <= covered / reps <= 0.74
 
 
 def test_propagated_variance_tracks_empirical():
     theta = 20 * D2R
-    probs = ideal_probability_record(theta, KAPPA)
     config = AcquisitionConfig(seed=717171, rate=2000.0, duration=5.0)
-    sigma_hats, variances = [], []
-    for rec in simulate_batch(probs, config, 1000):
-        sigma_hat, var = weak_value_from_counts(rec, KAPPA, "minus")
-        sigma_hats.append(sigma_hat)
-        variances.append(var)
+    sigma_hats, variances = weak_values_from_counts(_batch(theta, config, 1000), KAPPA, "minus")
     empirical = float(np.var(sigma_hats, ddof=1))
     propagated = float(np.mean(variances))
     assert abs(empirical / propagated - 1.0) <= 0.15

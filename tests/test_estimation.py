@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weakps import (
     AcquisitionConfig,
@@ -11,18 +13,17 @@ from weakps import (
     assess_estimates,
     build_calibration,
     conditional_probabilities,
-    cramer_rao_variance,
+    derive_seeds,
+    draw_counts,
     estimate_theta,
     imperfect_joint_probs,
     invert_branch,
     load_baseline,
-    propagate_variance,
-    simulate_batch,
     table1_pipeline,
     weak_value,
     weak_value_curve,
-    weak_value_from_counts,
     weak_value_slope,
+    weak_values_from_counts,
 )
 from weakps.errors import AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange
 from weakps.estimation import RAD2_TO_DEG2, TABLE1_THETAS_DEG
@@ -110,38 +111,49 @@ def test_branch_containing_shrinks_at_turning_points():
         curve.branch_containing(theta_peak)
 
 
+def _assess_one(curve, theta_hat, var_sigma=0.01, m_ps=1000):
+    """The one-element batch of an estimate at ``theta_hat``: its
+    EstimateResult, or the error that stops it."""
+    branch = (float(curve.theta_grid[0]), float(curve.theta_grid[-1]))
+    sigma_hat = float(curve.model.sigma_array(np.array([theta_hat]))[0])
+    return assess_estimates(curve, branch, [theta_hat], [sigma_hat], [var_sigma], [m_ps])[0]
+
+
 def test_propagate_variance_examples():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
-    assert propagate_variance(curve, 20 * D2R, 0.0) == 0.0
+    assert _assess_one(curve, 20 * D2R, 0.0).variance_theta_deg2 == 0.0
     # closed-form slope at the zero crossing: -4 / (1 - sqrt(1 - k^2))
     expected = 0.01 * (1 - R) ** 2 / 16.0 * RAD2_TO_DEG2
-    assert propagate_variance(curve, 22.5 * D2R, 0.01) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(FlatCurve):
-        propagate_variance(curve, math.asin(R) / 4.0, 0.01)
+    got = _assess_one(curve, 22.5 * D2R, 0.01).variance_theta_deg2
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert isinstance(_assess_one(curve, math.asin(R) / 4.0, 0.01), FlatCurve)
 
 
 def test_propagated_variance_slope_consistency():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     theta = 20 * D2R
     slope = weak_value_slope(theta, KAPPA, "minus")
-    got = propagate_variance(curve, theta, 0.02)
+    got = _assess_one(curve, theta, 0.02).variance_theta_deg2
     assert got == pytest.approx(0.02 / slope**2 * RAD2_TO_DEG2, rel=1e-12)
 
 
 def test_cramer_rao_values():
     # information 16 per squared radian -> (1/16) rad^2 = 205.18 deg^2
-    got = cramer_rao_variance(30 * D2R, 1.0, "minus", 1)
+    projective = build_calibration(ModelParams(kappa=1.0, postselect_sign="minus"),
+                                   0.0, 45 * D2R, 0.05 * D2R)
+    got = _assess_one(projective, 30 * D2R, m_ps=1).sigma_cr_deg2
     assert got == pytest.approx(RAD2_TO_DEG2 / 16.0, rel=1e-12)
     assert got == pytest.approx(205.175, abs=1e-3)
+    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     f = fisher_ps_definition(22.5 * D2R, KAPPA, "minus")
-    got = cramer_rao_variance(22.5 * D2R, KAPPA, "minus", 1000)
+    got = _assess_one(curve, 22.5 * D2R, m_ps=1000).sigma_cr_deg2
     assert got == pytest.approx(RAD2_TO_DEG2 / (f * 1000), rel=1e-12)
     # doubling the event count halves the limit
-    assert cramer_rao_variance(22.5 * D2R, KAPPA, "minus", 2000) == pytest.approx(
+    assert _assess_one(curve, 22.5 * D2R, m_ps=2000).sigma_cr_deg2 == pytest.approx(
         got / 2.0, rel=1e-12
     )
     with pytest.raises(ValueError):
-        cramer_rao_variance(22.5 * D2R, KAPPA, "minus", 0)
+        _assess_one(curve, 22.5 * D2R, m_ps=0)
 
 
 def test_assess_estimates_keeps_position_and_precedence():
@@ -155,13 +167,10 @@ def test_assess_estimates_keeps_position_and_precedence():
                                [0.01] * 4, [1000] * 4)
     assert [type(r) for r in results] == [EstimateResult, OutOfRange, FlatCurve,
                                           DegenerateConditional]
-    # the scalar wrappers run the same code
-    assert results[0].variance_theta_deg2 == propagate_variance(curve, 10 * D2R, 0.01)
-    assert results[0].sigma_cr_deg2 == cramer_rao_variance(10 * D2R, KAPPA, "minus", 1000)
-    with pytest.raises(FlatCurve):
-        propagate_variance(curve, peak, 0.01)
-    with pytest.raises(DegenerateConditional):
-        cramer_rao_variance(peak + 1e-6, KAPPA, "minus", 1000)
+    # a one-element batch gives each estimate the same result
+    assert results[0] == _assess_one(curve, 10 * D2R, 0.01, 1000)
+    assert isinstance(_assess_one(curve, peak), FlatCurve)
+    assert isinstance(_assess_one(curve, peak + 1e-6), DegenerateConditional)
 
 
 def test_monte_carlo_round_trip_consistency():
@@ -169,22 +178,21 @@ def test_monte_carlo_round_trip_consistency():
     model = MINUS_MODEL
     curve = build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
     branch = curve.branch_containing(theta)
-    probs = model.probability_record(theta)
     config = AcquisitionConfig(seed=424242, rate=2000.0, duration=5.0)
-    theta_hats, propagated = [], []
-    for rec in simulate_batch(probs, config, 400):
-        sigma_hat, var_sigma = weak_value_from_counts(rec, KAPPA, "minus")
-        theta_hat = estimate_theta(curve, sigma_hat, branch)
-        theta_hats.append(theta_hat)
-        propagated.append(propagate_variance(curve, theta_hat, var_sigma))
-    theta_hats = np.array(theta_hats)
+    counts = draw_counts(model.channel_probabilities([theta])[:, 0],
+                         derive_seeds(config.seed, 400), config)
+    sigma_hats, var_sigmas = weak_values_from_counts(counts, KAPPA, "minus")
+    theta_hats = invert_branch(curve, sigma_hats, branch)
+    m_ps = counts[:, :2].sum(axis=1)
+    results = assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas, m_ps)
+    propagated = [r.variance_theta_deg2 for r in results]
     se = theta_hats.std(ddof=1) / math.sqrt(theta_hats.size)
     assert abs(theta_hats.mean() - theta) < 3 * se
     empirical_deg2 = float(np.var(np.degrees(theta_hats), ddof=1))
     assert abs(empirical_deg2 / np.mean(propagated) - 1.0) < 0.2
     # sanity of the Cramér-Rao ordering over the same repetitions
     m_ps_mean = postselect_probability(theta, KAPPA, "minus") * config.expected_total
-    cr = cramer_rao_variance(theta, KAPPA, "minus", int(m_ps_mean))
+    cr = _assess_one(curve, theta, m_ps=int(m_ps_mean)).sigma_cr_deg2
     assert empirical_deg2 >= cr * 0.85
 
 
@@ -267,6 +275,25 @@ def test_imperfect_round_trip_through_batched_inversion():
     curve = build_calibration(model, 0.0, 45 * D2R, 0.5 * D2R)
     lo, hi = curve.branch_containing(22.5 * D2R)
     thetas = np.linspace(lo + 1e-3, hi - 1e-3, 9)
+    solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
+    np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(kappa=st.floats(0.05, 1.0), sign=st.sampled_from(("minus", "plus")),
+       gate=st.sampled_from((None, ImperfectionParams(0.78, 0.98, 0.34))),
+       start=st.floats(0.0, math.pi / 2),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_batched_inversion_round_trip_property(kappa, sign, gate, start, fractions):
+    # any angles on a monotone branch come back from their model values,
+    # in one batch
+    model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=gate)
+    curve = build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
+    try:
+        lo, hi = curve.branch_containing(start)
+    except AmbiguousBranch:
+        assume(False)
+    thetas = lo + (hi - lo) * np.array(fractions)
     solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
     np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
 

@@ -108,3 +108,19 @@ def test_pusey_kernel_skips_orthogonal_point():
     i0, i1, p_phi = kernels.pusey_curves(np.array([math.pi / 8]), 0.335, -1.0)
     assert p_phi[0] <= 1e-30
     assert math.isnan(i0[0]) and math.isnan(i1[0])
+
+
+@PROPERTY
+@given(kappa=st.floats(0.01, 0.99), theta=st.floats(0.0, math.pi / 2), sign=st.sampled_from((-1.0, 1.0)))
+def test_anomaly_peak_property(kappa, theta, sign):
+    # |sigma_w| peaks at 1/kappa where sin 4t = -sign sqrt(1 - kappa^2): +1/kappa
+    # where cos 4t = kappa, -1/kappa where cos 4t = -kappa
+    r = math.sqrt(1.0 - kappa * kappa)
+    rising = math.asin(-sign * r) / 4.0
+    peaks = np.array([rising, math.pi / 4.0 - rising])
+    assert kernels.weak_value_curve(peaks, kappa, sign) == pytest.approx(
+        [1.0 / kappa, -1.0 / kappa], rel=1e-9)
+    # both are turning points, and nothing on the curve exceeds them
+    slope = kernels.weak_value_slope(peaks, kappa, sign)
+    assert np.all(np.abs(slope) * kappa**4 <= 1e-12)
+    assert abs(kernels.weak_value_curve(theta, kappa, sign)) <= (1.0 + 1e-12) / kappa
