@@ -29,6 +29,7 @@ from .counting import (
     derive_seeds,
     draw_counts,
     empty_channel,
+    nonnegative_integer,
     postselected_counts,
     weak_values_from_counts,
 )
@@ -51,6 +52,9 @@ SCHEMA_VERSION = 1
 
 # Most points an angle grid may hold; a larger grid is refused before it is built.
 MAX_GRID_POINTS = 1_000_000
+
+# Largest postselected count total an `estimate` record may hold: counts are int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 _NAMED_STATES = {"plus": PLUS, "minus": MINUS, "zero": ZERO, "one": ONE}
 
@@ -475,22 +479,21 @@ def _cmd_simulate_counts(args) -> None:
 
 def _read_counts(records: list, sign: str) -> np.ndarray:
     """Count rows ``(n_mp, n_mm, n_pp, n_pm)`` of simulate-counts records,
-    checked in file order: the first invalid record stops the run with a
-    ConfigError, the first without postselected counts with EmptyChannel."""
+    checked in file order: the first invalid record, or one whose
+    postselected pair sums past int64, stops the run with a ConfigError, the
+    first without postselected counts with EmptyChannel."""
     counts = np.empty((len(records), 4), dtype=np.int64)
     for index, rec in enumerate(records):
         try:
-            row = [int(rec[name]) for name in COUNT_COLUMNS]
-            seed = int(rec.get("seed", 0))
-            if seed < 0:
-                raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-            for name, n in zip(COUNT_COLUMNS, row):
-                if n < 0:
-                    raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-            counts[index] = row
+            counts[index] = [nonnegative_integer(name, rec[name]) for name in COUNT_COLUMNS]
+            nonnegative_integer("seed", rec.get("seed", 0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
-        if not postselected_counts(counts[index : index + 1], sign).any():
+        m_ps = sum(postselected_counts(counts[index : index + 1], sign)[0].tolist())
+        if m_ps > _INT64_MAX:
+            raise ConfigError(f"input record {index}: postselected counts sum to {m_ps}, "
+                              f"above the int64 limit {_INT64_MAX}")
+        if m_ps == 0:
             raise empty_channel(sign)
     return counts
 

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with weakps, not on the first draw
 
 from .errors import EmptyChannel, ZeroStrength
-from .states import ProbabilityRecord, Strength, as_strength, sign_factor
+from .states import _NORM_TOL, ProbabilityRecord, Strength, as_strength, sign_factor
 
 __all__ = [
     "COUNT_COLUMNS",
@@ -40,8 +40,14 @@ COUNT_COLUMNS = ("n_mp", "n_mm", "n_pp", "n_pm")
 # Largest mean numpy's Poisson sampler accepts.
 MAX_EXPECTED_TOTAL = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
-# Above this postselected total the cube in the Poisson variance leaves int64.
-_INT64_CUBE_MAX = 2_097_151
+
+def nonnegative_integer(name: str, value) -> int:
+    """``value`` as an int; raises ValueError unless it is a nonnegative
+    integer value (so a fractional count is refused, not truncated)."""
+    n = int(value)
+    if n != value or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,7 @@ class AcquisitionConfig:
                              f"Poisson mean, {MAX_EXPECTED_TOTAL!r}")
         if self.kappa_uncertainty < 0.0 or not math.isfinite(self.kappa_uncertainty):
             raise ValueError(f"kappa_uncertainty must be >= 0, got {self.kappa_uncertainty!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        nonnegative_integer("seed", self.seed)
 
     @property
     def expected_total(self) -> float:
@@ -91,9 +96,7 @@ class CountRecord:
 
     def __post_init__(self) -> None:
         for name in COUNT_COLUMNS:
-            v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+            nonnegative_integer(name, getattr(self, name))
 
     @property
     def total(self) -> int:
@@ -116,12 +119,13 @@ def draw_counts(probs: np.ndarray, seeds: "list[int]", config: AcquisitionConfig
     ``(len(seeds), 4)``, or one row shape ``(4,)`` for every seed.  Row ``i``
     is drawn by ``np.random.default_rng(seeds[i])``, channel by channel, with
     means ``config.expected_total * probs[i]``; ``config.seed`` is not used.
-    Raises ValueError unless every probability is finite and nonnegative and
-    every row sums to 1 within 1e-9.
+    Raises ValueError unless every probability is finite and nonnegative (as
+    :class:`ProbabilityRecord` checks it) and every row sums to 1 within 1e-9;
+    a probability that this tolerance lets below zero draws as zero.
     """
     probs = np.asarray(probs, dtype=np.float64)
     rows = np.atleast_2d(probs)
-    bad = ~np.isfinite(rows) | (rows < -1e-12)
+    bad = ~np.isfinite(rows) | (rows < -_NORM_TOL)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"p{COUNT_COLUMNS[j][1:]} must be a nonnegative probability, "
@@ -130,7 +134,7 @@ def draw_counts(probs: np.ndarray, seeds: "list[int]", config: AcquisitionConfig
     off = np.abs(totals - 1.0) > 1e-9
     if np.any(off):
         raise ValueError(f"channel probabilities must sum to 1, got {float(totals[off][0])!r}")
-    means = (config.expected_total * rows).tolist()
+    means = (config.expected_total * np.maximum(rows, 0.0)).tolist()
     if probs.ndim == 1:
         means = means * len(seeds)
     elif len(means) != len(seeds):
@@ -188,10 +192,7 @@ def weak_values_from_counts(
     pair = postselected_counts(np.asarray(counts, dtype=np.int64), postselect_sign)
     n_a, n_b = pair[:, 0], pair[:, 1]
     total = n_a + n_b
-    cube = (total**3).astype(np.float64)  # exact before rounding, as Python's int power
-    big = total > _INT64_CUBE_MAX
-    if np.any(big):
-        cube[big] = [float(t**3) for t in total[big].tolist()]
+    cube = (total.astype(object) ** 3).astype(np.float64)  # exact Python-int power, then rounded
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where the pair is empty
         sigma_hat = (n_a - n_b) / (k * total)
         var_poisson = 4.0 * n_a * n_b / (k * k * cube)

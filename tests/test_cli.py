@@ -257,7 +257,15 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, record):
      "error: input record 1: missing or invalid count: invalid literal"),
     ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": math.inf}], 2,
      "error: input record 0: missing or invalid count: cannot convert float infinity"),
-], ids=["empty-pair-first", "negative-seed-first", "bad-count-second", "infinite-count"])
+    ([{"n_mp": 900.7, "n_mm": 100, "n_pp": 5, "n_pm": 5}], 2,
+     "error: input record 0: missing or invalid count: n_mp must be a nonnegative integer, "
+     "got 900.7"),
+    # each count fits in int64, the postselected pair's sum does not
+    ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": 5},
+      {"n_mp": 5 * 10**18, "n_mm": 5 * 10**18, "n_pp": 5, "n_pm": 5}], 2,
+     "error: input record 1: postselected counts sum to 10000000000000000000, above the int64"),
+], ids=["empty-pair-first", "negative-seed-first", "bad-count-second", "infinite-count",
+        "fractional-count", "postselected-sum-above-int64"])
 def test_estimate_stops_at_the_first_failing_record(tmp_path, capsys, records, rc, message):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": records}))

@@ -76,6 +76,10 @@ def test_draw_rejects_invalid_probabilities():
         draw_counts([0.5, 0.5, -0.1, 0.1], [1], config)
     with pytest.raises(ValueError, match="p_mm must be a nonnegative probability"):
         draw_counts([0.5, math.nan, 0.25, 0.25], [1], config)
+    # ProbabilityRecord's tolerance on a negative probability: -1e-13 passes, -1e-11 not
+    assert draw_counts([0.5, 0.5, -1e-13, 1e-13], [1], config)[0, 2:].tolist() == [0, 0]
+    with pytest.raises(ValueError, match="p_pp must be a nonnegative probability, got -1e-11"):
+        draw_counts([0.5, 0.5, -1e-11, 1e-11], [1], config)
     with pytest.raises(ValueError, match="2 probability rows for 3 seeds"):
         draw_counts([[0.25] * 4] * 2, [1, 2, 3], config)
 
@@ -84,7 +88,7 @@ def test_weak_values_match_the_scalar_estimator_bit_for_bit():
     rng = np.random.default_rng(3)
     counts = np.vstack([
         rng.integers(0, 50, size=(200, 4)),
-        rng.integers(0, 3_000_000, size=(20, 4)),  # totals whose cube leaves int64
+        rng.integers(0, 3_000_000, size=(200, 4)),  # totals whose cube leaves int64
         [[0, 0, 7, 1], [5, 0, 0, 0], [0, 9, 0, 0]],
     ])
     for sign in ("minus", "plus"):
