@@ -50,7 +50,8 @@ from .weak import QUANTUM_FISHER_INFORMATION, fisher_curve_grid
 
 SCHEMA_VERSION = 1
 
-# Most points an angle grid may hold; a larger grid is refused before it is built.
+# Most points an angle grid, and most repetitions a working point, may hold; a
+# larger grid or count is refused before it is built.
 MAX_GRID_POINTS = 1_000_000
 
 # Largest postselected count total an `estimate` record may hold: counts are int64.
@@ -570,6 +571,9 @@ def _cmd_table1(args) -> None:
     acquisition = _acquisition(args)
     if args.repetitions <= 0:
         raise ConfigError(f"--repetitions must be positive, got {args.repetitions}")
+    if args.repetitions > MAX_GRID_POINTS:  # refused before any seed is derived
+        raise ConfigError(f"--repetitions must be at most {MAX_GRID_POINTS}, "
+                          f"got {args.repetitions}")
     baseline = load_baseline(args.baseline)
 
     rows = []  # one tuple of the columns below per working point

@@ -2,17 +2,21 @@
 postselected value with propagated error bars.
 
 Counts in the four coincidence channels are independent Poisson draws with
-means ``rate * duration * p_channel``.  Every record has its own generator,
-one PCG64 seeded with the record's seed from :func:`derive_seeds`, which
-draws the four channels in the order (mp, mm, pp, pm).  Error propagation on
-the rescaled postselected value is first order (delta method) with two terms,
-matching the two modeled error sources: Poisson channel noise and the
-calibration uncertainty on the strength.
+means ``rate * duration * p_channel``.  Every record draws the four channels
+in the order (mp, mm, pp, pm) from its own PCG64 stream, the one
+``np.random.default_rng(seed)`` gives for the record's seed from
+:func:`derive_seeds`.  The generator states of a batch are derived from its
+seeds on arrays, by numpy's own seeding algorithm, and loaded into one
+reused generator; seeds and draws are those of one ``default_rng`` per
+record.  Error propagation on the rescaled postselected value is first order
+(delta method) with two terms, matching the two modeled error sources:
+Poisson channel noise and the calibration uncertainty on the strength.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +116,81 @@ class CountRecord:
         return {"n_mp": self.n_mp, "n_mm": self.n_mm, "n_pp": self.n_pp, "n_pm": self.n_pm}
 
 
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding constants
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Seeds hashed in one array pass; bounds the memory a large batch takes.
+_SEED_BLOCK = 1 << 16
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) column pairs of ``n`` successive SeedSequence
+    hashes whose running constant starts at ``init`` and steps by ``mult``."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+_MIX_XOR, _MIX_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # INIT_A, MULT_A
+_OUT_XOR, _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # INIT_B, MULT_B
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One SeedSequence hash of every uint32 in ``values``."""
+    values = (values ^ xor) * mult  # uint32 arrays wrap modulo 2**32
+    return values ^ values >> 16
+
+
+def _pcg64_states(seeds: "list[int]") -> "Iterator[tuple[int, int]]":
+    """Yield ``(state, inc)`` of ``np.random.PCG64(seed)`` for every seed.
+
+    For ints in ``[0, 2**64)`` this runs numpy's seeding on arrays:
+    ``SeedSequence.mix_entropy`` hashes the seed's two 32-bit words (and two
+    zero words) into a pool of four; a seed below 2**32 has one word, and
+    numpy hashes a zero for each missing one, so it needs no path of its
+    own.  ``generate_state(4, np.uint64)`` then hashes the pool into four
+    64-bit words ``w0..w3``, and PCG64's set-seq seeding turns
+    ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 | w3`` into
+    ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * MULT + inc``
+    modulo 2**128.  Any other seed takes its words from
+    ``np.random.SeedSequence`` itself, which raises as ``default_rng`` does.
+    """
+    for start in range(0, len(seeds), _SEED_BLOCK):
+        block = seeds[start:start + _SEED_BLOCK]
+        fits = [type(seed) is int and 0 <= seed < 1 << 64 for seed in block]
+        low = np.array([seed if ok else 0 for seed, ok in zip(block, fits)], dtype=np.uint64)
+        pool = np.zeros((4, len(block)), dtype=np.uint32)
+        pool[0], pool[1] = low & _MASK32, low >> 32
+        pool = _hash(pool, _MIX_XOR[:4], _MIX_MUL[:4])
+        for src in range(4):  # mix each word into the three others, in numpy's order
+            dst = [d for d in range(4) if d != src]
+            k = 4 + 3 * src
+            hashed = _hash(pool[src], _MIX_XOR[k:k + 3], _MIX_MUL[k:k + 3])
+            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+            pool[dst] = mixed ^ mixed >> 16
+        half = _hash(np.tile(pool, (2, 1)), _OUT_XOR, _OUT_MUL).astype(np.uint64)
+        words = half[0::2] | half[1::2] << 32  # low word first, on any byte order
+        for i, ok in enumerate(fits):
+            if not ok:
+                words[:, i] = np.random.SeedSequence(block[i]).generate_state(4, np.uint64)
+        for w0, w1, w2, w3 in zip(*words.tolist()):
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            yield (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+
+
 def draw_counts(probs: np.ndarray, seeds: "list[int]", config: AcquisitionConfig) -> np.ndarray:
     """Poissonian channel counts, one row ``(n_mp, n_mm, n_pp, n_pm)`` per seed.
 
     ``probs`` holds one row of channel probabilities per seed, shape
     ``(len(seeds), 4)``, or one row shape ``(4,)`` for every seed.  Row ``i``
-    is drawn by ``np.random.default_rng(seeds[i])``, channel by channel, with
-    means ``config.expected_total * probs[i]``; ``config.seed`` is not used.
+    holds the draws ``np.random.default_rng(seeds[i])`` makes, channel by
+    channel, with means ``config.expected_total * probs[i]``; ``config.seed``
+    is not used.  One generator makes every row, from the state
+    :func:`_pcg64_states` derives for the row's seed.
     Raises ValueError unless every probability is finite and nonnegative (as
     :class:`ProbabilityRecord` checks it) and every row sums to 1 within 1e-9;
     a probability that this tolerance lets below zero draws as zero.
@@ -139,9 +211,15 @@ def draw_counts(probs: np.ndarray, seeds: "list[int]", config: AcquisitionConfig
         means = means * len(seeds)
     elif len(means) != len(seeds):
         raise ValueError(f"{len(means)} probability rows for {len(seeds)} seeds")
+    bitgen = np.random.PCG64(0)  # every row loads its own state into it
+    poisson = np.random.Generator(bitgen).poisson
+    pcg = {}
+    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     counts = np.empty((len(seeds), 4), dtype=np.int64)
-    for i, (seed, (m_mp, m_mm, m_pp, m_pm)) in enumerate(zip(seeds, means)):
-        poisson = np.random.default_rng(seed).poisson
+    for i, (state, row) in enumerate(zip(_pcg64_states(seeds), means, strict=True)):
+        pcg["state"], pcg["inc"] = state
+        bitgen.state = seeded
+        m_mp, m_mm, m_pp, m_pm = row
         counts[i] = poisson(m_mp), poisson(m_mm), poisson(m_pp), poisson(m_pm)
     return counts
 

@@ -214,6 +214,7 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, record", [
     (["table1", "--kappa", "0.335", "--repetitions", "0"], None),
+    (["table1", "--kappa", "0.335", "--repetitions", "1000001"], None),
     (["simulate-counts", "--kappa", "0.335", "--rate", "-5"], None),
     (["simulate-counts", "--kappa", "0.335", "--seed", "-1"], None),
     (["sweep-weak-value", "--kappa", "0.335", "--visibility", "1.5"], None),
@@ -230,7 +231,7 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
                       ["table1", "--kappa", "0.335", "--repetitions", "2"],
                       ["sweep-pusey", "--kappa", "0.335", "--simulate"])
       for rate, duration in (("1e18", "100"), ("1e300", "1e10"))],
-], ids=["repetitions-0", "negative-rate", "negative-seed", "visibility-above-1",
+], ids=["repetitions-0", "repetitions-above-cap", "negative-rate", "negative-seed", "visibility-above-1",
         "record-without-n_pm", "record-with-negative-count", "projective-p-phi-counts",
         "nan-theta-start", "infinite-theta-end", "nan-theta-step", "grid-above-cap",
         *[f"{command}-poisson-mean-{size}" for command in ("simulate-counts", "table1",
@@ -426,6 +427,17 @@ def test_unwritable_output_path(tmp_path, capsys):
     rc = main(["sweep-weak-value", "--kappa", "0.335",
                "--output", str(tmp_path / "no" / "such" / "dir.csv")])
     assert rc == 1
+
+
+def test_cli_import_loads_neither_scipy_nor_numba():
+    # the CLI's set-up time is numpy's and weakps' alone
+    code = ("import sys\n"
+            "import weakps.cli\n"
+            "print(sorted({'scipy', 'numba'} & {m.split('.')[0] for m in sys.modules}))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakps.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_runtime_loads_no_third_party_package_but_numpy(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakps import (
     AcquisitionConfig,
@@ -15,6 +17,7 @@ from weakps import (
     weak_value_from_counts,
     weak_values_from_counts,
 )
+from weakps import counting
 from weakps.counting import MAX_EXPECTED_TOTAL
 from weakps.errors import EmptyChannel, ZeroStrength
 from weakps.kernels import channel_probabilities
@@ -66,6 +69,34 @@ def test_draws_match_one_generator_per_seed():
     rec = simulate_counts(ProbabilityRecord(*probs[3]), AcquisitionConfig(seed=seeds[3]))
     assert list(rec.as_dict().values()) == draw_counts(probs[3], [seeds[3]],
                                                        AcquisitionConfig(seed=0)).tolist()[0]
+
+
+# The ends of each 32-bit seed word, and seeds past 2**64, whose generator
+# states come from numpy's SeedSequence rather than from the array hashing.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 + 5]
+
+
+@pytest.mark.parametrize("block", [counting._SEED_BLOCK, 3])
+def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
+    monkeypatch.setattr(counting, "_SEED_BLOCK", block)  # 3: the seeds span blocks
+    config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
+    probs = channel_probabilities([0.3], KAPPA)[:, 0]
+    expected = []
+    for seed in EDGE_SEEDS:
+        rng = np.random.default_rng(seed)
+        expected.append([rng.poisson(config.expected_total * p) for p in probs.tolist()])
+    assert draw_counts(probs, EDGE_SEEDS, config).tolist() == expected
+    for seed, row in zip(EDGE_SEEDS, expected):
+        rec = simulate_counts(ProbabilityRecord(*probs),
+                              AcquisitionConfig(seed=seed, rate=700.0, duration=3.0))
+        assert list(rec.as_dict().values()) == row
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+def test_generator_states_match_pcg64(seeds):
+    expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
+    assert list(counting._pcg64_states(seeds)) == [(s["state"], s["inc"]) for s in expected]
 
 
 def test_draw_rejects_invalid_probabilities():

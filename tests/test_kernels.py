@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakps import (
+    circuit_probability_record,
     evaluate_weak_value,
     ideal_probability_record,
     joint_probability,
@@ -55,6 +56,15 @@ def test_information_budget_property(kappa, offset, sign):
     budget = kernels.fisher_curve(theta, kappa, sign) * kernels.postselect_probability(
         theta, kappa, sign)
     assert budget <= 16.0 + 1e-9
+
+
+@PROPERTY
+@given(mu=st.floats(0.0, math.pi / 8, exclude_min=True), theta=st.floats(-math.pi, math.pi))
+def test_channel_kernel_matches_circuit_route(mu, theta):
+    # the closed form against one gate application and four projections
+    rec = circuit_probability_record(theta, mu)
+    np.testing.assert_allclose(kernels.channel_probabilities(theta, math.sin(4.0 * mu)),
+                               [rec.p_mp, rec.p_mm, rec.p_pp, rec.p_pm], rtol=0, atol=1e-14)
 
 
 @PROPERTY
