@@ -52,6 +52,8 @@ CASES = {
     # EmptyChannel and OutOfRange repetitions
     "table1-low-rate": ["table1", "--kappa", "0.335", "--repetitions", "8", "--seed", "4",
                         "--rate", "40", "--duration", "1"],
+    # AmbiguousBranch at the turning-point rows (27.5 deg minus, 72.5 deg plus)
+    "table1-mu5": ["table1", "--mu", "5", "--repetitions", "6", "--seed", "1"],
     "decompose": ["decompose", "--kappa", "0.335", "--phi", "minus"],
 }
 
