@@ -34,7 +34,7 @@ from .counting import (
 )
 from .estimation import (
     CalibrationCurve,
-    EstimateResult,
+    EstimateBatch,
     ModelParams,
     Table1Row,
     assess_estimates,

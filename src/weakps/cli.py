@@ -36,7 +36,6 @@ from .counting import (
 from .errors import ConfigError, WeakpsError
 from .estimation import (
     TABLE1_THETAS_DEG,
-    EstimateResult,
     ModelParams,
     assess_estimates,
     build_calibration,
@@ -543,20 +542,20 @@ def _cmd_estimate(args) -> None:
     sigmas, variances = weak_values_from_counts(counts, kappa, sign,
                                                 acquisition.kappa_uncertainty)
     m_ps = postselected_counts(counts, sign).sum(axis=1)
-    results = assess_estimates(curve, branch, invert_branch(curve, sigmas, branch),
-                               sigmas, variances, m_ps)
-    for est in results:
-        if not isinstance(est, EstimateResult):
-            raise est  # the first failing record, in file order, stops the run
+    batch = assess_estimates(curve, branch, invert_branch(curve, sigmas, branch),
+                             sigmas, variances, m_ps)
+    failed = np.flatnonzero(batch.status)
+    if failed.size:
+        raise batch.error(int(failed[0]))  # the first failing record, in file order, stops the run
     data = {
         "theta_deg": [float(rec.get("theta_deg", math.nan)) for rec in in_records],
         "sigma_hat": sigmas,
         "sigma_variance": variances,
-        "theta_hat_deg": [est.theta_hat_deg for est in results],
-        "variance_theta_deg2": [est.variance_theta_deg2 for est in results],
-        "f_ps": [est.f_ps for est in results],
+        "theta_hat_deg": batch.theta_hat_deg,
+        "variance_theta_deg2": batch.variance_theta_deg2,
+        "f_ps": batch.f_ps,
         "m_ps": m_ps,
-        "sigma_cr_deg2": [est.sigma_cr_deg2 for est in results],
+        "sigma_cr_deg2": batch.sigma_cr_deg2,
     }
 
     meta = _model_metadata(args, kappa, mu, imperfections)
@@ -582,7 +581,7 @@ def _cmd_table1(args) -> None:
         for row in table1_pipeline(TABLE1_THETAS_DEG[sign], model, acquisition, args.repetitions):
             rows.append((sign, row.theta_deg, row.mean_theta_hat_deg, row.mean_variance_deg2,
                          row.mean_sigma_cr_deg2, row.empirical_variance_deg2, row.mean_m_ps,
-                         row.n_ok, len(row.failures),
+                         row.n_ok, row.n_failed,
                          *baseline.get((sign, row.theta_deg), (math.nan, math.nan))))
     columns = [
         "postselect", "theta_deg", "mean_theta_hat_deg", "variance_theta_deg2",

@@ -81,6 +81,8 @@ class AcquisitionConfig:
                              f"Poisson mean, {MAX_EXPECTED_TOTAL!r}")
         if self.kappa_uncertainty < 0.0 or not math.isfinite(self.kappa_uncertainty):
             raise ValueError(f"kappa_uncertainty must be >= 0, got {self.kappa_uncertainty!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         nonnegative_integer("seed", self.seed)
 
     @property

@@ -3,9 +3,9 @@ with variance propagation and comparison against the Cramér-Rao limit of the
 postselected events.
 
 Inversion bisects the exact model curve for a batch of measured values at
-once, on a caller-chosen monotone branch (the curve is not injective over a
+once, each on a chosen monotone branch (the curve is not injective over a
 quarter turn, so branch selection is explicit) that is probed for monotonicity
-once per batch.  Reported variances are in squared degrees; all internal
+once per branch.  Reported variances are in squared degrees; all internal
 information quantities stay in inverse squared radians, with the unit
 conversion applied exactly once here.
 """
@@ -13,16 +13,17 @@ conversion applied exactly once here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from . import kernels
-from .counting import (AcquisitionConfig, derive_seeds, draw_counts, empty_channel,
+from .counting import (AcquisitionConfig, derive_seeds, draw_counts,
                        postselected_counts, weak_values_from_counts)
-from .errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange, WeakpsError,
-                     ZeroPostselection, ZeroStrength, angle_text)
+from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatCurve, OutOfRange,
+                     WeakpsError, ZeroPostselection, ZeroStrength, angle_text)
 from .imperfections import (ImperfectionParams, coincidence_probabilities,
                             renormalized_probabilities)
 from .states import PROB_FLOOR, as_strength, sign_factor
@@ -39,7 +40,7 @@ __all__ = [
     "TABLE1_THETAS_DEG",
     "ModelParams",
     "CalibrationCurve",
-    "EstimateResult",
+    "EstimateBatch",
     "Table1Row",
     "build_calibration",
     "invert_branch",
@@ -201,6 +202,15 @@ def build_calibration(
     return CalibrationCurve(theta_grid=grid, sigma_values=model.sigma_array(grid), model=model)
 
 
+def _check_monotone(model: ModelParams, lo: float, hi: float) -> None:
+    """Raise AmbiguousBranch unless the model curve is monotone at
+    ``_PROBE_SAMPLES`` angles spanning [lo, hi]."""
+    d = np.diff(model.sigma_array(np.linspace(lo, hi, _PROBE_SAMPLES)))
+    if np.any(d > 0.0) and np.any(d < 0.0):
+        raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
+                              "it spans a turning point")
+
+
 def invert_branch(
     curve: CalibrationCurve, sigmas: "np.ndarray | list[float]", branch: tuple[float, float]
 ) -> np.ndarray:
@@ -212,10 +222,7 @@ def invert_branch(
     lo, hi = float(branch[0]), float(branch[1])
     if hi <= lo:
         raise ValueError("branch must be a non-empty interval (lo, hi)")
-    d = np.diff(curve.model.sigma_array(np.linspace(lo, hi, _PROBE_SAMPLES)))
-    if np.any(d > 0.0) and np.any(d < 0.0):
-        raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
-                              "it spans a turning point")
+    _check_monotone(curve.model, lo, hi)
     return kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
 
 
@@ -232,15 +239,6 @@ def estimate_theta(
     if math.isnan(theta):
         raise _out_of_range(sigma_measured, curve.model.sigma_array(branch), branch)
     return theta
-
-
-def _flat_curve(slope: float, theta: float) -> FlatCurve:
-    return FlatCurve(f"curve slope {slope:.12g} at theta = {angle_text(theta)} is numerically zero")
-
-
-def _degenerate(theta: float) -> DegenerateConditional:
-    text = angle_text(theta)
-    return DegenerateConditional(f"a conditional probability vanishes at theta = {text}")
 
 
 def _propagated(model: ModelParams, thetas: np.ndarray,
@@ -282,40 +280,71 @@ def _cramer_rao(f_ps: np.ndarray, m_ps: np.ndarray) -> np.ndarray:
         return 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """One estimation run: the angle estimate and its error budget."""
+# An estimate's status in an EstimateBatch: OK, or the first error that stops it.
+OK, OUT_OF_RANGE, FLAT_CURVE, DEGENERATE = range(4)
+STATUS_ERRORS = (None, OutOfRange, FlatCurve, DegenerateConditional)
 
-    theta_hat_deg: float
-    variance_theta_deg2: float
-    sigma_cr_deg2: float
-    f_ps: float
-    m_ps: int
-    postselect_sign: str
+# The error budget of an estimate, one array each in a batch or a Table1Row.
+BUDGET_COLUMNS = ("theta_hat_deg", "variance_theta_deg2", "sigma_cr_deg2", "f_ps", "m_ps")
 
-    def __post_init__(self) -> None:
-        if self.variance_theta_deg2 < 0.0:
-            raise ValueError("variance must be nonnegative")
-        if self.sigma_cr_deg2 <= 0.0:
-            raise ValueError("Cramér-Rao variance must be positive")
+
+@dataclass(frozen=True, eq=False)
+class EstimateBatch:
+    """Error budgets of a batch of estimates, as aligned arrays.
+
+    ``status`` holds each estimate's status; the budget columns hold its
+    angle (degrees), propagated variance and Cramér-Rao limit (squared
+    degrees), postselected Fisher information and postselected event count,
+    and mean something only where the status is OK.  The estimates' angles
+    (radians), measured values, curve slopes, model and branch are kept for
+    :meth:`error`.
+    """
+
+    theta_hat_deg: np.ndarray
+    variance_theta_deg2: np.ndarray
+    sigma_cr_deg2: np.ndarray
+    f_ps: np.ndarray
+    m_ps: np.ndarray
+    status: np.ndarray
+    theta_hats: np.ndarray = field(repr=False)
+    sigma_hats: np.ndarray = field(repr=False)
+    slopes: np.ndarray = field(repr=False)
+    model: ModelParams = field(repr=False)
+    branch: tuple = field(repr=False)  # (lo, hi), scalars or per-estimate arrays
+
+    def error(self, i: int) -> WeakpsError | None:
+        """The typed error that stops estimate ``i``, None if it is OK."""
+        status, theta = int(self.status[i]), angle_text(float(self.theta_hats[i]))
+        if status == OUT_OF_RANGE:
+            branch = tuple(float(np.broadcast_to(end, self.status.shape)[i]) for end in self.branch)
+            return _out_of_range(float(self.sigma_hats[i]), self.model.sigma_array(branch), branch)
+        if status == FLAT_CURVE:
+            return FlatCurve(f"curve slope {self.slopes[i]:.12g} at theta = {theta} "
+                             "is numerically zero")
+        if status == DEGENERATE:
+            return DegenerateConditional(f"a conditional probability vanishes at theta = {theta}")
+        return None
 
 
 def assess_estimates(
-    curve: CalibrationCurve, branch: tuple[float, float], theta_hats: np.ndarray,
+    curve: CalibrationCurve, branch: tuple, theta_hats: np.ndarray,
     sigma_hats: "np.ndarray | list[float]", var_sigmas: "np.ndarray | list[float]",
     m_ps: "np.ndarray | list[int]",
-) -> "list[EstimateResult | WeakpsError]":
+) -> EstimateBatch:
     """Error budgets of estimates ``theta_hats`` inverted from ``sigma_hats``
-    on ``branch``: propagated variance, Fisher information and the Cramér-Rao
-    limit for ``m_ps`` postselected events (each positive, else ValueError),
-    all under the curve's model, with the per-attempt information budget
-    audited (RuntimeError if it fails).
+    on ``branch`` (``(lo, hi)``, scalars or per-estimate arrays):
+    propagated variance, Fisher information and the Cramér-Rao limit for
+    ``m_ps`` postselected events (each positive, else ValueError), all under
+    the curve's model, with the per-attempt information budget audited
+    (RuntimeError if it fails).
 
-    Returns, per estimate, its EstimateResult or the first error that stops
-    it: OutOfRange where ``theta_hat`` is NaN, then FlatCurve where the slope
-    vanishes, then DegenerateConditional where a conditional probability does.
+    Each estimate's status is OK or the first error that stops it:
+    OUT_OF_RANGE where ``theta_hat`` is NaN, then FLAT_CURVE where the slope
+    vanishes, then DEGENERATE where a conditional probability does.  Raises
+    ValueError unless every OK estimate has a nonnegative variance and a
+    positive Cramér-Rao limit.
     """
-    model, sign = curve.model, curve.model.postselect_sign
+    model = curve.model
     m_ps = np.asarray(m_ps, dtype=np.int64)
     if np.any(m_ps <= 0):
         raise ValueError("m_ps must be positive")
@@ -329,71 +358,98 @@ def assess_estimates(
     budget = f_ps * p_ps
     if np.any(budget > QUANTUM_FISHER_INFORMATION + 1e-9):
         raise RuntimeError(f"information budget audit failed: {np.nanmax(budget)!r} > 16")
-    ends = None if np.all(found) else model.sigma_array(branch)
-    results: list[EstimateResult | WeakpsError] = []
-    for theta_hat, sigma_hat, var, slope, limit, f, m in zip(
-            theta_hats.tolist(), np.asarray(sigma_hats, dtype=np.float64).tolist(),
-            var_theta.tolist(), slopes.tolist(), limits.tolist(), f_ps.tolist(), m_ps.tolist()):
-        if math.isnan(theta_hat):
-            results.append(_out_of_range(sigma_hat, ends, branch))
-        elif abs(slope) < _SLOPE_FLOOR:
-            results.append(_flat_curve(slope, theta_hat))
-        elif math.isnan(f):
-            results.append(_degenerate(theta_hat))
-        else:
-            results.append(EstimateResult(
-                theta_hat_deg=math.degrees(theta_hat),
-                variance_theta_deg2=var,
-                sigma_cr_deg2=limit,
-                f_ps=f,
-                m_ps=m,
-                postselect_sign=sign,
-            ))
-    return results
+    status = np.select([~found, np.abs(slopes) < _SLOPE_FLOOR, np.isnan(f_ps)],
+                       [OUT_OF_RANGE, FLAT_CURVE, DEGENERATE], OK).astype(np.int8)
+    ok = status == OK
+    if np.any(var_theta[ok] < 0.0):
+        raise ValueError("variance must be nonnegative")
+    if np.any(limits[ok] <= 0.0):
+        raise ValueError("Cramér-Rao variance must be positive")
+    return EstimateBatch(
+        theta_hat_deg=np.degrees(theta_hats), variance_theta_deg2=var_theta,
+        sigma_cr_deg2=limits, f_ps=f_ps, m_ps=m_ps, status=status, theta_hats=theta_hats,
+        sigma_hats=np.asarray(sigma_hats, dtype=np.float64), slopes=slopes, model=model,
+        branch=branch,
+    )
 
 
-@dataclass(frozen=True)
+def _mean(values: np.ndarray) -> float:
+    return float(np.mean(values)) if values.size else math.nan
+
+
+@dataclass(frozen=True, eq=False)
 class Table1Row:
-    """All repetitions of one working point, failures included."""
+    """All repetitions of one working point: the budget columns of those
+    that succeeded, in repetition order, and the count of those that
+    failed, by error type."""
 
     theta_deg: float
     postselect_sign: str
-    estimates: tuple[EstimateResult, ...]
-    failures: tuple[str, ...]
+    theta_hat_deg: np.ndarray
+    variance_theta_deg2: np.ndarray
+    sigma_cr_deg2: np.ndarray
+    f_ps: np.ndarray
+    m_ps: np.ndarray
+    failures_by_type: dict[str, int]
 
     @property
     def n_ok(self) -> int:
-        return len(self.estimates)
+        return self.theta_hat_deg.size
+
+    @property
+    def n_failed(self) -> int:
+        return sum(self.failures_by_type.values())
 
     @property
     def mean_theta_hat_deg(self) -> float:
-        if not self.estimates:
-            return math.nan
-        return float(np.mean([e.theta_hat_deg for e in self.estimates]))
+        return _mean(self.theta_hat_deg)
 
     @property
     def mean_variance_deg2(self) -> float:
-        if not self.estimates:
-            return math.nan
-        return float(np.mean([e.variance_theta_deg2 for e in self.estimates]))
+        return _mean(self.variance_theta_deg2)
 
     @property
     def empirical_variance_deg2(self) -> float:
-        if len(self.estimates) < 2:
+        if self.n_ok < 2:
             return math.nan
-        return float(np.var([e.theta_hat_deg for e in self.estimates], ddof=1))
+        return float(np.var(self.theta_hat_deg, ddof=1))
 
     @property
     def mean_sigma_cr_deg2(self) -> float:
-        if not self.estimates:
-            return math.nan
-        return float(np.mean([e.sigma_cr_deg2 for e in self.estimates]))
+        return _mean(self.sigma_cr_deg2)
 
     @property
     def mean_m_ps(self) -> float:
-        if not self.estimates:
-            return math.nan
-        return float(np.mean([e.m_ps for e in self.estimates]))
+        return _mean(self.m_ps)
+
+
+def _assess_parts(curve: CalibrationCurve, parts: list) -> list[tuple[list[np.ndarray], Counter]]:
+    """Invert and assess every part's estimates in one batch, each on its own
+    branch.  Per part ``(sigmas, variances, m_ps, lo, hi)``, returns the
+    budget columns of its OK estimates and the count of the others by error
+    type.  A model error raised by the batch is charged to the part it comes
+    from: each part is then assessed alone."""
+    if not parts:
+        return []
+    sizes = [part[0].size for part in parts]
+    try:
+        sigmas, variances, m_ps, lo, hi = map(np.concatenate, zip(*parts))
+        theta_hats = kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
+        batch = assess_estimates(curve, (lo, hi), theta_hats, sigmas, variances, m_ps)
+    except WeakpsError as exc:
+        if len(parts) > 1:
+            return [row for part in parts for row in _assess_parts(curve, [part])]
+        columns = [np.empty(0)] * 4 + [np.empty(0, dtype=np.int64)]
+        return [(columns, Counter({type(exc).__name__: sizes[0]}))]
+    out = []
+    for part in np.split(np.arange(batch.status.size), np.cumsum(sizes)[:-1]):
+        status = batch.status[part]
+        ok = part[status == OK]
+        counts = np.bincount(status, minlength=len(STATUS_ERRORS)).tolist()
+        out.append(([getattr(batch, name)[ok] for name in BUDGET_COLUMNS],
+                    Counter({error.__name__: n for error, n in zip(STATUS_ERRORS, counts)
+                             if error is not None})))
+    return out
 
 
 def table1_pipeline(
@@ -405,18 +461,22 @@ def table1_pipeline(
     """Simulate, estimate, and audit every working point.
 
     Per angle: draw counts and estimate the postselected value and its
-    variance for every repetition, invert them together on the monotone
-    branch containing the true angle, then assess them together
+    variance for every repetition, and find the monotone branch containing
+    the true angle.  Then invert every repetition of every angle in one
+    batch, each on its angle's branch, and assess them together
     (:func:`assess_estimates`): propagated variance and the Cramér-Rao
     comparison with each repetition's realized postselected event count.
-    Failed repetitions are recorded per row, never dropped silently.
+    Failed repetitions are counted per row by error type, never dropped
+    silently; an error of one angle's branch fails that angle's
+    repetitions only.
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
     sign = model.postselect_sign
     curve = build_calibration(model, 0.0, math.pi / 2.0, math.radians(0.05))
     all_seeds = derive_seeds(acquisition.seed, len(theta_list_deg) * repetitions)
-    rows: list[Table1Row] = []
+    failures: list[Counter] = []
+    parts = []  # per angle: (sigmas, variances, m_ps, lo, hi) of the repetitions to invert
     for row_index, theta_deg in enumerate(theta_list_deg):
         theta = math.radians(theta_deg)
         seeds = all_seeds[row_index * repetitions : (row_index + 1) * repetitions]
@@ -424,26 +484,22 @@ def table1_pipeline(
         sigmas, variances = weak_values_from_counts(counts, model.kappa, sign,
                                                     acquisition.kappa_uncertainty)
         m_ps = postselected_counts(counts, sign).sum(axis=1)
-        empty = m_ps == 0
-        failed: dict[int, WeakpsError] = {i: empty_channel(sign)
-                                           for i in np.flatnonzero(empty).tolist()}
-        reps = np.flatnonzero(~empty).tolist()
-        sigmas, variances, m_ps = sigmas[~empty], variances[~empty], m_ps[~empty]
+        keep = m_ps > 0
+        failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~keep))})
         try:
-            branch = curve.branch_containing(theta)
-            theta_hats = invert_branch(curve, sigmas, branch)
-            results = assess_estimates(curve, branch, theta_hats, sigmas, variances, m_ps)
+            lo, hi = curve.branch_containing(theta)
+            _check_monotone(model, lo, hi)
         except WeakpsError as exc:
-            results = [exc] * len(reps)
-        estimates = [r for r in results if isinstance(r, EstimateResult)]
-        failed.update((i, r) for i, r in zip(reps, results) if not isinstance(r, EstimateResult))
-        rows.append(Table1Row(
-            theta_deg=float(theta_deg),
-            postselect_sign=sign,
-            estimates=tuple(estimates),
-            failures=tuple(f"rep {i}: {type(e).__name__}: {e}" for i, e in sorted(failed.items())),
-        ))
-    return rows
+            failed[type(exc).__name__] += int(np.count_nonzero(keep))
+            keep[:] = False
+            lo = hi = math.nan
+        n = int(np.count_nonzero(keep))
+        failures.append(failed)
+        parts.append((sigmas[keep], variances[keep], m_ps[keep], np.full(n, lo), np.full(n, hi)))
+    return [Table1Row(float(theta_deg), sign, *columns,
+                      failures_by_type=dict(failed + more))
+            for theta_deg, failed, (columns, more) in zip(theta_list_deg, failures,
+                                                          _assess_parts(curve, parts))]
 
 
 def load_baseline(path: "str | None" = None) -> dict[tuple[str, float], tuple[float, float]]:

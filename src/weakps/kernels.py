@@ -139,29 +139,32 @@ def pusey_curves(
 def invert_sigma(
     targets: np.ndarray,
     curve: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    lo: "float | np.ndarray",
+    hi: "float | np.ndarray",
     xtol: float = 1e-12,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """Batched bisection of a vectorised curve on a monotone bracket.
+    """Batched bisection of a vectorised curve on monotone brackets.
 
-    ``curve`` maps an angle array to the curve's values at those angles.
-    Returns the angle solving curve(theta) = target for each target, NaN for
-    targets not bracketed by [curve(lo), curve(hi)].
+    ``curve`` maps a one-dimensional angle array to the curve's values at
+    those angles.  ``lo`` and ``hi`` are one bracket for every target, or
+    per-target arrays; they broadcast against ``targets``.  Returns the angle
+    solving curve(theta) = target for each target, NaN for targets not
+    bracketed by [curve(lo), curve(hi)].  Each target's iterates depend on
+    its own bracket only, never on the rest of the batch.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    c_lo, c_hi = curve(np.array([lo, hi]))
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    ends = curve(np.concatenate([lo.ravel(), hi.ravel()]))
+    c_lo, c_hi = ends[:lo.size].reshape(lo.shape), ends[lo.size:].reshape(hi.shape)
+    targets, a, b, c_lo, c_hi = np.broadcast_arrays(
+        np.asarray(targets, dtype=np.float64), lo, hi, c_lo, c_hi)
     f_lo = c_lo - targets
     f_hi = c_hi - targets
-    out = np.full(targets.shape, np.nan)
-    out[f_lo == 0.0] = lo
-    out[f_hi == 0.0] = hi
+    out = np.where(f_hi == 0.0, b, np.where(f_lo == 0.0, a, np.nan))
     bracketed = f_lo * f_hi < 0.0  # excludes the exact endpoint hits above
     active = bracketed
-    a = np.full(targets.shape, lo)
-    b = np.full(targets.shape, hi)
-    fa = f_lo.copy()
+    fa = f_lo
     for _ in range(max_iter):
         if not np.any(active):
             break

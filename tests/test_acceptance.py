@@ -12,7 +12,7 @@ import pytest
 import weakps as w
 from weakps import kernels
 from weakps.errors import DegenerateConditional
-from weakps.estimation import TABLE1_THETAS_DEG
+from weakps.estimation import OK, TABLE1_THETAS_DEG
 from weakps.weak import QUANTUM_FISHER_INFORMATION, postselect_probability
 
 D2R = math.pi / 180.0
@@ -302,9 +302,10 @@ def test_criterion_09_monte_carlo_statistics():
     counts = batch(424243)
     sigma_hats, var_sigmas = w.weak_values_from_counts(counts, kappa, "minus")
     theta_hats = w.invert_branch(curve, sigma_hats, branch)
-    results = w.assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas,
-                                 counts[:, :2].sum(axis=1))
-    propagated = [r.variance_theta_deg2 for r in results]
+    batch = w.assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas,
+                               counts[:, :2].sum(axis=1))
+    assert np.all(batch.status == OK)
+    propagated = batch.variance_theta_deg2
     se = theta_hats.std(ddof=1) / math.sqrt(reps)
     bias_ok = abs(theta_hats.mean() - theta) < 3 * se
     empirical_deg2 = float(np.var(np.degrees(theta_hats), ddof=1))
@@ -331,13 +332,12 @@ def test_criterion_10_estimation_table():
         rows_total += len(rows)
         for row in rows:
             baseline_ok &= (sign, row.theta_deg) in baseline
-            audits_ok &= row.n_ok + len(row.failures) == 25
-            for est in row.estimates:
-                budget = est.f_ps * postselect_probability(
-                    math.radians(est.theta_hat_deg), 0.335, sign
-                )
+            audits_ok &= row.n_ok + row.n_failed == 25
+            for f_ps, theta_hat_deg, variance, cramer_rao in zip(
+                    row.f_ps, row.theta_hat_deg, row.variance_theta_deg2, row.sigma_cr_deg2):
+                budget = f_ps * postselect_probability(math.radians(theta_hat_deg), 0.335, sign)
                 audits_ok &= budget <= 16.0 + 1e-9
-                audits_ok &= est.variance_theta_deg2 >= 0.0 and est.sigma_cr_deg2 > 0.0
+                audits_ok &= variance >= 0.0 and cramer_rao > 0.0
     baseline_ok &= baseline[("minus", 22.5)] == (0.036, 0.33)
     _report(
         10,

@@ -35,6 +35,11 @@ def test_config_validation():
         AcquisitionConfig(seed=1, kappa_uncertainty=-0.1)
     with pytest.raises(ValueError):
         AcquisitionConfig(seed=-2)
+    # numpy seeds no generator from a float or a bool, integral or not
+    for seed in (5.0, np.float64(5.0), True, "5"):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            AcquisitionConfig(seed=seed)
+    assert AcquisitionConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     # numpy's Poisson sampler takes no larger mean
     AcquisitionConfig(seed=1, rate=MAX_EXPECTED_TOTAL, duration=1.0)
     for rate, duration in ((1e18, 100.0), (1e300, 1e10)):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from weakps import (
     AcquisitionConfig,
-    EstimateResult,
     ImperfectionParams,
     ModelParams,
     assess_estimates,
@@ -25,8 +24,11 @@ from weakps import (
     weak_value_slope,
     weak_values_from_counts,
 )
-from weakps.errors import AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange
-from weakps.estimation import RAD2_TO_DEG2, TABLE1_THETAS_DEG
+from weakps import estimation
+from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
+                           ZeroPostselection)
+from weakps.estimation import (BUDGET_COLUMNS, DEGENERATE, FLAT_CURVE, OK, OUT_OF_RANGE,
+                               RAD2_TO_DEG2, TABLE1_THETAS_DEG)
 from weakps.weak import fisher_ps_definition, postselect_probability
 
 D2R = math.pi / 180.0
@@ -112,28 +114,27 @@ def test_branch_containing_shrinks_at_turning_points():
 
 
 def _assess_one(curve, theta_hat, var_sigma=0.01, m_ps=1000):
-    """The one-element batch of an estimate at ``theta_hat``: its
-    EstimateResult, or the error that stops it."""
+    """The one-element batch of an estimate at ``theta_hat``."""
     branch = (float(curve.theta_grid[0]), float(curve.theta_grid[-1]))
     sigma_hat = float(curve.model.sigma_array(np.array([theta_hat]))[0])
-    return assess_estimates(curve, branch, [theta_hat], [sigma_hat], [var_sigma], [m_ps])[0]
+    return assess_estimates(curve, branch, [theta_hat], [sigma_hat], [var_sigma], [m_ps])
 
 
 def test_propagate_variance_examples():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
-    assert _assess_one(curve, 20 * D2R, 0.0).variance_theta_deg2 == 0.0
+    assert _assess_one(curve, 20 * D2R, 0.0).variance_theta_deg2[0] == 0.0
     # closed-form slope at the zero crossing: -4 / (1 - sqrt(1 - k^2))
     expected = 0.01 * (1 - R) ** 2 / 16.0 * RAD2_TO_DEG2
-    got = _assess_one(curve, 22.5 * D2R, 0.01).variance_theta_deg2
+    got = _assess_one(curve, 22.5 * D2R, 0.01).variance_theta_deg2[0]
     assert got == pytest.approx(expected, rel=1e-12)
-    assert isinstance(_assess_one(curve, math.asin(R) / 4.0, 0.01), FlatCurve)
+    assert isinstance(_assess_one(curve, math.asin(R) / 4.0, 0.01).error(0), FlatCurve)
 
 
 def test_propagated_variance_slope_consistency():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     theta = 20 * D2R
     slope = weak_value_slope(theta, KAPPA, "minus")
-    got = _assess_one(curve, theta, 0.02).variance_theta_deg2
+    got = _assess_one(curve, theta, 0.02).variance_theta_deg2[0]
     assert got == pytest.approx(0.02 / slope**2 * RAD2_TO_DEG2, rel=1e-12)
 
 
@@ -141,15 +142,15 @@ def test_cramer_rao_values():
     # information 16 per squared radian -> (1/16) rad^2 = 205.18 deg^2
     projective = build_calibration(ModelParams(kappa=1.0, postselect_sign="minus"),
                                    0.0, 45 * D2R, 0.05 * D2R)
-    got = _assess_one(projective, 30 * D2R, m_ps=1).sigma_cr_deg2
+    got = _assess_one(projective, 30 * D2R, m_ps=1).sigma_cr_deg2[0]
     assert got == pytest.approx(RAD2_TO_DEG2 / 16.0, rel=1e-12)
     assert got == pytest.approx(205.175, abs=1e-3)
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     f = fisher_ps_definition(22.5 * D2R, KAPPA, "minus")
-    got = _assess_one(curve, 22.5 * D2R, m_ps=1000).sigma_cr_deg2
+    got = _assess_one(curve, 22.5 * D2R, m_ps=1000).sigma_cr_deg2[0]
     assert got == pytest.approx(RAD2_TO_DEG2 / (f * 1000), rel=1e-12)
     # doubling the event count halves the limit
-    assert _assess_one(curve, 22.5 * D2R, m_ps=2000).sigma_cr_deg2 == pytest.approx(
+    assert _assess_one(curve, 22.5 * D2R, m_ps=2000).sigma_cr_deg2[0] == pytest.approx(
         got / 2.0, rel=1e-12
     )
     with pytest.raises(ValueError):
@@ -157,20 +158,42 @@ def test_cramer_rao_values():
 
 
 def test_assess_estimates_keeps_position_and_precedence():
-    # one result per estimate, in order: OutOfRange for a missed branch, then
+    # one status per estimate, in order: OutOfRange for a missed branch, then
     # FlatCurve before DegenerateConditional at the peak (both apply there),
     # DegenerateConditional alone just beside it
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     peak = math.asin(R) / 4.0
     theta_hats = [10 * D2R, math.nan, peak, peak + 1e-6]
-    results = assess_estimates(curve, (0.0, peak), theta_hats, [0.5, 5.0, 3.0, 3.0],
-                               [0.01] * 4, [1000] * 4)
-    assert [type(r) for r in results] == [EstimateResult, OutOfRange, FlatCurve,
-                                          DegenerateConditional]
-    # a one-element batch gives each estimate the same result
-    assert results[0] == _assess_one(curve, 10 * D2R, 0.01, 1000)
-    assert isinstance(_assess_one(curve, peak), FlatCurve)
-    assert isinstance(_assess_one(curve, peak + 1e-6), DegenerateConditional)
+    batch = assess_estimates(curve, (0.0, peak), theta_hats, [0.5, 5.0, 3.0, 3.0],
+                             [0.01] * 4, [1000] * 4)
+    assert batch.status.tolist() == [OK, OUT_OF_RANGE, FLAT_CURVE, DEGENERATE]
+    assert [type(batch.error(i)) for i in range(4)] == [type(None), OutOfRange, FlatCurve,
+                                                        DegenerateConditional]
+    # each typed error is built on demand, with the message a raised one had
+    assert [str(batch.error(i)) for i in range(1, 4)] == [
+        "sigma = 5 outside [1, 2.98507462687], the range of branch [0 deg, 17.6068655139 deg]",
+        "curve slope -0 at theta = 17.6068655139 deg is numerically zero",
+        "a conditional probability vanishes at theta = 17.6069228097 deg",
+    ]
+    # a one-element batch gives each estimate the same budget
+    one = _assess_one(curve, 10 * D2R, 0.01, 1000)
+    for name in BUDGET_COLUMNS:
+        assert getattr(one, name)[0] == getattr(batch, name)[0]
+    assert _assess_one(curve, peak).status.tolist() == [FLAT_CURVE]
+    assert _assess_one(curve, peak + 1e-6).status.tolist() == [DEGENERATE]
+
+
+def test_assess_estimates_checks_the_budgets_of_ok_estimates(monkeypatch):
+    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
+    with pytest.raises(ValueError, match="variance must be nonnegative"):
+        _assess_one(curve, 20 * D2R, var_sigma=-0.01)
+    # a stopped estimate's budget is not checked
+    assert _assess_one(curve, math.nan, var_sigma=-0.01).status.tolist() == [OUT_OF_RANGE]
+    real = estimation._information
+    monkeypatch.setattr(estimation, "_information",
+                        lambda *args: (-real(*args)[0], real(*args)[1]))
+    with pytest.raises(ValueError, match="Cramér-Rao variance must be positive"):
+        _assess_one(curve, 20 * D2R)
 
 
 def test_monte_carlo_round_trip_consistency():
@@ -184,15 +207,16 @@ def test_monte_carlo_round_trip_consistency():
     sigma_hats, var_sigmas = weak_values_from_counts(counts, KAPPA, "minus")
     theta_hats = invert_branch(curve, sigma_hats, branch)
     m_ps = counts[:, :2].sum(axis=1)
-    results = assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas, m_ps)
-    propagated = [r.variance_theta_deg2 for r in results]
+    batch = assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas, m_ps)
+    assert np.all(batch.status == OK)
+    propagated = batch.variance_theta_deg2
     se = theta_hats.std(ddof=1) / math.sqrt(theta_hats.size)
     assert abs(theta_hats.mean() - theta) < 3 * se
     empirical_deg2 = float(np.var(np.degrees(theta_hats), ddof=1))
     assert abs(empirical_deg2 / np.mean(propagated) - 1.0) < 0.2
     # sanity of the Cramér-Rao ordering over the same repetitions
     m_ps_mean = postselect_probability(theta, KAPPA, "minus") * config.expected_total
-    cr = _assess_one(curve, theta, m_ps=int(m_ps_mean)).sigma_cr_deg2
+    cr = _assess_one(curve, theta, m_ps=int(m_ps_mean)).sigma_cr_deg2[0]
     assert empirical_deg2 >= cr * 0.85
 
 
@@ -202,13 +226,11 @@ def test_table1_pipeline_rows_and_audit():
     rows = table1_pipeline(TABLE1_THETAS_DEG["minus"], model, config, repetitions=20)
     assert [row.theta_deg for row in rows] == [20.0, 22.5, 25.0, 27.5]
     for row in rows:
-        assert row.n_ok + len(row.failures) == 20
-        for est in row.estimates:
-            assert est.variance_theta_deg2 >= 0.0
-            assert est.sigma_cr_deg2 > 0.0
-            budget = est.f_ps * postselect_probability(
-                math.radians(est.theta_hat_deg), KAPPA, "minus"
-            )
+        assert row.n_ok + row.n_failed == 20
+        assert np.all(row.variance_theta_deg2 >= 0.0)
+        assert np.all(row.sigma_cr_deg2 > 0.0)
+        for f_ps, theta_hat_deg in zip(row.f_ps, row.theta_hat_deg):
+            budget = f_ps * postselect_probability(math.radians(theta_hat_deg), KAPPA, "minus")
             assert budget <= 16.0 + 1e-9
     untroubled = {20.0, 22.5, 25.0}
     for row in rows:
@@ -234,8 +256,57 @@ def test_failures_are_reported_not_dropped():
     config = AcquisitionConfig(seed=777, rate=2000.0, duration=5.0)
     rows = table1_pipeline([27.5], model, config, repetitions=30)
     row = rows[0]
-    assert row.n_ok + len(row.failures) == 30
-    assert all("OutOfRange" in f or "Degenerate" in f for f in row.failures)
+    assert row.n_ok + row.n_failed == 30
+    assert row.n_failed > 0
+    assert set(row.failures_by_type) <= {"OutOfRange", "DegenerateConditional"}
+
+
+def _same_rows(rows, others):
+    for row, other in zip(rows, others, strict=True):
+        assert row.failures_by_type == other.failures_by_type
+        for name in BUDGET_COLUMNS:
+            assert getattr(row, name).tobytes() == getattr(other, name).tobytes()
+
+
+def test_one_bad_working_point_fails_only_its_own_repetitions():
+    # at kappa = sin 20 deg (mu = 5 deg) 27.5 deg minus and 72.5 deg plus sit
+    # within a calibration grid cell of a turning point.  Each postselection's
+    # repetitions are inverted in one batch, yet those rows alone fail, every
+    # repetition as AmbiguousBranch, and the rows before them come out as
+    # they do without them (a working point's seeds do not depend on later ones)
+    config = AcquisitionConfig(seed=1)
+    for sign, bad in (("minus", 27.5), ("plus", 72.5)):
+        model = ModelParams(kappa=math.sin(20 * D2R), postselect_sign=sign)
+        thetas = TABLE1_THETAS_DEG[sign]
+        rows = table1_pipeline(thetas, model, config, repetitions=40)
+        for row in rows:
+            if row.theta_deg == bad:
+                assert (row.n_ok, row.failures_by_type) == (0, {"AmbiguousBranch": 40})
+            else:
+                assert row.n_ok + row.n_failed == 40 and row.n_ok > 0
+        before = thetas.index(bad)
+        _same_rows(rows[:before], table1_pipeline(thetas[:before], model, config, 40))
+
+
+class _SlopeFailsNear25(ModelParams):
+    """The ideal model, except that its curve slope cannot be evaluated
+    within a degree of 25 deg."""
+
+    def sigma_slope(self, thetas):
+        if np.any(np.abs(np.degrees(thetas) - 25.0) < 1.0):
+            raise ZeroPostselection("no slope near 25 deg")
+        return super().sigma_slope(thetas)
+
+
+def test_a_model_error_in_the_batch_fails_only_its_working_point():
+    # the batched assessment raises; the error is charged to the working
+    # point it comes from, and the others keep their estimates bit for bit
+    config = AcquisitionConfig(seed=90210)
+    failing = _SlopeFailsNear25(kappa=KAPPA, postselect_sign="minus")
+    rows = table1_pipeline([20.0, 22.5, 25.0], failing, config, repetitions=20)
+    assert (rows[2].n_ok, rows[2].failures_by_type) == (0, {"ZeroPostselection": 20})
+    _same_rows(rows[:2], table1_pipeline([20.0, 22.5, 25.0], MINUS_MODEL, config, 20)[:2])
+    assert [row.n_ok for row in rows[:2]] == [20, 20]
 
 
 def _assert_variance_saturates_cramer_rao(model):
@@ -243,12 +314,11 @@ def _assert_variance_saturates_cramer_rao(model):
     rows = table1_pipeline([20.0, 22.5, 25.0], model, config, repetitions=10)
     for row in rows:
         assert row.n_ok == 10
-        for est in row.estimates:
-            assert est.variance_theta_deg2 == pytest.approx(est.sigma_cr_deg2, rel=1e-9)
+        np.testing.assert_allclose(row.variance_theta_deg2, row.sigma_cr_deg2, rtol=1e-9)
     noisy = AcquisitionConfig(seed=5150, rate=2000.0, duration=5.0, kappa_uncertainty=0.008)
-    rows = table1_pipeline([20.0], model, noisy, repetitions=10)
-    for est in rows[0].estimates:
-        assert est.variance_theta_deg2 > est.sigma_cr_deg2
+    (row,) = table1_pipeline([20.0], model, noisy, repetitions=10)
+    assert row.n_ok == 10
+    assert np.all(row.variance_theta_deg2 > row.sigma_cr_deg2)
 
 
 def test_propagated_variance_saturates_cramer_rao_without_kappa_noise():

@@ -114,6 +114,37 @@ def test_invert_flags_unbracketed_targets():
     assert math.isnan(out[0])
 
 
+@PROPERTY
+@given(kappa=st.floats(0.05, 0.99), sign=st.sampled_from((-1.0, 1.0)),
+       cases=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.5, 1.5),
+                                st.sampled_from(("inside", "lo", "hi", "nan"))),
+                      min_size=1, max_size=12))
+def test_bracket_arrays_match_one_call_per_bracket(kappa, sign, cases):
+    # per-target brackets on a monotone branch give every target, bit for
+    # bit, what a call with its own bracket alone gives: a root, NaN where
+    # the target is unbracketed, the endpoint itself on an exact hit
+    r = math.sqrt(1.0 - kappa * kappa)
+    rising = math.asin(-sign * r) / 4.0  # a turning point of the curve
+    start, stop = sorted((rising, rising + math.pi / 4.0 if sign > 0 else rising - math.pi / 4.0))
+    curve = lambda t: kernels.weak_value_curve(t, kappa, sign)
+    lo, hi, targets = [], [], []
+    for u, v, w, kind in cases:
+        a, b = start + (stop - start) * min(u, v), start + (stop - start) * max(u, v)
+        at = {"inside": a + w * (b - a), "lo": a, "hi": b, "nan": math.nan}[kind]
+        lo.append(a)
+        hi.append(b)
+        targets.append(curve(np.array([at]))[0])
+    got = kernels.invert_sigma(np.array(targets), curve, np.array(lo), np.array(hi))
+    alone = [kernels.invert_sigma(np.array([t]), curve, a, b)[0]
+             for t, a, b in zip(targets, lo, hi)]
+    assert got.tobytes() == np.array(alone).tobytes()
+    for (_, _, _, kind), x, a, b in zip(cases, got.tolist(), lo, hi):
+        if kind in ("lo", "hi"):
+            assert x in (a, b)
+        elif kind == "nan":
+            assert math.isnan(x)
+
+
 def test_pusey_kernel_skips_orthogonal_point():
     i0, i1, p_phi = kernels.pusey_curves(np.array([math.pi / 8]), 0.335, -1.0)
     assert p_phi[0] <= 1e-30
