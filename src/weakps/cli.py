@@ -542,11 +542,10 @@ def _cmd_estimate(args) -> None:
     sigmas, variances = weak_values_from_counts(counts, kappa, sign,
                                                 acquisition.kappa_uncertainty)
     m_ps = postselected_counts(counts, sign).sum(axis=1)
-    batch = assess_estimates(curve, branch, invert_branch(curve, sigmas, branch),
-                             sigmas, variances, m_ps)
+    batch = assess_estimates(curve, invert_branch(curve, sigmas, branch), variances, m_ps)
     failed = np.flatnonzero(batch.status)
-    if failed.size:
-        raise batch.error(int(failed[0]))  # the first failing record, in file order, stops the run
+    if failed.size:  # the first failing record, in file order, stops the run
+        raise batch.error(int(failed[0]), model, branch, sigmas[failed[0]])
     data = {
         "theta_deg": [float(rec.get("theta_deg", math.nan)) for rec in in_records],
         "sigma_hat": sigmas,

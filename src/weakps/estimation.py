@@ -226,7 +226,8 @@ def invert_branch(
     return kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
 
 
-def _out_of_range(sigma: float, ends: np.ndarray, branch: tuple[float, float]) -> OutOfRange:
+def _out_of_range(sigma: float, model: ModelParams, branch: tuple[float, float]) -> OutOfRange:
+    ends = model.sigma_array(branch)
     return OutOfRange(f"sigma = {sigma:.12g} outside [{ends.min():.12g}, {ends.max():.12g}], the "
                       f"range of branch [{angle_text(branch[0])}, {angle_text(branch[1])}]")
 
@@ -237,7 +238,7 @@ def estimate_theta(
     """Scalar :func:`invert_branch`; raises OutOfRange where it gives NaN."""
     theta = float(invert_branch(curve, [sigma_measured], branch)[0])
     if math.isnan(theta):
-        raise _out_of_range(sigma_measured, curve.model.sigma_array(branch), branch)
+        raise _out_of_range(sigma_measured, curve.model, branch)
     return theta
 
 
@@ -296,8 +297,7 @@ class EstimateBatch:
     angle (degrees), propagated variance and Cramér-Rao limit (squared
     degrees), postselected Fisher information and postselected event count,
     and mean something only where the status is OK.  The estimates' angles
-    (radians), measured values, curve slopes, model and branch are kept for
-    :meth:`error`.
+    (radians) and curve slopes are kept for :meth:`error`.
     """
 
     theta_hat_deg: np.ndarray
@@ -307,17 +307,16 @@ class EstimateBatch:
     m_ps: np.ndarray
     status: np.ndarray
     theta_hats: np.ndarray = field(repr=False)
-    sigma_hats: np.ndarray = field(repr=False)
     slopes: np.ndarray = field(repr=False)
-    model: ModelParams = field(repr=False)
-    branch: tuple = field(repr=False)  # (lo, hi), scalars or per-estimate arrays
 
-    def error(self, i: int) -> WeakpsError | None:
-        """The typed error that stops estimate ``i``, None if it is OK."""
+    def error(self, i: int, model: ModelParams, branch: tuple[float, float],
+              sigma_hat: float) -> WeakpsError | None:
+        """The typed error that stops estimate ``i``, None if it is OK; the
+        estimate was inverted from ``sigma_hat`` on ``branch`` (lo, hi) of
+        ``model``'s curve."""
         status, theta = int(self.status[i]), angle_text(float(self.theta_hats[i]))
         if status == OUT_OF_RANGE:
-            branch = tuple(float(np.broadcast_to(end, self.status.shape)[i]) for end in self.branch)
-            return _out_of_range(float(self.sigma_hats[i]), self.model.sigma_array(branch), branch)
+            return _out_of_range(float(sigma_hat), model, branch)
         if status == FLAT_CURVE:
             return FlatCurve(f"curve slope {self.slopes[i]:.12g} at theta = {theta} "
                              "is numerically zero")
@@ -327,12 +326,11 @@ class EstimateBatch:
 
 
 def assess_estimates(
-    curve: CalibrationCurve, branch: tuple, theta_hats: np.ndarray,
-    sigma_hats: "np.ndarray | list[float]", var_sigmas: "np.ndarray | list[float]",
+    curve: CalibrationCurve, theta_hats: np.ndarray, var_sigmas: "np.ndarray | list[float]",
     m_ps: "np.ndarray | list[int]",
 ) -> EstimateBatch:
-    """Error budgets of estimates ``theta_hats`` inverted from ``sigma_hats``
-    on ``branch`` (``(lo, hi)``, scalars or per-estimate arrays):
+    """Error budgets of estimates ``theta_hats`` (NaN where the inversion
+    found none) of measured values with variances ``var_sigmas``:
     propagated variance, Fisher information and the Cramér-Rao limit for
     ``m_ps`` postselected events (each positive, else ValueError), all under
     the curve's model, with the per-attempt information budget audited
@@ -368,8 +366,7 @@ def assess_estimates(
     return EstimateBatch(
         theta_hat_deg=np.degrees(theta_hats), variance_theta_deg2=var_theta,
         sigma_cr_deg2=limits, f_ps=f_ps, m_ps=m_ps, status=status, theta_hats=theta_hats,
-        sigma_hats=np.asarray(sigma_hats, dtype=np.float64), slopes=slopes, model=model,
-        branch=branch,
+        slopes=slopes,
     )
 
 
@@ -435,7 +432,7 @@ def _assess_parts(curve: CalibrationCurve, parts: list) -> list[tuple[list[np.nd
     try:
         sigmas, variances, m_ps, lo, hi = map(np.concatenate, zip(*parts))
         theta_hats = kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
-        batch = assess_estimates(curve, (lo, hi), theta_hats, sigmas, variances, m_ps)
+        batch = assess_estimates(curve, theta_hats, variances, m_ps)
     except WeakpsError as exc:
         if len(parts) > 1:
             return [row for part in parts for row in _assess_parts(curve, [part])]

@@ -302,8 +302,7 @@ def test_criterion_09_monte_carlo_statistics():
     counts = batch(424243)
     sigma_hats, var_sigmas = w.weak_values_from_counts(counts, kappa, "minus")
     theta_hats = w.invert_branch(curve, sigma_hats, branch)
-    batch = w.assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas,
-                               counts[:, :2].sum(axis=1))
+    batch = w.assess_estimates(curve, theta_hats, var_sigmas, counts[:, :2].sum(axis=1))
     assert np.all(batch.status == OK)
     propagated = batch.variance_theta_deg2
     se = theta_hats.std(ddof=1) / math.sqrt(reps)

@@ -115,9 +115,7 @@ def test_branch_containing_shrinks_at_turning_points():
 
 def _assess_one(curve, theta_hat, var_sigma=0.01, m_ps=1000):
     """The one-element batch of an estimate at ``theta_hat``."""
-    branch = (float(curve.theta_grid[0]), float(curve.theta_grid[-1]))
-    sigma_hat = float(curve.model.sigma_array(np.array([theta_hat]))[0])
-    return assess_estimates(curve, branch, [theta_hat], [sigma_hat], [var_sigma], [m_ps])
+    return assess_estimates(curve, [theta_hat], [var_sigma], [m_ps])
 
 
 def test_propagate_variance_examples():
@@ -127,7 +125,7 @@ def test_propagate_variance_examples():
     expected = 0.01 * (1 - R) ** 2 / 16.0 * RAD2_TO_DEG2
     got = _assess_one(curve, 22.5 * D2R, 0.01).variance_theta_deg2[0]
     assert got == pytest.approx(expected, rel=1e-12)
-    assert isinstance(_assess_one(curve, math.asin(R) / 4.0, 0.01).error(0), FlatCurve)
+    assert _assess_one(curve, math.asin(R) / 4.0, 0.01).status.tolist() == [FLAT_CURVE]
 
 
 def test_propagated_variance_slope_consistency():
@@ -164,13 +162,14 @@ def test_assess_estimates_keeps_position_and_precedence():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     peak = math.asin(R) / 4.0
     theta_hats = [10 * D2R, math.nan, peak, peak + 1e-6]
-    batch = assess_estimates(curve, (0.0, peak), theta_hats, [0.5, 5.0, 3.0, 3.0],
-                             [0.01] * 4, [1000] * 4)
+    batch = assess_estimates(curve, theta_hats, [0.01] * 4, [1000] * 4)
     assert batch.status.tolist() == [OK, OUT_OF_RANGE, FLAT_CURVE, DEGENERATE]
-    assert [type(batch.error(i)) for i in range(4)] == [type(None), OutOfRange, FlatCurve,
-                                                        DegenerateConditional]
+    errors = [batch.error(i, curve.model, (0.0, peak), sigma_hat)
+              for i, sigma_hat in enumerate([0.5, 5.0, 3.0, 3.0])]
+    assert [type(error) for error in errors] == [type(None), OutOfRange, FlatCurve,
+                                                 DegenerateConditional]
     # each typed error is built on demand, with the message a raised one had
-    assert [str(batch.error(i)) for i in range(1, 4)] == [
+    assert [str(error) for error in errors[1:]] == [
         "sigma = 5 outside [1, 2.98507462687], the range of branch [0 deg, 17.6068655139 deg]",
         "curve slope -0 at theta = 17.6068655139 deg is numerically zero",
         "a conditional probability vanishes at theta = 17.6069228097 deg",
@@ -207,7 +206,7 @@ def test_monte_carlo_round_trip_consistency():
     sigma_hats, var_sigmas = weak_values_from_counts(counts, KAPPA, "minus")
     theta_hats = invert_branch(curve, sigma_hats, branch)
     m_ps = counts[:, :2].sum(axis=1)
-    batch = assess_estimates(curve, branch, theta_hats, sigma_hats, var_sigmas, m_ps)
+    batch = assess_estimates(curve, theta_hats, var_sigmas, m_ps)
     assert np.all(batch.status == OK)
     propagated = batch.variance_theta_deg2
     se = theta_hats.std(ddof=1) / math.sqrt(theta_hats.size)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakps import (
@@ -26,7 +26,7 @@ from weakps.imperfections import (
     dephase_computational,
     renormalized_probabilities,
 )
-from weakps.states import TwoQubitDensity, make_meter_state, make_signal_state
+from weakps.states import PROB_FLOOR, TwoQubitDensity, make_meter_state, make_signal_state
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -175,21 +175,26 @@ def test_renormalized_channels_sum_to_one_and_ignore_t_h(gate, mu, t_h):
 
 @PROPERTY
 @given(gate=GATES, kappa=st.floats(0.01, 0.99), sign=st.sampled_from(("minus", "plus")))
+@example(gate=ImperfectionParams(1.0, 0.5, 1.0), kappa=KAPPA, sign="minus")
+@example(gate=ImperfectionParams(1.0, 0.05, math.nextafter(1.0, 0.0)), kappa=0.01, sign="plus")
 def test_per_attempt_information_budget(gate, kappa, sign):
     # the Fisher information assess_estimates reports under imperfections,
     # times the per-attempt (not renormalized) postselection probability,
     # stays within one attempt's ceiling of 16 at every angle
     model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=gate)
-    try:
-        curve = build_calibration(model, 0.0, math.pi / 2, math.radians(0.25))
-    except ZeroPostselection:
-        # no calibration exists: without a controlled phase (t_v = 1 at full
-        # visibility) the postselection vanishes at a grid angle
-        assume(False)
-    thetas = curve.theta_grid
-    batch = assess_estimates(curve, (0.0, math.pi / 2), thetas, curve.sigma_values,
-                             [0.0] * thetas.size, [1000] * thetas.size)
-    probs = coincidence_probabilities(thetas, model.mu, gate)
-    per_attempt = probs[0] + probs[1] if sign == "minus" else probs[2] + probs[3]
+    step = math.radians(0.25)
+    thetas = step * np.arange(361)  # the calibration grid on [0, 90] deg
+    pairs = [0, 1] if sign == "minus" else [2, 3]  # the postselected channels
+    per_attempt = coincidence_probabilities(thetas, model.mu, gate)[pairs].sum(axis=0)
+    if np.any(renormalized_probabilities(thetas, model.mu, gate)[pairs].sum(axis=0) <= PROB_FLOOR):
+        # at full visibility with t_v at or within rounding of 1 (no
+        # controlled phase) the postselection vanishes at a grid angle, and
+        # no calibration exists
+        with pytest.raises(ZeroPostselection):
+            build_calibration(model, 0.0, math.pi / 2, step)
+        return
+    curve = build_calibration(model, 0.0, math.pi / 2, step)
+    np.testing.assert_array_equal(curve.theta_grid, thetas)
+    batch = assess_estimates(curve, thetas, [0.0] * thetas.size, [1000] * thetas.size)
     ok = batch.status == OK
     assert np.all(batch.f_ps[ok] * per_attempt[ok] <= 16.0 + 1e-9)
