@@ -102,23 +102,15 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value config file; flags win")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="weakps",
-        description="Variable-strength qubit measurements with postselection: "
-                    "sweeps, count simulation, estimation, decompositions.",
-    )
-    parser.add_argument("--version", action="version", version=f"weakps {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep-weak-value", help="postselected-value curve over an angle grid")
+def _sweep_weak_value_flags(p: argparse.ArgumentParser) -> None:
     _add_strength_flags(p)
     _add_grid_flags(p)
     _add_postselect_flag(p)
     _add_imperfection_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("sweep-pusey", help="non-contextuality functionals over an angle grid")
+
+def _sweep_pusey_flags(p: argparse.ArgumentParser) -> None:
     _add_strength_flags(p)
     _add_grid_flags(p)
     _add_postselect_flag(p)
@@ -130,20 +122,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_acquisition_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("sweep-fisher", help="postselected Fisher information over an angle grid")
+
+def _sweep_fisher_flags(p: argparse.ArgumentParser) -> None:
     _add_strength_flags(p)
     _add_grid_flags(p)
     _add_postselect_flag(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("simulate-counts", help="Poissonian coincidence counts over an angle grid")
+
+def _simulate_counts_flags(p: argparse.ArgumentParser) -> None:
     _add_strength_flags(p)
     _add_grid_flags(p)
     _add_imperfection_flags(p)
     _add_acquisition_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("estimate", help="invert measured values from a simulate-counts JSON file")
+
+def _estimate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="JSON file produced by simulate-counts")
     _add_strength_flags(p)
     _add_postselect_flag(p, with_both=False)
@@ -152,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_imperfection_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("table1", help="estimation pipeline at the standard working points")
+
+def _table1_flags(p: argparse.ArgumentParser) -> None:
     _add_strength_flags(p)
     _add_postselect_flag(p)
     p.add_argument("--repetitions", type=int, default=100)
@@ -161,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_acquisition_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("decompose", help="consolidated postselection operator decomposition")
+
+def _decompose_flags(p: argparse.ArgumentParser) -> None:
     _add_strength_flags(p)
     p.add_argument("--phi", choices=sorted(_NAMED_STATES), default=None,
                    help="named postselection state")
@@ -169,6 +166,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="postselection angle in degrees: cos(2a)|0> + sin(2a)|1>")
     _add_output_flags(p)
 
+
+def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with the subparser of ``command`` only, or with every
+    subcommand's when ``command`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="weakps",
+        description="Variable-strength qubit measurements with postselection: "
+                    "sweeps, count simulation, estimation, decompositions.",
+    )
+    parser.add_argument("--version", action="version", version=f"weakps {__version__}")
+    # with one subparser, the usage line of an error still lists every subcommand
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else [command]:
+        help_text, add_flags, _ = _SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -317,13 +330,6 @@ def _emit(output: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv_column(values: "np.ndarray | list") -> list[str]:
-    """Each value of a column as a CSV field, formatted as :func:`_fmt` does."""
-    if isinstance(values, np.ndarray):
-        return list(map("{:.12g}".format if values.dtype.kind == "f" else str, values.tolist()))
-    return list(map(_fmt, values))
-
-
 def _json_column(values: "np.ndarray | list") -> list[str]:
     """Each value of a column of numbers or strings as ``json.dumps`` writes it."""
     if isinstance(values, np.ndarray):
@@ -349,7 +355,12 @@ def _write(output: str, fmt: str, metadata: dict, columns: list[str],
     else:
         lines = [f"# {key} = {_fmt(val)}" for key, val in metadata.items()]
         lines.append(",".join(columns))
-        lines.extend(map(",".join, zip(*(_csv_column(data[c]) for c in columns))))
+        # one template per row: array floats to 12 digits, all else by str (lists by _fmt)
+        template = ",".join("%.12g" if isinstance(data[c], np.ndarray) and data[c].dtype.kind == "f"
+                            else "%s" for c in columns)
+        cells = [data[c].tolist() if isinstance(data[c], np.ndarray) else list(map(_fmt, data[c]))
+                 for c in columns]
+        lines.extend(template % row for row in zip(*cells))
         text = "\n".join(lines) + "\n"
     _emit(output, text)
 
@@ -631,24 +642,33 @@ def _cmd_decompose(args) -> None:
     _write(args.output, args.format, meta, columns, {c: [v] for c, v in zip(columns, values)})
 
 
-_COMMANDS = {
-    "sweep-weak-value": _cmd_sweep_weak_value,
-    "sweep-pusey": _cmd_sweep_pusey,
-    "sweep-fisher": _cmd_sweep_fisher,
-    "simulate-counts": _cmd_simulate_counts,
-    "estimate": _cmd_estimate,
-    "table1": _cmd_table1,
-    "decompose": _cmd_decompose,
+# subcommand -> (help text, flag adder, handler), in the order --help lists them
+_SUBCOMMANDS = {
+    "sweep-weak-value": ("postselected-value curve over an angle grid",
+                         _sweep_weak_value_flags, _cmd_sweep_weak_value),
+    "sweep-pusey": ("non-contextuality functionals over an angle grid",
+                    _sweep_pusey_flags, _cmd_sweep_pusey),
+    "sweep-fisher": ("postselected Fisher information over an angle grid",
+                     _sweep_fisher_flags, _cmd_sweep_fisher),
+    "simulate-counts": ("Poissonian coincidence counts over an angle grid",
+                        _simulate_counts_flags, _cmd_simulate_counts),
+    "estimate": ("invert measured values from a simulate-counts JSON file",
+                 _estimate_flags, _cmd_estimate),
+    "table1": ("estimation pipeline at the standard working points",
+               _table1_flags, _cmd_table1),
+    "decompose": ("consolidated postselection operator decomposition",
+                  _decompose_flags, _cmd_decompose),
 }
 
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config(argv)
-        args = parser.parse_args(argv)
-        _COMMANDS[args.command](args)
+        # build only the subparser the call runs, or all of them for help and usage errors
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv)
+        _SUBCOMMANDS[args.command][2](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

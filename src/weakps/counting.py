@@ -147,7 +147,7 @@ def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return values ^ values >> 16
 
 
-def _pcg64_states(seeds: "list[int]") -> "Iterator[tuple[int, int]]":
+def _pcg64_states(seeds: "np.ndarray | list[int]") -> "Iterator[tuple[int, int]]":
     """Yield ``(state, inc)`` of ``np.random.PCG64(seed)`` for every seed.
 
     For ints in ``[0, 2**64)`` this runs numpy's seeding on arrays:
@@ -163,8 +163,12 @@ def _pcg64_states(seeds: "list[int]") -> "Iterator[tuple[int, int]]":
     """
     for start in range(0, len(seeds), _SEED_BLOCK):
         block = seeds[start:start + _SEED_BLOCK]
-        fits = [type(seed) is int and 0 <= seed < 1 << 64 for seed in block]
-        low = np.array([seed if ok else 0 for seed, ok in zip(block, fits)], dtype=np.uint64)
+        if isinstance(block, np.ndarray) and block.dtype == np.uint64:
+            low, misfits = block, []
+        else:
+            fits = [type(seed) is int and 0 <= seed < 1 << 64 for seed in block]
+            low = np.array([seed if ok else 0 for seed, ok in zip(block, fits)], dtype=np.uint64)
+            misfits = [i for i, ok in enumerate(fits) if not ok]
         pool = np.zeros((4, len(block)), dtype=np.uint32)
         pool[0], pool[1] = low & _MASK32, low >> 32
         pool = _hash(pool, _MIX_XOR[:4], _MIX_MUL[:4])
@@ -176,15 +180,15 @@ def _pcg64_states(seeds: "list[int]") -> "Iterator[tuple[int, int]]":
             pool[dst] = mixed ^ mixed >> 16
         half = _hash(np.tile(pool, (2, 1)), _OUT_XOR, _OUT_MUL).astype(np.uint64)
         words = half[0::2] | half[1::2] << 32  # low word first, on any byte order
-        for i, ok in enumerate(fits):
-            if not ok:
-                words[:, i] = np.random.SeedSequence(block[i]).generate_state(4, np.uint64)
+        for i in misfits:
+            words[:, i] = np.random.SeedSequence(block[i]).generate_state(4, np.uint64)
         for w0, w1, w2, w3 in zip(*words.tolist()):
             inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
             yield (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def draw_counts(probs: np.ndarray, seeds: "list[int]", config: AcquisitionConfig) -> np.ndarray:
+def draw_counts(probs: np.ndarray, seeds: "np.ndarray | list[int]",
+                config: AcquisitionConfig) -> np.ndarray:
     """Poissonian channel counts, one row ``(n_mp, n_mm, n_pp, n_pm)`` per seed.
 
     ``probs`` holds one row of channel probabilities per seed, shape
@@ -233,10 +237,10 @@ def simulate_counts(probs: ProbabilityRecord, config: AcquisitionConfig) -> Coun
     return CountRecord(*draw_counts(row, [config.seed], config)[0].tolist(), config=config)
 
 
-def derive_seeds(root_seed: int, n: int) -> list[int]:
+def derive_seeds(root_seed: int, n: int) -> np.ndarray:
     """Independent per-task integer seeds derived from a root seed via the
-    splittable seed-sequence expansion (stable across runs)."""
-    return np.random.SeedSequence(root_seed).generate_state(n, dtype=np.uint64).tolist()
+    splittable seed-sequence expansion (stable across runs), as a uint64 array."""
+    return np.random.SeedSequence(root_seed).generate_state(n, dtype=np.uint64)
 
 
 def postselected_counts(counts: np.ndarray, postselect_sign: str) -> np.ndarray:

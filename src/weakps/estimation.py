@@ -148,23 +148,15 @@ class CalibrationCurve:
         values.setflags(write=False)
         object.__setattr__(self, "theta_grid", grid)
         object.__setattr__(self, "sigma_values", values)
+        # a run ends where a step turns against the last step that was not flat
+        diffs = np.sign(np.diff(values))
+        steps = np.flatnonzero(diffs)
+        turns = steps[1:][diffs[steps[1:]] != diffs[steps[:-1]]].tolist()
+        object.__setattr__(self, "_runs", tuple(zip([0, *turns], [*turns, diffs.size])))
 
     def branches(self) -> list[tuple[int, int]]:
         """Index ranges [i, j] of maximal monotone runs of the tabulated curve."""
-        diffs = np.sign(np.diff(self.sigma_values))
-        runs: list[tuple[int, int]] = []
-        start = 0
-        current = diffs[0]
-        for i in range(1, diffs.size):
-            if diffs[i] != current and diffs[i] != 0.0:
-                if current == 0.0:
-                    current = diffs[i]
-                    continue
-                runs.append((start, i))
-                start = i
-                current = diffs[i]
-        runs.append((start, diffs.size))
-        return runs
+        return list(self._runs)
 
     def branch_containing(self, theta: float) -> tuple[float, float]:
         """Angle interval of the monotone branch containing ``theta``.
@@ -178,7 +170,7 @@ class CalibrationCurve:
         last = grid.size - 1
         if not grid[0] <= theta <= grid[-1]:
             raise OutOfRange(f"theta = {angle_text(theta)} outside the tabulated range")
-        for i, j in self.branches():
+        for i, j in self._runs:
             lo_idx = i if i == 0 else i + 1
             hi_idx = j if j == last else j - 1
             if lo_idx < hi_idx and grid[lo_idx] <= theta <= grid[hi_idx]:

@@ -1,11 +1,15 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakps
 from weakps import cli, draw_counts, weak_value_curve
@@ -121,6 +125,19 @@ _WRITE_CASES = {
 }
 
 
+def _rows(data):
+    """The records of columns ``data``, one dict of plain values per row."""
+    return [dict(zip(data, values)) for values in zip(*(
+        col.tolist() if isinstance(col, np.ndarray) else col for col in data.values()))]
+
+
+def _csv_value_by_value(meta, columns, data):
+    """CSV text of ``_write``, built one value at a time with ``_fmt``."""
+    lines = [f"# {k} = {cli._fmt(v)}" for k, v in meta.items()] + [",".join(columns)]
+    lines += [",".join(cli._fmt(row[c]) for c in columns) for row in _rows(data)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("case", list(_WRITE_CASES))
 def test_write_matches_row_by_row_formatting(tmp_path, monkeypatch, case):
     # JSON is exactly json.dumps(..., indent=2); CSV formats floats with 12
@@ -129,18 +146,74 @@ def test_write_matches_row_by_row_formatting(tmp_path, monkeypatch, case):
     data = _WRITE_CASES[case]
     meta = {"command": "test", "kappa": 0.335, "note": "a, b"}
     columns = list(data)[::-1]
-    rows = [dict(zip(data, values)) for values in zip(*(
-        col.tolist() if isinstance(col, np.ndarray) else col for col in data.values()))]
 
     cli._write(str(tmp_path / "out.json"), "json", meta, columns, data)
-    expected = json.dumps({"metadata": meta, "records": rows}, indent=2) + "\n"
+    expected = json.dumps({"metadata": meta, "records": _rows(data)}, indent=2) + "\n"
     assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
 
     cli._write(str(tmp_path / "out.csv"), "csv", meta, columns, data)
-    fmt = lambda v: f"{v:.12g}" if isinstance(v, float) else str(v)
-    lines = [f"# {k} = {fmt(v)}" for k, v in meta.items()] + [",".join(columns)]
-    lines += [",".join(fmt(row[c]) for c in columns) for row in rows]
-    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    expected = _csv_value_by_value(meta, columns, data)
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == expected
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1e-300, 1e300, -1e300]
+_TEXT = st.text(st.sampled_from("ab1.%s,{}\"' "), max_size=6)
+_CELLS = {  # one column kind -> (cell strategy, array dtype or None for a list)
+    "float": (st.floats() | st.sampled_from(_EDGE_FLOATS), np.float64),
+    "int": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "bool": (st.booleans(), np.bool_),
+    "list": (st.floats() | st.integers() | _TEXT | st.sampled_from(["%", "%s", "a,b", "%%,"]),
+             None),
+}
+
+
+@st.composite
+def _write_columns(draw):
+    rows = draw(st.integers(0, 5))
+    data = {}
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(list(_CELLS)))
+        cells, dtype = _CELLS[kind]
+        values = draw(st.lists(cells, min_size=rows, max_size=rows))
+        data[f"{kind}{i}"] = values if dtype is None else np.array(values, dtype=dtype)
+    return data
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=_write_columns())
+def test_write_csv_rows_match_value_by_value_formatting(data):
+    # each row's one template formats its cells as _fmt does, one by one
+    meta = {"command": "test"}
+    written = []
+    with mock.patch.object(cli, "_stamp", lambda metadata: metadata), \
+            mock.patch.object(cli, "_emit", lambda output, text: written.append(text)):
+        cli._write("-", "csv", meta, list(data), data)
+    assert written == [_csv_value_by_value(meta, list(data), data)]
+
+
+def _subcommands(parser):
+    """The names of the subparsers ``parser`` holds, in order."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_parser_builds_only_the_subparsers_a_call_needs():
+    assert _subcommands(cli.build_parser("table1")) == ["table1"]
+    assert _subcommands(cli.build_parser()) == list(cli._SUBCOMMANDS)
+
+
+def test_main_dispatches_every_registered_subcommand(monkeypatch):
+    ran = []
+    for name, (help_text, add_flags, handler) in list(cli._SUBCOMMANDS.items()):
+        # each name is paired with its own flag adder and handler
+        assert add_flags.__name__ == f"_{name.replace('-', '_')}_flags"
+        assert handler.__name__ == f"_cmd_{name.replace('-', '_')}"
+        monkeypatch.setitem(cli._SUBCOMMANDS, name,
+                            (help_text, add_flags, lambda args: ran.append(args.command)))
+    for name in cli._SUBCOMMANDS:
+        required = ["--input", "in.json", "--branch", "1,2"] if name == "estimate" else []
+        assert main([name, *required]) == 0
+    assert ran == list(cli._SUBCOMMANDS)
 
 
 def test_sweep_fisher_schema_and_budget(tmp_path):

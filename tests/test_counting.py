@@ -57,7 +57,7 @@ def _batch(theta, config, repetitions):
 def test_draws_match_one_generator_per_seed():
     # row i is four scalar draws, in channel order, from default_rng(seeds[i])
     config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
-    seeds = derive_seeds(42, 25) + [0, 1, 2**64 - 1]
+    seeds = derive_seeds(42, 25).tolist() + [0, 1, 2**64 - 1]
     probs = channel_probabilities(np.linspace(0.0, math.pi / 2, len(seeds)), KAPPA).T
     expected = []
     for seed, row in zip(seeds, probs.tolist()):
@@ -66,6 +66,8 @@ def test_draws_match_one_generator_per_seed():
     counts = draw_counts(probs, seeds, config)
     assert counts.dtype == np.int64 and counts.shape == (len(seeds), 4)
     assert counts.tolist() == expected
+    # the uint64 array of seeds draws as its list of ints
+    assert draw_counts(probs[:25], derive_seeds(42, 25), config).tolist() == expected[:25]
     # one row for every seed is that row repeated
     repeated = draw_counts(probs[3], seeds, config)
     assert repeated.tolist() == draw_counts(np.tile(probs[3], (len(seeds), 1)), seeds,
@@ -101,7 +103,9 @@ def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
 def test_generator_states_match_pcg64(seeds):
     expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
-    assert list(counting._pcg64_states(seeds)) == [(s["state"], s["inc"]) for s in expected]
+    expected = [(s["state"], s["inc"]) for s in expected]
+    assert list(counting._pcg64_states(seeds)) == expected
+    assert list(counting._pcg64_states(np.array(seeds, dtype=np.uint64))) == expected
 
 
 def test_draw_rejects_invalid_probabilities():
@@ -236,9 +240,10 @@ def test_derive_seeds_reproducible_and_distinct():
     a = derive_seeds(7, 100)
     b = derive_seeds(7, 100)
     c = derive_seeds(8, 100)
-    assert a == b
-    assert a != c
-    assert len(set(a)) == 100
+    assert a.dtype == np.uint64
+    assert a.tolist() == b.tolist()
+    assert a.tolist() != c.tolist()
+    assert len(set(a.tolist())) == 100
 
 
 def test_one_sigma_coverage_window():

@@ -28,7 +28,7 @@ from weakps import estimation
 from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
                            ZeroPostselection)
 from weakps.estimation import (BUDGET_COLUMNS, DEGENERATE, FLAT_CURVE, OK, OUT_OF_RANGE,
-                               RAD2_TO_DEG2, TABLE1_THETAS_DEG)
+                               RAD2_TO_DEG2, TABLE1_THETAS_DEG, CalibrationCurve)
 from weakps.weak import fisher_ps_definition, postselect_probability
 
 D2R = math.pi / 180.0
@@ -50,6 +50,36 @@ def test_build_calibration_projective_branches():
     assert len(runs) == 2  # falling then rising, split at 45 deg
     split = curve.theta_grid[runs[0][1]]
     assert split == pytest.approx(45 * D2R, abs=0.3 * D2R)
+
+
+def _monotone_runs_by_loop(values):
+    """Reference for CalibrationCurve.branches: one pass over the steps, where
+    flat steps extend the current run and leading flat steps join the first run."""
+    diffs = np.sign(np.diff(values))
+    runs = []
+    start = 0
+    current = diffs[0]
+    for i in range(1, diffs.size):
+        if diffs[i] != current and diffs[i] != 0.0:
+            if current == 0.0:
+                current = diffs[i]
+                continue
+            runs.append((start, i))
+            start = i
+            current = diffs[i]
+    runs.append((start, diffs.size))
+    return runs
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(steps=st.lists(st.sampled_from([-1.0, 0.0, 0.0, 1.0, 0.25, -3.0]), min_size=1,
+                      max_size=40))
+def test_branches_match_the_loop_on_random_curves(steps):
+    # small step alphabet, so flat steps, flat starts and flat ends are common
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    curve = CalibrationCurve(np.arange(values.size, dtype=np.float64), values, MINUS_MODEL)
+    assert curve.branches() == _monotone_runs_by_loop(values)
+    assert all(type(i) is int and type(j) is int for i, j in curve.branches())
 
 
 def test_imperfect_curve_matches_pipeline():
