@@ -132,16 +132,17 @@ def _rows(data):
 
 
 def _csv_value_by_value(meta, columns, data):
-    """CSV text of ``_write``, built one value at a time with ``_fmt``."""
-    lines = [f"# {k} = {cli._fmt(v)}" for k, v in meta.items()] + [",".join(columns)]
-    lines += [",".join(cli._fmt(row[c]) for c in columns) for row in _rows(data)]
+    """CSV text of ``_write``, built one value at a time as ``_fmt`` formats:
+    floats with 12 significant digits, everything else with str."""
+    fmt = lambda v: f"{v:.12g}" if isinstance(v, float) else str(v)
+    lines = [f"# {k} = {fmt(v)}" for k, v in meta.items()] + [",".join(columns)]
+    lines += [",".join(fmt(row[c]) for c in columns) for row in _rows(data)]
     return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("case", list(_WRITE_CASES))
 def test_write_matches_row_by_row_formatting(tmp_path, monkeypatch, case):
-    # JSON is exactly json.dumps(..., indent=2); CSV formats floats with 12
-    # significant digits and everything else with str
+    # JSON is exactly json.dumps(..., indent=2); CSV as _csv_value_by_value
     monkeypatch.setattr(cli, "_stamp", lambda metadata: metadata)
     data = _WRITE_CASES[case]
     meta = {"command": "test", "kappa": 0.335, "note": "a, b"}
@@ -182,7 +183,7 @@ def _write_columns(draw):
 @settings(derandomize=True, database=None, deadline=None)
 @given(data=_write_columns())
 def test_write_csv_rows_match_value_by_value_formatting(data):
-    # each row's one template formats its cells as _fmt does, one by one
+    # each row's one template formats its cells as they are formatted one by one
     meta = {"command": "test"}
     written = []
     with mock.patch.object(cli, "_stamp", lambda metadata: metadata), \
