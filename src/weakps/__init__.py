@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from . import errors
 from .contextuality import (
-    PuseyRecord,
     SDecomposition,
     ViolationScan,
     consolidated_S,
@@ -20,16 +19,12 @@ from .contextuality import (
     p_phi_from_postselection,
     pusey_from_probabilities,
     pusey_functional,
-    pusey_record_from_states,
     scan_violation,
 )
 from .counting import (
     AcquisitionConfig,
-    CountRecord,
     derive_seeds,
     draw_counts,
-    simulate_counts,
-    weak_value_from_counts,
     weak_values_from_counts,
 )
 from .estimation import (
@@ -39,7 +34,6 @@ from .estimation import (
     Table1Row,
     assess_estimates,
     build_calibration,
-    estimate_theta,
     invert_branch,
     load_baseline,
     table1_pipeline,
@@ -74,14 +68,10 @@ from .states import (
     povm_elements,
 )
 from .weak import (
-    FisherReport,
     WeakValueResult,
     evaluate_weak_value,
-    fisher_ps_closed_form,
     fisher_ps_definition,
-    fisher_report,
     four_outcome_bloch_angles,
-    quantum_fisher_information,
     weak_value,
     weak_value_curve,
     weak_value_curve_grid,

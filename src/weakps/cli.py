@@ -515,6 +515,8 @@ def _cmd_estimate(args) -> None:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read counts JSON {args.input!r}: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("metadata", {}), dict):
+        raise ConfigError("counts JSON must be an object whose metadata is an object")
     in_meta = payload.get("metadata", {})
     in_records = payload.get("records", [])
     if not in_records:
@@ -524,6 +526,9 @@ def _cmd_estimate(args) -> None:
         kappa = in_meta.get("kappa")
         if kappa is None:
             raise ConfigError("no --kappa/--mu given and none recorded in the input file")
+        numeric = isinstance(kappa, (int, float)) and not isinstance(kappa, bool)
+        if not (numeric and 0.0 <= kappa <= 1.0):
+            raise ConfigError(f"input metadata: kappa must be a number in [0, 1], got {kappa!r}")
         mu = math.asin(kappa) / 4.0
     else:
         kappa, mu = _resolve_strength(args)
@@ -534,6 +539,9 @@ def _cmd_estimate(args) -> None:
         lo_deg, hi_deg = (float(x) for x in args.branch.split(","))
     except ValueError as exc:
         raise ConfigError("--branch must be 'LO,HI' in degrees") from exc
+    if not (math.isfinite(lo_deg) and math.isfinite(hi_deg) and lo_deg < hi_deg):
+        raise ConfigError(f"--branch must be 'LO,HI' in degrees, finite, with LO < HI, "
+                          f"got {args.branch!r}")
 
     model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=imperfections)
     curve = build_calibration(model, 0.0, math.pi / 2.0, math.radians(0.05))
@@ -583,7 +591,10 @@ def _cmd_table1(args) -> None:
     if args.repetitions > MAX_GRID_POINTS:  # refused before any seed is derived
         raise ConfigError(f"--repetitions must be at most {MAX_GRID_POINTS}, "
                           f"got {args.repetitions}")
-    baseline = load_baseline(args.baseline)
+    try:
+        baseline = load_baseline(args.baseline)
+    except ValueError as exc:
+        raise ConfigError(f"--baseline {args.baseline}: {exc}") from exc
 
     rows = []  # one tuple of the columns below per working point
     for sign in _signs(args.postselect):
@@ -621,6 +632,8 @@ def _cmd_decompose(args) -> None:
         phi = _NAMED_STATES[args.phi]
         phi_label = args.phi
     else:
+        if not math.isfinite(args.phi_angle):
+            raise ConfigError(f"--phi-angle must be finite, got {args.phi_angle!r}")
         phi = make_signal_state(math.radians(args.phi_angle))
         phi_label = f"angle:{args.phi_angle}"
     result = decompose_consolidated(phi, kappa)

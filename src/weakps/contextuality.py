@@ -40,11 +40,9 @@ from .states import (
 )
 
 __all__ = [
-    "PuseyRecord",
     "SDecomposition",
     "ViolationScan",
     "pusey_functional",
-    "pusey_record_from_states",
     "pusey_from_probabilities",
     "p_phi_from_postselection",
     "consolidated_S",
@@ -52,29 +50,8 @@ __all__ = [
     "scan_violation",
 ]
 
-
-@dataclass(frozen=True)
-class PuseyRecord:
-    """Both non-contextuality functionals and their ingredients."""
-
-    i0: float
-    i1: float
-    p0: float
-    p1: float
-    p_phi: float
-    p_d: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.p_phi <= 0.0:
-            raise ValueError("p_phi must be strictly positive")
-        expected_pd = Strength(self.kappa).dephasing_weight
-        if abs(self.p_d - expected_pd) > 1e-12:
-            raise ValueError(f"p_d = {self.p_d!r} inconsistent with kappa = {self.kappa!r}")
-
-    @property
-    def violated(self) -> bool:
-        return self.i0 > 0.0 or self.i1 > 0.0
+# Largest entry of S minus its recomposition that SDecomposition.validate accepts.
+_RECOMPOSE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,9 +63,9 @@ class SDecomposition:
     p_d: float
     e_d: np.ndarray
 
-    def validate(self, phi: PureQubit, tol: float = 1e-12) -> None:
+    def validate(self, phi: PureQubit) -> None:
         recomposed = (1.0 - self.p_d) * phi.projector() + self.p_d * self.e_d
-        if np.max(np.abs(self.s_matrix - recomposed)) > tol:
+        if np.max(np.abs(self.s_matrix - recomposed)) > _RECOMPOSE_TOL:
             raise ValueError("decomposition identity violated")
         eigs = np.linalg.eigvalsh(self.e_d)
         if eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10:
@@ -113,24 +90,6 @@ def pusey_functional(psi: PureQubit, phi: PureQubit, s: "Strength | float", x: i
     if p_phi <= PROB_FLOOR:
         raise OrthogonalPostselection("preparation and postselection are orthogonal")
     return pusey_from_probabilities(joint_probability(psi, phi, s, x), p_phi, s)
-
-
-def pusey_record_from_states(psi: PureQubit, phi: PureQubit, s: "Strength | float") -> PuseyRecord:
-    strength = as_strength(s)
-    p_phi = abs(phi.overlap(psi)) ** 2
-    if p_phi <= PROB_FLOOR:
-        raise OrthogonalPostselection("preparation and postselection are orthogonal")
-    p0 = joint_probability(psi, phi, strength, 0)
-    p1 = joint_probability(psi, phi, strength, 1)
-    return PuseyRecord(
-        i0=pusey_from_probabilities(p0, p_phi, strength),
-        i1=pusey_from_probabilities(p1, p_phi, strength),
-        p0=p0,
-        p1=p1,
-        p_phi=p_phi,
-        p_d=strength.dephasing_weight,
-        kappa=strength.kappa,
-    )
 
 
 def p_phi_from_postselection(p_total: float, s: "Strength | float") -> float:

@@ -2,14 +2,15 @@
 postselected value with propagated error bars.
 
 Counts in the four coincidence channels are independent Poisson draws with
-means ``rate * duration * p_channel``.  Every record draws the four channels
-in the order (mp, mm, pp, pm) from its own PCG64 stream, the one
-``np.random.default_rng(seed)`` gives for the record's seed from
-:func:`derive_seeds`.  The generator states of a batch are derived from its
-seeds on arrays, by numpy's own seeding algorithm, and loaded into one
-reused generator; seeds and draws are those of one ``default_rng`` per
-record.  Error propagation on the rescaled postselected value is first order
-(delta method) with two terms, matching the two modeled error sources:
+means ``rate * duration * p_channel``.  :func:`draw_counts` gives one count
+row per seed of a :func:`derive_seeds` array, drawing the four channels in
+the order (mp, mm, pp, pm) from the row's own PCG64 stream, the one
+``np.random.default_rng(seed)`` gives.  The generator states of a batch are
+derived from its seeds on arrays, by numpy's own seeding algorithm, and
+loaded into one reused generator; seeds and draws are those of one
+``default_rng`` per row.  :func:`weak_values_from_counts` estimates the
+rescaled postselected value of every row.  Its error propagation is first
+order (delta method) with two terms, matching the two modeled error sources:
 Poisson channel noise and the calibration uncertainty on the strength.
 """
 
@@ -23,17 +24,14 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with weakps, not on the first draw
 
 from .errors import EmptyChannel, ZeroStrength
-from .states import _NORM_TOL, ProbabilityRecord, Strength, as_strength, sign_factor
+from .states import _NORM_TOL, Strength, as_strength, sign_factor
 
 __all__ = [
     "COUNT_COLUMNS",
     "MAX_EXPECTED_TOTAL",
     "AcquisitionConfig",
-    "CountRecord",
     "draw_counts",
     "postselected_counts",
-    "simulate_counts",
-    "weak_value_from_counts",
     "weak_values_from_counts",
     "derive_seeds",
 ]
@@ -47,9 +45,10 @@ MAX_EXPECTED_TOTAL = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).m
 
 def nonnegative_integer(name: str, value) -> int:
     """``value`` as an int; raises ValueError unless it is a nonnegative
-    integer value (so a fractional count is refused, not truncated)."""
+    integer value (so a fractional count is refused, not truncated, and a
+    bool is refused, not read as 0 or 1)."""
     n = int(value)
-    if n != value or n < 0:
+    if n != value or n < 0 or isinstance(value, bool):
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return n
 
@@ -90,34 +89,6 @@ class AcquisitionConfig:
         return self.rate * self.duration
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Coincidence counts per channel (signal letter first, meter second)."""
-
-    n_mp: int
-    n_mm: int
-    n_pp: int
-    n_pm: int
-    config: AcquisitionConfig
-
-    def __post_init__(self) -> None:
-        for name in COUNT_COLUMNS:
-            nonnegative_integer(name, getattr(self, name))
-
-    @property
-    def total(self) -> int:
-        return self.n_mp + self.n_mm + self.n_pp + self.n_pm
-
-    def postselected(self, postselect_sign: str) -> tuple[int, int]:
-        """(outcome-0, outcome-1) count pair of the requested postselection."""
-        if sign_factor(postselect_sign) < 0:
-            return self.n_mp, self.n_mm
-        return self.n_pp, self.n_pm
-
-    def as_dict(self) -> dict[str, int]:
-        return {"n_mp": self.n_mp, "n_mm": self.n_mm, "n_pp": self.n_pp, "n_pm": self.n_pm}
-
-
 # numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding constants
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -147,30 +118,23 @@ def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return values ^ values >> 16
 
 
-def _pcg64_states(seeds: "np.ndarray | list[int]") -> "Iterator[tuple[int, int]]":
-    """Yield ``(state, inc)`` of ``np.random.PCG64(seed)`` for every seed.
+def _pcg64_states(seeds: np.ndarray) -> "Iterator[tuple[int, int]]":
+    """Yield ``(state, inc)`` of ``np.random.PCG64(seed)`` for every seed of
+    a uint64 array.
 
-    For ints in ``[0, 2**64)`` this runs numpy's seeding on arrays:
-    ``SeedSequence.mix_entropy`` hashes the seed's two 32-bit words (and two
-    zero words) into a pool of four; a seed below 2**32 has one word, and
-    numpy hashes a zero for each missing one, so it needs no path of its
-    own.  ``generate_state(4, np.uint64)`` then hashes the pool into four
+    This runs numpy's seeding on arrays: ``SeedSequence.mix_entropy`` hashes
+    the seed's two 32-bit words (and two zero words) into a pool of four; a
+    seed below 2**32 has one word, and numpy hashes a zero for each missing
+    one, so it needs no path of its own.  ``generate_state(4, np.uint64)`` then hashes the pool into four
     64-bit words ``w0..w3``, and PCG64's set-seq seeding turns
     ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 | w3`` into
     ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * MULT + inc``
-    modulo 2**128.  Any other seed takes its words from
-    ``np.random.SeedSequence`` itself, which raises as ``default_rng`` does.
+    modulo 2**128.
     """
     for start in range(0, len(seeds), _SEED_BLOCK):
         block = seeds[start:start + _SEED_BLOCK]
-        if isinstance(block, np.ndarray) and block.dtype == np.uint64:
-            low, misfits = block, []
-        else:
-            fits = [type(seed) is int and 0 <= seed < 1 << 64 for seed in block]
-            low = np.array([seed if ok else 0 for seed, ok in zip(block, fits)], dtype=np.uint64)
-            misfits = [i for i, ok in enumerate(fits) if not ok]
-        pool = np.zeros((4, len(block)), dtype=np.uint32)
-        pool[0], pool[1] = low & _MASK32, low >> 32
+        pool = np.zeros((4, block.size), dtype=np.uint32)
+        pool[0], pool[1] = block & _MASK32, block >> 32
         pool = _hash(pool, _MIX_XOR[:4], _MIX_MUL[:4])
         for src in range(4):  # mix each word into the three others, in numpy's order
             dst = [d for d in range(4) if d != src]
@@ -180,16 +144,14 @@ def _pcg64_states(seeds: "np.ndarray | list[int]") -> "Iterator[tuple[int, int]]
             pool[dst] = mixed ^ mixed >> 16
         half = _hash(np.tile(pool, (2, 1)), _OUT_XOR, _OUT_MUL).astype(np.uint64)
         words = half[0::2] | half[1::2] << 32  # low word first, on any byte order
-        for i in misfits:
-            words[:, i] = np.random.SeedSequence(block[i]).generate_state(4, np.uint64)
         for w0, w1, w2, w3 in zip(*words.tolist()):
             inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
             yield (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def draw_counts(probs: np.ndarray, seeds: "np.ndarray | list[int]",
-                config: AcquisitionConfig) -> np.ndarray:
-    """Poissonian channel counts, one row ``(n_mp, n_mm, n_pp, n_pm)`` per seed.
+def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig) -> np.ndarray:
+    """Poissonian channel counts, one row ``(n_mp, n_mm, n_pp, n_pm)`` per
+    seed of the uint64 array ``seeds`` (as :func:`derive_seeds` gives them).
 
     ``probs`` holds one row of channel probabilities per seed, shape
     ``(len(seeds), 4)``, or one row shape ``(4,)`` for every seed.  Row ``i``
@@ -197,10 +159,14 @@ def draw_counts(probs: np.ndarray, seeds: "np.ndarray | list[int]",
     channel, with means ``config.expected_total * probs[i]``; ``config.seed``
     is not used.  One generator makes every row, from the state
     :func:`_pcg64_states` derives for the row's seed.
-    Raises ValueError unless every probability is finite and nonnegative (as
-    :class:`ProbabilityRecord` checks it) and every row sums to 1 within 1e-9;
-    a probability that this tolerance lets below zero draws as zero.
+    Raises ValueError unless ``seeds`` is a uint64 array, every probability
+    is finite and nonnegative (as :class:`~weakps.states.ProbabilityRecord`
+    checks it) and every row sums to 1 within 1e-9; a probability that this
+    tolerance lets below zero draws as zero.
     """
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        kind = getattr(seeds, "dtype", type(seeds).__name__)
+        raise ValueError(f"seeds must be a uint64 array, as derive_seeds gives, got {kind}")
     probs = np.asarray(probs, dtype=np.float64)
     rows = np.atleast_2d(probs)
     bad = ~np.isfinite(rows) | (rows < -_NORM_TOL)
@@ -230,13 +196,6 @@ def draw_counts(probs: np.ndarray, seeds: "np.ndarray | list[int]",
     return counts
 
 
-def simulate_counts(probs: ProbabilityRecord, config: AcquisitionConfig) -> CountRecord:
-    """Draw one acquisition window of Poissonian channel counts: the scalar
-    form of :func:`draw_counts`, seeded with ``config.seed``."""
-    row = [probs.p_mp, probs.p_mm, probs.p_pp, probs.p_pm]
-    return CountRecord(*draw_counts(row, [config.seed], config)[0].tolist(), config=config)
-
-
 def derive_seeds(root_seed: int, n: int) -> np.ndarray:
     """Independent per-task integer seeds derived from a root seed via the
     splittable seed-sequence expansion (stable across runs), as a uint64 array."""
@@ -245,7 +204,7 @@ def derive_seeds(root_seed: int, n: int) -> np.ndarray:
 
 def postselected_counts(counts: np.ndarray, postselect_sign: str) -> np.ndarray:
     """The (outcome-0, outcome-1) columns of count rows
-    ``(n_mp, n_mm, n_pp, n_pm)``, as :meth:`CountRecord.postselected` picks them."""
+    ``(n_mp, n_mm, n_pp, n_pm)`` of the requested postselection."""
     return counts[:, :2] if sign_factor(postselect_sign) < 0 else counts[:, 2:]
 
 
@@ -281,17 +240,3 @@ def weak_values_from_counts(
         sigma_hat = (n_a - n_b) / (k * total)
         var_poisson = 4.0 * n_a * n_b / (k * k * cube)
     return sigma_hat, var_poisson + sigma_hat * sigma_hat * (kappa_uncertainty / k) ** 2
-
-
-def weak_value_from_counts(
-    rec: CountRecord, kappa: "Strength | float", postselect_sign: str
-) -> tuple[float, float]:
-    """The scalar form of :func:`weak_values_from_counts` for one record,
-    with the strength uncertainty of its acquisition config; raises
-    EmptyChannel where the postselected channels hold no count."""
-    counts = np.array([[rec.n_mp, rec.n_mm, rec.n_pp, rec.n_pm]], dtype=np.int64)
-    sigma_hat, variance = weak_values_from_counts(counts, kappa, postselect_sign,
-                                                  rec.config.kappa_uncertainty)
-    if math.isnan(sigma_hat[0]):
-        raise empty_channel(postselect_sign)
-    return float(sigma_hat[0]), float(variance[0])

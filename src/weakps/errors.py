@@ -29,11 +29,6 @@ class DegenerateConditional(WeakpsError):
     """A conditional outcome probability vanishes; Fisher information undefined."""
 
 
-class SaturatedWeakValue(WeakpsError):
-    """The scaled weak value sits on the +-1 boundary; the closed-form
-    information expression has a pole there."""
-
-
 class OrthogonalPostselection(WeakpsError):
     """Preparation and postselection states are orthogonal (p_phi = 0)."""
 

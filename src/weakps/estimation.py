@@ -44,7 +44,6 @@ __all__ = [
     "Table1Row",
     "build_calibration",
     "invert_branch",
-    "estimate_theta",
     "assess_estimates",
     "table1_pipeline",
     "load_baseline",
@@ -222,16 +221,6 @@ def _out_of_range(sigma: float, model: ModelParams, branch: tuple[float, float])
     ends = model.sigma_array(branch)
     return OutOfRange(f"sigma = {sigma:.12g} outside [{ends.min():.12g}, {ends.max():.12g}], the "
                       f"range of branch [{angle_text(branch[0])}, {angle_text(branch[1])}]")
-
-
-def estimate_theta(
-    curve: CalibrationCurve, sigma_measured: float, branch: tuple[float, float]
-) -> float:
-    """Scalar :func:`invert_branch`; raises OutOfRange where it gives NaN."""
-    theta = float(invert_branch(curve, [sigma_measured], branch)[0])
-    if math.isnan(theta):
-        raise _out_of_range(sigma_measured, curve.model, branch)
-    return theta
 
 
 def _propagated(model: ModelParams, thetas: np.ndarray,
@@ -497,7 +486,8 @@ def load_baseline(path: "str | None" = None) -> dict[tuple[str, float], tuple[fl
 
     These are reference labels for side-by-side reporting only; the pipeline
     makes no claim of reproducing them (the underlying count rates are not
-    public).
+    public).  Raises ValueError on a line without four comma-separated
+    fields or with a field that is not a number.
     """
     if path is None:
         text = resources.files("weakps").joinpath("data/table1_baseline.csv").read_text()
@@ -505,10 +495,14 @@ def load_baseline(path: "str | None" = None) -> dict[tuple[str, float], tuple[fl
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     out: dict[tuple[str, float], tuple[float, float]] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("postselect"):
             continue
-        sign, theta, var, cr = line.split(",")
-        out[(sign.strip(), float(theta))] = (float(var), float(cr))
+        try:
+            sign, theta, var, cr = line.split(",")
+            out[(sign.strip(), float(theta))] = (float(var), float(cr))
+        except ValueError as exc:
+            raise ValueError(f"baseline line {lineno}: expected 'postselect,theta_deg,"
+                             f"variance_deg2,cramer_rao_deg2', got {line!r}") from exc
     return out

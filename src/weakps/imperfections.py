@@ -95,6 +95,9 @@ class ImperfectionParams:
 
 IDEAL_GATE = ImperfectionParams(visibility=1.0, t_h=1.0, t_v=1.0 / 3.0)
 
+# Angle step (degrees) of the grid effective_kappa fits the strength on.
+_CALIBRATION_STEP_DEG = 1.0
+
 
 def central_splitter_operator(params: ImperfectionParams) -> np.ndarray:
     """Coincidence-postselected amplitude operator of the central splitter."""
@@ -190,16 +193,15 @@ def renormalized_probabilities(thetas, mu: float, params: ImperfectionParams) ->
     return probs / probs.sum(axis=0)
 
 
-def effective_kappa(
-    params: ImperfectionParams, mu: float, theta_step_deg: float = 1.0
-) -> float:
+def effective_kappa(params: ImperfectionParams, mu: float) -> float:
     """Strength a calibration of the imperfect gate would report.
 
     Least-squares fit of the postselection-free meter marginals
     ``p(+|theta) - p(-|theta)`` against the ideal model ``kappa * cos(4t)``
-    over a theta grid.  Equals ``sin(4*mu)`` for ideal parameters.
+    over [0, 90) degrees in steps of ``_CALIBRATION_STEP_DEG``.  Equals
+    ``sin(4*mu)`` for ideal parameters.
     """
-    thetas = np.deg2rad(np.arange(0.0, 90.0, theta_step_deg))
+    thetas = np.deg2rad(np.arange(0.0, 90.0, _CALIBRATION_STEP_DEG))
     p_mp, p_mm, p_pp, p_pm = renormalized_probabilities(thetas, mu, params)
     diffs = (p_pp + p_mp) - (p_pm + p_mm)
     cos4 = np.cos(4.0 * thetas)

@@ -7,8 +7,8 @@ probability array, plus batched bisection of any vectorised curve.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
 call them are :func:`weakps.weak.postselect_probability`,
-``weak_value_curve[_grid]``, ``weak_value_slope[_grid]``,
-``fisher_curve_grid`` and ``fisher_ps_closed_form`` in :mod:`weakps.weak`,
+``weak_value_curve[_grid]``, ``weak_value_slope[_grid]`` and
+``fisher_curve_grid`` in :mod:`weakps.weak`,
 :func:`weakps.states.ideal_probability_record`, and
 :func:`weakps.contextuality.pusey_from_probabilities`; they enforce
 ``0 < kappa <= 1`` and the sign label, and map non-finite outputs to typed
@@ -41,6 +41,10 @@ __all__ = [
     "pusey_curves",
     "invert_sigma",
 ]
+
+# invert_sigma halves each bracket until it is this narrow, in at most this many steps.
+_BISECT_XTOL = 1e-12
+_BISECT_MAX_ITER = 200
 
 
 def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
@@ -141,8 +145,6 @@ def invert_sigma(
     curve: Callable[[np.ndarray], np.ndarray],
     lo: "float | np.ndarray",
     hi: "float | np.ndarray",
-    xtol: float = 1e-12,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Batched bisection of a vectorised curve on monotone brackets.
 
@@ -151,7 +153,8 @@ def invert_sigma(
     per-target arrays; they broadcast against ``targets``.  Returns the angle
     solving curve(theta) = target for each target, NaN for targets not
     bracketed by [curve(lo), curve(hi)].  Each target's iterates depend on
-    its own bracket only, never on the rest of the batch.
+    its own bracket only, never on the rest of the batch; each bracket is
+    halved to 1e-12, in at most 200 steps.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -165,7 +168,7 @@ def invert_sigma(
     bracketed = f_lo * f_hi < 0.0  # excludes the exact endpoint hits above
     active = bracketed
     fa = f_lo
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         if not np.any(active):
             break
         mid = 0.5 * (a + b)
@@ -174,6 +177,6 @@ def invert_sigma(
         b = np.where(left, mid, b)
         a = np.where(left | ~active, a, mid)
         fa = np.where(left | ~active, fa, fm)
-        active = active & ((b - a) > xtol)
+        active = active & ((b - a) > _BISECT_XTOL)
     out[bracketed] = 0.5 * (a + b)[bracketed]
     return out

@@ -36,7 +36,6 @@ __all__ = [
     "ONE",
     "PLUS",
     "MINUS",
-    "POSTSELECT_SIGNS",
     "sign_factor",
     "postselect_state",
     "as_strength",
@@ -60,8 +59,6 @@ PROB_FLOOR = 1e-30
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
-
-POSTSELECT_SIGNS = ("minus", "plus")
 
 
 def sign_factor(postselect_sign: str) -> float:

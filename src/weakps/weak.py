@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateConditional, SaturatedWeakValue, ZeroPostselection, ZeroStrength
+from .errors import DegenerateConditional, ZeroPostselection, ZeroStrength
 from .errors import angle_text
 from .states import (
     MINUS,
@@ -32,7 +32,6 @@ __all__ = [
     "QUANTUM_FISHER_INFORMATION",
     "SATURATION_TOL",
     "WeakValueResult",
-    "FisherReport",
     "weak_value",
     "evaluate_weak_value",
     "weak_value_curve",
@@ -41,10 +40,7 @@ __all__ = [
     "weak_value_slope_grid",
     "postselect_probability",
     "fisher_ps_definition",
-    "fisher_ps_closed_form",
     "fisher_curve_grid",
-    "quantum_fisher_information",
-    "fisher_report",
     "four_outcome_bloch_angles",
 ]
 
@@ -77,30 +73,6 @@ class WeakValueResult:
     def anomalous(self) -> bool:
         """True when the value falls outside the observable's spectrum."""
         return abs(self.sigma_w) > 1.0
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    """Per-attempt information budget at one working point.
-
-    ``budget_lhs = f_ps * m_ps_fraction`` can never exceed
-    ``budget_rhs = q`` (one attempt's worth of the ceiling), even though
-    ``f_ps`` itself may exceed ``q``.
-    """
-
-    f_ps: float
-    q: float
-    m_ps_fraction: float
-    budget_lhs: float
-    budget_rhs: float
-
-    def __post_init__(self) -> None:
-        if self.f_ps < 0.0 or self.q < 0.0:
-            raise ValueError("information quantities must be nonnegative")
-        if self.budget_lhs > self.budget_rhs + 1e-9:
-            raise ValueError(
-                f"information budget violated: {self.budget_lhs!r} > {self.budget_rhs!r}"
-            )
 
 
 def weak_value(pc0: float, pc1: float, s: "Strength | float") -> float:
@@ -211,20 +183,6 @@ def fisher_ps_definition(theta: float, s: "Strength | float", postselect_sign: s
     return dpc * dpc * (1.0 / pc0 + 1.0 / pc1)
 
 
-def fisher_ps_closed_form(sigma_w: float, dsigma_dtheta: float, s: "Strength | float") -> float:
-    """Fisher information written in terms of the weak value alone:
-    ``k^2 (d sigma)^2 / (1 - k^2 sigma^2)``.
-
-    Raises SaturatedWeakValue on the ``|k sigma| = 1`` boundary, where the
-    denominator has its pole.
-    """
-    kappa = as_strength(s).kappa
-    ks = kappa * sigma_w
-    if 1.0 - abs(ks) < SATURATION_TOL:
-        raise SaturatedWeakValue(f"|kappa*sigma| = {abs(ks)!r} sits on the boundary")
-    return float(kernels.fisher_from_weak_value(sigma_w, dsigma_dtheta, kappa))
-
-
 def fisher_curve_grid(
     thetas: np.ndarray, s: "Strength | float", postselect_sign: str
 ) -> np.ndarray:
@@ -242,31 +200,6 @@ def fisher_curve_grid(
     sigma = kernels.weak_value_curve(thetas, kappa, sgn)
     sat = 1.0 - np.abs(kappa * sigma) < SATURATION_TOL
     return np.where(sat, np.nan, kernels.fisher_curve(thetas, kappa, sgn))
-
-
-def quantum_fisher_information(theta: float) -> float:
-    """Information ceiling over all measurements for the signal family.
-
-    Constant 16 per squared radian: the preparation moves along a Bloch
-    great circle at angular speed 4.
-    """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    return QUANTUM_FISHER_INFORMATION
-
-
-def fisher_report(theta: float, s: "Strength | float", postselect_sign: str) -> FisherReport:
-    """Assemble the per-attempt information budget at one working point."""
-    f_ps = fisher_ps_definition(theta, s, postselect_sign)
-    q = quantum_fisher_information(theta)
-    m_frac = postselect_probability(theta, s, postselect_sign)
-    return FisherReport(
-        f_ps=f_ps,
-        q=q,
-        m_ps_fraction=m_frac,
-        budget_lhs=f_ps * m_frac,
-        budget_rhs=q,
-    )
 
 
 def four_outcome_bloch_angles(mu: float) -> dict[str, float]:

@@ -286,14 +286,23 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
     assert "OutOfRange" in err and "[0 deg, 10 deg]" in err and "np.float64" not in err
 
 
-@pytest.mark.parametrize("argv, record", [
+def _counts_file(*records, **metadata):
+    """An estimate input file holding ``records`` under ``metadata``
+    (kappa 0.335 unless given)."""
+    return "--input", {"metadata": {"kappa": 0.335, **metadata}, "records": list(records)}
+
+
+_RECORD = {"n_mp": 900, "n_mm": 100, "n_pp": 500, "n_pm": 400}
+
+
+@pytest.mark.parametrize("argv, payload", [
     (["table1", "--kappa", "0.335", "--repetitions", "0"], None),
     (["table1", "--kappa", "0.335", "--repetitions", "1000001"], None),
     (["simulate-counts", "--kappa", "0.335", "--rate", "-5"], None),
     (["simulate-counts", "--kappa", "0.335", "--seed", "-1"], None),
     (["sweep-weak-value", "--kappa", "0.335", "--visibility", "1.5"], None),
-    (["estimate", "--branch", "18,27"], {"n_mp": 900, "n_mm": 100, "n_pp": 500}),
-    (["estimate", "--branch", "18,27"], {"n_mp": 900, "n_mm": -1, "n_pp": 500, "n_pm": 400}),
+    (["estimate", "--branch", "18,27"], _counts_file({"n_mp": 900, "n_mm": 100, "n_pp": 500})),
+    (["estimate", "--branch", "18,27"], _counts_file({**_RECORD, "n_mm": -1})),
     (["sweep-pusey", "--kappa", "1", "--simulate", "--p-phi", "counts"], None),
     (["sweep-weak-value", "--kappa", "0.3", "--theta-start", "nan"], None),
     (["sweep-weak-value", "--kappa", "0.3", "--theta-end", "inf"], None),
@@ -305,17 +314,30 @@ def test_estimate_surfaces_branch_errors(tmp_path, capsys):
                       ["table1", "--kappa", "0.335", "--repetitions", "2"],
                       ["sweep-pusey", "--kappa", "0.335", "--simulate"])
       for rate, duration in (("1e18", "100"), ("1e300", "1e10"))],
+    *[(["estimate", "--branch", "18,27"], _counts_file(_RECORD, kappa=kappa))
+      for kappa in (2.0, "x", -0.5)],
+    (["estimate", "--branch", "18,27"], ("--input", [_RECORD])),
+    (["estimate", "--branch", "18,27"], _counts_file({**_RECORD, "n_pm": True})),
+    *[(["estimate", "--branch", branch], _counts_file(_RECORD))
+      for branch in ("27,18", "nan,27", "18,inf")],
+    *[(["decompose", "--kappa", "0.335", "--phi-angle", angle], None) for angle in ("nan", "inf")],
+    *[(["table1", "--kappa", "0.335", "--repetitions", "2"], ("--baseline", text))
+      for text in ("minus,22.5,0.036\n", "minus,22.5,x,0.33\n")],
 ], ids=["repetitions-0", "repetitions-above-cap", "negative-rate", "negative-seed", "visibility-above-1",
         "record-without-n_pm", "record-with-negative-count", "projective-p-phi-counts",
         "nan-theta-start", "infinite-theta-end", "nan-theta-step", "grid-above-cap",
         *[f"{command}-poisson-mean-{size}" for command in ("simulate-counts", "table1",
                                                           "sweep-pusey-simulated")
-          for size in ("above-limit", "infinite")]])
-def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, record):
-    if record is not None:
-        counts = tmp_path / "counts.json"
-        counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": [record]}))
-        argv = argv + ["--input", str(counts)]
+          for size in ("above-limit", "infinite")],
+        "metadata-kappa-above-1", "metadata-kappa-not-a-number", "metadata-kappa-negative",
+        "top-level-json-array", "count-true", "branch-reversed", "branch-nan", "branch-inf",
+        "phi-angle-nan", "phi-angle-inf", "baseline-3-fields", "baseline-not-a-number"])
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, payload):
+    if payload is not None:  # (flag, content): the file the flag names
+        flag, content = payload
+        path = tmp_path / "payload"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = argv + [flag, str(path)]
     assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -14,7 +14,6 @@ from weakps import (
     p_phi_from_postselection,
     pusey_from_probabilities,
     pusey_functional,
-    pusey_record_from_states,
     scan_violation,
     weak_value_curve_grid,
 )
@@ -72,13 +71,6 @@ def test_record_consistency_between_routes():
         assert pusey_from_probabilities(p1, p_phi, 0.335) == pytest.approx(
             pusey_functional(psi, MINUS, 0.335, 1), abs=1e-12
         )
-
-
-def test_record_object():
-    rec = pusey_record_from_states(make_signal_state(20 * D2R), MINUS, 0.335)
-    assert rec.i0 == pytest.approx(-3.9869255996703523, abs=1e-12)
-    assert rec.p_d == pytest.approx(1 - math.sqrt(1 - 0.335**2), abs=1e-15)
-    assert not rec.violated
 
 
 def test_outcome_swap_mirror_symmetry():

@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 from weakps import (
     AcquisitionConfig,
-    CountRecord,
     ProbabilityRecord,
     derive_seeds,
     draw_counts,
     ideal_probability_record,
-    simulate_counts,
     weak_value_curve,
-    weak_value_from_counts,
     weak_values_from_counts,
 )
 from weakps import counting
-from weakps.counting import MAX_EXPECTED_TOTAL
-from weakps.errors import EmptyChannel, ZeroStrength
+from weakps.counting import MAX_EXPECTED_TOTAL, postselected_counts
+from weakps.errors import ZeroStrength
 from weakps.kernels import channel_probabilities
 
 D2R = math.pi / 180.0
@@ -47,6 +44,16 @@ def test_config_validation():
             AcquisitionConfig(seed=1, rate=rate, duration=duration)
 
 
+def _seeds(*seeds):
+    return np.array(seeds, dtype=np.uint64)
+
+
+def _draw(probs: ProbabilityRecord, config):
+    """One count row drawn from ``config.seed``: the one-seed batch."""
+    row = [probs.p_mp, probs.p_mm, probs.p_pp, probs.p_pm]
+    return draw_counts(row, _seeds(config.seed), config)[0].tolist()
+
+
 def _batch(theta, config, repetitions):
     """Count rows of independent repetitions at one angle, seeded from the
     config seed as table1 seeds its working points."""
@@ -57,30 +64,35 @@ def _batch(theta, config, repetitions):
 def test_draws_match_one_generator_per_seed():
     # row i is four scalar draws, in channel order, from default_rng(seeds[i])
     config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
-    seeds = derive_seeds(42, 25).tolist() + [0, 1, 2**64 - 1]
+    seeds = np.concatenate([derive_seeds(42, 25), _seeds(0, 1, 2**64 - 1)])
     probs = channel_probabilities(np.linspace(0.0, math.pi / 2, len(seeds)), KAPPA).T
     expected = []
-    for seed, row in zip(seeds, probs.tolist()):
+    for seed, row in zip(seeds.tolist(), probs.tolist()):
         rng = np.random.default_rng(seed)
         expected.append([rng.poisson(config.expected_total * p) for p in row])
     counts = draw_counts(probs, seeds, config)
     assert counts.dtype == np.int64 and counts.shape == (len(seeds), 4)
     assert counts.tolist() == expected
-    # the uint64 array of seeds draws as its list of ints
     assert draw_counts(probs[:25], derive_seeds(42, 25), config).tolist() == expected[:25]
     # one row for every seed is that row repeated
     repeated = draw_counts(probs[3], seeds, config)
     assert repeated.tolist() == draw_counts(np.tile(probs[3], (len(seeds), 1)), seeds,
                                             config).tolist()
-    # the scalar record is the one-seed batch
-    rec = simulate_counts(ProbabilityRecord(*probs[3]), AcquisitionConfig(seed=seeds[3]))
-    assert list(rec.as_dict().values()) == draw_counts(probs[3], [seeds[3]],
-                                                       AcquisitionConfig(seed=0)).tolist()[0]
+    # a one-seed batch is that seed's row; the config's own seed is not used
+    other = AcquisitionConfig(seed=7, rate=700.0, duration=3.0)
+    assert draw_counts(probs[3], seeds[3:4], other).tolist() == [expected[3]]
 
 
-# The ends of each 32-bit seed word, and seeds past 2**64, whose generator
-# states come from numpy's SeedSequence rather than from the array hashing.
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 + 5]
+@pytest.mark.parametrize("seeds", [[1, 2], (1, 2), np.array([1, 2], dtype=np.int64),
+                                   np.array([1.0, 2.0])],
+                         ids=["list", "tuple", "int64-array", "float-array"])
+def test_draw_refuses_seeds_that_are_not_a_uint64_array(seeds):
+    with pytest.raises(ValueError, match="seeds must be a uint64 array"):
+        draw_counts([0.25] * 4, seeds, AcquisitionConfig(seed=1))
+
+
+# The ends of each 32-bit seed word.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 @pytest.mark.parametrize("block", [counting._SEED_BLOCK, 3])
@@ -92,11 +104,22 @@ def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
     for seed in EDGE_SEEDS:
         rng = np.random.default_rng(seed)
         expected.append([rng.poisson(config.expected_total * p) for p in probs.tolist()])
-    assert draw_counts(probs, EDGE_SEEDS, config).tolist() == expected
+    assert draw_counts(probs, _seeds(*EDGE_SEEDS), config).tolist() == expected
     for seed, row in zip(EDGE_SEEDS, expected):
-        rec = simulate_counts(ProbabilityRecord(*probs),
-                              AcquisitionConfig(seed=seed, rate=700.0, duration=3.0))
-        assert list(rec.as_dict().values()) == row
+        assert _draw(ProbabilityRecord(*probs),
+                     AcquisitionConfig(seed=seed, rate=700.0, duration=3.0)) == row
+
+
+def test_root_seeds_past_2_64_draw_through_derive_seeds():
+    # numpy's SeedSequence takes any nonnegative root; the seeds it derives are uint64
+    config = AcquisitionConfig(seed=2**128 + 5)
+    probs = channel_probabilities([0.3], KAPPA)[:, 0]
+    seeds = derive_seeds(config.seed, 3)
+    expected = []
+    for seed in seeds.tolist():
+        rng = np.random.default_rng(seed)
+        expected.append([rng.poisson(config.expected_total * p) for p in probs.tolist()])
+    assert draw_counts(probs, seeds, config).tolist() == expected
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -104,24 +127,23 @@ def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
 def test_generator_states_match_pcg64(seeds):
     expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
     expected = [(s["state"], s["inc"]) for s in expected]
-    assert list(counting._pcg64_states(seeds)) == expected
-    assert list(counting._pcg64_states(np.array(seeds, dtype=np.uint64))) == expected
+    assert list(counting._pcg64_states(_seeds(*seeds))) == expected
 
 
 def test_draw_rejects_invalid_probabilities():
     config = AcquisitionConfig(seed=1)
     with pytest.raises(ValueError, match="must sum to 1, got 1.2"):
-        draw_counts([[0.25] * 4, [0.3] * 4], [1, 2], config)
+        draw_counts([[0.25] * 4, [0.3] * 4], _seeds(1, 2), config)
     with pytest.raises(ValueError, match="p_pp must be a nonnegative probability"):
-        draw_counts([0.5, 0.5, -0.1, 0.1], [1], config)
+        draw_counts([0.5, 0.5, -0.1, 0.1], _seeds(1), config)
     with pytest.raises(ValueError, match="p_mm must be a nonnegative probability"):
-        draw_counts([0.5, math.nan, 0.25, 0.25], [1], config)
+        draw_counts([0.5, math.nan, 0.25, 0.25], _seeds(1), config)
     # ProbabilityRecord's tolerance on a negative probability: -1e-13 passes, -1e-11 not
-    assert draw_counts([0.5, 0.5, -1e-13, 1e-13], [1], config)[0, 2:].tolist() == [0, 0]
+    assert draw_counts([0.5, 0.5, -1e-13, 1e-13], _seeds(1), config)[0, 2:].tolist() == [0, 0]
     with pytest.raises(ValueError, match="p_pp must be a nonnegative probability, got -1e-11"):
-        draw_counts([0.5, 0.5, -1e-11, 1e-11], [1], config)
+        draw_counts([0.5, 0.5, -1e-11, 1e-11], _seeds(1), config)
     with pytest.raises(ValueError, match="2 probability rows for 3 seeds"):
-        draw_counts([[0.25] * 4] * 2, [1, 2, 3], config)
+        draw_counts([[0.25] * 4] * 2, _seeds(1, 2, 3), config)
 
 
 def test_weak_values_match_the_scalar_estimator_bit_for_bit():
@@ -132,53 +154,47 @@ def test_weak_values_match_the_scalar_estimator_bit_for_bit():
         [[0, 0, 7, 1], [5, 0, 0, 0], [0, 9, 0, 0]],
     ])
     for sign in ("minus", "plus"):
-        config = AcquisitionConfig(seed=1, kappa_uncertainty=0.008)
         sigmas, variances = weak_values_from_counts(counts, KAPPA, sign, 0.008)
-        for row, sigma, var in zip(counts.tolist(), sigmas.tolist(), variances.tolist()):
-            rec = CountRecord(*row, config=config)
-            if sum(rec.postselected(sign)) == 0:
+        pairs = postselected_counts(counts, sign).tolist()
+        for (n_a, n_b), sigma, var in zip(pairs, sigmas.tolist(), variances.tolist()):
+            if n_a + n_b == 0:
                 assert math.isnan(sigma) and math.isnan(var)
-                with pytest.raises(EmptyChannel):
-                    weak_value_from_counts(rec, KAPPA, sign)
                 continue
-            n_a, n_b = rec.postselected(sign)
             total = n_a + n_b
             sigma_ref = (n_a - n_b) / (KAPPA * total)
             var_ref = (4.0 * n_a * n_b / (KAPPA * KAPPA * total**3)
                        + sigma_ref * sigma_ref * (0.008 / KAPPA) ** 2)
             assert (sigma, var) == (sigma_ref, var_ref)
-            assert weak_value_from_counts(rec, KAPPA, sign) == (sigma_ref, var_ref)
     with pytest.raises(ZeroStrength):
         weak_values_from_counts(counts, 0.0, "minus")
 
 
 def test_seed_determinism():
     probs = ideal_probability_record(20 * D2R, KAPPA)
-    a = simulate_counts(probs, AcquisitionConfig(seed=123))
-    b = simulate_counts(probs, AcquisitionConfig(seed=123))
-    c = simulate_counts(probs, AcquisitionConfig(seed=124))
-    assert a.as_dict() == b.as_dict()
-    assert a.as_dict() != c.as_dict()
+    a = _draw(probs, AcquisitionConfig(seed=123))
+    b = _draw(probs, AcquisitionConfig(seed=123))
+    c = _draw(probs, AcquisitionConfig(seed=124))
+    assert a == b
+    assert a != c
 
 
 def test_degenerate_distribution():
     probs = ProbabilityRecord(p_mp=1.0, p_mm=0.0, p_pp=0.0, p_pm=0.0, kappa=KAPPA)
-    rec = simulate_counts(probs, AcquisitionConfig(seed=5, rate=200.0, duration=5.0))
-    assert rec.n_mm == rec.n_pp == rec.n_pm == 0
-    assert abs(rec.n_mp - 1000) < 5 * math.sqrt(1000)
+    n_mp, n_mm, n_pp, n_pm = _draw(probs, AcquisitionConfig(seed=5, rate=200.0, duration=5.0))
+    assert n_mm == n_pp == n_pm == 0
+    assert abs(n_mp - 1000) < 5 * math.sqrt(1000)
 
 
 def test_law_of_large_numbers():
     probs = ProbabilityRecord(p_mp=0.25, p_mm=0.25, p_pp=0.25, p_pm=0.25, kappa=KAPPA)
-    rec = simulate_counts(probs, AcquisitionConfig(seed=11, rate=4e6, duration=1.0))
-    for n in rec.as_dict().values():
+    for n in _draw(probs, AcquisitionConfig(seed=11, rate=4e6, duration=1.0)):
         assert abs(n - 1e6) < 5 * 1e3
 
 
 def test_rejects_unnormalized_probabilities():
     probs = ProbabilityRecord(p_mp=0.3, p_mm=0.3, p_pp=0.3, p_pm=0.3, kappa=KAPPA)
     with pytest.raises(ValueError):
-        simulate_counts(probs, AcquisitionConfig(seed=1))
+        _draw(probs, AcquisitionConfig(seed=1))
 
 
 def test_estimator_mean_matches_ideal_value():
@@ -191,18 +207,14 @@ def test_estimator_mean_matches_ideal_value():
 
 
 def test_symmetric_counts_give_zero_with_poisson_only_variance():
-    config = AcquisitionConfig(seed=1, kappa_uncertainty=0.05)
-    rec = CountRecord(n_mp=500, n_mm=500, n_pp=0, n_pm=123, config=config)
-    sigma_hat, var = weak_value_from_counts(rec, 0.5, "minus")
+    (sigma_hat,), (var,) = weak_values_from_counts([[500, 500, 0, 123]], 0.5, "minus", 0.05)
     assert sigma_hat == 0.0
     # the strength term vanishes with the estimate; Poisson term survives
     assert var == pytest.approx(4 * 500 * 500 / (0.5**2 * 1000**3), abs=1e-18)
 
 
 def test_empty_partner_channel_pins_the_estimate():
-    config = AcquisitionConfig(seed=1)
-    rec = CountRecord(n_mp=1000, n_mm=0, n_pp=0, n_pm=0, config=config)
-    sigma_hat, var = weak_value_from_counts(rec, 0.5, "minus")
+    (sigma_hat,), (var,) = weak_values_from_counts([[1000, 0, 0, 0]], 0.5, "minus")
     assert sigma_hat == 2.0
     assert var == 0.0
     # parametric bootstrap around the observed counts agrees: the empty
@@ -217,10 +229,8 @@ def test_empty_partner_channel_pins_the_estimate():
 
 
 def test_strength_uncertainty_term_dominates_near_the_peak():
-    config = AcquisitionConfig(seed=1, kappa_uncertainty=0.008)
     # counts tuned so sigma_hat is close to the anomaly peak
-    rec = CountRecord(n_mp=560, n_mm=2, n_pp=0, n_pm=0, config=config)
-    sigma_hat, var = weak_value_from_counts(rec, KAPPA, "minus")
+    (sigma_hat,), (var,) = weak_values_from_counts([[560, 2, 0, 0]], KAPPA, "minus", 0.008)
     assert sigma_hat > 2.9
     var_poisson = 4 * 560 * 2 / (KAPPA**2 * 562**3)
     var_kappa = sigma_hat**2 * (0.008 / KAPPA) ** 2
@@ -229,11 +239,11 @@ def test_strength_uncertainty_term_dominates_near_the_peak():
 
 
 def test_empty_channel_raises():
-    rec = CountRecord(n_mp=0, n_mm=0, n_pp=10, n_pm=3, config=AcquisitionConfig(seed=1))
-    with pytest.raises(EmptyChannel):
-        weak_value_from_counts(rec, KAPPA, "minus")
+    # an empty postselected pair gives NaN; the estimate command raises EmptyChannel on it
+    sigma_hat, var = weak_values_from_counts([[0, 0, 10, 3]], KAPPA, "minus")
+    assert math.isnan(sigma_hat[0]) and math.isnan(var[0])
     with pytest.raises(ZeroStrength):
-        weak_value_from_counts(rec, 0.0, "plus")
+        weak_values_from_counts([[0, 0, 10, 3]], 0.0, "plus")
 
 
 def test_derive_seeds_reproducible_and_distinct():

@@ -14,7 +14,6 @@ from weakps import (
     conditional_probabilities,
     derive_seeds,
     draw_counts,
-    estimate_theta,
     imperfect_joint_probs,
     invert_branch,
     load_baseline,
@@ -92,12 +91,17 @@ def test_imperfect_curve_matches_pipeline():
         assert curve.sigma_values[i] == pytest.approx(weak_value(pc0, pc1, KAPPA), abs=1e-12)
 
 
+def _estimate(curve, sigma, branch):
+    """The angle inverted from one measured value, NaN out of range."""
+    return float(invert_branch(curve, [sigma], branch)[0])
+
+
 def test_estimate_theta_trivial_points():
     curve = build_calibration(MINUS_MODEL, -15 * D2R, 40 * D2R, 0.05 * D2R)
-    theta_hat = estimate_theta(curve, 1.0, (-10 * D2R, 10 * D2R))
+    theta_hat = _estimate(curve, 1.0, (-10 * D2R, 10 * D2R))
     assert abs(theta_hat) < 1e-9
     branch = (18 * D2R, 27 * D2R)  # falling branch through 22.5 deg
-    theta_hat = estimate_theta(curve, 0.0, branch)
+    theta_hat = _estimate(curve, 0.0, branch)
     assert theta_hat == pytest.approx(22.5 * D2R, abs=1e-9)
 
 
@@ -105,7 +109,7 @@ def test_estimate_theta_near_peak():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     theta_peak = math.asin(R) / 4.0
     target = 1.0 / KAPPA - 1e-4
-    theta_hat = estimate_theta(curve, target, (0.0, theta_peak - 1e-6))
+    theta_hat = _estimate(curve, target, (0.0, theta_peak - 1e-6))
     assert theta_hat < theta_peak
     assert weak_value_curve(theta_hat, KAPPA, "minus") == pytest.approx(target, abs=1e-9)
 
@@ -116,19 +120,22 @@ def test_estimate_round_trip_grid():
         theta = theta_deg * D2R
         branch = curve.branch_containing(theta)
         sigma = weak_value_curve(theta, KAPPA, "minus")
-        assert estimate_theta(curve, sigma, branch) == pytest.approx(theta, abs=1e-9)
+        assert _estimate(curve, sigma, branch) == pytest.approx(theta, abs=1e-9)
 
 
 def test_estimate_out_of_range():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
-    with pytest.raises(OutOfRange):
-        estimate_theta(curve, 5.0, (0.0, 10 * D2R))
+    branch = (0.0, 10 * D2R)
+    theta_hat = _estimate(curve, 5.0, branch)
+    assert math.isnan(theta_hat)
+    batch = assess_estimates(curve, [theta_hat], [0.0], [1])
+    assert isinstance(batch.error(0, MINUS_MODEL, branch, 5.0), OutOfRange)
 
 
 def test_estimate_ambiguous_branch():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     with pytest.raises(AmbiguousBranch, match=r"\[0 deg, 30 deg\]"):
-        estimate_theta(curve, 1.5, (0.0, 30 * D2R))  # spans the peak at 17.6 deg
+        _estimate(curve, 1.5, (0.0, 30 * D2R))  # spans the peak at 17.6 deg
 
 
 def test_branch_containing_shrinks_at_turning_points():

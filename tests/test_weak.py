@@ -6,20 +6,18 @@ import pytest
 from weakps import (
     conditional_probabilities,
     evaluate_weak_value,
-    fisher_ps_closed_form,
     fisher_ps_definition,
-    fisher_report,
     four_outcome_bloch_angles,
     ideal_probability_record,
-    quantum_fisher_information,
     make_signal_state,
     weak_value,
     weak_value_curve,
     weak_value_curve_grid,
     weak_value_slope,
 )
-from weakps.errors import DegenerateConditional, SaturatedWeakValue, ZeroStrength
-from weakps.weak import QUANTUM_FISHER_INFORMATION, postselect_probability
+from weakps.errors import DegenerateConditional, ZeroStrength
+from weakps.kernels import fisher_from_weak_value
+from weakps.weak import QUANTUM_FISHER_INFORMATION, fisher_curve_grid, postselect_probability
 
 D2R = math.pi / 180.0
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
@@ -172,32 +170,26 @@ def test_definition_equals_closed_form():
             continue  # too close to the pole for a meaningful comparison
         dsigma = weak_value_slope(theta, kappa, sign)
         a = fisher_ps_definition(theta, kappa, sign)
-        b = fisher_ps_closed_form(sigma, dsigma, kappa)
+        b = float(fisher_from_weak_value(sigma, dsigma, kappa))
         assert a == pytest.approx(b, rel=1e-9)
         checked += 1
 
 
 def test_closed_form_arithmetic():
-    assert fisher_ps_closed_form(0.0, 1.0, 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert fisher_ps_closed_form(0.3, 0.0, 0.5) == 0.0
+    assert fisher_from_weak_value(0.0, 1.0, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert fisher_from_weak_value(0.3, 0.0, 0.5) == 0.0
 
 
 def test_pole_handling():
     kappa = 0.335
     theta_star = math.asin(math.sqrt(1 - kappa**2)) / 4.0
-    with pytest.raises(SaturatedWeakValue):
-        fisher_ps_closed_form(1.0 / kappa, 0.0, kappa)
+    assert np.isnan(fisher_curve_grid(np.array([theta_star]), kappa, "minus")[0])
     with pytest.raises(DegenerateConditional):
         fisher_ps_definition(theta_star, kappa, "minus")
 
 
 def test_zero_strength_carries_no_information():
     assert fisher_ps_definition(0.3, 0.0, "minus") == 0.0
-
-
-def test_quantum_fisher_information_constant():
-    assert quantum_fisher_information(0.0) == 16.0
-    assert quantum_fisher_information(30 * D2R) == 16.0
 
 
 def test_quantum_fisher_information_fd_oracle():
@@ -208,7 +200,7 @@ def test_quantum_fisher_information_fd_oracle():
         b = make_signal_state(theta + delta).amplitudes()
         overlap = abs(np.vdot(a, b))
         oracle = 8 * (1 - overlap) / delta**2
-        assert quantum_fisher_information(theta) == pytest.approx(oracle, rel=1e-4)
+        assert QUANTUM_FISHER_INFORMATION == pytest.approx(oracle, rel=1e-4)
 
 
 def test_budget_holds_and_is_beatable():
@@ -220,22 +212,14 @@ def test_budget_holds_and_is_beatable():
         theta = float(rng.uniform(0.0, math.pi / 2))
         sign = "minus" if rng.random() < 0.5 else "plus"
         try:
-            report = fisher_report(theta, kappa, sign)
+            f_ps = fisher_ps_definition(theta, kappa, sign)
         except DegenerateConditional:
             continue
-        assert report.budget_lhs <= report.budget_rhs + 1e-9
-        seen_super = seen_super or report.f_ps > QUANTUM_FISHER_INFORMATION
+        assert f_ps >= 0.0
+        assert f_ps * postselect_probability(theta, kappa, sign) <= QUANTUM_FISHER_INFORMATION + 1e-9
+        seen_super = seen_super or f_ps > QUANTUM_FISHER_INFORMATION
         checked += 1
     assert seen_super
-
-
-def test_fisher_report_fields():
-    report = fisher_report(22.5 * D2R, 0.335, "minus")
-    assert report.q == 16.0
-    assert report.m_ps_fraction == pytest.approx(
-        postselect_probability(22.5 * D2R, 0.335, "minus"), abs=1e-15
-    )
-    assert report.budget_lhs == pytest.approx(report.f_ps * report.m_ps_fraction, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
