@@ -488,25 +488,35 @@ def _cmd_simulate_counts(args) -> None:
     _write(args.output, args.format, meta, ["theta_deg", *COUNT_COLUMNS, "seed"], data)
 
 
-def _read_counts(records: list, sign: str) -> np.ndarray:
-    """Count rows ``(n_mp, n_mm, n_pp, n_pm)`` of simulate-counts records,
-    checked in file order: the first invalid record, or one whose
-    postselected pair sums past int64, stops the run with a ConfigError, the
-    first without postselected counts with EmptyChannel."""
+def _read_counts(records: list, sign: str) -> tuple[np.ndarray, list[float]]:
+    """Count rows ``(n_mp, n_mm, n_pp, n_pm)`` of simulate-counts records, and
+    their ``theta_deg`` (NaN where absent), checked in file order: the first
+    invalid record, or one whose postselected pair sums past int64, stops the
+    run with a ConfigError, the first without postselected counts with
+    EmptyChannel."""
     counts = np.empty((len(records), 4), dtype=np.int64)
+    thetas = []
     for index, rec in enumerate(records):
         try:
             counts[index] = [nonnegative_integer(name, rec[name]) for name in COUNT_COLUMNS]
             nonnegative_integer("seed", rec.get("seed", 0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
+        theta = rec.get("theta_deg", math.nan)
+        try:
+            if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+                raise TypeError
+            thetas.append(float(theta))
+        except (TypeError, OverflowError):
+            raise ConfigError(f"input record {index}: theta_deg must be a number, "
+                              f"got {theta!r}") from None
         m_ps = sum(postselected_counts(counts[index : index + 1], sign)[0].tolist())
         if m_ps > _INT64_MAX:
             raise ConfigError(f"input record {index}: postselected counts sum to {m_ps}, "
                               f"above the int64 limit {_INT64_MAX}")
         if m_ps == 0:
             raise empty_channel(sign)
-    return counts
+    return counts, thetas
 
 
 def _cmd_estimate(args) -> None:
@@ -557,7 +567,7 @@ def _cmd_estimate(args) -> None:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"input metadata: {exc}") from exc
 
-    counts = _read_counts(in_records, sign)
+    counts, thetas = _read_counts(in_records, sign)
     sigmas, variances = weak_values_from_counts(counts, kappa, sign,
                                                 acquisition.kappa_uncertainty)
     m_ps = postselected_counts(counts, sign).sum(axis=1)
@@ -566,7 +576,7 @@ def _cmd_estimate(args) -> None:
     if failed.size:  # the first failing record, in file order, stops the run
         raise batch.error(int(failed[0]), model, branch, sigmas[failed[0]])
     data = {
-        "theta_deg": [float(rec.get("theta_deg", math.nan)) for rec in in_records],
+        "theta_deg": thetas,
         "sigma_hat": sigmas,
         "sigma_variance": variances,
         "theta_hat_deg": batch.theta_hat_deg,

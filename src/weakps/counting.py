@@ -71,6 +71,9 @@ class AcquisitionConfig:
     kappa_uncertainty: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("rate", "duration", "kappa_uncertainty"):
+            if isinstance(getattr(self, name), bool):  # not read as 0 or 1
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.rate <= 0.0 or not math.isfinite(self.rate):
             raise ValueError(f"rate must be positive, got {self.rate!r}")
         if self.duration <= 0.0 or not math.isfinite(self.duration):

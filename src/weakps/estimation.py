@@ -2,10 +2,12 @@
 with variance propagation and comparison against the Cramér-Rao limit of the
 postselected events.
 
-Inversion bisects the exact model curve for a batch of measured values at
-once, each on a chosen monotone branch (the curve is not injective over a
-quarter turn, so branch selection is explicit) that is probed for monotonicity
-once per branch.  Reported variances are in squared degrees; all internal
+Every model's postselected pair is linear in ``(1, cos 4t, sin 4t)``
+(:attr:`ModelParams.coefficients`), so the curve's turning points and its
+inverse have closed forms: a batch of measured values is inverted at once,
+each on a chosen monotone branch (the curve is not injective over a quarter
+turn, so branch selection is explicit) that is checked to hold no turning
+point.  Reported variances are in squared degrees; all internal
 information quantities stay in inverse squared radians, with the unit
 conversion applied exactly once here.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -25,8 +28,8 @@ from .counting import (AcquisitionConfig, derive_seeds, draw_counts,
 from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatCurve, OutOfRange,
                      WeakpsError, ZeroPostselection, ZeroStrength, angle_text)
 from .imperfections import (ImperfectionParams, coincidence_probabilities,
-                            renormalized_probabilities)
-from .states import PROB_FLOOR, as_strength, sign_factor
+                            postselected_coefficients, renormalized_probabilities)
+from .states import as_strength, sign_factor
 from .weak import (
     QUANTUM_FISHER_INFORMATION,
     SATURATION_TOL,
@@ -58,14 +61,8 @@ TABLE1_THETAS_DEG = {
 }
 
 _SLOPE_FLOOR = 1e-9
-_FD_STEP = 1e-6  # central-difference step for curves without a closed form
-_PROBE_SAMPLES = 65  # angles at which a branch is checked for monotonicity
-
-
-def _postselected(probs: np.ndarray, postselect_sign: str) -> np.ndarray:
-    """The (outcome-0, outcome-1) rows of channel rows ``(mp, mm, pp, pm)``,
-    as :meth:`ProbabilityRecord.postselected` picks them."""
-    return probs[:2] if sign_factor(postselect_sign) < 0 else probs[2:]
+# d.B sums terms up to |d|_1 in size: within a few roundings of that, it is zero
+_ROUNDING = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -92,32 +89,46 @@ class ModelParams:
             return kernels.channel_probabilities(thetas, self.kappa)
         return renormalized_probabilities(thetas, self.mu, self.imperfections)
 
+    @cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, d)`` with ``p0 - p1 = n.B`` and ``p0 + p1 = d.B``,
+        ``B = (1, cos 4t, sin 4t)``, for the postselected pair: per
+        coincidence in the ideal model, per attempt under imperfections."""
+        sign = sign_factor(self.postselect_sign)
+        if self.imperfections is None:
+            r = math.sqrt(1.0 - self.kappa * self.kappa)
+            return np.array([0.0, self.kappa / 2.0, 0.0]), np.array([0.5, 0.0, sign * r / 2.0])
+        return postselected_coefficients(self.mu, self.imperfections, sign)
+
+    def _check_imperfect(self, thetas: np.ndarray) -> None:
+        """GateStarved where no coincidence passes the gate, ZeroPostselection
+        where ``d.B`` is otherwise within rounding of zero, then ZeroStrength."""
+        d = self.coefficients[1]
+        starved = thetas[kernels.trig_form(d, thetas) <= _ROUNDING * np.abs(d).sum()]
+        if starved.size:
+            coincidence_probabilities(starved, self.mu, self.imperfections)
+            raise ZeroPostselection("postselection probability vanishes at theta = "
+                                    f"{angle_text(float(starved[0]))}")
+        if self.kappa == 0.0:
+            raise ZeroStrength("weak value undefined at kappa = 0")
+
     def sigma_array(self, thetas: np.ndarray) -> np.ndarray:
         """Model postselected value (nominal-kappa rescaling) over a
         one-dimensional array of angles."""
         if self.imperfections is None:
             return weak_value_curve_grid(thetas, self.kappa, self.postselect_sign)
         thetas = np.asarray(thetas, dtype=np.float64)
-        probs = renormalized_probabilities(thetas, self.mu, self.imperfections)
-        p0, p1 = _postselected(probs, self.postselect_sign)
-        total = p0 + p1
-        starved = total <= PROB_FLOOR
-        if np.any(starved):
-            bad = angle_text(float(thetas[starved][0]))
-            raise ZeroPostselection(f"postselection probability vanishes at theta = {bad}")
-        if self.kappa == 0.0:
-            raise ZeroStrength("weak value undefined at kappa = 0")
-        pc0 = p0 / total
-        return (pc0 - (1.0 - pc0)) / self.kappa
+        self._check_imperfect(thetas)
+        return kernels.trig_curve(*self.coefficients, self.kappa, thetas)
 
     def sigma_slope(self, thetas: np.ndarray) -> np.ndarray:
         """Angle derivative of the model curve over a one-dimensional array of
-        angles; analytic for the ideal model, central differences otherwise."""
+        angles."""
         if self.imperfections is None:
             return weak_value_slope_grid(thetas, self.kappa, self.postselect_sign)
         thetas = np.asarray(thetas, dtype=np.float64)
-        ahead = self.sigma_array(thetas + _FD_STEP)
-        return (ahead - self.sigma_array(thetas - _FD_STEP)) / (2.0 * _FD_STEP)
+        self._check_imperfect(thetas)
+        return kernels.trig_slope(*self.coefficients, self.kappa, thetas)
 
 
 @dataclass(frozen=True)
@@ -193,11 +204,9 @@ def build_calibration(
     return CalibrationCurve(theta_grid=grid, sigma_values=model.sigma_array(grid), model=model)
 
 
-def _check_monotone(model: ModelParams, lo: float, hi: float) -> None:
-    """Raise AmbiguousBranch unless the model curve is monotone at
-    ``_PROBE_SAMPLES`` angles spanning [lo, hi]."""
-    d = np.diff(model.sigma_array(np.linspace(lo, hi, _PROBE_SAMPLES)))
-    if np.any(d > 0.0) and np.any(d < 0.0):
+def _require_monotone(model: ModelParams, lo: float, hi: float) -> None:
+    """Raise AmbiguousBranch where the model curve turns strictly inside [lo, hi]."""
+    if kernels.trig_turning_points(*model.coefficients, lo, hi).size:
         raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
                               "it spans a turning point")
 
@@ -206,15 +215,16 @@ def invert_branch(
     curve: CalibrationCurve, sigmas: "np.ndarray | list[float]", branch: tuple[float, float]
 ) -> np.ndarray:
     """Invert the calibration curve on a monotone branch for a batch of
-    measured values: one angle per value, NaN where the value falls outside
-    the branch's range.  Raises AmbiguousBranch when the branch spans a
-    turning point.  Roots are bisected to 1e-12 radians.
+    measured values, in closed form: one angle per value, NaN where the
+    value falls outside the branch's range.  Raises AmbiguousBranch when the
+    branch spans a turning point.
     """
     lo, hi = float(branch[0]), float(branch[1])
     if hi <= lo:
         raise ValueError("branch must be a non-empty interval (lo, hi)")
-    _check_monotone(curve.model, lo, hi)
-    return kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
+    model = curve.model
+    _require_monotone(model, lo, hi)
+    return kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
 
 
 def _out_of_range(sigma: float, model: ModelParams, branch: tuple[float, float]) -> OutOfRange:
@@ -252,8 +262,7 @@ def _information(model: ModelParams, thetas: np.ndarray,
     saturated = 1.0 - np.abs(kappa * sigma) < SATURATION_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         f_ps = np.where(saturated, np.nan, kernels.fisher_from_weak_value(sigma, slopes, kappa))
-    p0, p1 = _postselected(coincidence_probabilities(thetas, model.mu, model.imperfections), sign)
-    return f_ps, p0 + p1
+    return f_ps, kernels.trig_form(model.coefficients[1], thetas)
 
 
 def _cramer_rao(f_ps: np.ndarray, m_ps: np.ndarray) -> np.ndarray:
@@ -412,7 +421,8 @@ def _assess_parts(curve: CalibrationCurve, parts: list) -> list[tuple[list[np.nd
     sizes = [part[0].size for part in parts]
     try:
         sigmas, variances, m_ps, lo, hi = map(np.concatenate, zip(*parts))
-        theta_hats = kernels.invert_sigma(sigmas, curve.model.sigma_array, lo, hi)
+        model = curve.model
+        theta_hats = kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
         batch = assess_estimates(curve, theta_hats, variances, m_ps)
     except WeakpsError as exc:
         if len(parts) > 1:
@@ -466,7 +476,7 @@ def table1_pipeline(
         failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~keep))})
         try:
             lo, hi = curve.branch_containing(theta)
-            _check_monotone(model, lo, hi)
+            _require_monotone(model, lo, hi)
         except WeakpsError as exc:
             failed[type(exc).__name__] += int(np.count_nonzero(keep))
             keep[:] = False

@@ -70,6 +70,7 @@ __all__ = [
     "imperfect_joint_probs",
     "coincidence_probabilities",
     "renormalized_probabilities",
+    "postselected_coefficients",
     "effective_kappa",
 ]
 
@@ -191,6 +192,25 @@ def renormalized_probabilities(thetas, mu: float, params: ImperfectionParams) ->
     :func:`coincidence_probabilities` divided by their sum at each angle."""
     probs = coincidence_probabilities(thetas, mu, params)
     return probs / probs.sum(axis=0)
+
+
+def postselected_coefficients(mu: float, params: ImperfectionParams,
+                              sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(n, d)`` of the postselected pair's per-attempt
+    probabilities, ``p0 - p1 = n.B`` and ``p0 + p1 = d.B`` with
+    ``B = (1, cos 4t, sin 4t)``, for postselection ``sign`` (-1 or +1).
+
+    With ``b = (b1 c, b2 c, b3 s, b4 s)`` above, ``p0 - p1 = v (b1 b2 c^2 +
+    b3 b4 s^2 + sign (b1 b4 + b2 b3) c s)`` and ``p0 + p1 = (b1^2 + b2^2) c^2
+    / 2 + (b3^2 + b4^2) s^2 / 2 + sign v (b1 b3 + b2 b4) c s``, linear in B
+    through ``c^2, s^2, c s = (1 + cos 4t) / 2, (1 - cos 4t) / 2, sin(4t) / 2``.
+    """
+    c_mu, s_mu, t_v, v = math.cos(2.0 * mu), math.sin(2.0 * mu), params.t_v, params.visibility
+    b1, b2, b3, b4 = params.t_h * np.array([t_v * c_mu, t_v * s_mu, t_v * c_mu,
+                                            (2.0 * t_v - 1.0) * s_mu])
+    cc, ss = b1 * b1 + b2 * b2, b3 * b3 + b4 * b4
+    return (v * np.array([b1 * b2 + b3 * b4, b1 * b2 - b3 * b4, sign * (b1 * b4 + b2 * b3)]) / 2.0,
+            np.array([(cc + ss) / 4.0, (cc - ss) / 4.0, sign * v * (b1 * b3 + b2 * b4) / 2.0]))
 
 
 def effective_kappa(params: ImperfectionParams, mu: float) -> float:

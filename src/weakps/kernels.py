@@ -3,7 +3,10 @@ written (the four channel probabilities, postselection probability,
 postselected value and its slope,
 postselected Fisher information, also in terms of any model's postselected
 value and slope, Pusey's functional), evaluated vectorized over an angle or
-probability array, plus batched bisection of any vectorised curve.
+probability array.  The ``trig_*`` kernels and :func:`invert_trig` hold the
+form every model's postselected pair shares, ``p0 -+ p1`` linear in
+``(1, cos 4t, sin 4t)``: its value, slope and turning points, and the
+closed-form inverse on a monotone branch.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
 call them are :func:`weakps.weak.postselect_probability`,
@@ -23,8 +26,6 @@ double ``1 + sign * sqrt(1-kappa^2) * sin(4t)`` is the curves' denominator.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-
 import numpy as np
 
 from .states import PROB_FLOOR, Strength
@@ -39,13 +40,12 @@ __all__ = [
     "pusey_probabilities",
     "pusey_functional",
     "pusey_curves",
-    "invert_sigma",
+    "trig_form",
+    "trig_curve",
+    "trig_slope",
+    "trig_turning_points",
+    "invert_trig",
 ]
-
-# invert_sigma halves each bracket until it is this narrow, in at most this many steps.
-_BISECT_XTOL = 1e-12
-_BISECT_MAX_ITER = 200
-
 
 def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
     """Joint probabilities of the four coincidence channels, rows
@@ -140,43 +140,79 @@ def pusey_curves(
     return i0, i1, p_phi
 
 
-def invert_sigma(
-    targets: np.ndarray,
-    curve: Callable[[np.ndarray], np.ndarray],
-    lo: "float | np.ndarray",
-    hi: "float | np.ndarray",
-) -> np.ndarray:
-    """Batched bisection of a vectorised curve on monotone brackets.
+def trig_form(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``coeffs.B`` with ``B = (1, cos 4t, sin 4t)``: either model's postselected
+    pair has ``p0 - p1 = n.B`` and ``p0 + p1 = d.B``, and the ``trig_*``
+    kernels take ``(n, d)`` (:attr:`weakps.estimation.ModelParams.coefficients`)."""
+    x = 4.0 * np.asarray(theta, dtype=np.float64)
+    return coeffs[0] + coeffs[1] * np.cos(x) + coeffs[2] * np.sin(x)
 
-    ``curve`` maps a one-dimensional angle array to the curve's values at
-    those angles.  ``lo`` and ``hi`` are one bracket for every target, or
-    per-target arrays; they broadcast against ``targets``.  Returns the angle
-    solving curve(theta) = target for each target, NaN for targets not
-    bracketed by [curve(lo), curve(hi)].  Each target's iterates depend on
-    its own bracket only, never on the rest of the batch; each bracket is
-    halved to 1e-12, in at most 200 steps.
+
+def trig_curve(n: np.ndarray, d: np.ndarray, kappa: float, theta: np.ndarray) -> np.ndarray:
+    """Rescaled postselected value ``n.B / (kappa d.B)``, as ``m.B / e.B`` with
+    ``m, e = n / (kappa d0), d / d0``: for the ideal pair ``(0, 1, 0)`` and
+    ``(1, 0, sign r)`` exactly, so that it rounds as :func:`weak_value_curve`
+    does, bit for bit (and :func:`trig_slope` as :func:`weak_value_slope`)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m, e = n / (kappa * d[0]), d / d[0]
+        return trig_form(m, theta) / trig_form(e, theta)
+
+
+def _slope_numerator(n: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``g`` with ``d(n.B / d.B)/dx = g.B / (d.B)^2`` at ``x = 4t``."""
+    return np.array([n[2] * d[1] - n[1] * d[2], n[2] * d[0] - n[0] * d[2],
+                     n[0] * d[1] - n[1] * d[0]])
+
+
+def trig_slope(n: np.ndarray, d: np.ndarray, kappa: float, theta: np.ndarray) -> np.ndarray:
+    """d(sigma)/d(theta) of :func:`trig_curve`: ``4 g.B / (kappa (d.B)^2)``,
+    with ``(n, d)`` scaled as there."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m, e = n / (kappa * d[0]), d / d[0]
+        den = trig_form(e, theta)
+        return 4.0 * trig_form(_slope_numerator(m, e), theta) / (den * den)
+
+
+def _trig_roots(a, b, g) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi, alpha)``: ``a cos x + b sin x`` rises through g at ``phi - alpha``
+    and falls at ``phi + alpha``; a ``|g|`` past ``hypot(a, b)`` is a double root."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arctan2(b, a), np.arccos(np.clip(g / np.hypot(a, b), -1.0, 1.0))
+
+
+def trig_turning_points(n: np.ndarray, d: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Angles strictly inside (lo, hi), in order, where the slope of
+    :func:`trig_curve` vanishes; none where the curve is flat."""
+    g = _slope_numerator(n, d)
+    phi, alpha = _trig_roots(g[1], g[2], -g[0])
+    roots = phi + np.array([-alpha, alpha])
+    first = roots + 2.0 * math.pi * np.ceil((4.0 * lo - roots) / (2.0 * math.pi))
+    periods = 2.0 * math.pi * np.arange(math.ceil(2.0 * (hi - lo) / math.pi) + 1)
+    thetas = (first[:, None] + periods).ravel() / 4.0
+    return np.sort(thetas[(thetas > lo) & (thetas < hi)])
+
+
+def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
+                lo: "float | np.ndarray", hi: "float | np.ndarray") -> np.ndarray:
+    """Invert :func:`trig_curve` in closed form on brackets holding no turning
+    point.  ``lo`` and ``hi`` are one bracket for every target, or per-target
+    arrays; they broadcast against ``targets``.  Returns the angle solving
+    curve(theta) = target for each target, NaN for targets not bracketed by
+    [curve(lo), curve(hi)], and the endpoint itself on an exact hit.
+
+    A target solves ``(n - kappa target d).B = 0``; as ``d.B > 0``, the curve
+    rises through it at one root per period and falls at the other, so the
+    bracket's direction picks the root and its middle the period.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    ends = curve(np.concatenate([lo.ravel(), hi.ravel()]))
-    c_lo, c_hi = ends[:lo.size].reshape(lo.shape), ends[lo.size:].reshape(hi.shape)
-    targets, a, b, c_lo, c_hi = np.broadcast_arrays(
-        np.asarray(targets, dtype=np.float64), lo, hi, c_lo, c_hi)
-    f_lo = c_lo - targets
-    f_hi = c_hi - targets
-    out = np.where(f_hi == 0.0, b, np.where(f_lo == 0.0, a, np.nan))
+    targets, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
+                                            for v in (targets, lo, hi)))
+    c_lo, c_hi = trig_curve(n, d, kappa, lo), trig_curve(n, d, kappa, hi)
+    ks = kappa * targets
+    phi, alpha = _trig_roots(n[1] - ks * d[1], n[2] - ks * d[2], ks * d[0] - n[0])
+    x = phi + np.where(c_hi > c_lo, -alpha, alpha)
+    x += 2.0 * math.pi * np.round((2.0 * (lo + hi) - x) / (2.0 * math.pi))
+    f_lo, f_hi = c_lo - targets, c_hi - targets
+    out = np.where(f_hi == 0.0, hi, np.where(f_lo == 0.0, lo, np.nan))
     bracketed = f_lo * f_hi < 0.0  # excludes the exact endpoint hits above
-    active = bracketed
-    fa = f_lo
-    for _ in range(_BISECT_MAX_ITER):
-        if not np.any(active):
-            break
-        mid = 0.5 * (a + b)
-        fm = curve(mid) - targets
-        left = (fa * fm <= 0.0) & active
-        b = np.where(left, mid, b)
-        a = np.where(left | ~active, a, mid)
-        fa = np.where(left | ~active, fa, fm)
-        active = active & ((b - a) > _BISECT_XTOL)
-    out[bracketed] = 0.5 * (a + b)[bracketed]
+    out[bracketed] = np.clip(x / 4.0, lo, hi)[bracketed]
     return out

@@ -320,6 +320,9 @@ _RECORD = {"n_mp": 900, "n_mm": 100, "n_pp": 500, "n_pm": 400}
     (["estimate", "--branch", "18,27"], _counts_file({**_RECORD, "n_pm": True})),
     *[(["estimate", "--branch", branch], _counts_file(_RECORD))
       for branch in ("27,18", "nan,27", "18,inf")],
+    *[(["estimate", "--branch", "18,27"], _counts_file(_RECORD, **{key: True}))
+      for key in ("kappa_uncertainty", "rate", "duration")],
+    (["estimate", "--branch", "18,27"], _counts_file({**_RECORD, "theta_deg": "x"})),
     *[(["decompose", "--kappa", "0.335", "--phi-angle", angle], None) for angle in ("nan", "inf")],
     *[(["table1", "--kappa", "0.335", "--repetitions", "2"], ("--baseline", text))
       for text in ("minus,22.5,0.036\n", "minus,22.5,x,0.33\n")],
@@ -331,6 +334,8 @@ _RECORD = {"n_mp": 900, "n_mm": 100, "n_pp": 500, "n_pm": 400}
           for size in ("above-limit", "infinite")],
         "metadata-kappa-above-1", "metadata-kappa-not-a-number", "metadata-kappa-negative",
         "top-level-json-array", "count-true", "branch-reversed", "branch-nan", "branch-inf",
+        "metadata-kappa_uncertainty-true", "metadata-rate-true", "metadata-duration-true",
+        "theta_deg-not-a-number",
         "phi-angle-nan", "phi-angle-inf", "baseline-3-fields", "baseline-not-a-number"])
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, payload):
     if payload is not None:  # (flag, content): the file the flag names

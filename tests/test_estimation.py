@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -345,6 +346,28 @@ def test_a_model_error_in_the_batch_fails_only_its_working_point():
     assert [row.n_ok for row in rows[:2]] == [20, 20]
 
 
+def test_model_evaluations_do_not_grow_with_repetitions(monkeypatch):
+    # the pipeline evaluates the model curve once to tabulate it and once per
+    # assessed batch (its slope, and its value for the imperfect information),
+    # never per repetition or per iteration of a root search
+    calls = Counter()
+    for name in ("sigma_array", "sigma_slope"):
+        def counted(self, thetas, _method=getattr(ModelParams, name), _name=name):
+            calls[_name] += 1
+            return _method(self, thetas)
+        monkeypatch.setattr(ModelParams, name, counted)
+    gate = ImperfectionParams(0.78, 0.98, 0.34)
+    for model in (MINUS_MODEL, ModelParams(KAPPA, "plus", gate)):
+        seen = []
+        for repetitions in (10, 1000):
+            calls.clear()
+            table1_pipeline(TABLE1_THETAS_DEG[model.postselect_sign], model,
+                            AcquisitionConfig(seed=1), repetitions)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        assert sum(seen[0].values()) <= 3
+
+
 def _assert_variance_saturates_cramer_rao(model):
     config = AcquisitionConfig(seed=5150, rate=2000.0, duration=5.0)
     rows = table1_pipeline([20.0, 22.5, 25.0], model, config, repetitions=10)
@@ -382,7 +405,7 @@ def test_imperfect_round_trip_through_batched_inversion():
     lo, hi = curve.branch_containing(22.5 * D2R)
     thetas = np.linspace(lo + 1e-3, hi - 1e-3, 9)
     solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
-    np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(solved, thetas, atol=1e-12, rtol=0)
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -401,7 +424,7 @@ def test_batched_inversion_round_trip_property(kappa, sign, gate, start, fractio
         assume(False)
     thetas = lo + (hi - lo) * np.array(fractions)
     solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
-    np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(solved, thetas, atol=1e-12, rtol=0)
 
 
 def test_imperfect_cramer_rao_comes_from_the_generating_model():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weakps import (
@@ -15,9 +15,11 @@ from weakps import (
     conditional_probabilities,
     effective_kappa,
     imperfect_joint_probs,
+    invert_branch,
+    kernels,
     weak_value,
 )
-from weakps.errors import GateStarved, ZeroPostselection
+from weakps.errors import AmbiguousBranch, GateStarved, ZeroPostselection
 from weakps.estimation import OK
 from weakps.imperfections import (
     balance_operator,
@@ -26,7 +28,8 @@ from weakps.imperfections import (
     dephase_computational,
     renormalized_probabilities,
 )
-from weakps.states import PROB_FLOOR, TwoQubitDensity, make_meter_state, make_signal_state
+from weakps.states import (MINUS, PLUS, PROB_FLOOR, TwoQubitDensity, make_meter_state,
+                           make_signal_state)
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -40,6 +43,12 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None)
 GATES = st.builds(ImperfectionParams, visibility=st.floats(0.0, 1.0),
                   t_h=st.floats(0.05, 1.0), t_v=st.floats(0.05, 1.0))
 MUS = st.floats(0.01, 0.99).map(lambda kappa: math.asin(kappa) / 4.0)
+# gates whose curve is neither flat (v -> 0) nor starved of postselections
+# (full visibility with t_v -> 1), at strengths and postselections as Table 1 takes them
+FORM_GATES = st.builds(ImperfectionParams, visibility=st.floats(0.3, 1.0),
+                       t_h=st.floats(0.05, 1.0), t_v=st.floats(0.05, 0.9))
+FORM_KAPPAS = st.floats(0.05, 0.99)
+SIGNS = st.sampled_from(("minus", "plus"))
 
 
 def _sigma(theta, params, sign="minus", kappa=KAPPA):
@@ -198,3 +207,77 @@ def test_per_attempt_information_budget(gate, kappa, sign):
     batch = assess_estimates(curve, thetas, [0.0] * thetas.size, [1000] * thetas.size)
     ok = batch.status == OK
     assert np.all(batch.f_ps[ok] * per_attempt[ok] <= 16.0 + 1e-9)
+
+
+def _per_attempt_pair(theta, mu, params, sign):
+    """The postselected pair (p0, p1) per attempt: the stages of
+    imperfect_joint_probs by hand, without its renormalization."""
+    rho = TwoQubitDensity.from_product(make_signal_state(theta), make_meter_state(mu)).rho
+    gate, balance = central_splitter_operator(params), balance_operator(params)
+    rho = gate @ rho @ gate.conj().T
+    rho = params.visibility * rho + (1.0 - params.visibility) * dephase_computational(rho)
+    rho = balance @ rho @ balance.conj().T
+    post = MINUS if sign == "minus" else PLUS
+    return [float(np.trace(np.kron(post.projector(), meter.projector()) @ rho).real)
+            for meter in (PLUS, MINUS)]
+
+
+@PROPERTY
+@given(kappa=FORM_KAPPAS, theta=st.floats(0.0, math.pi / 2), gate=FORM_GATES, sign=SIGNS)
+def test_trig_form_matches_density_matrix_route(kappa, theta, gate, sign):
+    # sigma and the per-attempt p_ps from (n, d) against the density matrices
+    model = ModelParams(kappa, sign, gate)
+    n, d = model.coefficients
+    rec = imperfect_joint_probs(theta, model.mu, gate)
+    oracle = weak_value(*conditional_probabilities(*rec.postselected(sign)), kappa)
+    assert model.sigma_array(np.array([theta]))[0] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+    p0, p1 = _per_attempt_pair(theta, model.mu, gate, sign)
+    assert kernels.trig_form(d, theta) == pytest.approx(p0 + p1, rel=1e-12, abs=1e-15)
+    assert kernels.trig_form(n, theta) == pytest.approx(p0 - p1, rel=1e-12, abs=1e-15)
+
+
+@PROPERTY
+@given(kappa=FORM_KAPPAS, theta=st.floats(0.0, math.pi / 2), gate=FORM_GATES, sign=SIGNS)
+def test_analytic_slope_matches_central_difference_of_the_oracle(kappa, theta, gate, sign):
+    model = ModelParams(kappa, sign, gate)
+    step = 1e-6
+    ahead, behind = (weak_value(*conditional_probabilities(
+        *imperfect_joint_probs(theta + h, model.mu, gate).postselected(sign)), kappa)
+        for h in (step, -step))
+    assert model.sigma_slope(np.array([theta]))[0] == pytest.approx(
+        (ahead - behind) / (2.0 * step), rel=1e-5, abs=1e-5)
+
+
+@PROPERTY
+@given(kappa=FORM_KAPPAS, gate=FORM_GATES, sign=SIGNS)
+def test_turning_points_match_dense_grid_sign_changes(kappa, gate, sign):
+    # the closed-form roots of the slope's numerator against where the curve,
+    # from the renormalized channel probabilities on a dense grid, turns
+    model = ModelParams(kappa, sign, gate)
+    grid = np.linspace(0.0, math.pi / 2, 20001)
+    p0, p1 = model.channel_probabilities(grid)[[0, 1] if sign == "minus" else [2, 3]]
+    steps = np.sign(np.diff((p0 - p1) / (p0 + p1)))
+    turns = np.flatnonzero(steps[1:] != steps[:-1])  # the curve turns in [grid[i], grid[i+2]]
+    inner = (grid[4], grid[-5])
+    turns = turns[(grid[turns] >= inner[0]) & (grid[turns + 2] <= inner[1])]
+    closed = kernels.trig_turning_points(*model.coefficients, *inner)
+    assert closed.size == turns.size
+    assert np.all((grid[turns] <= closed) & (closed <= grid[turns + 2]))
+
+
+@PROPERTY
+@given(kappa=FORM_KAPPAS, gate=st.one_of(st.none(), FORM_GATES), sign=SIGNS,
+       theta=st.floats(0.0, math.pi / 2),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_closed_form_round_trip_property(kappa, gate, sign, theta, fractions):
+    # angles on the monotone branch through theta come back from their model
+    # values to 1e-12 rad
+    model = ModelParams(kappa, sign, gate)
+    curve = build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
+    try:
+        lo, hi = curve.branch_containing(theta)
+        thetas = lo + (hi - lo) * np.array(fractions)
+        solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
+    except AmbiguousBranch:
+        assume(False)
+    np.testing.assert_allclose(solved, thetas, rtol=0, atol=1e-12)

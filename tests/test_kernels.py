@@ -5,7 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import invert_sigma
 from weakps import (
+    ImperfectionParams,
+    ModelParams,
+    build_calibration,
     circuit_probability_record,
     evaluate_weak_value,
     ideal_probability_record,
@@ -14,6 +18,7 @@ from weakps import (
     make_signal_state,
 )
 from weakps.contextuality import pusey_functional
+from weakps.errors import AmbiguousBranch
 from weakps.states import postselect_state
 
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
@@ -103,14 +108,14 @@ def test_invert_round_trip():
     thetas = np.linspace(0.0, peak - 1e-3, 200)
     targets = kernels.weak_value_curve(thetas, kappa, -1.0)
     curve = lambda t: kernels.weak_value_curve(t, kappa, -1.0)
-    solved = kernels.invert_sigma(targets, curve, 0.0, peak - 1e-6)
+    solved = invert_sigma(targets, curve, 0.0, peak - 1e-6)
     np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
 
 
 def test_invert_flags_unbracketed_targets():
     kappa = 0.335
     curve = lambda t: kernels.weak_value_curve(t, kappa, -1.0)
-    out = kernels.invert_sigma(np.array([5.0, 1.5]), curve, 0.0, 0.05)
+    out = invert_sigma(np.array([5.0, 1.5]), curve, 0.0, 0.05)
     assert math.isnan(out[0])
 
 
@@ -134,10 +139,47 @@ def test_bracket_arrays_match_one_call_per_bracket(kappa, sign, cases):
         lo.append(a)
         hi.append(b)
         targets.append(curve(np.array([at]))[0])
-    got = kernels.invert_sigma(np.array(targets), curve, np.array(lo), np.array(hi))
-    alone = [kernels.invert_sigma(np.array([t]), curve, a, b)[0]
+    got = invert_sigma(np.array(targets), curve, np.array(lo), np.array(hi))
+    alone = [invert_sigma(np.array([t]), curve, a, b)[0]
              for t, a, b in zip(targets, lo, hi)]
     assert got.tobytes() == np.array(alone).tobytes()
+    for (_, _, _, kind), x, a, b in zip(cases, got.tolist(), lo, hi):
+        if kind in ("lo", "hi"):
+            assert x in (a, b)
+        elif kind == "nan":
+            assert math.isnan(x)
+
+
+@PROPERTY
+@given(kappa=st.floats(0.05, 0.99), sign=st.sampled_from(("minus", "plus")),
+       gate=st.sampled_from((None, ImperfectionParams(0.78, 0.98, 0.34))),
+       start=st.floats(0.0, math.pi / 2),
+       cases=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.5, 1.5),
+                                st.sampled_from(("inside", "lo", "hi", "nan"))),
+                      min_size=1, max_size=12))
+def test_closed_form_inverse_matches_bisection(kappa, sign, gate, start, cases):
+    # per-target brackets within a monotone branch of either model: the
+    # closed form gives the bisection oracle's roots to 1e-12 rad, NaN for
+    # the same targets, and the endpoint itself on an exact hit
+    model = ModelParams(kappa, sign, gate)
+    n, d = model.coefficients
+    try:
+        start, stop = build_calibration(model, 0.0, math.pi / 2, math.radians(0.05)
+                                        ).branch_containing(start)
+    except AmbiguousBranch:
+        assume(False)
+    curve = lambda t: kernels.trig_curve(n, d, kappa, t)
+    lo, hi, targets = [], [], []
+    for u, v, w, kind in cases:
+        a, b = start + (stop - start) * min(u, v), start + (stop - start) * max(u, v)
+        at = {"inside": a + w * (b - a), "lo": a, "hi": b, "nan": math.nan}[kind]
+        lo.append(a)
+        hi.append(b)
+        targets.append(curve(np.array([at]))[0])
+    got = kernels.invert_trig(n, d, kappa, np.array(targets), np.array(lo), np.array(hi))
+    want = invert_sigma(np.array(targets), curve, np.array(lo), np.array(hi))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for (_, _, _, kind), x, a, b in zip(cases, got.tolist(), lo, hi):
         if kind in ("lo", "hi"):
             assert x in (a, b)
