@@ -26,6 +26,7 @@ double ``1 + sign * sqrt(1-kappa^2) * sin(4t)`` is the curves' denominator.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from .states import PROB_FLOOR, Strength
@@ -46,6 +47,7 @@ __all__ = [
     "trig_turning_points",
     "invert_trig",
 ]
+
 
 def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
     """Joint probabilities of the four coincidence channels, rows
@@ -152,7 +154,8 @@ def trig_curve(n: np.ndarray, d: np.ndarray, kappa: float, theta: np.ndarray) ->
     """Rescaled postselected value ``n.B / (kappa d.B)``, as ``m.B / e.B`` with
     ``m, e = n / (kappa d0), d / d0``: for the ideal pair ``(0, 1, 0)`` and
     ``(1, 0, sign r)`` exactly, so that it rounds as :func:`weak_value_curve`
-    does, bit for bit (and :func:`trig_slope` as :func:`weak_value_slope`)."""
+    does (and :func:`trig_slope` as :func:`weak_value_slope`): the values are
+    equal, though a zero may differ in sign."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m, e = n / (kappa * d[0]), d / d[0]
         return trig_form(m, theta) / trig_form(e, theta)

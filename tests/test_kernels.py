@@ -150,14 +150,28 @@ def test_bracket_arrays_match_one_call_per_bracket(kappa, sign, cases):
             assert math.isnan(x)
 
 
+def test_trig_kernels_equal_the_ideal_kernels_exactly():
+    # on the ideal pair the general form rounds as the ideal closed forms do,
+    # so an ideal curve value is an exact hit for invert_trig's brackets
+    thetas = np.concatenate([THETA, np.random.default_rng(0).uniform(-4.0, 4.0, 20000)])
+    for kappa in (*KAPPAS, 1.0):
+        for sign_label, sign in SIGNS:
+            n, d = ModelParams(kappa, sign_label).coefficients
+            # exact equality; a zero may differ in sign
+            np.testing.assert_array_equal(kernels.trig_curve(n, d, kappa, thetas),
+                                          kernels.weak_value_curve(thetas, kappa, sign))
+            np.testing.assert_array_equal(kernels.trig_slope(n, d, kappa, thetas),
+                                          kernels.weak_value_slope(thetas, kappa, sign))
+
+
 @PROPERTY
 @given(kappa=st.floats(0.05, 0.99), sign=st.sampled_from(("minus", "plus")),
        gate=st.sampled_from((None, ImperfectionParams(0.78, 0.98, 0.34))),
-       start=st.floats(0.0, math.pi / 2),
+       theta=st.floats(0.0, math.pi / 2),
        cases=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.5, 1.5),
                                 st.sampled_from(("inside", "lo", "hi", "nan"))),
                       min_size=1, max_size=12))
-def test_closed_form_inverse_matches_bisection(kappa, sign, gate, start, cases):
+def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
     # per-target brackets within a monotone branch of either model: the
     # closed form gives the bisection oracle's roots to 1e-12 rad, NaN for
     # the same targets, and the endpoint itself on an exact hit
@@ -165,9 +179,10 @@ def test_closed_form_inverse_matches_bisection(kappa, sign, gate, start, cases):
     n, d = model.coefficients
     try:
         start, stop = build_calibration(model, 0.0, math.pi / 2, math.radians(0.05)
-                                        ).branch_containing(start)
+                                        ).branch_containing(theta)
     except AmbiguousBranch:
         assume(False)
+    assume(kernels.trig_turning_points(n, d, start, stop).size == 0)
     curve = lambda t: kernels.trig_curve(n, d, kappa, t)
     lo, hi, targets = [], [], []
     for u, v, w, kind in cases:
