@@ -3,21 +3,30 @@ postselected value with propagated error bars.
 
 Counts in the four coincidence channels are independent Poisson draws with
 means ``rate * duration * p_channel``.  :func:`draw_counts` gives one count
-row per seed of a :func:`derive_seeds` array, drawing the four channels in
-the order (mp, mm, pp, pm) from the row's own PCG64 stream, the one
-``np.random.default_rng(seed)`` gives.  The generator states of a batch are
-derived from its seeds on arrays, by numpy's own seeding algorithm, and
-loaded into one reused generator; seeds and draws are those of one
-``default_rng`` per row.  :func:`weak_values_from_counts` estimates the
-rescaled postselected value of every row.  Its error propagation is first
-order (delta method) with two terms, matching the two modeled error sources:
-Poisson channel noise and the calibration uncertainty on the strength.
+row per seed of a :func:`derive_seeds` array: the draws that
+``np.random.default_rng(seed).poisson`` makes for the four channels, in the
+order (mp, mm, pp, pm), bit for bit.  It makes them on arrays, for every row
+of a block at once: numpy's ``SeedSequence`` and PCG64 seeding give each
+row's 128-bit state (as two uint64 words), and each draw mirrors numpy's
+``random_poisson`` (``numpy/random/src/distributions/distributions.c``):
+nothing for a zero mean, the multiplication method below 10, Hörmann's PTRS
+from 10, each uniform being ``next_double``, the top 53 bits of a PCG64
+step's XSL-RR output.  numpy's C code may round ``exp``, ``log`` or a fused
+multiply-add otherwise than numpy's array operations, so a draw whose
+decision lies within ``_GUARD`` of its threshold is made again by numpy's
+own ``Generator.poisson`` from the state it started at.  The tests check
+the draws against one ``default_rng`` per row, so a change in the installed
+numpy's sampler shows there.
+
+:func:`weak_values_from_counts` estimates the rescaled postselected value of
+every row.  Its error propagation is first order (delta method) with two
+terms, matching the two modeled error sources: Poisson channel noise and
+the calibration uncertainty on the strength.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +48,8 @@ __all__ = [
 # The channels of a count row, in draw order.
 COUNT_COLUMNS = ("n_mp", "n_mm", "n_pp", "n_pm")
 
-# Largest mean numpy's Poisson sampler accepts.
-MAX_EXPECTED_TOTAL = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# Largest mean numpy's Poisson sampler accepts: int64 max - 10 sqrt(int64 max).
+MAX_EXPECTED_TOTAL = 9.223372006484771e18
 
 
 def nonnegative_integer(name: str, value) -> int:
@@ -92,64 +101,213 @@ class AcquisitionConfig:
         return self.rate * self.duration
 
 
-# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding constants
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# numpy's SeedSequence hash constants: the running constant of each of the 16
+# mixing hashes (INIT_A stepped by MULT_A) and the 8 output hashes (INIT_B
+# stepped by MULT_B), the next one being the hash's multiplier.
+_MIX_HASH = (0x43B0D7E5, 0xAE5A53A9, 0x8488043D, 0x5A9057E1, 0x9205B1D5, 0xE9096E59,
+             0x8D5CB6AD, 0x9BB16511, 0x00C238C5, 0x4D029A09, 0xCC132E1D, 0x83A97B41,
+             0xFA8DDCB5, 0xAC4C06B9, 0x26FF5A8D, 0x0E554A71, 0x78C50DA5)
+_OUT_HASH = (0x8B51F9DD, 0x464A0A99, 0x819D14A5, 0xD369FDC1, 0x501638AD, 0xA600C129,
+             0x8B0167F5, 0x5C1E2ED1, 0x301D747D)
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+# PCG64's multiplier, as its high and low words
+_MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-# Seeds hashed in one array pass; bounds the memory a large batch takes.
+# Rows drawn in one array pass; bounds the memory a large batch takes.
 _SEED_BLOCK = 1 << 16
 
+# A try whose decision (the floor, V <= v_r, the log test or prod > e^-lam)
+# lies within this relative distance of its threshold is left to numpy's own
+# sampler: numpy's C code may round exp, log or a fused multiply-add
+# otherwise than these array operations.
+_GUARD = 1e-9
 
-def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) column pairs of ``n`` successive SeedSequence
-    hashes whose running constant starts at ``init`` and steps by ``mult``."""
-    c = [init]
-    for _ in range(n):
-        c.append(c[-1] * mult & _MASK32)
-    c = np.array(c, dtype=np.uint32)[:, None]
-    return c[:-1], c[1:]
+# numpy's random_loggam: its Stirling series coefficients, and log(2 pi)
+_LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+             -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+             6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+             -1.39243221690590e+00)
+_LG2PI = 1.8378770664093453
 
 
-_MIX_XOR, _MIX_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # INIT_A, MULT_A
-_OUT_XOR, _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # INIT_B, MULT_B
-
-
-def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """One SeedSequence hash of every uint32 in ``values``."""
-    values = (values ^ xor) * mult  # uint32 arrays wrap modulo 2**32
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One SeedSequence hash of every uint32 in ``values``, with the running
+    constants ``consts`` (one more row than ``values``)."""
+    values = (values ^ consts[:-1]) * consts[1:]  # uint32 arrays wrap modulo 2**32
     return values ^ values >> 16
 
 
-def _pcg64_states(seeds: np.ndarray) -> "Iterator[tuple[int, int]]":
-    """Yield ``(state, inc)`` of ``np.random.PCG64(seed)`` for every seed of
-    a uint64 array.
+def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The states of ``np.random.PCG64(seed)`` for every seed of a uint64
+    array, as uint64 word arrays ``(state_hi, state_lo, inc_hi, inc_lo)``.
 
     This runs numpy's seeding on arrays: ``SeedSequence.mix_entropy`` hashes
     the seed's two 32-bit words (and two zero words) into a pool of four; a
     seed below 2**32 has one word, and numpy hashes a zero for each missing
-    one, so it needs no path of its own.  ``generate_state(4, np.uint64)`` then hashes the pool into four
-    64-bit words ``w0..w3``, and PCG64's set-seq seeding turns
-    ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 | w3`` into
-    ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * MULT + inc``
-    modulo 2**128.
+    one, so it needs no path of its own.  ``generate_state(4, np.uint64)``
+    then hashes the pool into four 64-bit words ``w0..w3``, and PCG64's
+    set-seq seeding turns ``initstate = w0 << 64 | w1`` and
+    ``initseq = w2 << 64 | w3`` into ``inc = initseq << 1 | 1`` and
+    ``state = (inc + initstate) * MULT + inc`` modulo 2**128.
     """
-    for start in range(0, len(seeds), _SEED_BLOCK):
-        block = seeds[start:start + _SEED_BLOCK]
-        pool = np.zeros((4, block.size), dtype=np.uint32)
-        pool[0], pool[1] = block & _MASK32, block >> 32
-        pool = _hash(pool, _MIX_XOR[:4], _MIX_MUL[:4])
-        for src in range(4):  # mix each word into the three others, in numpy's order
-            dst = [d for d in range(4) if d != src]
-            k = 4 + 3 * src
-            hashed = _hash(pool[src], _MIX_XOR[k:k + 3], _MIX_MUL[k:k + 3])
-            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
-            pool[dst] = mixed ^ mixed >> 16
-        half = _hash(np.tile(pool, (2, 1)), _OUT_XOR, _OUT_MUL).astype(np.uint64)
-        words = half[0::2] | half[1::2] << 32  # low word first, on any byte order
-        for w0, w1, w2, w3 in zip(*words.tolist()):
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            yield (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    mix = np.array(_MIX_HASH, dtype=np.uint32)[:, None]
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> 32
+    pool = _hash(pool, mix[:5])
+    for src in range(4):  # mix each word into the three others, in numpy's order
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], mix[k:k + 4])
+        pool[dst] = mixed ^ mixed >> 16
+    out = np.array(_OUT_HASH, dtype=np.uint32)[:, None]
+    half = _hash(np.tile(pool, (2, 1)), out).astype(np.uint64)
+    w0, w1, w2, w3 = half[0::2] | half[1::2] << 32  # low word first, on any byte order
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = w1 + inc_lo
+    return (*_step(w0 + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, ``state * MULT + inc`` modulo 2**128, of states held
+    as (high, low) uint64 word arrays."""
+    l0, l1 = lo & _MASK32, lo >> 32  # lo * MULT_LO >> 64 from 32-bit words, none overflowing
+    t = l1 * 0x9FCCF645 + (l0 * 0x9FCCF645 >> 32)
+    w = (t & _MASK32) + l0 * 0x4385DF64
+    carry = l1 * 0x4385DF64 + (t >> 32) + (w >> 32)
+    new_lo = lo * _MULT_LO + inc_lo
+    return carry + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _double(hi, lo):
+    """numpy's ``next_double`` of stepped states: the top 53 bits of the
+    XSL-RR output ``rotr(hi ^ lo, hi >> 58)``, in [0, 1)."""
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+
+
+def _loggam(x: np.ndarray) -> np.ndarray:
+    """numpy's ``random_loggam``, log Gamma(x), of integer-valued x >= 1."""
+    x0 = np.maximum(x, 7.0)  # below 7, the series runs at 7 and steps down
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_A[9]
+    for c in _LOGGAM_A[8::-1]:
+        gl0 = gl0 * x2 + c
+    gl = gl0 / x0 + 0.5 * _LG2PI + (x0 - 0.5) * np.log(x0) - x0
+    if x.min() >= 7.0:
+        return gl
+    for j in range(6, 2, -1):  # log(6), log(5), ... down to log(x)
+        gl = np.where(x <= j, gl - math.log(j), gl)
+    return np.where(x <= 2.0, 0.0, gl)
+
+
+def _ptrs_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
+    """One try of numpy's ``random_poisson_ptrs`` (Hörmann's transformed
+    rejection, for lam >= 10) per lane.  Returns the states after its two
+    uniforms, ``prod`` unchanged, the ``k`` it draws, the mask of the lanes
+    whose try returns ``k`` and that of the lanes in doubt."""
+    hi, lo = _step(hi, lo, inc_hi, inc_lo)
+    u = _double(hi, lo) - 0.5
+    hi, lo = _step(hi, lo, inc_hi, inc_lo)
+    v = _double(hi, lo)
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    vr = 0.9277 - 3.6224 / (b - 2)
+    us = 0.5 - np.abs(u)
+    spread = (2 * a / us + b) * u  # -inf at us = 0, where k < 0 rejects
+    x = spread + lam + 0.43
+    k = np.floor(x)
+    doubt = ((np.abs(x - np.rint(x)) <= _GUARD * (np.abs(spread) + lam))
+             | (np.abs(v - vr) <= _GUARD))
+    done = (us >= 0.07) & (v <= vr)
+    test = np.flatnonzero(~done & (k >= 0) & ((us >= 0.013) | (v <= us)))
+    if test.size:
+        lam_t, k_t, us_t, b_t = lam[test], k[test], us[test], b[test]
+        log_v = np.log(v[test])  # -inf at V = 0 leaves the lane in doubt
+        log_invalpha = np.log(1.1239 + 1.1328 / (b_t - 3.4))
+        log_hat = np.log(a[test] / (us_t * us_t) + b_t)
+        k_loglam = k_t * np.log(lam_t)
+        gam = _loggam(k_t + 1)
+        lhs = log_v + log_invalpha - log_hat
+        rhs = -lam_t + k_loglam - gam
+        done[test] = lhs <= rhs
+        doubt[test] |= np.abs(lhs - rhs) <= _GUARD * (
+            np.abs(log_v) + np.abs(log_invalpha) + np.abs(log_hat)
+            + lam_t + np.abs(k_loglam) + np.abs(gam))
+    return hi, lo, prod, k, done, doubt
+
+
+def _mult_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
+    """One uniform of numpy's ``random_poisson_mult`` (for 0 < lam < 10:
+    the count of uniforms whose running product ``prod`` stays above
+    exp(-lam)) per lane, after ``tries`` uniforms.  Returns as
+    :func:`_ptrs_try` does, with the new products."""
+    hi, lo = _step(hi, lo, inc_hi, inc_lo)
+    prod = prod * _double(hi, lo)
+    enlam = np.exp(-lam)
+    return hi, lo, prod, tries, prod <= enlam, np.abs(prod - enlam) <= _GUARD * enlam
+
+
+def _redraw(lanes, lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
+    """Draw ``Generator.poisson(lam[i])`` with numpy itself from the state
+    ``(hi[i], lo[i], inc_hi[i], inc_lo[i])`` of every lane ``i``, leaving
+    the state after the draw in ``(hi[i], lo[i])``; returns the draws."""
+    bitgen = np.random.PCG64(0)  # every lane loads its own state into it
+    poisson = np.random.Generator(bitgen).poisson
+    pcg = {}
+    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    out = np.empty(lanes.size, dtype=np.int64)
+    for j, i in enumerate(lanes.tolist()):
+        pcg["state"] = int(hi[i]) << 64 | int(lo[i])
+        pcg["inc"] = int(inc_hi[i]) << 64 | int(inc_lo[i])
+        bitgen.state = seeded
+        out[j] = poisson(lam[j])
+        state = bitgen.state["state"]["state"]
+        hi[i], lo[i] = state >> 64, state & _MASK64
+    return out
+
+
+def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
+    """The counts ``Generator.poisson`` draws for every row of means ``lam``,
+    shape ``(n, 4)``, channel after channel from the row's PCG64 state
+    ``(hi, lo, inc_hi, inc_lo)``, as numpy draws them: nothing for lam = 0,
+    :func:`_mult_try` below 10 and :func:`_ptrs_try` from 10.
+
+    Every pass makes one try of each row's current channel, stepping
+    ``(hi, lo)`` in place.  A row whose try is in doubt draws that channel
+    again with numpy (:func:`_redraw`), from the state the channel started
+    at, and goes on from the state numpy leaves.
+    """
+    n = len(lam)
+    counts = np.zeros((n, 4), dtype=np.int64)
+    nxt = np.full((n, 5), 4)  # each row's first channel from c on with a nonzero mean
+    for c in range(3, -1, -1):
+        nxt[:, c] = np.where(lam[:, c] > 0.0, c, nxt[:, c + 1])
+    channel = nxt[:, 0].copy()
+    start_hi, start_lo = hi.copy(), lo.copy()  # each row's state when its channel started
+    prod, tries = np.ones(n), np.zeros(n, dtype=np.int64)
+    live = np.flatnonzero(channel < 4)
+    while live.size:
+        big = lam[live, channel[live]] >= 10.0
+        for sampler, rows in ((_ptrs_try, live[big]), (_mult_try, live[~big])):
+            if not rows.size:
+                continue
+            c = channel[rows]
+            means = lam[rows, c]
+            hi[rows], lo[rows], prod[rows], value, done, doubt = sampler(
+                means, prod[rows], tries[rows], hi[rows], lo[rows], inc_hi[rows], inc_lo[rows])
+            tries[rows] += 1
+            drawn = done & ~doubt
+            counts[rows[drawn], c[drawn]] = value[drawn]
+            if doubt.any():
+                redo = rows[doubt]
+                hi[redo], lo[redo] = start_hi[redo], start_lo[redo]
+                counts[redo, c[doubt]] = _redraw(redo, means[doubt], hi, lo, inc_hi, inc_lo)
+            end = rows[done | doubt]
+            channel[end] = nxt[end, channel[end] + 1]
+            start_hi[end], start_lo[end] = hi[end], lo[end]
+            prod[end], tries[end] = 1.0, 0
+        live = live[channel[live] < 4]
+    return counts
 
 
 def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig) -> np.ndarray:
@@ -160,8 +318,8 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
     ``(len(seeds), 4)``, or one row shape ``(4,)`` for every seed.  Row ``i``
     holds the draws ``np.random.default_rng(seeds[i])`` makes, channel by
     channel, with means ``config.expected_total * probs[i]``; ``config.seed``
-    is not used.  One generator makes every row, from the state
-    :func:`_pcg64_states` derives for the row's seed.
+    is not used.  The rows are drawn in blocks of ``_SEED_BLOCK``, every
+    row of a block at once (:func:`_draw_block`).
     Raises ValueError unless ``seeds`` is a uint64 array, every probability
     is finite and nonnegative (as :class:`~weakps.states.ProbabilityRecord`
     checks it) and every row sums to 1 within 1e-9; a probability that this
@@ -181,21 +339,15 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
     off = np.abs(totals - 1.0) > 1e-9
     if np.any(off):
         raise ValueError(f"channel probabilities must sum to 1, got {float(totals[off][0])!r}")
-    means = (config.expected_total * np.maximum(rows, 0.0)).tolist()
-    if probs.ndim == 1:
-        means = means * len(seeds)
-    elif len(means) != len(seeds):
-        raise ValueError(f"{len(means)} probability rows for {len(seeds)} seeds")
-    bitgen = np.random.PCG64(0)  # every row loads its own state into it
-    poisson = np.random.Generator(bitgen).poisson
-    pcg = {}
-    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    if probs.ndim == 2 and len(rows) != len(seeds):
+        raise ValueError(f"{len(rows)} probability rows for {len(seeds)} seeds")
     counts = np.empty((len(seeds), 4), dtype=np.int64)
-    for i, (state, row) in enumerate(zip(_pcg64_states(seeds), means, strict=True)):
-        pcg["state"], pcg["inc"] = state
-        bitgen.state = seeded
-        m_mp, m_mm, m_pp, m_pm = row
-        counts[i] = poisson(m_mp), poisson(m_mm), poisson(m_pp), poisson(m_pm)
+    for start in range(0, len(seeds), _SEED_BLOCK):
+        block = slice(start, start + _SEED_BLOCK)
+        means = config.expected_total * np.maximum(rows if probs.ndim == 1 else rows[block], 0.0)
+        states = _pcg64_states(seeds[block])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            counts[block] = _draw_block(np.broadcast_to(means, (states[0].size, 4)), *states)
     return counts
 
 

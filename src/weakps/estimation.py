@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -440,6 +441,26 @@ def _assess_parts(curve: CalibrationCurve, parts: list) -> list[tuple[list[np.nd
     return out
 
 
+def _simulate(
+    theta_list_deg: "list[float] | tuple[float, ...]",
+    model: ModelParams,
+    acquisition: AcquisitionConfig,
+    repetitions: int,
+) -> "Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]":
+    """Per angle, in order: the estimated postselected value, its variance
+    and the postselected count ``m_ps`` of every repetition, from one batch
+    of draws for every angle."""
+    probs = np.reshape([model.channel_probabilities([math.radians(t)])[:, 0]
+                        for t in theta_list_deg], (-1, 4))
+    counts = draw_counts(np.repeat(probs, repetitions, axis=0),
+                         derive_seeds(acquisition.seed, len(probs) * repetitions), acquisition)
+    sign = model.postselect_sign
+    for part in counts.reshape(len(probs), repetitions, 4):
+        sigmas, variances = weak_values_from_counts(part, model.kappa, sign,
+                                                    acquisition.kappa_uncertainty)
+        yield sigmas, variances, postselected_counts(part, sign).sum(axis=1)
+
+
 def table1_pipeline(
     theta_list_deg: "list[float] | tuple[float, ...]",
     model: ModelParams,
@@ -448,11 +469,11 @@ def table1_pipeline(
 ) -> list[Table1Row]:
     """Simulate, estimate, and audit every working point.
 
-    Per angle: draw counts and estimate the postselected value and its
-    variance for every repetition, and find the monotone branch containing
-    the true angle.  Then invert every repetition of every angle in one
-    batch, each on its angle's branch, and assess them together
-    (:func:`assess_estimates`): propagated variance and the Cramér-Rao
+    Draw the counts of every repetition of every angle in one batch.  Per
+    angle: estimate the postselected value and its variance for every
+    repetition, and find the monotone branch containing the true angle.
+    Then invert every repetition of every angle in one batch, each on its
+    angle's branch, and assess them together (:func:`assess_estimates`): propagated variance and the Cramér-Rao
     comparison with each repetition's realized postselected event count.
     Failed repetitions are counted per row by error type, never dropped
     silently; an error of one angle's branch fails that angle's
@@ -462,16 +483,12 @@ def table1_pipeline(
         raise ValueError("repetitions must be positive")
     sign = model.postselect_sign
     curve = build_calibration(model, 0.0, math.pi / 2.0, math.radians(0.05))
-    all_seeds = derive_seeds(acquisition.seed, len(theta_list_deg) * repetitions)
     failures: list[Counter] = []
     parts = []  # per angle: (sigmas, variances, m_ps, lo, hi) of the repetitions to invert
-    for row_index, theta_deg in enumerate(theta_list_deg):
+    # the counts are freed with the loop, before the batch inversion
+    for theta_deg, (sigmas, variances, m_ps) in zip(
+            theta_list_deg, _simulate(theta_list_deg, model, acquisition, repetitions)):
         theta = math.radians(theta_deg)
-        seeds = all_seeds[row_index * repetitions : (row_index + 1) * repetitions]
-        counts = draw_counts(model.channel_probabilities([theta])[:, 0], seeds, acquisition)
-        sigmas, variances = weak_values_from_counts(counts, model.kappa, sign,
-                                                    acquisition.kappa_uncertainty)
-        m_ps = postselected_counts(counts, sign).sum(axis=1)
         keep = m_ps > 0
         failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~keep))})
         try:

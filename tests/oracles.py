@@ -54,3 +54,15 @@ def invert_sigma(
         active = active & ((b - a) > _BISECT_XTOL)
     out[bracketed] = 0.5 * (a + b)[bracketed]
     return out
+
+
+def draw_counts(probs, seeds: np.ndarray, config) -> np.ndarray:
+    """One ``np.random.default_rng(seed)`` per row, drawing the four channels
+    in order with scalar ``poisson`` calls: the reference for
+    :func:`weakps.counting.draw_counts`, with the same arguments."""
+    means = config.expected_total * np.maximum(np.atleast_2d(np.asarray(probs, dtype=np.float64)),
+                                               0.0)
+    rows = np.broadcast_to(means, (len(seeds), 4)).tolist()
+    counts = [[rng.poisson(m) for m in row]
+              for rng, row in zip(map(np.random.default_rng, seeds.tolist()), rows, strict=True)]
+    return np.array(counts, dtype=np.int64).reshape(len(seeds), 4)

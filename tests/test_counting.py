@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import draw_counts as draw_counts_per_row
 
 from weakps import (
     AcquisitionConfig,
@@ -66,10 +67,7 @@ def test_draws_match_one_generator_per_seed():
     config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
     seeds = np.concatenate([derive_seeds(42, 25), _seeds(0, 1, 2**64 - 1)])
     probs = channel_probabilities(np.linspace(0.0, math.pi / 2, len(seeds)), KAPPA).T
-    expected = []
-    for seed, row in zip(seeds.tolist(), probs.tolist()):
-        rng = np.random.default_rng(seed)
-        expected.append([rng.poisson(config.expected_total * p) for p in row])
+    expected = draw_counts_per_row(probs, seeds, config).tolist()
     counts = draw_counts(probs, seeds, config)
     assert counts.dtype == np.int64 and counts.shape == (len(seeds), 4)
     assert counts.tolist() == expected
@@ -100,10 +98,7 @@ def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
     monkeypatch.setattr(counting, "_SEED_BLOCK", block)  # 3: the seeds span blocks
     config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
     probs = channel_probabilities([0.3], KAPPA)[:, 0]
-    expected = []
-    for seed in EDGE_SEEDS:
-        rng = np.random.default_rng(seed)
-        expected.append([rng.poisson(config.expected_total * p) for p in probs.tolist()])
+    expected = draw_counts_per_row(probs, _seeds(*EDGE_SEEDS), config).tolist()
     assert draw_counts(probs, _seeds(*EDGE_SEEDS), config).tolist() == expected
     for seed, row in zip(EDGE_SEEDS, expected):
         assert _draw(ProbabilityRecord(*probs),
@@ -115,10 +110,7 @@ def test_root_seeds_past_2_64_draw_through_derive_seeds():
     config = AcquisitionConfig(seed=2**128 + 5)
     probs = channel_probabilities([0.3], KAPPA)[:, 0]
     seeds = derive_seeds(config.seed, 3)
-    expected = []
-    for seed in seeds.tolist():
-        rng = np.random.default_rng(seed)
-        expected.append([rng.poisson(config.expected_total * p) for p in probs.tolist()])
+    expected = draw_counts_per_row(probs, seeds, config).tolist()
     assert draw_counts(probs, seeds, config).tolist() == expected
 
 
@@ -127,7 +119,74 @@ def test_root_seeds_past_2_64_draw_through_derive_seeds():
 def test_generator_states_match_pcg64(seeds):
     expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
     expected = [(s["state"], s["inc"]) for s in expected]
-    assert list(counting._pcg64_states(_seeds(*seeds))) == expected
+    state_hi, state_lo, inc_hi, inc_lo = (w.tolist() for w in counting._pcg64_states(_seeds(*seeds)))
+    got = [(sh << 64 | sl, ih << 64 | il)
+           for sh, sl, ih, il in zip(state_hi, state_lo, inc_hi, inc_lo)]
+    assert got == expected
+
+
+# Channel weights spanning every sampler regime once scaled by a total: zero
+# (no draw), the multiplication method (mean below 10) and PTRS (from 10).
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(-20.0, 0.0).map(lambda e: 10.0**e))
+_TOTALS = st.sampled_from([1.0, 30.0, 1e4, 1e9, 1e15, MAX_EXPECTED_TOTAL])
+# seeds about 2**32, where a seed gains its second 32-bit word, and anywhere
+_WIDE_SEEDS = st.one_of(st.integers(2**32 - 3, 2**32 + 3), st.integers(0, 2**64 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(total=_TOTALS,
+       rows=st.lists(st.tuples(_WIDE_SEEDS, st.lists(_WEIGHTS, min_size=3, max_size=3),
+                               st.integers(0, 3)), min_size=1, max_size=40))
+@example(total=MAX_EXPECTED_TOTAL, rows=[(2**32, [1e-18, 0.0, 1e-15], 2), (2**32 - 1, [0.0] * 3, 0)])
+@example(total=1e4, rows=[(2**40 + s, [1e-4, 3e-3, 1e-6], s % 4) for s in range(40)])
+def test_draws_equal_one_generator_per_seed_on_mixed_means(total, rows):
+    # every channel mean, from 0 through both samplers to numpy's largest, draws as default_rng
+    probs = []
+    for _, weights, heavy in rows:
+        weights = [*weights]
+        weights.insert(heavy, 1.0)  # one channel carries most of the row
+        probs.append(np.array(weights) / sum(weights))
+    seeds = _seeds(*(seed for seed, _, _ in rows))
+    config = AcquisitionConfig(seed=0, rate=total, duration=1.0)
+    assert draw_counts(probs, seeds, config).tolist() == \
+        draw_counts_per_row(probs, seeds, config).tolist()
+
+
+def test_widest_guard_sends_every_draw_to_numpy(monkeypatch):
+    # at the default guard few lanes leave the array path; with an infinite
+    # one every drawn lane does, and the rows are the same
+    config = AcquisitionConfig(seed=0, rate=1e4, duration=1.0)
+    probs = np.vstack([channel_probabilities(np.linspace(0.0, math.pi / 2, 500), KAPPA).T,
+                       [[0.0, 1e-4, 0.5, 0.4999]] * 20])
+    seeds = derive_seeds(9, len(probs))
+    expected = draw_counts_per_row(probs, seeds, config).tolist()
+    redrawn = []
+    redraw = counting._redraw
+    monkeypatch.setattr(counting, "_redraw",
+                        lambda lanes, *args: redrawn.append(lanes.size) or redraw(lanes, *args))
+    assert draw_counts(probs, seeds, config).tolist() == expected
+    assert sum(redrawn) < 0.01 * np.count_nonzero(probs)
+    redrawn.clear()
+    monkeypatch.setattr(counting, "_GUARD", math.inf)
+    assert draw_counts(probs, seeds, config).tolist() == expected
+    assert sum(redrawn) == np.count_nonzero(probs)
+
+
+def test_loggam_is_log_gamma_at_integers():
+    # numpy's Stirling series, stepped down from 7 below 7
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 11.0, 120.0, 1e6, 2.0**52])
+    expected = [math.lgamma(v) for v in x.tolist()]
+    assert counting._loggam(x).tolist() == pytest.approx(expected, rel=1e-14, abs=1e-14)
+    assert counting._loggam(x[6:]).tolist() == pytest.approx(expected[6:], rel=1e-14)
+
+
+def test_max_expected_total_is_numpys_largest_poisson_mean():
+    int64_max = np.iinfo(np.int64).max
+    assert MAX_EXPECTED_TOTAL == float(int64_max - np.sqrt(int64_max) * 10)
+    rng = np.random.default_rng(0)
+    rng.poisson(MAX_EXPECTED_TOTAL)
+    with pytest.raises(ValueError):
+        rng.poisson(np.nextafter(MAX_EXPECTED_TOTAL, math.inf))
 
 
 def test_draw_rejects_invalid_probabilities():
