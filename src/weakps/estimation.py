@@ -473,8 +473,9 @@ def table1_pipeline(
     angle: estimate the postselected value and its variance for every
     repetition, and find the monotone branch containing the true angle.
     Then invert every repetition of every angle in one batch, each on its
-    angle's branch, and assess them together (:func:`assess_estimates`): propagated variance and the Cramér-Rao
-    comparison with each repetition's realized postselected event count.
+    angle's branch, and assess them together (:func:`assess_estimates`):
+    propagated variance and the Cramér-Rao comparison with each
+    repetition's realized postselected event count.
     Failed repetitions are counted per row by error type, never dropped
     silently; an error of one angle's branch fails that angle's
     repetitions only.
