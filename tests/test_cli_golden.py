@@ -45,6 +45,9 @@ CASES = {
                              "--simulate", "--rate", "2", "--duration", "1", "--seed", "2"],
     # NaN at the saturated points
     "sweep-fisher": ["sweep-fisher", "--kappa", "1", "--theta-step", "7.5"],
+    # zero information at kappa = 0, also where the postselection starves
+    # (22.5 deg minus, 67.5 deg plus)
+    "sweep-fisher-zero": ["sweep-fisher", "--kappa", "0", "--theta-step", "22.5"],
     "simulate-counts": ["simulate-counts", "--kappa", "0.335", "--theta-start", "20",
                         "--theta-end", "26.5", "--theta-step", "0.5", "--seed", "2"],
     "simulate-counts-imperfect": ["simulate-counts", "--kappa", "0.335", "--theta-start", "20",
