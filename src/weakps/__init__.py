@@ -70,13 +70,8 @@ from .states import (
 from .weak import (
     WeakValueResult,
     evaluate_weak_value,
-    fisher_ps_definition,
     four_outcome_bloch_angles,
     weak_value,
-    weak_value_curve,
-    weak_value_curve_grid,
-    weak_value_slope,
-    weak_value_slope_grid,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -45,7 +45,7 @@ from .estimation import (
 )
 from .imperfections import VISIBILITY_MODEL, ImperfectionParams, renormalized_probabilities
 from .states import MINUS, ONE, PLUS, ZERO, make_signal_state, sign_factor
-from .weak import QUANTUM_FISHER_INFORMATION, fisher_curve_grid
+from .weak import QUANTUM_FISHER_INFORMATION
 
 SCHEMA_VERSION = 1
 
@@ -449,10 +449,9 @@ def _cmd_sweep_fisher(args) -> None:
 
     data = {"theta_deg": grid_deg, "q": np.full(grid.size, QUANTUM_FISHER_INFORMATION)}
     for sign in signs:
-        f_ps = fisher_curve_grid(grid, kappa, sign)
+        f_ps, p_ps = ModelParams(kappa, sign).information(grid)
         data[f"f_ps_{sign}"] = f_ps
-        data[f"budget_lhs_{sign}"] = f_ps * kernels.postselect_probability(
-            grid, kappa, sign_factor(sign))
+        data[f"budget_lhs_{sign}"] = f_ps * p_ps
         # saturated points: no Fisher information, written as nan
         meta[f"skipped_{sign}"] = int(np.isnan(f_ps).sum())
     columns = ["theta_deg", *(f"f_ps_{s}" for s in signs), "q",

@@ -28,16 +28,10 @@ from .counting import (AcquisitionConfig, derive_seeds, draw_counts,
                        postselected_counts, weak_values_from_counts)
 from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatCurve, OutOfRange,
                      WeakpsError, ZeroPostselection, ZeroStrength, angle_text)
-from .imperfections import (ImperfectionParams, coincidence_probabilities,
-                            postselected_coefficients, renormalized_probabilities)
+from .imperfections import (ImperfectionParams, postselected_coefficients,
+                            renormalized_probabilities)
 from .states import as_strength, sign_factor
-from .weak import (
-    QUANTUM_FISHER_INFORMATION,
-    SATURATION_TOL,
-    fisher_curve_grid,
-    weak_value_curve_grid,
-    weak_value_slope_grid,
-)
+from .weak import QUANTUM_FISHER_INFORMATION, SATURATION_TOL
 
 __all__ = [
     "RAD2_TO_DEG2",
@@ -101,13 +95,14 @@ class ModelParams:
             return np.array([0.0, self.kappa / 2.0, 0.0]), np.array([0.5, 0.0, sign * r / 2.0])
         return postselected_coefficients(self.mu, self.imperfections, sign)
 
-    def _check_imperfect(self, thetas: np.ndarray) -> None:
-        """GateStarved where no coincidence passes the gate, ZeroPostselection
-        where ``d.B`` is otherwise within rounding of zero, then ZeroStrength."""
+    def _check(self, thetas: np.ndarray) -> None:
+        """GateStarved where no coincidence passes the gate (imperfect model
+        only), ZeroPostselection where ``d.B`` is otherwise within rounding of
+        zero, then ZeroStrength."""
         d = self.coefficients[1]
         starved = thetas[kernels.trig_form(d, thetas) <= _ROUNDING * np.abs(d).sum()]
         if starved.size:
-            coincidence_probabilities(starved, self.mu, self.imperfections)
+            self.channel_probabilities(starved)  # GateStarved where the gate passes nothing
             raise ZeroPostselection("postselection probability vanishes at theta = "
                                     f"{angle_text(float(starved[0]))}")
         if self.kappa == 0.0:
@@ -116,20 +111,49 @@ class ModelParams:
     def sigma_array(self, thetas: np.ndarray) -> np.ndarray:
         """Model postselected value (nominal-kappa rescaling) over a
         one-dimensional array of angles."""
-        if self.imperfections is None:
-            return weak_value_curve_grid(thetas, self.kappa, self.postselect_sign)
         thetas = np.asarray(thetas, dtype=np.float64)
-        self._check_imperfect(thetas)
+        self._check(thetas)
         return kernels.trig_curve(*self.coefficients, self.kappa, thetas)
 
     def sigma_slope(self, thetas: np.ndarray) -> np.ndarray:
         """Angle derivative of the model curve over a one-dimensional array of
         angles."""
-        if self.imperfections is None:
-            return weak_value_slope_grid(thetas, self.kappa, self.postselect_sign)
         thetas = np.asarray(thetas, dtype=np.float64)
-        self._check_imperfect(thetas)
+        self._check(thetas)
         return kernels.trig_slope(*self.coefficients, self.kappa, thetas)
+
+    def information(self, thetas: np.ndarray,
+                    slopes: "np.ndarray | None" = None) -> tuple[np.ndarray, np.ndarray]:
+        """Fisher information of the postselected distribution (per squared
+        radian) and the probability of the postselection, at each angle.
+        ``slopes`` are :meth:`sigma_slope` there, where the caller holds them
+        already.  The information is NaN where a conditional probability
+        vanishes, and zero at ``kappa = 0``, where the distribution does not
+        depend on the angle.
+
+        The probability is ``d.B``: per coincidence in the ideal model, per
+        attempt under imperfections, so that ``F_ps * p <= 16`` bounds the
+        information per attempt.  The information is that of any binary
+        postselected distribution, ``k^2 sigma'^2 / (1 - k^2 sigma^2)``.
+        """
+        thetas = np.asarray(thetas, dtype=np.float64)
+        n, d = self.coefficients
+        p_ps = kernels.trig_form(d, thetas)
+        if self.kappa == 0.0:
+            return np.zeros(thetas.shape), p_ps
+        sigma = kernels.trig_curve(n, d, self.kappa, thetas)
+        if self.imperfections is None:
+            # The closed form 16 k^2 / (2 p_ps)^2, not the general form below,
+            # which cancels near the anomaly peak: within 3e-3 rad of the minus
+            # peak (1e-7 rad grid) it is off by up to 1.3e-3 relative at
+            # k = 1e-3, 1.8e-5 at k = 0.05 and 7e-7 at k = 0.335, and by more
+            # beside the saturated angles.
+            f_ps = kernels.fisher_curve(thetas, self.kappa, sign_factor(self.postselect_sign))
+        else:
+            slopes = self.sigma_slope(thetas) if slopes is None else slopes
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f_ps = kernels.fisher_from_weak_value(sigma, slopes, self.kappa)
+        return np.where(1.0 - np.abs(self.kappa * sigma) < SATURATION_TOL, np.nan, f_ps), p_ps
 
 
 @dataclass(frozen=True)
@@ -175,15 +199,19 @@ class CalibrationCurve:
         Interior branch endpoints are tabulated turning points; the true
         extremum lies within one grid cell of them, so those endpoints are
         pulled in by one cell to guarantee the returned interval is strictly
-        monotone in the exact model.
+        monotone in the exact model.  An end of the tabulated range is pulled
+        in only where the model turns inside that end's cell.
         """
         grid = self.theta_grid
         last = grid.size - 1
         if not grid[0] <= theta <= grid[-1]:
             raise OutOfRange(f"theta = {angle_text(theta)} outside the tabulated range")
+        turns_first, turns_last = (
+            kernels.trig_turning_points(*self.model.coefficients, grid[k], grid[k + 1]).size > 0
+            for k in (0, last - 1))
         for i, j in self._runs:
-            lo_idx = i if i == 0 else i + 1
-            hi_idx = j if j == last else j - 1
+            lo_idx = i + 1 if i > 0 or turns_first else i
+            hi_idx = j - 1 if j < last or turns_last else j
             if lo_idx < hi_idx and grid[lo_idx] <= theta <= grid[hi_idx]:
                 return float(grid[lo_idx]), float(grid[hi_idx])
         raise AmbiguousBranch(
@@ -241,29 +269,6 @@ def _propagated(model: ModelParams, thetas: np.ndarray,
     slopes = model.sigma_slope(thetas)
     with np.errstate(divide="ignore", invalid="ignore"):
         return variances / (slopes * slopes) * RAD2_TO_DEG2, slopes
-
-
-def _information(model: ModelParams, thetas: np.ndarray,
-                 slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fisher information of the postselected distribution under ``model``
-    (NaN at saturated angles), and the per-attempt probability of the
-    postselection, at each angle; ``slopes`` are the model curve's there.
-
-    The ideal model has both in closed form.  Under imperfections the
-    information is that of any binary postselected distribution,
-    ``k^2 sigma'^2 / (1 - k^2 sigma^2)``, and the probability is not
-    renormalized on a coincidence, so that ``F_ps * p <= 16`` bounds the
-    information per attempt.
-    """
-    kappa, sign = model.kappa, model.postselect_sign
-    if model.imperfections is None:
-        return (fisher_curve_grid(thetas, kappa, sign),
-                kernels.postselect_probability(thetas, kappa, sign_factor(sign)))
-    sigma = model.sigma_array(thetas)
-    saturated = 1.0 - np.abs(kappa * sigma) < SATURATION_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_ps = np.where(saturated, np.nan, kernels.fisher_from_weak_value(sigma, slopes, kappa))
-    return f_ps, kernels.trig_form(model.coefficients[1], thetas)
 
 
 def _cramer_rao(f_ps: np.ndarray, m_ps: np.ndarray) -> np.ndarray:
@@ -342,7 +347,7 @@ def assess_estimates(
     var_theta, slopes, f_ps, p_ps = np.full((4, theta_hats.size), np.nan)
     var_theta[found], slopes[found] = _propagated(
         model, theta_hats[found], np.asarray(var_sigmas, dtype=np.float64)[found])
-    f_ps[found], p_ps[found] = _information(model, theta_hats[found], slopes[found])
+    f_ps[found], p_ps[found] = model.information(theta_hats[found], slopes[found])
     limits = _cramer_rao(f_ps, m_ps)
     budget = f_ps * p_ps
     if np.any(budget > QUANTUM_FISHER_INFORMATION + 1e-9):

@@ -1,6 +1,5 @@
 """Numpy array kernels: the one place each closed form of the model is
 written (the four channel probabilities, postselection probability,
-postselected value and its slope,
 postselected Fisher information, also in terms of any model's postselected
 value and slope, Pusey's functional), evaluated vectorized over an angle or
 probability array.  The ``trig_*`` kernels and :func:`invert_trig` hold the
@@ -9,18 +8,18 @@ form every model's postselected pair shares, ``p0 -+ p1`` linear in
 closed-form inverse on a monotone branch.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
-call them are :func:`weakps.weak.postselect_probability`,
-``weak_value_curve[_grid]``, ``weak_value_slope[_grid]`` and
-``fisher_curve_grid`` in :mod:`weakps.weak`,
+call them are the evaluators of :class:`weakps.estimation.ModelParams`
+(``sigma_array``, ``sigma_slope`` and ``information``),
 :func:`weakps.states.ideal_probability_record`, and
 :func:`weakps.contextuality.pusey_from_probabilities`; they enforce
-``0 < kappa <= 1`` and the sign label, and map non-finite outputs to typed
+``0 <= kappa <= 1`` and the sign label, and map non-finite outputs to typed
 errors.  :mod:`weakps.estimation` and :mod:`weakps.cli` call the kernels on
 whole batches and grids.
 
-``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for ``<+|``; it
-enters every curve through the postselection probability ``p_ps``, whose
-double ``1 + sign * sqrt(1-kappa^2) * sin(4t)`` is the curves' denominator.
+``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for ``<+|``; the
+ideal kernels that take it depend on it through the postselection
+probability ``p_ps``, whose double is ``1 + sign * sqrt(1-kappa^2) * sin(4t)``,
+and the overlap ``p_phi``.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from .states import PROB_FLOOR, Strength
 
 __all__ = [
     "channel_probabilities",
-    "weak_value_curve",
-    "weak_value_slope",
     "postselect_probability",
     "fisher_curve",
     "fisher_from_weak_value",
@@ -61,22 +58,6 @@ def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
     c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
     amplitudes = np.stack([a * c - b * s, b * c - a * s, a * c + b * s, b * c + a * s])
     return np.float_power(amplitudes, 2.0) / 2.0
-
-
-def weak_value_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
-    """Rescaled postselected value cos(4t) / (1 + sign*r*sin(4t)), r = sqrt(1-k^2)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    den = 2.0 * postselect_probability(theta, kappa, sign)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.cos(4.0 * theta) / den
-
-
-def weak_value_slope(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
-    """d(sigma)/d(theta) of the curve above: -4(sin(4t) + sign*r) / den^2."""
-    theta = np.asarray(theta, dtype=np.float64)
-    den = 2.0 * postselect_probability(theta, kappa, sign)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -4.0 * (np.sin(4.0 * theta) + sign * math.sqrt(1.0 - kappa * kappa)) / (den * den)
 
 
 def postselect_probability(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
@@ -153,9 +134,9 @@ def trig_form(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def trig_curve(n: np.ndarray, d: np.ndarray, kappa: float, theta: np.ndarray) -> np.ndarray:
     """Rescaled postselected value ``n.B / (kappa d.B)``, as ``m.B / e.B`` with
     ``m, e = n / (kappa d0), d / d0``: for the ideal pair ``(0, 1, 0)`` and
-    ``(1, 0, sign r)`` exactly, so that it rounds as :func:`weak_value_curve`
-    does (and :func:`trig_slope` as :func:`weak_value_slope`): the values are
-    equal, though a zero may differ in sign."""
+    ``(1, 0, sign r)`` exactly, so that it rounds as the ideal closed form
+    ``cos 4t / (1 + sign r sin 4t)`` does (and :func:`trig_slope` as that
+    form's slope): the values are equal, though a zero may differ in sign."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m, e = n / (kappa * d[0]), d / d[0]
         return trig_form(m, theta) / trig_form(e, theta)

@@ -1,8 +1,12 @@
-"""Postselected (weak) values, their Fisher information, and the Bloch-vector
-geometry of the combined measurement-plus-postselection.
+"""Postselected (weak) values from the probability pipeline, the constants of
+their Fisher information, and the Bloch-vector geometry of the combined
+measurement-plus-postselection.
 
 The measured observable is ``Z = |0><0| - |1><1|`` with spectrum [-1, 1];
 rescaled postselected values outside that interval are called *anomalous*.
+Either model's curve, its slope, the postselection probability and the
+postselected Fisher information are evaluated, validated, by
+:class:`weakps.estimation.ModelParams`.
 """
 
 from __future__ import annotations
@@ -12,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import DegenerateConditional, ZeroPostselection, ZeroStrength
-from .errors import angle_text
+from .errors import ZeroStrength
 from .states import (
     MINUS,
     PLUS,
-    PROB_FLOOR,
     Strength,
     as_strength,
     conditional_probabilities,
@@ -34,13 +35,6 @@ __all__ = [
     "WeakValueResult",
     "weak_value",
     "evaluate_weak_value",
-    "weak_value_curve",
-    "weak_value_curve_grid",
-    "weak_value_slope",
-    "weak_value_slope_grid",
-    "postselect_probability",
-    "fisher_ps_definition",
-    "fisher_curve_grid",
     "four_outcome_bloch_angles",
 ]
 
@@ -102,104 +96,6 @@ def evaluate_weak_value(theta: float, s: "Strength | float", postselect_sign: st
         pc1=pc1,
         postselect_sign=postselect_sign,
     )
-
-
-def postselect_probability(theta: float, s: "Strength | float", postselect_sign: str) -> float:
-    """Closed-form success probability of the postselection at ``theta``
-    (:func:`weakps.kernels.postselect_probability` at one angle)."""
-    kappa = as_strength(s).kappa
-    return float(kernels.postselect_probability(theta, kappa, sign_factor(postselect_sign)))
-
-
-def _curve_kernel(kernel, thetas, s: "Strength | float", postselect_sign: str) -> np.ndarray:
-    """``kernel`` over ``thetas`` after the checks the rescaled curve needs:
-    ZeroStrength at ``kappa = 0``, ZeroPostselection where the postselection
-    probability is at the floor."""
-    kappa = as_strength(s).kappa
-    if kappa == 0.0:
-        raise ZeroStrength("weak value undefined at kappa = 0")
-    sgn = sign_factor(postselect_sign)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    starved = kernels.postselect_probability(thetas, kappa, sgn) <= PROB_FLOOR
-    if np.any(starved):
-        bad = float(thetas[starved][0])
-        raise ZeroPostselection(f"postselection probability vanishes at theta = {angle_text(bad)}")
-    return kernel(thetas, kappa, sgn)
-
-
-def weak_value_curve_grid(
-    thetas: np.ndarray, s: "Strength | float", postselect_sign: str
-) -> np.ndarray:
-    """Closed-form weak value ``cos(4t) / (1 + sign * sqrt(1-k^2) sin(4t))``
-    over an angle array (:func:`weakps.kernels.weak_value_curve`).
-
-    Agrees with :func:`evaluate_weak_value` wherever the pipeline is defined.
-    """
-    return _curve_kernel(kernels.weak_value_curve, thetas, s, postselect_sign)
-
-
-def weak_value_slope_grid(
-    thetas: np.ndarray, s: "Strength | float", postselect_sign: str
-) -> np.ndarray:
-    """Analytic angle-derivative of the weak-value curve over an angle array
-    (:func:`weakps.kernels.weak_value_slope`)."""
-    return _curve_kernel(kernels.weak_value_slope, thetas, s, postselect_sign)
-
-
-def weak_value_curve(theta: float, s: "Strength | float", postselect_sign: str) -> float:
-    """Closed-form weak value at ``theta``: :func:`weak_value_curve_grid` at
-    one angle."""
-    return float(weak_value_curve_grid(theta, s, postselect_sign))
-
-
-def weak_value_slope(theta: float, s: "Strength | float", postselect_sign: str) -> float:
-    """Analytic angle-derivative of :func:`weak_value_curve`:
-    :func:`weak_value_slope_grid` at one angle."""
-    return float(weak_value_slope_grid(theta, s, postselect_sign))
-
-
-def fisher_ps_definition(theta: float, s: "Strength | float", postselect_sign: str) -> float:
-    """Fisher information of the postselected conditional distribution,
-    ``(d pc0)^2/pc0 + (d pc1)^2/pc1``, with analytic derivatives.
-
-    Units: per squared radian.  Raises DegenerateConditional when either
-    conditional probability vanishes (the saturated points).
-    """
-    kappa = as_strength(s).kappa
-    if kappa == 0.0:
-        # conditional distribution is theta-independent: no information
-        if postselect_probability(theta, 0.0, postselect_sign) <= PROB_FLOOR:
-            raise ZeroPostselection("postselection probability vanishes at this angle")
-        return 0.0
-    sigma = weak_value_curve(theta, kappa, postselect_sign)
-    if 1.0 - abs(kappa * sigma) < SATURATION_TOL:
-        raise DegenerateConditional(
-            f"a conditional probability vanishes at theta = {angle_text(theta)}"
-        )
-    dsigma = weak_value_slope(theta, kappa, postselect_sign)
-    pc0 = (1.0 + kappa * sigma) / 2.0
-    pc1 = 1.0 - pc0
-    dpc = kappa * dsigma / 2.0
-    return dpc * dpc * (1.0 / pc0 + 1.0 / pc1)
-
-
-def fisher_curve_grid(
-    thetas: np.ndarray, s: "Strength | float", postselect_sign: str
-) -> np.ndarray:
-    """Vectorized postselected Fisher information over an angle grid.
-
-    NaN at saturated grid points, where a conditional probability vanishes
-    and the information is undefined (as :func:`fisher_ps_definition` raises
-    DegenerateConditional there).
-    """
-    kappa = as_strength(s).kappa
-    if kappa == 0.0:
-        return np.zeros(np.asarray(thetas).shape)
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    sgn = sign_factor(postselect_sign)
-    sigma = kernels.weak_value_curve(thetas, kappa, sgn)
-    sat = 1.0 - np.abs(kappa * sigma) < SATURATION_TOL
-    return np.where(sat, np.nan, kernels.fisher_curve(thetas, kappa, sgn))
 
 
 def four_outcome_bloch_angles(mu: float) -> dict[str, float]:

@@ -9,11 +9,13 @@ import time
 import numpy as np
 import pytest
 
+from oracles import fisher_ps_definition, ideal_postselect_probability, ideal_sigma
 import weakps as w
 from weakps import kernels
 from weakps.errors import DegenerateConditional
 from weakps.estimation import OK, TABLE1_THETAS_DEG
-from weakps.weak import QUANTUM_FISHER_INFORMATION, postselect_probability
+from weakps.states import sign_factor
+from weakps.weak import QUANTUM_FISHER_INFORMATION
 
 D2R = math.pi / 180.0
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
@@ -57,18 +59,19 @@ def test_criterion_02_weak_value_laws():
     ok = True
     details = []
     for kappa in KAPPAS:
-        ok &= w.weak_value_curve(0.0, kappa, "minus") == 1.0
-        ok &= abs(w.weak_value_curve(22.5 * D2R, kappa, "minus")) < 1e-12
+        model = w.ModelParams(kappa, "minus")
+        ok &= model.sigma_array(0.0) == 1.0
+        ok &= abs(model.sigma_array(22.5 * D2R)) < 1e-12
         r = math.sqrt(1 - kappa**2)
         theta_star = math.asin(r) / 4.0
-        peak = w.weak_value_curve(theta_star, kappa, "minus")
+        peak = float(model.sigma_array(theta_star))
         ok &= abs(peak - 1.0 / kappa) < 1e-9
         grid = np.arange(0.0, 90.0, 0.02) * D2R
-        values = w.weak_value_curve_grid(grid, kappa, "minus")
+        values = model.sigma_array(grid)
         ok &= float(np.max(np.abs(values))) <= 1.0 / kappa + 1e-9
         ok &= bool(np.any(np.abs(values) > 1.0))  # anomalies exist below kappa=1
         details.append(f"k={kappa}: max={peak:.6f}")
-    projective = w.weak_value_curve_grid(np.arange(0.0, 90.0, 0.02) * D2R, 1.0, "minus")
+    projective = w.ModelParams(1.0, "minus").sigma_array(np.arange(0.0, 90.0, 0.02) * D2R)
     ok &= bool(np.all(np.abs(projective) <= 1.0 + 1e-15))
     _report(2, "weak-value-laws", ok, "; ".join(details))
 
@@ -81,12 +84,13 @@ def test_criterion_03_fisher_consistency():
     for kappa in KAPPAS:
         for theta_deg in np.arange(0.5, 90.0, 0.5):
             theta = float(theta_deg) * D2R
-            sigma = w.weak_value_curve(theta, kappa, "minus")
+            model = w.ModelParams(kappa, "minus")
+            sigma = float(model.sigma_array(theta))
             if 1.0 - abs(kappa * sigma) < 1e-6:
                 continue
-            f_def = w.fisher_ps_definition(theta, kappa, "minus")
+            f_def = fisher_ps_definition(theta, kappa, "minus")
             f_closed = float(kernels.fisher_from_weak_value(
-                sigma, w.weak_value_slope(theta, kappa, "minus"), kappa
+                sigma, model.sigma_slope(theta), kappa
             ))
             worst_pair = max(worst_pair, abs(f_def / f_closed - 1.0))
 
@@ -101,14 +105,14 @@ def test_criterion_03_fisher_consistency():
             pc0m, pc1m = _pcs(theta - h, kappa)
             pc0, pc1 = _pcs(theta, kappa)
             fd = ((pc0p - pc0m) / (2 * h)) ** 2 / pc0 + ((pc1p - pc1m) / (2 * h)) ** 2 / pc1
-            f_def = w.fisher_ps_definition(theta, kappa, "minus")
+            f_def = fisher_ps_definition(theta, kappa, "minus")
             worst_fd = max(worst_fd, abs(f_def / fd - 1.0))
     ok &= worst_pair < 1e-9
     ok &= worst_fd < 1e-6
 
     kappa = 0.335
     expected = 16 * kappa**2 / (1 - math.sqrt(1 - kappa**2)) ** 2
-    got = w.fisher_ps_definition(22.5 * D2R, kappa, "minus")
+    got = fisher_ps_definition(22.5 * D2R, kappa, "minus")
     ok &= abs(got / expected - 1.0) < 1e-6
 
     delta = 1e-4
@@ -138,17 +142,17 @@ def test_criterion_04_information_budget():
         theta = float(rng.uniform(0.0, math.pi / 2))
         sign = "minus" if rng.random() < 0.5 else "plus"
         try:
-            f = w.fisher_ps_definition(theta, kappa, sign)
+            f = fisher_ps_definition(theta, kappa, sign)
         except DegenerateConditional:
             continue
-        budget = f * postselect_probability(theta, kappa, sign)
+        budget = f * ideal_postselect_probability(theta, kappa, sign_factor(sign))
         worst = max(worst, budget)
         exceeds = exceeds or f > QUANTUM_FISHER_INFORMATION
         if budget > QUANTUM_FISHER_INFORMATION + 1e-9:
             _report(4, "information-budget", False, f"budget {budget!r} at k={kappa}")
         checked += 1
     # a grid point with information above the ceiling
-    exceeds = exceeds or w.fisher_ps_definition(22.5 * D2R, 0.335, "minus") > 16.0
+    exceeds = exceeds or fisher_ps_definition(22.5 * D2R, 0.335, "minus") > 16.0
     _report(
         4,
         "information-budget",
@@ -214,7 +218,7 @@ def test_criterion_06_noncontextuality_functional():
 
     weak_scan = w.scan_violation(0.01, "minus", scan_grid)
     i0_weak, _, _ = kernels.pusey_curves(scan_grid, 0.01, -1.0)
-    sigma_weak = w.weak_value_curve_grid(scan_grid, 0.01, "minus")
+    sigma_weak = w.ModelParams(0.01, "minus").sigma_array(scan_grid)
     positive = np.isfinite(i0_weak) & (i0_weak > 0)
     weak_ok = weak_scan.violated and bool(np.any(positive))
     weak_ok &= bool(np.all(np.abs(sigma_weak[positive]) > 1.0))
@@ -290,7 +294,7 @@ def test_criterion_09_monte_carlo_statistics():
         config = w.AcquisitionConfig(seed=seed)
         return w.draw_counts(row, w.derive_seeds(seed, reps), config)
 
-    sigma_ideal = w.weak_value_curve(theta, kappa, "minus")
+    sigma_ideal = float(ideal_sigma(theta, kappa, -1.0))
     reps = 1000
     sigma_hats, variances = w.weak_values_from_counts(batch(515151), kappa, "minus")
     coverage = int(np.sum(np.abs(sigma_hats - sigma_ideal) <= np.sqrt(variances))) / reps
@@ -334,7 +338,8 @@ def test_criterion_10_estimation_table():
             audits_ok &= row.n_ok + row.n_failed == 25
             for f_ps, theta_hat_deg, variance, cramer_rao in zip(
                     row.f_ps, row.theta_hat_deg, row.variance_theta_deg2, row.sigma_cr_deg2):
-                budget = f_ps * postselect_probability(math.radians(theta_hat_deg), 0.335, sign)
+                budget = f_ps * ideal_postselect_probability(math.radians(theta_hat_deg), 0.335,
+                                                             sign_factor(sign))
                 audits_ok &= budget <= 16.0 + 1e-9
                 audits_ok &= variance >= 0.0 and cramer_rao > 0.0
     baseline_ok &= baseline[("minus", 22.5)] == (0.036, 0.33)

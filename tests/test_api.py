@@ -13,13 +13,12 @@ PUBLIC = [
     "build_calibration", "circuit_joint_probability", "circuit_probability_record",
     "conditional_probabilities", "consolidated_S", "contextuality", "counting", "csign_apply",
     "decompose_consolidated", "derive_seeds", "draw_counts", "effective_kappa", "errors",
-    "estimation", "evaluate_weak_value", "fisher_ps_definition", "four_outcome_bloch_angles",
+    "estimation", "evaluate_weak_value", "four_outcome_bloch_angles",
     "ideal_probability_record", "imperfect_joint_probs", "imperfections", "invert_branch",
     "joint_probability", "joint_probability_record", "kernels", "kraus_operators",
     "load_baseline", "make_meter_state", "make_signal_state", "p_phi_from_postselection",
     "povm_elements", "pusey_from_probabilities", "pusey_functional", "scan_violation", "states",
-    "table1_pipeline", "weak", "weak_value", "weak_value_curve", "weak_value_curve_grid",
-    "weak_value_slope", "weak_value_slope_grid", "weak_values_from_counts",
+    "table1_pipeline", "weak", "weak_value", "weak_values_from_counts",
 ]
 
 SUBMODULES = ("contextuality", "counting", "estimation", "imperfections", "kernels", "states",

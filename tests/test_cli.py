@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ideal_sigma
 import weakps
-from weakps import cli, draw_counts, weak_value_curve
+from weakps import cli, draw_counts
 from weakps.cli import main
 
 D2R = math.pi / 180.0
@@ -53,7 +54,7 @@ def test_sweep_weak_value_schema_and_values(tmp_path):
     # spot-check a row against the library
     row20 = rows[40]  # theta = 20 deg
     assert float(row20[0]) == 20.0
-    assert float(row20[1]) == pytest.approx(weak_value_curve(20 * D2R, 0.335, "minus"), rel=1e-10)
+    assert float(row20[1]) == pytest.approx(ideal_sigma(20 * D2R, 0.335, -1.0), rel=1e-10)
     assert row20[3] == "1"
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ideal_sigma
 from weakps import (
     MINUS,
     PLUS,
@@ -15,7 +16,6 @@ from weakps import (
     pusey_from_probabilities,
     pusey_functional,
     scan_violation,
-    weak_value_curve_grid,
 )
 from weakps.errors import EmptyGrid, OrthogonalPostselection
 
@@ -132,7 +132,7 @@ def test_weak_regime_violations_cooccur_with_anomalies():
         from weakps.kernels import pusey_curves
 
         i0, _, p_phi = pusey_curves(grid, kappa, -1.0)
-        sigma = weak_value_curve_grid(grid, kappa, "minus")
+        sigma = ideal_sigma(grid, kappa, -1.0)
         positive = np.isfinite(i0) & (i0 > 0.0)
         assert np.any(positive)
         assert np.all(np.abs(sigma[positive]) > 1.0)

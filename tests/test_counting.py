@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import draw_counts as draw_counts_per_row
+from oracles import ideal_sigma
 
 from weakps import (
     AcquisitionConfig,
@@ -12,7 +13,6 @@ from weakps import (
     derive_seeds,
     draw_counts,
     ideal_probability_record,
-    weak_value_curve,
     weak_values_from_counts,
 )
 from weakps import counting
@@ -258,7 +258,7 @@ def test_rejects_unnormalized_probabilities():
 
 def test_estimator_mean_matches_ideal_value():
     theta = 20 * D2R
-    sigma_ideal = weak_value_curve(theta, KAPPA, "minus")
+    sigma_ideal = float(ideal_sigma(theta, KAPPA, -1.0))
     config = AcquisitionConfig(seed=2026, rate=2000.0, duration=5.0)
     values, _ = weak_values_from_counts(_batch(theta, config, 10_000), KAPPA, "minus")
     se = values.std(ddof=1) / math.sqrt(values.size)
@@ -317,7 +317,7 @@ def test_derive_seeds_reproducible_and_distinct():
 
 def test_one_sigma_coverage_window():
     theta = 20 * D2R
-    sigma_ideal = weak_value_curve(theta, KAPPA, "minus")
+    sigma_ideal = float(ideal_sigma(theta, KAPPA, -1.0))
     config = AcquisitionConfig(seed=515151, rate=2000.0, duration=5.0)
     reps = 1000
     sigma_hats, variances = weak_values_from_counts(_batch(theta, config, reps), KAPPA, "minus")

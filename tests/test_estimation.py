@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import fisher_ps_definition, ideal_postselect_probability, ideal_sigma
 from weakps import (
     AcquisitionConfig,
     ImperfectionParams,
@@ -17,19 +18,16 @@ from weakps import (
     draw_counts,
     imperfect_joint_probs,
     invert_branch,
+    kernels,
     load_baseline,
     table1_pipeline,
     weak_value,
-    weak_value_curve,
-    weak_value_slope,
     weak_values_from_counts,
 )
-from weakps import estimation
 from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
-                           ZeroPostselection)
+                           ZeroPostselection, ZeroStrength)
 from weakps.estimation import (BUDGET_COLUMNS, DEGENERATE, FLAT_CURVE, OK, OUT_OF_RANGE,
                                RAD2_TO_DEG2, TABLE1_THETAS_DEG, CalibrationCurve)
-from weakps.weak import fisher_ps_definition, postselect_probability
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -112,7 +110,7 @@ def test_estimate_theta_near_peak():
     target = 1.0 / KAPPA - 1e-4
     theta_hat = _estimate(curve, target, (0.0, theta_peak - 1e-6))
     assert theta_hat < theta_peak
-    assert weak_value_curve(theta_hat, KAPPA, "minus") == pytest.approx(target, abs=1e-9)
+    assert ideal_sigma(theta_hat, KAPPA, -1.0) == pytest.approx(target, abs=1e-9)
 
 
 def test_estimate_round_trip_grid():
@@ -120,7 +118,7 @@ def test_estimate_round_trip_grid():
     for theta_deg in (2.0, 9.0, 16.0, 20.0, 25.0, 33.0, 52.0, 80.0):
         theta = theta_deg * D2R
         branch = curve.branch_containing(theta)
-        sigma = weak_value_curve(theta, KAPPA, "minus")
+        sigma = float(ideal_sigma(theta, KAPPA, -1.0))
         assert _estimate(curve, sigma, branch) == pytest.approx(theta, abs=1e-9)
 
 
@@ -151,6 +149,48 @@ def test_branch_containing_shrinks_at_turning_points():
         curve.branch_containing(theta_peak)
 
 
+def test_branch_containing_pulls_in_a_range_end_only_where_the_curve_turns_there():
+    # this imperfect curve turns 0.0066 deg inside the tabulated range's
+    # first cell: the branch through 10 deg starts one cell in, and inverts
+    gate = ImperfectionParams(0.5836, 0.9941, 0.4407)
+    model = ModelParams(kappa=0.9114, postselect_sign="minus", imperfections=gate)
+    curve = build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
+    assert kernels.trig_turning_points(*model.coefficients, 0.0, 0.05 * D2R) == pytest.approx(
+        [0.0066 * D2R], abs=1e-4 * D2R)
+    lo, hi = curve.branch_containing(10 * D2R)
+    assert (lo, hi) == (curve.theta_grid[1], pytest.approx(34.9 * D2R, abs=1e-12))
+    thetas = np.linspace(lo, hi, 9)
+    np.testing.assert_allclose(invert_branch(curve, model.sigma_array(thetas), (lo, hi)),
+                               thetas, atol=1e-12, rtol=0)
+    # the ideal curve turns at the range's ends themselves, not inside their cells
+    assert build_calibration(ModelParams(1.0, "minus"), 0.0, math.pi / 2, 0.05 * D2R
+                             ).branch_containing(10 * D2R) == (0.0, pytest.approx(44.95 * D2R))
+
+
+def test_one_check_for_both_models():
+    # ZeroPostselection where d.B is within rounding of zero, before
+    # ZeroStrength: the ideal kappa = 0 postselection starves at 22.5 deg minus
+    ideal = ModelParams(kappa=0.0, postselect_sign="minus")
+    with pytest.raises(ZeroPostselection, match="theta = 22.5 deg"):
+        ideal.sigma_array(np.array([10 * D2R, 22.5 * D2R]))
+    with pytest.raises(ZeroStrength):
+        ideal.sigma_slope(np.array([10 * D2R]))
+    # kappa = 0 carries no information, also where the postselection starves
+    f_ps, p_ps = ideal.information(np.array([10 * D2R, 22.5 * D2R]))
+    assert f_ps.tolist() == [0.0, 0.0] and p_ps[1] == 0.0
+
+
+def test_ideal_information_keeps_its_closed_form_near_the_anomaly_peak():
+    # the general form k^2 sigma'^2 / (1 - k^2 sigma^2) cancels near the peak
+    # of a weak measurement; the ideal model keeps 16 k^2 / (2 p_ps)^2 there
+    kappa = 1e-3
+    peak = math.asin(math.sqrt(1 - kappa**2)) / 4.0
+    thetas = peak + np.array([-1e-4, -5e-5, -2e-5, 2e-5, 5e-5, 1e-4])
+    f_ps, p_ps = ModelParams(kappa=kappa, postselect_sign="minus").information(thetas)
+    closed = 16 * kappa**2 / (2 * ideal_postselect_probability(thetas, kappa, -1.0)) ** 2
+    np.testing.assert_allclose(f_ps, closed, rtol=1e-12, atol=0)
+
+
 def _assess_one(curve, theta_hat, var_sigma=0.01, m_ps=1000):
     """The one-element batch of an estimate at ``theta_hat``."""
     return assess_estimates(curve, [theta_hat], [var_sigma], [m_ps])
@@ -169,7 +209,7 @@ def test_propagate_variance_examples():
 def test_propagated_variance_slope_consistency():
     curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     theta = 20 * D2R
-    slope = weak_value_slope(theta, KAPPA, "minus")
+    slope = float(MINUS_MODEL.sigma_slope(theta))
     got = _assess_one(curve, theta, 0.02).variance_theta_deg2[0]
     assert got == pytest.approx(0.02 / slope**2 * RAD2_TO_DEG2, rel=1e-12)
 
@@ -209,7 +249,7 @@ def test_assess_estimates_keeps_position_and_precedence():
     # each typed error is built on demand, with the message a raised one had
     assert [str(error) for error in errors[1:]] == [
         "sigma = 5 outside [1, 2.98507462687], the range of branch [0 deg, 17.6068655139 deg]",
-        "curve slope -0 at theta = 17.6068655139 deg is numerically zero",
+        "curve slope 0 at theta = 17.6068655139 deg is numerically zero",
         "a conditional probability vanishes at theta = 17.6069228097 deg",
     ]
     # a one-element batch gives each estimate the same budget
@@ -226,8 +266,8 @@ def test_assess_estimates_checks_the_budgets_of_ok_estimates(monkeypatch):
         _assess_one(curve, 20 * D2R, var_sigma=-0.01)
     # a stopped estimate's budget is not checked
     assert _assess_one(curve, math.nan, var_sigma=-0.01).status.tolist() == [OUT_OF_RANGE]
-    real = estimation._information
-    monkeypatch.setattr(estimation, "_information",
+    real = ModelParams.information
+    monkeypatch.setattr(ModelParams, "information",
                         lambda *args: (-real(*args)[0], real(*args)[1]))
     with pytest.raises(ValueError, match="Cramér-Rao variance must be positive"):
         _assess_one(curve, 20 * D2R)
@@ -252,7 +292,7 @@ def test_monte_carlo_round_trip_consistency():
     empirical_deg2 = float(np.var(np.degrees(theta_hats), ddof=1))
     assert abs(empirical_deg2 / np.mean(propagated) - 1.0) < 0.2
     # sanity of the Cramér-Rao ordering over the same repetitions
-    m_ps_mean = postselect_probability(theta, KAPPA, "minus") * config.expected_total
+    m_ps_mean = ideal_postselect_probability(theta, KAPPA, -1.0) * config.expected_total
     cr = _assess_one(curve, theta, m_ps=int(m_ps_mean)).sigma_cr_deg2[0]
     assert empirical_deg2 >= cr * 0.85
 
@@ -267,7 +307,7 @@ def test_table1_pipeline_rows_and_audit():
         assert np.all(row.variance_theta_deg2 >= 0.0)
         assert np.all(row.sigma_cr_deg2 > 0.0)
         for f_ps, theta_hat_deg in zip(row.f_ps, row.theta_hat_deg):
-            budget = f_ps * postselect_probability(math.radians(theta_hat_deg), KAPPA, "minus")
+            budget = f_ps * ideal_postselect_probability(math.radians(theta_hat_deg), KAPPA, -1.0)
             assert budget <= 16.0 + 1e-9
     untroubled = {20.0, 22.5, 25.0}
     for row in rows:
@@ -347,8 +387,8 @@ def test_a_model_error_in_the_batch_fails_only_its_working_point():
 
 
 def test_model_evaluations_do_not_grow_with_repetitions(monkeypatch):
-    # the pipeline evaluates the model curve once to tabulate it and once per
-    # assessed batch (its slope, and its value for the imperfect information),
+    # the pipeline evaluates the model curve once to tabulate it and its
+    # slope once per assessed batch (the information takes that slope),
     # never per repetition or per iteration of a root search
     calls = Counter()
     for name in ("sigma_array", "sigma_slope"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import invert_sigma
+from oracles import ideal_postselect_probability, ideal_sigma, ideal_slope, invert_sigma
 from weakps import (
     ImperfectionParams,
     ModelParams,
@@ -32,19 +32,19 @@ KAPPA = st.floats(0.01, 1.0)
 
 
 def test_curve_kernels_match_probability_pipeline():
-    # the kernels' closed forms against routes with other formulas: the
+    # the model's closed forms against routes with other formulas: the
     # joint probabilities of the signal family, and their conditioning and
     # rescaling (whose rounding in pc0 - pc1 the 1/kappa rescaling amplifies)
     for kappa in KAPPAS:
         records = [ideal_probability_record(t, kappa) for t in THETA.tolist()]
         for sign_label, sign in SIGNS:
             np.testing.assert_allclose(
-                kernels.postselect_probability(THETA, kappa, sign),
+                ModelParams(kappa, sign_label).information(THETA)[1],
                 [rec.postselect_probability(sign_label) for rec in records],
                 rtol=0, atol=1e-15,
             )
             np.testing.assert_allclose(
-                kernels.weak_value_curve(THETA, kappa, sign),
+                ModelParams(kappa, sign_label).sigma_array(THETA),
                 [evaluate_weak_value(t, kappa, sign_label).sigma_w for t in THETA.tolist()],
                 rtol=0, atol=2e-14 / kappa,
             )
@@ -56,11 +56,10 @@ def test_information_budget_property(kappa, offset, sign):
     # a period of angles about the one where F_ps * p_ps is largest
     # (sin 4t = -sign, where it equals 8 (1 + sqrt(1 - kappa^2)))
     theta = math.pi / 4 + sign * math.pi / 8 + offset
-    sigma = float(kernels.weak_value_curve(theta, kappa, sign))
+    sigma = float(ideal_sigma(theta, kappa, sign))
     assume(1.0 - abs(kappa * sigma) > 1e-9)  # away from saturation
-    budget = kernels.fisher_curve(theta, kappa, sign) * kernels.postselect_probability(
-        theta, kappa, sign)
-    assert budget <= 16.0 + 1e-9
+    f_ps, p_ps = ModelParams(kappa, "minus" if sign < 0 else "plus").information(theta)
+    assert f_ps * p_ps <= 16.0 + 1e-9
 
 
 @PROPERTY
@@ -93,9 +92,9 @@ def test_fisher_kernel_equals_conditional_form():
     kappa = 0.335
     r = math.sqrt(1 - kappa**2)
     thetas = np.deg2rad(np.linspace(1.0, 89.0, 177))
-    f = kernels.fisher_curve(thetas, kappa, -1.0)
-    sigma = kernels.weak_value_curve(thetas, kappa, -1.0)
-    dsigma = kernels.weak_value_slope(thetas, kappa, -1.0)
+    f = ModelParams(kappa, "minus").information(thetas)[0]
+    sigma = ideal_sigma(thetas, kappa, -1.0)
+    dsigma = ideal_slope(thetas, kappa, -1.0)
     keep = 1.0 - np.abs(kappa * sigma) > 1e-6
     literal = kappa**2 * dsigma[keep] ** 2 / (1 - kappa**2 * sigma[keep] ** 2)
     np.testing.assert_allclose(f[keep], literal, rtol=1e-9)
@@ -106,15 +105,15 @@ def test_invert_round_trip():
     r = math.sqrt(1 - kappa**2)
     peak = math.asin(r) / 4
     thetas = np.linspace(0.0, peak - 1e-3, 200)
-    targets = kernels.weak_value_curve(thetas, kappa, -1.0)
-    curve = lambda t: kernels.weak_value_curve(t, kappa, -1.0)
+    targets = ideal_sigma(thetas, kappa, -1.0)
+    curve = lambda t: ideal_sigma(t, kappa, -1.0)
     solved = invert_sigma(targets, curve, 0.0, peak - 1e-6)
     np.testing.assert_allclose(solved, thetas, atol=1e-9, rtol=0)
 
 
 def test_invert_flags_unbracketed_targets():
     kappa = 0.335
-    curve = lambda t: kernels.weak_value_curve(t, kappa, -1.0)
+    curve = lambda t: ideal_sigma(t, kappa, -1.0)
     out = invert_sigma(np.array([5.0, 1.5]), curve, 0.0, 0.05)
     assert math.isnan(out[0])
 
@@ -131,7 +130,7 @@ def test_bracket_arrays_match_one_call_per_bracket(kappa, sign, cases):
     r = math.sqrt(1.0 - kappa * kappa)
     rising = math.asin(-sign * r) / 4.0  # a turning point of the curve
     start, stop = sorted((rising, rising + math.pi / 4.0 if sign > 0 else rising - math.pi / 4.0))
-    curve = lambda t: kernels.weak_value_curve(t, kappa, sign)
+    curve = lambda t: ideal_sigma(t, kappa, sign)
     lo, hi, targets = [], [], []
     for u, v, w, kind in cases:
         a, b = start + (stop - start) * min(u, v), start + (stop - start) * max(u, v)
@@ -150,18 +149,20 @@ def test_bracket_arrays_match_one_call_per_bracket(kappa, sign, cases):
             assert math.isnan(x)
 
 
-def test_trig_kernels_equal_the_ideal_kernels_exactly():
-    # on the ideal pair the general form rounds as the ideal closed forms do,
-    # so an ideal curve value is an exact hit for invert_trig's brackets
+def test_model_equals_the_ideal_closed_forms_exactly():
+    # on the ideal pair the model's general form rounds as the ideal closed
+    # forms do, so an ideal curve value is an exact hit for invert_trig's brackets
     thetas = np.concatenate([THETA, np.random.default_rng(0).uniform(-4.0, 4.0, 20000)])
     for kappa in (*KAPPAS, 1.0):
         for sign_label, sign in SIGNS:
-            n, d = ModelParams(kappa, sign_label).coefficients
+            model = ModelParams(kappa, sign_label)
             # exact equality; a zero may differ in sign
-            np.testing.assert_array_equal(kernels.trig_curve(n, d, kappa, thetas),
-                                          kernels.weak_value_curve(thetas, kappa, sign))
-            np.testing.assert_array_equal(kernels.trig_slope(n, d, kappa, thetas),
-                                          kernels.weak_value_slope(thetas, kappa, sign))
+            np.testing.assert_array_equal(model.sigma_array(thetas),
+                                          ideal_sigma(thetas, kappa, sign))
+            np.testing.assert_array_equal(model.sigma_slope(thetas),
+                                          ideal_slope(thetas, kappa, sign))
+            np.testing.assert_array_equal(model.information(thetas)[1],
+                                          ideal_postselect_probability(thetas, kappa, sign))
 
 
 @PROPERTY
@@ -216,9 +217,9 @@ def test_anomaly_peak_property(kappa, theta, sign):
     r = math.sqrt(1.0 - kappa * kappa)
     rising = math.asin(-sign * r) / 4.0
     peaks = np.array([rising, math.pi / 4.0 - rising])
-    assert kernels.weak_value_curve(peaks, kappa, sign) == pytest.approx(
-        [1.0 / kappa, -1.0 / kappa], rel=1e-9)
+    model = ModelParams(kappa, "minus" if sign < 0 else "plus")
+    assert model.sigma_array(peaks) == pytest.approx([1.0 / kappa, -1.0 / kappa], rel=1e-9)
     # both are turning points, and nothing on the curve exceeds them
-    slope = kernels.weak_value_slope(peaks, kappa, sign)
+    slope = model.sigma_slope(peaks)
     assert np.all(np.abs(slope) * kappa**4 <= 1e-12)
-    assert abs(kernels.weak_value_curve(theta, kappa, sign)) <= (1.0 + 1e-12) / kappa
+    assert abs(model.sigma_array(theta)) <= (1.0 + 1e-12) / kappa

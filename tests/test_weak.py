@@ -3,24 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fisher_ps_definition, ideal_postselect_probability
 from weakps import (
+    ModelParams,
     conditional_probabilities,
     evaluate_weak_value,
-    fisher_ps_definition,
     four_outcome_bloch_angles,
     ideal_probability_record,
     make_signal_state,
     weak_value,
-    weak_value_curve,
-    weak_value_curve_grid,
-    weak_value_slope,
 )
 from weakps.errors import DegenerateConditional, ZeroStrength
 from weakps.kernels import fisher_from_weak_value
-from weakps.weak import QUANTUM_FISHER_INFORMATION, fisher_curve_grid, postselect_probability
+from weakps.states import sign_factor
+from weakps.weak import QUANTUM_FISHER_INFORMATION
 
 D2R = math.pi / 180.0
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
+
+
+def _sigma(thetas, kappa, sign):
+    """The postselected value of the ideal model, as the library evaluates it."""
+    return ModelParams(kappa, sign).sigma_array(thetas)
 
 
 def _pipeline_pcs(theta, kappa, sign):
@@ -45,7 +49,7 @@ def test_weak_value_zero_strength():
     with pytest.raises(ZeroStrength):
         weak_value(0.6, 0.4, 0.0)
     with pytest.raises(ZeroStrength):
-        weak_value_curve(0.1, 0.0, "minus")
+        _sigma(0.1, 0.0, "minus")
 
 
 def test_weak_value_needs_normalized_conditionals():
@@ -55,16 +59,16 @@ def test_weak_value_needs_normalized_conditionals():
 
 def test_curve_endpoints():
     for kappa in KAPPAS:
-        assert weak_value_curve(0.0, kappa, "minus") == 1.0
+        assert _sigma(0.0, kappa, "minus") == 1.0
         for sign in ("minus", "plus"):
-            assert abs(weak_value_curve(22.5 * D2R, kappa, sign)) < 1e-12
+            assert abs(_sigma(22.5 * D2R, kappa, sign)) < 1e-12
 
 
 def test_curve_matches_pipeline_on_grid():
     thetas = np.arange(0.0, 90.0, 0.5) * D2R
     for kappa in KAPPAS:
         for sign in ("minus", "plus"):
-            curve = weak_value_curve_grid(thetas, kappa, sign)
+            curve = _sigma(thetas, kappa, sign)
             for i, theta in enumerate(thetas):
                 pc0, pc1 = _pipeline_pcs(float(theta), kappa, sign)
                 assert curve[i] == pytest.approx(weak_value(pc0, pc1, kappa), abs=1e-12)
@@ -81,15 +85,15 @@ def test_extremum_law():
     for kappa in KAPPAS:
         r = math.sqrt(1 - kappa**2)
         theta_star = math.asin(r) / 4.0
-        assert weak_value_curve(theta_star, kappa, "minus") == pytest.approx(1 / kappa, abs=1e-9)
+        assert _sigma(theta_star, kappa, "minus") == pytest.approx(1 / kappa, abs=1e-9)
         # the plus postselection peaks where sin(4t) = -r
         theta_star_plus = (2.0 * math.pi - math.asin(r)) / 4.0
-        assert abs(weak_value_curve(theta_star_plus, kappa, "plus")) == pytest.approx(
+        assert abs(_sigma(theta_star_plus, kappa, "plus")) == pytest.approx(
             1 / kappa, abs=1e-9
         )
         # grid maximum does not exceed the closed-form extremum
         grid = np.arange(0.0, 90.0, 0.01) * D2R
-        values = weak_value_curve_grid(grid, kappa, "minus")
+        values = _sigma(grid, kappa, "minus")
         assert np.max(np.abs(values)) <= 1 / kappa + 1e-9
         assert np.max(np.abs(values)) >= 1 / kappa - 1e-3
 
@@ -97,9 +101,9 @@ def test_extremum_law():
 def test_anomaly_exists_iff_not_projective():
     grid = np.arange(0.0, 90.0, 0.05) * D2R
     for kappa in (0.05, 0.335, 0.9, 0.999):
-        values = weak_value_curve_grid(grid, kappa, "minus")
+        values = _sigma(grid, kappa, "minus")
         assert np.any(np.abs(values) > 1.0)
-    values = weak_value_curve_grid(grid, 1.0, "minus")
+    values = _sigma(grid, 1.0, "minus")
     assert np.all(np.abs(values) <= 1.0 + 1e-15)
 
 
@@ -108,7 +112,7 @@ def test_scale_bound_everywhere():
     rng = np.random.default_rng(2)
     for kappa in np.concatenate([np.array(KAPPAS), rng.uniform(0.01, 1, 20)]):
         for sign in ("minus", "plus"):
-            values = weak_value_curve_grid(grid, float(kappa), sign)
+            values = _sigma(grid, float(kappa), sign)
             assert np.max(np.abs(kappa * values)) <= 1.0 + 1e-12
 
 
@@ -119,8 +123,8 @@ def test_slope_matches_finite_difference():
         kappa = float(rng.uniform(0.05, 0.99))
         theta = float(rng.uniform(0.0, math.pi / 2))
         sign = "minus" if rng.random() < 0.5 else "plus"
-        fd = (weak_value_curve(theta + h, kappa, sign) - weak_value_curve(theta - h, kappa, sign)) / (2 * h)
-        analytic = weak_value_slope(theta, kappa, sign)
+        fd = (_sigma(theta + h, kappa, sign) - _sigma(theta - h, kappa, sign)) / (2 * h)
+        analytic = ModelParams(kappa, sign).sigma_slope(theta)
         assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
@@ -165,10 +169,10 @@ def test_definition_equals_closed_form():
         kappa = float(rng.uniform(0.05, 1.0))
         theta = float(rng.uniform(0.0, math.pi / 2))
         sign = "minus" if rng.random() < 0.5 else "plus"
-        sigma = weak_value_curve(theta, kappa, sign)
+        sigma = float(_sigma(theta, kappa, sign))
         if 1.0 - abs(kappa * sigma) < 1e-6:
             continue  # too close to the pole for a meaningful comparison
-        dsigma = weak_value_slope(theta, kappa, sign)
+        dsigma = float(ModelParams(kappa, sign).sigma_slope(theta))
         a = fisher_ps_definition(theta, kappa, sign)
         b = float(fisher_from_weak_value(sigma, dsigma, kappa))
         assert a == pytest.approx(b, rel=1e-9)
@@ -183,7 +187,7 @@ def test_closed_form_arithmetic():
 def test_pole_handling():
     kappa = 0.335
     theta_star = math.asin(math.sqrt(1 - kappa**2)) / 4.0
-    assert np.isnan(fisher_curve_grid(np.array([theta_star]), kappa, "minus")[0])
+    assert np.isnan(ModelParams(kappa, "minus").information(np.array([theta_star]))[0][0])
     with pytest.raises(DegenerateConditional):
         fisher_ps_definition(theta_star, kappa, "minus")
 
@@ -216,7 +220,8 @@ def test_budget_holds_and_is_beatable():
         except DegenerateConditional:
             continue
         assert f_ps >= 0.0
-        assert f_ps * postselect_probability(theta, kappa, sign) <= QUANTUM_FISHER_INFORMATION + 1e-9
+        budget = f_ps * ideal_postselect_probability(theta, kappa, sign_factor(sign))
+        assert budget <= QUANTUM_FISHER_INFORMATION + 1e-9
         seen_super = seen_super or f_ps > QUANTUM_FISHER_INFORMATION
         checked += 1
     assert seen_super
