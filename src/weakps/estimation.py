@@ -143,12 +143,14 @@ class ModelParams:
             return np.zeros(thetas.shape), p_ps
         sigma = kernels.trig_curve(n, d, self.kappa, thetas)
         if self.imperfections is None:
-            # The closed form 16 k^2 / (2 p_ps)^2, not the general form below,
-            # which cancels near the anomaly peak: within 3e-3 rad of the minus
-            # peak (1e-7 rad grid) it is off by up to 1.3e-3 relative at
+            # The ideal closed form 16 k^2 / (2 p_ps)^2, not the general form
+            # below, which cancels near the anomaly peak: within 3e-3 rad of the
+            # minus peak (1e-7 rad grid) it is off by up to 1.3e-3 relative at
             # k = 1e-3, 1.8e-5 at k = 0.05 and 7e-7 at k = 0.335, and by more
             # beside the saturated angles.
-            f_ps = kernels.fisher_curve(thetas, self.kappa, sign_factor(self.postselect_sign))
+            den = 2.0 * p_ps
+            with np.errstate(divide="ignore"):
+                f_ps = 16.0 * self.kappa * self.kappa / (den * den)
         else:
             slopes = self.sigma_slope(thetas) if slopes is None else slopes
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,6 +190,13 @@ class CalibrationCurve:
         steps = np.flatnonzero(diffs)
         turns = steps[1:][diffs[steps[1:]] != diffs[steps[:-1]]].tolist()
         object.__setattr__(self, "_runs", tuple(zip([0, *turns], [*turns, diffs.size])))
+        # the runs pulled in by one cell at every interior end, and at an end of
+        # the range only where the model turns inside that end's cell
+        model_turns = kernels.trig_turning_points(*self.model.coefficients, grid[0], grid[-1])
+        first = 1 if np.any(model_turns < grid[1]) else 0
+        last = diffs.size - 1 if np.any(model_turns > grid[-2]) else diffs.size
+        object.__setattr__(self, "_branches", tuple(
+            (i + 1 if i else first, j - 1 if j < diffs.size else last) for i, j in self._runs))
 
     def branches(self) -> list[tuple[int, int]]:
         """Index ranges [i, j] of maximal monotone runs of the tabulated curve."""
@@ -203,15 +212,9 @@ class CalibrationCurve:
         in only where the model turns inside that end's cell.
         """
         grid = self.theta_grid
-        last = grid.size - 1
         if not grid[0] <= theta <= grid[-1]:
             raise OutOfRange(f"theta = {angle_text(theta)} outside the tabulated range")
-        turns_first, turns_last = (
-            kernels.trig_turning_points(*self.model.coefficients, grid[k], grid[k + 1]).size > 0
-            for k in (0, last - 1))
-        for i, j in self._runs:
-            lo_idx = i + 1 if i > 0 or turns_first else i
-            hi_idx = j - 1 if j < last or turns_last else j
+        for lo_idx, hi_idx in self._branches:
             if lo_idx < hi_idx and grid[lo_idx] <= theta <= grid[hi_idx]:
                 return float(grid[lo_idx]), float(grid[hi_idx])
         raise AmbiguousBranch(

@@ -1,8 +1,9 @@
-"""Numpy array kernels: the one place each closed form of the model is
-written (the four channel probabilities, postselection probability,
-postselected Fisher information, also in terms of any model's postselected
-value and slope, Pusey's functional), evaluated vectorized over an angle or
-probability array.  The ``trig_*`` kernels and :func:`invert_trig` hold the
+"""Numpy array kernels: the closed forms of the model (the four channel
+probabilities, postselection probability, postselected Fisher information in
+terms of any model's postselected value and slope, Pusey's functional),
+evaluated vectorized over an angle or probability array; the ideal model's
+postselected Fisher information ``16 k^2 / (2 p_ps)^2`` is written in
+:meth:`weakps.estimation.ModelParams.information`.  The ``trig_*`` kernels and :func:`invert_trig` hold the
 form every model's postselected pair shares, ``p0 -+ p1`` linear in
 ``(1, cos 4t, sin 4t)``: its value, slope and turning points, and the
 closed-form inverse on a monotone branch.
@@ -33,7 +34,6 @@ from .states import PROB_FLOOR, Strength
 __all__ = [
     "channel_probabilities",
     "postselect_probability",
-    "fisher_curve",
     "fisher_from_weak_value",
     "pusey_probabilities",
     "pusey_functional",
@@ -65,18 +65,6 @@ def postselect_probability(theta: np.ndarray, kappa: float, sign: float) -> np.n
     theta = np.asarray(theta, dtype=np.float64)
     r = math.sqrt(1.0 - kappa * kappa)
     return (1.0 + sign * r * np.sin(4.0 * theta)) / 2.0
-
-
-def fisher_curve(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
-    """Postselected Fisher information 16 k^2 / den^2 (per squared radian).
-
-    Algebraically identical to k^2 (d sigma)^2 / (1 - k^2 sigma^2) wherever
-    the latter is defined, and is its continuous extension across the
-    isolated points where a conditional probability vanishes.
-    """
-    den = 2.0 * postselect_probability(theta, kappa, sign)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 16.0 * kappa * kappa / (den * den)
 
 
 def fisher_from_weak_value(sigma: np.ndarray, slope: np.ndarray, kappa: float) -> np.ndarray:

@@ -82,9 +82,9 @@ def test_criterion_03_fisher_consistency():
     worst_pair = 0.0
     worst_fd = 0.0
     for kappa in KAPPAS:
+        model = w.ModelParams(kappa, "minus")
         for theta_deg in np.arange(0.5, 90.0, 0.5):
             theta = float(theta_deg) * D2R
-            model = w.ModelParams(kappa, "minus")
             sigma = float(model.sigma_array(theta))
             if 1.0 - abs(kappa * sigma) < 1e-6:
                 continue
