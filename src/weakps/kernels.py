@@ -3,10 +3,10 @@ probabilities, postselection probability, postselected Fisher information in
 terms of any model's postselected value and slope, Pusey's functional),
 evaluated vectorized over an angle or probability array; the ideal model's
 postselected Fisher information ``16 k^2 / (2 p_ps)^2`` is written in
-:meth:`weakps.estimation.ModelParams.information`.  The ``trig_*`` kernels and :func:`invert_trig` hold the
-form every model's postselected pair shares, ``p0 -+ p1`` linear in
-``(1, cos 4t, sin 4t)``: its value, slope and turning points, and the
-closed-form inverse on a monotone branch.
+:meth:`weakps.estimation.ModelParams.information`.  The ``trig_*`` kernels
+and :func:`invert_trig` hold the form every model's postselected pair
+shares, ``p0 -+ p1`` linear in ``(1, cos 4t, sin 4t)``: its value, slope and
+turning points, and the closed-form inverse on a monotone branch.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
 call them are the evaluators of :class:`weakps.estimation.ModelParams`
