@@ -13,6 +13,7 @@ from weakps.errors import DegenerateConditional, ZeroPostselection
 from weakps.states import PROB_FLOOR, sign_factor
 from weakps.weak import SATURATION_TOL
 
+
 def ideal_postselect_probability(theta, kappa: float, sign: float) -> np.ndarray:
     """Success probability of the ideal postselection ``(1 + sign r sin 4t) / 2``,
     ``r = sqrt(1 - kappa^2)``, ``sign`` -1 for ``<-|`` and +1 for ``<+|``."""

@@ -37,7 +37,7 @@ def test_curve_kernels_match_probability_pipeline():
     # rescaling (whose rounding in pc0 - pc1 the 1/kappa rescaling amplifies)
     for kappa in KAPPAS:
         records = [ideal_probability_record(t, kappa) for t in THETA.tolist()]
-        for sign_label, sign in SIGNS:
+        for sign_label, _ in SIGNS:
             np.testing.assert_allclose(
                 ModelParams(kappa, sign_label).information(THETA)[1],
                 [rec.postselect_probability(sign_label) for rec in records],
