@@ -13,6 +13,7 @@ Relative output paths are resolved against ``WEAKPS_OUTPUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -43,8 +44,9 @@ from .estimation import (
     load_baseline,
     table1_pipeline,
 )
-from .imperfections import VISIBILITY_MODEL, ImperfectionParams, renormalized_probabilities
-from .states import MINUS, ONE, PLUS, ZERO, make_signal_state, sign_factor
+from .imperfections import (IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams,
+                            renormalized_probabilities)
+from .states import MINUS, ONE, PLUS, ZERO, make_signal_state
 from .weak import QUANTUM_FISHER_INFORMATION
 
 SCHEMA_VERSION = 1
@@ -260,15 +262,13 @@ def _resolve_strength(args: argparse.Namespace) -> tuple[float, float]:
 
 
 def _resolve_imperfections(args: argparse.Namespace) -> ImperfectionParams | None:
-    given = [args.visibility, args.t_h, args.t_v]
-    if all(v is None for v in given):
+    """The gate the flags give, the ideal gate's value standing in for an
+    absent one; None without any of them."""
+    given = {"visibility": args.visibility, "t_h": args.t_h, "t_v": args.t_v}
+    if all(v is None for v in given.values()):
         return None
     try:
-        return ImperfectionParams(
-            visibility=1.0 if args.visibility is None else args.visibility,
-            t_h=1.0 if args.t_h is None else args.t_h,
-            t_v=1.0 / 3.0 if args.t_v is None else args.t_v,
-        )
+        return dataclasses.replace(IDEAL_GATE, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -395,7 +395,10 @@ def _cmd_sweep_weak_value(args) -> None:
 
     data = {"theta_deg": grid_deg}
     for sign in signs:
-        sigma = ModelParams(kappa, sign, imperfections).sigma_array(grid)
+        model = ModelParams(kappa, sign, imperfections)
+        starved = model.starved(grid)  # no postselected value: written as nan
+        sigma = np.full(grid.size, np.nan)
+        sigma[~starved] = model.sigma_array(grid[~starved])
         data[f"sigma_w_{sign}"] = sigma
         data[f"anomalous_{sign}"] = (np.abs(sigma) > 1.0).astype(np.int64)
     columns = ["theta_deg", *(f"sigma_w_{s}" for s in signs), *(f"anomalous_{s}" for s in signs)]
@@ -404,6 +407,16 @@ def _cmd_sweep_weak_value(args) -> None:
     meta.update(postselect=args.postselect, theta_start=args.theta_start,
                 theta_end=args.theta_end, theta_step=args.theta_step)
     _write(args.output, args.format, meta, columns, data)
+
+
+def _pusey_model(grid: np.ndarray, kappa: float, sign: str) -> tuple[np.ndarray, ...]:
+    """The model's joint pair ``(p0, p1)`` and overlap ``p_phi`` over the grid,
+    which sweep-pusey evaluates the functional on: ``p0 - p1 = n.B`` and
+    ``p0 + p1 = d.B``, and ``p_phi`` is ``d.B`` at ``kappa = 0``."""
+    n, d = ModelParams(kappa, sign).coefficients
+    p_ps, diff = kernels.trig_form(d, grid), kernels.trig_form(n, grid)
+    p_phi = kernels.trig_form(ModelParams(0.0, sign).coefficients[1], grid)
+    return (p_ps + diff) / 2.0, (p_ps - diff) / 2.0, p_phi
 
 
 def _cmd_sweep_pusey(args) -> None:
@@ -426,7 +439,7 @@ def _cmd_sweep_pusey(args) -> None:
 
     data = {"theta_deg": grid_deg}
     for sign in signs:
-        p0, p1, p_phi = kernels.pusey_probabilities(grid, kappa, sign_factor(sign))
+        p0, p1, p_phi = _pusey_model(grid, kappa, sign)
         if args.simulate:  # frequencies; NaN where no coincidence was counted
             with np.errstate(divide="ignore", invalid="ignore"):
                 p0, p1 = postselected_counts(counts, sign).T / totals

@@ -1,6 +1,8 @@
-"""Non-contextuality functional for joint (outcome, postselection)
-probabilities, and the decomposition of the consolidated postselection
-operator that fixes its disturbance weight.
+"""The decomposition of the consolidated postselection operator, which fixes
+the disturbance weight of Pusey's non-contextuality functional
+(:func:`weakps.kernels.pusey_functional` evaluates it on joint (outcome,
+postselection) probabilities), and the overlap recovered from a measured
+postselection probability.
 
 A non-contextual ontic model for the strength-kappa measurement requires
 
@@ -27,27 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import EmptyGrid, OrthogonalPostselection
-from .states import (
-    PROB_FLOOR,
-    PureQubit,
-    Strength,
-    as_strength,
-    joint_probability,
-    kraus_operators,
-    sign_factor,
-)
+from .states import PureQubit, Strength, as_strength, kraus_operators
 
 __all__ = [
     "SDecomposition",
-    "ViolationScan",
-    "pusey_functional",
-    "pusey_from_probabilities",
     "p_phi_from_postselection",
     "consolidated_S",
     "decompose_consolidated",
-    "scan_violation",
 ]
 
 # Largest entry of S minus its recomposition that SDecomposition.validate accepts.
@@ -70,26 +58,6 @@ class SDecomposition:
         eigs = np.linalg.eigvalsh(self.e_d)
         if eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10:
             raise ValueError(f"disturbed part is not a valid effect: eigenvalues {eigs}")
-
-
-def pusey_from_probabilities(p_x: float, p_phi: float, s: "Strength | float") -> float:
-    """Functional evaluated from raw numbers (e.g. count-estimated
-    probabilities): ``p_x/p_phi - (1+kappa)/2 - p_d/p_phi``
-    (:func:`weakps.kernels.pusey_functional` at one point)."""
-    if p_phi <= PROB_FLOOR:
-        raise OrthogonalPostselection(f"p_phi = {p_phi!r} is numerically zero")
-    return float(kernels.pusey_functional(p_x, p_phi, as_strength(s).kappa))
-
-
-def pusey_functional(psi: PureQubit, phi: PureQubit, s: "Strength | float", x: int) -> float:
-    """State-level evaluation of the functional for outcome ``x``.
-
-    Positive return witnesses failure of non-contextual models.
-    """
-    p_phi = abs(phi.overlap(psi)) ** 2
-    if p_phi <= PROB_FLOOR:
-        raise OrthogonalPostselection("preparation and postselection are orthogonal")
-    return pusey_from_probabilities(joint_probability(psi, phi, s, x), p_phi, s)
 
 
 def p_phi_from_postselection(p_total: float, s: "Strength | float") -> float:
@@ -133,42 +101,3 @@ def decompose_consolidated(phi: PureQubit, s: "Strength | float") -> SDecomposit
     result = SDecomposition(s_matrix=s_matrix, p_d=p_d, e_d=e_d)
     result.validate(phi)
     return result
-
-
-@dataclass(frozen=True)
-class ViolationScan:
-    """Result of a grid scan for non-contextuality violations."""
-
-    max_value: float
-    argmax_theta: float
-    skipped: tuple[float, ...]
-
-    @property
-    def violated(self) -> bool:
-        return self.max_value > 0.0
-
-
-def scan_violation(
-    s: "Strength | float", postselect_sign: str, theta_grid: np.ndarray
-) -> ViolationScan:
-    """Maximum of max(I0, I1) over an angle grid, with its location.
-
-    Grid points with numerically zero overlap are skipped and reported in
-    ``skipped``.  Deterministic reduction: ties resolve to the lowest index.
-    """
-    thetas = np.ascontiguousarray(theta_grid, dtype=np.float64)
-    if thetas.size == 0:
-        raise EmptyGrid("empty angle grid")
-    kappa = as_strength(s).kappa
-    i0, i1, _ = kernels.pusey_curves(thetas, kappa, sign_factor(postselect_sign))
-    both = np.maximum(i0, i1)
-    valid = np.isfinite(both)
-    if not np.any(valid):
-        raise EmptyGrid("every grid point was skipped (orthogonal postselection)")
-    masked = np.where(valid, both, -np.inf)
-    idx = int(np.argmax(masked))
-    return ViolationScan(
-        max_value=float(both[idx]),
-        argmax_theta=float(thetas[idx]),
-        skipped=tuple(float(t) for t in thetas[~valid]),
-    )

@@ -321,9 +321,9 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
     is not used.  The rows are drawn in blocks of ``_SEED_BLOCK``, every
     row of a block at once (:func:`_draw_block`).
     Raises ValueError unless ``seeds`` is a uint64 array, every probability
-    is finite and nonnegative (as :class:`~weakps.states.ProbabilityRecord`
-    checks it) and every row sums to 1 within 1e-9; a probability that this
-    tolerance lets below zero draws as zero.
+    is finite and nonnegative within 1e-12 and every row sums to 1 within
+    1e-9; a probability that the first tolerance lets below zero draws as
+    zero.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         kind = getattr(seeds, "dtype", type(seeds).__name__)

@@ -29,14 +29,6 @@ class DegenerateConditional(WeakpsError):
     """A conditional outcome probability vanishes; Fisher information undefined."""
 
 
-class OrthogonalPostselection(WeakpsError):
-    """Preparation and postselection states are orthogonal (p_phi = 0)."""
-
-
-class EmptyGrid(WeakpsError):
-    """A scan grid is empty, or every point was skipped."""
-
-
 class GateStarved(WeakpsError):
     """Coincidence probability through the lossy gate is numerically zero."""
 

@@ -95,12 +95,17 @@ class ModelParams:
             return np.array([0.0, self.kappa / 2.0, 0.0]), np.array([0.5, 0.0, sign * r / 2.0])
         return postselected_coefficients(self.mu, self.imperfections, sign)
 
+    def starved(self, thetas: np.ndarray) -> np.ndarray:
+        """Where the postselection probability ``d.B`` is within rounding of
+        zero: no postselected value exists there."""
+        d = self.coefficients[1]
+        return kernels.trig_form(d, thetas) <= _ROUNDING * np.abs(d).sum()
+
     def _check(self, thetas: np.ndarray) -> None:
         """GateStarved where no coincidence passes the gate (imperfect model
-        only), ZeroPostselection where ``d.B`` is otherwise within rounding of
-        zero, then ZeroStrength."""
-        d = self.coefficients[1]
-        starved = thetas[kernels.trig_form(d, thetas) <= _ROUNDING * np.abs(d).sum()]
+        only), ZeroPostselection where the model is otherwise
+        :meth:`starved`, then ZeroStrength."""
+        starved = thetas[self.starved(thetas)]
         if starved.size:
             self.channel_probabilities(starved)  # GateStarved where the gate passes nothing
             raise ZeroPostselection("postselection probability vanishes at theta = "

@@ -30,9 +30,9 @@ has per-attempt probability ``[v (u.b)^2 + (1 - v) |b|^2] / 4`` with
 ``u = (1, m, s_sig, s_sig m)``.  The four sum to the coincidence probability
 ``|b|^2``.  ``t_h`` multiplies every amplitude, so it cancels from every
 renormalized probability: it changes only whether the gate is starved
-(``t_h = 0``) and the per-attempt probabilities.  :func:`imperfect_joint_probs`
-walks the three stages on 4x4 density matrices; it is the reference route
-that tests compare the closed form against.
+(``t_h = 0``) and the per-attempt probabilities.  The test suite walks the
+three stages on 4x4 density matrices and compares the closed form against
+them.
 
 ``t_h`` and ``t_v`` are intensity transmissions (amplitudes are their square
 roots); this convention is recorded in CLI output metadata.  Residual
@@ -50,28 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateStarved, angle_text
-from .states import (
-    MINUS,
-    PLUS,
-    PROB_FLOOR,
-    ProbabilityRecord,
-    TwoQubitDensity,
-    make_meter_state,
-    make_signal_state,
-)
+from .states import PROB_FLOOR
 
 __all__ = [
     "ImperfectionParams",
     "IDEAL_GATE",
     "VISIBILITY_MODEL",
-    "central_splitter_operator",
-    "balance_operator",
-    "dephase_computational",
-    "imperfect_joint_probs",
     "coincidence_probabilities",
     "renormalized_probabilities",
     "postselected_coefficients",
-    "effective_kappa",
 ]
 
 # Identifier written into CLI metadata so downstream consumers know which
@@ -96,69 +83,7 @@ class ImperfectionParams:
 
 IDEAL_GATE = ImperfectionParams(visibility=1.0, t_h=1.0, t_v=1.0 / 3.0)
 
-# Angle step (degrees) of the grid effective_kappa fits the strength on.
-_CALIBRATION_STEP_DEG = 1.0
-
-
-def central_splitter_operator(params: ImperfectionParams) -> np.ndarray:
-    """Coincidence-postselected amplitude operator of the central splitter."""
-    root_hv = math.sqrt(params.t_h * params.t_v)
-    return np.diag([params.t_h, root_hv, root_hv, 2.0 * params.t_v - 1.0]).astype(complex)
-
-
-def balance_operator(params: ImperfectionParams) -> np.ndarray:
-    """Per-photon compensating splitters equalizing net H/V transmission."""
-    per_photon = np.diag([math.sqrt(params.t_v), math.sqrt(params.t_h)])
-    return np.kron(per_photon, per_photon).astype(complex)
-
-
-def dephase_computational(rho: np.ndarray) -> np.ndarray:
-    """Remove all coherences in the two-qubit computational basis."""
-    return np.diag(np.diag(rho))
-
-
-def imperfect_joint_probs(theta: float, mu: float, params: ImperfectionParams) -> ProbabilityRecord:
-    """Coincidence outcome probabilities of the imperfect gate, renormalized,
-    from 4x4 density matrices stage by stage: the reference route for
-    :func:`renormalized_probabilities`, which the library uses.
-
-    Raises GateStarved when the total coincidence probability is numerically
-    zero.  The record's ``kappa`` is the nominal ``sin(4*mu)``; see
-    :func:`effective_kappa` for what a calibration would report.
-    """
-    rho_in = TwoQubitDensity.from_product(make_signal_state(theta), make_meter_state(mu))
-
-    gate = central_splitter_operator(params)
-    rho_gate = gate @ rho_in.rho @ gate.conj().T
-    if rho_gate.trace().real <= PROB_FLOOR:
-        raise GateStarved("coincidence probability is numerically zero")
-    rho_gate = TwoQubitDensity(rho_gate).rho
-
-    v = params.visibility
-    rho_mixed = TwoQubitDensity(v * rho_gate + (1.0 - v) * dephase_computational(rho_gate)).rho
-
-    balance = balance_operator(params)
-    rho_balanced = balance @ rho_mixed @ balance.conj().T
-    total = rho_balanced.trace().real
-    if total <= PROB_FLOOR:
-        raise GateStarved("coincidence probability is numerically zero")
-    rho_out = TwoQubitDensity(rho_balanced / total).rho
-
-    channels = {}
-    for s_label, s_state in (("m", MINUS), ("p", PLUS)):
-        for m_label, m_state in (("m", MINUS), ("p", PLUS)):
-            proj = np.kron(s_state.projector(), m_state.projector())
-            channels[s_label + m_label] = max(float(np.trace(proj @ rho_out).real), 0.0)
-    return ProbabilityRecord(
-        p_mp=channels["mp"],
-        p_mm=channels["mm"],
-        p_pp=channels["pp"],
-        p_pm=channels["pm"],
-        kappa=math.sin(4.0 * mu),
-    )
-
-
-# Signs (s_sig, m) of the four channels in ProbabilityRecord order: mp, mm, pp, pm.
+# Signs (s_sig, m) of the four channels in row order: mp, mm, pp, pm.
 _CHANNEL_VECTORS = np.array([(1.0, m, s_sig, s_sig * m)
                              for s_sig, m in ((-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, -1.0))])
 
@@ -211,18 +136,3 @@ def postselected_coefficients(mu: float, params: ImperfectionParams,
     cc, ss = b1 * b1 + b2 * b2, b3 * b3 + b4 * b4
     return (v * np.array([b1 * b2 + b3 * b4, b1 * b2 - b3 * b4, sign * (b1 * b4 + b2 * b3)]) / 2.0,
             np.array([(cc + ss) / 4.0, (cc - ss) / 4.0, sign * v * (b1 * b3 + b2 * b4) / 2.0]))
-
-
-def effective_kappa(params: ImperfectionParams, mu: float) -> float:
-    """Strength a calibration of the imperfect gate would report.
-
-    Least-squares fit of the postselection-free meter marginals
-    ``p(+|theta) - p(-|theta)`` against the ideal model ``kappa * cos(4t)``
-    over [0, 90) degrees in steps of ``_CALIBRATION_STEP_DEG``.  Equals
-    ``sin(4*mu)`` for ideal parameters.
-    """
-    thetas = np.deg2rad(np.arange(0.0, 90.0, _CALIBRATION_STEP_DEG))
-    p_mp, p_mm, p_pp, p_pm = renormalized_probabilities(thetas, mu, params)
-    diffs = (p_pp + p_mp) - (p_pm + p_mm)
-    cos4 = np.cos(4.0 * thetas)
-    return float(np.dot(cos4, diffs) / np.dot(cos4, cos4))

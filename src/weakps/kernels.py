@@ -1,26 +1,20 @@
 """Numpy array kernels: the closed forms of the model (the four channel
-probabilities, postselection probability, postselected Fisher information in
-terms of any model's postselected value and slope, Pusey's functional),
-evaluated vectorized over an angle or probability array; the ideal model's
-postselected Fisher information ``16 k^2 / (2 p_ps)^2`` is written in
+probabilities, postselected Fisher information in terms of any model's
+postselected value and slope, Pusey's functional), evaluated vectorized over
+an angle or probability array; the ideal model's postselected Fisher
+information ``16 k^2 / (2 p_ps)^2`` is written in
 :meth:`weakps.estimation.ModelParams.information`.  The ``trig_*`` kernels
 and :func:`invert_trig` hold the form every model's postselected pair
-shares, ``p0 -+ p1`` linear in ``(1, cos 4t, sin 4t)``: its value, slope and
-turning points, and the closed-form inverse on a monotone branch.
+shares, ``p0 -+ p1`` linear in ``(1, cos 4t, sin 4t)``: its value (the
+postselection probability is ``trig_form(d)``), slope and turning points,
+and the closed-form inverse on a monotone branch.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
 call them are the evaluators of :class:`weakps.estimation.ModelParams`
-(``sigma_array``, ``sigma_slope`` and ``information``),
-:func:`weakps.states.ideal_probability_record`, and
-:func:`weakps.contextuality.pusey_from_probabilities`; they enforce
-``0 <= kappa <= 1`` and the sign label, and map non-finite outputs to typed
-errors.  :mod:`weakps.estimation` and :mod:`weakps.cli` call the kernels on
-whole batches and grids.
-
-``sign`` is ``-1.0`` for ``<-|`` postselection and ``+1.0`` for ``<+|``; the
-ideal kernels that take it depend on it through the postselection
-probability ``p_ps``, whose double is ``1 + sign * sqrt(1-kappa^2) * sin(4t)``,
-and the overlap ``p_phi``.
+(``sigma_array``, ``sigma_slope`` and ``information``) and the CLI's
+argument checks; they enforce ``0 <= kappa <= 1`` and the sign label, and
+map non-finite outputs to typed errors or NaN.  :mod:`weakps.estimation` and
+:mod:`weakps.cli` call the kernels on whole batches and grids.
 """
 
 from __future__ import annotations
@@ -33,11 +27,8 @@ from .states import PROB_FLOOR, Strength
 
 __all__ = [
     "channel_probabilities",
-    "postselect_probability",
     "fisher_from_weak_value",
-    "pusey_probabilities",
     "pusey_functional",
-    "pusey_curves",
     "trig_form",
     "trig_curve",
     "trig_slope",
@@ -51,20 +42,14 @@ def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
     ``(p_mp, p_mm, p_pp, p_pm)`` over the angle array: ``(a c -+ b s)^2 / 2``
     and ``(b c -+ a s)^2 / 2`` with a, b = sqrt((1 +- k) / 2) and
     c, s = cos(2t), sin(2t).  Squares go through ``pow`` as Python's ``**``
-    does, so the scalar record keeps its values bit for bit."""
+    does; numpy's ``**2`` rounds some of them differently, and the simulated
+    counts depend on these bits."""
     theta = np.asarray(theta, dtype=np.float64)
     a = math.sqrt((1.0 + kappa) / 2.0)
     b = math.sqrt((1.0 - kappa) / 2.0)
     c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
     amplitudes = np.stack([a * c - b * s, b * c - a * s, a * c + b * s, b * c + a * s])
     return np.float_power(amplitudes, 2.0) / 2.0
-
-
-def postselect_probability(theta: np.ndarray, kappa: float, sign: float) -> np.ndarray:
-    """Success probability of the postselection: (1 + sign*r*sin(4t)) / 2."""
-    theta = np.asarray(theta, dtype=np.float64)
-    r = math.sqrt(1.0 - kappa * kappa)
-    return (1.0 + sign * r * np.sin(4.0 * theta)) / 2.0
 
 
 def fisher_from_weak_value(sigma: np.ndarray, slope: np.ndarray, kappa: float) -> np.ndarray:
@@ -74,18 +59,6 @@ def fisher_from_weak_value(sigma: np.ndarray, slope: np.ndarray, kappa: float) -
     ks = kappa * np.asarray(sigma, dtype=np.float64)
     slope = np.asarray(slope, dtype=np.float64)
     return kappa * kappa * slope * slope / (1.0 - ks * ks)
-
-
-def pusey_probabilities(
-    theta: np.ndarray, kappa: float, sign: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact joint probabilities (p0, p1) of each outcome with successful
-    postselection, and the overlap p_phi = (1 + sign*sin(4t)) / 2."""
-    theta = np.asarray(theta, dtype=np.float64)
-    p_post = postselect_probability(theta, kappa, sign)
-    half_diff = kappa * np.cos(4.0 * theta) / 2.0
-    p_phi = (1.0 + sign * np.sin(4.0 * theta)) / 2.0
-    return (p_post + half_diff) / 2.0, (p_post - half_diff) / 2.0, p_phi
 
 
 def pusey_functional(p_x: np.ndarray, p_phi: np.ndarray, kappa: float) -> np.ndarray:
@@ -98,17 +71,6 @@ def pusey_functional(p_x: np.ndarray, p_phi: np.ndarray, kappa: float) -> np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         value = p_x / p_phi - (1.0 + kappa) / 2.0 - p_d / p_phi
     return np.where(p_phi <= PROB_FLOOR, np.nan, value)
-
-
-def pusey_curves(
-    theta: np.ndarray, kappa: float, sign: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Non-contextuality functionals (i0, i1) and the overlap p_phi per grid
-    point.  Points with p_phi at the numerical floor yield NaN functionals.
-    """
-    p0, p1, p_phi = pusey_probabilities(theta, kappa, sign)
-    i0, i1 = pusey_functional(np.stack([p0, p1]), p_phi, kappa)
-    return i0, i1, p_phi
 
 
 def trig_form(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:

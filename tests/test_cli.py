@@ -1,9 +1,11 @@
 import argparse
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import ideal_sigma
 import weakps
 from weakps import cli, draw_counts
@@ -405,15 +408,28 @@ def test_table1_records_a_turning_point_per_row(tmp_path):
     assert by_theta[22.5]["n_ok"] == "3"
 
 
+def test_sweep_weak_value_writes_nan_where_nothing_is_postselected(tmp_path, capsys):
+    # a starved gate (t_h = 0) passes no coincidence at any angle
+    out = tmp_path / "starved.csv"
+    assert main(["sweep-weak-value", "--kappa", "0.335", "--t-h", "0", "--theta-step", "22.5",
+                 "--output", str(out)]) == 0
+    _, _, rows = _read_csv(out)
+    assert [row[1:] for row in rows] == [["nan", "nan", "0", "0"]] * 4
+    # kappa = 0 has no rescaled value anywhere
+    assert main(["sweep-weak-value", "--kappa", "0", "--theta-step", "22.5",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ZeroStrength:")
+
+
 def test_imperfect_runs_never_use_the_density_matrix_route(tmp_path, monkeypatch):
-    # the density-matrix model is a test oracle: production goes through the
-    # closed form in weakps.imperfections
+    # the density-matrix model is a test oracle, in no weakps module:
+    # production goes through the closed form in weakps.imperfections
     def refuse(*args, **kwargs):
         raise AssertionError("imperfect_joint_probs called outside the tests")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "weakps" and hasattr(module, "imperfect_joint_probs"):
-            monkeypatch.setattr(module, "imperfect_joint_probs", refuse)
+        assert name.split(".")[0] != "weakps" or not hasattr(module, "imperfect_joint_probs")
+    monkeypatch.setattr(oracles, "imperfect_joint_probs", refuse)
     gate = ["--visibility", "0.78", "--t-h", "0.98", "--t-v", "0.34"]
     assert main(["table1", "--kappa", "0.335", "--repetitions", "2", *gate,
                  "--output", str(tmp_path / "t.csv")]) == 0
@@ -540,6 +556,22 @@ def test_cli_import_loads_neither_scipy_nor_numba():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the benchmark's traced mode looks each of its layer modules up in
+    # sys.modules after importing the CLI
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS")
+    code = ("import sys\n"
+            "import weakps.cli\n"
+            f"loaded = {{m.removeprefix('weakps.') for m in sys.modules}}\n"
+            f"print(sorted(set({layers!r}) - loaded))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakps.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert len(layers) == 8 and run.stdout.strip() == "[]"
 
 
 def test_runtime_loads_no_third_party_package_but_numpy(tmp_path):

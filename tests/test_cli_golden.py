@@ -34,6 +34,8 @@ IMPERFECT = ["--visibility", "0.78", "--t-h", "0.98", "--t-v", "0.34"]
 # in both formats.  "{golden}" stands for the fixture directory.
 CASES = {
     "sweep-weak-value": ["sweep-weak-value", "--kappa", "0.335", "--theta-step", "5"],
+    # NaN where the postselection starves (22.5 deg minus, 67.5 deg plus)
+    "sweep-weak-value-starved": ["sweep-weak-value", "--kappa", "1e-9", "--theta-step", "22.5"],
     "sweep-weak-value-imperfect": ["sweep-weak-value", "--kappa", "0.335",
                                    "--theta-step", "7.5", *IMPERFECT],
     # NaN where the overlap vanishes (22.5 deg minus, 67.5 deg plus)

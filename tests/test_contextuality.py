@@ -3,23 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ideal_sigma
+from oracles import ideal_sigma, pusey_functional, pusey_sweep, signal
 from weakps import (
     MINUS,
     PLUS,
     PureQubit,
     consolidated_S,
     decompose_consolidated,
-    ideal_probability_record,
     make_signal_state,
     p_phi_from_postselection,
-    pusey_from_probabilities,
-    pusey_functional,
-    scan_violation,
 )
-from weakps.errors import EmptyGrid, OrthogonalPostselection
 
 D2R = math.pi / 180.0
+MINUS_AMPLITUDES = MINUS.amplitudes()
 
 
 # ---------------------------------------------------------------------------
@@ -28,19 +24,17 @@ D2R = math.pi / 180.0
 
 def test_unperturbed_limit_is_exactly_zero():
     # the closed-form evaluation cancels exactly at zero strength
-    from weakps.kernels import pusey_curves
-
     grid = np.arange(0.0, 90.0, 0.25) * D2R
-    for sign in (-1.0, 1.0):
-        i0, i1, p_phi = pusey_curves(grid, 0.0, sign)
+    for sign in ("minus", "plus"):
+        i0, i1, p_phi = pusey_sweep(grid, 0.0, sign)
         keep = p_phi > 1e-30
         assert np.all(i0[keep] == 0.0)
         assert np.all(i1[keep] == 0.0)
     # the matrix route agrees to rounding (sqrt(1/2) squared is 1/2 + 1 ulp)
     for theta_deg in (0.0, 5.0, 20.0, 40.0, 70.0):
-        psi = make_signal_state(theta_deg * D2R)
-        for phi in (MINUS, PLUS):
-            if abs(phi.overlap(psi)) ** 2 <= 1e-30:
+        psi = signal(theta_deg * D2R)
+        for phi in (MINUS.amplitudes(), PLUS.amplitudes()):
+            if abs(np.vdot(phi, psi)) ** 2 <= 1e-30:
                 continue
             assert abs(pusey_functional(psi, phi, 0.0, 0)) <= 5e-15
             assert abs(pusey_functional(psi, phi, 0.0, 1)) <= 5e-15
@@ -48,43 +42,41 @@ def test_unperturbed_limit_is_exactly_zero():
 
 def test_functional_oracle_value():
     # frozen from explicit matrix evaluation of the joint probability and overlap
-    got = pusey_functional(make_signal_state(20 * D2R), MINUS, 0.335, 0)
+    got = pusey_functional(signal(20 * D2R), MINUS_AMPLITUDES, 0.335, 0)
     assert got == pytest.approx(-3.9869255996703523, abs=1e-12)
 
 
-def test_orthogonal_postselection_raises():
-    with pytest.raises(OrthogonalPostselection):
-        pusey_functional(make_signal_state(22.5 * D2R), MINUS, 0.335, 0)
-
-
 def test_record_consistency_between_routes():
-    # state-level route vs probability-record arithmetic
+    # state-level route vs the sweep's arithmetic on the model's probabilities
     for theta_deg in (3.0, 11.0, 33.0, 57.0, 88.0):
         theta = theta_deg * D2R
-        psi = make_signal_state(theta)
-        rec = ideal_probability_record(theta, 0.335)
-        p_phi = (1.0 - math.sin(4 * theta)) / 2.0
-        p0, p1 = rec.postselected("minus")
-        assert pusey_from_probabilities(p0, p_phi, 0.335) == pytest.approx(
-            pusey_functional(psi, MINUS, 0.335, 0), abs=1e-12
-        )
-        assert pusey_from_probabilities(p1, p_phi, 0.335) == pytest.approx(
-            pusey_functional(psi, MINUS, 0.335, 1), abs=1e-12
-        )
+        psi = signal(theta)
+        i0, i1, _ = pusey_sweep(np.array([theta]), 0.335, "minus")
+        assert i0[0] == pytest.approx(pusey_functional(psi, MINUS_AMPLITUDES, 0.335, 0), abs=1e-12)
+        assert i1[0] == pytest.approx(pusey_functional(psi, MINUS_AMPLITUDES, 0.335, 1), abs=1e-12)
 
 
 def test_outcome_swap_mirror_symmetry():
     # swapping the outcome index mirrors the preparation angle about 22.5 deg
     kappa = 0.4
     for theta_deg in (4.0, 12.0, 31.0, 41.0):
-        a = pusey_functional(make_signal_state(theta_deg * D2R), MINUS, kappa, 1)
-        b = pusey_functional(make_signal_state((45.0 - theta_deg) * D2R), MINUS, kappa, 0)
+        a = pusey_functional(signal(theta_deg * D2R), MINUS_AMPLITUDES, kappa, 1)
+        b = pusey_functional(signal((45.0 - theta_deg) * D2R), MINUS_AMPLITUDES, kappa, 0)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# grid scans
+# grid scans: the maximum of max(I0, I1) over sweep-pusey's values, ties to
+# the lowest index, NaN (orthogonal postselection) skipped
 # ---------------------------------------------------------------------------
+
+def _scan(kappa, sign, grid):
+    """(maximum, its angle, the skipped angles) of max(I0, I1) over the grid."""
+    i0, i1, _ = pusey_sweep(grid, kappa, sign)
+    both = np.maximum(i0, i1)
+    idx = int(np.nanargmax(both))
+    return float(both[idx]), float(grid[idx]), grid[np.isnan(both)]
+
 
 def _stationary_maximum(kappa):
     """Closed-form stationary point of the outcome-0 functional over
@@ -94,44 +86,40 @@ def _stationary_maximum(kappa):
     p_d = 1 - math.sqrt(1 - kappa**2)
     t_star = (a * b + 2 * p_d - a * a) / (b * b - a * b - 2 * p_d)
     theta_star = math.atan(t_star) / 2
-    value = pusey_functional(make_signal_state(theta_star), MINUS, kappa, 0)
+    value = pusey_functional(signal(theta_star), MINUS_AMPLITUDES, kappa, 0)
     return t_star, theta_star, value
 
 
 def test_scan_no_violation_at_calibrated_strength():
     grid = np.arange(0.0, 90.0, 0.1) * D2R
-    scan = scan_violation(0.335, "minus", grid)
-    assert not scan.violated
-    assert scan.max_value == pytest.approx(-0.078, abs=1e-3)
+    max_value, argmax_theta, _ = _scan(0.335, "minus", grid)
+    assert not max_value > 0.0
+    assert max_value == pytest.approx(-0.078, abs=1e-3)
     t_star, theta_star, peak = _stationary_maximum(0.335)
     assert t_star == pytest.approx(0.318, abs=1e-3)
     # grid maximum sits just under the stationary value
-    assert scan.max_value <= peak + 1e-12
-    assert scan.max_value == pytest.approx(peak, abs=1e-5)
-    assert scan.argmax_theta == pytest.approx(theta_star, abs=0.1 * D2R)
+    assert max_value <= peak + 1e-12
+    assert max_value == pytest.approx(peak, abs=1e-5)
+    assert argmax_theta == pytest.approx(theta_star, abs=0.1 * D2R)
 
 
 def test_scan_projective_strength_has_wide_margin():
     grid = np.arange(0.0, 90.0, 0.1) * D2R
     for sign in ("minus", "plus"):
-        scan = scan_violation(1.0, sign, grid)
         # at full strength the disturbed weight is 1, pushing the functional
         # at least one unit below zero
-        assert scan.max_value <= -1.0 + 1e-12
+        assert _scan(1.0, sign, grid)[0] <= -1.0 + 1e-12
 
 
 def test_scan_weak_regime_finds_violation():
     grid = np.arange(0.0, 90.0, 0.1) * D2R
-    scan = scan_violation(0.01, "minus", grid)
-    assert scan.violated and scan.max_value > 0.0
+    assert _scan(0.01, "minus", grid)[0] > 0.0
 
 
 def test_weak_regime_violations_cooccur_with_anomalies():
     for kappa in (0.005, 0.01, 0.02):
         grid = np.arange(0.05, 90.0, 0.1) * D2R
-        from weakps.kernels import pusey_curves
-
-        i0, _, p_phi = pusey_curves(grid, kappa, -1.0)
+        i0, _, p_phi = pusey_sweep(grid, kappa, "minus")
         sigma = ideal_sigma(grid, kappa, -1.0)
         positive = np.isfinite(i0) & (i0 > 0.0)
         assert np.any(positive)
@@ -146,16 +134,9 @@ def test_weak_regime_violations_cooccur_with_anomalies():
 
 def test_scan_reports_skipped_points():
     grid = np.array([10.0, 22.5, 40.0]) * D2R
-    scan = scan_violation(0.335, "minus", grid)
-    assert len(scan.skipped) == 1
-    assert scan.skipped[0] == pytest.approx(22.5 * D2R, abs=1e-15)
-
-
-def test_scan_empty_grid():
-    with pytest.raises(EmptyGrid):
-        scan_violation(0.335, "minus", np.array([]))
-    with pytest.raises(EmptyGrid):
-        scan_violation(0.335, "minus", np.array([22.5 * D2R]))
+    skipped = _scan(0.335, "minus", grid)[2]
+    assert len(skipped) == 1
+    assert skipped[0] == pytest.approx(22.5 * D2R, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ from oracles import ideal_sigma
 
 from weakps import (
     AcquisitionConfig,
-    ProbabilityRecord,
     derive_seeds,
     draw_counts,
-    ideal_probability_record,
     weak_values_from_counts,
 )
 from weakps import counting
@@ -49,10 +47,10 @@ def _seeds(*seeds):
     return np.array(seeds, dtype=np.uint64)
 
 
-def _draw(probs: ProbabilityRecord, config):
-    """One count row drawn from ``config.seed``: the one-seed batch."""
-    row = [probs.p_mp, probs.p_mm, probs.p_pp, probs.p_pm]
-    return draw_counts(row, _seeds(config.seed), config)[0].tolist()
+def _draw(probs, config):
+    """One count row drawn from ``config.seed``: the one-seed batch of the
+    channel probabilities ``(p_mp, p_mm, p_pp, p_pm)``."""
+    return draw_counts(probs, _seeds(config.seed), config)[0].tolist()
 
 
 def _batch(theta, config, repetitions):
@@ -101,8 +99,7 @@ def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
     expected = draw_counts_per_row(probs, _seeds(*EDGE_SEEDS), config).tolist()
     assert draw_counts(probs, _seeds(*EDGE_SEEDS), config).tolist() == expected
     for seed, row in zip(EDGE_SEEDS, expected):
-        assert _draw(ProbabilityRecord(*probs),
-                     AcquisitionConfig(seed=seed, rate=700.0, duration=3.0)) == row
+        assert _draw(probs, AcquisitionConfig(seed=seed, rate=700.0, duration=3.0)) == row
 
 
 def test_root_seeds_past_2_64_draw_through_derive_seeds():
@@ -197,7 +194,7 @@ def test_draw_rejects_invalid_probabilities():
         draw_counts([0.5, 0.5, -0.1, 0.1], _seeds(1), config)
     with pytest.raises(ValueError, match="p_mm must be a nonnegative probability"):
         draw_counts([0.5, math.nan, 0.25, 0.25], _seeds(1), config)
-    # ProbabilityRecord's tolerance on a negative probability: -1e-13 passes, -1e-11 not
+    # the tolerance on a negative probability: -1e-13 passes, -1e-11 not
     assert draw_counts([0.5, 0.5, -1e-13, 1e-13], _seeds(1), config)[0, 2:].tolist() == [0, 0]
     with pytest.raises(ValueError, match="p_pp must be a nonnegative probability, got -1e-11"):
         draw_counts([0.5, 0.5, -1e-11, 1e-11], _seeds(1), config)
@@ -229,7 +226,7 @@ def test_weak_values_match_the_scalar_estimator_bit_for_bit():
 
 
 def test_seed_determinism():
-    probs = ideal_probability_record(20 * D2R, KAPPA)
+    probs = channel_probabilities(20 * D2R, KAPPA)
     a = _draw(probs, AcquisitionConfig(seed=123))
     b = _draw(probs, AcquisitionConfig(seed=123))
     c = _draw(probs, AcquisitionConfig(seed=124))
@@ -238,20 +235,20 @@ def test_seed_determinism():
 
 
 def test_degenerate_distribution():
-    probs = ProbabilityRecord(p_mp=1.0, p_mm=0.0, p_pp=0.0, p_pm=0.0, kappa=KAPPA)
+    probs = [1.0, 0.0, 0.0, 0.0]
     n_mp, n_mm, n_pp, n_pm = _draw(probs, AcquisitionConfig(seed=5, rate=200.0, duration=5.0))
     assert n_mm == n_pp == n_pm == 0
     assert abs(n_mp - 1000) < 5 * math.sqrt(1000)
 
 
 def test_law_of_large_numbers():
-    probs = ProbabilityRecord(p_mp=0.25, p_mm=0.25, p_pp=0.25, p_pm=0.25, kappa=KAPPA)
+    probs = [0.25, 0.25, 0.25, 0.25]
     for n in _draw(probs, AcquisitionConfig(seed=11, rate=4e6, duration=1.0)):
         assert abs(n - 1e6) < 5 * 1e3
 
 
 def test_rejects_unnormalized_probabilities():
-    probs = ProbabilityRecord(p_mp=0.3, p_mm=0.3, p_pp=0.3, p_pm=0.3, kappa=KAPPA)
+    probs = [0.3, 0.3, 0.3, 0.3]
     with pytest.raises(ValueError):
         _draw(probs, AcquisitionConfig(seed=1))
 

@@ -6,22 +6,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fisher_ps_definition, ideal_postselect_probability, ideal_sigma
+from oracles import (fisher_ps_definition, ideal_postselect_probability, ideal_sigma,
+                     imperfect_joint_probs, postselected_value)
 from weakps import (
     AcquisitionConfig,
     ImperfectionParams,
     ModelParams,
     assess_estimates,
     build_calibration,
-    conditional_probabilities,
     derive_seeds,
     draw_counts,
-    imperfect_joint_probs,
     invert_branch,
     kernels,
     load_baseline,
     table1_pipeline,
-    weak_value,
     weak_values_from_counts,
 )
 from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
@@ -85,9 +83,9 @@ def test_imperfect_curve_matches_pipeline():
     model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=params)
     curve = build_calibration(model, 0.0, 45 * D2R, 1.0 * D2R)
     for i, theta in enumerate(curve.theta_grid):
-        rec = imperfect_joint_probs(float(theta), model.mu, params)
-        pc0, pc1 = conditional_probabilities(*rec.postselected("minus"))
-        assert curve.sigma_values[i] == pytest.approx(weak_value(pc0, pc1, KAPPA), abs=1e-12)
+        oracle = postselected_value(imperfect_joint_probs(float(theta), model.mu, params), KAPPA,
+                                    "minus")
+        assert curve.sigma_values[i] == pytest.approx(oracle, abs=1e-12)
 
 
 def _estimate(curve, sigma, branch):

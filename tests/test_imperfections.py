@@ -5,37 +5,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (balance_operator, central_splitter_operator, circuit_channels,
+                     dephase_computational, effective_kappa, imperfect_joint_probs,
+                     postselected_value, product_density, signal)
 from weakps import (
     IDEAL_GATE,
     ImperfectionParams,
     ModelParams,
     assess_estimates,
     build_calibration,
-    circuit_probability_record,
-    conditional_probabilities,
-    effective_kappa,
-    imperfect_joint_probs,
     invert_branch,
     kernels,
-    weak_value,
 )
 from weakps.errors import AmbiguousBranch, GateStarved, ZeroPostselection
 from weakps.estimation import OK
-from weakps.imperfections import (
-    balance_operator,
-    central_splitter_operator,
-    coincidence_probabilities,
-    dephase_computational,
-    renormalized_probabilities,
-)
-from weakps.states import (MINUS, PLUS, PROB_FLOOR, TwoQubitDensity, make_meter_state,
-                           make_signal_state)
+from weakps.imperfections import coincidence_probabilities, renormalized_probabilities
+from weakps.states import MINUS, PLUS, PROB_FLOOR
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
 MU = math.asin(KAPPA) / 4.0
 REALISTIC_GATE = ImperfectionParams(visibility=0.78, t_h=0.98, t_v=0.34)
-CHANNELS = ("p_mp", "p_mm", "p_pp", "p_pm")
 
 # Deterministic examples and no example database: Tier-1 stays repeatable
 # and leaves no .hypothesis/ directory behind.
@@ -52,9 +42,7 @@ SIGNS = st.sampled_from(("minus", "plus"))
 
 
 def _sigma(theta, params, sign="minus", kappa=KAPPA):
-    rec = imperfect_joint_probs(theta, MU, params)
-    pc0, pc1 = conditional_probabilities(*rec.postselected(sign))
-    return weak_value(pc0, pc1, kappa)
+    return postselected_value(imperfect_joint_probs(theta, MU, params), kappa, sign)
 
 
 def test_params_validation():
@@ -71,17 +59,15 @@ def test_ideal_parameters_reproduce_the_circuit():
         for theta_deg in range(0, 91, 5):
             theta = theta_deg * D2R
             imperfect = imperfect_joint_probs(theta, mu, IDEAL_GATE)
-            ideal = circuit_probability_record(theta, mu)
-            for key in ("p_mp", "p_mm", "p_pp", "p_pm"):
-                worst = max(worst, abs(getattr(imperfect, key) - getattr(ideal, key)))
+            worst = max(worst, float(np.max(np.abs(imperfect - circuit_channels(theta, mu)))))
     assert worst < 1e-12
 
 
 def test_probabilities_close_after_renormalization():
     for params in (IDEAL_GATE, REALISTIC_GATE, ImperfectionParams(0.5, 0.7, 0.2)):
         for theta_deg in (0.0, 10.0, 33.0, 60.0, 89.0):
-            rec = imperfect_joint_probs(theta_deg * D2R, MU, params)
-            assert rec.total == pytest.approx(1.0, abs=1e-12)
+            probs = imperfect_joint_probs(theta_deg * D2R, MU, params)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gate_operator_values():
@@ -99,9 +85,8 @@ def test_visibility_zero_flattens_the_curve():
         ImperfectionParams(0.0, 0.98, 0.34),
     ):
         for theta_deg in (5.0, 20.0, 40.0):
-            rec = imperfect_joint_probs(theta_deg * D2R, MU, params)
-            for key in ("p_mp", "p_mm", "p_pp", "p_pm"):
-                assert getattr(rec, key) == pytest.approx(0.25, abs=1e-12)
+            probs = imperfect_joint_probs(theta_deg * D2R, MU, params)
+            np.testing.assert_allclose(probs, 0.25, rtol=0, atol=1e-12)
             assert abs(_sigma(theta_deg * D2R, params)) < 1e-10
 
 
@@ -127,7 +112,7 @@ def test_peak_damage_is_monotone_in_visibility():
 def test_density_positive_at_every_stage():
     # walk the stages by hand and eigen-check each one
     theta, params = 20 * D2R, REALISTIC_GATE
-    rho = TwoQubitDensity.from_product(make_signal_state(theta), make_meter_state(MU)).rho
+    rho = product_density(signal(theta), signal(MU))
     gate = central_splitter_operator(params)
     rho_gate = gate @ rho @ gate.conj().T
     v = params.visibility
@@ -165,9 +150,7 @@ def test_gate_starved():
 @given(gate=GATES, mu=MUS, theta=st.floats(-math.pi, math.pi))
 def test_closed_form_matches_density_matrix_route(gate, mu, theta):
     closed = renormalized_probabilities([theta], mu, gate)[:, 0]
-    oracle = imperfect_joint_probs(theta, mu, gate)
-    np.testing.assert_allclose(closed, [getattr(oracle, key) for key in CHANNELS],
-                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(closed, imperfect_joint_probs(theta, mu, gate), rtol=0, atol=1e-14)
 
 
 @PROPERTY
@@ -212,7 +195,7 @@ def test_per_attempt_information_budget(gate, kappa, sign):
 def _per_attempt_pair(theta, mu, params, sign):
     """The postselected pair (p0, p1) per attempt: the stages of
     imperfect_joint_probs by hand, without its renormalization."""
-    rho = TwoQubitDensity.from_product(make_signal_state(theta), make_meter_state(mu)).rho
+    rho = product_density(signal(theta), signal(mu))
     gate, balance = central_splitter_operator(params), balance_operator(params)
     rho = gate @ rho @ gate.conj().T
     rho = params.visibility * rho + (1.0 - params.visibility) * dephase_computational(rho)
@@ -228,8 +211,7 @@ def test_trig_form_matches_density_matrix_route(kappa, theta, gate, sign):
     # sigma and the per-attempt p_ps from (n, d) against the density matrices
     model = ModelParams(kappa, sign, gate)
     n, d = model.coefficients
-    rec = imperfect_joint_probs(theta, model.mu, gate)
-    oracle = weak_value(*conditional_probabilities(*rec.postselected(sign)), kappa)
+    oracle = postselected_value(imperfect_joint_probs(theta, model.mu, gate), kappa, sign)
     assert model.sigma_array(np.array([theta]))[0] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
     p0, p1 = _per_attempt_pair(theta, model.mu, gate, sign)
     assert kernels.trig_form(d, theta) == pytest.approx(p0 + p1, rel=1e-12, abs=1e-15)
@@ -241,9 +223,8 @@ def test_trig_form_matches_density_matrix_route(kappa, theta, gate, sign):
 def test_analytic_slope_matches_central_difference_of_the_oracle(kappa, theta, gate, sign):
     model = ModelParams(kappa, sign, gate)
     step = 1e-6
-    ahead, behind = (weak_value(*conditional_probabilities(
-        *imperfect_joint_probs(theta + h, model.mu, gate).postselected(sign)), kappa)
-        for h in (step, -step))
+    ahead, behind = (postselected_value(imperfect_joint_probs(theta + h, model.mu, gate), kappa,
+                                        sign) for h in (step, -step))
     assert model.sigma_slope(np.array([theta]))[0] == pytest.approx(
         (ahead - behind) / (2.0 * step), rel=1e-5, abs=1e-5)
 

@@ -5,21 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ideal_postselect_probability, ideal_sigma, ideal_slope, invert_sigma
-from weakps import (
-    ImperfectionParams,
-    ModelParams,
-    build_calibration,
-    circuit_probability_record,
-    evaluate_weak_value,
-    ideal_probability_record,
-    joint_probability,
-    kernels,
-    make_signal_state,
-)
-from weakps.contextuality import pusey_functional
+from oracles import (circuit_channels, ideal_postselect_probability, ideal_sigma, ideal_slope,
+                     invert_sigma, joint_channels, joint_probability, postselected_value,
+                     pusey_functional, pusey_sweep, signal)
+from weakps import ImperfectionParams, ModelParams, build_calibration, kernels
 from weakps.errors import AmbiguousBranch
-from weakps.states import postselect_state
+from weakps.states import MINUS, PLUS
 
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
 THETA = np.linspace(0.0, math.pi / 2, 1001)
@@ -32,20 +23,20 @@ KAPPA = st.floats(0.01, 1.0)
 
 
 def test_curve_kernels_match_probability_pipeline():
-    # the model's closed forms against routes with other formulas: the
-    # joint probabilities of the signal family, and their conditioning and
-    # rescaling (whose rounding in pc0 - pc1 the 1/kappa rescaling amplifies)
+    # the model's closed forms against the Kraus route's joint probabilities
+    # of the signal family, and their conditioning and rescaling (whose
+    # rounding in p0 - p1 the 1/kappa rescaling amplifies)
     for kappa in KAPPAS:
-        records = [ideal_probability_record(t, kappa) for t in THETA.tolist()]
+        records = np.array([joint_channels(signal(t), kappa) for t in THETA.tolist()]).T
         for sign_label, _ in SIGNS:
+            pair = records[:2] if sign_label == "minus" else records[2:]
             np.testing.assert_allclose(
-                ModelParams(kappa, sign_label).information(THETA)[1],
-                [rec.postselect_probability(sign_label) for rec in records],
+                ModelParams(kappa, sign_label).information(THETA)[1], pair.sum(axis=0),
                 rtol=0, atol=1e-15,
             )
             np.testing.assert_allclose(
                 ModelParams(kappa, sign_label).sigma_array(THETA),
-                [evaluate_weak_value(t, kappa, sign_label).sigma_w for t in THETA.tolist()],
+                postselected_value(records, kappa, sign_label),
                 rtol=0, atol=2e-14 / kappa,
             )
 
@@ -66,19 +57,18 @@ def test_information_budget_property(kappa, offset, sign):
 @given(mu=st.floats(0.0, math.pi / 8, exclude_min=True), theta=st.floats(-math.pi, math.pi))
 def test_channel_kernel_matches_circuit_route(mu, theta):
     # the closed form against one gate application and four projections
-    rec = circuit_probability_record(theta, mu)
     np.testing.assert_allclose(kernels.channel_probabilities(theta, math.sin(4.0 * mu)),
-                               [rec.p_mp, rec.p_mm, rec.p_pp, rec.p_pm], rtol=0, atol=1e-14)
+                               circuit_channels(theta, mu), rtol=0, atol=1e-14)
 
 
 @PROPERTY
 @given(kappa=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi / 2), sign=st.sampled_from(SIGNS))
 def test_pusey_kernel_matches_kraus_route(kappa, theta, sign):
-    label, sgn = sign
-    i0, i1, p_phi = kernels.pusey_curves(np.array([theta]), kappa, sgn)
+    label, _ = sign
+    i0, i1, p_phi = pusey_sweep(np.array([theta]), kappa, label)
     assume(p_phi[0] > 1e-3)  # the functional divides by p_phi
-    psi, phi = make_signal_state(theta), postselect_state(label)
-    overlap = abs(phi.overlap(psi)) ** 2
+    psi, phi = signal(theta), (MINUS if label == "minus" else PLUS).amplitudes()
+    overlap = abs(np.vdot(phi, psi)) ** 2
     for x, got in ((0, i0[0]), (1, i1[0])):
         # the functional written out, on the Kraus-operator probabilities
         p_x, p_d = joint_probability(psi, phi, kappa, x), 1 - math.sqrt(1 - kappa**2)
@@ -204,9 +194,11 @@ def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
 
 
 def test_pusey_kernel_skips_orthogonal_point():
-    i0, i1, p_phi = kernels.pusey_curves(np.array([math.pi / 8]), 0.335, -1.0)
+    # 22.5 deg is orthogonal to <-|: NaN on sweep-pusey's path and the state route
+    i0, i1, p_phi = pusey_sweep(np.array([math.pi / 8]), 0.335, "minus")
     assert p_phi[0] <= 1e-30
     assert math.isnan(i0[0]) and math.isnan(i1[0])
+    assert math.isnan(pusey_functional(signal(math.radians(22.5)), MINUS.amplitudes(), 0.335, 0))
 
 
 @PROPERTY

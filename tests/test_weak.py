@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fisher_ps_definition, ideal_postselect_probability
-from weakps import (
-    ModelParams,
-    conditional_probabilities,
-    evaluate_weak_value,
-    four_outcome_bloch_angles,
-    ideal_probability_record,
-    make_signal_state,
-    weak_value,
-)
+from oracles import (fisher_ps_definition, four_outcome_bloch_angles, ideal_postselect_probability,
+                     joint_channels, postselected_value, signal)
+from weakps import ModelParams, kernels, make_signal_state, weak_values_from_counts
 from weakps.errors import DegenerateConditional, ZeroStrength
 from weakps.kernels import fisher_from_weak_value
 from weakps.states import sign_factor
@@ -28,8 +21,11 @@ def _sigma(thetas, kappa, sign):
 
 
 def _pipeline_pcs(theta, kappa, sign):
-    rec = ideal_probability_record(theta, kappa)
-    return conditional_probabilities(*rec.postselected(sign))
+    """The conditional pair (pc0, pc1) from the four channel probabilities."""
+    probs = kernels.channel_probabilities(theta, kappa)
+    p0, p1 = probs[:2] if sign == "minus" else probs[2:]
+    pc0 = float(p0 / (p0 + p1))
+    return pc0, 1.0 - pc0
 
 
 # ---------------------------------------------------------------------------
@@ -37,24 +33,20 @@ def _pipeline_pcs(theta, kappa, sign):
 # ---------------------------------------------------------------------------
 
 def test_weak_value_arithmetic():
-    assert weak_value(1.0, 0.0, 0.5) == pytest.approx(2.0, abs=1e-15)
-    assert abs(weak_value(1.0, 0.0, 0.5)) > 1.0  # anomalous
+    # the rescaled value (n0 - n1) / (kappa (n0 + n1)) of a counted pair
+    def value(n0, n1, kappa):
+        return float(weak_values_from_counts(np.array([[n0, n1, 0, 0]]), kappa, "minus")[0][0])
+
+    assert value(1, 0, 0.5) == pytest.approx(2.0, abs=1e-15)
+    assert abs(value(1, 0, 0.5)) > 1.0  # anomalous
     for kappa in (0.1, 0.5, 1.0):
-        assert weak_value(0.5, 0.5, kappa) == 0.0
-    kappa = 0.335
-    assert weak_value((1 + kappa) / 2, (1 - kappa) / 2, kappa) == pytest.approx(1.0, abs=1e-12)
+        assert value(1, 1, kappa) == 0.0
+    assert value(1335, 665, 0.335) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weak_value_zero_strength():
     with pytest.raises(ZeroStrength):
-        weak_value(0.6, 0.4, 0.0)
-    with pytest.raises(ZeroStrength):
         _sigma(0.1, 0.0, "minus")
-
-
-def test_weak_value_needs_normalized_conditionals():
-    with pytest.raises(ValueError):
-        weak_value(0.6, 0.6, 0.5)
 
 
 def test_curve_endpoints():
@@ -65,20 +57,22 @@ def test_curve_endpoints():
 
 
 def test_curve_matches_pipeline_on_grid():
+    # against the Kraus route's joint probabilities, conditioned and rescaled
     thetas = np.arange(0.0, 90.0, 0.5) * D2R
     for kappa in KAPPAS:
         for sign in ("minus", "plus"):
             curve = _sigma(thetas, kappa, sign)
             for i, theta in enumerate(thetas):
-                pc0, pc1 = _pipeline_pcs(float(theta), kappa, sign)
-                assert curve[i] == pytest.approx(weak_value(pc0, pc1, kappa), abs=1e-12)
+                channels = joint_channels(signal(float(theta)), kappa)
+                oracle = postselected_value(channels, kappa, sign)
+                assert curve[i] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_result_object_flags_anomaly():
-    res = evaluate_weak_value(17.6 * D2R, 0.335, "minus")
-    assert res.anomalous and res.sigma_w > 1.0
-    res = evaluate_weak_value(22.5 * D2R, 0.335, "minus")
-    assert not res.anomalous
+    # anomalous: outside the spectrum [-1, 1] of Z
+    sigma = float(_sigma(17.6 * D2R, 0.335, "minus"))
+    assert abs(sigma) > 1.0 and sigma > 1.0
+    assert abs(float(_sigma(22.5 * D2R, 0.335, "minus"))) <= 1.0
 
 
 def test_extremum_law():
