@@ -52,8 +52,11 @@ def postselected_value(channels, kappa: float, postselect_sign: str):
 def pusey_functional(psi: np.ndarray, phi: np.ndarray, kappa: float, x: int) -> float:
     """Pusey's functional of outcome ``x`` at the state level: the Kraus
     route's joint probability over the overlap ``|<phi|psi>|^2``, through
-    :func:`weakps.kernels.pusey_functional` (NaN where they are orthogonal)."""
+    :func:`weakps.kernels.pusey_functional`; ValueError where they are
+    orthogonal (the sweep's NaN)."""
     p_phi = abs(np.conj(phi[0]) * psi[0] + np.conj(phi[1]) * psi[1]) ** 2
+    if p_phi <= PROB_FLOOR:
+        raise ValueError("preparation and postselection are orthogonal")
     return float(kernels.pusey_functional(joint_probability(psi, phi, kappa, x), p_phi, kappa))
 
 

@@ -46,6 +46,11 @@ def test_functional_oracle_value():
     assert got == pytest.approx(-3.9869255996703523, abs=1e-12)
 
 
+def test_orthogonal_postselection_raises():
+    with pytest.raises(ValueError, match="orthogonal"):
+        pusey_functional(signal(22.5 * D2R), MINUS_AMPLITUDES, 0.335, 0)
+
+
 def test_record_consistency_between_routes():
     # state-level route vs the sweep's arithmetic on the model's probabilities
     for theta_deg in (3.0, 11.0, 33.0, 57.0, 88.0):

@@ -194,11 +194,10 @@ def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
 
 
 def test_pusey_kernel_skips_orthogonal_point():
-    # 22.5 deg is orthogonal to <-|: NaN on sweep-pusey's path and the state route
+    # 22.5 deg is orthogonal to <-|: NaN on sweep-pusey's path
     i0, i1, p_phi = pusey_sweep(np.array([math.pi / 8]), 0.335, "minus")
     assert p_phi[0] <= 1e-30
     assert math.isnan(i0[0]) and math.isnan(i1[0])
-    assert math.isnan(pusey_functional(signal(math.radians(22.5)), MINUS.amplitudes(), 0.335, 0))
 
 
 @PROPERTY
