@@ -24,12 +24,10 @@ from .counting import (
     weak_values_from_counts,
 )
 from .estimation import (
-    CalibrationCurve,
     EstimateBatch,
     ModelParams,
     Table1Row,
     assess_estimates,
-    build_calibration,
     invert_branch,
     load_baseline,
     table1_pipeline,

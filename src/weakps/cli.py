@@ -39,7 +39,6 @@ from .estimation import (
     TABLE1_THETAS_DEG,
     ModelParams,
     assess_estimates,
-    build_calibration,
     invert_branch,
     load_baseline,
     table1_pipeline,
@@ -400,7 +399,8 @@ def _cmd_sweep_weak_value(args) -> None:
         sigma = np.full(grid.size, np.nan)
         sigma[~starved] = model.sigma_array(grid[~starved])
         data[f"sigma_w_{sign}"] = sigma
-        data[f"anomalous_{sign}"] = (np.abs(sigma) > 1.0).astype(np.int64)
+        # beyond the spectrum [-1, 1] by more than rounding: 45 deg rounds to -1 - 2e-16
+        data[f"anomalous_{sign}"] = (np.abs(sigma) > 1.0 + kernels._ROUNDING).astype(np.int64)
     columns = ["theta_deg", *(f"sigma_w_{s}" for s in signs), *(f"anomalous_{s}" for s in signs)]
 
     meta = _model_metadata(args, kappa, mu, imperfections)
@@ -432,8 +432,9 @@ def _cmd_sweep_pusey(args) -> None:
                 simulated_counts=args.simulate, theta_start=args.theta_start,
                 theta_end=args.theta_end, theta_step=args.theta_step)
     if args.simulate:  # one draw per grid point, read for every postselection
+        acquisition = _acquisition(args)  # checks the seed before any is derived from it
         counts = draw_counts(kernels.channel_probabilities(grid, kappa).T,
-                             derive_seeds(args.seed, grid.size), _acquisition(args))
+                             derive_seeds(args.seed, grid.size), acquisition)
         totals = counts.sum(axis=1).astype(np.float64)
         meta.update(seed=args.seed, rate=args.rate, duration=args.duration)
 
@@ -541,6 +542,8 @@ def _cmd_estimate(args) -> None:
         raise ConfigError("counts JSON must be an object whose metadata is an object")
     in_meta = payload.get("metadata", {})
     in_records = payload.get("records", [])
+    if not isinstance(in_records, list):
+        raise ConfigError(f"counts JSON: records must be a list, got {type(in_records).__name__}")
     if not in_records:
         raise ConfigError("input file holds no count records")
 
@@ -566,7 +569,6 @@ def _cmd_estimate(args) -> None:
                           f"got {args.branch!r}")
 
     model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=imperfections)
-    curve = build_calibration(model, 0.0, math.pi / 2.0, math.radians(0.05))
     branch = (math.radians(lo_deg), math.radians(hi_deg))
 
     try:
@@ -576,14 +578,14 @@ def _cmd_estimate(args) -> None:
             duration=in_meta.get("duration", 5.0),
             kappa_uncertainty=in_meta.get("kappa_uncertainty", 0.0),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"input metadata: {exc}") from exc
 
     counts, thetas = _read_counts(in_records, sign)
     sigmas, variances = weak_values_from_counts(counts, kappa, sign,
                                                 acquisition.kappa_uncertainty)
     m_ps = postselected_counts(counts, sign).sum(axis=1)
-    batch = assess_estimates(curve, invert_branch(curve, sigmas, branch), variances, m_ps)
+    batch = assess_estimates(model, invert_branch(model, sigmas, branch), variances, m_ps)
     failed = np.flatnonzero(batch.status)
     if failed.size:  # the first failing record, in file order, stops the run
         raise batch.error(int(failed[0]), model, branch, sigmas[failed[0]])

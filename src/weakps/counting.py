@@ -27,6 +27,7 @@ the calibration uncertainty on the strength.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,9 @@ class AcquisitionConfig:
 
     def __post_init__(self) -> None:
         for name in ("rate", "duration", "kappa_uncertainty"):
-            if isinstance(getattr(self, name), bool):  # not read as 0 or 1
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)  # a number, and no bool read as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.rate <= 0.0 or not math.isfinite(self.rate):
             raise ValueError(f"rate must be positive, got {self.rate!r}")
         if self.duration <= 0.0 or not math.isfinite(self.duration):

@@ -37,10 +37,8 @@ __all__ = [
     "RAD2_TO_DEG2",
     "TABLE1_THETAS_DEG",
     "ModelParams",
-    "CalibrationCurve",
     "EstimateBatch",
     "Table1Row",
-    "build_calibration",
     "invert_branch",
     "assess_estimates",
     "table1_pipeline",
@@ -56,8 +54,17 @@ TABLE1_THETAS_DEG = {
 }
 
 _SLOPE_FLOOR = 1e-9
-# d.B sums terms up to |d|_1 in size: within a few roundings of that, it is zero
-_ROUNDING = 4.0 * np.finfo(np.float64).eps
+# The angles a model's curve is tabulated on to find its branches: [0, 90] deg by 0.05 deg
+_BRANCH_GRID = math.radians(0.05) * np.arange(1801)
+
+
+def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [i, j] of the maximal monotone runs of ``values``; a run
+    ends where a step turns against the last step that was not flat."""
+    diffs = np.sign(np.diff(values))
+    steps = np.flatnonzero(diffs)
+    turns = steps[1:][diffs[steps[1:]] != diffs[steps[:-1]]].tolist()
+    return list(zip([0, *turns], [*turns, diffs.size]))
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ class ModelParams:
         """Where the postselection probability ``d.B`` is within rounding of
         zero: no postselected value exists there."""
         d = self.coefficients[1]
-        return kernels.trig_form(d, thetas) <= _ROUNDING * np.abs(d).sum()
+        return kernels.trig_form(d, thetas) <= kernels._ROUNDING * np.abs(d).sum()
 
     def _check(self, thetas: np.ndarray) -> None:
         """GateStarved where no coincidence passes the gate (imperfect model
@@ -162,83 +169,34 @@ class ModelParams:
                 f_ps = kernels.fisher_from_weak_value(sigma, slopes, self.kappa)
         return np.where(1.0 - np.abs(self.kappa * sigma) < SATURATION_TOL, np.nan, f_ps), p_ps
 
-
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """Tabulated model curve linking the postselected value to the angle.
-
-    The grid is for branch bookkeeping only; inversion always evaluates the
-    exact model.
-    """
-
-    theta_grid: np.ndarray
-    sigma_values: np.ndarray
-    model: ModelParams
-
-    def __post_init__(self) -> None:
-        grid = np.ascontiguousarray(self.theta_grid, dtype=np.float64)
-        values = np.ascontiguousarray(self.sigma_values, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("theta_grid must hold at least two angles")
-        if values.shape != grid.shape:
-            raise ValueError("sigma_values must match theta_grid in shape")
-        if not np.all(np.diff(grid) > 0.0):
-            raise ValueError("theta_grid must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sigma_values must be finite")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "theta_grid", grid)
-        object.__setattr__(self, "sigma_values", values)
-        # a run ends where a step turns against the last step that was not flat
-        diffs = np.sign(np.diff(values))
-        steps = np.flatnonzero(diffs)
-        turns = steps[1:][diffs[steps[1:]] != diffs[steps[:-1]]].tolist()
-        object.__setattr__(self, "_runs", tuple(zip([0, *turns], [*turns, diffs.size])))
-        # the runs pulled in by one cell at every interior end, and at an end of
-        # the range only where the model turns inside that end's cell
-        model_turns = kernels.trig_turning_points(*self.model.coefficients, grid[0], grid[-1])
-        first = 1 if np.any(model_turns < grid[1]) else 0
-        last = diffs.size - 1 if np.any(model_turns > grid[-2]) else diffs.size
-        object.__setattr__(self, "_branches", tuple(
-            (i + 1 if i else first, j - 1 if j < diffs.size else last) for i, j in self._runs))
-
-    def branches(self) -> list[tuple[int, int]]:
-        """Index ranges [i, j] of maximal monotone runs of the tabulated curve."""
-        return list(self._runs)
+    @cached_property
+    def _branches(self) -> list[tuple[float, float]]:
+        """The branches :meth:`branch_containing` picks from, in order."""
+        grid = _BRANCH_GRID
+        last = grid.size - 1
+        turns = kernels.trig_turning_points(*self.coefficients, grid[0], grid[-1])
+        first = 1 if np.any(turns < grid[1]) else 0
+        end = last - 1 if np.any(turns > grid[-2]) else last
+        ends = [(i + 1 if i else first, j - 1 if j < last else end)
+                for i, j in _monotone_runs(self.sigma_array(grid))]
+        return [(float(grid[i]), float(grid[j])) for i, j in ends if i < j]
 
     def branch_containing(self, theta: float) -> tuple[float, float]:
-        """Angle interval of the monotone branch containing ``theta``.
-
-        Interior branch endpoints are tabulated turning points; the true
-        extremum lies within one grid cell of them, so those endpoints are
-        pulled in by one cell to guarantee the returned interval is strictly
-        monotone in the exact model.  An end of the tabulated range is pulled
-        in only where the model turns inside that end's cell.
-        """
-        grid = self.theta_grid
-        if not grid[0] <= theta <= grid[-1]:
+        """Angle interval of the monotone branch containing ``theta``: a run of
+        the curve tabulated once per model on a 0.05 deg grid over [0, 90] deg,
+        pulled in by one cell at a tabulated turning point, and at an end of
+        the grid only where the model turns inside that end's cell.  Raises
+        OutOfRange off the grid, and AmbiguousBranch within a cell of a
+        turning point or where the branch still spans one."""
+        for lo, hi in self._branches:
+            if lo <= theta <= hi:
+                _require_monotone(self, lo, hi)
+                return lo, hi
+        if not _BRANCH_GRID[0] <= theta <= _BRANCH_GRID[-1]:
             raise OutOfRange(f"theta = {angle_text(theta)} outside the tabulated range")
-        for lo_idx, hi_idx in self._branches:
-            if lo_idx < hi_idx and grid[lo_idx] <= theta <= grid[hi_idx]:
-                return float(grid[lo_idx]), float(grid[hi_idx])
         raise AmbiguousBranch(
             f"theta = {angle_text(theta)} sits within one grid cell of a curve turning point"
         )
-
-
-def build_calibration(
-    model: ModelParams, theta_start: float, theta_stop: float, step: float
-) -> CalibrationCurve:
-    """Tabulate the model curve on [theta_start, theta_stop] with the given
-    step (radians) and index its monotone branches."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if theta_stop <= theta_start:
-        raise ValueError("theta range must be non-empty")
-    n = int(round((theta_stop - theta_start) / step))
-    grid = theta_start + step * np.arange(n + 1)
-    return CalibrationCurve(theta_grid=grid, sigma_values=model.sigma_array(grid), model=model)
 
 
 def _require_monotone(model: ModelParams, lo: float, hi: float) -> None:
@@ -249,9 +207,9 @@ def _require_monotone(model: ModelParams, lo: float, hi: float) -> None:
 
 
 def invert_branch(
-    curve: CalibrationCurve, sigmas: "np.ndarray | list[float]", branch: tuple[float, float]
+    model: ModelParams, sigmas: "np.ndarray | list[float]", branch: tuple[float, float]
 ) -> np.ndarray:
-    """Invert the calibration curve on a monotone branch for a batch of
+    """Invert the model curve on a monotone branch for a batch of
     measured values, in closed form: one angle per value, NaN where the
     value falls outside the branch's range.  Raises AmbiguousBranch when the
     branch spans a turning point.
@@ -259,15 +217,8 @@ def invert_branch(
     lo, hi = float(branch[0]), float(branch[1])
     if hi <= lo:
         raise ValueError("branch must be a non-empty interval (lo, hi)")
-    model = curve.model
     _require_monotone(model, lo, hi)
     return kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
-
-
-def _out_of_range(sigma: float, model: ModelParams, branch: tuple[float, float]) -> OutOfRange:
-    ends = model.sigma_array(branch)
-    return OutOfRange(f"sigma = {sigma:.12g} outside [{ends.min():.12g}, {ends.max():.12g}], the "
-                      f"range of branch [{angle_text(branch[0])}, {angle_text(branch[1])}]")
 
 
 def _propagated(model: ModelParams, thetas: np.ndarray,
@@ -320,7 +271,10 @@ class EstimateBatch:
         ``model``'s curve."""
         status, theta = int(self.status[i]), angle_text(float(self.theta_hats[i]))
         if status == OUT_OF_RANGE:
-            return _out_of_range(float(sigma_hat), model, branch)
+            ends = model.sigma_array(branch)
+            return OutOfRange(f"sigma = {float(sigma_hat):.12g} outside [{ends.min():.12g}, "
+                              f"{ends.max():.12g}], the range of branch "
+                              f"[{angle_text(branch[0])}, {angle_text(branch[1])}]")
         if status == FLAT_CURVE:
             return FlatCurve(f"curve slope {self.slopes[i]:.12g} at theta = {theta} "
                              "is numerically zero")
@@ -330,14 +284,14 @@ class EstimateBatch:
 
 
 def assess_estimates(
-    curve: CalibrationCurve, theta_hats: np.ndarray, var_sigmas: "np.ndarray | list[float]",
+    model: ModelParams, theta_hats: np.ndarray, var_sigmas: "np.ndarray | list[float]",
     m_ps: "np.ndarray | list[int]",
 ) -> EstimateBatch:
     """Error budgets of estimates ``theta_hats`` (NaN where the inversion
     found none) of measured values with variances ``var_sigmas``:
     propagated variance, Fisher information and the Cramér-Rao limit for
     ``m_ps`` postselected events (each positive, else ValueError), all under
-    the curve's model, with the per-attempt information budget audited
+    ``model``, with the per-attempt information budget audited
     (RuntimeError if it fails).
 
     Each estimate's status is OK or the first error that stops it:
@@ -346,7 +300,6 @@ def assess_estimates(
     ValueError unless every OK estimate has a nonnegative variance and a
     positive Cramér-Rao limit.
     """
-    model = curve.model
     m_ps = np.asarray(m_ps, dtype=np.int64)
     if np.any(m_ps <= 0):
         raise ValueError("m_ps must be positive")
@@ -424,7 +377,7 @@ class Table1Row:
         return _mean(self.m_ps)
 
 
-def _assess_parts(curve: CalibrationCurve, parts: list) -> list[tuple[list[np.ndarray], Counter]]:
+def _assess_parts(model: ModelParams, parts: list) -> list[tuple[list[np.ndarray], Counter]]:
     """Invert and assess every part's estimates in one batch, each on its own
     branch.  Per part ``(sigmas, variances, m_ps, lo, hi)``, returns the
     budget columns of its OK estimates and the count of the others by error
@@ -435,12 +388,11 @@ def _assess_parts(curve: CalibrationCurve, parts: list) -> list[tuple[list[np.nd
     sizes = [part[0].size for part in parts]
     try:
         sigmas, variances, m_ps, lo, hi = map(np.concatenate, zip(*parts))
-        model = curve.model
         theta_hats = kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
-        batch = assess_estimates(curve, theta_hats, variances, m_ps)
+        batch = assess_estimates(model, theta_hats, variances, m_ps)
     except WeakpsError as exc:
         if len(parts) > 1:
-            return [row for part in parts for row in _assess_parts(curve, [part])]
+            return [row for part in parts for row in _assess_parts(model, [part])]
         columns = [np.empty(0)] * 4 + [np.empty(0, dtype=np.int64)]
         return [(columns, Counter({type(exc).__name__: sizes[0]}))]
     out = []
@@ -482,9 +434,9 @@ def table1_pipeline(
 ) -> list[Table1Row]:
     """Simulate, estimate, and audit every working point.
 
-    Draw the counts of every repetition of every angle in one batch.  Per
-    angle: estimate the postselected value and its variance for every
-    repetition, and find the monotone branch containing the true angle.
+    Find the model's monotone branch containing each true angle, then draw
+    the counts of every repetition of every angle in one batch.  Per angle,
+    estimate the postselected value and its variance for every repetition.
     Then invert every repetition of every angle in one batch, each on its
     angle's branch, and assess them together (:func:`assess_estimates`):
     propagated variance and the Cramér-Rao comparison with each
@@ -496,29 +448,29 @@ def table1_pipeline(
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
     sign = model.postselect_sign
-    curve = build_calibration(model, 0.0, math.pi / 2.0, math.radians(0.05))
+    branches = []  # per angle: (lo, hi, None), or (nan, nan, the name of its branch's error)
+    for theta_deg in theta_list_deg:  # before any draw, so that a model error comes first
+        try:
+            branches.append((*model.branch_containing(math.radians(theta_deg)), None))
+        except (OutOfRange, AmbiguousBranch) as exc:
+            branches.append((math.nan, math.nan, type(exc).__name__))
     failures: list[Counter] = []
     parts = []  # per angle: (sigmas, variances, m_ps, lo, hi) of the repetitions to invert
     # the counts are freed with the loop, before the batch inversion
-    for theta_deg, (sigmas, variances, m_ps) in zip(
-            theta_list_deg, _simulate(theta_list_deg, model, acquisition, repetitions)):
-        theta = math.radians(theta_deg)
+    for (lo, hi, error), (sigmas, variances, m_ps) in zip(
+            branches, _simulate(theta_list_deg, model, acquisition, repetitions)):
         keep = m_ps > 0
         failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~keep))})
-        try:
-            lo, hi = curve.branch_containing(theta)
-            _require_monotone(model, lo, hi)
-        except WeakpsError as exc:
-            failed[type(exc).__name__] += int(np.count_nonzero(keep))
+        if error:  # the branch's error fails every repetition with counts
+            failed[error] += int(np.count_nonzero(keep))
             keep[:] = False
-            lo = hi = math.nan
         n = int(np.count_nonzero(keep))
         failures.append(failed)
         parts.append((sigmas[keep], variances[keep], m_ps[keep], np.full(n, lo), np.full(n, hi)))
     return [Table1Row(float(theta_deg), sign, *columns,
                       failures_by_type=dict(failed + more))
             for theta_deg, failed, (columns, more) in zip(theta_list_deg, failures,
-                                                          _assess_parts(curve, parts))]
+                                                          _assess_parts(model, parts))]
 
 
 def load_baseline(path: "str | None" = None) -> dict[tuple[str, float], tuple[float, float]]:

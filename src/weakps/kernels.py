@@ -36,6 +36,9 @@ __all__ = [
     "invert_trig",
 ]
 
+# A trig form c.B sums terms up to |c|_1 in size: within a few roundings of that, it is zero
+_ROUNDING = 4.0 * np.finfo(np.float64).eps
+
 
 def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
     """Joint probabilities of the four coincidence channels, rows
@@ -132,7 +135,7 @@ def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
     point.  ``lo`` and ``hi`` are one bracket for every target, or per-target
     arrays; they broadcast against ``targets``.  Returns the angle solving
     curve(theta) = target for each target, NaN for targets not bracketed by
-    [curve(lo), curve(hi)], and the endpoint itself on an exact hit.
+    [curve(lo), curve(hi)], and an end whose value is the target to rounding.
 
     A target solves ``(n - kappa target d).B = 0``; as ``d.B > 0``, the curve
     rises through it at one root per period and falls at the other, so the
@@ -146,7 +149,10 @@ def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
     x = phi + np.where(c_hi > c_lo, -alpha, alpha)
     x += 2.0 * math.pi * np.round((2.0 * (lo + hi) - x) / (2.0 * math.pi))
     f_lo, f_hi = c_lo - targets, c_hi - targets
-    out = np.where(f_hi == 0.0, hi, np.where(f_lo == 0.0, lo, np.nan))
-    bracketed = f_lo * f_hi < 0.0  # excludes the exact endpoint hits above
+    # kappa f d.B is (n - kappa target d).B, a trig form within rounding of zero at a hit
+    slack = _ROUNDING * (np.abs(n).sum() + np.abs(ks) * np.abs(d).sum())
+    out = np.where(np.abs(kappa * f_hi) * trig_form(d, hi) <= slack, hi,
+                   np.where(np.abs(kappa * f_lo) * trig_form(d, lo) <= slack, lo, np.nan))
+    bracketed = f_lo * f_hi < 0.0  # strictly inside: the closed form's root, not an end
     out[bracketed] = np.clip(x / 4.0, lo, hi)[bracketed]
     return out

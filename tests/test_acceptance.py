@@ -298,12 +298,11 @@ def test_criterion_09_monte_carlo_statistics():
     coverage_ok = 0.62 <= coverage <= 0.74
 
     model = w.ModelParams(kappa=kappa, postselect_sign="minus")
-    curve = w.build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
-    branch = curve.branch_containing(theta)
+    branch = model.branch_containing(theta)
     counts = batch(424243)
     sigma_hats, var_sigmas = w.weak_values_from_counts(counts, kappa, "minus")
-    theta_hats = w.invert_branch(curve, sigma_hats, branch)
-    batch = w.assess_estimates(curve, theta_hats, var_sigmas, counts[:, :2].sum(axis=1))
+    theta_hats = w.invert_branch(model, sigma_hats, branch)
+    batch = w.assess_estimates(model, theta_hats, var_sigmas, counts[:, :2].sum(axis=1))
     assert np.all(batch.status == OK)
     propagated = batch.variance_theta_deg2
     se = theta_hats.std(ddof=1) / math.sqrt(reps)

@@ -1,16 +1,19 @@
 """The public API: the names ``weakps`` and each submodule export, and that
 each submodule's ``__all__`` names only what the submodule defines.  The
-reference routes live in ``tests/oracles.py``, not in these lists."""
+reference routes live in ``tests/oracles.py``, not in these lists, and the
+library holds no definition that the CLI does not reach."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import weakps
 
 PUBLIC = [
-    "AcquisitionConfig", "CalibrationCurve", "EstimateBatch", "IDEAL_GATE",
+    "AcquisitionConfig", "EstimateBatch", "IDEAL_GATE",
     "ImperfectionParams", "KrausPair", "MINUS", "ModelParams", "ONE", "PLUS", "PureQubit",
-    "SDecomposition", "Strength", "Table1Row", "ZERO", "assess_estimates", "build_calibration",
-    "consolidated_S", "contextuality", "counting", "decompose_consolidated", "derive_seeds",
+    "SDecomposition", "Strength", "Table1Row", "ZERO", "assess_estimates", "consolidated_S",
+    "contextuality", "counting", "decompose_consolidated", "derive_seeds",
     "draw_counts", "errors", "estimation", "imperfections", "invert_branch", "kernels",
     "kraus_operators", "load_baseline", "make_signal_state", "p_phi_from_postselection",
     "states", "table1_pipeline", "weak", "weak_values_from_counts",
@@ -21,9 +24,9 @@ SUBMODULE_ALL = {
                       "p_phi_from_postselection"],
     "counting": ["AcquisitionConfig", "COUNT_COLUMNS", "MAX_EXPECTED_TOTAL", "derive_seeds",
                  "draw_counts", "postselected_counts", "weak_values_from_counts"],
-    "estimation": ["CalibrationCurve", "EstimateBatch", "ModelParams", "RAD2_TO_DEG2",
-                   "TABLE1_THETAS_DEG", "Table1Row", "assess_estimates", "build_calibration",
-                   "invert_branch", "load_baseline", "table1_pipeline"],
+    "estimation": ["EstimateBatch", "ModelParams", "RAD2_TO_DEG2", "TABLE1_THETAS_DEG",
+                   "Table1Row", "assess_estimates", "invert_branch", "load_baseline",
+                   "table1_pipeline"],
     "imperfections": ["IDEAL_GATE", "ImperfectionParams", "VISIBILITY_MODEL",
                       "coincidence_probabilities", "postselected_coefficients",
                       "renormalized_probabilities"],
@@ -54,3 +57,30 @@ def test_every_submodule_export_resolves():
         stale = [name for name in module.__all__ if not hasattr(module, name)]
         assert stale == [], f"weakps.{module_name}.__all__ names {stale}"
         assert len(set(module.__all__)) == len(module.__all__), module_name
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute name used inside ``node``."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_is_reached_from_the_cli():
+    # a name-based walk from cli.main and the subcommand registry: a
+    # definition is reached when a reached definition uses its name
+    definitions: dict[str, list[ast.AST]] = {}
+    for path in sorted(Path(weakps.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        definitions.setdefault(target.id, []).append(node)
+    reached = {"main", "_SUBCOMMANDS"}
+    todo = definitions["main"] + definitions["_SUBCOMMANDS"]
+    while todo:
+        names = set().union(*map(_names, todo)) & definitions.keys()
+        todo = [node for name in names - reached for node in definitions[name]]
+        reached |= names
+    assert sorted(definitions.keys() - reached) == []

@@ -381,6 +381,80 @@ def test_estimate_stops_at_the_first_failing_record(tmp_path, capsys, records, r
     assert err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate-counts", "--kappa", "0.335"],
+    ["table1", "--kappa", "0.335", "--repetitions", "2"],
+    ["sweep-pusey", "--kappa", "0.335", "--simulate"],
+], ids=["simulate-counts", "table1", "sweep-pusey-simulated"])
+def test_a_negative_seed_is_refused_before_any_is_derived(tmp_path, capsys, command):
+    assert main([*command, "--seed", "-1", "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"metadata": {"kappa": 0.335}, "records": 5},
+     "error: counts JSON: records must be a list, got int\n"),
+    ({"metadata": {"kappa": 0.335, "rate": "2000"}, "records": [_RECORD]},
+     "error: input metadata: rate must be a number, got '2000'\n"),
+], ids=["records-not-a-list", "metadata-rate-a-string"])
+def test_estimate_refuses_a_malformed_input_file(tmp_path, capsys, payload, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(payload))
+    assert main(["estimate", "--input", str(counts), "--branch", "18,27",
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_estimate_at_kappa_0_stops_at_the_count_rescaling(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"metadata": {"kappa": 0.0}, "records": [_RECORD]}))
+    assert main(["estimate", "--input", str(counts), "--branch", "18,27",
+                 "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: ZeroStrength: count rescaling undefined at kappa = 0\n")
+
+
+def test_estimate_reads_only_the_model_on_its_branch(tmp_path):
+    # without a controlled phase to within 3e-8, this gate starves the minus
+    # postselection at 22.5 deg, outside the branch; the record holds the
+    # model's channel probabilities at 30 deg times 1e16, and inverts there
+    model = weakps.ModelParams(0.335, "minus", weakps.ImperfectionParams(1.0, 1.0, 0.99999997))
+    assert model.starved(np.radians([22.5])).all()
+    probs = model.channel_probabilities(np.radians([30.0]))[:, 0]
+    record = {"theta_deg": 30.0, **dict(zip(weakps.counting.COUNT_COLUMNS,
+                                            np.round(probs * 1e16).astype(np.int64).tolist()))}
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": [record]}))
+    out = tmp_path / "out.csv"
+    assert main(["estimate", "--input", str(counts), "--branch", "23,40", "--visibility", "1",
+                 "--t-v", "0.99999997", "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert float(rows[0][header.index("theta_hat_deg")]) == pytest.approx(30.0, abs=1e-6)
+
+
+def test_table1_at_kappa_0_stops_before_any_draw(tmp_path, capsys):
+    # the model curve is tabulated before the counts are drawn: its
+    # starved postselection, not the count rescaling, stops the run
+    assert main(["table1", "--kappa", "0", "--repetitions", "2",
+                 "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: ZeroPostselection: postselection probability vanishes at theta = 22.5 deg\n")
+
+
+@pytest.mark.parametrize("kappa", ["1e-9", "0.335"])
+def test_spectrum_edges_are_not_anomalous(tmp_path, kappa):
+    # sigma is 1 at 0 deg and -1 at 45 deg under either postselection, the
+    # latter to within rounding; 10 deg minus lies beyond the spectrum
+    out = tmp_path / "weak.csv"
+    assert main(["sweep-weak-value", "--kappa", kappa, "--theta-end", "50", "--theta-step", "5",
+                 "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    flags = {float(row[0]): (row[header.index("anomalous_minus")],
+                             row[header.index("anomalous_plus")]) for row in rows}
+    assert flags[0.0] == flags[45.0] == ("0", "0")
+    assert flags[10.0][0] == "1"
+
+
 def test_table1_schema_and_baseline(tmp_path):
     out = tmp_path / "table1.csv"
     assert main(["table1", "--kappa", "0.335", "--repetitions", "5", "--seed", "3",

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (fisher_ps_definition, ideal_postselect_probability, ideal_sigma,
@@ -13,7 +13,6 @@ from weakps import (
     ImperfectionParams,
     ModelParams,
     assess_estimates,
-    build_calibration,
     derive_seeds,
     draw_counts,
     invert_branch,
@@ -25,7 +24,7 @@ from weakps import (
 from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
                            ZeroPostselection, ZeroStrength)
 from weakps.estimation import (BUDGET_COLUMNS, DEGENERATE, FLAT_CURVE, OK, OUT_OF_RANGE,
-                               RAD2_TO_DEG2, TABLE1_THETAS_DEG, CalibrationCurve)
+                               RAD2_TO_DEG2, TABLE1_THETAS_DEG, _monotone_runs)
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -33,24 +32,22 @@ R = math.sqrt(1 - KAPPA**2)
 MINUS_MODEL = ModelParams(kappa=KAPPA, postselect_sign="minus")
 
 
-def test_build_calibration_rising_branch():
-    curve = build_calibration(MINUS_MODEL, 0.0, 10 * D2R, 0.1 * D2R)
-    assert np.all(np.diff(curve.sigma_values) > 0.0)
-    assert len(curve.branches()) == 1
+def test_monotone_runs_of_a_rising_curve():
+    values = MINUS_MODEL.sigma_array(0.1 * D2R * np.arange(101))
+    assert np.all(np.diff(values) > 0.0)
+    assert _monotone_runs(values) == [(0, 100)]
 
 
-def test_build_calibration_projective_branches():
-    curve = build_calibration(ModelParams(kappa=1.0, postselect_sign="minus"),
-                              0.0, math.pi / 2, 0.25 * D2R)
-    runs = curve.branches()
+def test_monotone_runs_of_the_projective_curve():
+    grid = 0.25 * D2R * np.arange(361)
+    runs = _monotone_runs(ModelParams(kappa=1.0, postselect_sign="minus").sigma_array(grid))
     assert len(runs) == 2  # falling then rising, split at 45 deg
-    split = curve.theta_grid[runs[0][1]]
-    assert split == pytest.approx(45 * D2R, abs=0.3 * D2R)
+    assert grid[runs[0][1]] == pytest.approx(45 * D2R, abs=0.3 * D2R)
 
 
 def _monotone_runs_by_loop(values):
-    """Reference for CalibrationCurve.branches: one pass over the steps, where
-    flat steps extend the current run and leading flat steps join the first run."""
+    """Reference for ``_monotone_runs``: one pass over the steps, where flat
+    steps extend the current run and leading flat steps join the first run."""
     diffs = np.sign(np.diff(values))
     runs = []
     start = 0
@@ -73,78 +70,72 @@ def _monotone_runs_by_loop(values):
 def test_branches_match_the_loop_on_random_curves(steps):
     # small step alphabet, so flat steps, flat starts and flat ends are common
     values = np.concatenate([[0.0], np.cumsum(steps)])
-    curve = CalibrationCurve(np.arange(values.size, dtype=np.float64), values, MINUS_MODEL)
-    assert curve.branches() == _monotone_runs_by_loop(values)
-    assert all(type(i) is int and type(j) is int for i, j in curve.branches())
+    runs = _monotone_runs(values)
+    assert runs == _monotone_runs_by_loop(values)
+    assert all(type(i) is int and type(j) is int for i, j in runs)
 
 
 def test_imperfect_curve_matches_pipeline():
     params = ImperfectionParams(0.78, 0.98, 0.34)
     model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=params)
-    curve = build_calibration(model, 0.0, 45 * D2R, 1.0 * D2R)
-    for i, theta in enumerate(curve.theta_grid):
+    grid = 1.0 * D2R * np.arange(46)
+    for theta, sigma in zip(grid, model.sigma_array(grid)):
         oracle = postselected_value(imperfect_joint_probs(float(theta), model.mu, params), KAPPA,
                                     "minus")
-        assert curve.sigma_values[i] == pytest.approx(oracle, abs=1e-12)
+        assert sigma == pytest.approx(oracle, abs=1e-12)
 
 
-def _estimate(curve, sigma, branch):
+def _estimate(model, sigma, branch):
     """The angle inverted from one measured value, NaN out of range."""
-    return float(invert_branch(curve, [sigma], branch)[0])
+    return float(invert_branch(model, [sigma], branch)[0])
 
 
 def test_estimate_theta_trivial_points():
-    curve = build_calibration(MINUS_MODEL, -15 * D2R, 40 * D2R, 0.05 * D2R)
-    theta_hat = _estimate(curve, 1.0, (-10 * D2R, 10 * D2R))
+    theta_hat = _estimate(MINUS_MODEL, 1.0, (-10 * D2R, 10 * D2R))
     assert abs(theta_hat) < 1e-9
     branch = (18 * D2R, 27 * D2R)  # falling branch through 22.5 deg
-    theta_hat = _estimate(curve, 0.0, branch)
+    theta_hat = _estimate(MINUS_MODEL, 0.0, branch)
     assert theta_hat == pytest.approx(22.5 * D2R, abs=1e-9)
 
 
 def test_estimate_theta_near_peak():
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     theta_peak = math.asin(R) / 4.0
     target = 1.0 / KAPPA - 1e-4
-    theta_hat = _estimate(curve, target, (0.0, theta_peak - 1e-6))
+    theta_hat = _estimate(MINUS_MODEL, target, (0.0, theta_peak - 1e-6))
     assert theta_hat < theta_peak
     assert ideal_sigma(theta_hat, KAPPA, -1.0) == pytest.approx(target, abs=1e-9)
 
 
 def test_estimate_round_trip_grid():
-    curve = build_calibration(MINUS_MODEL, 0.0, math.pi / 2, 0.05 * D2R)
     for theta_deg in (2.0, 9.0, 16.0, 20.0, 25.0, 33.0, 52.0, 80.0):
         theta = theta_deg * D2R
-        branch = curve.branch_containing(theta)
+        branch = MINUS_MODEL.branch_containing(theta)
         sigma = float(ideal_sigma(theta, KAPPA, -1.0))
-        assert _estimate(curve, sigma, branch) == pytest.approx(theta, abs=1e-9)
+        assert _estimate(MINUS_MODEL, sigma, branch) == pytest.approx(theta, abs=1e-9)
 
 
 def test_estimate_out_of_range():
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     branch = (0.0, 10 * D2R)
-    theta_hat = _estimate(curve, 5.0, branch)
+    theta_hat = _estimate(MINUS_MODEL, 5.0, branch)
     assert math.isnan(theta_hat)
-    batch = assess_estimates(curve, [theta_hat], [0.0], [1])
+    batch = assess_estimates(MINUS_MODEL, [theta_hat], [0.0], [1])
     assert isinstance(batch.error(0, MINUS_MODEL, branch, 5.0), OutOfRange)
 
 
 def test_estimate_ambiguous_branch():
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     with pytest.raises(AmbiguousBranch, match=r"\[0 deg, 30 deg\]"):
-        _estimate(curve, 1.5, (0.0, 30 * D2R))  # spans the peak at 17.6 deg
+        _estimate(MINUS_MODEL, 1.5, (0.0, 30 * D2R))  # spans the peak at 17.6 deg
 
 
 def test_branch_containing_shrinks_at_turning_points():
-    curve = build_calibration(MINUS_MODEL, 0.0, math.pi / 2, 0.05 * D2R)
-    lo, hi = curve.branch_containing(20 * D2R)
+    lo, hi = MINUS_MODEL.branch_containing(20 * D2R)
     theta_peak = math.asin(R) / 4.0
     theta_valley = (math.pi - math.asin(R)) / 4.0
     assert lo > theta_peak
     assert hi < theta_valley
     with pytest.raises(AmbiguousBranch, match=r"theta = 17\.6\d* deg"):
         # within one grid cell of the peak there is no safe branch
-        curve.branch_containing(theta_peak)
+        MINUS_MODEL.branch_containing(theta_peak)
 
 
 def test_branch_containing_pulls_in_a_range_end_only_where_the_curve_turns_there():
@@ -152,17 +143,30 @@ def test_branch_containing_pulls_in_a_range_end_only_where_the_curve_turns_there
     # first cell: the branch through 10 deg starts one cell in, and inverts
     gate = ImperfectionParams(0.5836, 0.9941, 0.4407)
     model = ModelParams(kappa=0.9114, postselect_sign="minus", imperfections=gate)
-    curve = build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
     assert kernels.trig_turning_points(*model.coefficients, 0.0, 0.05 * D2R) == pytest.approx(
         [0.0066 * D2R], abs=1e-4 * D2R)
-    lo, hi = curve.branch_containing(10 * D2R)
-    assert (lo, hi) == (curve.theta_grid[1], pytest.approx(34.9 * D2R, abs=1e-12))
+    lo, hi = model.branch_containing(10 * D2R)
+    assert (lo, hi) == (math.radians(0.05), pytest.approx(34.9 * D2R, abs=1e-12))
     thetas = np.linspace(lo, hi, 9)
-    np.testing.assert_allclose(invert_branch(curve, model.sigma_array(thetas), (lo, hi)),
+    np.testing.assert_allclose(invert_branch(model, model.sigma_array(thetas), (lo, hi)),
                                thetas, atol=1e-12, rtol=0)
     # the ideal curve turns at the range's ends themselves, not inside their cells
-    assert build_calibration(ModelParams(1.0, "minus"), 0.0, math.pi / 2, 0.05 * D2R
-                             ).branch_containing(10 * D2R) == (0.0, pytest.approx(44.95 * D2R))
+    assert ModelParams(1.0, "minus").branch_containing(10 * D2R) == (
+        0.0, pytest.approx(44.95 * D2R))
+
+
+def test_branch_containing_refuses_angles_off_its_grid_after_tabulating():
+    with pytest.raises(OutOfRange, match="theta = 90.05 deg outside the tabulated range"):
+        MINUS_MODEL.branch_containing(90.05 * D2R)
+    with pytest.raises(OutOfRange):
+        MINUS_MODEL.branch_containing(math.nan)
+    # the curve is tabulated first: a model without one fails at any angle
+    with pytest.raises(ZeroPostselection, match="theta = 22.5 deg"):
+        ModelParams(kappa=0.0, postselect_sign="minus").branch_containing(-1.0)
+    # at kappa = sin 20 deg the minus curve turns within a cell of 27.5 deg
+    with pytest.raises(AmbiguousBranch, match="within one grid cell"):
+        ModelParams(kappa=math.sin(20 * D2R), postselect_sign="minus").branch_containing(
+            27.5 * D2R)
 
 
 def test_one_check_for_both_models():
@@ -189,58 +193,53 @@ def test_ideal_information_keeps_its_closed_form_near_the_anomaly_peak():
     np.testing.assert_allclose(f_ps, closed, rtol=1e-12, atol=0)
 
 
-def _assess_one(curve, theta_hat, var_sigma=0.01, m_ps=1000):
+def _assess_one(model, theta_hat, var_sigma=0.01, m_ps=1000):
     """The one-element batch of an estimate at ``theta_hat``."""
-    return assess_estimates(curve, [theta_hat], [var_sigma], [m_ps])
+    return assess_estimates(model, [theta_hat], [var_sigma], [m_ps])
 
 
 def test_propagate_variance_examples():
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
-    assert _assess_one(curve, 20 * D2R, 0.0).variance_theta_deg2[0] == 0.0
+    assert _assess_one(MINUS_MODEL, 20 * D2R, 0.0).variance_theta_deg2[0] == 0.0
     # closed-form slope at the zero crossing: -4 / (1 - sqrt(1 - k^2))
     expected = 0.01 * (1 - R) ** 2 / 16.0 * RAD2_TO_DEG2
-    got = _assess_one(curve, 22.5 * D2R, 0.01).variance_theta_deg2[0]
+    got = _assess_one(MINUS_MODEL, 22.5 * D2R, 0.01).variance_theta_deg2[0]
     assert got == pytest.approx(expected, rel=1e-12)
-    assert _assess_one(curve, math.asin(R) / 4.0, 0.01).status.tolist() == [FLAT_CURVE]
+    assert _assess_one(MINUS_MODEL, math.asin(R) / 4.0, 0.01).status.tolist() == [FLAT_CURVE]
 
 
 def test_propagated_variance_slope_consistency():
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     theta = 20 * D2R
     slope = float(MINUS_MODEL.sigma_slope(theta))
-    got = _assess_one(curve, theta, 0.02).variance_theta_deg2[0]
+    got = _assess_one(MINUS_MODEL, theta, 0.02).variance_theta_deg2[0]
     assert got == pytest.approx(0.02 / slope**2 * RAD2_TO_DEG2, rel=1e-12)
 
 
 def test_cramer_rao_values():
     # information 16 per squared radian -> (1/16) rad^2 = 205.18 deg^2
-    projective = build_calibration(ModelParams(kappa=1.0, postselect_sign="minus"),
-                                   0.0, 45 * D2R, 0.05 * D2R)
+    projective = ModelParams(kappa=1.0, postselect_sign="minus")
     got = _assess_one(projective, 30 * D2R, m_ps=1).sigma_cr_deg2[0]
     assert got == pytest.approx(RAD2_TO_DEG2 / 16.0, rel=1e-12)
     assert got == pytest.approx(205.175, abs=1e-3)
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     f = fisher_ps_definition(22.5 * D2R, KAPPA, "minus")
-    got = _assess_one(curve, 22.5 * D2R, m_ps=1000).sigma_cr_deg2[0]
+    got = _assess_one(MINUS_MODEL, 22.5 * D2R, m_ps=1000).sigma_cr_deg2[0]
     assert got == pytest.approx(RAD2_TO_DEG2 / (f * 1000), rel=1e-12)
     # doubling the event count halves the limit
-    assert _assess_one(curve, 22.5 * D2R, m_ps=2000).sigma_cr_deg2[0] == pytest.approx(
+    assert _assess_one(MINUS_MODEL, 22.5 * D2R, m_ps=2000).sigma_cr_deg2[0] == pytest.approx(
         got / 2.0, rel=1e-12
     )
     with pytest.raises(ValueError):
-        _assess_one(curve, 22.5 * D2R, m_ps=0)
+        _assess_one(MINUS_MODEL, 22.5 * D2R, m_ps=0)
 
 
 def test_assess_estimates_keeps_position_and_precedence():
     # one status per estimate, in order: OutOfRange for a missed branch, then
     # FlatCurve before DegenerateConditional at the peak (both apply there),
     # DegenerateConditional alone just beside it
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     peak = math.asin(R) / 4.0
     theta_hats = [10 * D2R, math.nan, peak, peak + 1e-6]
-    batch = assess_estimates(curve, theta_hats, [0.01] * 4, [1000] * 4)
+    batch = assess_estimates(MINUS_MODEL, theta_hats, [0.01] * 4, [1000] * 4)
     assert batch.status.tolist() == [OK, OUT_OF_RANGE, FLAT_CURVE, DEGENERATE]
-    errors = [batch.error(i, curve.model, (0.0, peak), sigma_hat)
+    errors = [batch.error(i, MINUS_MODEL, (0.0, peak), sigma_hat)
               for i, sigma_hat in enumerate([0.5, 5.0, 3.0, 3.0])]
     assert [type(error) for error in errors] == [type(None), OutOfRange, FlatCurve,
                                                  DegenerateConditional]
@@ -251,38 +250,36 @@ def test_assess_estimates_keeps_position_and_precedence():
         "a conditional probability vanishes at theta = 17.6069228097 deg",
     ]
     # a one-element batch gives each estimate the same budget
-    one = _assess_one(curve, 10 * D2R, 0.01, 1000)
+    one = _assess_one(MINUS_MODEL, 10 * D2R, 0.01, 1000)
     for name in BUDGET_COLUMNS:
         assert getattr(one, name)[0] == getattr(batch, name)[0]
-    assert _assess_one(curve, peak).status.tolist() == [FLAT_CURVE]
-    assert _assess_one(curve, peak + 1e-6).status.tolist() == [DEGENERATE]
+    assert _assess_one(MINUS_MODEL, peak).status.tolist() == [FLAT_CURVE]
+    assert _assess_one(MINUS_MODEL, peak + 1e-6).status.tolist() == [DEGENERATE]
 
 
 def test_assess_estimates_checks_the_budgets_of_ok_estimates(monkeypatch):
-    curve = build_calibration(MINUS_MODEL, 0.0, 45 * D2R, 0.05 * D2R)
     with pytest.raises(ValueError, match="variance must be nonnegative"):
-        _assess_one(curve, 20 * D2R, var_sigma=-0.01)
+        _assess_one(MINUS_MODEL, 20 * D2R, var_sigma=-0.01)
     # a stopped estimate's budget is not checked
-    assert _assess_one(curve, math.nan, var_sigma=-0.01).status.tolist() == [OUT_OF_RANGE]
+    assert _assess_one(MINUS_MODEL, math.nan, var_sigma=-0.01).status.tolist() == [OUT_OF_RANGE]
     real = ModelParams.information
     monkeypatch.setattr(ModelParams, "information",
                         lambda *args: (-real(*args)[0], real(*args)[1]))
     with pytest.raises(ValueError, match="Cramér-Rao variance must be positive"):
-        _assess_one(curve, 20 * D2R)
+        _assess_one(MINUS_MODEL, 20 * D2R)
 
 
 def test_monte_carlo_round_trip_consistency():
     theta = 20 * D2R
     model = MINUS_MODEL
-    curve = build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
-    branch = curve.branch_containing(theta)
+    branch = model.branch_containing(theta)
     config = AcquisitionConfig(seed=424242, rate=2000.0, duration=5.0)
     counts = draw_counts(model.channel_probabilities([theta])[:, 0],
                          derive_seeds(config.seed, 400), config)
     sigma_hats, var_sigmas = weak_values_from_counts(counts, KAPPA, "minus")
-    theta_hats = invert_branch(curve, sigma_hats, branch)
+    theta_hats = invert_branch(model, sigma_hats, branch)
     m_ps = counts[:, :2].sum(axis=1)
-    batch = assess_estimates(curve, theta_hats, var_sigmas, m_ps)
+    batch = assess_estimates(model, theta_hats, var_sigmas, m_ps)
     assert np.all(batch.status == OK)
     propagated = batch.variance_theta_deg2
     se = theta_hats.std(ddof=1) / math.sqrt(theta_hats.size)
@@ -291,7 +288,7 @@ def test_monte_carlo_round_trip_consistency():
     assert abs(empirical_deg2 / np.mean(propagated) - 1.0) < 0.2
     # sanity of the Cramér-Rao ordering over the same repetitions
     m_ps_mean = ideal_postselect_probability(theta, KAPPA, -1.0) * config.expected_total
-    cr = _assess_one(curve, theta, m_ps=int(m_ps_mean)).sigma_cr_deg2[0]
+    cr = _assess_one(MINUS_MODEL, theta, m_ps=int(m_ps_mean)).sigma_cr_deg2[0]
     assert empirical_deg2 >= cr * 0.85
 
 
@@ -387,7 +384,8 @@ def test_a_model_error_in_the_batch_fails_only_its_working_point():
 def test_model_evaluations_do_not_grow_with_repetitions(monkeypatch):
     # the pipeline evaluates the model curve once to tabulate it and its
     # slope once per assessed batch (the information takes that slope),
-    # never per repetition or per iteration of a root search
+    # never per repetition or per iteration of a root search.  A model
+    # tabulates its curve once, so each run takes a model of its own
     calls = Counter()
     for name in ("sigma_array", "sigma_slope"):
         def counted(self, thetas, _method=getattr(ModelParams, name), _name=name):
@@ -395,11 +393,11 @@ def test_model_evaluations_do_not_grow_with_repetitions(monkeypatch):
             return _method(self, thetas)
         monkeypatch.setattr(ModelParams, name, counted)
     gate = ImperfectionParams(0.78, 0.98, 0.34)
-    for model in (MINUS_MODEL, ModelParams(KAPPA, "plus", gate)):
+    for sign, imperfections in (("minus", None), ("plus", gate)):
         seen = []
         for repetitions in (10, 1000):
             calls.clear()
-            table1_pipeline(TABLE1_THETAS_DEG[model.postselect_sign], model,
+            table1_pipeline(TABLE1_THETAS_DEG[sign], ModelParams(KAPPA, sign, imperfections),
                             AcquisitionConfig(seed=1), repetitions)
             seen.append(dict(calls))
         assert seen[0] == seen[1]
@@ -439,10 +437,9 @@ def test_imperfect_propagated_variance_saturates_cramer_rao_without_kappa_noise(
 def test_imperfect_round_trip_through_batched_inversion():
     params = ImperfectionParams(0.78, 0.98, 0.34)
     model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=params)
-    curve = build_calibration(model, 0.0, 45 * D2R, 0.5 * D2R)
-    lo, hi = curve.branch_containing(22.5 * D2R)
+    lo, hi = model.branch_containing(22.5 * D2R)
     thetas = np.linspace(lo + 1e-3, hi - 1e-3, 9)
-    solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
+    solved = invert_branch(model, model.sigma_array(thetas), (lo, hi))
     np.testing.assert_allclose(solved, thetas, atol=1e-12, rtol=0)
 
 
@@ -451,17 +448,18 @@ def test_imperfect_round_trip_through_batched_inversion():
        gate=st.sampled_from((None, ImperfectionParams(0.78, 0.98, 0.34))),
        start=st.floats(0.0, math.pi / 2),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+# a model value a few roundings beyond the value at the branch's end
+@example(kappa=0.375, sign="minus", gate=None, start=0.0, fractions=[0.9999999999999999])
 def test_batched_inversion_round_trip_property(kappa, sign, gate, start, fractions):
     # any angles on a monotone branch come back from their model values,
     # in one batch
     model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=gate)
-    curve = build_calibration(model, 0.0, math.pi / 2, 0.05 * D2R)
     try:
-        lo, hi = curve.branch_containing(start)
+        lo, hi = model.branch_containing(start)
     except AmbiguousBranch:
         assume(False)
     thetas = lo + (hi - lo) * np.array(fractions)
-    solved = invert_branch(curve, model.sigma_array(thetas), (lo, hi))
+    solved = invert_branch(model, model.sigma_array(thetas), (lo, hi))
     np.testing.assert_allclose(solved, thetas, atol=1e-12, rtol=0)
 
 

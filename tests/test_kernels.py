@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import (circuit_channels, ideal_postselect_probability, ideal_sigma, ideal_slope,
                      invert_sigma, joint_channels, joint_probability, postselected_value,
                      pusey_functional, pusey_sweep, signal)
-from weakps import ImperfectionParams, ModelParams, build_calibration, kernels
+from weakps import ImperfectionParams, ModelParams, kernels
 from weakps.errors import AmbiguousBranch
 from weakps.states import MINUS, PLUS
 
@@ -169,8 +169,7 @@ def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
     model = ModelParams(kappa, sign, gate)
     n, d = model.coefficients
     try:
-        start, stop = build_calibration(model, 0.0, math.pi / 2, math.radians(0.05)
-                                        ).branch_containing(theta)
+        start, stop = model.branch_containing(theta)
     except AmbiguousBranch:
         assume(False)
     assume(kernels.trig_turning_points(n, d, start, stop).size == 0)
