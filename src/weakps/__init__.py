@@ -11,12 +11,7 @@ counting, and angle estimation with Cramér-Rao comparison.
 __version__ = "0.1.0"
 
 from . import errors
-from .contextuality import (
-    SDecomposition,
-    consolidated_S,
-    decompose_consolidated,
-    p_phi_from_postselection,
-)
+from .contextuality import decompose_consolidated, p_phi_from_postselection
 from .counting import (
     AcquisitionConfig,
     derive_seeds,
@@ -33,16 +28,6 @@ from .estimation import (
     table1_pipeline,
 )
 from .imperfections import IDEAL_GATE, ImperfectionParams
-from .states import (
-    MINUS,
-    ONE,
-    PLUS,
-    ZERO,
-    KrausPair,
-    PureQubit,
-    Strength,
-    kraus_operators,
-    make_signal_state,
-)
+from .states import Strength
 
 __all__ = [name for name in dir() if not name.startswith("_")]

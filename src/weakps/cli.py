@@ -45,7 +45,6 @@ from .estimation import (
 )
 from .imperfections import (IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams,
                             renormalized_probabilities)
-from .states import MINUS, ONE, PLUS, ZERO, make_signal_state
 from .weak import QUANTUM_FISHER_INFORMATION
 
 SCHEMA_VERSION = 1
@@ -57,7 +56,9 @@ MAX_GRID_POINTS = 1_000_000
 # Largest postselected count total an `estimate` record may hold: counts are int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-_NAMED_STATES = {"plus": PLUS, "minus": MINUS, "zero": ZERO, "one": ONE}
+# The named postselection states' projector entries (phi_0^2, phi_1^2, phi_0 phi_1), exact
+_NAMED_STATES = {"plus": (0.5, 0.5, 0.5), "minus": (0.5, 0.5, -0.5),
+                 "zero": (1.0, 0.0, 0.0), "one": (0.0, 1.0, 0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -658,24 +659,25 @@ def _cmd_decompose(args) -> None:
     else:
         if not math.isfinite(args.phi_angle):
             raise ConfigError(f"--phi-angle must be finite, got {args.phi_angle!r}")
-        phi = make_signal_state(math.radians(args.phi_angle))
+        a = 2.0 * math.radians(args.phi_angle)
+        c, s = math.cos(a), math.sin(a)
+        phi = (c * c, s * s, c * s)
         phi_label = f"angle:{args.phi_angle}"
-    result = decompose_consolidated(phi, kappa)
+    p_d, s_matrix, e_d = decompose_consolidated(phi, kappa)
 
     meta = _model_metadata(args, kappa, mu, None)
     meta["phi"] = phi_label
     if args.format == "json":
         payload = {
             "metadata": _stamp(meta),
-            "p_d": result.p_d,
-            "s_matrix": [[float(x.real) for x in row] for row in result.s_matrix],
-            "e_d": [[float(x.real) for x in row] for row in result.e_d],
+            "p_d": p_d,
+            "s_matrix": s_matrix.tolist(),
+            "e_d": e_d.tolist(),
         }
         _emit(args.output, json.dumps(payload, indent=2) + "\n")
         return
     columns = ["p_d", "s_00", "s_01", "s_10", "s_11", "e_d_00", "e_d_01", "e_d_10", "e_d_11"]
-    values = [result.p_d, *result.s_matrix.real.ravel().tolist(),
-              *result.e_d.real.ravel().tolist()]
+    values = [p_d, *s_matrix.ravel().tolist(), *e_d.ravel().tolist()]
     _write(args.output, args.format, meta, columns, {c: [v] for c, v in zip(columns, values)})
 
 

@@ -1,5 +1,5 @@
-"""The decomposition of the consolidated postselection operator, which fixes
-the disturbance weight of Pusey's non-contextuality functional
+"""The consolidated postselection operator, which fixes the disturbance
+weight of Pusey's non-contextuality functional
 (:func:`weakps.kernels.pusey_functional` evaluates it on joint (outcome,
 postselection) probabilities), and the overlap recovered from a measured
 postselection probability.
@@ -9,55 +9,47 @@ A non-contextual ontic model for the strength-kappa measurement requires
     I_x = p_x / p_phi - (1 + kappa)/2 - p_d / p_phi < 0,
 
 where ``p_x`` is the *joint* probability of outcome ``x`` and successful
-postselection, ``p_phi = |<phi|psi>|^2``, and ``p_d = 1 - sqrt(1 - kappa^2)``
-is the weight of the disturbed part of the consolidated operator.  A positive
-value witnesses that no such model reproduces the statistics.
+postselection, ``p_phi = |<phi|psi>|^2``, and ``p_d`` is the weight of the
+disturbing part of the measurement.  A positive value witnesses that no such
+model reproduces the statistics.
 
-On the weight ``p_d``: decomposing ``S = sum_x M_x |phi><phi| M_x^T`` as
-``(1 - p_d)|phi><phi| + p_d E_d`` with ``E_d`` a valid effect forces
-``p_d = 1 - sqrt(1 - kappa^2)`` (the off-diagonal of S shrinks by exactly
-``sqrt(1 - kappa^2)``).  A value ``1 - 2 sqrt(1 - kappa^2)`` is sometimes
-quoted for this weight; it is negative for ``kappa < sqrt(3)/2`` and its
-``E_d`` has an eigenvalue outside [0, 1], so it cannot be a probability
-weight.  The brute-force test suite pins this down.
+On the weight ``p_d``: the inequality (Pusey, PRL 113, 200401, 2014) takes it
+from the measurement's consolidated *channel*, its action with the outcome
+ignored, split into the identity with weight ``1 - p_d`` and another channel:
+transformation non-contextuality constrains that split, which holds for every
+input state.  For the Kraus operators ``diag(a, b)`` and ``diag(b, a)``,
+``a, b = sqrt((1 +- kappa)/2)``,
+
+    sum_x M_x rho M_x^T = r rho + (1 - r) Delta(rho),   r = sqrt(1 - kappa^2),
+
+with ``Delta`` the dephasing in the computational basis, and the functional
+takes ``p_d = 1 - r`` (:attr:`weakps.states.Strength.dephasing_weight`).  On a
+real postselection state the channel's dual gives the consolidated operator
+
+    S = r |phi><phi| + p_d E_d,   E_d = Delta(|phi><phi|) = diag(phi_0^2, phi_1^2).
+
+A split of ``S`` alone as ``(1 - p)|phi><phi| + p E``, ``E`` a valid effect,
+does not fix the weight: for ``phi`` minus, ``p = (1 - r)/2`` with
+``E = |+><+|`` is one too.  Nor is the channel's split unique: the channel is
+also ``(1 + r)/2 rho + (1 - r)/2 Z rho Z``.  A weight
+``1 - 2 sqrt(1 - kappa^2)`` is sometimes quoted; it is negative for
+``kappa < sqrt(3)/2`` and its ``E`` has an eigenvalue outside [0, 1], so it
+cannot be a probability weight.  The tests pin these facts against the Kraus
+route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureQubit, Strength, as_strength, kraus_operators
+from .states import Strength, as_strength
 
 __all__ = [
-    "SDecomposition",
     "p_phi_from_postselection",
-    "consolidated_S",
     "decompose_consolidated",
 ]
-
-# Largest entry of S minus its recomposition that SDecomposition.validate accepts.
-_RECOMPOSE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SDecomposition:
-    """Consolidated postselection operator split into kept and disturbed parts:
-    ``S = (1 - p_d) |phi><phi| + p_d E_d``."""
-
-    s_matrix: np.ndarray
-    p_d: float
-    e_d: np.ndarray
-
-    def validate(self, phi: PureQubit) -> None:
-        recomposed = (1.0 - self.p_d) * phi.projector() + self.p_d * self.e_d
-        if np.max(np.abs(self.s_matrix - recomposed)) > _RECOMPOSE_TOL:
-            raise ValueError("decomposition identity violated")
-        eigs = np.linalg.eigvalsh(self.e_d)
-        if eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10:
-            raise ValueError(f"disturbed part is not a valid effect: eigenvalues {eigs}")
 
 
 def p_phi_from_postselection(p_total: float, s: "Strength | float") -> float:
@@ -76,28 +68,14 @@ def p_phi_from_postselection(p_total: float, s: "Strength | float") -> float:
     return (1.0 + (2.0 * p_total - 1.0) / r) / 2.0
 
 
-def consolidated_S(phi: PureQubit, s: "Strength | float") -> np.ndarray:
-    """Postselection operator with the measurement outcome ignored:
-    ``sum_x M_x |phi><phi| M_x^T``.  Hermitian, positive, trace one."""
-    pair = kraus_operators(s)
-    proj = phi.projector()
-    return pair.m0 @ proj @ pair.m0.conj().T + pair.m1 @ proj @ pair.m1.conj().T
-
-
-def decompose_consolidated(phi: PureQubit, s: "Strength | float") -> SDecomposition:
-    """Split the consolidated operator into kept and disturbed parts.
-
-    ``p_d = 1 - sqrt(1 - kappa^2)`` and
-    ``E_d = (S - (1 - p_d)|phi><phi|) / p_d``; at ``p_d = 0`` the disturbed
-    part is ``diag(|phi_0|^2, |phi_1|^2)`` by continuity.
-    """
+def decompose_consolidated(phi: "tuple[float, float, float]", s: "Strength | float"
+                           ) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(p_d, S, E_d)`` of a real postselection state given by its projector
+    entries ``(phi_0^2, phi_1^2, phi_0 phi_1)``, in closed form: ``S`` has the
+    diagonal ``(phi_0^2, phi_1^2)`` and the off-diagonal ``r phi_0 phi_1``,
+    and ``E_d = diag(phi_0^2, phi_1^2)`` at every strength."""
+    p00, p11, p01 = phi
     strength = as_strength(s)
-    s_matrix = consolidated_S(phi, strength)
-    p_d = strength.dephasing_weight
-    if p_d > 1e-14:
-        e_d = (s_matrix - (1.0 - p_d) * phi.projector()) / p_d
-    else:
-        e_d = np.diag([abs(phi.a0) ** 2, abs(phi.a1) ** 2]).astype(complex)
-    result = SDecomposition(s_matrix=s_matrix, p_d=p_d, e_d=e_d)
-    result.validate(phi)
-    return result
+    off = math.sqrt(1.0 - strength.kappa * strength.kappa) * p01 + 0.0  # + 0.0: no -0 at r = 0
+    return (strength.dephasing_weight, np.array([[p00, off], [off, p11]]),
+            np.array([[p00, 0.0], [0.0, p11]]))

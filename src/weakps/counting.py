@@ -34,7 +34,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with weakps, not on the first draw
 
 from .errors import EmptyChannel, ZeroStrength
-from .states import _NORM_TOL, Strength, as_strength, sign_factor
+from .states import Strength, as_strength, sign_factor
 
 __all__ = [
     "COUNT_COLUMNS",
@@ -51,6 +51,9 @@ COUNT_COLUMNS = ("n_mp", "n_mm", "n_pp", "n_pm")
 
 # Largest mean numpy's Poisson sampler accepts: int64 max - 10 sqrt(int64 max).
 MAX_EXPECTED_TOTAL = 9.223372006484771e18
+
+# A channel probability at most this far below zero is a rounding of zero.
+_NORM_TOL = 1e-12
 
 
 def nonnegative_integer(name: str, value) -> int:
@@ -85,6 +88,11 @@ class AcquisitionConfig:
             value = getattr(self, name)  # a number, and no bool read as 0 or 1
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            try:  # math.isfinite raises on an integer past the float range
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must be a finite number, got an integer "
+                                 f"too large for a float") from None
         if self.rate <= 0.0 or not math.isfinite(self.rate):
             raise ValueError(f"rate must be positive, got {self.rate!r}")
         if self.duration <= 0.0 or not math.isfinite(self.duration):

@@ -1,9 +1,10 @@
 """Reference routes the tests compare the library against, kept out of the
 library: each computes a quantity the library computes another way.
 
-States are amplitude arrays and the four coincidence channels are arrays in
-the order ``(p_mp, p_mm, p_pp, p_pm)``: signal outcome first, meter outcome
-second, ``m``/``p`` for ``-``/``+``; meter ``+`` is measurement outcome 0.
+States are real amplitude arrays and the four coincidence channels are
+arrays in the order ``(p_mp, p_mm, p_pp, p_pm)``: signal outcome first, meter
+outcome second, ``m``/``p`` for ``-``/``+``; meter ``+`` is measurement
+outcome 0.
 Import from a test module as ``from oracles import ...``.
 """
 
@@ -15,14 +16,37 @@ import numpy as np
 from weakps import cli, kernels
 from weakps.errors import DegenerateConditional, GateStarved, ZeroPostselection
 from weakps.imperfections import renormalized_probabilities
-from weakps.states import MINUS, PLUS, PROB_FLOOR, kraus_operators, make_signal_state, sign_factor
+from weakps.states import PROB_FLOOR, sign_factor
 from weakps.weak import SATURATION_TOL
+
+# The named states |0>, |1> and the diagonal |+>, |->
+ZERO, ONE = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+PLUS, MINUS = np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0)
 
 
 def signal(theta: float) -> np.ndarray:
     """Amplitudes of ``cos(2 theta)|0> + sin(2 theta)|1>``: a signal
     preparation, or the meter's at ``theta = mu``."""
-    return make_signal_state(theta).amplitudes()
+    return np.array([math.cos(2.0 * theta), math.sin(2.0 * theta)])
+
+
+def projector(amplitudes: np.ndarray) -> np.ndarray:
+    return np.outer(amplitudes, amplitudes.conj())
+
+
+def kraus_operators(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """The measurement operators ``diag(a, b)`` and ``diag(b, a)``,
+    ``a, b = sqrt((1 +- kappa)/2)``, of outcomes 0 and 1."""
+    a, b = math.sqrt((1.0 + kappa) / 2.0), math.sqrt((1.0 - kappa) / 2.0)
+    return np.diag([a, b]), np.diag([b, a])
+
+
+def consolidated_channel(rho: np.ndarray, kappa: float) -> np.ndarray:
+    """The Kraus route of the consolidated channel, the measurement with its
+    outcome ignored: ``sum_x M_x rho M_x^T``.  At ``rho = |phi><phi|`` it is
+    the consolidated postselection operator (the operators are real and
+    diagonal): the reference for :func:`weakps.decompose_consolidated`."""
+    return sum(m @ rho @ m.T for m in kraus_operators(kappa))
 
 
 def joint_probability(psi: np.ndarray, phi: np.ndarray, kappa: float, x: int) -> float:
@@ -30,15 +54,13 @@ def joint_probability(psi: np.ndarray, phi: np.ndarray, kappa: float, x: int) ->
     successful postselection on ``phi``, ``|<phi| M_x |psi>|^2``."""
     if x not in (0, 1):
         raise ValueError(f"outcome index must be 0 or 1, got {x!r}")
-    pair = kraus_operators(kappa)
-    m = pair.m0 if x == 0 else pair.m1
-    return float(abs(np.conj(phi) @ (m @ psi)) ** 2)
+    return float(abs(np.conj(phi) @ (kraus_operators(kappa)[x] @ psi)) ** 2)
 
 
 def joint_channels(psi: np.ndarray, kappa: float) -> np.ndarray:
     """The four channels by the Kraus route, the signal read out in the
     diagonal basis."""
-    return np.array([joint_probability(psi, phi.amplitudes(), kappa, x)
+    return np.array([joint_probability(psi, phi, kappa, x)
                      for phi in (MINUS, PLUS) for x in (0, 1)])
 
 
@@ -105,7 +127,7 @@ def product_density(signal_amplitudes: np.ndarray, meter_amplitudes: np.ndarray)
 def _channels(rho: np.ndarray) -> np.ndarray:
     """The four channels of a two-qubit density operator: both qubits
     projected in the diagonal basis (tiny negative roundings clipped)."""
-    return np.array([max(float(np.trace(np.kron(s.projector(), m.projector()) @ rho).real), 0.0)
+    return np.array([max(float(np.trace(np.kron(projector(s), projector(m)) @ rho).real), 0.0)
                      for s in (MINUS, PLUS) for m in (PLUS, MINUS)])
 
 
@@ -195,10 +217,10 @@ def four_outcome_bloch_angles(mu: float) -> dict[str, float]:
     # columns of (CZ |j>_s |meter>) reshaped to [signal_i, meter_i, signal_j]
     gate_cols = (CSIGN @ np.kron(np.eye(2, dtype=complex), meter.reshape(2, 1))).reshape(2, 2, 2)
     meter_ops = {
-        "p": np.einsum("m,imj->ij", PLUS.amplitudes().conj(), gate_cols),
-        "m": np.einsum("m,imj->ij", MINUS.amplitudes().conj(), gate_cols),
+        "p": np.einsum("m,imj->ij", PLUS, gate_cols),
+        "m": np.einsum("m,imj->ij", MINUS, gate_cols),
     }
-    signal_projs = {"p": PLUS.projector(), "m": MINUS.projector()}
+    signal_projs = {"p": projector(PLUS), "m": projector(MINUS)}
     angles: dict[str, float] = {}
     total = np.zeros((2, 2), dtype=complex)
     for s_label, proj in signal_projs.items():

@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (circuit_channels, fisher_ps_definition, four_outcome_bloch_angles,
-                     ideal_postselect_probability, ideal_sigma, imperfect_joint_probs,
-                     joint_probability, postselected_value, pusey_functional, pusey_sweep,
-                     signal)
+from oracles import (MINUS, PLUS, circuit_channels, consolidated_channel, fisher_ps_definition,
+                     four_outcome_bloch_angles, ideal_postselect_probability, ideal_sigma,
+                     imperfect_joint_probs, joint_probability, postselected_value, projector,
+                     pusey_functional, pusey_sweep, signal)
 import weakps as w
 from weakps import kernels
 from weakps.errors import DegenerateConditional
@@ -41,10 +41,10 @@ def test_criterion_01_circuit_matches_measurement_operators():
             kappa = k10 / 10.0
             mu = math.asin(kappa) / 4.0
             expected = (
-                joint_probability(psi, w.MINUS.amplitudes(), kappa, 0),
-                joint_probability(psi, w.MINUS.amplitudes(), kappa, 1),
-                joint_probability(psi, w.PLUS.amplitudes(), kappa, 0),
-                joint_probability(psi, w.PLUS.amplitudes(), kappa, 1),
+                joint_probability(psi, MINUS, kappa, 0),
+                joint_probability(psi, MINUS, kappa, 1),
+                joint_probability(psi, PLUS, kappa, 0),
+                joint_probability(psi, PLUS, kappa, 1),
             )
             got = circuit_channels(theta, mu).tolist()
             worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
@@ -121,8 +121,7 @@ def test_criterion_03_fisher_consistency():
     delta = 1e-4
     worst_q = 0.0
     for theta in (0.0, 30 * D2R, 61 * D2R):
-        a = w.make_signal_state(theta).amplitudes()
-        b = w.make_signal_state(theta + delta).amplitudes()
+        a, b = signal(theta), signal(theta + delta)
         oracle = 8 * (1 - abs(np.vdot(a, b))) / delta**2
         worst_q = max(worst_q, abs(QUANTUM_FISHER_INFORMATION / oracle - 1.0))
     ok &= worst_q < 1e-4
@@ -171,22 +170,22 @@ def test_criterion_05_consolidated_decomposition():
     for _ in range(1000):
         kappa = float(rng.uniform(0.0, 1.0))
         ang = float(rng.uniform(0.0, 2 * math.pi))
-        phase = float(rng.uniform(0.0, 2 * math.pi))
-        phi = w.PureQubit(
-            math.cos(ang), math.sin(ang) * complex(math.cos(phase), math.sin(phase))
-        )
-        result = w.decompose_consolidated(phi, kappa)
-        recomposed = (1 - result.p_d) * phi.projector() + result.p_d * result.e_d
-        worst_resid = max(worst_resid, float(np.max(np.abs(result.s_matrix - recomposed))))
-        eigs = np.linalg.eigvalsh(result.e_d)
+        phi = np.array([math.cos(ang), math.sin(ang)])
+        p_d, s_matrix, e_d = w.decompose_consolidated((phi[0] ** 2, phi[1] ** 2, phi[0] * phi[1]),
+                                                      kappa)
+        oracle = consolidated_channel(projector(phi), kappa)
+        recomposed = (1 - p_d) * projector(phi) + p_d * e_d
+        worst_resid = max(worst_resid, float(np.max(np.abs(s_matrix - oracle))),
+                          float(np.max(np.abs(recomposed - oracle))))
+        eigs = np.linalg.eigvalsh(e_d)
         eigs_ok &= eigs.min() >= -1e-10 and eigs.max() <= 1 + 1e-10
-        if result.p_d != pytest.approx(1 - math.sqrt(1 - kappa**2), abs=1e-12):
+        if p_d != pytest.approx(1 - math.sqrt(1 - kappa**2), abs=1e-12):
             eigs_ok = False
     # the alternative printed weight fails positivity below sqrt(3)/2
     alt_fails = all(1 - 2 * math.sqrt(1 - k**2) < 0 for k in (0.1, 0.335, 0.7, 0.86))
-    s = w.consolidated_S(w.MINUS, 0.335)
+    s = consolidated_channel(projector(MINUS), 0.335)
     p_alt = 1 - 2 * math.sqrt(1 - 0.335**2)
-    e_alt = (s - (1 - p_alt) * w.MINUS.projector()) / p_alt
+    e_alt = (s - (1 - p_alt) * projector(MINUS)) / p_alt
     alt_eigs = np.linalg.eigvalsh(e_alt)
     alt_fails &= alt_eigs.min() < -1e-3 or alt_eigs.max() > 1 + 1e-3
     _report(
@@ -218,7 +217,7 @@ def test_criterion_06_noncontextuality_functional():
     p_d = 1 - math.sqrt(1 - kappa**2)
     t_star = (a * b + 2 * p_d - a * a) / (b * b - a * b - 2 * p_d)
     stationary_ok = abs(t_star - 0.318) < 1e-3
-    peak = pusey_functional(signal(math.atan(t_star) / 2), w.MINUS.amplitudes(), kappa, 0)
+    peak = pusey_functional(signal(math.atan(t_star) / 2), MINUS, kappa, 0)
     value_ok &= max_value <= peak + 1e-12 and abs(max_value - peak) < 1e-5
 
     i0_weak, _, _ = pusey_sweep(scan_grid, 0.01, "minus")

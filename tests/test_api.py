@@ -10,18 +10,15 @@ from pathlib import Path
 import weakps
 
 PUBLIC = [
-    "AcquisitionConfig", "EstimateBatch", "IDEAL_GATE",
-    "ImperfectionParams", "KrausPair", "MINUS", "ModelParams", "ONE", "PLUS", "PureQubit",
-    "SDecomposition", "Strength", "Table1Row", "ZERO", "assess_estimates", "consolidated_S",
-    "contextuality", "counting", "decompose_consolidated", "derive_seeds",
-    "draw_counts", "errors", "estimation", "imperfections", "invert_branch", "kernels",
-    "kraus_operators", "load_baseline", "make_signal_state", "p_phi_from_postselection",
+    "AcquisitionConfig", "EstimateBatch", "IDEAL_GATE", "ImperfectionParams", "ModelParams",
+    "Strength", "Table1Row", "assess_estimates", "contextuality", "counting",
+    "decompose_consolidated", "derive_seeds", "draw_counts", "errors", "estimation",
+    "imperfections", "invert_branch", "kernels", "load_baseline", "p_phi_from_postselection",
     "states", "table1_pipeline", "weak", "weak_values_from_counts",
 ]
 
 SUBMODULE_ALL = {
-    "contextuality": ["SDecomposition", "consolidated_S", "decompose_consolidated",
-                      "p_phi_from_postselection"],
+    "contextuality": ["decompose_consolidated", "p_phi_from_postselection"],
     "counting": ["AcquisitionConfig", "COUNT_COLUMNS", "MAX_EXPECTED_TOTAL", "derive_seeds",
                  "draw_counts", "postselected_counts", "weak_values_from_counts"],
     "estimation": ["EstimateBatch", "ModelParams", "RAD2_TO_DEG2", "TABLE1_THETAS_DEG",
@@ -33,8 +30,7 @@ SUBMODULE_ALL = {
     "kernels": ["channel_probabilities", "fisher_from_weak_value", "invert_trig",
                 "pusey_functional", "trig_curve", "trig_form", "trig_slope",
                 "trig_turning_points"],
-    "states": ["KrausPair", "MINUS", "ONE", "PLUS", "PROB_FLOOR", "PureQubit", "Strength", "ZERO",
-               "as_strength", "kraus_operators", "make_signal_state", "sign_factor"],
+    "states": ["PROB_FLOOR", "Strength", "as_strength", "sign_factor"],
     "weak": ["QUANTUM_FISHER_INFORMATION", "SATURATION_TOL"],
 }
 

@@ -396,7 +396,11 @@ def test_a_negative_seed_is_refused_before_any_is_derived(tmp_path, capsys, comm
      "error: counts JSON: records must be a list, got int\n"),
     ({"metadata": {"kappa": 0.335, "rate": "2000"}, "records": [_RECORD]},
      "error: input metadata: rate must be a number, got '2000'\n"),
-], ids=["records-not-a-list", "metadata-rate-a-string"])
+    *[({"metadata": {"kappa": 0.335, key: 10**400}, "records": [_RECORD]},
+       f"error: input metadata: {key} must be a finite number, got an integer too large for a "
+       f"float\n") for key in ("rate", "kappa_uncertainty")],
+], ids=["records-not-a-list", "metadata-rate-a-string", "metadata-rate-too-large",
+        "metadata-kappa_uncertainty-too-large"])
 def test_estimate_refuses_a_malformed_input_file(tmp_path, capsys, payload, message):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps(payload))
@@ -519,6 +523,16 @@ def test_decompose_json(tmp_path):
     assert payload["p_d"] == 0.0
     assert np.allclose(payload["s_matrix"], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
     assert np.allclose(payload["e_d"], [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+    # every strength, down to where 1 - r cancels, gives E_d = diag(S_00, S_11)
+    # exactly, and no -0 where r = 0
+    for phi in (["--phi", "minus"], ["--phi", "one"], ["--phi-angle", "1"], ["--phi-angle", "-17.3"]):
+        for kappa in ("0", "1e-8", "2e-7", "1e-3", "0.335", "1"):
+            assert main(["decompose", "--kappa", kappa, *phi, "--format", "json",
+                         "--output", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            (s00, s01), (s10, s11) = payload["s_matrix"]
+            assert payload["e_d"] == [[s00, 0.0], [0.0, s11]] and s01 == s10
+            assert "-0.0" not in out.read_text()
 
 
 def test_decompose_csv_flattened(tmp_path):
@@ -528,6 +542,14 @@ def test_decompose_csv_flattened(tmp_path):
     _, header, rows = _read_csv(out)
     assert header[0] == "p_d"
     assert float(rows[0][0]) == pytest.approx(0.05778187238835186, rel=1e-12)
+    for argv, expected in [
+        (["--kappa", "1e-3", "--phi-angle", "30"], {"e_d_01": "0", "e_d_11": "0.75"}),
+        (["--kappa", "1e-7", "--phi", "minus"], {"p_d": "5e-15", "e_d_00": "0.5"}),
+        (["--kappa", "1", "--phi", "minus"], {"p_d": "1", "s_01": "0", "s_10": "0"}),
+    ]:
+        assert main(["decompose", *argv, "--output", str(out)]) == 0
+        _, header, rows = _read_csv(out)
+        assert {c: v for c, v in zip(header, rows[0]) if c in expected} == expected
 
 
 def test_strength_flags_are_exclusive(capsys):

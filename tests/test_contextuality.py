@@ -3,19 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ideal_sigma, pusey_functional, pusey_sweep, signal
-from weakps import (
-    MINUS,
-    PLUS,
-    PureQubit,
-    consolidated_S,
-    decompose_consolidated,
-    make_signal_state,
-    p_phi_from_postselection,
-)
+from oracles import (MINUS, PLUS, consolidated_channel, ideal_sigma, projector, pusey_functional,
+                     pusey_sweep, signal)
+from weakps import decompose_consolidated, p_phi_from_postselection
 
 D2R = math.pi / 180.0
-MINUS_AMPLITUDES = MINUS.amplitudes()
+# projector entries (phi_0^2, phi_1^2, phi_0 phi_1) of minus, as decompose takes them
+MINUS_ENTRIES = (0.5, 0.5, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +27,7 @@ def test_unperturbed_limit_is_exactly_zero():
     # the matrix route agrees to rounding (sqrt(1/2) squared is 1/2 + 1 ulp)
     for theta_deg in (0.0, 5.0, 20.0, 40.0, 70.0):
         psi = signal(theta_deg * D2R)
-        for phi in (MINUS.amplitudes(), PLUS.amplitudes()):
+        for phi in (MINUS, PLUS):
             if abs(np.vdot(phi, psi)) ** 2 <= 1e-30:
                 continue
             assert abs(pusey_functional(psi, phi, 0.0, 0)) <= 5e-15
@@ -42,13 +36,13 @@ def test_unperturbed_limit_is_exactly_zero():
 
 def test_functional_oracle_value():
     # frozen from explicit matrix evaluation of the joint probability and overlap
-    got = pusey_functional(signal(20 * D2R), MINUS_AMPLITUDES, 0.335, 0)
+    got = pusey_functional(signal(20 * D2R), MINUS, 0.335, 0)
     assert got == pytest.approx(-3.9869255996703523, abs=1e-12)
 
 
 def test_orthogonal_postselection_raises():
     with pytest.raises(ValueError, match="orthogonal"):
-        pusey_functional(signal(22.5 * D2R), MINUS_AMPLITUDES, 0.335, 0)
+        pusey_functional(signal(22.5 * D2R), MINUS, 0.335, 0)
 
 
 def test_record_consistency_between_routes():
@@ -57,16 +51,16 @@ def test_record_consistency_between_routes():
         theta = theta_deg * D2R
         psi = signal(theta)
         i0, i1, _ = pusey_sweep(np.array([theta]), 0.335, "minus")
-        assert i0[0] == pytest.approx(pusey_functional(psi, MINUS_AMPLITUDES, 0.335, 0), abs=1e-12)
-        assert i1[0] == pytest.approx(pusey_functional(psi, MINUS_AMPLITUDES, 0.335, 1), abs=1e-12)
+        assert i0[0] == pytest.approx(pusey_functional(psi, MINUS, 0.335, 0), abs=1e-12)
+        assert i1[0] == pytest.approx(pusey_functional(psi, MINUS, 0.335, 1), abs=1e-12)
 
 
 def test_outcome_swap_mirror_symmetry():
     # swapping the outcome index mirrors the preparation angle about 22.5 deg
     kappa = 0.4
     for theta_deg in (4.0, 12.0, 31.0, 41.0):
-        a = pusey_functional(signal(theta_deg * D2R), MINUS_AMPLITUDES, kappa, 1)
-        b = pusey_functional(signal((45.0 - theta_deg) * D2R), MINUS_AMPLITUDES, kappa, 0)
+        a = pusey_functional(signal(theta_deg * D2R), MINUS, kappa, 1)
+        b = pusey_functional(signal((45.0 - theta_deg) * D2R), MINUS, kappa, 0)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -91,7 +85,7 @@ def _stationary_maximum(kappa):
     p_d = 1 - math.sqrt(1 - kappa**2)
     t_star = (a * b + 2 * p_d - a * a) / (b * b - a * b - 2 * p_d)
     theta_star = math.atan(t_star) / 2
-    value = pusey_functional(signal(theta_star), MINUS_AMPLITUDES, kappa, 0)
+    value = pusey_functional(signal(theta_star), MINUS, kappa, 0)
     return t_star, theta_star, value
 
 
@@ -148,50 +142,87 @@ def test_scan_reports_skipped_points():
 # consolidated-operator decomposition
 # ---------------------------------------------------------------------------
 
+def _entries(amplitudes):
+    """Projector entries (phi_0^2, phi_1^2, phi_0 phi_1) of real amplitudes."""
+    a0, a1 = amplitudes
+    return a0 * a0, a1 * a1, a0 * a1
+
+
 def test_consolidated_limits():
-    assert np.allclose(consolidated_S(MINUS, 0.0), MINUS.projector(), atol=1e-15)
-    phi = make_signal_state(0.2)
-    s_full = consolidated_S(phi, 1.0)
-    assert np.allclose(s_full, np.diag([abs(phi.a0) ** 2, abs(phi.a1) ** 2]), atol=1e-15)
+    assert np.allclose(decompose_consolidated(MINUS_ENTRIES, 0.0)[1], projector(MINUS), atol=1e-15)
+    phi = _entries(signal(0.2))
+    s_full = decompose_consolidated(phi, 1.0)[1]
+    assert np.allclose(s_full, np.diag(phi[:2]), atol=1e-15)
 
 
 def test_consolidated_off_diagonal_shrinkage():
     kappa = 0.335
-    s = consolidated_S(MINUS, kappa)
-    proj = MINUS.projector()
-    ratio = s[0, 1] / proj[0, 1]
+    s = decompose_consolidated(MINUS_ENTRIES, kappa)[1]
+    ratio = s[0, 1] / projector(MINUS)[0, 1]
     assert ratio == pytest.approx(math.sqrt(1 - kappa**2), abs=1e-15)
-    assert np.trace(s).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decomposition_fixed_point():
-    result = decompose_consolidated(MINUS, 0.335)
-    assert result.p_d == pytest.approx(0.05778187238835186, abs=1e-15)
-    assert np.allclose(result.e_d, np.eye(2) / 2, atol=1e-12)
-    result = decompose_consolidated(MINUS, 0.0)
-    assert result.p_d == 0.0
-    assert np.allclose(result.s_matrix, MINUS.projector(), atol=1e-15)
-    phi = make_signal_state(0.2)
-    result = decompose_consolidated(phi, 1.0)
-    assert result.p_d == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(result.e_d, np.diag([abs(phi.a0) ** 2, abs(phi.a1) ** 2]), atol=1e-12)
+    p_d, _, e_d = decompose_consolidated(MINUS_ENTRIES, 0.335)
+    assert p_d == pytest.approx(0.05778187238835186, abs=1e-15)
+    assert e_d.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    p_d, s_matrix, _ = decompose_consolidated(MINUS_ENTRIES, 0.0)
+    assert p_d == 0.0
+    assert np.allclose(s_matrix, projector(MINUS), atol=1e-15)
+    phi = _entries(signal(0.2))
+    p_d, _, e_d = decompose_consolidated(phi, 1.0)
+    assert p_d == pytest.approx(1.0, abs=1e-15)
+    assert e_d.tolist() == [[phi[0], 0.0], [0.0, phi[1]]]
+    # p_d = kappa^2 / (1 + r) keeps its digits where 1 - r cancels
+    assert decompose_consolidated(MINUS_ENTRIES, 1e-7)[0] == pytest.approx(5e-15, rel=1e-14)
+    assert decompose_consolidated(MINUS_ENTRIES, 1e-8)[0] == pytest.approx(5e-17, rel=1e-14)
 
 
 def test_decomposition_random_states_and_strengths():
+    # the closed form against the Kraus route on a seeded (angle, kappa) grid,
+    # with the recomposition identity and 0 <= eig(E_d) <= 1
     rng = np.random.default_rng(12345)
-    worst = 0.0
-    for _ in range(1000):
-        kappa = float(rng.uniform(0.0, 1.0))
-        ang = float(rng.uniform(0.0, 2 * math.pi))
-        phase = float(rng.uniform(0.0, 2 * math.pi))
-        phi = PureQubit(math.cos(ang), math.sin(ang) * complex(math.cos(phase), math.sin(phase)))
-        result = decompose_consolidated(phi, kappa)
-        recomposed = (1 - result.p_d) * phi.projector() + result.p_d * result.e_d
-        worst = max(worst, float(np.max(np.abs(result.s_matrix - recomposed))))
-        eigs = np.linalg.eigvalsh(result.e_d)
-        assert eigs.min() >= -1e-10 and eigs.max() <= 1 + 1e-10
-        assert result.p_d == pytest.approx(1 - math.sqrt(1 - kappa**2), abs=1e-15)
-    assert worst < 1e-12
+    for ang, kappa in zip(rng.uniform(0.0, 2 * math.pi, 1000), rng.uniform(0.0, 1.0, 1000)):
+        amplitudes = np.array([math.cos(ang), math.sin(ang)])
+        p_d, s_matrix, e_d = decompose_consolidated(_entries(amplitudes), kappa)
+        oracle = consolidated_channel(projector(amplitudes), kappa)
+        np.testing.assert_allclose(s_matrix, oracle, rtol=0, atol=1e-15)
+        recomposed = (1 - p_d) * projector(amplitudes) + p_d * e_d
+        np.testing.assert_allclose(recomposed, oracle, rtol=0, atol=1e-15)
+        eigs = np.linalg.eigvalsh(e_d)
+        assert eigs.min() >= 0.0 and eigs.max() <= 1.0
+        assert p_d == pytest.approx(1 - math.sqrt(1 - kappa**2), abs=1e-15)
+
+
+def test_consolidated_channel_is_identity_plus_dephasing():
+    # what the functional's weight comes from: sum_x M_x rho M_x^T =
+    # r rho + p_d Delta(rho) on every rho; the channel is also
+    # (1 + r)/2 rho + (1 - r)/2 Z rho Z
+    rng = np.random.default_rng(2024)
+    z = np.diag([1.0, -1.0])
+    for kappa in rng.uniform(0.0, 1.0, 200):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        r = math.sqrt(1 - kappa**2)
+        p_d = decompose_consolidated(MINUS_ENTRIES, kappa)[0]
+        channel = consolidated_channel(rho, kappa)
+        np.testing.assert_allclose(channel, r * rho + p_d * np.diag(np.diag(rho)),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(channel, (1 + r) / 2 * rho + (1 - r) / 2 * z @ rho @ z,
+                                   rtol=0, atol=1e-15)
+
+
+def test_effect_level_split_does_not_fix_the_weight():
+    # S = (1 - p)|-><-| + p |+><+| with p = (1 - r)/2, half the functional's
+    # weight, is a split into a valid effect too
+    for kappa in (0.05, 0.335, 0.9):
+        p = (1 - math.sqrt(1 - kappa**2)) / 2
+        s = consolidated_channel(projector(MINUS), kappa)
+        np.testing.assert_allclose((1 - p) * projector(MINUS) + p * projector(PLUS), s,
+                                   rtol=0, atol=1e-15)
+        assert p == pytest.approx(decompose_consolidated(MINUS_ENTRIES, kappa)[0] / 2, rel=1e-12)
+        assert np.linalg.eigvalsh(projector(PLUS)).tolist() == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
 def test_alternative_disturbance_weight_is_not_a_probability():
@@ -201,8 +232,8 @@ def test_alternative_disturbance_weight_is_not_a_probability():
         assert 1 - 2 * math.sqrt(1 - kappa**2) < 0.0
     kappa = 0.335
     p_alt = 1 - 2 * math.sqrt(1 - kappa**2)
-    s = consolidated_S(MINUS, kappa)
-    e_alt = (s - (1 - p_alt) * MINUS.projector()) / p_alt
+    s = decompose_consolidated(MINUS_ENTRIES, kappa)[1]
+    e_alt = (s - (1 - p_alt) * projector(MINUS)) / p_alt
     eigs = np.linalg.eigvalsh(e_alt)
     assert eigs.min() < -0.03 or eigs.max() > 1.03
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (balance_operator, central_splitter_operator, circuit_channels,
+from oracles import (MINUS, PLUS, balance_operator, central_splitter_operator, circuit_channels,
                      dephase_computational, effective_kappa, imperfect_joint_probs,
-                     postselected_value, product_density, signal)
+                     postselected_value, product_density, projector, signal)
 from weakps import (
     IDEAL_GATE,
     ImperfectionParams,
@@ -19,7 +19,6 @@ from weakps import (
 from weakps.errors import AmbiguousBranch, GateStarved, ZeroPostselection
 from weakps.estimation import OK
 from weakps.imperfections import coincidence_probabilities, renormalized_probabilities
-from weakps.states import MINUS, PLUS
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -199,7 +198,7 @@ def _per_attempt_pair(theta, mu, params, sign):
     rho = params.visibility * rho + (1.0 - params.visibility) * dephase_computational(rho)
     rho = balance @ rho @ balance.conj().T
     post = MINUS if sign == "minus" else PLUS
-    return [float(np.trace(np.kron(post.projector(), meter.projector()) @ rho).real)
+    return [float(np.trace(np.kron(projector(post), projector(meter)) @ rho).real)
             for meter in (PLUS, MINUS)]
 
 

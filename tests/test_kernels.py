@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (circuit_channels, ideal_postselect_probability, ideal_sigma, ideal_slope,
-                     invert_sigma, joint_channels, joint_probability, postselected_value,
-                     pusey_functional, pusey_sweep, signal)
+from oracles import (MINUS, PLUS, circuit_channels, ideal_postselect_probability, ideal_sigma,
+                     ideal_slope, invert_sigma, joint_channels, joint_probability,
+                     postselected_value, pusey_functional, pusey_sweep, signal)
 from weakps import ImperfectionParams, ModelParams, kernels
 from weakps.errors import AmbiguousBranch
-from weakps.states import MINUS, PLUS
 
 KAPPAS = (0.1, 0.335, 0.7, 0.95)
 THETA = np.linspace(0.0, math.pi / 2, 1001)
@@ -67,7 +66,7 @@ def test_pusey_kernel_matches_kraus_route(kappa, theta, sign):
     label, _ = sign
     i0, i1, p_phi = pusey_sweep(np.array([theta]), kappa, label)
     assume(p_phi[0] > 1e-3)  # the functional divides by p_phi
-    psi, phi = signal(theta), (MINUS if label == "minus" else PLUS).amplitudes()
+    psi, phi = signal(theta), MINUS if label == "minus" else PLUS
     overlap = abs(np.vdot(phi, psi)) ** 2
     for x, got in ((0, i0[0]), (1, i1[0])):
         # the functional written out, on the Kraus-operator probabilities

@@ -3,48 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (CSIGN, checked_density, circuit_channels, joint_channels,
-                     joint_probability, product_density, signal)
-from weakps import (
-    MINUS,
-    ONE,
-    PLUS,
-    ZERO,
-    ModelParams,
-    PureQubit,
-    Strength,
-    kernels,
-    kraus_operators,
-    make_signal_state,
-)
+from oracles import (CSIGN, MINUS, ONE, PLUS, ZERO, checked_density, circuit_channels,
+                     joint_channels, joint_probability, kraus_operators, product_density, signal)
+from weakps import ModelParams, Strength, kernels
 from weakps.counting import postselected_counts
 
 D2R = math.pi / 180.0
 
 
-def test_make_signal_state_examples():
-    s = make_signal_state(0.0)
-    assert (s.a0, s.a1) == (1.0, 0.0)
-    s = make_signal_state(math.pi / 8.0)
-    assert s.a0 == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-    assert s.a1 == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-    s = make_signal_state(math.pi / 4.0)
-    assert abs(s.a0) < 1e-15
-    assert s.a1 == pytest.approx(1.0, abs=1e-15)
+def test_signal_examples():
+    assert signal(0.0).tolist() == [1.0, 0.0]
+    np.testing.assert_allclose(signal(math.pi / 8.0), [math.sqrt(2) / 2] * 2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(signal(math.pi / 4.0), [0.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_states_normalized():
     rng = np.random.default_rng(1)
     for theta in rng.uniform(-10, 10, 200):
-        s = make_signal_state(theta)
-        assert abs(abs(s.a0) ** 2 + abs(s.a1) ** 2 - 1.0) < 1e-12
-
-
-def test_pure_qubit_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        PureQubit(1.0, 1.0)
-    with pytest.raises(ValueError):
-        PureQubit(0.5, 0.5)
+        assert abs(np.sum(signal(theta) ** 2) - 1.0) < 1e-12
+    for state in (ZERO, ONE, PLUS, MINUS):
+        assert abs(np.sum(state ** 2) - 1.0) < 1e-15
 
 
 def test_strength_bounds():
@@ -57,42 +35,42 @@ def test_strength_bounds():
 
 
 def test_kraus_limits():
-    pair = kraus_operators(0.0)
-    assert np.allclose(pair.m0, np.eye(2) / math.sqrt(2), atol=1e-15)
-    assert np.allclose(pair.m1, np.eye(2) / math.sqrt(2), atol=1e-15)
-    pair = kraus_operators(1.0)
-    assert np.allclose(pair.m0, np.diag([1.0, 0.0]), atol=1e-15)
-    assert np.allclose(pair.m1, np.diag([0.0, 1.0]), atol=1e-15)
+    m0, m1 = kraus_operators(0.0)
+    assert np.allclose(m0, np.eye(2) / math.sqrt(2), atol=1e-15)
+    assert np.allclose(m1, np.eye(2) / math.sqrt(2), atol=1e-15)
+    m0, m1 = kraus_operators(1.0)
+    assert np.allclose(m0, np.diag([1.0, 0.0]), atol=1e-15)
+    assert np.allclose(m1, np.diag([0.0, 1.0]), atol=1e-15)
 
 
 def test_kraus_at_calibrated_strength():
-    pair = kraus_operators(0.335)
-    assert pair.m0[0, 0] == pytest.approx(0.8170067319184096, abs=1e-15)
-    assert pair.m0[1, 1] == pytest.approx(0.5766281297335398, abs=1e-15)
-    assert np.allclose(pair.m1, pair.m0[::-1, ::-1], atol=1e-15)
+    m0, m1 = kraus_operators(0.335)
+    assert m0[0, 0] == pytest.approx(0.8170067319184096, abs=1e-15)
+    assert m0[1, 1] == pytest.approx(0.5766281297335398, abs=1e-15)
+    assert np.allclose(m1, m0[::-1, ::-1], atol=1e-15)
 
 
 def test_kraus_completeness_random():
     rng = np.random.default_rng(7)
     worst = 0.0
     for kappa in rng.uniform(0.0, 1.0, 1000):
-        pair = kraus_operators(float(kappa))
-        resid = pair.m0.T @ pair.m0 + pair.m1.T @ pair.m1 - np.eye(2)
+        m0, m1 = kraus_operators(float(kappa))
+        resid = m0.T @ m0 + m1.T @ m1 - np.eye(2)
         worst = max(worst, float(np.max(np.abs(resid))))
     assert worst < 1e-12
 
 
 def test_povm_examples():
     # the effects m_x^T m_x: unbiased at kappa = 0, the Z projectors at kappa = 1
-    pair = kraus_operators(0.0)
-    assert np.allclose(pair.m0.T @ pair.m0, np.eye(2) / 2, atol=1e-15)
-    assert np.allclose(pair.m1.T @ pair.m1, np.eye(2) / 2, atol=1e-15)
-    pair = kraus_operators(1.0)
-    assert np.allclose(pair.m0.T @ pair.m0, np.diag([1.0, 0.0]), atol=1e-15)
+    m0, m1 = kraus_operators(0.0)
+    assert np.allclose(m0.T @ m0, np.eye(2) / 2, atol=1e-15)
+    assert np.allclose(m1.T @ m1, np.eye(2) / 2, atol=1e-15)
+    m0, _ = kraus_operators(1.0)
+    assert np.allclose(m0.T @ m0, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_joint_probability_trivial():
-    zero, one = ZERO.amplitudes(), ONE.amplitudes()
+    zero, one = ZERO, ONE
     assert joint_probability(zero, zero, 1.0, 0) == pytest.approx(1.0, abs=1e-15)
     for kappa in (0.0, 0.3, 1.0):
         assert joint_probability(zero, one, kappa, 0) == pytest.approx(0.0, abs=1e-15)
@@ -100,19 +78,18 @@ def test_joint_probability_trivial():
 
 def test_joint_probability_oracle_value():
     # frozen from explicit 2x2 matrix-vector evaluation
-    p0 = joint_probability(signal(20 * D2R), MINUS.amplitudes(), 0.335, 0)
+    p0 = joint_probability(signal(20 * D2R), MINUS, 0.335, 0)
     assert p0 == pytest.approx(0.03256710560445614, abs=1e-15)
 
 
 def test_joint_probability_monotone_in_strength():
-    zero = ZERO.amplitudes()
-    values = [joint_probability(zero, zero, k, 0) for k in np.linspace(0, 1, 101)]
+    values = [joint_probability(ZERO, ZERO, k, 0) for k in np.linspace(0, 1, 101)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_joint_probability_rejects_bad_outcome():
     with pytest.raises(ValueError):
-        joint_probability(ZERO.amplitudes(), ZERO.amplitudes(), 0.5, 2)
+        joint_probability(ZERO, ZERO, 0.5, 2)
 
 
 def _basis_density(i, j):
@@ -133,8 +110,8 @@ def test_csign_on_basis_states():
 
 
 def test_csign_flips_meter_superposition():
-    rho_in = product_density(ONE.amplitudes(), PLUS.amplitudes())
-    rho_expected = product_density(ONE.amplitudes(), MINUS.amplitudes())
+    rho_in = product_density(ONE, PLUS)
+    rho_expected = product_density(ONE, MINUS)
     assert np.allclose(_csign_apply(rho_in), rho_expected, atol=1e-15)
 
 
@@ -170,7 +147,7 @@ def test_circuit_matches_measurement_operators():
     mu = math.asin(0.335) / 4
     for theta_deg in range(0, 91, 7):
         theta = theta_deg * D2R
-        psi, minus, plus = signal(theta), MINUS.amplitudes(), PLUS.amplitudes()
+        psi, minus, plus = signal(theta), MINUS, PLUS
         p_mp, p_mm, p_pp, p_pm = circuit_channels(theta, mu)
         assert p_mp == pytest.approx(joint_probability(psi, minus, 0.335, 0), abs=1e-12)
         assert p_mm == pytest.approx(joint_probability(psi, minus, 0.335, 1), abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (fisher_ps_definition, four_outcome_bloch_angles, ideal_postselect_probability,
                      joint_channels, postselected_value, signal)
-from weakps import ModelParams, kernels, make_signal_state, weak_values_from_counts
+from weakps import ModelParams, kernels, weak_values_from_counts
 from weakps.errors import DegenerateConditional, ZeroStrength
 from weakps.kernels import fisher_from_weak_value
 from weakps.states import sign_factor
@@ -194,8 +194,7 @@ def test_quantum_fisher_information_fd_oracle():
     # fidelity-susceptibility limit: 8 (1 - |<psi(t)|psi(t+d)>|) / d^2
     delta = 1e-4
     for theta in (0.0, 30 * D2R, 77 * D2R):
-        a = make_signal_state(theta).amplitudes()
-        b = make_signal_state(theta + delta).amplitudes()
+        a, b = signal(theta), signal(theta + delta)
         overlap = abs(np.vdot(a, b))
         oracle = 8 * (1 - overlap) / delta**2
         assert QUANTUM_FISHER_INFORMATION == pytest.approx(oracle, rel=1e-4)
