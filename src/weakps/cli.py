@@ -20,7 +20,13 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
+# numpy's bundled OpenBLAS starts a worker thread when numpy is imported, at
+# 60-110 ms of CPU per process on 2 cores.  The only BLAS call in weakps,
+# imperfections._CHANNEL_VECTORS @ b, multiplies 4x4 by 4xN, so one thread
+# serves it.  Set before numpy loads; a value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__, kernels
 from .contextuality import decompose_consolidated, p_phi_from_postselection

@@ -55,6 +55,9 @@ MAX_EXPECTED_TOTAL = 9.223372006484771e18
 # A channel probability at most this far below zero is a rounding of zero.
 _NORM_TOL = 1e-12
 
+# Below this total t, t*t is exact in float64, so t*t*t is the correctly rounded cube.
+_FLOAT_CUBE_BOUND = 1 << 26
+
 
 def nonnegative_integer(name: str, value) -> int:
     """``value`` as an int; raises ValueError unless it is a nonnegative
@@ -400,7 +403,11 @@ def weak_values_from_counts(
     pair = postselected_counts(np.asarray(counts, dtype=np.int64), postselect_sign)
     n_a, n_b = pair[:, 0], pair[:, 1]
     total = n_a + n_b
-    cube = (total.astype(object) ** 3).astype(np.float64)  # exact Python-int power, then rounded
+    f = total.astype(np.float64)
+    cube = f * f * f
+    big = total >= _FLOAT_CUBE_BOUND
+    if big.any():  # the exact Python-int power, then rounded
+        cube[big] = (total[big].astype(object) ** 3).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where the pair is empty
         sigma_hat = (n_a - n_b) / (k * total)
         var_poisson = 4.0 * n_a * n_b / (k * k * cube)

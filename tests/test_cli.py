@@ -643,15 +643,24 @@ def test_unwritable_output_path(tmp_path, capsys):
     assert rc == 1
 
 
+def _python(code: str, *args: str, **env: "str | None") -> str:
+    """Stripped stdout of ``code`` run by a fresh interpreter that imports
+    weakps from this tree, with ``env`` set over the environment (None
+    unsets a variable)."""
+    full_env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(weakps.__file__)),
+                **env}
+    full_env = {name: value for name, value in full_env.items() if value is not None}
+    run = subprocess.run([sys.executable, "-c", code, *args], env=full_env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return run.stdout.strip()
+
+
 def test_cli_import_loads_neither_scipy_nor_numba():
     # the CLI's set-up time is numpy's and weakps' alone
     code = ("import sys\n"
             "import weakps.cli\n"
             "print(sorted({'scipy', 'numba'} & {m.split('.')[0] for m in sys.modules}))\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakps.__file__)))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120, check=True)
-    assert run.stdout.strip() == "[]"
+    assert _python(code) == "[]"
 
 
 def test_cli_import_loads_every_traced_layer():
@@ -664,28 +673,48 @@ def test_cli_import_loads_every_traced_layer():
             "import weakps.cli\n"
             f"loaded = {{m.removeprefix('weakps.') for m in sys.modules}}\n"
             f"print(sorted(set({layers!r}) - loaded))\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakps.__file__)))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120, check=True)
-    assert len(layers) == 8 and run.stdout.strip() == "[]"
+    assert len(layers) == 8 and _python(code) == "[]"
+
+
+def test_cli_import_defaults_openblas_to_one_thread():
+    # numpy's OpenBLAS starts no worker thread in a CLI process, unless the
+    # user asks for threads
+    code = ("import os\n"
+            "import weakps.cli\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n")
+    assert _python(code, OPENBLAS_NUM_THREADS=None) == "1 1"
+    assert _python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2"
+
+
+def test_package_import_loads_no_numpy():
+    # the library loads its submodules on first use and leaves the
+    # environment alone; only the CLI sets the BLAS default
+    code = ("import os, sys\n"
+            "import weakps\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'weakps')),\n"
+            "      os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    assert _python(code, OPENBLAS_NUM_THREADS=None) == "['weakps'] None"
 
 
 def test_runtime_loads_no_third_party_package_but_numpy(tmp_path):
     # numpy is the only runtime dependency: neither importing the CLI nor
-    # running the estimation pipeline may load any other installed package
+    # running a command may load any other installed package; and the import
+    # loads every module a command runs, so main loads no numpy or weakps module
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import weakps.cli\n"
-        "loaded = [set(sys.modules) - before]\n"
-        "weakps.cli.main(['table1', '--kappa', '0.335', '--repetitions', '2',\n"
-        "                 '--output', sys.argv[1]])\n"
-        "loaded.append(set(sys.modules) - before)\n"
+        "imported = set(sys.modules)\n"
+        "weakps.cli.main(sys.argv[1:])\n"
+        "ran = set(sys.modules) - imported\n"
         "from importlib.metadata import packages_distributions\n"
         "others = set(packages_distributions()) - {'numpy', 'weakps'}\n"
-        "print([sorted({m.split('.')[0] for m in new} & others) for new in loaded])\n"
+        "tops = [{m.split('.')[0] for m in new} for new in (imported - before, ran)]\n"
+        "print([sorted(top & others) for top in tops],\n"
+        "      sorted(m for m in ran if m.split('.')[0] in ('numpy', 'weakps')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(weakps.__file__)))
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert run.stdout.strip() == "[[], []]"
+    for argv in (["table1", "--kappa", "0.335", "--repetitions", "2"],
+                 ["sweep-pusey", "--kappa", "0.335", "--theta-step", "5", "--simulate",
+                  "--seed", "7"]):
+        out = _python(code, *argv, "--output", str(tmp_path / f"{argv[0]}.csv"))
+        assert out == "[[], []] []", argv

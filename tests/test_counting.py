@@ -204,10 +204,17 @@ def test_draw_rejects_invalid_probabilities():
 
 def test_weak_values_match_the_scalar_estimator_bit_for_bit():
     rng = np.random.default_rng(3)
+    # the cube is f*f*f in float64 below 2**26, where f*f is exact, and the
+    # Python-int power from there on: totals on both sides, and around 2**26.5,
+    # where f*f*f stops being the correctly rounded cube
+    totals = np.concatenate([np.arange(2**26 - 50, 2**26 + 50),
+                             np.arange(94_906_215, 94_906_315),
+                             np.geomspace(2**25, 2**40, 200).astype(np.int64)])
     counts = np.vstack([
         rng.integers(0, 50, size=(200, 4)),
         rng.integers(0, 3_000_000, size=(200, 4)),  # totals whose cube leaves int64
         [[0, 0, 7, 1], [5, 0, 0, 0], [0, 9, 0, 0]],
+        np.stack([totals // 2, totals - totals // 2, totals // 3, totals - totals // 3], axis=1),
     ])
     for sign in ("minus", "plus"):
         sigmas, variances = weak_values_from_counts(counts, KAPPA, sign, 0.008)
