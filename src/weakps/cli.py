@@ -45,12 +45,12 @@ from .estimation import (
     TABLE1_THETAS_DEG,
     ModelParams,
     assess_estimates,
+    channel_probabilities,
     invert_branch,
     load_baseline,
     table1_pipeline,
 )
-from .imperfections import (IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams,
-                            renormalized_probabilities)
+from .imperfections import IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams
 from .weak import QUANTUM_FISHER_INFORMATION
 
 SCHEMA_VERSION = 1
@@ -95,13 +95,14 @@ def _add_imperfection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-v", type=float, default=None, help="V intensity transmission")
 
 
-def _add_acquisition_flags(p: argparse.ArgumentParser) -> None:
+def _add_acquisition_flags(p: argparse.ArgumentParser, with_uncertainty: bool = True) -> None:
     p.add_argument("--rate", type=float, default=2000.0,
                    help="total coincidences per second before postselection")
     p.add_argument("--duration", type=float, default=5.0, help="acquisition window, seconds")
     p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    p.add_argument("--kappa-uncertainty", type=float, default=0.0,
-                   help="one-sigma calibration error folded into error bars")
+    if with_uncertainty:
+        p.add_argument("--kappa-uncertainty", type=float, default=0.0,
+                       help="one-sigma calibration error folded into error bars")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -127,7 +128,7 @@ def _sweep_pusey_flags(p: argparse.ArgumentParser) -> None:
                         "postselection probability and the calibrated strength")
     p.add_argument("--simulate", action="store_true",
                    help="evaluate from simulated coincidence counts instead of exact values")
-    _add_acquisition_flags(p)
+    _add_acquisition_flags(p, with_uncertainty=False)
     _add_output_flags(p)
 
 
@@ -260,11 +261,11 @@ def _resolve_strength(args: argparse.Namespace) -> tuple[float, float]:
         if not 0.0 <= kappa <= 1.0:
             raise ConfigError(f"--kappa must lie in [0, 1], got {kappa!r}")
         return kappa, math.asin(kappa) / 4.0
+    # the models' meter angle is asin(kappa) / 4: past 22.5 deg, a gate at mu is another channel
+    if not 0.0 <= args.mu <= 22.5:
+        raise ConfigError(f"--mu must lie in [0, 22.5] deg, got {args.mu!r}")
     mu = math.radians(args.mu)
-    kappa = math.sin(4.0 * mu)
-    if not 0.0 <= kappa <= 1.0:
-        raise ConfigError(f"--mu = {args.mu!r} deg gives strength {kappa!r} outside [0, 1]")
-    return kappa, mu
+    return math.sin(4.0 * mu), mu
 
 
 def _resolve_imperfections(args: argparse.Namespace) -> ImperfectionParams | None:
@@ -305,7 +306,7 @@ def _acquisition(args: argparse.Namespace) -> AcquisitionConfig:
             seed=args.seed,
             rate=args.rate,
             duration=args.duration,
-            kappa_uncertainty=args.kappa_uncertainty,
+            kappa_uncertainty=getattr(args, "kappa_uncertainty", 0.0),  # sweep-pusey has none
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -428,9 +429,9 @@ def _pusey_model(grid: np.ndarray, kappa: float, sign: str) -> tuple[np.ndarray,
 
 def _cmd_sweep_pusey(args) -> None:
     kappa, mu = _resolve_strength(args)
-    if args.simulate and args.p_phi == "counts" and kappa == 1.0:
-        raise ConfigError("--p-phi counts needs kappa < 1: the overlap cannot be recovered "
-                          "from a projective measurement")
+    if args.p_phi == "counts" and not (args.simulate and kappa < 1.0):
+        raise ConfigError("--p-phi counts needs --simulate and kappa < 1: the overlap is "
+                          "recovered from the simulated counts of a non-projective measurement")
     grid_deg = _theta_grid_deg(args)
     grid = np.deg2rad(grid_deg)
     signs = _signs(args.postselect)
@@ -440,7 +441,7 @@ def _cmd_sweep_pusey(args) -> None:
                 theta_end=args.theta_end, theta_step=args.theta_step)
     if args.simulate:  # one draw per grid point, read for every postselection
         acquisition = _acquisition(args)  # checks the seed before any is derived from it
-        counts = draw_counts(kernels.channel_probabilities(grid, kappa).T,
+        counts = draw_counts(channel_probabilities(grid, kappa, None).T,
                              derive_seeds(args.seed, grid.size), acquisition)
         totals = counts.sum(axis=1).astype(np.float64)
         meta.update(seed=args.seed, rate=args.rate, duration=args.duration)
@@ -488,10 +489,7 @@ def _cmd_simulate_counts(args) -> None:
     acquisition = _acquisition(args)
     seeds = derive_seeds(args.seed, grid_deg.size)
 
-    if imperfections is None:
-        probs = kernels.channel_probabilities(grid, kappa)
-    else:
-        probs = renormalized_probabilities(grid, mu, imperfections)
+    probs = channel_probabilities(grid, kappa, imperfections)
     data = {"theta_deg": grid_deg, "seed": seeds}
     data.update(zip(COUNT_COLUMNS, draw_counts(probs.T, seeds, acquisition).T))
 
@@ -624,7 +622,7 @@ def _cmd_table1(args) -> None:
                           f"got {args.repetitions}")
     try:
         baseline = load_baseline(args.baseline)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"--baseline {args.baseline}: {exc}") from exc
 
     rows = []  # one tuple of the columns below per working point

@@ -36,6 +36,7 @@ from .weak import QUANTUM_FISHER_INFORMATION, SATURATION_TOL
 __all__ = [
     "RAD2_TO_DEG2",
     "TABLE1_THETAS_DEG",
+    "channel_probabilities",
     "ModelParams",
     "EstimateBatch",
     "Table1Row",
@@ -67,6 +68,16 @@ def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip([0, *turns], [*turns, diffs.size]))
 
 
+def channel_probabilities(thetas: np.ndarray, kappa: float,
+                          imperfections: ImperfectionParams | None) -> np.ndarray:
+    """Probabilities of the four coincidence channels given a coincidence, rows
+    ``(p_mp, p_mm, p_pp, p_pm)`` over an array of angles, at strength ``kappa``
+    through the ideal gate or ``imperfections`` (meter angle ``asin(kappa) / 4``)."""
+    if imperfections is None:
+        return kernels.channel_probabilities(thetas, kappa)
+    return renormalized_probabilities(thetas, math.asin(kappa) / 4.0, imperfections)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """What generated (or is assumed to generate) the measured values."""
@@ -83,13 +94,6 @@ class ModelParams:
     def mu(self) -> float:
         """Meter angle realizing the nominal strength."""
         return math.asin(self.kappa) / 4.0
-
-    def channel_probabilities(self, thetas: np.ndarray) -> np.ndarray:
-        """Probabilities of the four coincidence channels given a coincidence,
-        rows ``(p_mp, p_mm, p_pp, p_pm)`` over an array of angles."""
-        if self.imperfections is None:
-            return kernels.channel_probabilities(thetas, self.kappa)
-        return renormalized_probabilities(thetas, self.mu, self.imperfections)
 
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +118,7 @@ class ModelParams:
         :meth:`starved`, then ZeroStrength."""
         starved = thetas[self.starved(thetas)]
         if starved.size:
-            self.channel_probabilities(starved)  # GateStarved where the gate passes nothing
+            channel_probabilities(starved, self.kappa, self.imperfections)  # may raise GateStarved
             raise ZeroPostselection("postselection probability vanishes at theta = "
                                     f"{angle_text(float(starved[0]))}")
         if self.kappa == 0.0:
@@ -378,18 +382,16 @@ class Table1Row:
 
 
 def _assess_parts(model: ModelParams, parts: list) -> list[tuple[list[np.ndarray], Counter]]:
-    """Invert and assess every part's estimates in one batch, each on its own
-    branch.  Per part ``(sigmas, variances, m_ps, lo, hi)``, returns the
-    budget columns of its OK estimates and the count of the others by error
-    type.  A model error raised by the batch is charged to the part it comes
-    from: each part is then assessed alone."""
+    """Assess every part's estimates in one batch.  Per part
+    ``(theta_hats, variances, m_ps)``, returns the budget columns of its OK
+    estimates and the count of the others by error type.  A model error
+    raised by the batch is charged to the part it comes from: each part is
+    then assessed alone."""
     if not parts:
         return []
     sizes = [part[0].size for part in parts]
     try:
-        sigmas, variances, m_ps, lo, hi = map(np.concatenate, zip(*parts))
-        theta_hats = kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
-        batch = assess_estimates(model, theta_hats, variances, m_ps)
+        batch = assess_estimates(model, *map(np.concatenate, zip(*parts)))
     except WeakpsError as exc:
         if len(parts) > 1:
             return [row for part in parts for row in _assess_parts(model, [part])]
@@ -415,7 +417,8 @@ def _simulate(
     """Per angle, in order: the estimated postselected value, its variance
     and the postselected count ``m_ps`` of every repetition, from one batch
     of draws for every angle."""
-    probs = np.reshape([model.channel_probabilities([math.radians(t)])[:, 0]
+    probs = np.reshape([channel_probabilities([math.radians(t)], model.kappa,
+                                              model.imperfections)[:, 0]
                         for t in theta_list_deg], (-1, 4))
     counts = draw_counts(np.repeat(probs, repetitions, axis=0),
                          derive_seeds(acquisition.seed, len(probs) * repetitions), acquisition)
@@ -436,11 +439,11 @@ def table1_pipeline(
 
     Find the model's monotone branch containing each true angle, then draw
     the counts of every repetition of every angle in one batch.  Per angle,
-    estimate the postselected value and its variance for every repetition.
-    Then invert every repetition of every angle in one batch, each on its
-    angle's branch, and assess them together (:func:`assess_estimates`):
-    propagated variance and the Cramér-Rao comparison with each
-    repetition's realized postselected event count.
+    estimate the postselected value and its variance for every repetition,
+    and invert the values on the angle's branch (:func:`invert_branch`).
+    Then assess every repetition of every angle together
+    (:func:`assess_estimates`): propagated variance and the Cramér-Rao
+    comparison with each repetition's realized postselected event count.
     Failed repetitions are counted per row by error type, never dropped
     silently; an error of one angle's branch fails that angle's
     repetitions only.
@@ -448,25 +451,26 @@ def table1_pipeline(
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
     sign = model.postselect_sign
-    branches = []  # per angle: (lo, hi, None), or (nan, nan, the name of its branch's error)
+    branches = []  # per angle: its branch (lo, hi), or the name of the error finding it
     for theta_deg in theta_list_deg:  # before any draw, so that a model error comes first
         try:
-            branches.append((*model.branch_containing(math.radians(theta_deg)), None))
+            branches.append(model.branch_containing(math.radians(theta_deg)))
         except (OutOfRange, AmbiguousBranch) as exc:
-            branches.append((math.nan, math.nan, type(exc).__name__))
+            branches.append(type(exc).__name__)
     failures: list[Counter] = []
-    parts = []  # per angle: (sigmas, variances, m_ps, lo, hi) of the repetitions to invert
-    # the counts are freed with the loop, before the batch inversion
-    for (lo, hi, error), (sigmas, variances, m_ps) in zip(
+    parts = []  # per angle: (theta_hats, variances, m_ps) of the repetitions to assess
+    for branch, (sigmas, variances, m_ps) in zip(
             branches, _simulate(theta_list_deg, model, acquisition, repetitions)):
         keep = m_ps > 0
         failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~keep))})
-        if error:  # the branch's error fails every repetition with counts
-            failed[error] += int(np.count_nonzero(keep))
+        if isinstance(branch, str):  # the branch's error fails every repetition with counts
+            failed[branch] += int(np.count_nonzero(keep))
             keep[:] = False
-        n = int(np.count_nonzero(keep))
+            theta_hats = np.empty(0)
+        else:
+            theta_hats = invert_branch(model, sigmas[keep], branch)
         failures.append(failed)
-        parts.append((sigmas[keep], variances[keep], m_ps[keep], np.full(n, lo), np.full(n, hi)))
+        parts.append((theta_hats, variances[keep], m_ps[keep]))
     return [Table1Row(float(theta_deg), sign, *columns,
                       failures_by_type=dict(failed + more))
             for theta_deg, failed, (columns, more) in zip(theta_list_deg, failures,

@@ -130,10 +130,9 @@ def trig_turning_points(n: np.ndarray, d: np.ndarray, lo: float, hi: float) -> n
 
 
 def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
-                lo: "float | np.ndarray", hi: "float | np.ndarray") -> np.ndarray:
-    """Invert :func:`trig_curve` in closed form on brackets holding no turning
-    point.  ``lo`` and ``hi`` are one bracket for every target, or per-target
-    arrays; they broadcast against ``targets``.  Returns the angle solving
+                lo: float, hi: float) -> np.ndarray:
+    """Invert :func:`trig_curve` in closed form on the bracket [lo, hi],
+    which holds no turning point.  Returns the angle solving
     curve(theta) = target for each target, NaN for targets not bracketed by
     [curve(lo), curve(hi)], and an end whose value is the target to rounding.
 
@@ -141,12 +140,11 @@ def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
     rises through it at one root per period and falls at the other, so the
     bracket's direction picks the root and its middle the period.
     """
-    targets, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
-                                            for v in (targets, lo, hi)))
+    targets = np.asarray(targets, dtype=np.float64)
     c_lo, c_hi = trig_curve(n, d, kappa, lo), trig_curve(n, d, kappa, hi)
     ks = kappa * targets
     phi, alpha = _trig_roots(n[1] - ks * d[1], n[2] - ks * d[2], ks * d[0] - n[0])
-    x = phi + np.where(c_hi > c_lo, -alpha, alpha)
+    x = phi - alpha if c_hi > c_lo else phi + alpha
     x += 2.0 * math.pi * np.round((2.0 * (lo + hi) - x) / (2.0 * math.pi))
     f_lo, f_hi = c_lo - targets, c_hi - targets
     # kappa f d.B is (n - kappa target d).B, a trig form within rounding of zero at a hit

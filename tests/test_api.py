@@ -22,8 +22,8 @@ SUBMODULE_ALL = {
     "counting": ["AcquisitionConfig", "COUNT_COLUMNS", "MAX_EXPECTED_TOTAL", "derive_seeds",
                  "draw_counts", "postselected_counts", "weak_values_from_counts"],
     "estimation": ["EstimateBatch", "ModelParams", "RAD2_TO_DEG2", "TABLE1_THETAS_DEG",
-                   "Table1Row", "assess_estimates", "invert_branch", "load_baseline",
-                   "table1_pipeline"],
+                   "Table1Row", "assess_estimates", "channel_probabilities", "invert_branch",
+                   "load_baseline", "table1_pipeline"],
     "imperfections": ["IDEAL_GATE", "ImperfectionParams", "VISIBILITY_MODEL",
                       "coincidence_probabilities", "postselected_coefficients",
                       "renormalized_probabilities"],

@@ -308,6 +308,7 @@ _RECORD = {"n_mp": 900, "n_mm": 100, "n_pp": 500, "n_pm": 400}
     (["estimate", "--branch", "18,27"], _counts_file({"n_mp": 900, "n_mm": 100, "n_pp": 500})),
     (["estimate", "--branch", "18,27"], _counts_file({**_RECORD, "n_mm": -1})),
     (["sweep-pusey", "--kappa", "1", "--simulate", "--p-phi", "counts"], None),
+    (["sweep-pusey", "--kappa", "0.335", "--p-phi", "counts"], None),
     (["sweep-weak-value", "--kappa", "0.3", "--theta-start", "nan"], None),
     (["sweep-weak-value", "--kappa", "0.3", "--theta-end", "inf"], None),
     (["sweep-fisher", "--kappa", "0.3", "--theta-step", "nan"], None),
@@ -332,6 +333,7 @@ _RECORD = {"n_mp": 900, "n_mm": 100, "n_pp": 500, "n_pm": 400}
       for text in ("minus,22.5,0.036\n", "minus,22.5,x,0.33\n")],
 ], ids=["repetitions-0", "repetitions-above-cap", "negative-rate", "negative-seed", "visibility-above-1",
         "record-without-n_pm", "record-with-negative-count", "projective-p-phi-counts",
+        "p-phi-counts-without-simulate",
         "nan-theta-start", "infinite-theta-end", "nan-theta-step", "grid-above-cap",
         *[f"{command}-poisson-mean-{size}" for command in ("simulate-counts", "table1",
                                                           "sweep-pusey-simulated")
@@ -424,7 +426,8 @@ def test_estimate_reads_only_the_model_on_its_branch(tmp_path):
     # model's channel probabilities at 30 deg times 1e16, and inverts there
     model = weakps.ModelParams(0.335, "minus", weakps.ImperfectionParams(1.0, 1.0, 0.99999997))
     assert model.starved(np.radians([22.5])).all()
-    probs = model.channel_probabilities(np.radians([30.0]))[:, 0]
+    probs = weakps.estimation.channel_probabilities(np.radians([30.0]), model.kappa,
+                                                    model.imperfections)[:, 0]
     record = {"theta_deg": 30.0, **dict(zip(weakps.counting.COUNT_COLUMNS,
                                             np.round(probs * 1e16).astype(np.int64).tolist()))}
     counts = tmp_path / "counts.json"
@@ -457,6 +460,14 @@ def test_spectrum_edges_are_not_anomalous(tmp_path, kappa):
                              row[header.index("anomalous_plus")]) for row in rows}
     assert flags[0.0] == flags[45.0] == ("0", "0")
     assert flags[10.0][0] == "1"
+
+
+def test_table1_unreadable_baseline_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["table1", "--kappa", "0.335", "--repetitions", "2", "--baseline", str(missing),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --baseline {missing}: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 def test_table1_schema_and_baseline(tmp_path):
@@ -557,6 +568,24 @@ def test_strength_flags_are_exclusive(capsys):
     assert main(["sweep-weak-value"]) == 2
     err = capsys.readouterr().err
     assert "exactly one of --kappa or --mu" in err
+
+
+def test_mu_outside_the_model_range_exits_2(tmp_path, capsys):
+    # the models take the meter angle asin(kappa) / 4, in [0, 22.5] deg: at
+    # 30 deg a gate would draw from one channel and estimate invert another
+    counts = tmp_path / "counts.json"
+    assert main(["simulate-counts", "--kappa", "0.335", "--theta-start", "20", "--theta-end", "21",
+                 "--format", "json", "--output", str(counts)]) == 0
+    required = {"estimate": ["--input", str(counts), "--branch", "18,27"],
+                "decompose": ["--phi", "minus"]}
+    out = str(tmp_path / "out")
+    for command in cli._SUBCOMMANDS:
+        for mu in ("30", "91", "-1", "nan"):
+            assert main([command, "--mu", mu, *required.get(command, []), "--output", out]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --mu must lie in [0, 22.5] deg, got {float(mu)!r}\n"), (command, mu)
+    for mu in ("0", "22.5"):
+        assert main(["sweep-fisher", "--mu", mu, "--theta-step", "45", "--output", out]) == 0
 
 
 def test_mu_flag_matches_kappa(tmp_path):

@@ -24,7 +24,8 @@ from weakps import (
 from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
                            ZeroPostselection, ZeroStrength)
 from weakps.estimation import (BUDGET_COLUMNS, DEGENERATE, FLAT_CURVE, OK, OUT_OF_RANGE,
-                               RAD2_TO_DEG2, TABLE1_THETAS_DEG, _monotone_runs)
+                               RAD2_TO_DEG2, TABLE1_THETAS_DEG, _monotone_runs,
+                               channel_probabilities)
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -274,7 +275,7 @@ def test_monte_carlo_round_trip_consistency():
     model = MINUS_MODEL
     branch = model.branch_containing(theta)
     config = AcquisitionConfig(seed=424242, rate=2000.0, duration=5.0)
-    counts = draw_counts(model.channel_probabilities([theta])[:, 0],
+    counts = draw_counts(channel_probabilities([theta], KAPPA, None)[:, 0],
                          derive_seeds(config.seed, 400), config)
     sigma_hats, var_sigmas = weak_values_from_counts(counts, KAPPA, "minus")
     theta_hats = invert_branch(model, sigma_hats, branch)

@@ -17,7 +17,7 @@ from weakps import (
     kernels,
 )
 from weakps.errors import AmbiguousBranch, GateStarved, ZeroPostselection
-from weakps.estimation import OK
+from weakps.estimation import OK, channel_probabilities
 from weakps.imperfections import coincidence_probabilities, renormalized_probabilities
 
 D2R = math.pi / 180.0
@@ -233,7 +233,7 @@ def test_turning_points_match_dense_grid_sign_changes(kappa, gate, sign):
     # from the renormalized channel probabilities on a dense grid, turns
     model = ModelParams(kappa, sign, gate)
     grid = np.linspace(0.0, math.pi / 2, 20001)
-    p0, p1 = model.channel_probabilities(grid)[[0, 1] if sign == "minus" else [2, 3]]
+    p0, p1 = channel_probabilities(grid, kappa, gate)[[0, 1] if sign == "minus" else [2, 3]]
     steps = np.sign(np.diff((p0 - p1) / (p0 + p1)))
     turns = np.flatnonzero(steps[1:] != steps[:-1])  # the curve turns in [grid[i], grid[i+2]]
     inner = (grid[4], grid[-5])

@@ -162,8 +162,8 @@ def test_model_equals_the_ideal_closed_forms_exactly():
                                 st.sampled_from(("inside", "lo", "hi", "nan"))),
                       min_size=1, max_size=12))
 def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
-    # per-target brackets within a monotone branch of either model: the
-    # closed form gives the bisection oracle's roots to 1e-12 rad, NaN for
+    # one bracket per case within a monotone branch of either model: the
+    # closed form gives the bisection oracle's root to 1e-12 rad, NaN for
     # the same targets, and the endpoint itself on an exact hit
     model = ModelParams(kappa, sign, gate)
     n, d = model.coefficients
@@ -173,22 +173,18 @@ def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
         assume(False)
     assume(kernels.trig_turning_points(n, d, start, stop).size == 0)
     curve = lambda t: kernels.trig_curve(n, d, kappa, t)
-    lo, hi, targets = [], [], []
     for u, v, w, kind in cases:
         a, b = start + (stop - start) * min(u, v), start + (stop - start) * max(u, v)
         at = {"inside": a + w * (b - a), "lo": a, "hi": b, "nan": math.nan}[kind]
-        lo.append(a)
-        hi.append(b)
-        targets.append(curve(np.array([at]))[0])
-    got = kernels.invert_trig(n, d, kappa, np.array(targets), np.array(lo), np.array(hi))
-    want = invert_sigma(np.array(targets), curve, np.array(lo), np.array(hi))
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    for (_, _, _, kind), x, a, b in zip(cases, got.tolist(), lo, hi):
+        target = curve(np.array([at]))
+        got = kernels.invert_trig(n, d, kappa, target, a, b)
+        want = invert_sigma(target, curve, a, b)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         if kind in ("lo", "hi"):
-            assert x in (a, b)
+            assert got[0] in (a, b)
         elif kind == "nan":
-            assert math.isnan(x)
+            assert math.isnan(got[0])
 
 
 def test_pusey_kernel_skips_orthogonal_point():
