@@ -8,9 +8,11 @@ probabilities, a parametric gate-imperfection model, Poissonian coincidence
 counting, and angle estimation with Cramér-Rao comparison.
 
 ``import weakps`` loads no submodule and so no numpy: each name of
-``__all__`` is imported on first use (PEP 562).  The package sets no
-environment variable; ``weakps.cli`` alone defaults ``OPENBLAS_NUM_THREADS``
-to 1 (see its comment), and a value already set wins.
+``__all__`` is imported on first use (PEP 562).  The package changes
+nothing in the process.  ``weakps.cli`` alone does, each time once at its
+import (see its comments): it defaults ``OPENBLAS_NUM_THREADS`` to 1, a value
+already set winning, and it freezes the objects its imports built
+(``gc.freeze()``), leaving the collector enabled or disabled as it was.
 """
 
 import importlib

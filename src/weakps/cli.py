@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -278,6 +279,25 @@ def _resolve_imperfections(args: argparse.Namespace) -> ImperfectionParams | Non
         return dataclasses.replace(IDEAL_GATE, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _recorded_gate(meta: dict) -> ImperfectionParams | None:
+    """The gate an input file's metadata records, as simulate-counts writes
+    it, the ideal gate's value standing in for an absent one; None where it
+    records none."""
+    recorded = {key: meta[key] for key in ("visibility", "t_h", "t_v") if key in meta}
+    if not recorded:
+        return None
+    if meta.get("visibility_model") != VISIBILITY_MODEL:
+        raise ConfigError(f"input metadata: visibility_model must be {VISIBILITY_MODEL!r}, "
+                          f"got {meta.get('visibility_model')!r}")
+    for key, value in recorded.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"input metadata: {key} must be a number, got {value!r}")
+    try:
+        return dataclasses.replace(IDEAL_GATE, **recorded)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
+        raise ConfigError(f"input metadata: {exc}") from exc
 
 
 def _theta_grid_deg(args: argparse.Namespace) -> np.ndarray:
@@ -562,7 +582,8 @@ def _cmd_estimate(args) -> None:
         mu = math.asin(kappa) / 4.0
     else:
         kappa, mu = _resolve_strength(args)
-    imperfections = _resolve_imperfections(args)
+    # without a gate flag, the gate the counts were simulated with
+    imperfections = _resolve_imperfections(args) or _recorded_gate(in_meta)
     sign = args.postselect
 
     try:
@@ -723,6 +744,12 @@ def main(argv: "list[str] | None" = None) -> int:
         return 1
     return 0
 
+
+# What the imports built (numpy and weakps, ~22,000 objects) lives until the
+# process exits, so a collection that walks it finds nothing to free: move it
+# to the permanent generation, once per process, where neither the
+# collections in main nor those at interpreter exit walk it again.
+gc.freeze()
 
 if __name__ == "__main__":
     raise SystemExit(main())

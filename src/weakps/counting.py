@@ -14,9 +14,10 @@ from 10, each uniform being ``next_double``, the top 53 bits of a PCG64
 step's XSL-RR output.  numpy's C code may round ``exp``, ``log`` or a fused
 multiply-add otherwise than numpy's array operations, so a draw whose
 decision lies within ``_GUARD`` of its threshold is made again by numpy's
-own ``Generator.poisson`` from the state it started at.  The tests check
-the draws against one ``default_rng`` per row, so a change in the installed
-numpy's sampler shows there.
+own ``Generator.poisson`` from the state it started at; once few rows of a
+block are left, that sampler also draws what they have left.  The tests
+check the draws against one ``default_rng`` per row, so a change in the
+installed numpy's sampler shows there.
 
 :func:`weak_values_from_counts` estimates the rescaled postselected value of
 every row.  Its error propagation is first order (delta method) with two
@@ -114,20 +115,20 @@ class AcquisitionConfig:
         return self.rate * self.duration
 
 
-# numpy's SeedSequence hash constants: the running constant of each of the 16
-# mixing hashes (INIT_A stepped by MULT_A) and the 8 output hashes (INIT_B
-# stepped by MULT_B), the next one being the hash's multiplier.
-_MIX_HASH = (0x43B0D7E5, 0xAE5A53A9, 0x8488043D, 0x5A9057E1, 0x9205B1D5, 0xE9096E59,
-             0x8D5CB6AD, 0x9BB16511, 0x00C238C5, 0x4D029A09, 0xCC132E1D, 0x83A97B41,
-             0xFA8DDCB5, 0xAC4C06B9, 0x26FF5A8D, 0x0E554A71, 0x78C50DA5)
-_OUT_HASH = (0x8B51F9DD, 0x464A0A99, 0x819D14A5, 0xD369FDC1, 0x501638AD, 0xA600C129,
-             0x8B0167F5, 0x5C1E2ED1, 0x301D747D)
+# numpy's SeedSequence hashes: each of the 16 mixing hashes steps its running
+# constant by MULT_A from INIT_A, each output hash by MULT_B from INIT_B.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 # PCG64's multiplier, as its high and low words
 _MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 # Rows drawn in one array pass; bounds the memory a large batch takes.
 _SEED_BLOCK = 1 << 16
+
+# Live rows at most which a block leaves its array passes for numpy's own
+# sampler, row by row (~5 us a row, against ~0.2 ms a pass).  Of 0 to 192,
+# 128 drew the CLI's batches (8 to 2,000 rows) fastest.
+_FEW_ROWS = 128
 
 # A try whose decision (the floor, V <= v_r, the log test or prod > e^-lam)
 # lies within this relative distance of its threshold is left to numpy's own
@@ -143,11 +144,29 @@ _LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-0
 _LG2PI = 1.8378770664093453
 
 
+def _running(init: int, mult: int, n: int) -> np.ndarray:
+    """The first ``n`` running constants ``init * mult**i`` of a hash, as
+    uint32 (a uint32 product wraps modulo 2**32, as numpy's C code does)."""
+    steps = np.full(n, mult, dtype=np.uint32)
+    steps[:1] = init
+    return np.cumprod(steps, dtype=np.uint32)
+
+
 def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     """One SeedSequence hash of every uint32 in ``values``, with the running
     constants ``consts`` (one more row than ``values``)."""
     values = (values ^ consts[:-1]) * consts[1:]  # uint32 arrays wrap modulo 2**32
     return values ^ values >> 16
+
+
+def _generate_state(pool: np.ndarray, n: int) -> np.ndarray:
+    """``SeedSequence.generate_state(n, np.uint64)`` of every entropy pool,
+    a column of the uint32 array ``pool`` (four rows), as uint64 rows: the
+    pool, cycled, hashed with the running constants ``INIT_B * MULT_B**i``,
+    two 32-bit words per output word, low word first on any byte order."""
+    words = np.tile(pool, (n // 2 + 1, 1))[:2 * n]
+    half = _hash(words, _running(_INIT_B, _MULT_B, 2 * n + 1)[:, None]).astype(np.uint64)
+    return half[0::2] | half[1::2] << 32
 
 
 def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -163,7 +182,7 @@ def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     ``initseq = w2 << 64 | w3`` into ``inc = initseq << 1 | 1`` and
     ``state = (inc + initstate) * MULT + inc`` modulo 2**128.
     """
-    mix = np.array(_MIX_HASH, dtype=np.uint32)[:, None]
+    mix = _running(_INIT_A, _MULT_A, 17)[:, None]
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
     pool[0], pool[1] = seeds & _MASK32, seeds >> 32
     pool = _hash(pool, mix[:5])
@@ -172,9 +191,7 @@ def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
         k = 4 + 3 * src
         mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], mix[k:k + 4])
         pool[dst] = mixed ^ mixed >> 16
-    out = np.array(_OUT_HASH, dtype=np.uint32)[:, None]
-    half = _hash(np.tile(pool, (2, 1)), out).astype(np.uint64)
-    w0, w1, w2, w3 = half[0::2] | half[1::2] << 32  # low word first, on any byte order
+    w0, w1, w2, w3 = _generate_state(pool, 4)
     inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
     lo = w1 + inc_lo
     return (*_step(w0 + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
@@ -260,23 +277,45 @@ def _mult_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
     return hi, lo, prod, tries, prod <= enlam, np.abs(prod - enlam) <= _GUARD * enlam
 
 
+def _numpy_poisson():
+    """numpy's own ``Generator.poisson`` on one reusable PCG64, and a function
+    that loads the state ``(hi, lo, inc_hi, inc_lo)`` (Python ints) into it."""
+    bitgen = np.random.PCG64(0)
+    pcg = {}
+    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def load(hi, lo, inc_hi, inc_lo):
+        pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
+        bitgen.state = seeded
+
+    return bitgen, load, np.random.Generator(bitgen).poisson
+
+
 def _redraw(lanes, lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
     """Draw ``Generator.poisson(lam[i])`` with numpy itself from the state
     ``(hi[i], lo[i], inc_hi[i], inc_lo[i])`` of every lane ``i``, leaving
     the state after the draw in ``(hi[i], lo[i])``; returns the draws."""
-    bitgen = np.random.PCG64(0)  # every lane loads its own state into it
-    poisson = np.random.Generator(bitgen).poisson
-    pcg = {}
-    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    bitgen, load, poisson = _numpy_poisson()
     out = np.empty(lanes.size, dtype=np.int64)
     for j, i in enumerate(lanes.tolist()):
-        pcg["state"] = int(hi[i]) << 64 | int(lo[i])
-        pcg["inc"] = int(inc_hi[i]) << 64 | int(inc_lo[i])
-        bitgen.state = seeded
+        load(int(hi[i]), int(lo[i]), int(inc_hi[i]), int(inc_lo[i]))
         out[j] = poisson(lam[j])
         state = bitgen.state["state"]["state"]
         hi[i], lo[i] = state >> 64, state & _MASK64
     return out
+
+
+def _draw_rows(rows, lam, channel, hi, lo, inc_hi, inc_lo, counts) -> None:
+    """Draw every channel from ``channel[i]`` on of each row ``i`` with
+    numpy's own ``Generator.poisson``, in order, from the state ``(hi[i],
+    lo[i])`` channel ``channel[i]`` starts at, into ``counts``.  A zero mean
+    draws 0 and takes no uniform there, as on the array path."""
+    _, load, poisson = _numpy_poisson()
+    words = (a[rows].tolist() for a in (hi, lo, inc_hi, inc_lo))
+    for i, c, means, *state in zip(rows.tolist(), channel[rows].tolist(), lam[rows].tolist(),
+                                   *words):
+        load(*state)
+        counts[i, c:] = [poisson(mean) for mean in means[c:]]  # scalar calls: no array set-up
 
 
 def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
@@ -288,7 +327,9 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
     Every pass makes one try of each row's current channel, stepping
     ``(hi, lo)`` in place.  A row whose try is in doubt draws that channel
     again with numpy (:func:`_redraw`), from the state the channel started
-    at, and goes on from the state numpy leaves.
+    at, and goes on from the state numpy leaves.  A pass costs about 150
+    numpy calls whatever its size, so once at most ``_FEW_ROWS`` rows are
+    live, numpy draws what they have left (:func:`_draw_rows`).
     """
     n = len(lam)
     counts = np.zeros((n, 4), dtype=np.int64)
@@ -299,7 +340,7 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
     start_hi, start_lo = hi.copy(), lo.copy()  # each row's state when its channel started
     prod, tries = np.ones(n), np.zeros(n, dtype=np.int64)
     live = np.flatnonzero(channel < 4)
-    while live.size:
+    while live.size > _FEW_ROWS:
         big = lam[live, channel[live]] >= 10.0
         for sampler, rows in ((_ptrs_try, live[big]), (_mult_try, live[~big])):
             if not rows.size:
@@ -320,6 +361,7 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
             start_hi[end], start_lo[end] = hi[end], lo[end]
             prod[end], tries[end] = 1.0, 0
         live = live[channel[live] < 4]
+    _draw_rows(live, lam, channel, start_hi, start_lo, inc_hi, inc_lo, counts)
     return counts
 
 
@@ -366,8 +408,14 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
 
 def derive_seeds(root_seed: int, n: int) -> np.ndarray:
     """Independent per-task integer seeds derived from a root seed via the
-    splittable seed-sequence expansion (stable across runs), as a uint64 array."""
-    return np.random.SeedSequence(root_seed).generate_state(n, dtype=np.uint64)
+    splittable seed-sequence expansion (stable across runs), as a uint64 array.
+
+    They are the words ``np.random.SeedSequence(root_seed).generate_state(n,
+    np.uint64)`` gives, bit for bit, and a root that numpy refuses raises as
+    it does: numpy mixes the root into its entropy pool, and the pool is
+    hashed into the seeds here on arrays (:func:`_generate_state`).
+    """
+    return _generate_state(np.random.SeedSequence(root_seed).pool[:, None], n)[:, 0]
 
 
 def postselected_counts(counts: np.ndarray, postselect_sign: str) -> np.ndarray:

@@ -411,6 +411,45 @@ def test_estimate_refuses_a_malformed_input_file(tmp_path, capsys, payload, mess
     assert capsys.readouterr().err == message
 
 
+_GATE = {"visibility": 0.78, "t_h": 0.98, "t_v": 0.34,
+         "visibility_model": "coherent-dephased-mixture-v1"}
+
+
+@pytest.mark.parametrize("metadata, message", [
+    ({**_GATE, "visibility_model": "other"},
+     "visibility_model must be 'coherent-dephased-mixture-v1', got 'other'"),
+    ({key: value for key, value in _GATE.items() if key != "visibility_model"},
+     "visibility_model must be 'coherent-dephased-mixture-v1', got None"),
+    ({**_GATE, "visibility": "0.78"}, "visibility must be a number, got '0.78'"),
+    ({**_GATE, "t_v": True}, "t_v must be a number, got True"),
+    ({**_GATE, "t_h": 1.5}, "t_h must lie in [0, 1], got 1.5"),
+    ({**_GATE, "visibility": 10**400}, "int too large to convert to float"),
+], ids=["other-model", "no-model", "visibility-a-string", "t_v-true", "t_h-above-1",
+        "visibility-too-large"])
+def test_estimate_refuses_an_invalid_recorded_gate(tmp_path, capsys, metadata, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"metadata": {"kappa": 0.335, **metadata},
+                                  "records": [_RECORD]}))
+    assert main(["estimate", "--input", str(counts), "--branch", "18,27",
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: input metadata: {message}\n"
+
+
+def test_estimate_takes_the_gate_its_counts_were_simulated_with(tmp_path):
+    # without gate flags, estimate inverts the gate the file records, not the ideal model
+    flags = ["--visibility", "0.78", "--t-h", "0.98", "--t-v", "0.34"]
+    counts = tmp_path / "counts.json"
+    assert main(["simulate-counts", "--kappa", "0.335", "--theta-start", "20", "--theta-end",
+                 "21", *flags, "--seed", "1", "--format", "json", "--output", str(counts)]) == 0
+    outputs = []
+    for given in ([], flags):
+        out = tmp_path / f"estimate-{len(given)}.csv"
+        assert main(["estimate", "--input", str(counts), "--branch", "18,27", *given,
+                     "--output", str(out)]) == 0
+        outputs.append(_strip_timestamp(out.read_text()))
+    assert outputs[0] == outputs[1] and "# visibility = 0.78" in outputs[0]
+
+
 def test_estimate_at_kappa_0_stops_at_the_count_rescaling(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"metadata": {"kappa": 0.0}, "records": [_RECORD]}))
@@ -713,6 +752,24 @@ def test_cli_import_defaults_openblas_to_one_thread():
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n")
     assert _python(code, OPENBLAS_NUM_THREADS=None) == "1 1"
     assert _python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2"
+
+
+def test_cli_import_freezes_the_import_heap_once():
+    # what the imports built lives until the process exits: the CLI moves it
+    # out of the collector's walks once, at import, not in main, and leaves
+    # the collector on or off as the caller had it; the package alone does not
+    code = ("import gc, os, sys\n"
+            "if sys.argv[1] == 'off':\n"
+            "    gc.disable()\n"
+            "import weakps\n"
+            "package = gc.get_freeze_count()\n"
+            "import weakps.cli\n"
+            "frozen = gc.get_freeze_count()\n"
+            "weakps.cli.main(['decompose', '--kappa', '0.3', '--phi', 'plus',\n"
+            "                 '--output', os.devnull])\n"
+            "print(package, frozen > 0, gc.get_freeze_count() == frozen, gc.isenabled())\n")
+    assert _python(code, "on") == "0 True True True"
+    assert _python(code, "off") == "0 True True False"
 
 
 def test_package_import_loads_no_numpy():

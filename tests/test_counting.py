@@ -1,4 +1,6 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -145,6 +147,23 @@ def test_draws_equal_one_generator_per_seed_on_mixed_means(total, rows):
         probs.append(np.array(weights) / sum(weights))
     seeds = _seeds(*(seed for seed, _, _ in rows))
     config = AcquisitionConfig(seed=0, rate=total, duration=1.0)
+    expected = draw_counts_per_row(probs, seeds, config).tolist()
+    assert draw_counts(probs, seeds, config).tolist() == expected
+    with mock.patch.object(counting, "_FEW_ROWS", 0):  # every try on the array path
+        assert draw_counts(probs, seeds, config).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 8, counting._FEW_ROWS, counting._FEW_ROWS + 1, 2000])
+def test_batches_about_the_few_rows_bound_draw_as_default_rng(n):
+    # a block of at most _FEW_ROWS rows is drawn by numpy alone; a larger one
+    # runs array passes until that few are live, some part-way through a
+    # channel, and numpy draws what they have left from where the channel began
+    config = AcquisitionConfig(seed=0, rate=300.0, duration=1.0)
+    probs = channel_probabilities(np.linspace(0.0, math.pi / 2, n), KAPPA).T.copy()
+    probs[::3, 0] = 0.0  # zero means, first and inside the rows a pass leaves
+    probs[1::3, 2] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    seeds = derive_seeds(n, n)
     assert draw_counts(probs, seeds, config).tolist() == \
         draw_counts_per_row(probs, seeds, config).tolist()
 
@@ -307,6 +326,23 @@ def test_empty_channel_raises():
     assert math.isnan(sigma_hat[0]) and math.isnan(var[0])
     with pytest.raises(ZeroStrength):
         weak_values_from_counts([[0, 0, 10, 3]], 0.0, "plus")
+
+
+@pytest.mark.parametrize("root", [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64,
+                                  2**128 + 5, 7**60])
+def test_derive_seeds_are_seed_sequence_words(root):
+    for n in (0, 1, 5, 1000, 80_000):
+        seeds = derive_seeds(root, n)
+        expected = np.random.SeedSequence(root).generate_state(n, np.uint64)
+        assert seeds.dtype == np.uint64 and seeds.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("root", [-1, 1.5, 2.0, np.int64(-3)])
+def test_derive_seeds_refuses_a_root_as_seed_sequence_does(root):
+    with pytest.raises((TypeError, ValueError)) as numpy_error:
+        np.random.SeedSequence(root)
+    with pytest.raises(numpy_error.type, match=re.escape(str(numpy_error.value))):
+        derive_seeds(root, 3)
 
 
 def test_derive_seeds_reproducible_and_distinct():
