@@ -1,10 +1,13 @@
 import argparse
 import ast
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -129,6 +132,20 @@ _WRITE_CASES = {
 }
 
 
+def _block_columns(rows):
+    """``rows`` rows of float and int arrays and string and number lists."""
+    edge = np.resize([1 / 3, np.nan, np.inf, -np.inf, -0.0, 1e300, 2.5e-310], rows)
+    return {"x": edge * np.arange(1, rows + 1), "n": np.arange(rows, dtype=np.int64) * 7 - 3,
+            "label": [f'row {k}, "{k % 3}"' for k in range(rows)],
+            "mixed": [k / 4 if k % 2 else k for k in range(rows)]}
+
+
+# row counts on both sides of the writer's block boundaries
+_WRITE_CASES.update({name: _block_columns(rows) for name, rows in (
+    ("one-row", 1), ("block-1", cli._BLOCK_ROWS - 1), ("block", cli._BLOCK_ROWS),
+    ("block+1", cli._BLOCK_ROWS + 1), ("two-blocks+1", 2 * cli._BLOCK_ROWS + 1))})
+
+
 def _rows(data):
     """The records of columns ``data``, one dict of plain values per row."""
     return [dict(zip(data, values)) for values in zip(*(
@@ -189,11 +206,28 @@ def _write_columns(draw):
 def test_write_csv_rows_match_value_by_value_formatting(data):
     # each row's one template formats its cells as they are formatted one by one
     meta = {"command": "test"}
-    written = []
+    stdout = io.StringIO()
     with mock.patch.object(cli, "_stamp", lambda metadata: metadata), \
-            mock.patch.object(cli, "_emit", lambda output, text: written.append(text)):
+            contextlib.redirect_stdout(stdout):
         cli._write("-", "csv", meta, list(data), data)
+    written = [stdout.getvalue()]
     assert written == [_csv_value_by_value(meta, list(data), data)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_holds_less_than_half_its_output_in_memory(tmp_path, fmt):
+    # rows are formatted and written a block at a time: the text of the whole
+    # table is never held
+    data = {name: np.random.default_rng(seed).standard_normal(50_000)
+            for seed, name in enumerate(["a", "b", "c"])}
+    out = tmp_path / f"out.{fmt}"
+    tracemalloc.start()
+    try:
+        cli._write(str(out), fmt, {"command": "test"}, list(data), data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2
 
 
 def _subcommands(parser):
@@ -436,18 +470,28 @@ def test_estimate_refuses_an_invalid_recorded_gate(tmp_path, capsys, metadata, m
 
 
 def test_estimate_takes_the_gate_its_counts_were_simulated_with(tmp_path):
-    # without gate flags, estimate inverts the gate the file records, not the ideal model
+    # estimate inverts the gate the file records, not the ideal model; a gate
+    # flag replaces only its own field of it
     flags = ["--visibility", "0.78", "--t-h", "0.98", "--t-v", "0.34"]
     counts = tmp_path / "counts.json"
     assert main(["simulate-counts", "--kappa", "0.335", "--theta-start", "20", "--theta-end",
                  "21", *flags, "--seed", "1", "--format", "json", "--output", str(counts)]) == 0
     outputs = []
-    for given in ([], flags):
-        out = tmp_path / f"estimate-{len(given)}.csv"
+    for given in ([], flags[:2], flags, ["--t-v", "0.3"]):
+        out = tmp_path / f"estimate-{len(outputs)}.csv"
         assert main(["estimate", "--input", str(counts), "--branch", "18,27", *given,
                      "--output", str(out)]) == 0
         outputs.append(_strip_timestamp(out.read_text()))
-    assert outputs[0] == outputs[1] and "# visibility = 0.78" in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2] and "# visibility = 0.78" in outputs[0]
+    assert outputs[3] != outputs[0]
+    assert "# visibility = 0.78" in outputs[3] and "# t_v = 0.3" in outputs[3]
+    # a field that a flag replaces is not read from the file
+    payload = json.loads(counts.read_text())
+    counts.write_text(json.dumps({**payload, "metadata": {**payload["metadata"], "t_v": "bad"}}))
+    out = tmp_path / "estimate-replaced.csv"
+    assert main(["estimate", "--input", str(counts), "--branch", "18,27", "--t-v", "0.34",
+                 "--output", str(out)]) == 0
+    assert _strip_timestamp(out.read_text()) == outputs[0]
 
 
 def test_estimate_at_kappa_0_stops_at_the_count_rescaling(tmp_path, capsys):
