@@ -133,7 +133,8 @@ _WRITE_CASES = {
 
 
 def _block_columns(rows):
-    """``rows`` rows of float and int arrays and string and number lists."""
+    """Columns of ``rows`` rows: floats cycling NaN, +-inf, -0.0 and a
+    subnormal, int64s, strings holding commas and quotes, and mixed numbers."""
     edge = np.resize([1 / 3, np.nan, np.inf, -np.inf, -0.0, 1e300, 2.5e-310], rows)
     return {"x": edge * np.arange(1, rows + 1), "n": np.arange(rows, dtype=np.int64) * 7 - 3,
             "label": [f'row {k}, "{k % 3}"' for k in range(rows)],
