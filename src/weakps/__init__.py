@@ -26,7 +26,7 @@ _EXPORTS = {
     "weak_values_from_counts": "counting",
     "EstimateBatch": "estimation", "ModelParams": "estimation", "Table1Row": "estimation",
     "assess_estimates": "estimation", "invert_branch": "estimation",
-    "load_baseline": "estimation", "table1_pipeline": "estimation",
+    "load_baseline": "estimation", "table1_batch": "estimation", "table1_pipeline": "estimation",
     "IDEAL_GATE": "imperfections", "ImperfectionParams": "imperfections",
     "Strength": "states",
 }

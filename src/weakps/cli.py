@@ -50,7 +50,7 @@ from .estimation import (
     channel_probabilities,
     invert_branch,
     load_baseline,
-    table1_pipeline,
+    table1_batch,
 )
 from .imperfections import IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams
 from .weak import QUANTUM_FISHER_INFORMATION
@@ -653,10 +653,13 @@ def _cmd_table1(args) -> None:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--baseline {args.baseline}: {exc}") from exc
 
+    signs = _signs(args.postselect)
+    models = [ModelParams(kappa, sign, imperfections) for sign in signs]
+    batch = table1_batch([TABLE1_THETAS_DEG[sign] for sign in signs], models, acquisition,
+                         args.repetitions)
     rows = []  # one tuple of the columns below per working point
-    for sign in _signs(args.postselect):
-        model = ModelParams(kappa=kappa, postselect_sign=sign, imperfections=imperfections)
-        for row in table1_pipeline(TABLE1_THETAS_DEG[sign], model, acquisition, args.repetitions):
+    for sign in signs:
+        for row in next(batch):  # one postselection's rows at a time
             rows.append((sign, row.theta_deg, row.mean_theta_hat_deg, row.mean_variance_deg2,
                          row.mean_sigma_cr_deg2, row.empirical_variance_deg2, row.mean_m_ps,
                          row.n_ok, row.n_failed,
@@ -741,12 +744,16 @@ def main(argv: "list[str] | None" = None) -> int:
         command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
         args = build_parser(command).parse_args(argv)
         _SUBCOMMANDS[args.command][2](args)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is seen below
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WeakpsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader stopped: the end of the output, as at SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet exit flush
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -126,8 +126,8 @@ _MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _SEED_BLOCK = 1 << 16
 
 # Live rows at most which a block leaves its array passes for numpy's own
-# sampler, row by row (~5 us a row, against ~0.2 ms a pass).  Of 0 to 192,
-# 128 drew the CLI's batches (8 to 2,000 rows) fastest.
+# sampler, row by row (~5 us a row, against ~0.2 ms a pass).  Of 64, 128 and
+# 192, 128 drew the CLI's large batches (1,800 to 4,000 rows) fastest.
 _FEW_ROWS = 128
 
 # A try whose decision (the floor, V <= v_r, the log test or prod > e^-lam)
@@ -318,11 +318,11 @@ def _draw_rows(rows, lam, channel, hi, lo, inc_hi, inc_lo, counts) -> None:
         counts[i, c:] = [poisson(mean) for mean in means[c:]]  # scalar calls: no array set-up
 
 
-def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
-    """The counts ``Generator.poisson`` draws for every row of means ``lam``,
-    shape ``(n, 4)``, channel after channel from the row's PCG64 state
-    ``(hi, lo, inc_hi, inc_lo)``, as numpy draws them: nothing for lam = 0,
-    :func:`_mult_try` below 10 and :func:`_ptrs_try` from 10.
+def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
+    """Draw into ``counts``, zeros of shape ``(n, 4)``, what ``Generator.poisson``
+    draws for every row of means ``lam``, channel after channel from the row's
+    PCG64 state ``(hi, lo, inc_hi, inc_lo)``, as numpy draws them: nothing for
+    lam = 0, :func:`_mult_try` below 10 and :func:`_ptrs_try` from 10.
 
     Every pass makes one try of each row's current channel, stepping
     ``(hi, lo)`` in place.  A row whose try is in doubt draws that channel
@@ -332,8 +332,7 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
     live, numpy draws what they have left (:func:`_draw_rows`).
     """
     n = len(lam)
-    counts = np.zeros((n, 4), dtype=np.int64)
-    nxt = np.full((n, 5), 4)  # each row's first channel from c on with a nonzero mean
+    nxt = np.full((n, 5), 4, dtype=np.int8)  # each row's first nonzero-mean channel from c on
     for c in range(3, -1, -1):
         nxt[:, c] = np.where(lam[:, c] > 0.0, c, nxt[:, c + 1])
     channel = nxt[:, 0].copy()
@@ -362,19 +361,21 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
             prod[end], tries[end] = 1.0, 0
         live = live[channel[live] < 4]
     _draw_rows(live, lam, channel, start_hi, start_lo, inc_hi, inc_lo, counts)
-    return counts
 
 
 def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig) -> np.ndarray:
-    """Poissonian channel counts, one row ``(n_mp, n_mm, n_pp, n_pm)`` per
-    seed of the uint64 array ``seeds`` (as :func:`derive_seeds` gives them).
+    """Poissonian channel counts ``(n_mp, n_mm, n_pp, n_pm)`` from the seeds
+    of the uint64 array ``seeds`` (as :func:`derive_seeds` gives them).
 
-    ``probs`` holds one row of channel probabilities per seed, shape
-    ``(len(seeds), 4)``, or one row shape ``(4,)`` for every seed.  Row ``i``
-    holds the draws ``np.random.default_rng(seeds[i])`` makes, channel by
-    channel, with means ``config.expected_total * probs[i]``; ``config.seed``
-    is not used.  The rows are drawn in blocks of ``_SEED_BLOCK``, every
-    row of a block at once (:func:`_draw_block`).
+    ``probs`` holds rows of channel probabilities, shape ``(..., 4)``, that
+    broadcast against ``seeds``: one row for every seed, one per seed, or,
+    with leading axes that ``seeds`` lacks, one set of rows per index of
+    those axes, each set drawn from the same seeds.  The counts take the
+    broadcast shape; the row of seed ``s`` holds the draws
+    ``np.random.default_rng(s)`` makes, channel by channel, with means
+    ``config.expected_total`` times its probabilities (``config.seed`` is not
+    used).  Each block of ``_SEED_BLOCK // sets`` seeds is seeded once, and
+    every set's rows of it drawn at once (:func:`_draw_block`).
     Raises ValueError unless ``seeds`` is a uint64 array, every probability
     is finite and nonnegative within 1e-12 and every row sums to 1 within
     1e-9; a probability that the first tolerance lets below zero draws as
@@ -384,7 +385,7 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
         kind = getattr(seeds, "dtype", type(seeds).__name__)
         raise ValueError(f"seeds must be a uint64 array, as derive_seeds gives, got {kind}")
     probs = np.asarray(probs, dtype=np.float64)
-    rows = np.atleast_2d(probs)
+    rows = probs.reshape(-1, probs.shape[-1])
     bad = ~np.isfinite(rows) | (rows < -_NORM_TOL)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
@@ -394,15 +395,27 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
     off = np.abs(totals - 1.0) > 1e-9
     if np.any(off):
         raise ValueError(f"channel probabilities must sum to 1, got {float(totals[off][0])!r}")
-    if probs.ndim == 2 and len(rows) != len(seeds):
-        raise ValueError(f"{len(rows)} probability rows for {len(seeds)} seeds")
-    counts = np.empty((len(seeds), 4), dtype=np.int64)
-    for start in range(0, len(seeds), _SEED_BLOCK):
-        block = slice(start, start + _SEED_BLOCK)
-        means = config.expected_total * np.maximum(rows if probs.ndim == 1 else rows[block], 0.0)
-        states = _pcg64_states(seeds[block])
+    sets = probs.shape[:max(0, probs.ndim - 1 - seeds.ndim)]
+    try:
+        probs = np.broadcast_to(probs, sets + seeds.shape + (4,))
+    except ValueError:
+        raise ValueError(f"{len(rows)} probability rows for {seeds.size} seeds") from None
+    counts = np.zeros(probs.shape, dtype=np.int64)
+    lanes = counts.reshape(math.prod(sets), seeds.size, 4)  # per set, a row per seed
+    step = max(1, _SEED_BLOCK // max(1, len(lanes)))
+    for start in range(0, seeds.size, step):
+        block = slice(start, min(start + step, seeds.size))
+        states = [np.tile(words, len(lanes)) if len(lanes) > 1 else words  # made once, for
+                  for words in _pcg64_states(seeds.reshape(-1)[block])]  # every set's rows
+        index = (block,) if seeds.ndim == 1 else np.unravel_index(
+            np.arange(block.start, block.stop), seeds.shape)
+        means = config.expected_total * np.maximum(
+            probs[(..., *index, slice(None))].reshape(-1, 4), 0.0)
+        out = lanes[:, block].reshape(-1, 4)  # a copy only where a block splits the sets' rows
         with np.errstate(divide="ignore", invalid="ignore"):
-            counts[block] = _draw_block(np.broadcast_to(means, (states[0].size, 4)), *states)
+            _draw_block(means, *states, out)
+        if not np.may_share_memory(out, counts):
+            lanes[:, block] = out.reshape(len(lanes), -1, 4)
     return counts
 
 

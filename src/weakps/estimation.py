@@ -42,6 +42,7 @@ __all__ = [
     "Table1Row",
     "invert_branch",
     "assess_estimates",
+    "table1_batch",
     "table1_pipeline",
     "load_baseline",
 ]
@@ -174,8 +175,8 @@ class ModelParams:
         return np.where(1.0 - np.abs(self.kappa * sigma) < SATURATION_TOL, np.nan, f_ps), p_ps
 
     @cached_property
-    def _branches(self) -> list[tuple[float, float]]:
-        """The branches :meth:`branch_containing` picks from, in order."""
+    def _branches(self) -> dict[tuple[float, float], bool]:
+        """Each branch :meth:`branch_containing` picks from, in order, and if it is monotone."""
         grid = _BRANCH_GRID
         last = grid.size - 1
         turns = kernels.trig_turning_points(*self.coefficients, grid[0], grid[-1])
@@ -183,7 +184,8 @@ class ModelParams:
         end = last - 1 if np.any(turns > grid[-2]) else last
         ends = [(i + 1 if i else first, j - 1 if j < last else end)
                 for i, j in _monotone_runs(self.sigma_array(grid))]
-        return [(float(grid[i]), float(grid[j])) for i, j in ends if i < j]
+        return {(float(grid[i]), float(grid[j])): not kernels.trig_turning_points(
+            *self.coefficients, grid[i], grid[j]).size for i, j in ends if i < j}
 
     def branch_containing(self, theta: float) -> tuple[float, float]:
         """Angle interval of the monotone branch containing ``theta``: a run of
@@ -205,7 +207,8 @@ class ModelParams:
 
 def _require_monotone(model: ModelParams, lo: float, hi: float) -> None:
     """Raise AmbiguousBranch where the model curve turns strictly inside [lo, hi]."""
-    if kernels.trig_turning_points(*model.coefficients, lo, hi).size:
+    checked = model.__dict__.get("_branches", {})  # probed when tabulated; tabulates nothing
+    if not checked.get((lo, hi)) and kernels.trig_turning_points(*model.coefficients, lo, hi).size:
         raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
                               "it spans a turning point")
 
@@ -381,20 +384,19 @@ class Table1Row:
         return _mean(self.m_ps)
 
 
-def _assess_parts(model: ModelParams, parts: list) -> list[tuple[list[np.ndarray], Counter]]:
-    """Assess every part's estimates in one batch.  Per part
-    ``(theta_hats, variances, m_ps)``, returns the budget columns of its OK
-    estimates and the count of the others by error type.  A model error
-    raised by the batch is charged to the part it comes from: each part is
-    then assessed alone."""
-    if not parts:
-        return []
-    sizes = [part[0].size for part in parts]
+def _assess_parts(model: ModelParams, estimates: list[np.ndarray],
+                  sizes: list[int]) -> list[tuple[list[np.ndarray], Counter]]:
+    """Assess a model's estimates ``(theta_hats, variances, m_ps)`` in one
+    batch of parts of ``sizes`` estimates.  Per part, returns the budget
+    columns of its OK estimates and the count of the others by error type.
+    A model error raised by the batch is charged to the part it comes from:
+    each part is then assessed alone."""
     try:
-        batch = assess_estimates(model, *map(np.concatenate, zip(*parts)))
+        batch = assess_estimates(model, *estimates)
     except WeakpsError as exc:
-        if len(parts) > 1:
-            return [row for part in parts for row in _assess_parts(model, [part])]
+        if len(sizes) > 1:
+            return [row for part in zip(*(np.split(c, np.cumsum(sizes)[:-1]) for c in estimates))
+                    for row in _assess_parts(model, part, [part[0].size])]
         columns = [np.empty(0)] * 4 + [np.empty(0, dtype=np.int64)]
         return [(columns, Counter({type(exc).__name__: sizes[0]}))]
     out = []
@@ -408,59 +410,14 @@ def _assess_parts(model: ModelParams, parts: list) -> list[tuple[list[np.ndarray
     return out
 
 
-def _simulate(
-    theta_list_deg: "list[float] | tuple[float, ...]",
-    model: ModelParams,
-    acquisition: AcquisitionConfig,
-    repetitions: int,
-) -> "Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]":
-    """Per angle, in order: the estimated postselected value, its variance
-    and the postselected count ``m_ps`` of every repetition, from one batch
-    of draws for every angle."""
-    probs = np.reshape([channel_probabilities([math.radians(t)], model.kappa,
-                                              model.imperfections)[:, 0]
-                        for t in theta_list_deg], (-1, 4))
-    counts = draw_counts(np.repeat(probs, repetitions, axis=0),
-                         derive_seeds(acquisition.seed, len(probs) * repetitions), acquisition)
+def _invert(model: ModelParams, branches: list, counts: np.ndarray, kappa_uncertainty: float):
+    """Per angle, from its repetitions' count rows ``counts[angle]``: the failures, and
+    the estimates to assess ``(theta_hats, variances, m_ps)``, inverted on its branch."""
     sign = model.postselect_sign
-    for part in counts.reshape(len(probs), repetitions, 4):
-        sigmas, variances = weak_values_from_counts(part, model.kappa, sign,
-                                                    acquisition.kappa_uncertainty)
-        yield sigmas, variances, postselected_counts(part, sign).sum(axis=1)
-
-
-def table1_pipeline(
-    theta_list_deg: "list[float] | tuple[float, ...]",
-    model: ModelParams,
-    acquisition: AcquisitionConfig,
-    repetitions: int,
-) -> list[Table1Row]:
-    """Simulate, estimate, and audit every working point.
-
-    Find the model's monotone branch containing each true angle, then draw
-    the counts of every repetition of every angle in one batch.  Per angle,
-    estimate the postselected value and its variance for every repetition,
-    and invert the values on the angle's branch (:func:`invert_branch`).
-    Then assess every repetition of every angle together
-    (:func:`assess_estimates`): propagated variance and the Cramér-Rao
-    comparison with each repetition's realized postselected event count.
-    Failed repetitions are counted per row by error type, never dropped
-    silently; an error of one angle's branch fails that angle's
-    repetitions only.
-    """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    sign = model.postselect_sign
-    branches = []  # per angle: its branch (lo, hi), or the name of the error finding it
-    for theta_deg in theta_list_deg:  # before any draw, so that a model error comes first
-        try:
-            branches.append(model.branch_containing(math.radians(theta_deg)))
-        except (OutOfRange, AmbiguousBranch) as exc:
-            branches.append(type(exc).__name__)
-    failures: list[Counter] = []
-    parts = []  # per angle: (theta_hats, variances, m_ps) of the repetitions to assess
-    for branch, (sigmas, variances, m_ps) in zip(
-            branches, _simulate(theta_list_deg, model, acquisition, repetitions)):
+    failures, parts = [], []
+    for branch, part in zip(branches, counts):
+        sigmas, variances = weak_values_from_counts(part, model.kappa, sign, kappa_uncertainty)
+        m_ps = postselected_counts(part, sign).sum(axis=1)
         keep = m_ps > 0
         failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~keep))})
         if isinstance(branch, str):  # the branch's error fails every repetition with counts
@@ -471,10 +428,57 @@ def table1_pipeline(
             theta_hats = invert_branch(model, sigmas[keep], branch)
         failures.append(failed)
         parts.append((theta_hats, variances[keep], m_ps[keep]))
-    return [Table1Row(float(theta_deg), sign, *columns,
-                      failures_by_type=dict(failed + more))
-            for theta_deg, failed, (columns, more) in zip(theta_list_deg, failures,
-                                                          _assess_parts(model, parts))]
+    return failures, parts
+
+
+def table1_batch(theta_lists_deg: list, models: "list[ModelParams]",
+                 acquisition: AcquisitionConfig, repetitions: int) -> "Iterator[list[Table1Row]]":
+    """Simulate, estimate, and audit every working point of every model,
+    ``theta_lists_deg[i]`` those of ``models[i]``, as many for each: one
+    list of rows per model, in order, assessed when it is taken.
+
+    Find each model's monotone branch containing each true angle, then draw
+    the counts of every repetition of every angle of every model in one
+    batch; every model draws from the same seeds, so the rows of two models
+    are correlated, not independent.  Per angle, estimate the postselected
+    value and its variance for every repetition, and invert the values on
+    the angle's branch (:func:`invert_branch`).  Then assess every
+    repetition of every angle of a model together (:func:`assess_estimates`):
+    propagated variance and the Cramér-Rao comparison with each
+    repetition's realized postselected event count.  Failed repetitions are
+    counted per row by error type, never dropped silently; an error of one
+    angle's branch fails that angle's repetitions only.
+    """
+    if repetitions <= 0:
+        raise ValueError("repetitions must be positive")
+    branches = []  # per model, per angle: its branch (lo, hi), or the name of the error finding it
+    for thetas, model in zip(theta_lists_deg, models):  # before any draw: model errors come first
+        branches.append([])
+        for theta_deg in thetas:
+            try:
+                branches[-1].append(model.branch_containing(math.radians(theta_deg)))
+            except (OutOfRange, AmbiguousBranch) as exc:
+                branches[-1].append(type(exc).__name__)
+    probs = np.stack([channel_probabilities(np.radians(thetas), model.kappa, model.imperfections).T
+                      for thetas, model in zip(theta_lists_deg, models)])
+    seeds = derive_seeds(acquisition.seed, probs.shape[1] * repetitions)
+    counts = draw_counts(probs[:, :, None], seeds.reshape(-1, repetitions), acquisition)
+    estimates = [_invert(*args, acquisition.kappa_uncertainty)
+                 for args in zip(models, branches, counts)]
+    del seeds, counts  # freed before each model's parts are joined
+    estimates = [(failures, [np.concatenate(c) for c in zip(*parts)], [p[0].size for p in parts])
+                 for failures, parts in estimates]
+    for thetas, model, (failures, columns, sizes) in zip(theta_lists_deg, models, estimates):
+        yield [Table1Row(float(theta_deg), model.postselect_sign, *budget,
+                         failures_by_type=dict(failed + more))
+               for theta_deg, failed, (budget, more) in zip(
+                   thetas, failures, _assess_parts(model, columns, sizes) if sizes else [])]
+
+
+def table1_pipeline(theta_list_deg: "list[float] | tuple[float, ...]", model: ModelParams,
+                    acquisition: AcquisitionConfig, repetitions: int) -> list[Table1Row]:
+    """The rows of one model's working points: :func:`table1_batch` of one model."""
+    return next(table1_batch([theta_list_deg], [model], acquisition, repetitions))
 
 
 def load_baseline(path: "str | None" = None) -> dict[tuple[str, float], tuple[float, float]]:

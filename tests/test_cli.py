@@ -84,6 +84,25 @@ def test_sweep_pusey_schema(tmp_path):
     assert max(values) < 0.0  # no violation at this strength
 
 
+def test_table1_both_seeds_once_and_probes_each_branch_once(tmp_path, monkeypatch):
+    # both postselections are drawn in one batch from the same seeds, each
+    # seeded once, and each model's branches are probed for turning points
+    # when tabulated (its range ends once, each branch once), not again per
+    # working point or inversion: 18 probes and 2 seedings before
+    calls = {"trig_turning_points": 0, "_pcg64_states": 0}
+    for module, name in ((weakps.kernels, "trig_turning_points"),
+                         (weakps.counting, "_pcg64_states")):
+        def counted(*args, _function=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _function(*args)
+        monkeypatch.setattr(module, name, counted)
+    for gate in ([], ["--visibility", "0.78", "--t-h", "0.98", "--t-v", "0.34"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["table1", "--kappa", "0.335", "--postselect", "both", "--repetitions", "500",
+                     "--seed", "3", *gate, "--output", str(tmp_path / "table1.csv")]) == 0
+        assert calls == {"trig_turning_points": 8, "_pcg64_states": 1}
+
+
 def test_sweep_pusey_simulated_counts(tmp_path):
     out = tmp_path / "pusey.json"
     assert main(["sweep-pusey", "--kappa", "0.335", "--postselect", "minus",
@@ -754,6 +773,28 @@ def test_unwritable_output_path(tmp_path, capsys):
     rc = main(["sweep-weak-value", "--kappa", "0.335",
                "--output", str(tmp_path / "no" / "such" / "dir.csv")])
     assert rc == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("step", ["0.001", "5"], ids=["90k-rows", "18-rows"])
+def test_a_closed_pipe_ends_the_output_quietly(step, unbuffered):
+    # a reader that stops early, as `weakps ... | head -1` does, ends the
+    # output: no error line and exit status 141, as SIGPIPE would give,
+    # whether the pipe is found closed by a write in main or by the flush
+    # that would otherwise come at exit
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(weakps.__file__)),
+           "PYTHONUNBUFFERED": unbuffered}
+    try:
+        run = subprocess.run([sys.executable, "-m", "weakps.cli", "sweep-weak-value", "--kappa",
+                              "0.335", "--theta-step", step],
+                             env={k: v for k, v in env.items() if v is not None}, stdout=write,
+                             stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (141, b"")
 
 
 def _python(code: str, *args: str, **env: "str | None") -> str:

@@ -168,6 +168,56 @@ def test_batches_about_the_few_rows_bound_draw_as_default_rng(n):
         draw_counts_per_row(probs, seeds, config).tolist()
 
 
+# Rows per set about the few-rows bound, and blocks of seeds that split the sets' rows.
+_SIZES = st.one_of(st.sampled_from([1, counting._FEW_ROWS, counting._FEW_ROWS + 1]),
+                   st.integers(1, 300))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(sets=st.integers(1, 3), n=_SIZES,
+       block=st.sampled_from([counting._SEED_BLOCK, 3, 5, 64, 257]))
+def test_a_multi_set_draw_is_one_draw_per_set_bit_for_bit(sets, n, block):
+    # each set of probability rows draws from the same seeds, as if drawn
+    # alone; a block's sets share its states (tiled only where there are
+    # several sets) and one pass never holds more than _SEED_BLOCK rows
+    rng = np.random.default_rng([sets, n, block])
+    probs = rng.dirichlet(np.ones(4), size=(sets, n))
+    probs[:, ::3, 0] = 0.0  # zero means, as in test_batches_about_the_few_rows_bound...
+    probs[:, 1::3, 2] = 0.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    seeds = derive_seeds(n, n)
+    config = AcquisitionConfig(seed=0, rate=rng.choice([30.0, 300.0, 1e4]), duration=1.0)
+    expected = np.stack([draw_counts(rows, seeds, config) for rows in probs])
+    lanes, tiles, states = [], [], []
+    draw_block, tile, pcg64_states = counting._draw_block, np.tile, counting._pcg64_states
+    with mock.patch.object(counting, "_SEED_BLOCK", block), \
+            mock.patch.object(counting, "_draw_block",
+                              lambda lam, *args: lanes.append(len(lam)) or draw_block(lam, *args)), \
+            mock.patch.object(np, "tile", lambda a, reps: tiles.append(a.ndim) or tile(a, reps)), \
+            mock.patch.object(counting, "_pcg64_states",
+                              lambda seeds: states.append(seeds.size) or pcg64_states(seeds)):
+        counts = draw_counts(probs, seeds, config)
+    assert counts.dtype == np.int64 and counts.tobytes() == expected.tobytes()
+    assert max(lanes) <= block and sum(lanes) == sets * n
+    assert sum(states) == n  # every seed is seeded once
+    assert tiles.count(1) == (4 * len(states) if sets > 1 else 0)  # state words, copied
+
+
+@pytest.mark.parametrize("repetitions", [1, 2, 40, 500])
+def test_table1_shaped_draw_broadcasts_each_point_over_its_repetitions(repetitions):
+    # rows (set, point) broadcast over the point's seeds, shape (points,
+    # repetitions): each is the per-row batch of that point's probabilities
+    config = AcquisitionConfig(seed=0)
+    thetas = np.radians([[20.0, 22.5, 25.0, 27.5], [67.5, 70.0, 72.5, 75.0]])
+    probs = np.stack([channel_probabilities(t, KAPPA).T for t in thetas])
+    seeds = derive_seeds(11, 4 * repetitions)
+    counts = draw_counts(probs[:, :, None], seeds.reshape(4, repetitions), config)
+    assert counts.shape == (2, 4, repetitions, 4)
+    for rows, got in zip(probs, counts):
+        expected = draw_counts(np.repeat(rows, repetitions, axis=0), seeds, config)
+        assert got.reshape(-1, 4).tolist() == expected.tolist()
+
+
 def test_widest_guard_sends_every_draw_to_numpy(monkeypatch):
     # at the default guard few lanes leave the array path; with an infinite
     # one every drawn lane does, and the rows are the same

@@ -18,6 +18,7 @@ from weakps import (
     invert_branch,
     kernels,
     load_baseline,
+    table1_batch,
     table1_pipeline,
     weak_values_from_counts,
 )
@@ -137,6 +138,22 @@ def test_branch_containing_shrinks_at_turning_points():
     with pytest.raises(AmbiguousBranch, match=r"theta = 17\.6\d* deg"):
         # within one grid cell of the peak there is no safe branch
         MINUS_MODEL.branch_containing(theta_peak)
+
+
+def test_invert_branch_probes_every_bracket_the_model_has_not_checked():
+    # a tabulated branch is probed for turning points once, when tabulated;
+    # any other bracket is probed at each inversion, tabulated model or not
+    bracket = (10 * D2R, 40 * D2R)  # spans the minus curve's turning point near 27.4 deg
+    assert kernels.trig_turning_points(*MINUS_MODEL.coefficients, *bracket).size
+    for model in (ModelParams(KAPPA, "minus"), MINUS_MODEL):
+        with pytest.raises(AmbiguousBranch, match="not monotone"):
+            invert_branch(model, [0.5], bracket)
+    branch = MINUS_MODEL.branch_containing(20 * D2R)
+    with pytest.raises(AmbiguousBranch, match="not monotone"):
+        invert_branch(MINUS_MODEL, [0.5], (branch[0], bracket[1]))
+    thetas = np.linspace(*branch, 7)
+    np.testing.assert_allclose(invert_branch(MINUS_MODEL, MINUS_MODEL.sigma_array(thetas), branch),
+                               thetas, rtol=0, atol=1e-10)
 
 
 def test_branch_containing_pulls_in_a_range_end_only_where_the_curve_turns_there():
@@ -359,6 +376,28 @@ def test_one_bad_working_point_fails_only_its_own_repetitions():
                 assert row.n_ok + row.n_failed == 40 and row.n_ok > 0
         before = thetas.index(bad)
         _same_rows(rows[:before], table1_pipeline(thetas[:before], model, config, 40))
+
+
+@pytest.mark.parametrize("repetitions", [1, 2, 40])
+@pytest.mark.parametrize("kappa", [KAPPA, math.sin(20 * D2R)], ids=["kappa-0.335", "mu-5deg"])
+@pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
+                         ids=["ideal", "table1-gate"])
+def test_one_batch_over_both_postselections_is_each_pipeline(imperfections, kappa, repetitions):
+    # both postselections draw from the same seeds in one batch, and each
+    # model's rows are those of its own pipeline, array for array; at mu = 5
+    # deg a working point of each fails as AmbiguousBranch
+    signs = ("minus", "plus")
+    for seed in (1, 7, 90210):
+        config = AcquisitionConfig(seed=seed)
+        batch = table1_batch([TABLE1_THETAS_DEG[sign] for sign in signs],
+                             [ModelParams(kappa, sign, imperfections) for sign in signs],
+                             config, repetitions)
+        for sign, rows in zip(signs, batch, strict=True):
+            alone = table1_pipeline(TABLE1_THETAS_DEG[sign], ModelParams(kappa, sign, imperfections),
+                                    config, repetitions)
+            assert [row.theta_deg for row in rows] == [row.theta_deg for row in alone]
+            assert {row.postselect_sign for row in rows} == {sign}
+            _same_rows(rows, alone)
 
 
 class _SlopeFailsNear25(ModelParams):
