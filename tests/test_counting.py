@@ -203,11 +203,15 @@ def test_a_multi_set_draw_is_one_draw_per_set_bit_for_bit(sets, n, block):
     assert tiles.count(1) == (4 * len(states) if sets > 1 else 0)  # state words, copied
 
 
+@pytest.mark.parametrize("block", [counting._SEED_BLOCK, 5])
 @pytest.mark.parametrize("repetitions", [1, 2, 40, 500])
-def test_table1_shaped_draw_broadcasts_each_point_over_its_repetitions(repetitions):
+def test_table1_shaped_draw_broadcasts_each_point_over_its_repetitions(repetitions, block,
+                                                                        monkeypatch):
     # rows (set, point) broadcast over the point's seeds, shape (points,
-    # repetitions): each is the per-row batch of that point's probabilities
+    # repetitions): each is the per-row batch of that point's probabilities,
+    # also where blocks of 2 seeds split the points and the sets' rows
     config = AcquisitionConfig(seed=0)
+    monkeypatch.setattr(counting, "_SEED_BLOCK", block)
     thetas = np.radians([[20.0, 22.5, 25.0, 27.5], [67.5, 70.0, 72.5, 75.0]])
     probs = np.stack([channel_probabilities(t, KAPPA).T for t in thetas])
     seeds = derive_seeds(11, 4 * repetitions)

@@ -385,7 +385,7 @@ def test_one_bad_working_point_fails_only_its_own_repetitions():
 def test_one_batch_over_both_postselections_is_each_pipeline(imperfections, kappa, repetitions):
     # both postselections draw from the same seeds in one batch, and each
     # model's rows are those of its own pipeline, array for array; at mu = 5
-    # deg a working point of each fails as AmbiguousBranch
+    # deg a working point of each ideal postselection fails as AmbiguousBranch
     signs = ("minus", "plus")
     for seed in (1, 7, 90210):
         config = AcquisitionConfig(seed=seed)
