@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 
 # numpy's bundled OpenBLAS starts a worker thread when numpy is imported, at
 # 60-110 ms of CPU per process on 2 cores.  The only BLAS call in weakps,
@@ -183,21 +184,25 @@ def _decompose_flags(p: argparse.ArgumentParser) -> None:
     _add_output_flags(p)
 
 
-def build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
-    """The CLI's parser, with the subparser of ``command`` only, or with every
-    subcommand's when ``command`` is None."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand's subparser: for help, usage and
+    errors at the root; a call parses with :func:`_command_parser`."""
     parser = argparse.ArgumentParser(
         prog="weakps",
         description="Variable-strength qubit measurements with postselection: "
                     "sweeps, count simulation, estimation, decompositions.",
     )
     parser.add_argument("--version", action="version", version=f"weakps {__version__}")
-    # with one subparser, the usage line of an error still lists every subcommand
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _SUBCOMMANDS if command is None else [command]:
-        help_text, add_flags, _ = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
         add_flags(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone: as :func:`build_parser`'s subparser of it."""
+    parser = argparse.ArgumentParser(prog=f"weakps {command}")
+    _SUBCOMMANDS[command][1](parser)
     return parser
 
 
@@ -371,19 +376,21 @@ def _write(output: str, fmt: str, metadata: dict, columns: list[str],
     """Write the columns of ``data`` under ``metadata``: as CSV with the
     header ``columns``, or as ``json.dumps({"metadata": ..., "records": ...},
     indent=2)`` would write one record per row, keys in ``data``'s order.
-    Rows are formatted and written ``_BLOCK_ROWS`` at a time."""
+    Rows are formatted and written ``_BLOCK_ROWS`` at a time, each block by
+    one ``%`` over its rows' cells and the row template repeated."""
     metadata = _stamp(metadata)
     if fmt == "json":
         head = json.dumps({"metadata": metadata}, indent=2)[:-2]  # without the closing "\n}"
-        keys = [json.dumps(key).replace("{", "{{").replace("}", "}}") for key in data]
-        record = "    {{\n" + ",\n".join(f"      {key}: {{}}" for key in keys) + "\n    }}"
+        keys = [json.dumps(key).replace("%", "%%") for key in data]
+        record = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
         rows = min(map(len, data.values()), default=0)
         with _open_output(output) as fh:
             fh.write(f'{head},\n  "records": ' + ("[\n" if rows else "[]"))
             for start in range(0, rows, _BLOCK_ROWS):
                 block = [_json_column(col[start : start + _BLOCK_ROWS]) for col in data.values()]
+                n = min(_BLOCK_ROWS, rows - start)
                 fh.write(("" if start == 0 else ",\n")
-                         + ",\n".join(record.format(*row) for row in zip(*block)))
+                         + ",\n".join([record] * n) % tuple(chain.from_iterable(zip(*block))))
             fh.write("\n  ]\n}\n" if rows else "\n}\n")
         return
     head = [f"# {key} = {_fmt(val)}\n" for key, val in metadata.items()]
@@ -396,7 +403,8 @@ def _write(output: str, fmt: str, metadata: dict, columns: list[str],
         for start in range(0, rows, _BLOCK_ROWS):
             cells = [col.tolist() if isinstance(col, np.ndarray) else list(map(_fmt, col))
                      for col in (data[c][start : start + _BLOCK_ROWS] for c in columns)]
-            fh.write("".join(template % row for row in zip(*cells)))
+            fh.write(template * min(_BLOCK_ROWS, rows - start)
+                     % tuple(chain.from_iterable(zip(*cells))))
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +748,13 @@ def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-        # build only the subparser the call runs, or all of them for help and usage errors
         command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        extra = True
+        if command is not None:  # one parser: the called subcommand's own
+            args, extra = _command_parser(command).parse_known_args(
+                argv[1:], argparse.Namespace(command=command))
+        if extra:  # the root's help, usage, and error on unrecognized arguments
+            args = build_parser().parse_args(argv)
         _SUBCOMMANDS[args.command][2](args)
         sys.stdout.flush()  # here, not at exit, so that a closed pipe is seen below
     except ConfigError as exc:

@@ -376,16 +376,19 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
     ``config.expected_total`` times its probabilities (``config.seed`` is not
     used).  Each block of ``_SEED_BLOCK // sets`` seeds is seeded once, and
     every set's rows of it drawn at once (:func:`_draw_block`).
-    Raises ValueError unless ``seeds`` is a uint64 array, every probability
-    is finite and nonnegative within 1e-12 and every row sums to 1 within
-    1e-9; a probability that the first tolerance lets below zero draws as
-    zero.
+    Raises ValueError unless ``seeds`` is a uint64 array, the rows hold 4
+    probabilities, every probability is finite and nonnegative within 1e-12
+    and every row sums to 1 within 1e-9; a probability that the first
+    tolerance lets below zero draws as zero.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         kind = getattr(seeds, "dtype", type(seeds).__name__)
         raise ValueError(f"seeds must be a uint64 array, as derive_seeds gives, got {kind}")
     probs = np.asarray(probs, dtype=np.float64)
-    rows = probs.reshape(-1, probs.shape[-1])
+    if probs.shape[-1:] != (4,):
+        width = f"rows of {probs.shape[-1]}" if probs.ndim else "a scalar"
+        raise ValueError(f"probability rows must hold 4 channels, got {width}")
+    rows = probs.reshape(-1, 4)
     bad = ~np.isfinite(rows) | (rows < -_NORM_TOL)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]

@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import kernels
+from . import counting, kernels
 from .counting import (AcquisitionConfig, derive_seeds, draw_counts,
                        postselected_counts, weak_values_from_counts)
 from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatCurve, OutOfRange,
@@ -176,16 +176,17 @@ class ModelParams:
 
     @cached_property
     def _branches(self) -> dict[tuple[float, float], bool]:
-        """Each branch :meth:`branch_containing` picks from, in order, and if it is monotone."""
+        """Each branch :meth:`branch_containing` picks from, in order, and if it is
+        monotone: if the turning points found over the grid are all half a cell off it."""
         grid = _BRANCH_GRID
-        last = grid.size - 1
+        last, half = grid.size - 1, grid[1] / 2.0
         turns = kernels.trig_turning_points(*self.coefficients, grid[0], grid[-1])
         first = 1 if np.any(turns < grid[1]) else 0
         end = last - 1 if np.any(turns > grid[-2]) else last
         ends = [(i + 1 if i else first, j - 1 if j < last else end)
                 for i, j in _monotone_runs(self.sigma_array(grid))]
-        return {(float(grid[i]), float(grid[j])): not kernels.trig_turning_points(
-            *self.coefficients, grid[i], grid[j]).size for i, j in ends if i < j}
+        return {(float(grid[i]), float(grid[j])): not np.any(
+            (turns > grid[i] - half) & (turns < grid[j] + half)) for i, j in ends if i < j}
 
     def branch_containing(self, theta: float) -> tuple[float, float]:
         """Angle interval of the monotone branch containing ``theta``: a run of
@@ -411,24 +412,33 @@ def _assess_parts(model: ModelParams, estimates: list[np.ndarray],
 
 
 def _invert(model: ModelParams, branches: list, counts: np.ndarray, kappa_uncertainty: float):
-    """Per angle, from its repetitions' count rows ``counts[angle]``: the failures, and
-    the estimates to assess ``(theta_hats, variances, m_ps)``, inverted on its branch."""
+    """Per angle, from its repetitions' count rows ``counts[angle]``: the failures,
+    and the estimates to assess ``(theta_hats, variances, m_ps)``, inverted on its
+    branch, in parts of whole angles that hold at most ``_SEED_BLOCK``
+    repetitions (one angle at least), each part inverted in one pass; and
+    the count of each angle's estimates."""
     sign = model.postselect_sign
-    failures, parts = [], []
-    for branch, part in zip(branches, counts):
-        sigmas, variances = weak_values_from_counts(part, model.kappa, sign, kappa_uncertainty)
-        m_ps = postselected_counts(part, sign).sum(axis=1)
-        keep = m_ps > 0
-        failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~keep))})
-        if isinstance(branch, str):  # the branch's error fails every repetition with counts
-            failed[branch] += int(np.count_nonzero(keep))
-            keep[:] = False
-            theta_hats = np.empty(0)
-        else:
-            theta_hats = invert_branch(model, sigmas[keep], branch)
-        failures.append(failed)
-        parts.append((theta_hats, variances[keep], m_ps[keep]))
-    return failures, parts
+    lo, hi = np.array([(math.nan,) * 2 if isinstance(b, str) else b for b in branches]).T
+    step = max(1, counting._SEED_BLOCK // counts.shape[1])
+    failures, parts, sizes = [], [], []
+    for start in range(0, len(branches), step):
+        rows = slice(start, start + step)
+        lanes = counts[rows].reshape(-1, 4)
+        sigmas, variances = weak_values_from_counts(lanes, model.kappa, sign, kappa_uncertainty)
+        m_ps = postselected_counts(lanes, sign).sum(axis=1)
+        keep = (m_ps > 0).reshape(-1, counts.shape[1])
+        for branch, kept in zip(branches[rows], keep):
+            failed = Counter({EmptyChannel.__name__: int(np.count_nonzero(~kept))})
+            if isinstance(branch, str):  # the branch's error fails every repetition with counts
+                failed[branch] += int(np.count_nonzero(kept))
+                kept[:] = False
+            failures.append(failed)
+        theta_hats = kernels.invert_trig(*model.coefficients, model.kappa,  # a bracket per angle
+                                         sigmas.reshape(keep.shape), lo[rows, None], hi[rows, None])
+        flat = keep.ravel()
+        parts.append((theta_hats[keep], variances[flat], m_ps[flat]))
+        sizes += keep.sum(axis=1).tolist()
+    return failures, parts, sizes
 
 
 def table1_batch(theta_lists_deg: list, models: "list[ModelParams]",
@@ -442,12 +452,12 @@ def table1_batch(theta_lists_deg: list, models: "list[ModelParams]",
     batch; every model draws from the same seeds, so the rows of two models
     are correlated, not independent.  Per angle, estimate the postselected
     value and its variance for every repetition, and invert the values on
-    the angle's branch (:func:`invert_branch`).  Then assess every
-    repetition of every angle of a model together (:func:`assess_estimates`):
-    propagated variance and the Cramér-Rao comparison with each
-    repetition's realized postselected event count.  Failed repetitions are
-    counted per row by error type, never dropped silently; an error of one
-    angle's branch fails that angle's repetitions only.
+    the angle's branch (as :func:`invert_branch`, a block of angles at once).
+    Then assess every repetition of every angle of a model together
+    (:func:`assess_estimates`): propagated variance and the Cramér-Rao
+    comparison with each repetition's realized postselected event count.
+    Failed repetitions are counted per row by error type, never dropped
+    silently; an error of one angle's branch fails that angle's repetitions only.
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
@@ -466,8 +476,8 @@ def table1_batch(theta_lists_deg: list, models: "list[ModelParams]",
     estimates = [_invert(*args, acquisition.kappa_uncertainty)
                  for args in zip(models, branches, counts)]
     del seeds, counts  # freed before each model's parts are joined
-    estimates = [(failures, [np.concatenate(c) for c in zip(*parts)], [p[0].size for p in parts])
-                 for failures, parts in estimates]
+    estimates = [(failures, [np.concatenate(c) for c in zip(*parts)], sizes)
+                 for failures, parts, sizes in estimates]
     for thetas, model, (failures, columns, sizes) in zip(theta_lists_deg, models, estimates):
         yield [Table1Row(float(theta_deg), model.postselect_sign, *budget,
                          failures_by_type=dict(failed + more))

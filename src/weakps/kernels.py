@@ -130,9 +130,10 @@ def trig_turning_points(n: np.ndarray, d: np.ndarray, lo: float, hi: float) -> n
 
 
 def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
-                lo: float, hi: float) -> np.ndarray:
+                lo: "float | np.ndarray", hi: "float | np.ndarray") -> np.ndarray:
     """Invert :func:`trig_curve` in closed form on the bracket [lo, hi],
-    which holds no turning point.  Returns the angle solving
+    which holds no turning point (arrays ``lo`` and ``hi`` broadcast against
+    ``targets``: a bracket per target, or per row).  Returns the angle solving
     curve(theta) = target for each target, NaN for targets not bracketed by
     [curve(lo), curve(hi)], and an end whose value is the target to rounding.
 
@@ -144,7 +145,7 @@ def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
     c_lo, c_hi = trig_curve(n, d, kappa, lo), trig_curve(n, d, kappa, hi)
     ks = kappa * targets
     phi, alpha = _trig_roots(n[1] - ks * d[1], n[2] - ks * d[2], ks * d[0] - n[0])
-    x = phi - alpha if c_hi > c_lo else phi + alpha
+    x = phi + np.where(c_hi > c_lo, -alpha, alpha)
     x += 2.0 * math.pi * np.round((2.0 * (lo + hi) - x) / (2.0 * math.pi))
     f_lo, f_hi = c_lo - targets, c_hi - targets
     # kappa f d.B is (n - kappa target d).B, a trig form within rounding of zero at a hit

@@ -86,9 +86,10 @@ def test_sweep_pusey_schema(tmp_path):
 
 def test_table1_both_seeds_once_and_probes_each_branch_once(tmp_path, monkeypatch):
     # both postselections are drawn in one batch from the same seeds, each
-    # seeded once, and each model's branches are probed for turning points
-    # when tabulated (its range ends once, each branch once), not again per
-    # working point or inversion: 18 probes and 2 seedings before
+    # seeded once, and each model's branches are found monotone from one
+    # turning-point solve over its tabulated range, not probed again per
+    # branch, working point or inversion: 18 probes and 2 seedings before
+    # one batch, 8 probes before one solve per model
     calls = {"trig_turning_points": 0, "_pcg64_states": 0}
     for module, name in ((weakps.kernels, "trig_turning_points"),
                          (weakps.counting, "_pcg64_states")):
@@ -100,7 +101,7 @@ def test_table1_both_seeds_once_and_probes_each_branch_once(tmp_path, monkeypatc
         calls.update(dict.fromkeys(calls, 0))
         assert main(["table1", "--kappa", "0.335", "--postselect", "both", "--repetitions", "500",
                      "--seed", "3", *gate, "--output", str(tmp_path / "table1.csv")]) == 0
-        assert calls == {"trig_turning_points": 8, "_pcg64_states": 1}
+        assert calls == {"trig_turning_points": 2, "_pcg64_states": 1}
 
 
 def test_sweep_pusey_simulated_counts(tmp_path):
@@ -145,6 +146,8 @@ _WRITE_CASES = {
     "strings": {
         "label": ["plain", 'a, "quoted", b', "caf\u00e9 \u2192", "{brace}", "tab\tnew\nline"],
         'key {with} "quotes", commas': np.array([1.0, 2.0, np.nan, 4.0, 5.0]),
+        # the row template is filled by %: a key or a cell may hold its markers
+        '100% {0} "%s" %%': ['%s {1} "%d"', "%", "%%", "{}", '"'],
     },
     "empty-columns": {"x": np.array([]), "label": []},
     "no-columns": {},
@@ -256,9 +259,63 @@ def _subcommands(parser):
     return list(action.choices)
 
 
-def test_parser_builds_only_the_subparsers_a_call_needs():
-    assert _subcommands(cli.build_parser("table1")) == ["table1"]
+def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
+    # one ArgumentParser per successful call: the subcommand's own; the full
+    # parser, every subparser, only for help, usage and root errors
     assert _subcommands(cli.build_parser()) == list(cli._SUBCOMMANDS)
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: parsers.append(kwargs.get("prog"))
+                        or init(self, *args, **kwargs))
+    for name, (help_text, add_flags, _) in list(cli._SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, add_flags, lambda args: None))
+    for name in cli._SUBCOMMANDS:
+        parsers.clear()
+        required = ["--input", "in.json", "--branch", "1,2"] if name == "estimate" else []
+        assert main([name, "--kappa", "0.3", *required]) == 0
+        assert parsers == [f"weakps {name}"]
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, which may exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, tail", [
+    (["table1", "--bogus", "1"], 2, "weakps: error: unrecognized arguments: --bogus 1"),
+    (["table1", "--kappa", "0.3", "extra"], 2, "weakps: error: unrecognized arguments: extra"),
+    (["table1", "--ver"], 2, "weakps: error: unrecognized arguments: --ver"),
+    (["--ver"], 0, ""),
+    (["table1", "--help"], 0, ""),
+    (["estimate", "-h"], 0, ""),
+    (["--help"], 0, ""),
+    (["bogus"], 2, "weakps: error: argument command: invalid choice: 'bogus' (choose from "),
+    ([], 2, "weakps: error: the following arguments are required: command"),
+    (["table1", "--kappa", "abc"], 2, "weakps table1: error: argument --kappa: invalid float "),
+    (["estimate"], 2, "weakps estimate: error: the following arguments are required: "),
+    (["decompose", "--config", "{config}"], 2, "weakps: error: unrecognized arguments: --bogus 1"),
+    (["--config", "{config}", "sweep-fisher"], 2, "weakps: error: unrecognized arguments: --bogus 1"),
+])
+def test_usage_help_and_errors_are_the_full_parsers(tmp_path, argv, code, tail):
+    # the subcommand's parser alone reports its own errors and help as the
+    # full parser's subparser does, and unrecognized arguments fall back to
+    # the full parser for the root's text
+    config = tmp_path / "weakps.cfg"
+    config.write_text("kappa = 0.3\nbogus = 1\n")
+    argv = [str(config) if a == "{config}" else a for a in argv]
+    outcome = _outcome(main, argv)
+    full = _outcome(lambda a: cli.build_parser().parse_args(a), cli._apply_config(argv))
+    assert outcome == full
+    assert outcome[0] == code
+    assert tail in outcome[2].splitlines()[-1] if tail else outcome[2] == ""
+    assert (outcome[1] != "") == (code == 0)  # help and the version go to stdout
 
 
 def test_main_dispatches_every_registered_subcommand(monkeypatch):

@@ -275,6 +275,17 @@ def test_draw_rejects_invalid_probabilities():
         draw_counts([[0.25] * 4] * 2, _seeds(1, 2, 3), config)
 
 
+@pytest.mark.parametrize("probs, width", [
+    ([0.5, 0.5, 0.0], "rows of 3"),  # an IndexError from the row sums before
+    ([[0.25] * 4 + [0.0]] * 2, "rows of 5"),  # "2 probability rows for 2 seeds" before
+    ([[1.0]] * 2, "rows of 1"),  # an IndexError before
+    (1.0, "a scalar"),
+])
+def test_draw_names_the_width_of_rows_that_do_not_hold_4_channels(probs, width):
+    with pytest.raises(ValueError, match=f"probability rows must hold 4 channels, got {width}$"):
+        draw_counts(probs, _seeds(1, 2), AcquisitionConfig(seed=1))
+
+
 def test_weak_values_match_the_scalar_estimator_bit_for_bit():
     rng = np.random.default_rng(3)
     # the cube is f*f*f in float64 below 2**26, where f*f is exact, and the

@@ -10,6 +10,7 @@ from oracles import (fisher_ps_definition, ideal_postselect_probability, ideal_s
                      imperfect_joint_probs, postselected_value)
 from weakps import (
     AcquisitionConfig,
+    counting,
     ImperfectionParams,
     ModelParams,
     assess_estimates,
@@ -398,6 +399,51 @@ def test_one_batch_over_both_postselections_is_each_pipeline(imperfections, kapp
             assert [row.theta_deg for row in rows] == [row.theta_deg for row in alone]
             assert {row.postselect_sign for row in rows} == {sign}
             _same_rows(rows, alone)
+
+
+@pytest.mark.parametrize("repetitions, blocks", [(40, (80, 120, 39)), (2, (3, 6)), (1, (1, 2))])
+@pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
+                         ids=["ideal", "table1-gate"])
+def test_inversion_blocks_of_working_points_leave_the_rows_unchanged(imperfections, repetitions,
+                                                                     blocks, monkeypatch):
+    # a model's working points are inverted in blocks of whole points of at
+    # most _SEED_BLOCK lanes, one invert_trig call each: blocks of 1, 2 or 3
+    # points (or lanes short of one point) give the one-block rows, array for
+    # array, with the ideal model's AmbiguousBranch points at mu = 5 deg among them
+    signs, kappa = ("minus", "plus"), math.sin(20 * D2R)
+    models = [ModelParams(kappa, sign, imperfections) for sign in signs]
+    config = AcquisitionConfig(seed=7)
+    whole = list(table1_batch([TABLE1_THETAS_DEG[s] for s in signs], models, config, repetitions))
+    inversions = []
+    invert_trig = kernels.invert_trig
+    monkeypatch.setattr(kernels, "invert_trig",
+                        lambda *args: inversions.append(args[3].shape) or invert_trig(*args))
+    for block in blocks:
+        monkeypatch.setattr(counting, "_SEED_BLOCK", block)
+        inversions.clear()
+        split = table1_batch([TABLE1_THETAS_DEG[s] for s in signs], models, config, repetitions)
+        for rows, alone in zip(split, whole, strict=True):
+            _same_rows(rows, alone)
+        per_block = max(1, block // repetitions)
+        shapes = [(per_block, repetitions)] * (4 // per_block) + (
+            [(4 % per_block, repetitions)] if 4 % per_block else [])
+        assert len(shapes) > 1 and inversions == shapes * 2  # per model, blocks in order
+    ambiguous = sum(row.failures_by_type.get("AmbiguousBranch", 0) for rows in whole for row in rows)
+    assert ambiguous == (0 if imperfections else 2 * repetitions)
+
+
+@pytest.mark.parametrize("kappa", [0.05, KAPPA, math.sin(20 * D2R), 0.9, 1.0])
+@pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
+                         ids=["ideal", "table1-gate"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_branches_flagged_monotone_hold_no_turning_point(kappa, imperfections, sign):
+    # a branch is flagged from the model's one turning-point solve over the
+    # grid; the probe of the branch alone never finds a turning point in one
+    # flagged monotone
+    model = ModelParams(kappa, sign, imperfections)
+    for (lo, hi), monotone in model._branches.items():
+        if monotone:
+            assert kernels.trig_turning_points(*model.coefficients, lo, hi).size == 0
 
 
 class _SlopeFailsNear25(ModelParams):

@@ -138,6 +138,48 @@ def test_bracket_arrays_match_one_call_per_bracket(kappa, sign, cases):
             assert math.isnan(x)
 
 
+@PROPERTY
+@given(kappa=st.floats(0.05, 0.99), sign=st.sampled_from(("minus", "plus")),
+       gate=st.sampled_from((None, ImperfectionParams(0.78, 0.98, 0.34))),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                 st.floats(0.0, math.pi / 2)), min_size=1, max_size=6),
+       kinds=st.lists(st.tuples(st.sampled_from(("inside", "lo", "hi", "nan", "outside")),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=8))
+def test_a_bracket_per_row_is_one_call_per_bracket(kappa, sign, gate, points, kinds):
+    # targets (working points, repetitions) against a bracket per working
+    # point, (points, 1): each row is, bit for bit, the call with its own
+    # scalar bracket, the way table1 inverts a block of working points
+    model = ModelParams(kappa, sign, gate)
+    n, d = model.coefficients
+    curve = lambda t: kernels.trig_curve(n, d, kappa, np.array([t]))[0]
+    lo, hi, targets = [], [], []
+    for u, v, theta in points:
+        try:
+            start, stop = model.branch_containing(theta)
+        except AmbiguousBranch:
+            continue
+        a, b = start + (stop - start) * min(u, v), start + (stop - start) * max(u, v)
+        c_a, c_b = curve(a), curve(b)
+        width = max(abs(c_b - c_a), 1e-3)  # "outside" lies past the range by more than this
+        lo.append(a)
+        hi.append(b)
+        targets.append([{"inside": curve(a + w * (b - a)), "lo": c_a, "hi": c_b, "nan": math.nan,
+                         "outside": max(c_a, c_b) + width * (1.0 + w)}[kind]
+                        for kind, w in kinds])
+    assume(lo)
+    got = kernels.invert_trig(n, d, kappa, np.array(targets), np.array(lo)[:, None],
+                              np.array(hi)[:, None])
+    alone = [kernels.invert_trig(n, d, kappa, np.array(row), a, b)
+             for row, a, b in zip(targets, lo, hi)]
+    assert got.tobytes() == np.array(alone).tobytes()
+    for row, a, b in zip(got.tolist(), lo, hi):
+        for x, (kind, _) in zip(row, kinds):
+            if kind in ("lo", "hi"):
+                assert x in (a, b)
+            elif kind in ("nan", "outside"):
+                assert math.isnan(x)
+
+
 def test_model_equals_the_ideal_closed_forms_exactly():
     # on the ideal pair the model's general form rounds as the ideal closed
     # forms do, so an ideal curve value is an exact hit for invert_trig's brackets
