@@ -145,7 +145,7 @@ def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
     c_lo, c_hi = trig_curve(n, d, kappa, lo), trig_curve(n, d, kappa, hi)
     ks = kappa * targets
     phi, alpha = _trig_roots(n[1] - ks * d[1], n[2] - ks * d[2], ks * d[0] - n[0])
-    x = phi + np.where(c_hi > c_lo, -alpha, alpha)
+    x = phi + np.where(c_hi > c_lo, -1.0, 1.0) * alpha  # -alpha on a rising bracket, exactly
     x += 2.0 * math.pi * np.round((2.0 * (lo + hi) - x) / (2.0 * math.pi))
     f_lo, f_hi = c_lo - targets, c_hi - targets
     # kappa f d.B is (n - kappa target d).B, a trig form within rounding of zero at a hit
