@@ -418,7 +418,7 @@ def _invert(model: ModelParams, branches: list, counts: np.ndarray, kappa_uncert
     repetitions (one angle at least), each part inverted in one pass; and
     the count of each angle's estimates."""
     sign = model.postselect_sign
-    lo, hi = np.array([(math.nan,) * 2 if isinstance(b, str) else b for b in branches]).T
+    lo, hi = np.reshape([(math.nan,) * 2 if isinstance(b, str) else b for b in branches], (-1, 2)).T
     step = max(1, counting._SEED_BLOCK // counts.shape[1])
     failures, parts, sizes = [], [], []
     for start in range(0, len(branches), step):

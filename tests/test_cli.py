@@ -301,7 +301,8 @@ def _outcome(call, argv):
     (["table1", "--kappa", "abc"], 2, "weakps table1: error: argument --kappa: invalid float "),
     (["estimate"], 2, "weakps estimate: error: the following arguments are required: "),
     (["decompose", "--config", "{config}"], 2, "weakps: error: unrecognized arguments: --bogus 1"),
-    (["--config", "{config}", "sweep-fisher"], 2, "weakps: error: unrecognized arguments: --bogus 1"),
+    (["--config", "{config}", "sweep-fisher"], 2,
+     "weakps: error: unrecognized arguments: --bogus 1"),
 ])
 def test_usage_help_and_errors_are_the_full_parsers(tmp_path, argv, code, tail):
     # the subcommand's parser alone reports its own errors and help as the

@@ -428,8 +428,15 @@ def test_inversion_blocks_of_working_points_leave_the_rows_unchanged(imperfectio
         shapes = [(per_block, repetitions)] * (4 // per_block) + (
             [(4 % per_block, repetitions)] if 4 % per_block else [])
         assert len(shapes) > 1 and inversions == shapes * 2  # per model, blocks in order
-    ambiguous = sum(row.failures_by_type.get("AmbiguousBranch", 0) for rows in whole for row in rows)
+    ambiguous = sum(row.failures_by_type.get("AmbiguousBranch", 0)
+                    for rows in whole for row in rows)
     assert ambiguous == (0 if imperfections else 2 * repetitions)
+
+
+def test_no_working_points_give_no_rows():
+    config = AcquisitionConfig(seed=1)
+    assert table1_pipeline([], MINUS_MODEL, config, 3) == []
+    assert list(table1_batch([[], []], [MINUS_MODEL] * 2, config, 3)) == [[], []]
 
 
 @pytest.mark.parametrize("kappa", [0.05, KAPPA, math.sin(20 * D2R), 0.9, 1.0])
