@@ -177,7 +177,8 @@ class ModelParams:
     @cached_property
     def _branches(self) -> dict[tuple[float, float], bool]:
         """Each branch :meth:`branch_containing` picks from, in order, and if it is
-        monotone: if the turning points found over the grid are all half a cell off it."""
+        monotone: if the one turning-point solve over the grid has no root within
+        half a cell of it (else its probe is left to :func:`_require_monotone`)."""
         grid = _BRANCH_GRID
         last, half = grid.size - 1, grid[1] / 2.0
         turns = kernels.trig_turning_points(*self.coefficients, grid[0], grid[-1])
@@ -208,7 +209,7 @@ class ModelParams:
 
 def _require_monotone(model: ModelParams, lo: float, hi: float) -> None:
     """Raise AmbiguousBranch where the model curve turns strictly inside [lo, hi]."""
-    checked = model.__dict__.get("_branches", {})  # probed when tabulated; tabulates nothing
+    checked = model.__dict__.get("_branches", {})  # flagged when tabulated; tabulates nothing
     if not checked.get((lo, hi)) and kernels.trig_turning_points(*model.coefficients, lo, hi).size:
         raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
                               "it spans a turning point")
