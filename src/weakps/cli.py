@@ -24,9 +24,8 @@ from datetime import datetime, timezone
 from itertools import chain
 
 # numpy's bundled OpenBLAS starts a worker thread when numpy is imported, at
-# 60-110 ms of CPU per process on 2 cores.  The only BLAS call in weakps,
-# imperfections._CHANNEL_VECTORS @ b, multiplies 4x4 by 4xN, so one thread
-# serves it.  Set before numpy loads; a value the user has set wins.
+# 60-110 ms of CPU per process on 2 cores, whether or not weakps makes a BLAS
+# call (it makes none).  Set before numpy loads; a value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
@@ -43,7 +42,7 @@ from .counting import (
     postselected_counts,
     weak_values_from_counts,
 )
-from .errors import ConfigError, WeakpsError
+from .errors import ConfigError, WeakpsError, ZeroStrength
 from .estimation import (
     TABLE1_THETAS_DEG,
     ModelParams,
@@ -285,10 +284,10 @@ def _resolve_imperfections(args: argparse.Namespace,
     """The gate the flags give.  A field without its flag comes from
     ``meta``, an input file's metadata as simulate-counts writes it, when
     that records it, else from the ideal gate; None where neither gives any
-    field."""
+    field, as for a subcommand without gate flags."""
     meta = meta or {}
     given = {key: getattr(args, key) for key in ("visibility", "t_h", "t_v")
-             if getattr(args, key) is not None}
+             if getattr(args, key, None) is not None}
     recorded = {key: meta[key] for key in ("visibility", "t_h", "t_v")
                 if key in meta and key not in given}
     if recorded and meta.get("visibility_model") != VISIBILITY_MODEL:
@@ -428,52 +427,43 @@ def _model_metadata(args, kappa: float, mu: float, imperfections: ImperfectionPa
     return meta
 
 
-def _cmd_sweep_weak_value(args) -> None:
+def _sweep(args, **meta_fields) -> tuple[np.ndarray, np.ndarray, dict[str, ModelParams], dict]:
+    """What a sweep starts from: its grid in degrees and in radians, a model
+    per postselection sign, and its metadata, with ``meta_fields`` after the
+    postselection and before the grid."""
     kappa, mu = _resolve_strength(args)
     imperfections = _resolve_imperfections(args)
     grid_deg = _theta_grid_deg(args)
-    grid = np.deg2rad(grid_deg)
-    signs = _signs(args.postselect)
+    models = {sign: ModelParams(kappa, sign, imperfections) for sign in _signs(args.postselect)}
+    meta = _model_metadata(args, kappa, mu, imperfections)
+    meta.update(postselect=args.postselect, **meta_fields, theta_start=args.theta_start,
+                theta_end=args.theta_end, theta_step=args.theta_step)
+    return grid_deg, np.deg2rad(grid_deg), models, meta
 
+
+def _cmd_sweep_weak_value(args) -> None:
+    grid_deg, grid, models, meta = _sweep(args)
+    if meta["kappa"] == 0.0:
+        raise ZeroStrength("weak value undefined at kappa = 0")
     data = {"theta_deg": grid_deg}
-    for sign in signs:
-        model = ModelParams(kappa, sign, imperfections)
-        starved = model.starved(grid)  # no postselected value: written as nan
-        sigma = np.full(grid.size, np.nan)
-        sigma[~starved] = model.sigma_array(grid[~starved])
+    for sign, model in models.items():
+        columns = model.evaluate(grid)
+        # no postselected value where starved: written as nan
+        sigma = np.where(columns["starved"], np.nan, columns["sigma"])
         data[f"sigma_w_{sign}"] = sigma
         # beyond the spectrum [-1, 1] by more than rounding: 45 deg rounds to -1 - 2e-16
         data[f"anomalous_{sign}"] = (np.abs(sigma) > 1.0 + kernels._ROUNDING).astype(np.int64)
-    columns = ["theta_deg", *(f"sigma_w_{s}" for s in signs), *(f"anomalous_{s}" for s in signs)]
-
-    meta = _model_metadata(args, kappa, mu, imperfections)
-    meta.update(postselect=args.postselect, theta_start=args.theta_start,
-                theta_end=args.theta_end, theta_step=args.theta_step)
+    columns = ["theta_deg", *(f"sigma_w_{s}" for s in models), *(f"anomalous_{s}" for s in models)]
     _write(args.output, args.format, meta, columns, data)
 
 
-def _pusey_model(grid: np.ndarray, kappa: float, sign: str) -> tuple[np.ndarray, ...]:
-    """The model's joint pair ``(p0, p1)`` and overlap ``p_phi`` over the grid,
-    which sweep-pusey evaluates the functional on: ``p0 - p1 = n.B`` and
-    ``p0 + p1 = d.B``, and ``p_phi`` is ``d.B`` at ``kappa = 0``."""
-    n, d = ModelParams(kappa, sign).coefficients
-    p_ps, diff = kernels.trig_form(d, grid), kernels.trig_form(n, grid)
-    p_phi = kernels.trig_form(ModelParams(0.0, sign).coefficients[1], grid)
-    return (p_ps + diff) / 2.0, (p_ps - diff) / 2.0, p_phi
-
-
 def _cmd_sweep_pusey(args) -> None:
-    kappa, mu = _resolve_strength(args)
-    if args.p_phi == "counts" and not (args.simulate and kappa < 1.0):
+    if args.p_phi == "counts" and not (_resolve_strength(args)[0] < 1.0 and args.simulate):
         raise ConfigError("--p-phi counts needs --simulate and kappa < 1: the overlap is "
                           "recovered from the simulated counts of a non-projective measurement")
-    grid_deg = _theta_grid_deg(args)
-    grid = np.deg2rad(grid_deg)
-    signs = _signs(args.postselect)
-    meta = _model_metadata(args, kappa, mu, None)
-    meta.update(postselect=args.postselect, p_phi_convention=args.p_phi,
-                simulated_counts=args.simulate, theta_start=args.theta_start,
-                theta_end=args.theta_end, theta_step=args.theta_step)
+    grid_deg, grid, models, meta = _sweep(args, p_phi_convention=args.p_phi,
+                                          simulated_counts=args.simulate)
+    kappa = meta["kappa"]
     if args.simulate:  # one draw per grid point, read for every postselection
         acquisition = _acquisition(args)  # checks the seed before any is derived from it
         counts = draw_counts(channel_probabilities(grid, kappa, None).T,
@@ -482,8 +472,8 @@ def _cmd_sweep_pusey(args) -> None:
         meta.update(seed=args.seed, rate=args.rate, duration=args.duration)
 
     data = {"theta_deg": grid_deg}
-    for sign in signs:
-        p0, p1, p_phi = _pusey_model(grid, kappa, sign)
+    for sign, model in models.items():
+        p0, p1, p_phi = model.joint_pair(grid)
         if args.simulate:  # frequencies; NaN where no coincidence was counted
             with np.errstate(divide="ignore", invalid="ignore"):
                 p0, p1 = postselected_counts(counts, sign).T / totals
@@ -496,23 +486,16 @@ def _cmd_sweep_pusey(args) -> None:
 
 
 def _cmd_sweep_fisher(args) -> None:
-    kappa, mu = _resolve_strength(args)
-    grid_deg = _theta_grid_deg(args)
-    grid = np.deg2rad(grid_deg)
-    signs = _signs(args.postselect)
-    meta = _model_metadata(args, kappa, mu, None)
-    meta.update(postselect=args.postselect, theta_start=args.theta_start,
-                theta_end=args.theta_end, theta_step=args.theta_step)
-
+    grid_deg, grid, models, meta = _sweep(args)
     data = {"theta_deg": grid_deg, "q": np.full(grid.size, QUANTUM_FISHER_INFORMATION)}
-    for sign in signs:
-        f_ps, p_ps = ModelParams(kappa, sign).information(grid)
-        data[f"f_ps_{sign}"] = f_ps
-        data[f"budget_lhs_{sign}"] = f_ps * p_ps
+    for sign, model in models.items():
+        columns = model.evaluate(grid)
+        data[f"f_ps_{sign}"] = columns["f_ps"]
+        data[f"budget_lhs_{sign}"] = columns["f_ps"] * columns["p_ps"]
         # saturated points: no Fisher information, written as nan
-        meta[f"skipped_{sign}"] = int(np.isnan(f_ps).sum())
-    columns = ["theta_deg", *(f"f_ps_{s}" for s in signs), "q",
-               *(f"budget_lhs_{s}" for s in signs)]
+        meta[f"skipped_{sign}"] = int(np.isnan(columns["f_ps"]).sum())
+    columns = ["theta_deg", *(f"f_ps_{s}" for s in models), "q",
+               *(f"budget_lhs_{s}" for s in models)]
     _write(args.output, args.format, meta, columns, data)
 
 

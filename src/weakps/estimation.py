@@ -107,72 +107,71 @@ class ModelParams:
             return np.array([0.0, self.kappa / 2.0, 0.0]), np.array([0.5, 0.0, sign * r / 2.0])
         return postselected_coefficients(self.mu, self.imperfections, sign)
 
-    def starved(self, thetas: np.ndarray) -> np.ndarray:
-        """Where the postselection probability ``d.B`` is within rounding of
-        zero: no postselected value exists there."""
-        d = self.coefficients[1]
-        return kernels.trig_form(d, thetas) <= kernels._ROUNDING * np.abs(d).sum()
+    def evaluate(self, thetas: np.ndarray) -> dict[str, np.ndarray]:
+        """The model's columns over an array of angles, from one trig basis and
+        unvalidated (:meth:`checked` validates them): ``starved``, where the
+        postselection probability is within rounding of zero and no
+        postselected value exists; the postselected value ``sigma``
+        (nominal-kappa rescaling) and its angle derivative ``slope``; the
+        postselection probability ``p_ps``; and the postselected Fisher
+        information ``f_ps`` (per squared radian), NaN where a conditional
+        probability vanishes, and zero at ``kappa = 0``, where the
+        distribution does not depend on the angle.
 
-    def _check(self, thetas: np.ndarray) -> None:
-        """GateStarved where no coincidence passes the gate (imperfect model
-        only), ZeroPostselection where the model is otherwise
-        :meth:`starved`, then ZeroStrength."""
-        starved = thetas[self.starved(thetas)]
+        ``p_ps`` is ``d.B``: per coincidence in the ideal model, per attempt
+        under imperfections, so that ``F_ps * p_ps <= 16`` bounds the
+        information per attempt.  ``f_ps`` is that of any binary postselected
+        distribution, ``k^2 sigma'^2 / (1 - k^2 sigma^2)``.
+        """
+        basis = kernels.trig_basis(thetas)
+        n, d = self.coefficients
+        p_ps = kernels.trig_form(d, basis)
+        sigma = kernels.trig_curve(n, d, self.kappa, basis)
+        slope = kernels.trig_slope(n, d, self.kappa, basis)
+        del basis  # freed before f_ps's temporaries, which a large batch peaks in
+        if self.kappa == 0.0:
+            f_ps = np.zeros(p_ps.shape)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if self.imperfections is None:
+                    # The ideal closed form 16 k^2 / (2 p_ps)^2, not the general
+                    # form, which cancels near the anomaly peak: within 3e-3 rad of
+                    # the minus peak (1e-7 rad grid) it is off by up to 1.3e-3
+                    # relative at k = 1e-3, 1.8e-5 at k = 0.05 and 7e-7 at
+                    # k = 0.335, and by more beside the saturated angles.
+                    den = 2.0 * p_ps
+                    f_ps = 16.0 * self.kappa * self.kappa / (den * den)
+                else:
+                    f_ps = kernels.fisher_from_weak_value(sigma, slope, self.kappa)
+            f_ps = np.where(1.0 - np.abs(self.kappa * sigma) < SATURATION_TOL, np.nan, f_ps)
+        return {"starved": p_ps <= kernels._ROUNDING * np.abs(d).sum(), "sigma": sigma,
+                "slope": slope, "p_ps": p_ps, "f_ps": f_ps}
+
+    def checked(self, thetas: np.ndarray) -> dict[str, np.ndarray]:
+        """:meth:`evaluate` with the one angle check: GateStarved where no
+        coincidence passes the gate (imperfect model only), ZeroPostselection
+        where the model is otherwise starved, then ZeroStrength."""
+        thetas = np.asarray(thetas, dtype=np.float64)
+        columns = self.evaluate(thetas)
+        starved = thetas[columns["starved"]]
         if starved.size:
             channel_probabilities(starved, self.kappa, self.imperfections)  # may raise GateStarved
             raise ZeroPostselection("postselection probability vanishes at theta = "
                                     f"{angle_text(float(starved[0]))}")
         if self.kappa == 0.0:
             raise ZeroStrength("weak value undefined at kappa = 0")
+        return columns
 
-    def sigma_array(self, thetas: np.ndarray) -> np.ndarray:
-        """Model postselected value (nominal-kappa rescaling) over a
-        one-dimensional array of angles."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        self._check(thetas)
-        return kernels.trig_curve(*self.coefficients, self.kappa, thetas)
-
-    def sigma_slope(self, thetas: np.ndarray) -> np.ndarray:
-        """Angle derivative of the model curve over a one-dimensional array of
-        angles."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        self._check(thetas)
-        return kernels.trig_slope(*self.coefficients, self.kappa, thetas)
-
-    def information(self, thetas: np.ndarray,
-                    slopes: "np.ndarray | None" = None) -> tuple[np.ndarray, np.ndarray]:
-        """Fisher information of the postselected distribution (per squared
-        radian) and the probability of the postselection, at each angle.
-        ``slopes`` are :meth:`sigma_slope` there, where the caller holds them
-        already.  The information is NaN where a conditional probability
-        vanishes, and zero at ``kappa = 0``, where the distribution does not
-        depend on the angle.
-
-        The probability is ``d.B``: per coincidence in the ideal model, per
-        attempt under imperfections, so that ``F_ps * p <= 16`` bounds the
-        information per attempt.  The information is that of any binary
-        postselected distribution, ``k^2 sigma'^2 / (1 - k^2 sigma^2)``.
-        """
-        thetas = np.asarray(thetas, dtype=np.float64)
+    def joint_pair(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The postselected pair ``(p0, p1)`` over an array of angles, with
+        ``p0 - p1 = n.B`` and ``p0 + p1 = d.B``, and the overlap ``p_phi``, the
+        ideal model's ``d.B`` at ``kappa = 0``: what Pusey's functional is
+        evaluated on.  Unvalidated, from one trig basis."""
+        basis = kernels.trig_basis(thetas)
         n, d = self.coefficients
-        p_ps = kernels.trig_form(d, thetas)
-        if self.kappa == 0.0:
-            return np.zeros(thetas.shape), p_ps
-        sigma = kernels.trig_curve(n, d, self.kappa, thetas)
-        if self.imperfections is None:
-            # The ideal closed form 16 k^2 / (2 p_ps)^2, not the general form
-            # below, which cancels near the anomaly peak: within 3e-3 rad of the
-            # minus peak (1e-7 rad grid) it is off by up to 1.3e-3 relative at
-            # k = 1e-3, 1.8e-5 at k = 0.05 and 7e-7 at k = 0.335, and by more
-            # beside the saturated angles.
-            den = 2.0 * p_ps
-            with np.errstate(divide="ignore"):
-                f_ps = 16.0 * self.kappa * self.kappa / (den * den)
-        else:
-            slopes = self.sigma_slope(thetas) if slopes is None else slopes
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f_ps = kernels.fisher_from_weak_value(sigma, slopes, self.kappa)
-        return np.where(1.0 - np.abs(self.kappa * sigma) < SATURATION_TOL, np.nan, f_ps), p_ps
+        p_ps, diff = kernels.trig_form(d, basis), kernels.trig_form(n, basis)
+        p_phi = kernels.trig_form(ModelParams(0.0, self.postselect_sign).coefficients[1], basis)
+        return (p_ps + diff) / 2.0, (p_ps - diff) / 2.0, p_phi
 
     @cached_property
     def _branches(self) -> dict[tuple[float, float], bool]:
@@ -185,7 +184,7 @@ class ModelParams:
         first = 1 if np.any(turns < grid[1]) else 0
         end = last - 1 if np.any(turns > grid[-2]) else last
         ends = [(i + 1 if i else first, j - 1 if j < last else end)
-                for i, j in _monotone_runs(self.sigma_array(grid))]
+                for i, j in _monotone_runs(self.checked(grid)["sigma"])]
         return {(float(grid[i]), float(grid[j])): not np.any(
             (turns > grid[i] - half) & (turns < grid[j] + half)) for i, j in ends if i < j}
 
@@ -230,15 +229,6 @@ def invert_branch(
     return kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
 
 
-def _propagated(model: ModelParams, thetas: np.ndarray,
-                variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-order angle variances ``var(sigma) / (d sigma / d theta)^2`` in
-    squared degrees, and the slopes they divide by, at each angle."""
-    slopes = model.sigma_slope(thetas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return variances / (slopes * slopes) * RAD2_TO_DEG2, slopes
-
-
 def _cramer_rao(f_ps: np.ndarray, m_ps: np.ndarray) -> np.ndarray:
     """Cramér-Rao limits ``1 / (F_ps * m_ps)`` in squared degrees."""
     with np.errstate(divide="ignore"):
@@ -280,7 +270,7 @@ class EstimateBatch:
         ``model``'s curve."""
         status, theta = int(self.status[i]), angle_text(float(self.theta_hats[i]))
         if status == OUT_OF_RANGE:
-            ends = model.sigma_array(branch)
+            ends = model.checked(branch)["sigma"]
             return OutOfRange(f"sigma = {float(sigma_hat):.12g} outside [{ends.min():.12g}, "
                               f"{ends.max():.12g}], the range of branch "
                               f"[{angle_text(branch[0])}, {angle_text(branch[1])}]")
@@ -313,11 +303,13 @@ def assess_estimates(
     if np.any(m_ps <= 0):
         raise ValueError("m_ps must be positive")
     theta_hats = np.asarray(theta_hats, dtype=np.float64)
-    found = ~np.isnan(theta_hats)  # the model curve is evaluated only where found
-    var_theta, slopes, f_ps, p_ps = np.full((4, theta_hats.size), np.nan)
-    var_theta[found], slopes[found] = _propagated(
-        model, theta_hats[found], np.asarray(var_sigmas, dtype=np.float64)[found])
-    f_ps[found], p_ps[found] = model.information(theta_hats[found], slopes[found])
+    found = ~np.isnan(theta_hats)  # the model is evaluated only where found
+    slopes, f_ps, p_ps = np.full((3, theta_hats.size), np.nan)
+    columns = model.checked(theta_hats[found])
+    slopes[found], f_ps[found], p_ps[found] = (columns[k] for k in ("slope", "f_ps", "p_ps"))
+    del columns  # freed before the budget's arithmetic, which a large batch peaks in
+    with np.errstate(divide="ignore", invalid="ignore"):  # first-order propagation
+        var_theta = np.asarray(var_sigmas, dtype=np.float64) / (slopes * slopes) * RAD2_TO_DEG2
     limits = _cramer_rao(f_ps, m_ps)
     budget = f_ps * p_ps
     if np.any(budget > QUANTUM_FISHER_INFORMATION + 1e-9):

@@ -102,7 +102,9 @@ def coincidence_probabilities(thetas, mu: float, params: ImperfectionParams) -> 
     t_v = params.t_v
     b = params.t_h * np.stack([t_v * c * c_mu, t_v * c * s_mu, t_v * s * c_mu,
                                (2.0 * t_v - 1.0) * s * s_mu])
-    ub = _CHANNEL_VECTORS @ b
+    # the sign columns summed elementwise: a matmul rounds otherwise as a call
+    # holds one angle or several, and a batch must give each angle's bits
+    ub = sum(signs[:, None] * row for signs, row in zip(_CHANNEL_VECTORS.T, b))
     v = params.visibility
     probs = (v * ub * ub + (1.0 - v) * np.sum(b * b, axis=0)) / 4.0
     starved = probs.sum(axis=0) <= PROB_FLOOR

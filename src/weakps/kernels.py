@@ -3,15 +3,16 @@ probabilities, postselected Fisher information in terms of any model's
 postselected value and slope, Pusey's functional), evaluated vectorized over
 an angle or probability array; the ideal model's postselected Fisher
 information ``16 k^2 / (2 p_ps)^2`` is written in
-:meth:`weakps.estimation.ModelParams.information`.  The ``trig_*`` kernels
+:meth:`weakps.estimation.ModelParams.evaluate`.  The ``trig_*`` kernels
 and :func:`invert_trig` hold the form every model's postselected pair
 shares, ``p0 -+ p1`` linear in ``(1, cos 4t, sin 4t)``: its value (the
 postselection probability is ``trig_form(d)``), slope and turning points,
-and the closed-form inverse on a monotone branch.
+and the closed-form inverse on a monotone branch.  The form, the curve and
+the slope take the angles' basis ``(cos 4t, sin 4t)`` from :func:`trig_basis`,
+so that one basis serves every column of the same angles.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
-call them are the evaluators of :class:`weakps.estimation.ModelParams`
-(``sigma_array``, ``sigma_slope`` and ``information``) and the CLI's
+call them are :meth:`weakps.estimation.ModelParams.checked` and the CLI's
 argument checks; they enforce ``0 <= kappa <= 1`` and the sign label, and
 map non-finite outputs to typed errors or NaN.  :mod:`weakps.estimation` and
 :mod:`weakps.cli` call the kernels on whole batches and grids.
@@ -29,6 +30,7 @@ __all__ = [
     "channel_probabilities",
     "fisher_from_weak_value",
     "pusey_functional",
+    "trig_basis",
     "trig_form",
     "trig_curve",
     "trig_slope",
@@ -76,15 +78,22 @@ def pusey_functional(p_x: np.ndarray, p_phi: np.ndarray, kappa: float) -> np.nda
     return np.where(p_phi <= PROB_FLOOR, np.nan, value)
 
 
-def trig_form(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``coeffs.B`` with ``B = (1, cos 4t, sin 4t)``: either model's postselected
-    pair has ``p0 - p1 = n.B`` and ``p0 + p1 = d.B``, and the ``trig_*``
-    kernels take ``(n, d)`` (:attr:`weakps.estimation.ModelParams.coefficients`)."""
+def trig_basis(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(cos 4t, sin 4t)`` over the angle array: the basis ``B = (1, cos 4t,
+    sin 4t)`` of :func:`trig_form` without its constant."""
     x = 4.0 * np.asarray(theta, dtype=np.float64)
-    return coeffs[0] + coeffs[1] * np.cos(x) + coeffs[2] * np.sin(x)
+    return np.cos(x), np.sin(x)
 
 
-def trig_curve(n: np.ndarray, d: np.ndarray, kappa: float, theta: np.ndarray) -> np.ndarray:
+def trig_form(coeffs: np.ndarray, basis: tuple) -> np.ndarray:
+    """``coeffs.B`` with ``B = (1, cos 4t, sin 4t)``, from the angles'
+    :func:`trig_basis`: either model's postselected pair has ``p0 - p1 = n.B``
+    and ``p0 + p1 = d.B``, and the ``trig_*`` kernels take ``(n, d)``
+    (:attr:`weakps.estimation.ModelParams.coefficients`)."""
+    return coeffs[0] + coeffs[1] * basis[0] + coeffs[2] * basis[1]
+
+
+def trig_curve(n: np.ndarray, d: np.ndarray, kappa: float, basis: tuple) -> np.ndarray:
     """Rescaled postselected value ``n.B / (kappa d.B)``, as ``m.B / e.B`` with
     ``m, e = n / (kappa d0), d / d0``: for the ideal pair ``(0, 1, 0)`` and
     ``(1, 0, sign r)`` exactly, so that it rounds as the ideal closed form
@@ -92,7 +101,7 @@ def trig_curve(n: np.ndarray, d: np.ndarray, kappa: float, theta: np.ndarray) ->
     form's slope): the values are equal, though a zero may differ in sign."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m, e = n / (kappa * d[0]), d / d[0]
-        return trig_form(m, theta) / trig_form(e, theta)
+        return trig_form(m, basis) / trig_form(e, basis)
 
 
 def _slope_numerator(n: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -101,13 +110,13 @@ def _slope_numerator(n: np.ndarray, d: np.ndarray) -> np.ndarray:
                      n[0] * d[1] - n[1] * d[0]])
 
 
-def trig_slope(n: np.ndarray, d: np.ndarray, kappa: float, theta: np.ndarray) -> np.ndarray:
+def trig_slope(n: np.ndarray, d: np.ndarray, kappa: float, basis: tuple) -> np.ndarray:
     """d(sigma)/d(theta) of :func:`trig_curve`: ``4 g.B / (kappa (d.B)^2)``,
     with ``(n, d)`` scaled as there."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m, e = n / (kappa * d[0]), d / d[0]
-        den = trig_form(e, theta)
-        return 4.0 * trig_form(_slope_numerator(m, e), theta) / (den * den)
+        den = trig_form(e, basis)
+        return 4.0 * trig_form(_slope_numerator(m, e), basis) / (den * den)
 
 
 def _trig_roots(a, b, g) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +151,8 @@ def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
     bracket's direction picks the root and its middle the period.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    c_lo, c_hi = trig_curve(n, d, kappa, lo), trig_curve(n, d, kappa, hi)
+    b_lo, b_hi = trig_basis(lo), trig_basis(hi)
+    c_lo, c_hi = trig_curve(n, d, kappa, b_lo), trig_curve(n, d, kappa, b_hi)
     ks = kappa * targets
     phi, alpha = _trig_roots(n[1] - ks * d[1], n[2] - ks * d[2], ks * d[0] - n[0])
     x = phi + np.where(c_hi > c_lo, -1.0, 1.0) * alpha  # -alpha on a rising bracket, exactly
@@ -150,8 +160,8 @@ def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,
     f_lo, f_hi = c_lo - targets, c_hi - targets
     # kappa f d.B is (n - kappa target d).B, a trig form within rounding of zero at a hit
     slack = _ROUNDING * (np.abs(n).sum() + np.abs(ks) * np.abs(d).sum())
-    out = np.where(np.abs(kappa * f_hi) * trig_form(d, hi) <= slack, hi,
-                   np.where(np.abs(kappa * f_lo) * trig_form(d, lo) <= slack, lo, np.nan))
+    out = np.where(np.abs(kappa * f_hi) * trig_form(d, b_hi) <= slack, hi,
+                   np.where(np.abs(kappa * f_lo) * trig_form(d, b_lo) <= slack, lo, np.nan))
     bracketed = f_lo * f_hi < 0.0  # strictly inside: the closed form's root, not an end
     out[bracketed] = np.clip(x / 4.0, lo, hi)[bracketed]
     return out

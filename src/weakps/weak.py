@@ -3,8 +3,9 @@
 The measured observable is ``Z = |0><0| - |1><1|`` with spectrum [-1, 1];
 rescaled postselected values outside that interval are called *anomalous*.
 Either model's curve, its slope, the postselection probability and the
-postselected Fisher information are evaluated, validated, by
-:class:`weakps.estimation.ModelParams`.
+postselected Fisher information are evaluated from one trig basis by
+:meth:`weakps.estimation.ModelParams.evaluate`, and validated by
+:meth:`~weakps.estimation.ModelParams.checked`.
 """
 
 __all__ = [

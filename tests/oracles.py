@@ -13,7 +13,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from weakps import cli, kernels
+from weakps import kernels
+from weakps.estimation import ModelParams
 from weakps.errors import DegenerateConditional, GateStarved, ZeroPostselection
 from weakps.imperfections import renormalized_probabilities
 from weakps.states import PROB_FLOOR, sign_factor
@@ -86,7 +87,7 @@ def pusey_sweep(thetas, kappa: float, postselect_sign: str):
     """``(I0, I1, p_phi)`` over an angle array, as ``sweep-pusey`` computes
     them from the model: not a reference route, but the values the scan tests
     reduce and the Kraus route is compared against."""
-    p0, p1, p_phi = cli._pusey_model(np.asarray(thetas, dtype=np.float64), kappa, postselect_sign)
+    p0, p1, p_phi = ModelParams(kappa, postselect_sign).joint_pair(thetas)
     i0, i1 = kernels.pusey_functional(np.stack([p0, p1]), p_phi, kappa)
     return i0, i1, p_phi
 
@@ -247,7 +248,7 @@ def ideal_postselect_probability(theta, kappa: float, sign: float) -> np.ndarray
 
 def ideal_sigma(theta, kappa: float, sign: float) -> np.ndarray:
     """The ideal postselected value ``cos 4t / (1 + sign r sin 4t)``: the
-    reference for :meth:`weakps.ModelParams.sigma_array` on the ideal model."""
+    reference for the ``sigma`` of :meth:`weakps.ModelParams.evaluate` on the ideal model."""
     theta = np.asarray(theta, dtype=np.float64)
     den = 2.0 * ideal_postselect_probability(theta, kappa, sign)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,7 +257,7 @@ def ideal_sigma(theta, kappa: float, sign: float) -> np.ndarray:
 
 def ideal_slope(theta, kappa: float, sign: float) -> np.ndarray:
     """d(sigma)/d(theta) of :func:`ideal_sigma`, ``-4 (sin 4t + sign r) / den^2``:
-    the reference for :meth:`weakps.ModelParams.sigma_slope`."""
+    the reference for the ``slope`` of :meth:`weakps.ModelParams.evaluate`."""
     theta = np.asarray(theta, dtype=np.float64)
     den = 2.0 * ideal_postselect_probability(theta, kappa, sign)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,7 +267,7 @@ def ideal_slope(theta, kappa: float, sign: float) -> np.ndarray:
 def fisher_ps_definition(theta: float, kappa: float, postselect_sign: str) -> float:
     """Fisher information of the ideal postselected conditional distribution,
     ``(d pc0)^2/pc0 + (d pc1)^2/pc1``, with analytic derivatives: the
-    reference for :meth:`weakps.ModelParams.information`.
+    reference for the ``f_ps`` of :meth:`weakps.ModelParams.evaluate`.
 
     Units: per squared radian.  Zero at ``kappa = 0``, where the conditional
     distribution does not depend on the angle (ZeroPostselection where the

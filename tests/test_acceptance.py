@@ -62,18 +62,18 @@ def test_criterion_02_weak_value_laws():
     details = []
     for kappa in KAPPAS:
         model = w.ModelParams(kappa, "minus")
-        ok &= model.sigma_array(0.0) == 1.0
-        ok &= abs(model.sigma_array(22.5 * D2R)) < 1e-12
+        ok &= model.checked(0.0)["sigma"] == 1.0
+        ok &= abs(model.checked(22.5 * D2R)["sigma"]) < 1e-12
         r = math.sqrt(1 - kappa**2)
         theta_star = math.asin(r) / 4.0
-        peak = float(model.sigma_array(theta_star))
+        peak = float(model.checked(theta_star)["sigma"])
         ok &= abs(peak - 1.0 / kappa) < 1e-9
         grid = np.arange(0.0, 90.0, 0.02) * D2R
-        values = model.sigma_array(grid)
+        values = model.checked(grid)["sigma"]
         ok &= float(np.max(np.abs(values))) <= 1.0 / kappa + 1e-9
         ok &= bool(np.any(np.abs(values) > 1.0))  # anomalies exist below kappa=1
         details.append(f"k={kappa}: max={peak:.6f}")
-    projective = w.ModelParams(1.0, "minus").sigma_array(np.arange(0.0, 90.0, 0.02) * D2R)
+    projective = w.ModelParams(1.0, "minus").checked(np.arange(0.0, 90.0, 0.02) * D2R)["sigma"]
     ok &= bool(np.all(np.abs(projective) <= 1.0 + 1e-15))
     _report(2, "weak-value-laws", ok, "; ".join(details))
 
@@ -87,12 +87,12 @@ def test_criterion_03_fisher_consistency():
         model = w.ModelParams(kappa, "minus")
         for theta_deg in np.arange(0.5, 90.0, 0.5):
             theta = float(theta_deg) * D2R
-            sigma = float(model.sigma_array(theta))
+            sigma = float(model.checked(theta)["sigma"])
             if 1.0 - abs(kappa * sigma) < 1e-6:
                 continue
             f_def = fisher_ps_definition(theta, kappa, "minus")
             f_closed = float(kernels.fisher_from_weak_value(
-                sigma, model.sigma_slope(theta), kappa
+                sigma, model.checked(theta)["slope"], kappa
             ))
             worst_pair = max(worst_pair, abs(f_def / f_closed - 1.0))
 
@@ -221,7 +221,7 @@ def test_criterion_06_noncontextuality_functional():
     value_ok &= max_value <= peak + 1e-12 and abs(max_value - peak) < 1e-5
 
     i0_weak, _, _ = pusey_sweep(scan_grid, 0.01, "minus")
-    sigma_weak = w.ModelParams(0.01, "minus").sigma_array(scan_grid)
+    sigma_weak = w.ModelParams(0.01, "minus").checked(scan_grid)["sigma"]
     positive = np.isfinite(i0_weak) & (i0_weak > 0)
     weak_ok = scan_maximum(0.01) > 0.0 and bool(np.any(positive))
     weak_ok &= bool(np.all(np.abs(sigma_weak[positive]) > 1.0))

@@ -28,7 +28,7 @@ SUBMODULE_ALL = {
                       "coincidence_probabilities", "postselected_coefficients",
                       "renormalized_probabilities"],
     "kernels": ["channel_probabilities", "fisher_from_weak_value", "invert_trig",
-                "pusey_functional", "trig_curve", "trig_form", "trig_slope",
+                "pusey_functional", "trig_basis", "trig_curve", "trig_form", "trig_slope",
                 "trig_turning_points"],
     "states": ["PROB_FLOOR", "Strength", "as_strength", "sign_factor"],
     "weak": ["QUANTUM_FISHER_INFORMATION", "SATURATION_TOL"],

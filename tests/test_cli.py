@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import ideal_sigma
 import weakps
-from weakps import cli, draw_counts
+from weakps import cli, draw_counts, kernels
 from weakps.cli import main
 
 D2R = math.pi / 180.0
@@ -586,7 +586,7 @@ def test_estimate_reads_only_the_model_on_its_branch(tmp_path):
     # postselection at 22.5 deg, outside the branch; the record holds the
     # model's channel probabilities at 30 deg times 1e16, and inverts there
     model = weakps.ModelParams(0.335, "minus", weakps.ImperfectionParams(1.0, 1.0, 0.99999997))
-    assert model.starved(np.radians([22.5])).all()
+    assert model.evaluate(np.radians([22.5]))["starved"].all()
     probs = weakps.estimation.channel_probabilities(np.radians([30.0]), model.kappa,
                                                     model.imperfections)[:, 0]
     record = {"theta_deg": 30.0, **dict(zip(weakps.counting.COUNT_COLUMNS,
@@ -665,10 +665,27 @@ def test_sweep_weak_value_writes_nan_where_nothing_is_postselected(tmp_path, cap
                  "--output", str(out)]) == 0
     _, _, rows = _read_csv(out)
     assert [row[1:] for row in rows] == [["nan", "nan", "0", "0"]] * 4
-    # kappa = 0 has no rescaled value anywhere
-    assert main(["sweep-weak-value", "--kappa", "0", "--theta-step", "22.5",
-                 "--output", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ZeroStrength:")
+    # kappa = 0 has no rescaled value anywhere, also where the gate starves every angle
+    for gate in ([], ["--t-h", "0"]):
+        assert main(["sweep-weak-value", "--kappa", "0", *gate, "--theta-step", "22.5",
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ZeroStrength:")
+
+
+@pytest.mark.parametrize("sweep", [["sweep-weak-value"], ["sweep-pusey"],
+                                   ["sweep-pusey", "--simulate", "--p-phi", "counts"],
+                                   ["sweep-fisher"]],
+                         ids=["sweep-weak-value", "sweep-pusey", "sweep-pusey-simulated",
+                              "sweep-fisher"])
+def test_a_sweep_takes_one_trig_basis_per_postselection(tmp_path, monkeypatch, sweep):
+    calls = []
+    real = kernels.trig_basis
+    monkeypatch.setattr(kernels, "trig_basis", lambda thetas: calls.append(1) or real(thetas))
+    for postselect, bases in (("minus", 1), ("both", 2)):
+        calls.clear()
+        assert main([*sweep, "--kappa", "0.335", "--postselect", postselect,
+                     "--output", str(tmp_path / "sweep.csv")]) == 0
+        assert len(calls) == bases
 
 
 def test_imperfect_runs_never_use_the_density_matrix_route(tmp_path, monkeypatch):

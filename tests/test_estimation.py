@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -36,14 +37,14 @@ MINUS_MODEL = ModelParams(kappa=KAPPA, postselect_sign="minus")
 
 
 def test_monotone_runs_of_a_rising_curve():
-    values = MINUS_MODEL.sigma_array(0.1 * D2R * np.arange(101))
+    values = MINUS_MODEL.checked(0.1 * D2R * np.arange(101))["sigma"]
     assert np.all(np.diff(values) > 0.0)
     assert _monotone_runs(values) == [(0, 100)]
 
 
 def test_monotone_runs_of_the_projective_curve():
     grid = 0.25 * D2R * np.arange(361)
-    runs = _monotone_runs(ModelParams(kappa=1.0, postselect_sign="minus").sigma_array(grid))
+    runs = _monotone_runs(ModelParams(kappa=1.0, postselect_sign="minus").checked(grid)["sigma"])
     assert len(runs) == 2  # falling then rising, split at 45 deg
     assert grid[runs[0][1]] == pytest.approx(45 * D2R, abs=0.3 * D2R)
 
@@ -82,7 +83,7 @@ def test_imperfect_curve_matches_pipeline():
     params = ImperfectionParams(0.78, 0.98, 0.34)
     model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=params)
     grid = 1.0 * D2R * np.arange(46)
-    for theta, sigma in zip(grid, model.sigma_array(grid)):
+    for theta, sigma in zip(grid, model.checked(grid)["sigma"]):
         oracle = postselected_value(imperfect_joint_probs(float(theta), model.mu, params), KAPPA,
                                     "minus")
         assert sigma == pytest.approx(oracle, abs=1e-12)
@@ -153,7 +154,8 @@ def test_invert_branch_probes_every_bracket_the_model_has_not_checked():
     with pytest.raises(AmbiguousBranch, match="not monotone"):
         invert_branch(MINUS_MODEL, [0.5], (branch[0], bracket[1]))
     thetas = np.linspace(*branch, 7)
-    np.testing.assert_allclose(invert_branch(MINUS_MODEL, MINUS_MODEL.sigma_array(thetas), branch),
+    sigmas = MINUS_MODEL.checked(thetas)["sigma"]
+    np.testing.assert_allclose(invert_branch(MINUS_MODEL, sigmas, branch),
                                thetas, rtol=0, atol=1e-10)
 
 
@@ -167,7 +169,7 @@ def test_branch_containing_pulls_in_a_range_end_only_where_the_curve_turns_there
     lo, hi = model.branch_containing(10 * D2R)
     assert (lo, hi) == (math.radians(0.05), pytest.approx(34.9 * D2R, abs=1e-12))
     thetas = np.linspace(lo, hi, 9)
-    np.testing.assert_allclose(invert_branch(model, model.sigma_array(thetas), (lo, hi)),
+    np.testing.assert_allclose(invert_branch(model, model.checked(thetas)["sigma"], (lo, hi)),
                                thetas, atol=1e-12, rtol=0)
     # the ideal curve turns at the range's ends themselves, not inside their cells
     assert ModelParams(1.0, "minus").branch_containing(10 * D2R) == (
@@ -193,12 +195,12 @@ def test_one_check_for_both_models():
     # ZeroStrength: the ideal kappa = 0 postselection starves at 22.5 deg minus
     ideal = ModelParams(kappa=0.0, postselect_sign="minus")
     with pytest.raises(ZeroPostselection, match="theta = 22.5 deg"):
-        ideal.sigma_array(np.array([10 * D2R, 22.5 * D2R]))
+        ideal.checked(np.array([10 * D2R, 22.5 * D2R]))
     with pytest.raises(ZeroStrength):
-        ideal.sigma_slope(np.array([10 * D2R]))
+        ideal.checked(np.array([10 * D2R]))
     # kappa = 0 carries no information, also where the postselection starves
-    f_ps, p_ps = ideal.information(np.array([10 * D2R, 22.5 * D2R]))
-    assert f_ps.tolist() == [0.0, 0.0] and p_ps[1] == 0.0
+    columns = ideal.evaluate(np.array([10 * D2R, 22.5 * D2R]))
+    assert columns["f_ps"].tolist() == [0.0, 0.0] and columns["p_ps"][1] == 0.0
 
 
 def test_ideal_information_keeps_its_closed_form_near_the_anomaly_peak():
@@ -207,7 +209,7 @@ def test_ideal_information_keeps_its_closed_form_near_the_anomaly_peak():
     kappa = 1e-3
     peak = math.asin(math.sqrt(1 - kappa**2)) / 4.0
     thetas = peak + np.array([-1e-4, -5e-5, -2e-5, 2e-5, 5e-5, 1e-4])
-    f_ps, p_ps = ModelParams(kappa=kappa, postselect_sign="minus").information(thetas)
+    f_ps = ModelParams(kappa=kappa, postselect_sign="minus").evaluate(thetas)["f_ps"]
     closed = 16 * kappa**2 / (2 * ideal_postselect_probability(thetas, kappa, -1.0)) ** 2
     np.testing.assert_allclose(f_ps, closed, rtol=1e-12, atol=0)
 
@@ -228,7 +230,7 @@ def test_propagate_variance_examples():
 
 def test_propagated_variance_slope_consistency():
     theta = 20 * D2R
-    slope = float(MINUS_MODEL.sigma_slope(theta))
+    slope = float(MINUS_MODEL.checked(theta)["slope"])
     got = _assess_one(MINUS_MODEL, theta, 0.02).variance_theta_deg2[0]
     assert got == pytest.approx(0.02 / slope**2 * RAD2_TO_DEG2, rel=1e-12)
 
@@ -276,14 +278,44 @@ def test_assess_estimates_keeps_position_and_precedence():
     assert _assess_one(MINUS_MODEL, peak + 1e-6).status.tolist() == [DEGENERATE]
 
 
+@pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
+                         ids=["ideal", "table1-gate"])
+def test_assess_estimates_takes_one_trig_basis(monkeypatch, imperfections):
+    # every column of the budget comes from one basis of the estimates found
+    sizes = []
+    real = kernels.trig_basis
+
+    def counted(thetas):
+        sizes.append(np.size(thetas))
+        return real(thetas)
+    monkeypatch.setattr(kernels, "trig_basis", counted)
+    model = ModelParams(KAPPA, "minus", imperfections)
+    assess_estimates(model, np.radians([20.0, 22.5, math.nan, 25.0]), [0.01] * 4, [1000] * 4)
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
+                         ids=["ideal", "table1-gate"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_joint_pair_is_the_evaluated_model(imperfections, sign):
+    # p0, p1 = (p_ps +- n.B) / 2 sum to the evaluated p_ps within the rounding
+    # of the halves, and the overlap is the ideal kappa = 0 p_ps, bit for bit
+    thetas = np.radians(0.05 * np.arange(1801))
+    model = ModelParams(KAPPA, sign, imperfections)
+    p0, p1, p_phi = model.joint_pair(thetas)
+    p_ps = model.evaluate(thetas)["p_ps"]
+    assert np.all(np.abs(p0 + p1 - p_ps) <= 2.0 * np.finfo(np.float64).eps * p_ps)
+    np.testing.assert_array_equal(p_phi, ModelParams(0.0, sign).evaluate(thetas)["p_ps"])
+
+
 def test_assess_estimates_checks_the_budgets_of_ok_estimates(monkeypatch):
     with pytest.raises(ValueError, match="variance must be nonnegative"):
         _assess_one(MINUS_MODEL, 20 * D2R, var_sigma=-0.01)
     # a stopped estimate's budget is not checked
     assert _assess_one(MINUS_MODEL, math.nan, var_sigma=-0.01).status.tolist() == [OUT_OF_RANGE]
-    real = ModelParams.information
-    monkeypatch.setattr(ModelParams, "information",
-                        lambda *args: (-real(*args)[0], real(*args)[1]))
+    real = ModelParams.evaluate
+    monkeypatch.setattr(ModelParams, "evaluate",
+                        lambda *args: {**real(*args), "f_ps": -real(*args)["f_ps"]})
     with pytest.raises(ValueError, match="Cramér-Rao variance must be positive"):
         _assess_one(MINUS_MODEL, 20 * D2R)
 
@@ -454,13 +486,17 @@ def test_branches_flagged_monotone_hold_no_turning_point(kappa, imperfections, s
 
 
 class _SlopeFailsNear25(ModelParams):
-    """The ideal model, except that its curve slope cannot be evaluated
-    within a degree of 25 deg."""
+    """The ideal model, except that its columns cannot be evaluated within a
+    degree of 25 deg once its branches are tabulated (as the ideal model's)."""
 
-    def sigma_slope(self, thetas):
+    @cached_property
+    def _branches(self):
+        return ModelParams(self.kappa, self.postselect_sign)._branches
+
+    def checked(self, thetas):
         if np.any(np.abs(np.degrees(thetas) - 25.0) < 1.0):
             raise ZeroPostselection("no slope near 25 deg")
-        return super().sigma_slope(thetas)
+        return super().checked(thetas)
 
 
 def test_a_model_error_in_the_batch_fails_only_its_working_point():
@@ -475,16 +511,17 @@ def test_a_model_error_in_the_batch_fails_only_its_working_point():
 
 
 def test_model_evaluations_do_not_grow_with_repetitions(monkeypatch):
-    # the pipeline evaluates the model curve once to tabulate it and its
-    # slope once per assessed batch (the information takes that slope),
+    # the pipeline evaluates the model once to tabulate its curve and once
+    # per assessed batch (every column of the budget from that one call),
     # never per repetition or per iteration of a root search.  A model
     # tabulates its curve once, so each run takes a model of its own
     calls = Counter()
-    for name in ("sigma_array", "sigma_slope"):
-        def counted(self, thetas, _method=getattr(ModelParams, name), _name=name):
-            calls[_name] += 1
-            return _method(self, thetas)
-        monkeypatch.setattr(ModelParams, name, counted)
+    real = ModelParams.evaluate
+
+    def counted(self, thetas):
+        calls["evaluate"] += 1
+        return real(self, thetas)
+    monkeypatch.setattr(ModelParams, "evaluate", counted)
     gate = ImperfectionParams(0.78, 0.98, 0.34)
     for sign, imperfections in (("minus", None), ("plus", gate)):
         seen = []
@@ -532,7 +569,7 @@ def test_imperfect_round_trip_through_batched_inversion():
     model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=params)
     lo, hi = model.branch_containing(22.5 * D2R)
     thetas = np.linspace(lo + 1e-3, hi - 1e-3, 9)
-    solved = invert_branch(model, model.sigma_array(thetas), (lo, hi))
+    solved = invert_branch(model, model.checked(thetas)["sigma"], (lo, hi))
     np.testing.assert_allclose(solved, thetas, atol=1e-12, rtol=0)
 
 
@@ -552,7 +589,7 @@ def test_batched_inversion_round_trip_property(kappa, sign, gate, start, fractio
     except AmbiguousBranch:
         assume(False)
     thetas = lo + (hi - lo) * np.array(fractions)
-    solved = invert_branch(model, model.sigma_array(thetas), (lo, hi))
+    solved = invert_branch(model, model.checked(thetas)["sigma"], (lo, hi))
     np.testing.assert_allclose(solved, thetas, atol=1e-12, rtol=0)
 
 

@@ -30,11 +30,11 @@ def test_curve_kernels_match_probability_pipeline():
         for sign_label, _ in SIGNS:
             pair = records[:2] if sign_label == "minus" else records[2:]
             np.testing.assert_allclose(
-                ModelParams(kappa, sign_label).information(THETA)[1], pair.sum(axis=0),
+                ModelParams(kappa, sign_label).evaluate(THETA)["p_ps"], pair.sum(axis=0),
                 rtol=0, atol=1e-15,
             )
             np.testing.assert_allclose(
-                ModelParams(kappa, sign_label).sigma_array(THETA),
+                ModelParams(kappa, sign_label).checked(THETA)["sigma"],
                 postselected_value(records, kappa, sign_label),
                 rtol=0, atol=2e-14 / kappa,
             )
@@ -48,8 +48,8 @@ def test_information_budget_property(kappa, offset, sign):
     theta = math.pi / 4 + sign * math.pi / 8 + offset
     sigma = float(ideal_sigma(theta, kappa, sign))
     assume(1.0 - abs(kappa * sigma) > 1e-9)  # away from saturation
-    f_ps, p_ps = ModelParams(kappa, "minus" if sign < 0 else "plus").information(theta)
-    assert f_ps * p_ps <= 16.0 + 1e-9
+    columns = ModelParams(kappa, "minus" if sign < 0 else "plus").evaluate(theta)
+    assert columns["f_ps"] * columns["p_ps"] <= 16.0 + 1e-9
 
 
 @PROPERTY
@@ -81,7 +81,7 @@ def test_fisher_kernel_equals_conditional_form():
     kappa = 0.335
     r = math.sqrt(1 - kappa**2)
     thetas = np.deg2rad(np.linspace(1.0, 89.0, 177))
-    f = ModelParams(kappa, "minus").information(thetas)[0]
+    f = ModelParams(kappa, "minus").evaluate(thetas)["f_ps"]
     sigma = ideal_sigma(thetas, kappa, -1.0)
     dsigma = ideal_slope(thetas, kappa, -1.0)
     keep = 1.0 - np.abs(kappa * sigma) > 1e-6
@@ -151,7 +151,7 @@ def test_a_bracket_per_row_is_one_call_per_bracket(kappa, sign, gate, points, ki
     # scalar bracket, the way table1 inverts a block of working points
     model = ModelParams(kappa, sign, gate)
     n, d = model.coefficients
-    curve = lambda t: kernels.trig_curve(n, d, kappa, np.array([t]))[0]
+    curve = lambda t: kernels.trig_curve(n, d, kappa, kernels.trig_basis(np.array([t])))[0]
     lo, hi, targets = [], [], []
     for u, v, theta in points:
         try:
@@ -188,11 +188,11 @@ def test_model_equals_the_ideal_closed_forms_exactly():
         for sign_label, sign in SIGNS:
             model = ModelParams(kappa, sign_label)
             # exact equality; a zero may differ in sign
-            np.testing.assert_array_equal(model.sigma_array(thetas),
+            np.testing.assert_array_equal(model.checked(thetas)["sigma"],
                                           ideal_sigma(thetas, kappa, sign))
-            np.testing.assert_array_equal(model.sigma_slope(thetas),
+            np.testing.assert_array_equal(model.checked(thetas)["slope"],
                                           ideal_slope(thetas, kappa, sign))
-            np.testing.assert_array_equal(model.information(thetas)[1],
+            np.testing.assert_array_equal(model.evaluate(thetas)["p_ps"],
                                           ideal_postselect_probability(thetas, kappa, sign))
 
 
@@ -214,7 +214,7 @@ def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
     except AmbiguousBranch:
         assume(False)
     assume(kernels.trig_turning_points(n, d, start, stop).size == 0)
-    curve = lambda t: kernels.trig_curve(n, d, kappa, t)
+    curve = lambda t: kernels.trig_curve(n, d, kappa, kernels.trig_basis(t))
     for u, v, w, kind in cases:
         a, b = start + (stop - start) * min(u, v), start + (stop - start) * max(u, v)
         at = {"inside": a + w * (b - a), "lo": a, "hi": b, "nan": math.nan}[kind]
@@ -245,8 +245,8 @@ def test_anomaly_peak_property(kappa, theta, sign):
     rising = math.asin(-sign * r) / 4.0
     peaks = np.array([rising, math.pi / 4.0 - rising])
     model = ModelParams(kappa, "minus" if sign < 0 else "plus")
-    assert model.sigma_array(peaks) == pytest.approx([1.0 / kappa, -1.0 / kappa], rel=1e-9)
+    assert model.checked(peaks)["sigma"] == pytest.approx([1.0 / kappa, -1.0 / kappa], rel=1e-9)
     # both are turning points, and nothing on the curve exceeds them
-    slope = model.sigma_slope(peaks)
+    slope = model.checked(peaks)["slope"]
     assert np.all(np.abs(slope) * kappa**4 <= 1e-12)
-    assert abs(model.sigma_array(theta)) <= (1.0 + 1e-12) / kappa
+    assert abs(model.checked(theta)["sigma"]) <= (1.0 + 1e-12) / kappa

@@ -184,5 +184,5 @@ def test_record_channel_selection():
     probs = kernels.channel_probabilities(np.array([20 * D2R]), 0.335).T
     assert postselected_counts(probs, "minus").tolist() == probs[:, :2].tolist()
     assert postselected_counts(probs, "plus").tolist() == probs[:, 2:].tolist()
-    p_ps = ModelParams(0.335, "minus").information(np.array([20 * D2R]))[1]
+    p_ps = ModelParams(0.335, "minus").evaluate(np.array([20 * D2R]))["p_ps"]
     assert p_ps[0] == pytest.approx(probs[0, 0] + probs[0, 1], abs=1e-15)

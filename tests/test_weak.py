@@ -17,7 +17,7 @@ KAPPAS = (0.1, 0.335, 0.7, 0.95)
 
 def _sigma(thetas, kappa, sign):
     """The postselected value of the ideal model, as the library evaluates it."""
-    return ModelParams(kappa, sign).sigma_array(thetas)
+    return ModelParams(kappa, sign).checked(thetas)["sigma"]
 
 
 def _pipeline_pcs(theta, kappa, sign):
@@ -118,7 +118,7 @@ def test_slope_matches_finite_difference():
         theta = float(rng.uniform(0.0, math.pi / 2))
         sign = "minus" if rng.random() < 0.5 else "plus"
         fd = (_sigma(theta + h, kappa, sign) - _sigma(theta - h, kappa, sign)) / (2 * h)
-        analytic = ModelParams(kappa, sign).sigma_slope(theta)
+        analytic = ModelParams(kappa, sign).checked(theta)["slope"]
         assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
@@ -166,7 +166,7 @@ def test_definition_equals_closed_form():
         sigma = float(_sigma(theta, kappa, sign))
         if 1.0 - abs(kappa * sigma) < 1e-6:
             continue  # too close to the pole for a meaningful comparison
-        dsigma = float(ModelParams(kappa, sign).sigma_slope(theta))
+        dsigma = float(ModelParams(kappa, sign).checked(theta)["slope"])
         a = fisher_ps_definition(theta, kappa, sign)
         b = float(fisher_from_weak_value(sigma, dsigma, kappa))
         assert a == pytest.approx(b, rel=1e-9)
@@ -181,7 +181,7 @@ def test_closed_form_arithmetic():
 def test_pole_handling():
     kappa = 0.335
     theta_star = math.asin(math.sqrt(1 - kappa**2)) / 4.0
-    assert np.isnan(ModelParams(kappa, "minus").information(np.array([theta_star]))[0][0])
+    assert np.isnan(ModelParams(kappa, "minus").evaluate(np.array([theta_star]))["f_ps"][0])
     with pytest.raises(DegenerateConditional):
         fisher_ps_definition(theta_star, kappa, "minus")
 
