@@ -13,11 +13,12 @@ nothing for a zero mean, the multiplication method below 10, Hörmann's PTRS
 from 10, each uniform being ``next_double``, the top 53 bits of a PCG64
 step's XSL-RR output.  numpy's C code may round ``exp``, ``log`` or a fused
 multiply-add otherwise than numpy's array operations, so a draw whose
-decision lies within ``_GUARD`` of its threshold is made again by numpy's
-own ``Generator.poisson`` from the state it started at; once few rows of a
-block are left, that sampler also draws what they have left.  The tests
-check the draws against one ``default_rng`` per row, so a change in the
-installed numpy's sampler shows there.
+decision lies within ``_GUARD`` of its threshold is made again, from the
+state it started at, by a scalar copy of the sampler, whose ``math`` is the
+C library's, as numpy's; it also draws a block's last few rows, and leaves
+a decision within a few ulps to numpy's own ``Generator.poisson``.  The
+tests check the draws against one ``default_rng`` per row, so a change in
+the installed numpy's sampler shows there.
 
 :func:`weak_values_from_counts` estimates the rescaled postselected value of
 every row.  Its error propagation is first order (delta method) with two
@@ -32,7 +33,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily; load it with weakps, not on the first draw
 
 from .errors import EmptyChannel, ZeroStrength
 from .states import Strength, as_strength, sign_factor
@@ -119,22 +119,24 @@ class AcquisitionConfig:
 # constant by MULT_A from INIT_A, each output hash by MULT_B from INIT_B.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
-# PCG64's multiplier, as its high and low words
+# PCG64's multiplier, as its high and low words and whole
 _MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MULT, _MASK53, _MASK128 = _MULT_HI << 64 | _MULT_LO, (1 << 53) - 1, (1 << 128) - 1
 
 # Rows drawn in one array pass; bounds the memory a large batch takes.
 _SEED_BLOCK = 1 << 16
 
-# Live rows at most which a block leaves its array passes for numpy's own
-# sampler, row by row (~5 us a row, against ~0.2 ms a pass).  Of 64, 128 and
-# 192, 128 drew the CLI's large batches (1,800 to 4,000 rows) fastest.
-_FEW_ROWS = 128
+# Live rows at most which a block leaves its array passes for the scalar
+# copy (~12 us a row, against ~0.17 ms a pass).  Of 64, 128, 192 and 256, 64
+# drew the CLI's 1,800- and 4,000-row batches fastest.
+_FEW_ROWS = 64
 
 # A try whose decision (the floor, V <= v_r, the log test or prod > e^-lam)
-# lies within this relative distance of its threshold is left to numpy's own
-# sampler: numpy's C code may round exp, log or a fused multiply-add
-# otherwise than these array operations.
-_GUARD = 1e-9
+# lies within this relative distance of its threshold is made by the scalar
+# copy: numpy's C code may round exp, log or a fused multiply-add otherwise
+# than these array operations.  The copy leaves one within _NEAR (a few
+# ulps) to numpy's own sampler, for a numpy built to fuse a multiply-add.
+_GUARD, _NEAR = 1e-9, 1e-15
 
 # numpy's random_loggam: its Stirling series coefficients, and log(2 pi)
 _LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
@@ -169,29 +171,39 @@ def _generate_state(pool: np.ndarray, n: int) -> np.ndarray:
     return half[0::2] | half[1::2] << 32
 
 
-def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The states of ``np.random.PCG64(seed)`` for every seed of a uint64
-    array, as uint64 word arrays ``(state_hi, state_lo, inc_hi, inc_lo)``.
-
-    This runs numpy's seeding on arrays: ``SeedSequence.mix_entropy`` hashes
-    the seed's two 32-bit words (and two zero words) into a pool of four; a
-    seed below 2**32 has one word, and numpy hashes a zero for each missing
-    one, so it needs no path of its own.  ``generate_state(4, np.uint64)``
-    then hashes the pool into four 64-bit words ``w0..w3``, and PCG64's
-    set-seq seeding turns ``initstate = w0 << 64 | w1`` and
-    ``initseq = w2 << 64 | w3`` into ``inc = initseq << 1 | 1`` and
-    ``state = (inc + initstate) * MULT + inc`` modulo 2**128.
-    """
-    mix = _running(_INIT_A, _MULT_A, 17)[:, None]
-    pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0], pool[1] = seeds & _MASK32, seeds >> 32
+def _mix_entropy(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence.mix_entropy``: the pool of four uint32 words that each
+    column of ``words`` (an entropy's 32-bit words, low first, a row each)
+    mixes into, a missing word of the first four hashing as a zero."""
+    mix = _running(_INIT_A, _MULT_A, 4 * max(len(words), 4) + 1)[:, None]
+    pool = np.zeros((4, words.shape[1]), dtype=np.uint32)
+    pool[:len(words)] = words[:4]
     pool = _hash(pool, mix[:5])
     for src in range(4):  # mix each word into the three others, in numpy's order
         dst = [d for d in range(4) if d != src]
         k = 4 + 3 * src
         mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], mix[k:k + 4])
         pool[dst] = mixed ^ mixed >> 16
-    w0, w1, w2, w3 = _generate_state(pool, 4)
+    for k, word in zip(range(16, len(mix), 4), words[4:]):  # then each further word into all four
+        mixed = 0xCA01F9DD * pool - 0x4973F715 * _hash(word, mix[k:k + 5])
+        pool = mixed ^ mixed >> 16
+    return pool
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The states of ``np.random.PCG64(seed)`` for every seed of a uint64
+    array, as uint64 word arrays ``(state_hi, state_lo, inc_hi, inc_lo)``.
+
+    This runs numpy's seeding on arrays: :func:`_mix_entropy` mixes the
+    seed's two 32-bit words into a pool; a seed below 2**32 has one word,
+    and numpy hashes a zero for each missing one, so it needs no path of its
+    own.  ``generate_state(4, np.uint64)`` then hashes the pool into four
+    64-bit words ``w0..w3``, and PCG64's set-seq seeding turns
+    ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 | w3`` into
+    ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * MULT + inc``
+    modulo 2**128.
+    """
+    w0, w1, w2, w3 = _generate_state(_mix_entropy(np.stack([seeds & _MASK32, seeds >> 32])), 4)
     inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
     lo = w1 + inc_lo
     return (*_step(w0 + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
@@ -277,45 +289,73 @@ def _mult_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
     return hi, lo, prod, tries, prod <= enlam, np.abs(prod - enlam) <= _GUARD * enlam
 
 
-def _numpy_poisson():
-    """numpy's own ``Generator.poisson`` on one reusable PCG64, and a function
-    that loads the state ``(hi, lo, inc_hi, inc_lo)`` (Python ints) into it."""
+def _numpy_poisson(lam: float, state: int, inc: int) -> tuple[int, int]:
+    """numpy's own ``Generator.poisson(lam)`` from the PCG64 ``state`` and
+    ``inc`` (128-bit ints), and the state it leaves; loads ``numpy.random``."""
     bitgen = np.random.PCG64(0)
-    pcg = {}
-    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-
-    def load(hi, lo, inc_hi, inc_lo):
-        pcg["state"], pcg["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
-        bitgen.state = seeded
-
-    return bitgen, load, np.random.Generator(bitgen).poisson
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return int(np.random.Generator(bitgen).poisson(lam)), bitgen.state["state"]["state"]
 
 
-def _redraw(lanes, lam, hi, lo, inc_hi, inc_lo) -> np.ndarray:
-    """Draw ``Generator.poisson(lam[i])`` with numpy itself from the state
-    ``(hi[i], lo[i], inc_hi[i], inc_lo[i])`` of every lane ``i``, leaving
-    the state after the draw in ``(hi[i], lo[i])``; returns the draws."""
-    bitgen, load, poisson = _numpy_poisson()
-    out = np.empty(lanes.size, dtype=np.int64)
-    for j, i in enumerate(lanes.tolist()):
-        load(int(hi[i]), int(lo[i]), int(inc_hi[i]), int(inc_lo[i]))
-        out[j] = poisson(lam[j])
-        state = bitgen.state["state"]["state"]
-        hi[i], lo[i] = state >> 64, state & _MASK64
-    return out
+def _next_double(state: int, inc: int) -> tuple[int, float]:
+    """A PCG64 step of the 128-bit ``state``, and its ``next_double``: the top
+    53 bits of the output ``x`` rotated right, read off ``x * (2**64 + 1)``."""
+    state = (state * _MULT + inc) & _MASK128
+    x = (state >> 64 ^ state) & _MASK64
+    return state, (x * (1 << 64 | 1) >> (state >> 122) + 11 & _MASK53) * 2.0**-53
 
 
-def _draw_rows(rows, lam, channel, hi, lo, inc_hi, inc_lo, counts) -> None:
-    """Draw every channel from ``channel[i]`` on of each row ``i`` with
-    numpy's own ``Generator.poisson``, in order, from the state ``(hi[i],
-    lo[i])`` channel ``channel[i]`` starts at, into ``counts``.  A zero mean
-    draws 0 and takes no uniform there, as on the array path."""
-    _, load, poisson = _numpy_poisson()
-    words = (a[rows].tolist() for a in (hi, lo, inc_hi, inc_lo))
-    for i, c, means, *state in zip(rows.tolist(), channel[rows].tolist(), lam[rows].tolist(),
-                                   *words):
-        load(*state)
-        counts[i, c:] = [poisson(mean) for mean in means[c:]]  # scalar calls: no array set-up
+def _scalar_poisson(lam: float, state: int, inc: int) -> tuple[int, int]:
+    """numpy's ``random_poisson(lam)`` from the PCG64 ``state`` and ``inc``
+    (128-bit ints), and the state it leaves: the tries of :func:`_mult_try`
+    and :func:`_ptrs_try` in Python floats, with the C library's ``math``, as
+    numpy's C code.  A try within ``_NEAR`` of a threshold goes to numpy."""
+    start, k, prod, enlam = state, -1, 1.0, math.exp(-lam)
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a, vr = -0.059 + 0.02483 * b, 0.9277 - 3.6224 / (b - 2)
+    while lam > 0.0:  # else lam = 0, which draws 0 and takes no uniform
+        state, u = _next_double(state, inc)
+        if lam < 10.0:
+            prod, k = prod * u, k + 1
+            done, doubt = prod <= enlam, abs(prod - enlam) <= _NEAR * enlam
+        else:
+            state, v = _next_double(state, inc)
+            us = 0.5 - abs(u - 0.5)
+            if not us:  # numpy's k is -inf cast to int64, negative, so the try rejects
+                continue
+            spread = (2 * a / us + b) * (u - 0.5)
+            x = spread + lam + 0.43
+            k, done = math.floor(x), us >= 0.07 and v <= vr
+            doubt = abs(x - round(x)) <= _NEAR * (abs(spread) + lam) or abs(v - vr) <= _NEAR
+            if not (done or doubt or k < 0 or (us < 0.013 and v > us)):  # the log test
+                x0 = max(k + 1.0, 7.0)  # log Gamma(k + 1) as numpy's random_loggam
+                gam, x2 = _LOGGAM_A[9], (1.0 / x0) * (1.0 / x0)
+                for c in _LOGGAM_A[8::-1]:
+                    gam = gam * x2 + c
+                gam = gam / x0 + 0.5 * _LG2PI + (x0 - 0.5) * math.log(x0) - x0
+                for j in range(6, k, -1):  # log(6), log(5), ... down to log(k + 1)
+                    gam -= math.log(j)
+                terms = (math.log(v) if v else -math.inf, math.log(1.1239 + 1.1328 / (b - 3.4)),
+                         math.log(a / (us * us) + b), lam, k * math.log(lam), gam if k > 1 else 0.0)
+                lhs, rhs = terms[0] + terms[1] - terms[2], -lam + terms[4] - terms[5]
+                done, doubt = lhs <= rhs, abs(lhs - rhs) <= _NEAR * sum(map(abs, terms))
+        if doubt:
+            return _numpy_poisson(lam, start, inc)
+        if done:
+            return k, state
+    return 0, state
+
+
+def _redraw(lanes, lam, hi, lo, inc_hi, inc_lo) -> list[int]:
+    """The draws ``Generator.poisson(lam[j])`` of :func:`_scalar_poisson` from
+    the state ``(hi[i], lo[i], inc_hi[i], inc_lo[i])`` of each lane ``i =
+    lanes[j]``, leaving the state after the draw in ``(hi[i], lo[i])``."""
+    words = (a[lanes].tolist() for a in (hi, lo, inc_hi, inc_lo))
+    draws = [_scalar_poisson(mean, s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+             for mean, s_hi, s_lo, i_hi, i_lo in zip(lam.tolist(), *words)]
+    hi[lanes], lo[lanes] = [s >> 64 for _, s in draws], [s & _MASK64 for _, s in draws]
+    return [k for k, _ in draws]
 
 
 def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
@@ -326,10 +366,10 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
 
     Every pass makes one try of each row's current channel, stepping
     ``(hi, lo)`` in place.  A row whose try is in doubt draws that channel
-    again with numpy (:func:`_redraw`), from the state the channel started
-    at, and goes on from the state numpy leaves.  A pass costs about 150
-    numpy calls whatever its size, so once at most ``_FEW_ROWS`` rows are
-    live, numpy draws what they have left (:func:`_draw_rows`).
+    again with the scalar copy (:func:`_redraw`), from the state the channel
+    started at, and goes on from the state it leaves.  A pass costs about
+    150 numpy calls whatever its size, so once at most ``_FEW_ROWS`` rows are
+    live, the scalar copy draws what they have left, a channel at a time.
     """
     n = len(lam)
     nxt = np.full((n, 5), 4, dtype=np.int8)  # each row's first nonzero-mean channel from c on
@@ -360,7 +400,11 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
             start_hi[end], start_lo[end] = hi[end], lo[end]
             prod[end], tries[end] = 1.0, 0
         live = live[channel[live] < 4]
-    _draw_rows(live, lam, channel, start_hi, start_lo, inc_hi, inc_lo, counts)
+    while live.size:  # what is left, a channel of every live row at a time
+        c = channel[live]
+        counts[live, c] = _redraw(live, lam[live, c], start_hi, start_lo, inc_hi, inc_lo)
+        channel[live] = nxt[live, c + 1]
+        live = live[channel[live] < 4]
 
 
 def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig) -> np.ndarray:
@@ -431,7 +475,11 @@ def derive_seeds(root_seed: int, n: int) -> np.ndarray:
     it does: numpy mixes the root into its entropy pool, and the pool is
     hashed into the seeds here on arrays (:func:`_generate_state`).
     """
-    return _generate_state(np.random.SeedSequence(root_seed).pool[:, None], n)[:, 0]
+    if not (isinstance(root_seed, (int, np.integer)) and root_seed >= 0):  # numpy refuses it or not
+        return _generate_state(np.random.SeedSequence(root_seed).pool[:, None], n)[:, 0]
+    root = int(root_seed)
+    words = [root >> shift & _MASK32 for shift in range(0, max(root.bit_length(), 1), 32)]
+    return _generate_state(_mix_entropy(np.array(words, dtype=np.uint32)[:, None]), n)[:, 0]
 
 
 def postselected_counts(counts: np.ndarray, postselect_sign: str) -> np.ndarray:

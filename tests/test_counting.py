@@ -155,9 +155,10 @@ def test_draws_equal_one_generator_per_seed_on_mixed_means(total, rows):
 
 @pytest.mark.parametrize("n", [1, 8, counting._FEW_ROWS, counting._FEW_ROWS + 1, 2000])
 def test_batches_about_the_few_rows_bound_draw_as_default_rng(n):
-    # a block of at most _FEW_ROWS rows is drawn by numpy alone; a larger one
-    # runs array passes until that few are live, some part-way through a
-    # channel, and numpy draws what they have left from where the channel began
+    # a block of at most _FEW_ROWS rows is drawn by the scalar copy alone; a
+    # larger one runs array passes until that few are live, some part-way
+    # through a channel, and the copy draws what they have left from where
+    # the channel began
     config = AcquisitionConfig(seed=0, rate=300.0, duration=1.0)
     probs = channel_probabilities(np.linspace(0.0, math.pi / 2, n), KAPPA).T.copy()
     probs[::3, 0] = 0.0  # zero means, first and inside the rows a pass leaves
@@ -222,24 +223,69 @@ def test_table1_shaped_draw_broadcasts_each_point_over_its_repetitions(repetitio
         assert got.reshape(-1, 4).tolist() == expected.tolist()
 
 
-def test_widest_guard_sends_every_draw_to_numpy(monkeypatch):
-    # at the default guard few lanes leave the array path; with an infinite
-    # one every drawn lane does, and the rows are the same
+def _guard_batch():
+    """A batch whose channel means span both samplers, its seeds, and the
+    rows one ``default_rng`` per seed draws."""
     config = AcquisitionConfig(seed=0, rate=1e4, duration=1.0)
     probs = np.vstack([channel_probabilities(np.linspace(0.0, math.pi / 2, 500), KAPPA).T,
                        [[0.0, 1e-4, 0.5, 0.4999]] * 20])
     seeds = derive_seeds(9, len(probs))
-    expected = draw_counts_per_row(probs, seeds, config).tolist()
-    redrawn = []
-    redraw = counting._redraw
-    monkeypatch.setattr(counting, "_redraw",
-                        lambda lanes, *args: redrawn.append(lanes.size) or redraw(lanes, *args))
+    return config, probs, seeds, draw_counts_per_row(probs, seeds, config).tolist()
+
+
+def _counting_calls(monkeypatch, name):
+    """A list that gets the first argument of every call of ``counting.<name>``."""
+    calls, function = [], getattr(counting, name)
+    monkeypatch.setattr(counting, name,
+                        lambda first, *args: calls.append(first) or function(first, *args))
+    return calls
+
+
+def _doubts(monkeypatch):
+    """A list that gets the number of lanes in doubt of every try on the array path."""
+    doubts = []
+    for name in ("_ptrs_try", "_mult_try"):
+        def counted(*args, sampler=getattr(counting, name)):
+            *out, doubt = sampler(*args)
+            doubts.append(int(doubt.sum()))
+            return *out, doubt
+        monkeypatch.setattr(counting, name, counted)
+    return doubts
+
+
+def test_widest_guard_sends_every_draw_to_the_scalar_copy(monkeypatch):
+    # at the default guard few lanes leave the array path in doubt; with an
+    # infinite one every drawn lane does, the scalar copy draws each, and
+    # the rows are the same
+    config, probs, seeds, expected = _guard_batch()
+    doubts = _doubts(monkeypatch)
+    scalar = _counting_calls(monkeypatch, "_scalar_poisson")
     assert draw_counts(probs, seeds, config).tolist() == expected
-    assert sum(redrawn) < 0.01 * np.count_nonzero(probs)
-    redrawn.clear()
+    assert sum(doubts) < 0.01 * np.count_nonzero(probs)
+    doubts.clear()
+    scalar.clear()
     monkeypatch.setattr(counting, "_GUARD", math.inf)
     assert draw_counts(probs, seeds, config).tolist() == expected
-    assert sum(redrawn) == np.count_nonzero(probs)
+    assert sum(doubts) == np.count_nonzero(probs) == sum(mean > 0.0 for mean in scalar)
+
+
+def test_widest_few_ulp_bound_sends_every_scalar_draw_to_numpy(monkeypatch):
+    # at the default bound no scalar draw (the tail rows' and the doubt
+    # lanes') goes to numpy's own Generator.poisson; with an infinite one
+    # every one does, and the rows are the same
+    config, probs, seeds, expected = _guard_batch()
+    scalar = _counting_calls(monkeypatch, "_scalar_poisson")
+    arbitrated = _counting_calls(monkeypatch, "_numpy_poisson")
+    assert draw_counts(probs, seeds, config).tolist() == expected
+    drawn = [mean for mean in scalar if mean > 0.0]
+    assert arbitrated == [] and drawn
+    monkeypatch.setattr(counting, "_NEAR", math.inf)
+    assert draw_counts(probs, seeds, config).tolist() == expected
+    assert arbitrated == drawn
+    arbitrated.clear()
+    monkeypatch.setattr(counting, "_GUARD", math.inf)  # every lane a scalar draw
+    assert draw_counts(probs, seeds, config).tolist() == expected
+    assert len(arbitrated) == np.count_nonzero(probs)
 
 
 def test_loggam_is_log_gamma_at_integers():
@@ -394,8 +440,10 @@ def test_empty_channel_raises():
 
 
 @pytest.mark.parametrize("root", [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64,
-                                  2**128 + 5, 7**60])
+                                  2**128 + 5, 7**60, np.uint64(2**64 - 1), True, [1, 2]])
 def test_derive_seeds_are_seed_sequence_words(root):
+    # an integer root is mixed here (7**60 has 6 words, past the pool's 4);
+    # any other, such as the list, is numpy's own SeedSequence
     for n in (0, 1, 5, 1000, 80_000):
         seeds = derive_seeds(root, n)
         expected = np.random.SeedSequence(root).generate_state(n, np.uint64)
