@@ -12,7 +12,6 @@ Relative output paths are resolved against ``WEAKPS_OUTPUT_DIR`` when set.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import gc
@@ -22,6 +21,10 @@ import os
 import sys
 from datetime import datetime, timezone
 from itertools import chain
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
+if TYPE_CHECKING:  # argparse is imported on first use: help, usage, errors (see main)
+    import argparse
 
 # numpy's bundled OpenBLAS starts a worker thread when numpy is imported, at
 # 60-110 ms of CPU per process on 2 cores, whether or not weakps makes a BLAS
@@ -185,7 +188,8 @@ def _decompose_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, with every subcommand's subparser: for help, usage and
-    errors at the root; a call parses with :func:`_command_parser`."""
+    errors at the root; a call is read by :func:`_read_call` or :func:`_command_parser`."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="weakps",
         description="Variable-strength qubit measurements with postselection: "
@@ -199,10 +203,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone: as :func:`build_parser`'s subparser of it."""
+    """The parser of ``command`` alone, as :func:`build_parser`'s subparser of
+    it: for a call that :func:`_read_call` does not read."""
+    import argparse
     parser = argparse.ArgumentParser(prog=f"weakps {command}")
     _SUBCOMMANDS[command][1](parser)
     return parser
+
+
+class _Flags(dict):
+    """A flag adder's declarations, name -> keywords with the default filled in;
+    None for a flag :func:`_read_call` would misread (argparse types a str default)."""
+
+    def add_argument(self, *names: str, **kwargs) -> None:
+        self[names[0]] = {"default": False if "action" in kwargs else None, **kwargs} if (
+            len(names) == 1 and names[0].startswith("--")  # not a positional
+            and kwargs.keys() <= {"type", "default", "choices", "required", "help", "action"}
+            and kwargs.get("action", "store_true") == "store_true"
+            and not (isinstance(kwargs.get("default"), str) and "type" in kwargs)) else None
+
+
+def _read_call(command: str, tokens: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse gives a well-formed call of ``command``, else None.
+    Well-formed: each token is a flag its adder declares, named in full, a switch
+    or followed by a value not starting with '-' ('-' may) that its type converts
+    into its choices; every required flag is given."""
+    flags = _Flags()
+    _SUBCOMMANDS[command][1](flags)
+    given, rest = {}, iter(tokens)
+    for name in rest:
+        spec = flags.get(name)
+        if spec is not None and "action" in spec:  # a switch
+            given[name] = True
+            continue
+        value = next(rest, None)
+        if spec is None or value is None or value.startswith("-") and value != "-":
+            return None  # argparse answers a value that starts with '-' its own way
+        try:
+            given[name] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if given[name] not in spec.get("choices", [given[name]]):
+            return None
+    if any(spec is None or spec.get("required") and name not in given
+           for name, spec in flags.items()):
+        return None
+    return SimpleNamespace(command=command, **{name[2:].replace("-", "_"): given.get(
+        name, spec["default"]) for name, spec in flags.items()})
 
 
 def _load_config_tokens(path: str) -> list[str]:
@@ -728,14 +775,17 @@ _SUBCOMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run the CLI on ``argv``: a well-formed call is read from its flags'
+    declarations (:func:`_read_call`), argparse parses any other as before."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
         command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-        extra = True
-        if command is not None:  # one parser: the called subcommand's own
+        args = None if command is None else _read_call(command, argv[1:])
+        extra = args is None
+        if command is not None and args is None:  # one parser: the subcommand's own
             args, extra = _command_parser(command).parse_known_args(
-                argv[1:], argparse.Namespace(command=command))
+                argv[1:], SimpleNamespace(command=command))
         if extra:  # the root's help, usage, and error on unrecognized arguments
             args = build_parser().parse_args(argv)
         _SUBCOMMANDS[args.command][2](args)

@@ -260,8 +260,10 @@ def _subcommands(parser):
 
 
 def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
-    # one ArgumentParser per successful call: the subcommand's own; the full
-    # parser, every subparser, only for help, usage and root errors
+    # a well-formed call builds no ArgumentParser: it is read from the flags
+    # its adder declares; another spelling builds the subcommand's own parser
+    # alone; the full parser, every subparser, only for help and root errors
+    everything = ["weakps", *(f"weakps {name}" for name in cli._SUBCOMMANDS)]
     assert _subcommands(cli.build_parser()) == list(cli._SUBCOMMANDS)
     parsers = []
     init = argparse.ArgumentParser.__init__
@@ -271,10 +273,124 @@ def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
     for name, (help_text, add_flags, _) in list(cli._SUBCOMMANDS.items()):
         monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, add_flags, lambda args: None))
     for name in cli._SUBCOMMANDS:
-        parsers.clear()
         required = ["--input", "in.json", "--branch", "1,2"] if name == "estimate" else []
-        assert main([name, "--kappa", "0.3", *required]) == 0
+        # --kap also abbreviates --kappa-uncertainty where there is one: an error
+        ambiguous = "--kappa-uncertainty" in _declared(name)
+        for strength, built, code in ((["--kappa", "0.3"], [], 0),
+                                      (["--kappa=0.3"], [f"weakps {name}"], 0),
+                                      (["--kap", "0.3"], [f"weakps {name}"], 2 * ambiguous)):
+            parsers.clear()
+            assert _outcome(main, [name, *strength, *required])[0] == code
+            assert parsers == built
+        parsers.clear()
+        assert _outcome(main, [name, "--help"])[0] == 0
         assert parsers == [f"weakps {name}"]
+        parsers.clear()
+        assert _outcome(main, [name, *required, "--bogus", "1"])[0] == 2
+        assert parsers == [f"weakps {name}", *everything]
+    parsers.clear()
+    assert _outcome(main, ["--help"])[0] == 0
+    assert parsers == everything
+
+
+def _declared(name):
+    """The flags the adder of subcommand ``name`` declares, as the direct read
+    records them."""
+    flags = cli._Flags()
+    cli._SUBCOMMANDS[name][1](flags)
+    return flags
+
+
+def _parsed(name, tokens):
+    """``vars()`` of what the parser of subcommand ``name`` makes of
+    ``tokens``, and the tokens it leaves over; None where it exits (help,
+    usage and errors)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extra = cli._command_parser(name).parse_known_args(
+                tokens, argparse.Namespace(command=name))
+        except SystemExit:
+            return None
+    return vars(args), extra
+
+
+def test_no_flag_adder_declares_what_the_direct_read_misreads():
+    for name in cli._SUBCOMMANDS:
+        flags = _declared(name)
+        assert None not in flags.values(), name
+        assert {spec.get("type") for spec in flags.values()} <= {None, float, int}, name
+    # what the read does not implement is recorded as unreadable
+    flags = cli._Flags()
+    for names, kwargs in ((["-k", "--kappa"], {}), (["--kappa"], {"nargs": 2}),
+                          (["--kappa"], {"dest": "k"}), (["--kappa"], {"const": 1}),
+                          (["--kappa"], {"action": "append"}),
+                          (["--kappa"], {"type": float, "default": "0.3"}), (["path"], {})):
+        flags.add_argument(*names, **kwargs)
+        assert flags[names[0]] is None
+
+
+def test_a_flag_the_direct_read_misreads_leaves_the_call_to_argparse(monkeypatch):
+    ran = []
+
+    def add_flags(p):
+        cli._decompose_flags(p)
+        p.add_argument("--tag", nargs=2, default=["a", "b"])
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "decompose", ("", add_flags, ran.append))
+    argv = ["--kappa", "0.3", "--phi", "plus"]
+    assert cli._read_call("decompose", argv) is None
+    assert main(["decompose", *argv]) == 0
+    assert vars(ran[0]) == _parsed("decompose", argv)[0]
+
+
+# Values a flag of each type converts, none starting with '-' but '-' itself;
+# and values that do not convert, start with '-' or lie outside choices
+_GOOD_VALUES = {float: ["0.3", "1e-3", "90", " 2 ", "1_0", "inf"], int: ["7", "0", "1_000"],
+                None: ["out.csv", "-", "1,2", ""]}
+_BAD_VALUES = ["abc", "1.5", "0x10", "-1", "-1e1", "-10", "-", "--", "-x", "bogus", "--kappa"]
+
+
+@st.composite
+def _calls(draw, name, well_formed):
+    flags = _declared(name)
+    tokens = []
+    for _ in range(draw(st.integers(0, 8))):
+        flag = draw(st.sampled_from(sorted(flags)))
+        spec = flags[flag]
+        good = [str(c) for c in spec.get("choices", _GOOD_VALUES[spec.get("type")])]
+        value = draw(st.sampled_from(good if well_formed else good + _BAD_VALUES))
+        form = "exact" if well_formed else draw(st.sampled_from(
+            ["exact", "exact", "exact", "equals", "abbreviated", "bare", "-h", "stray", "--"]))
+        if form == "abbreviated":
+            flag, form = flag[:draw(st.integers(3, len(flag) - 1))], "exact"
+        tokens += {"exact": [flag] if "action" in spec else [flag, value],
+                   "equals": [f"{flag}={value}"], "bare": [flag], "-h": ["-h"],
+                   "stray": [value], "--": ["--", value]}[form]
+    if name == "estimate" and (well_formed or draw(st.booleans())):
+        tokens = ["--input", "in.json", "--branch", "1,2", *tokens]
+    return tokens
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_direct_read_gives_argparse_namespace_or_leaves_the_call(name, data):
+    # every spelling: the read gives what argparse gives, with nothing left
+    # over, or nothing; a well-formed call it always reads
+    tokens = data.draw(_calls(name, well_formed=False))
+    read = cli._read_call(name, tokens)
+    assert read is None or _parsed(name, tokens) == (vars(read), [])
+    tokens = data.draw(_calls(name, well_formed=True))
+    read = cli._read_call(name, tokens)
+    assert read is not None and _parsed(name, tokens) == (vars(read), [])
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_direct_read_of_no_flags_is_argparse(name):
+    # the defaults alone; estimate's --input and --branch are required
+    read = cli._read_call(name, [])
+    assert (None if read is None else (vars(read), [])) == _parsed(name, [])
+    assert (read is None) == (name == "estimate")
 
 
 def _outcome(call, argv):
@@ -890,6 +1006,22 @@ def test_cli_import_loads_neither_scipy_nor_numba():
             "import weakps.cli\n"
             "print(sorted({'scipy', 'numba'} & {m.split('.')[0] for m in sys.modules}))\n")
     assert _python(code) == "[]"
+
+
+def test_well_formed_call_loads_no_argparse(tmp_path):
+    # a well-formed call is read without argparse (nor the gettext and locale
+    # it brings); another spelling loads it, and writes the same records
+    code = ("import sys\n"
+            "import weakps.cli\n"
+            "argv = ['sweep-fisher', '--theta-step', '5', '--output']\n"
+            "for path, kappa in zip(sys.argv[1:], (['--kappa', '0.3'], ['--kappa=0.3'])):\n"
+            "    weakps.cli.main([*argv, path, *kappa])\n"
+            "    print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    paths = [tmp_path / "read.csv", tmp_path / "parsed.csv"]
+    read, parsed = _python(code, *map(str, paths)).splitlines()
+    assert read == "[]" and "'argparse'" in parsed
+    strip = lambda path: [l for l in path.read_bytes().splitlines() if b"generated_at" not in l]
+    assert strip(paths[0]) == strip(paths[1]) and len(strip(paths[0])) > 18
 
 
 def test_cli_import_loads_every_traced_layer():
