@@ -5,20 +5,21 @@ Counts in the four coincidence channels are independent Poisson draws with
 means ``rate * duration * p_channel``.  :func:`draw_counts` gives one count
 row per seed of a :func:`derive_seeds` array: the draws that
 ``np.random.default_rng(seed).poisson`` makes for the four channels, in the
-order (mp, mm, pp, pm), bit for bit.  It makes them on arrays, for every row
-of a block at once: numpy's ``SeedSequence`` and PCG64 seeding give each
-row's 128-bit state (as two uint64 words), and each draw mirrors numpy's
-``random_poisson`` (``numpy/random/src/distributions/distributions.c``):
-nothing for a zero mean, the multiplication method below 10, Hörmann's PTRS
-from 10, each uniform being ``next_double``, the top 53 bits of a PCG64
-step's XSL-RR output.  numpy's C code may round ``exp``, ``log`` or a fused
-multiply-add otherwise than numpy's array operations, so a draw whose
-decision lies within ``_GUARD`` of its threshold is made again, from the
-state it started at, by a scalar copy of the sampler, whose ``math`` is the
-C library's, as numpy's; it also draws a block's last few rows, and leaves
-a decision within a few ulps to numpy's own ``Generator.poisson``.  The
-tests check the draws against one ``default_rng`` per row, so a change in
-the installed numpy's sampler shows there.
+order (mp, mm, pp, pm), bit for bit, or those of its leading channels alone,
+the others reading 0.  It makes them on arrays, for every row of a block at
+once: numpy's ``SeedSequence`` and PCG64 seeding give each row's 128-bit
+state (as two uint64 words), and each draw mirrors numpy's ``random_poisson``
+(``numpy/random/src/distributions/distributions.c``): nothing for a zero
+mean, the multiplication method below 10, Hörmann's PTRS from 10, each
+uniform being ``next_double``, the top 53 bits of a PCG64 step's XSL-RR
+output.  numpy's C code may round ``exp``, ``log`` or a fused multiply-add
+otherwise than numpy's array operations, so a draw whose decision lies
+within ``_GUARD`` of its threshold is made again, from the state it started
+at, by a scalar copy of the sampler, whose ``math`` is the C library's, as
+numpy's; it also draws a block's last few rows, and leaves a decision within
+a few ulps to numpy's own ``Generator.poisson``.  The tests check the draws
+against one ``default_rng`` per row, so a change in the installed numpy's
+sampler shows there.
 
 :func:`weak_values_from_counts` estimates the rescaled postselected value of
 every row.  Its error propagation is first order (delta method) with two
@@ -242,11 +243,11 @@ def _loggam(x: np.ndarray) -> np.ndarray:
     return np.where(x <= 2.0, 0.0, gl)
 
 
-def _ptrs_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
+def _ptrs_try(lam, hi, lo, inc_hi, inc_lo):
     """One try of numpy's ``random_poisson_ptrs`` (Hörmann's transformed
     rejection, for lam >= 10) per lane.  Returns the states after its two
-    uniforms, ``prod`` unchanged, the ``k`` it draws, the mask of the lanes
-    whose try returns ``k`` and that of the lanes in doubt."""
+    uniforms, the ``k`` it draws, the mask of the lanes whose try returns
+    ``k`` and that of the lanes in doubt."""
     hi, lo = _step(hi, lo, inc_hi, inc_lo)
     u = _double(hi, lo) - 0.5
     hi, lo = _step(hi, lo, inc_hi, inc_lo)
@@ -275,14 +276,15 @@ def _ptrs_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
         doubt[test] |= np.abs(lhs - rhs) <= _GUARD * (
             np.abs(log_v) + np.abs(log_invalpha) + np.abs(log_hat)
             + lam_t + np.abs(k_loglam) + np.abs(gam))
-    return hi, lo, prod, k, done, doubt
+    return hi, lo, k, done, doubt
 
 
 def _mult_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
     """One uniform of numpy's ``random_poisson_mult`` (for 0 < lam < 10:
     the count of uniforms whose running product ``prod`` stays above
-    exp(-lam)) per lane, after ``tries`` uniforms.  Returns as
-    :func:`_ptrs_try` does, with the new products."""
+    exp(-lam)) per lane, after ``tries`` uniforms.  Returns the states after
+    the uniform, the new products, and the ``k`` (``tries``) and masks of
+    :func:`_ptrs_try`."""
     hi, lo = _step(hi, lo, inc_hi, inc_lo)
     prod = prod * _double(hi, lo)
     enlam = np.exp(-lam)
@@ -364,12 +366,14 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
     PCG64 state ``(hi, lo, inc_hi, inc_lo)``, as numpy draws them: nothing for
     lam = 0, :func:`_mult_try` below 10 and :func:`_ptrs_try` from 10.
 
-    Every pass makes one try of each row's current channel, stepping
-    ``(hi, lo)`` in place.  A row whose try is in doubt draws that channel
-    again with the scalar copy (:func:`_redraw`), from the state the channel
-    started at, and goes on from the state it leaves.  A pass costs about
-    150 numpy calls whatever its size, so once at most ``_FEW_ROWS`` rows are
-    live, the scalar copy draws what they have left, a channel at a time.
+    Every pass gathers each live row's channel and mean once, and makes one
+    try of that channel, stepping ``(hi, lo)`` in place; only the rows below
+    10 keep a running product and try count.  A row whose try is in doubt
+    draws that channel again with the scalar copy (:func:`_redraw`), from
+    the state the channel started at, and goes on from the state it leaves.
+    A pass costs about 150 numpy calls whatever its size, so once at most
+    ``_FEW_ROWS`` rows are live, the scalar copy draws what they have left,
+    a channel at a time.
     """
     n = len(lam)
     nxt = np.full((n, 5), 4, dtype=np.int8)  # each row's first nonzero-mean channel from c on
@@ -380,25 +384,33 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
     prod, tries = np.ones(n), np.zeros(n, dtype=np.int64)
     live = np.flatnonzero(channel < 4)
     while live.size > _FEW_ROWS:
-        big = lam[live, channel[live]] >= 10.0
-        for sampler, rows in ((_ptrs_try, live[big]), (_mult_try, live[~big])):
+        live_c = channel[live]
+        live_means = lam[live, live_c]
+        big = live_means >= 10.0
+        for ptrs, pick in ((True, big), (False, ~big)):
+            rows = live[pick]
             if not rows.size:
                 continue
-            c = channel[rows]
-            means = lam[rows, c]
-            hi[rows], lo[rows], prod[rows], value, done, doubt = sampler(
-                means, prod[rows], tries[rows], hi[rows], lo[rows], inc_hi[rows], inc_lo[rows])
-            tries[rows] += 1
+            c, means = live_c[pick], live_means[pick]
+            state = hi[rows], lo[rows], inc_hi[rows], inc_lo[rows]
+            if ptrs:
+                hi[rows], lo[rows], value, done, doubt = _ptrs_try(means, *state)
+            else:
+                hi[rows], lo[rows], running, value, done, doubt = _mult_try(
+                    means, prod[rows], tries[rows], *state)
+                restart = done | doubt  # the next channel starts a new product
+                prod[rows] = np.where(restart, 1.0, running)
+                tries[rows] = np.where(restart, 0, value + 1)
             drawn = done & ~doubt
             counts[rows[drawn], c[drawn]] = value[drawn]
             if doubt.any():
                 redo = rows[doubt]
                 hi[redo], lo[redo] = start_hi[redo], start_lo[redo]
                 counts[redo, c[doubt]] = _redraw(redo, means[doubt], hi, lo, inc_hi, inc_lo)
-            end = rows[done | doubt]
-            channel[end] = nxt[end, channel[end] + 1]
-            start_hi[end], start_lo[end] = hi[end], lo[end]
-            prod[end], tries[end] = 1.0, 0
+            end = done | doubt
+            rows_end = rows[end]
+            channel[rows_end] = nxt[rows_end, c[end] + 1]
+            start_hi[rows_end], start_lo[rows_end] = hi[rows_end], lo[rows_end]
         live = live[channel[live] < 4]
     while live.size:  # what is left, a channel of every live row at a time
         c = channel[live]
@@ -407,7 +419,8 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
         live = live[channel[live] < 4]
 
 
-def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig) -> np.ndarray:
+def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig,
+                channels=4) -> np.ndarray:
     """Poissonian channel counts ``(n_mp, n_mm, n_pp, n_pm)`` from the seeds
     of the uint64 array ``seeds`` (as :func:`derive_seeds` gives them).
 
@@ -418,12 +431,17 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
     broadcast shape; the row of seed ``s`` holds the draws
     ``np.random.default_rng(s)`` makes, channel by channel, with means
     ``config.expected_total`` times its probabilities (``config.seed`` is not
-    used).  Each block of ``_SEED_BLOCK // sets`` seeds is seeded once, and
-    every set's rows of it drawn at once (:func:`_draw_block`).
+    used).  ``channels``, an int or one per set, is how many leading
+    channels each set's rows draw: those draw as in the 4-channel draw, bit
+    for bit, and the others read 0 and take no uniform (a zero mean draws
+    nothing, as in numpy).  Each block of ``_SEED_BLOCK // sets`` seeds is
+    seeded once, and every set's rows of it drawn at once
+    (:func:`_draw_block`).
     Raises ValueError unless ``seeds`` is a uint64 array, the rows hold 4
-    probabilities, every probability is finite and nonnegative within 1e-12
-    and every row sums to 1 within 1e-9; a probability that the first
-    tolerance lets below zero draws as zero.
+    probabilities, every probability is finite and nonnegative within 1e-12,
+    every row sums to 1 within 1e-9 and ``channels`` counts 1 to 4 channels
+    per set; a probability that the first tolerance lets below zero draws
+    as zero.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         kind = getattr(seeds, "dtype", type(seeds).__name__)
@@ -443,6 +461,14 @@ def draw_counts(probs: np.ndarray, seeds: np.ndarray, config: AcquisitionConfig)
     if np.any(off):
         raise ValueError(f"channel probabilities must sum to 1, got {float(totals[off][0])!r}")
     sets = probs.shape[:max(0, probs.ndim - 1 - seeds.ndim)]
+    width = np.asarray(channels)
+    if not (width.dtype.kind in "iu" and width.shape in ((), sets)
+            and ((width >= 1) & (width <= 4)).all()):
+        raise ValueError(f"channels must count 1 to 4 channels, one count or one per set "
+                         f"of {math.prod(sets)}, got {channels!r}")
+    if (width < 4).any():  # a zero mean draws 0 and takes no uniform
+        keep = np.arange(4) < width.reshape(width.shape + (1,) * (probs.ndim - len(sets)))
+        probs = np.where(keep, probs, 0.0)
     try:
         probs = np.broadcast_to(probs, sets + seeds.shape + (4,))
     except ValueError:

@@ -326,7 +326,7 @@ def test_criterion_10_estimation_table():
     baseline_ok = True
     for sign in ("minus", "plus"):
         model = w.ModelParams(kappa=0.335, postselect_sign=sign)
-        rows = w.table1_pipeline(TABLE1_THETAS_DEG[sign], model, config, repetitions=25)
+        rows = next(w.table1_batch([TABLE1_THETAS_DEG[sign]], [model], config, repetitions=25))
         rows_total += len(rows)
         for row in rows:
             baseline_ok &= (sign, row.theta_deg) in baseline

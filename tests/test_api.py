@@ -14,7 +14,7 @@ PUBLIC = [
     "Strength", "Table1Row", "assess_estimates", "contextuality", "counting",
     "decompose_consolidated", "derive_seeds", "draw_counts", "errors", "estimation",
     "imperfections", "invert_branch", "kernels", "load_baseline", "p_phi_from_postselection",
-    "states", "table1_batch", "table1_pipeline", "weak", "weak_values_from_counts",
+    "states", "table1_batch", "weak", "weak_values_from_counts",
 ]
 
 SUBMODULE_ALL = {
@@ -23,7 +23,7 @@ SUBMODULE_ALL = {
                  "draw_counts", "postselected_counts", "weak_values_from_counts"],
     "estimation": ["EstimateBatch", "ModelParams", "RAD2_TO_DEG2", "TABLE1_THETAS_DEG",
                    "Table1Row", "assess_estimates", "channel_probabilities", "invert_branch",
-                   "load_baseline", "table1_batch", "table1_pipeline"],
+                   "load_baseline", "table1_batch"],
     "imperfections": ["IDEAL_GATE", "ImperfectionParams", "VISIBILITY_MODEL",
                       "coincidence_probabilities", "postselected_coefficients",
                       "renormalized_probabilities"],
@@ -73,9 +73,8 @@ def test_every_definition_is_reached_from_the_cli():
                 for target in node.targets:
                     if isinstance(target, ast.Name) and not target.id.startswith("__"):
                         definitions.setdefault(target.id, []).append(node)
-    # the package's __getattr__ is a root too: the import system calls it.
-    # So is table1_pipeline, the one-model wrapper of the table1_batch the CLI calls
-    roots = ("main", "_SUBCOMMANDS", "__getattr__", "table1_pipeline")
+    # the package's __getattr__ is a root too: the import system calls it
+    roots = ("main", "_SUBCOMMANDS", "__getattr__")
     reached = set(roots)
     todo = [node for name in roots for node in definitions[name]]
     while todo:

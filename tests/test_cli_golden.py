@@ -61,6 +61,11 @@ CASES = {
     "table1": ["table1", "--kappa", "0.335", "--repetitions", "5", "--seed", "1"],
     "table1-imperfect": ["table1", "--kappa", "0.335", "--repetitions", "3", "--seed", "2",
                          *IMPERFECT],
+    # the minus and plus rows of one draw: a minus row draws only its pair
+    "table1-both": ["table1", "--kappa", "0.335", "--postselect", "both", "--repetitions", "40",
+                    "--seed", "7"],
+    "table1-both-imperfect": ["table1", "--kappa", "0.335", "--postselect", "both",
+                              "--repetitions", "25", "--seed", "8", *IMPERFECT],
     # EmptyChannel and OutOfRange repetitions
     "table1-low-rate": ["table1", "--kappa", "0.335", "--repetitions", "8", "--seed", "4",
                         "--rate", "40", "--duration", "1"],

@@ -204,6 +204,41 @@ def test_a_multi_set_draw_is_one_draw_per_set_bit_for_bit(sets, n, block):
     assert tiles.count(1) == (4 * len(states) if sets > 1 else 0)  # state words, copied
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), n=_SIZES,
+       block=st.sampled_from([counting._SEED_BLOCK, 3, 5, 64, 257]),
+       guard=st.sampled_from([counting._GUARD, 0.05]))
+def test_a_partial_draw_is_the_leading_channels_of_the_whole_draw(widths, n, block, guard):
+    # each set draws only its leading channels, bit for bit those of the
+    # 4-channel draw, and reads 0 in the others; also across blocks that
+    # split the sets' rows, and where a wide guard sends many tries to the
+    # scalar copy, which draws them again from where the channel began
+    rng = np.random.default_rng([len(widths), n, block])
+    probs = rng.dirichlet(np.ones(4), size=(len(widths), n))
+    probs[:, ::3, 0] = 0.0  # zero means, as in test_batches_about_the_few_rows_bound...
+    probs[:, 1::3, 2] = 0.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    seeds = derive_seeds(n, n)
+    config = AcquisitionConfig(seed=0, rate=rng.choice([30.0, 300.0, 1e4]), duration=1.0)
+    with mock.patch.object(counting, "_SEED_BLOCK", block), \
+            mock.patch.object(counting, "_GUARD", guard):
+        whole = draw_counts(probs, seeds, config)
+        partial = draw_counts(probs, seeds, config, widths)
+        alone = draw_counts(probs[0], seeds, config, widths[0])  # one count, no sets
+    assert partial.shape == whole.shape and partial.dtype == np.int64
+    for got, full, width in zip(partial, whole, widths, strict=True):
+        assert got[:, :width].tolist() == full[:, :width].tolist()
+        assert not got[:, width:].any()
+    assert alone.tolist() == partial[0].tolist()
+
+
+@pytest.mark.parametrize("channels", [0, 5, -1, [4, 0], [2, 2, 2], 2.0, True, "2"])
+def test_draw_refuses_channel_counts_outside_1_to_4(channels):
+    probs = np.full((2, 3, 4), 0.25)  # two sets of three rows
+    with pytest.raises(ValueError, match="channels must count 1 to 4 channels"):
+        draw_counts(probs, derive_seeds(1, 3), AcquisitionConfig(seed=0), channels)
+
+
 @pytest.mark.parametrize("block", [counting._SEED_BLOCK, 5])
 @pytest.mark.parametrize("repetitions", [1, 2, 40, 500])
 def test_table1_shaped_draw_broadcasts_each_point_over_its_repetitions(repetitions, block,

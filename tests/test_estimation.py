@@ -14,6 +14,7 @@ from weakps import (
     counting,
     ImperfectionParams,
     ModelParams,
+    Table1Row,
     assess_estimates,
     derive_seeds,
     draw_counts,
@@ -21,7 +22,6 @@ from weakps import (
     kernels,
     load_baseline,
     table1_batch,
-    table1_pipeline,
     weak_values_from_counts,
 )
 from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
@@ -34,6 +34,11 @@ D2R = math.pi / 180.0
 KAPPA = 0.335
 R = math.sqrt(1 - KAPPA**2)
 MINUS_MODEL = ModelParams(kappa=KAPPA, postselect_sign="minus")
+
+
+def _rows(thetas_deg, model, config, repetitions):
+    """The rows of one model's working points: its batch alone."""
+    return next(table1_batch([thetas_deg], [model], config, repetitions))
 
 
 def test_monotone_runs_of_a_rising_curve():
@@ -346,7 +351,7 @@ def test_monte_carlo_round_trip_consistency():
 def test_table1_pipeline_rows_and_audit():
     model = MINUS_MODEL
     config = AcquisitionConfig(seed=90210, rate=2000.0, duration=5.0)
-    rows = table1_pipeline(TABLE1_THETAS_DEG["minus"], model, config, repetitions=20)
+    rows = _rows(TABLE1_THETAS_DEG["minus"], model, config, repetitions=20)
     assert [row.theta_deg for row in rows] == [20.0, 22.5, 25.0, 27.5]
     for row in rows:
         assert row.n_ok + row.n_failed == 20
@@ -365,7 +370,7 @@ def test_table1_pipeline_rows_and_audit():
 def test_table1_plus_postselection():
     model = ModelParams(kappa=KAPPA, postselect_sign="plus")
     config = AcquisitionConfig(seed=31337, rate=2000.0, duration=5.0)
-    rows = table1_pipeline(TABLE1_THETAS_DEG["plus"], model, config, repetitions=10)
+    rows = _rows(TABLE1_THETAS_DEG["plus"], model, config, repetitions=10)
     assert [row.theta_deg for row in rows] == [67.5, 70.0, 72.5, 75.0]
     good = [row for row in rows if row.theta_deg in (67.5, 70.0)]
     for row in good:
@@ -377,11 +382,34 @@ def test_failures_are_reported_not_dropped():
     # draws land outside the branch range and must be reported
     model = MINUS_MODEL
     config = AcquisitionConfig(seed=777, rate=2000.0, duration=5.0)
-    rows = table1_pipeline([27.5], model, config, repetitions=30)
+    rows = _rows([27.5], model, config, repetitions=30)
     row = rows[0]
     assert row.n_ok + row.n_failed == 30
     assert row.n_failed > 0
     assert set(row.failures_by_type) <= {"OutOfRange", "DegenerateConditional"}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.sampled_from([0, 1, 2, 7, 8, 9, 127, 128, 129, 1000, 4099]),
+       seed=st.integers(0, 2**32 - 1), step=st.sampled_from([1, 3]))
+def test_row_summaries_are_numpys_mean_and_variance_bit_for_bit(n, seed, step):
+    # a row's means and ddof=1 variance take np.mean's and np.var's pairwise
+    # sums, on contiguous columns and strided ones, float and int64 alike
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(22.5, 0.3, n * step)[::step]
+    m_ps = rng.integers(1, 2**60, n * step)[::step]
+    row = Table1Row(22.5, "minus", theta, theta / 7.0, theta / 9.0, theta, m_ps, {})
+    summaries = (row.mean_theta_hat_deg, row.mean_variance_deg2, row.mean_sigma_cr_deg2,
+                 row.mean_m_ps)
+    if n == 0:
+        assert all(math.isnan(value) for value in summaries)
+    else:
+        assert summaries == (float(np.mean(theta)), float(np.mean(theta / 7.0)),
+                             float(np.mean(theta / 9.0)), float(np.mean(m_ps)))
+    if n < 2:
+        assert math.isnan(row.empirical_variance_deg2)
+    else:
+        assert row.empirical_variance_deg2 == float(np.var(theta, ddof=1))
 
 
 def _same_rows(rows, others):
@@ -401,14 +429,14 @@ def test_one_bad_working_point_fails_only_its_own_repetitions():
     for sign, bad in (("minus", 27.5), ("plus", 72.5)):
         model = ModelParams(kappa=math.sin(20 * D2R), postselect_sign=sign)
         thetas = TABLE1_THETAS_DEG[sign]
-        rows = table1_pipeline(thetas, model, config, repetitions=40)
+        rows = _rows(thetas, model, config, repetitions=40)
         for row in rows:
             if row.theta_deg == bad:
                 assert (row.n_ok, row.failures_by_type) == (0, {"AmbiguousBranch": 40})
             else:
                 assert row.n_ok + row.n_failed == 40 and row.n_ok > 0
         before = thetas.index(bad)
-        _same_rows(rows[:before], table1_pipeline(thetas[:before], model, config, 40))
+        _same_rows(rows[:before], _rows(thetas[:before], model, config, 40))
 
 
 @pytest.mark.parametrize("repetitions", [1, 2, 40])
@@ -426,7 +454,7 @@ def test_one_batch_over_both_postselections_is_each_pipeline(imperfections, kapp
                              [ModelParams(kappa, sign, imperfections) for sign in signs],
                              config, repetitions)
         for sign, rows in zip(signs, batch, strict=True):
-            alone = table1_pipeline(TABLE1_THETAS_DEG[sign], ModelParams(kappa, sign, imperfections),
+            alone = _rows(TABLE1_THETAS_DEG[sign], ModelParams(kappa, sign, imperfections),
                                     config, repetitions)
             assert [row.theta_deg for row in rows] == [row.theta_deg for row in alone]
             assert {row.postselect_sign for row in rows} == {sign}
@@ -467,7 +495,7 @@ def test_inversion_blocks_of_working_points_leave_the_rows_unchanged(imperfectio
 
 def test_no_working_points_give_no_rows():
     config = AcquisitionConfig(seed=1)
-    assert table1_pipeline([], MINUS_MODEL, config, 3) == []
+    assert _rows([], MINUS_MODEL, config, 3) == []
     assert list(table1_batch([[], []], [MINUS_MODEL] * 2, config, 3)) == [[], []]
 
 
@@ -504,9 +532,9 @@ def test_a_model_error_in_the_batch_fails_only_its_working_point():
     # point it comes from, and the others keep their estimates bit for bit
     config = AcquisitionConfig(seed=90210)
     failing = _SlopeFailsNear25(kappa=KAPPA, postselect_sign="minus")
-    rows = table1_pipeline([20.0, 22.5, 25.0], failing, config, repetitions=20)
+    rows = _rows([20.0, 22.5, 25.0], failing, config, repetitions=20)
     assert (rows[2].n_ok, rows[2].failures_by_type) == (0, {"ZeroPostselection": 20})
-    _same_rows(rows[:2], table1_pipeline([20.0, 22.5, 25.0], MINUS_MODEL, config, 20)[:2])
+    _same_rows(rows[:2], _rows([20.0, 22.5, 25.0], MINUS_MODEL, config, 20)[:2])
     assert [row.n_ok for row in rows[:2]] == [20, 20]
 
 
@@ -527,7 +555,7 @@ def test_model_evaluations_do_not_grow_with_repetitions(monkeypatch):
         seen = []
         for repetitions in (10, 1000):
             calls.clear()
-            table1_pipeline(TABLE1_THETAS_DEG[sign], ModelParams(KAPPA, sign, imperfections),
+            _rows(TABLE1_THETAS_DEG[sign], ModelParams(KAPPA, sign, imperfections),
                             AcquisitionConfig(seed=1), repetitions)
             seen.append(dict(calls))
         assert seen[0] == seen[1]
@@ -536,12 +564,12 @@ def test_model_evaluations_do_not_grow_with_repetitions(monkeypatch):
 
 def _assert_variance_saturates_cramer_rao(model):
     config = AcquisitionConfig(seed=5150, rate=2000.0, duration=5.0)
-    rows = table1_pipeline([20.0, 22.5, 25.0], model, config, repetitions=10)
+    rows = _rows([20.0, 22.5, 25.0], model, config, repetitions=10)
     for row in rows:
         assert row.n_ok == 10
         np.testing.assert_allclose(row.variance_theta_deg2, row.sigma_cr_deg2, rtol=1e-9)
     noisy = AcquisitionConfig(seed=5150, rate=2000.0, duration=5.0, kappa_uncertainty=0.008)
-    (row,) = table1_pipeline([20.0], model, noisy, repetitions=10)
+    (row,) = _rows([20.0], model, noisy, repetitions=10)
     assert row.n_ok == 10
     assert np.all(row.variance_theta_deg2 > row.sigma_cr_deg2)
 
@@ -601,7 +629,7 @@ def test_imperfect_cramer_rao_comes_from_the_generating_model():
     config = AcquisitionConfig(seed=90210, rate=2000.0, duration=5.0)
     for sign, theta_deg in (("minus", 22.5), ("plus", 70.0)):
         model = ModelParams(kappa=KAPPA, postselect_sign=sign, imperfections=gate)
-        (row,) = table1_pipeline([theta_deg], model, config, repetitions=200)
+        (row,) = _rows([theta_deg], model, config, repetitions=200)
         assert row.n_ok == 200
         assert 0.7 <= row.empirical_variance_deg2 / row.mean_sigma_cr_deg2 <= 1.4
 
