@@ -187,8 +187,8 @@ def _decompose_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, with every subcommand's subparser: for help, usage and
-    errors at the root; a call is read by :func:`_read_call` or :func:`_command_parser`."""
+    """The CLI's parser, with every subcommand's subparser: for every call that
+    :func:`_read_call` does not read, help, usage and errors among them."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="weakps",
@@ -199,15 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
         add_flags(sub.add_parser(name, help=help_text))
-    return parser
-
-
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, as :func:`build_parser`'s subparser of
-    it: for a call that :func:`_read_call` does not read."""
-    import argparse
-    parser = argparse.ArgumentParser(prog=f"weakps {command}")
-    _SUBCOMMANDS[command][1](parser)
     return parser
 
 
@@ -366,7 +357,8 @@ def _theta_grid_deg(args: argparse.Namespace) -> np.ndarray:
     if points > MAX_GRID_POINTS:
         raise ConfigError(f"the angle grid would hold {points:.6g} points; "
                           f"at most {MAX_GRID_POINTS} are allowed")
-    return args.theta_start + args.theta_step * np.arange(int(math.ceil(points)))
+    # the start alone where the span is at most 1e-12 of a step
+    return args.theta_start + args.theta_step * np.arange(max(1, math.ceil(points)))
 
 
 def _signs(postselect: str) -> list[str]:
@@ -776,17 +768,12 @@ _SUBCOMMANDS = {
 
 def main(argv: "list[str] | None" = None) -> int:
     """Run the CLI on ``argv``: a well-formed call is read from its flags'
-    declarations (:func:`_read_call`), argparse parses any other as before."""
+    declarations (:func:`_read_call`); :func:`build_parser` parses any other."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-        args = None if command is None else _read_call(command, argv[1:])
-        extra = args is None
-        if command is not None and args is None:  # one parser: the subcommand's own
-            args, extra = _command_parser(command).parse_known_args(
-                argv[1:], SimpleNamespace(command=command))
-        if extra:  # the root's help, usage, and error on unrecognized arguments
+        args = _read_call(argv[0], argv[1:]) if argv and argv[0] in _SUBCOMMANDS else None
+        if args is None:  # other spellings, help, usage and errors
             args = build_parser().parse_args(argv)
         _SUBCOMMANDS[args.command][2](args)
         sys.stdout.flush()  # here, not at exit, so that a closed pipe is seen below

@@ -279,16 +279,16 @@ def _ptrs_try(lam, hi, lo, inc_hi, inc_lo):
     return hi, lo, k, done, doubt
 
 
-def _mult_try(lam, prod, tries, hi, lo, inc_hi, inc_lo):
+def _mult_try(lam, prod, hi, lo, inc_hi, inc_lo):
     """One uniform of numpy's ``random_poisson_mult`` (for 0 < lam < 10:
     the count of uniforms whose running product ``prod`` stays above
-    exp(-lam)) per lane, after ``tries`` uniforms.  Returns the states after
-    the uniform, the new products, and the ``k`` (``tries``) and masks of
-    :func:`_ptrs_try`."""
+    exp(-lam)) per lane.  Returns the states after the uniform, the new
+    products, and the masks of :func:`_ptrs_try`: a lane done draws the
+    number of uniforms it took before this one."""
     hi, lo = _step(hi, lo, inc_hi, inc_lo)
     prod = prod * _double(hi, lo)
     enlam = np.exp(-lam)
-    return hi, lo, prod, tries, prod <= enlam, np.abs(prod - enlam) <= _GUARD * enlam
+    return hi, lo, prod, prod <= enlam, np.abs(prod - enlam) <= _GUARD * enlam
 
 
 def _numpy_poisson(lam: float, state: int, inc: int) -> tuple[int, int]:
@@ -396,8 +396,8 @@ def _draw_block(lam, hi, lo, inc_hi, inc_lo, counts) -> None:
             if ptrs:
                 hi[rows], lo[rows], value, done, doubt = _ptrs_try(means, *state)
             else:
-                hi[rows], lo[rows], running, value, done, doubt = _mult_try(
-                    means, prod[rows], tries[rows], *state)
+                value = tries[rows]
+                hi[rows], lo[rows], running, done, doubt = _mult_try(means, prod[rows], *state)
                 restart = done | doubt  # the next channel starts a new product
                 prod[rows] = np.where(restart, 1.0, running)
                 tries[rows] = np.where(restart, 0, value + 1)

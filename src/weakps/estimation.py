@@ -228,12 +228,6 @@ def invert_branch(
     return kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
 
 
-def _cramer_rao(f_ps: np.ndarray, m_ps: np.ndarray) -> np.ndarray:
-    """Cramér-Rao limits ``1 / (F_ps * m_ps)`` in squared degrees."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2
-
-
 # An estimate's status in an EstimateBatch: OK, or the first error that stops it.
 OK, OUT_OF_RANGE, FLAT_CURVE, DEGENERATE = range(4)
 STATUS_ERRORS = (None, OutOfRange, FlatCurve, DegenerateConditional)
@@ -309,7 +303,7 @@ def assess_estimates(
     del columns  # freed before the budget's arithmetic, which a large batch peaks in
     with np.errstate(divide="ignore", invalid="ignore"):  # first-order propagation
         var_theta = np.asarray(var_sigmas, dtype=np.float64) / (slopes * slopes) * RAD2_TO_DEG2
-    limits = _cramer_rao(f_ps, m_ps)
+        limits = 1.0 / (f_ps * m_ps) * RAD2_TO_DEG2  # Cramér-Rao limits
     budget = f_ps * p_ps
     if (budget > QUANTUM_FISHER_INFORMATION + 1e-9).any():
         raise RuntimeError(f"information budget audit failed: {np.nanmax(budget)!r} > 16")

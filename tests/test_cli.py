@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import test_cli_golden
 from oracles import ideal_sigma
 import weakps
 from weakps import cli, draw_counts, kernels
@@ -261,8 +263,8 @@ def _subcommands(parser):
 
 def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
     # a well-formed call builds no ArgumentParser: it is read from the flags
-    # its adder declares; another spelling builds the subcommand's own parser
-    # alone; the full parser, every subparser, only for help and root errors
+    # its adder declares; any other call builds the full parser, every
+    # subparser, once
     everything = ["weakps", *(f"weakps {name}" for name in cli._SUBCOMMANDS)]
     assert _subcommands(cli.build_parser()) == list(cli._SUBCOMMANDS)
     parsers = []
@@ -277,17 +279,17 @@ def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
         # --kap also abbreviates --kappa-uncertainty where there is one: an error
         ambiguous = "--kappa-uncertainty" in _declared(name)
         for strength, built, code in ((["--kappa", "0.3"], [], 0),
-                                      (["--kappa=0.3"], [f"weakps {name}"], 0),
-                                      (["--kap", "0.3"], [f"weakps {name}"], 2 * ambiguous)):
+                                      (["--kappa=0.3"], everything, 0),
+                                      (["--kap", "0.3"], everything, 2 * ambiguous)):
             parsers.clear()
             assert _outcome(main, [name, *strength, *required])[0] == code
             assert parsers == built
         parsers.clear()
         assert _outcome(main, [name, "--help"])[0] == 0
-        assert parsers == [f"weakps {name}"]
+        assert parsers == everything
         parsers.clear()
         assert _outcome(main, [name, *required, "--bogus", "1"])[0] == 2
-        assert parsers == [f"weakps {name}", *everything]
+        assert parsers == everything
     parsers.clear()
     assert _outcome(main, ["--help"])[0] == 0
     assert parsers == everything
@@ -302,13 +304,12 @@ def _declared(name):
 
 
 def _parsed(name, tokens):
-    """``vars()`` of what the parser of subcommand ``name`` makes of
-    ``tokens``, and the tokens it leaves over; None where it exits (help,
-    usage and errors)."""
+    """``vars()`` of what the full parser makes of subcommand ``name`` called
+    with ``tokens``, and the tokens it leaves over; None where it exits
+    (help, usage and errors)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args, extra = cli._command_parser(name).parse_known_args(
-                tokens, argparse.Namespace(command=name))
+            args, extra = cli.build_parser().parse_known_args([name, *tokens])
         except SystemExit:
             return None
     return vars(args), extra
@@ -393,6 +394,25 @@ def test_direct_read_of_no_flags_is_argparse(name):
     assert (read is None) == (name == "estimate")
 
 
+def _readme_calls():
+    """The ``weakps`` examples of the README's shell blocks, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```bash\n")[1:]
+    lines = "\n".join(block.split("```")[0] for block in blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in lines.splitlines() if line.startswith("weakps ")]
+
+
+_COMMON_CALLS = [*([*argv, "--format", fmt, "--output", "out"] for argv in
+                   test_cli_golden.CASES.values() for fmt in ("csv", "json")), *_readme_calls()]
+
+
+@pytest.mark.parametrize("argv", _COMMON_CALLS, ids=" ".join)
+def test_the_direct_read_takes_the_golden_and_readme_calls(argv):
+    # the calls the tests and the README make are read without argparse
+    read = cli._read_call(argv[0], argv[1:])
+    assert read is not None and _parsed(argv[0], argv[1:]) == (vars(read), [])
+
+
 def _outcome(call, argv):
     """(exit code, stdout, stderr) of ``call(argv)``, which may exit."""
     out, err = io.StringIO(), io.StringIO()
@@ -421,9 +441,8 @@ def _outcome(call, argv):
      "weakps: error: unrecognized arguments: --bogus 1"),
 ])
 def test_usage_help_and_errors_are_the_full_parsers(tmp_path, argv, code, tail):
-    # the subcommand's parser alone reports its own errors and help as the
-    # full parser's subparser does, and unrecognized arguments fall back to
-    # the full parser for the root's text
+    # every call the direct read leaves is the full parser's: its help,
+    # usage and error text, and its exit code
     config = tmp_path / "weakps.cfg"
     config.write_text("kappa = 0.3\nbogus = 1\n")
     argv = [str(config) if a == "{config}" else a for a in argv]
@@ -477,6 +496,24 @@ def test_sweep_fisher_skips_saturated_points(tmp_path):
     assert rows[0][header.index("f_ps_minus")] == "nan"
     assert rows[0][header.index("budget_lhs_minus")] == "nan"
     assert all("nan" not in row for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", [["sweep-weak-value"], ["sweep-pusey", "--simulate"],
+                                     ["sweep-fisher"], ["simulate-counts"]],
+                         ids=["sweep-weak-value", "sweep-pusey-simulated", "sweep-fisher",
+                              "simulate-counts"])
+def test_a_grid_within_rounding_of_its_start_holds_the_start(tmp_path, command):
+    # a span of at most 1e-12 steps holds the start, as a span under one step does
+    records = []
+    for end in ("21", "20.000000000001"):
+        out = tmp_path / f"{end}.json"
+        assert main([*command, "--kappa", "0.335", "--theta-start", "20", "--theta-end", end,
+                     "--theta-step", "10", "--format", "json", "--output", str(out)]) == 0
+        records.append(json.loads(out.read_text())["records"])
+    assert records[0] == records[1] and [r["theta_deg"] for r in records[0]] == [20.0]
+    if command == ["simulate-counts"]:  # and estimate reads the narrow grid's file
+        assert main(["estimate", "--input", str(out), "--branch", "18,27",
+                     "--output", str(tmp_path / "estimates.csv")]) == 0
 
 
 def test_simulate_counts_then_estimate_round_trip(tmp_path):
