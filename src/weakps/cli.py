@@ -264,32 +264,23 @@ def _load_config_tokens(path: str) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if value.lower() in {"true", "yes", "on"}:
             tokens.append(flag)
-        elif value.lower() in {"false", "no", "off"}:
-            continue
-        else:
+        elif value.lower() not in {"false", "no", "off"}:
             tokens.extend([flag, value])
     return tokens
 
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Splice config-file tokens right after the subcommand."""
-    path = None
-    stripped: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
+    path, stripped, tokens = None, [], iter(argv)
+    for tok in tokens:
         if tok == "--config":
-            if i + 1 >= len(argv):
+            path = next(tokens, None)
+            if path is None:
                 raise ConfigError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
+        elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        stripped.append(tok)
-        i += 1
+        else:
+            stripped.append(tok)
     if path is None:
         return argv
     if not stripped:
@@ -306,10 +297,9 @@ def _resolve_strength(args: argparse.Namespace) -> tuple[float, float]:
     if (args.kappa is None) == (args.mu is None):
         raise ConfigError("provide exactly one of --kappa or --mu")
     if args.kappa is not None:
-        kappa = args.kappa
-        if not 0.0 <= kappa <= 1.0:
-            raise ConfigError(f"--kappa must lie in [0, 1], got {kappa!r}")
-        return kappa, math.asin(kappa) / 4.0
+        if not 0.0 <= args.kappa <= 1.0:
+            raise ConfigError(f"--kappa must lie in [0, 1], got {args.kappa!r}")
+        return args.kappa, math.asin(args.kappa) / 4.0
     # the models' meter angle is asin(kappa) / 4: past 22.5 deg, a gate at mu is another channel
     if not 0.0 <= args.mu <= 22.5:
         raise ConfigError(f"--mu must lie in [0, 22.5] deg, got {args.mu!r}")
@@ -401,12 +391,11 @@ def _open_output(output: str) -> contextlib.AbstractContextManager:
 
 
 def _json_column(values: "np.ndarray | list") -> list[str]:
-    """Each value of a column of numbers or strings as ``json.dumps`` writes it."""
+    """Each value of a block of a column as ``json.dumps`` writes it: a numeric
+    array by one ``json.dumps``, a list value by value (a string may hold ", ")."""
     if isinstance(values, np.ndarray):
-        values = values.tolist()
-    elif any(isinstance(v, str) for v in values):  # a string may hold the separator
-        return [json.dumps(v) for v in values]
-    return json.dumps(values)[1:-1].split(", ") if len(values) else []
+        return json.dumps(values.tolist())[1:-1].split(", ")
+    return [json.dumps(v) for v in values]
 
 
 def _write(output: str, fmt: str, metadata: dict, columns: list[str],
@@ -414,35 +403,31 @@ def _write(output: str, fmt: str, metadata: dict, columns: list[str],
     """Write the columns of ``data`` under ``metadata``: as CSV with the
     header ``columns``, or as ``json.dumps({"metadata": ..., "records": ...},
     indent=2)`` would write one record per row, keys in ``data``'s order.
-    Rows are formatted and written ``_BLOCK_ROWS`` at a time, each block by
-    one ``%`` over its rows' cells and the row template repeated."""
+    Each format sets a head, row template, separator, cell rule and tail; one
+    loop writes the rows ``_BLOCK_ROWS`` at a time, a block by one ``%``."""
     metadata = _stamp(metadata)
-    if fmt == "json":
-        head = json.dumps({"metadata": metadata}, indent=2)[:-2]  # without the closing "\n}"
-        keys = [json.dumps(key).replace("%", "%%") for key in data]
-        record = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
-        rows = min(map(len, data.values()), default=0)
-        with _open_output(output) as fh:
-            fh.write(f'{head},\n  "records": ' + ("[\n" if rows else "[]"))
-            for start in range(0, rows, _BLOCK_ROWS):
-                block = [_json_column(col[start : start + _BLOCK_ROWS]) for col in data.values()]
-                n = min(_BLOCK_ROWS, rows - start)
-                fh.write(("" if start == 0 else ",\n")
-                         + ",\n".join([record] * n) % tuple(chain.from_iterable(zip(*block))))
-            fh.write("\n  ]\n}\n" if rows else "\n}\n")
-        return
-    head = [f"# {key} = {_fmt(val)}\n" for key, val in metadata.items()]
-    # one template per row: array floats to 12 digits, all else by str (lists by _fmt)
-    template = ",".join("%.12g" if isinstance(data[c], np.ndarray) and data[c].dtype.kind == "f"
-                        else "%s" for c in columns) + "\n"
+    columns = list(data) if fmt == "json" else columns
     rows = min((len(data[c]) for c in columns), default=0)
+    if fmt == "json":  # json.dumps's own text, the rows in place of its placeholder record
+        text = json.dumps({"metadata": metadata, "records": [0] if rows else []}, indent=2) + "\n"
+        head, tail = text.rsplit("    0", 1) if rows else ("", text)
+        keys = [json.dumps(key).replace("%", "%%") for key in columns]
+        record = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+        sep, cells = ",\n", _json_column
+    else:  # array floats to 12 digits, all else by str (lists by _fmt)
+        head = "".join(f"# {key} = {_fmt(val)}\n" for key, val in metadata.items())
+        head += ",".join(columns) + "\n"
+        record = ",".join("%.12g" if isinstance(data[c], np.ndarray) and data[c].dtype.kind == "f"
+                          else "%s" for c in columns) + "\n"
+        sep = tail = ""
+        cells = lambda col: col.tolist() if isinstance(col, np.ndarray) else list(map(_fmt, col))
     with _open_output(output) as fh:
-        fh.write("".join(head) + ",".join(columns) + "\n")
+        fh.write(head)
         for start in range(0, rows, _BLOCK_ROWS):
-            cells = [col.tolist() if isinstance(col, np.ndarray) else list(map(_fmt, col))
-                     for col in (data[c][start : start + _BLOCK_ROWS] for c in columns)]
-            fh.write(template * min(_BLOCK_ROWS, rows - start)
-                     % tuple(chain.from_iterable(zip(*cells))))
+            block = [cells(data[c][start : start + _BLOCK_ROWS]) for c in columns]
+            template = sep.join([record] * min(_BLOCK_ROWS, rows - start))
+            fh.write((sep if start else "") + template % tuple(chain.from_iterable(zip(*block))))
+        fh.write(tail)
 
 
 # ---------------------------------------------------------------------------

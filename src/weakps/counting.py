@@ -509,9 +509,20 @@ def derive_seeds(root_seed: int, n: int) -> np.ndarray:
 
 
 def postselected_counts(counts: np.ndarray, postselect_sign: str) -> np.ndarray:
-    """The (outcome-0, outcome-1) columns of count rows
-    ``(n_mp, n_mm, n_pp, n_pm)`` of the requested postselection."""
-    return counts[:, :2] if sign_factor(postselect_sign) < 0 else counts[:, 2:]
+    """The (outcome-0, outcome-1) columns, as int64, of count rows ``(n_mp,
+    n_mm, n_pp, n_pm)`` of the requested postselection.  Raises ValueError
+    unless ``counts`` holds rows of 4 nonnegative integers (a fraction is not truncated)."""
+    rows = ints = np.asarray(counts)
+    if rows.ndim != 2 or rows.shape[1] != 4 or rows.dtype.kind not in "iuf":
+        raise ValueError(f"counts must be rows of 4 integer counts, got {rows.dtype} "
+                         f"of shape {rows.shape}")
+    if rows.dtype != np.int64:
+        with np.errstate(invalid="ignore"):  # NaN and values past int64 differ from their cast
+            ints = rows.astype(np.int64)
+        ints[ints != rows] = -1  # refused with the negative counts
+    if ints.min(initial=0) < 0:
+        raise ValueError(f"counts must be nonnegative integers, got {rows[ints < 0][0].item()!r}")
+    return ints[:, :2] if sign_factor(postselect_sign) < 0 else ints[:, 2:]
 
 
 def empty_channel(postselect_sign: str) -> EmptyChannel:
@@ -538,7 +549,7 @@ def weak_values_from_counts(
     k = as_strength(kappa).kappa
     if k == 0.0:
         raise ZeroStrength("count rescaling undefined at kappa = 0")
-    pair = postselected_counts(np.asarray(counts, dtype=np.int64), postselect_sign)
+    pair = postselected_counts(counts, postselect_sign)
     n_a, n_b = pair[:, 0], pair[:, 1]
     total = n_a + n_b
     f = total.astype(np.float64)

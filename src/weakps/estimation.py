@@ -461,6 +461,8 @@ def table1_batch(theta_lists_deg: list, models: "list[ModelParams]",
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
+    if not models:  # no rows to draw
+        return
     branches = []  # per model, per angle: its branch (lo, hi), or the name of the error finding it
     for thetas, model in zip(theta_lists_deg, models):  # before any draw: model errors come first
         branches.append([])

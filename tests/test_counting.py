@@ -340,6 +340,52 @@ def test_max_expected_total_is_numpys_largest_poisson_mean():
         rng.poisson(np.nextafter(MAX_EXPECTED_TOTAL, math.inf))
 
 
+# The Poisson law of one channel's draws: a chi-square statistic of their
+# histogram against the Poisson pmf, its bins consecutive counts each expected
+# at least _LAW_LEAST times, the rest joined to the last bin.  Its
+# Wilson-Hilferty cube root is about standard normal whatever the bins, and
+# must lie below the normal's upper 1e-4 point, _LAW_Z.
+_LAW_DRAWS, _LAW_LEAST, _LAW_Z = 10_000, 20.0, 3.719016485455709
+_LAW_MEANS = [0.5, 3.0, 9.99, 10.0, 37.0, 1e4]  # about the switch at 10 to PTRS
+_LAW_ROUTES = {  # route -> (patched counting constants, root seed)
+    "array": ({"_FEW_ROWS": 0}, 3101),  # one block, every try on the array path
+    "scalar": ({"_SEED_BLOCK": counting._FEW_ROWS}, 3102),  # blocks the scalar copy draws
+    "blocks": ({"_SEED_BLOCK": 1000}, 3103),  # blocks of array passes and a scalar tail
+}
+
+
+def _poisson_bins(lam, n):
+    """Lower edges of bins of consecutive counts, each expected at least
+    ``_LAW_LEAST`` times in ``n`` draws of mean ``lam``, and those expectations."""
+    edges, expected, run = [0], [], 0.0
+    for k in range(int(lam + 12 * math.sqrt(lam) + 30)):
+        run += n * math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+        if run >= _LAW_LEAST:
+            edges.append(k + 1)
+            expected.append(run)
+            run = 0.0
+    edges.pop()  # the last bin runs on to infinity
+    expected[-1] += n - sum(expected)
+    return np.array(edges), np.array(expected)
+
+
+@pytest.mark.parametrize("route", list(_LAW_ROUTES))
+@pytest.mark.parametrize("lam", _LAW_MEANS)
+def test_one_channel_draws_follow_the_poisson_law(route, lam):
+    patches, root = _LAW_ROUTES[route]
+    seeds = derive_seeds(root + _LAW_MEANS.index(lam), _LAW_DRAWS)
+    config = AcquisitionConfig(seed=0, rate=lam, duration=1.0)
+    with mock.patch.multiple(counting, **patches):
+        draws = draw_counts([1.0, 0.0, 0.0, 0.0], seeds, config, channels=1)
+    assert not draws[:, 1:].any()
+    edges, expected = _poisson_bins(lam, _LAW_DRAWS)
+    observed = np.bincount(np.searchsorted(edges, draws[:, 0], side="right") - 1,
+                           minlength=edges.size)
+    chi2, df = float(((observed - expected) ** 2 / expected).sum()), edges.size - 1
+    z = ((chi2 / df) ** (1 / 3) - 1 + 2 / (9 * df)) / math.sqrt(2 / (9 * df))
+    assert df >= 3 and z < _LAW_Z, (chi2, df, z)
+
+
 def test_draw_rejects_invalid_probabilities():
     config = AcquisitionConfig(seed=1)
     with pytest.raises(ValueError, match="must sum to 1, got 1.2"):
@@ -472,6 +518,21 @@ def test_empty_channel_raises():
     assert math.isnan(sigma_hat[0]) and math.isnan(var[0])
     with pytest.raises(ZeroStrength):
         weak_values_from_counts([[0, 0, 10, 3]], 0.0, "plus")
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([10, 5, 7, 3], "rows of 4 integer counts"),  # an IndexError before
+    (np.ones((2, 3), dtype=np.int64), "rows of 4 integer counts"),  # an IndexError under plus
+    (np.ones((2, 5), dtype=np.int64), "rows of 4 integer counts"),  # read as its first 4
+    ([[-10, 5, 7, 3]], "nonnegative integers, got -10"),  # sigma 10, variance positive
+    ([[2.7, 1, 0, 0]], "nonnegative integers, got 2.7"),  # truncated to 2
+])
+def test_count_rows_must_hold_4_nonnegative_integers(counts, message):
+    for sign in ("minus", "plus"):
+        with pytest.raises(ValueError, match=message):
+            postselected_counts(counts, sign)
+        with pytest.raises(ValueError, match=message):
+            weak_values_from_counts(counts, KAPPA, sign)
 
 
 @pytest.mark.parametrize("root", [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64,

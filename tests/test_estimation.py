@@ -497,6 +497,7 @@ def test_no_working_points_give_no_rows():
     config = AcquisitionConfig(seed=1)
     assert _rows([], MINUS_MODEL, config, 3) == []
     assert list(table1_batch([[], []], [MINUS_MODEL] * 2, config, 3)) == [[], []]
+    assert list(table1_batch([], [], config, 3)) == []  # no model: no list of rows
 
 
 @pytest.mark.parametrize("kappa", [0.05, KAPPA, math.sin(20 * D2R), 0.9, 1.0])

@@ -182,7 +182,8 @@ def test_ideal_record_matches_matrix_route():
 def test_record_channel_selection():
     # the count path and the model keep the same pair: (mp, mm) for minus
     probs = kernels.channel_probabilities(np.array([20 * D2R]), 0.335).T
-    assert postselected_counts(probs, "minus").tolist() == probs[:, :2].tolist()
-    assert postselected_counts(probs, "plus").tolist() == probs[:, 2:].tolist()
+    counts = np.round(probs * 1e6).astype(np.int64)  # rows of counts in the channels' order
+    assert postselected_counts(counts, "minus").tolist() == counts[:, :2].tolist()
+    assert postselected_counts(counts, "plus").tolist() == counts[:, 2:].tolist()
     p_ps = ModelParams(0.335, "minus").evaluate(np.array([20 * D2R]))["p_ps"]
     assert p_ps[0] == pytest.approx(probs[0, 0] + probs[0, 1], abs=1e-15)
