@@ -488,16 +488,17 @@ def _cmd_sweep_pusey(args) -> None:
     grid_deg, grid, models, meta = _sweep(args, p_phi_convention=args.p_phi,
                                           simulated_counts=args.simulate)
     kappa = meta["kappa"]
+    basis = kernels.trig_basis(grid)  # the draw's and every postselection's
     if args.simulate:  # one draw per grid point, read for every postselection
         acquisition = _acquisition(args)  # checks the seed before any is derived from it
-        counts = draw_counts(channel_probabilities(grid, kappa, None).T,
+        counts = draw_counts(channel_probabilities(grid, kappa, None, basis).T,
                              derive_seeds(args.seed, grid.size), acquisition)
         totals = counts.sum(axis=1).astype(np.float64)
         meta.update(seed=args.seed, rate=args.rate, duration=args.duration)
 
     data = {"theta_deg": grid_deg}
     for sign, model in models.items():
-        p0, p1, p_phi = model.joint_pair(grid)
+        p0, p1, p_phi = model.joint_pair(grid, basis)
         if args.simulate:  # frequencies; NaN where no coincidence was counted
             with np.errstate(divide="ignore", invalid="ignore"):
                 p0, p1 = postselected_counts(counts, sign).T / totals
@@ -673,12 +674,13 @@ def _cmd_table1(args) -> None:
     batch = table1_batch([TABLE1_THETAS_DEG[sign] for sign in signs], models, acquisition,
                          args.repetitions)
     rows = []  # one tuple of the columns below per working point
-    for sign in signs:
-        for row in next(batch):  # one postselection's rows at a time
-            rows.append((sign, row.theta_deg, row.mean_theta_hat_deg, row.mean_variance_deg2,
-                         row.mean_sigma_cr_deg2, row.empirical_variance_deg2, row.mean_m_ps,
-                         row.n_ok, row.n_failed,
-                         *baseline.get((sign, row.theta_deg), (math.nan, math.nan))))
+    for sign in signs:  # one postselection's rows at a time; the generator's `row` ends with
+        # it, so no row, whose arrays are views of its model's assessed columns, outlives it
+        rows.extend((sign, row.theta_deg, row.mean_theta_hat_deg, row.mean_variance_deg2,
+                     row.mean_sigma_cr_deg2, row.empirical_variance_deg2, row.mean_m_ps,
+                     row.n_ok, row.n_failed,
+                     *baseline.get((sign, row.theta_deg), (math.nan, math.nan)))
+                    for row in next(batch))
     columns = [
         "postselect", "theta_deg", "mean_theta_hat_deg", "variance_theta_deg2",
         "sigma_cr_deg2", "empirical_variance_deg2", "mean_m_ps", "n_ok", "n_failed",

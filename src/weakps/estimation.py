@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
 
@@ -26,11 +26,11 @@ import numpy as np
 from . import counting, kernels
 from .counting import (AcquisitionConfig, derive_seeds, draw_counts,
                        postselected_counts, weak_values_from_counts)
-from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatCurve, OutOfRange,
-                     WeakpsError, ZeroPostselection, ZeroStrength, angle_text)
-from .imperfections import (ImperfectionParams, postselected_coefficients,
-                            renormalized_probabilities)
-from .states import as_strength, sign_factor
+from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatCurve,
+                     GateStarved, OutOfRange, WeakpsError, ZeroPostselection, ZeroStrength,
+                     angle_text)
+from .imperfections import ImperfectionParams, channel_matrix
+from .states import PROB_FLOOR, as_strength, sign_factor
 from .weak import QUANTUM_FISHER_INFORMATION, SATURATION_TOL
 
 __all__ = [
@@ -69,13 +69,28 @@ def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def channel_probabilities(thetas: np.ndarray, kappa: float,
-                          imperfections: ImperfectionParams | None) -> np.ndarray:
+                          imperfections: ImperfectionParams | None,
+                          basis: "tuple | None" = None) -> np.ndarray:
     """Probabilities of the four coincidence channels given a coincidence, rows
     ``(p_mp, p_mm, p_pp, p_pm)`` over an array of angles, at strength ``kappa``
-    through the ideal gate or ``imperfections`` (meter angle ``asin(kappa) / 4``)."""
+    through the ideal gate or ``imperfections``: each row of
+    :func:`~weakps.imperfections.channel_matrix` a trig form of its own over
+    the angles' ``basis`` (their :func:`~weakps.kernels.trig_basis` unless
+    given), since a matmul rounds otherwise as a call holds one angle or more.
+    Under a gate, the rows of ``t_h = 1`` (it cancels) divided by their sum;
+    GateStarved where the coincidence probability is at or below the floor."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    basis = kernels.trig_basis(thetas) if basis is None else basis
+    unit = None if imperfections is None else replace(imperfections, t_h=1.0)
+    probs = np.stack([kernels.trig_form(row, basis) for row in channel_matrix(kappa, unit)])
     if imperfections is None:
-        return kernels.channel_probabilities(thetas, kappa)
-    return renormalized_probabilities(thetas, math.asin(kappa) / 4.0, imperfections)
+        return probs
+    total = probs.sum(axis=0)
+    starved = imperfections.t_h * imperfections.t_h * total <= PROB_FLOOR
+    if np.any(starved):
+        raise GateStarved("coincidence probability vanishes at theta = "
+                          f"{angle_text(float(thetas[starved][0]))}")
+    return probs / total
 
 
 @dataclass(frozen=True)
@@ -98,13 +113,12 @@ class ModelParams:
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """``(n, d)`` with ``p0 - p1 = n.B`` and ``p0 + p1 = d.B``,
-        ``B = (1, cos 4t, sin 4t)``, for the postselected pair: per
-        coincidence in the ideal model, per attempt under imperfections."""
-        sign = sign_factor(self.postselect_sign)
-        if self.imperfections is None:
-            r = math.sqrt(1.0 - self.kappa * self.kappa)
-            return np.array([0.0, self.kappa / 2.0, 0.0]), np.array([0.5, 0.0, sign * r / 2.0])
-        return postselected_coefficients(self.mu, self.imperfections, sign)
+        ``B = (1, cos 4t, sin 4t)``, for the postselected pair: the difference
+        and the sum of its two rows of :func:`~weakps.imperfections.channel_matrix`,
+        per coincidence in the ideal model, per attempt under imperfections."""
+        rows = channel_matrix(self.kappa, self.imperfections)
+        p0, p1 = rows[:2] if sign_factor(self.postselect_sign) < 0 else rows[2:]
+        return p0 - p1, p0 + p1
 
     def evaluate(self, thetas: np.ndarray) -> dict[str, np.ndarray]:
         """The model's columns over an array of angles, from one trig basis and
@@ -161,12 +175,14 @@ class ModelParams:
             raise ZeroStrength("weak value undefined at kappa = 0")
         return columns
 
-    def joint_pair(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def joint_pair(self, thetas: np.ndarray,
+                   basis: "tuple | None" = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The postselected pair ``(p0, p1)`` over an array of angles, with
         ``p0 - p1 = n.B`` and ``p0 + p1 = d.B``, and the overlap ``p_phi``, the
         ideal model's ``d.B`` at ``kappa = 0``: what Pusey's functional is
-        evaluated on.  Unvalidated, from one trig basis."""
-        basis = kernels.trig_basis(thetas)
+        evaluated on.  Unvalidated, from one trig basis, the angles' own
+        unless given."""
+        basis = kernels.trig_basis(thetas) if basis is None else basis
         n, d = self.coefficients
         p_ps, diff = kernels.trig_form(d, basis), kernels.trig_form(n, basis)
         p_phi = kernels.trig_form(ModelParams(0.0, self.postselect_sign).coefficients[1], basis)

@@ -19,20 +19,26 @@ density operator, followed by renormalization on coincidence detection:
    drops out on renormalization.
 
 Every stage operator is diagonal and the input is pure, so the model has a
-closed form (:func:`coincidence_probabilities`).  With ``c, s = cos 2t,
-sin 2t`` and ``c_mu, s_mu = cos 2mu, sin 2mu``, the balanced coherent
-amplitude is
+closed form.  With ``c, s = cos 2t, sin 2t`` and ``c_mu, s_mu = cos 2mu,
+sin 2mu``, the balanced coherent amplitude is
 
     b = t_h * (t_v c c_mu, t_v c s_mu, t_v s c_mu, (2 t_v - 1) s s_mu),
 
 and the channel with signal sign ``s_sig`` and meter sign ``m`` (each +-1)
 has per-attempt probability ``[v (u.b)^2 + (1 - v) |b|^2] / 4`` with
 ``u = (1, m, s_sig, s_sig m)``.  The four sum to the coincidence probability
-``|b|^2``.  ``t_h`` multiplies every amplitude, so it cancels from every
-renormalized probability: it changes only whether the gate is starved
-(``t_h = 0``) and the per-attempt probabilities.  The test suite walks the
-three stages on 4x4 density matrices and compares the closed form against
-them.
+``|b|^2``.  Through ``c^2, s^2, c s = (1 + cos 4t) / 2, (1 - cos 4t) / 2,
+sin(4t) / 2`` each channel is a trig form ``c_i.B`` in ``B = (1, cos 4t,
+sin 4t)``: :func:`channel_matrix` holds the four rows ``c_i``, and of the
+ideal gate too, whose rows are ``(1, m kappa, s_sig r) / 4`` per coincidence
+with ``r = sqrt(1 - kappa^2)``.  Every channel probability the library draws
+from (:func:`weakps.estimation.channel_probabilities`) and every postselected
+pair it inverts (:attr:`weakps.estimation.ModelParams.coefficients`) is read
+off that one matrix.  ``t_h`` multiplies every amplitude, so its square is
+one factor of the whole matrix: it changes only whether the gate is starved
+(``t_h = 0``) and the per-attempt probabilities, not the renormalized ones.
+The test suite walks the three stages on 4x4 density matrices and compares
+the closed form against them.
 
 ``t_h`` and ``t_v`` are intensity transmissions (amplitudes are their square
 roots); this convention is recorded in CLI output metadata.  Residual
@@ -49,16 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GateStarved, angle_text
-from .states import PROB_FLOOR
-
 __all__ = [
     "ImperfectionParams",
     "IDEAL_GATE",
     "VISIBILITY_MODEL",
-    "coincidence_probabilities",
-    "renormalized_probabilities",
-    "postselected_coefficients",
+    "channel_matrix",
 ]
 
 # Identifier written into CLI metadata so downstream consumers know which
@@ -83,58 +84,35 @@ class ImperfectionParams:
 
 IDEAL_GATE = ImperfectionParams(visibility=1.0, t_h=1.0, t_v=1.0 / 3.0)
 
-# Signs (s_sig, m) of the four channels in row order: mp, mm, pp, pm.
-_CHANNEL_VECTORS = np.array([(1.0, m, s_sig, s_sig * m)
-                             for s_sig, m in ((-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, -1.0))])
+# The signal and meter signs (s_sig, m) of the four channels, in row order mp, mm, pp, pm
+_SIGNS = ((-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, -1.0))
 
 
-def coincidence_probabilities(thetas, mu: float, params: ImperfectionParams) -> np.ndarray:
-    """Per-attempt probabilities of the four coincidence channels, rows
-    ``(p_mp, p_mm, p_pp, p_pm)``, over a one-dimensional array of angles
-    (the closed form in the module docstring).
+def channel_matrix(kappa: float, imperfections: ImperfectionParams | None) -> np.ndarray:
+    """The 4x3 matrix ``C`` whose rows, in order ``(mp, mm, pp, pm)``, give the
+    four channel probabilities as trig forms ``C.B``, ``B = (1, cos 4t,
+    sin 4t)``, at strength ``kappa``: through the ideal gate (``imperfections``
+    None) per coincidence, through the lossy gate per attempt, at meter angle
+    ``asin(kappa) / 4`` (the module docstring).
 
-    The rows sum to the coincidence probability; raises GateStarved where
-    that is numerically zero.
+    The lossy gate's rows are built at ``t_h = 1``, ``[v (u.b)^2 + (1 - v)
+    |b|^2] / 4`` with ``b = (b1 c, b2 c, b3 s, b4 s)`` and ``u.b = a c + e s``,
+    ``a, e = b1 + m b2, s_sig (b3 + m b4)``: with ``p, q = v a^2 + (1 - v)
+    (b1^2 + b2^2), v e^2 + (1 - v) (b3^2 + b4^2)`` a row is ``(p + q, p - q,
+    2 v a e) / 8``; then ``t_h^2`` scales them all.  Python floats: a model
+    builds its matrix once, and a few numpy calls cost more than the arithmetic.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    c, s = np.cos(2.0 * thetas), np.sin(2.0 * thetas)
+    if imperfections is None:
+        r = math.sqrt(1.0 - kappa * kappa)
+        return np.array([(1.0, m * kappa, s_sig * r) for s_sig, m in _SIGNS]) / 4.0
+    mu = math.asin(kappa) / 4.0
     c_mu, s_mu = math.cos(2.0 * mu), math.sin(2.0 * mu)
-    t_v = params.t_v
-    b = params.t_h * np.stack([t_v * c * c_mu, t_v * c * s_mu, t_v * s * c_mu,
-                               (2.0 * t_v - 1.0) * s * s_mu])
-    # the sign columns summed elementwise: a matmul rounds otherwise as a call
-    # holds one angle or several, and a batch must give each angle's bits
-    ub = sum(signs[:, None] * row for signs, row in zip(_CHANNEL_VECTORS.T, b))
-    v = params.visibility
-    probs = (v * ub * ub + (1.0 - v) * np.sum(b * b, axis=0)) / 4.0
-    starved = probs.sum(axis=0) <= PROB_FLOOR
-    if np.any(starved):
-        bad = float(thetas[starved][0])
-        raise GateStarved(f"coincidence probability vanishes at theta = {angle_text(bad)}")
-    return probs
-
-
-def renormalized_probabilities(thetas, mu: float, params: ImperfectionParams) -> np.ndarray:
-    """The four channel probabilities given a coincidence:
-    :func:`coincidence_probabilities` divided by their sum at each angle."""
-    probs = coincidence_probabilities(thetas, mu, params)
-    return probs / probs.sum(axis=0)
-
-
-def postselected_coefficients(mu: float, params: ImperfectionParams,
-                              sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``(n, d)`` of the postselected pair's per-attempt
-    probabilities, ``p0 - p1 = n.B`` and ``p0 + p1 = d.B`` with
-    ``B = (1, cos 4t, sin 4t)``, for postselection ``sign`` (-1 or +1).
-
-    With ``b = (b1 c, b2 c, b3 s, b4 s)`` above, ``p0 - p1 = v (b1 b2 c^2 +
-    b3 b4 s^2 + sign (b1 b4 + b2 b3) c s)`` and ``p0 + p1 = (b1^2 + b2^2) c^2
-    / 2 + (b3^2 + b4^2) s^2 / 2 + sign v (b1 b3 + b2 b4) c s``, linear in B
-    through ``c^2, s^2, c s = (1 + cos 4t) / 2, (1 - cos 4t) / 2, sin(4t) / 2``.
-    """
-    c_mu, s_mu, t_v, v = math.cos(2.0 * mu), math.sin(2.0 * mu), params.t_v, params.visibility
-    b1, b2, b3, b4 = params.t_h * np.array([t_v * c_mu, t_v * s_mu, t_v * c_mu,
-                                            (2.0 * t_v - 1.0) * s_mu])
+    t_v, v = imperfections.t_v, imperfections.visibility
+    b1, b2, b3, b4 = t_v * c_mu, t_v * s_mu, t_v * c_mu, (2.0 * t_v - 1.0) * s_mu
     cc, ss = b1 * b1 + b2 * b2, b3 * b3 + b4 * b4
-    return (v * np.array([b1 * b2 + b3 * b4, b1 * b2 - b3 * b4, sign * (b1 * b4 + b2 * b3)]) / 2.0,
-            np.array([(cc + ss) / 4.0, (cc - ss) / 4.0, sign * v * (b1 * b3 + b2 * b4) / 2.0]))
+    rows = []
+    for s_sig, m in _SIGNS:
+        a, e = b1 + m * b2, s_sig * (b3 + m * b4)
+        p, q = v * a * a + (1.0 - v) * cc, v * e * e + (1.0 - v) * ss
+        rows.append((p + q, p - q, 2.0 * v * a * e))
+    return imperfections.t_h * imperfections.t_h * np.array(rows) / 8.0

@@ -1,15 +1,17 @@
-"""Numpy array kernels: the closed forms of the model (the four channel
-probabilities, postselected Fisher information in terms of any model's
-postselected value and slope, Pusey's functional), evaluated vectorized over
-an angle or probability array; the ideal model's postselected Fisher
-information ``16 k^2 / (2 p_ps)^2`` is written in
-:meth:`weakps.estimation.ModelParams.evaluate`.  The ``trig_*`` kernels
-and :func:`invert_trig` hold the form every model's postselected pair
-shares, ``p0 -+ p1`` linear in ``(1, cos 4t, sin 4t)``: its value (the
-postselection probability is ``trig_form(d)``), slope and turning points,
-and the closed-form inverse on a monotone branch.  The form, the curve and
-the slope take the angles' basis ``(cos 4t, sin 4t)`` from :func:`trig_basis`,
-so that one basis serves every column of the same angles.
+"""Numpy array kernels: the closed forms of the model (postselected Fisher
+information in terms of any model's postselected value and slope, Pusey's
+functional), evaluated vectorized over an angle or probability array; the
+ideal model's postselected Fisher information ``16 k^2 / (2 p_ps)^2`` is
+written in :meth:`weakps.estimation.ModelParams.evaluate`.  The ``trig_*``
+kernels and :func:`invert_trig` hold the form every channel of either model
+takes, ``c.B`` with ``B = (1, cos 4t, sin 4t)``: a channel probability is
+``trig_form`` of its row of :func:`weakps.imperfections.channel_matrix`, and
+a postselected pair's ``p0 -+ p1`` are the forms of the difference and the
+sum of its two rows.  Of that pair they hold the value (the postselection
+probability is ``trig_form(d)``), slope and turning points, and the
+closed-form inverse on a monotone branch.  The form, the curve and the slope
+take the angles' basis ``(cos 4t, sin 4t)`` from :func:`trig_basis`, so that
+one basis serves every column of the same angles.
 
 Kernels are deliberately unvalidated.  The functions that validate and then
 call them are :meth:`weakps.estimation.ModelParams.checked` and the CLI's
@@ -27,7 +29,6 @@ import numpy as np
 from .states import PROB_FLOOR, Strength
 
 __all__ = [
-    "channel_probabilities",
     "fisher_from_weak_value",
     "pusey_functional",
     "trig_basis",
@@ -40,21 +41,6 @@ __all__ = [
 
 # A trig form c.B sums terms up to |c|_1 in size: within a few roundings of that, it is zero
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
-
-
-def channel_probabilities(theta: np.ndarray, kappa: float) -> np.ndarray:
-    """Joint probabilities of the four coincidence channels, rows
-    ``(p_mp, p_mm, p_pp, p_pm)`` over the angle array: ``(a c -+ b s)^2 / 2``
-    and ``(b c -+ a s)^2 / 2`` with a, b = sqrt((1 +- k) / 2) and
-    c, s = cos(2t), sin(2t).  Squares go through ``pow`` as Python's ``**``
-    does; numpy's ``**2`` rounds some of them differently, and the simulated
-    counts depend on these bits."""
-    theta = np.asarray(theta, dtype=np.float64)
-    a = math.sqrt((1.0 + kappa) / 2.0)
-    b = math.sqrt((1.0 - kappa) / 2.0)
-    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    amplitudes = np.stack([a * c - b * s, b * c - a * s, a * c + b * s, b * c + a * s])
-    return np.float_power(amplitudes, 2.0) / 2.0
 
 
 def fisher_from_weak_value(sigma: np.ndarray, slope: np.ndarray, kappa: float) -> np.ndarray:
@@ -87,9 +73,10 @@ def trig_basis(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def trig_form(coeffs: np.ndarray, basis: tuple) -> np.ndarray:
     """``coeffs.B`` with ``B = (1, cos 4t, sin 4t)``, from the angles'
-    :func:`trig_basis`: either model's postselected pair has ``p0 - p1 = n.B``
-    and ``p0 + p1 = d.B``, and the ``trig_*`` kernels take ``(n, d)``
-    (:attr:`weakps.estimation.ModelParams.coefficients`)."""
+    :func:`trig_basis`: a channel probability is the form of its row of
+    :func:`weakps.imperfections.channel_matrix`, either model's postselected
+    pair has ``p0 - p1 = n.B`` and ``p0 + p1 = d.B``, and the ``trig_*``
+    kernels take ``(n, d)`` (:attr:`weakps.estimation.ModelParams.coefficients`)."""
     return coeffs[0] + coeffs[1] * basis[0] + coeffs[2] * basis[1]
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from weakps import kernels
 from weakps.estimation import ModelParams
 from weakps.errors import DegenerateConditional, GateStarved, ZeroPostselection
-from weakps.imperfections import renormalized_probabilities
 from weakps.states import PROB_FLOOR, sign_factor
 from weakps.weak import SATURATION_TOL
 
@@ -160,7 +159,7 @@ def imperfect_joint_probs(theta: float, mu: float, params) -> np.ndarray:
     """The density-matrix route of the lossy gate: its three stages
     (:mod:`weakps.imperfections`) on 4x4 density matrices, each checked, and
     the four channels renormalized on a coincidence.  The reference for
-    :func:`weakps.imperfections.renormalized_probabilities`.
+    :func:`weakps.estimation.channel_probabilities` through a lossy gate.
 
     Raises GateStarved when the coincidence probability is numerically zero.
     """
@@ -196,7 +195,8 @@ def effective_kappa(params, mu: float) -> float:
     ``sin(4*mu)`` for ideal parameters.
     """
     thetas = np.deg2rad(np.arange(0.0, 90.0, _CALIBRATION_STEP_DEG))
-    p_mp, p_mm, p_pp, p_pm = renormalized_probabilities(thetas, mu, params)
+    p_mp, p_mm, p_pp, p_pm = np.transpose([imperfect_joint_probs(t, mu, params)
+                                           for t in thetas.tolist()])
     diffs = (p_pp + p_mp) - (p_pm + p_mm)
     cos4 = np.cos(4.0 * thetas)
     return float(np.dot(cos4, diffs) / np.dot(cos4, cos4))

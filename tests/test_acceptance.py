@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from laws import ONE_SIGMA, within_binomial_bound
 from oracles import (MINUS, PLUS, circuit_channels, consolidated_channel, fisher_ps_definition,
                      four_outcome_bloch_angles, ideal_postselect_probability, ideal_sigma,
                      imperfect_joint_probs, joint_probability, postselected_value, projector,
@@ -16,7 +17,7 @@ from oracles import (MINUS, PLUS, circuit_channels, consolidated_channel, fisher
 import weakps as w
 from weakps import kernels
 from weakps.errors import DegenerateConditional
-from weakps.estimation import OK, TABLE1_THETAS_DEG
+from weakps.estimation import OK, TABLE1_THETAS_DEG, channel_probabilities
 from weakps.states import sign_factor
 from weakps.weak import QUANTUM_FISHER_INFORMATION
 
@@ -97,7 +98,7 @@ def test_criterion_03_fisher_consistency():
             worst_pair = max(worst_pair, abs(f_def / f_closed - 1.0))
 
     def _pcs(theta, kappa):
-        p0, p1 = kernels.channel_probabilities(theta, kappa)[:2].tolist()
+        p0, p1 = channel_probabilities(theta, kappa, None)[:2].tolist()
         pc0 = p0 / (p0 + p1)
         return pc0, 1.0 - pc0
 
@@ -279,7 +280,7 @@ def test_criterion_09_monte_carlo_statistics():
     t0 = time.perf_counter()
     kappa = 0.335
     theta = 20 * D2R
-    row = kernels.channel_probabilities(theta, kappa).tolist()
+    row = channel_probabilities(theta, kappa, None).tolist()
 
     config = w.AcquisitionConfig(seed=11, rate=2000.0, duration=5.0)
     first = w.draw_counts(row, np.array([config.seed], dtype=np.uint64), config)
@@ -293,8 +294,8 @@ def test_criterion_09_monte_carlo_statistics():
     sigma_ideal = float(ideal_sigma(theta, kappa, -1.0))
     reps = 1000
     sigma_hats, variances = w.weak_values_from_counts(batch(515151), kappa, "minus")
-    coverage = int(np.sum(np.abs(sigma_hats - sigma_ideal) <= np.sqrt(variances))) / reps
-    coverage_ok = 0.62 <= coverage <= 0.74
+    covered = int(np.sum(np.abs(sigma_hats - sigma_ideal) <= np.sqrt(variances)))
+    coverage, coverage_ok = covered / reps, within_binomial_bound(covered, reps, ONE_SIGMA)
 
     model = w.ModelParams(kappa=kappa, postselect_sign="minus")
     branch = model.branch_containing(theta)

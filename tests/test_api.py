@@ -24,10 +24,8 @@ SUBMODULE_ALL = {
     "estimation": ["EstimateBatch", "ModelParams", "RAD2_TO_DEG2", "TABLE1_THETAS_DEG",
                    "Table1Row", "assess_estimates", "channel_probabilities", "invert_branch",
                    "load_baseline", "table1_batch"],
-    "imperfections": ["IDEAL_GATE", "ImperfectionParams", "VISIBILITY_MODEL",
-                      "coincidence_probabilities", "postselected_coefficients",
-                      "renormalized_probabilities"],
-    "kernels": ["channel_probabilities", "fisher_from_weak_value", "invert_trig",
+    "imperfections": ["IDEAL_GATE", "ImperfectionParams", "VISIBILITY_MODEL", "channel_matrix"],
+    "kernels": ["fisher_from_weak_value", "invert_trig",
                 "pusey_functional", "trig_basis", "trig_curve", "trig_form", "trig_slope",
                 "trig_turning_points"],
     "states": ["PROB_FLOOR", "Strength", "as_strength", "sign_factor"],

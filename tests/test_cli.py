@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -105,6 +106,24 @@ def test_table1_both_seeds_once_and_probes_each_branch_once(tmp_path, monkeypatc
                      "--seed", "3", *gate, "--output", str(tmp_path / "table1.csv")]) == 0
         assert calls == {"trig_turning_points": 2, "_pcg64_states": 1}
 
+
+
+def test_table1_frees_the_minus_rows_before_the_plus_model_is_assessed(tmp_path, monkeypatch):
+    # a Table1Row's arrays are views of its model's assessed columns: once
+    # the minus rows are read, none may keep those columns alive while the
+    # plus model's are assessed, the run's peak
+    minus_columns, real = [], weakps.estimation._assess_parts
+
+    def assess(model, *args):
+        if model.postselect_sign == "plus":
+            assert minus_columns and [ref() for ref in minus_columns] == [None] * 5
+        parts = real(model, *args)
+        if model.postselect_sign == "minus":
+            minus_columns.extend(weakref.ref(column.base) for column in parts[-1][0])
+        return parts
+    monkeypatch.setattr(weakps.estimation, "_assess_parts", assess)
+    assert main(["table1", "--kappa", "0.335", "--postselect", "both", "--repetitions", "50",
+                 "--seed", "3", "--output", str(tmp_path / "table1.csv")]) == 0
 
 def test_sweep_pusey_simulated_counts(tmp_path):
     out = tmp_path / "pusey.json"
@@ -831,10 +850,11 @@ def test_sweep_weak_value_writes_nan_where_nothing_is_postselected(tmp_path, cap
                          ids=["sweep-weak-value", "sweep-pusey", "sweep-pusey-simulated",
                               "sweep-fisher"])
 def test_a_sweep_takes_one_trig_basis_per_postselection(tmp_path, monkeypatch, sweep):
+    # sweep-pusey takes one for its draw and every postselection
     calls = []
     real = kernels.trig_basis
     monkeypatch.setattr(kernels, "trig_basis", lambda thetas: calls.append(1) or real(thetas))
-    for postselect, bases in (("minus", 1), ("both", 2)):
+    for postselect, bases in (("minus", 1), ("both", 1 if sweep[0] == "sweep-pusey" else 2)):
         calls.clear()
         assert main([*sweep, "--kappa", "0.335", "--postselect", postselect,
                      "--output", str(tmp_path / "sweep.csv")]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from laws import LAW_Z, ONE_SIGMA, within_binomial_bound
 from oracles import draw_counts as draw_counts_per_row
 from oracles import ideal_sigma
 
@@ -18,7 +19,7 @@ from weakps import (
 from weakps import counting
 from weakps.counting import MAX_EXPECTED_TOTAL, postselected_counts
 from weakps.errors import ZeroStrength
-from weakps.kernels import channel_probabilities
+from weakps.estimation import channel_probabilities
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -58,7 +59,7 @@ def _draw(probs, config):
 def _batch(theta, config, repetitions):
     """Count rows of independent repetitions at one angle, seeded from the
     config seed as table1 seeds its working points."""
-    probs = channel_probabilities([theta], KAPPA)[:, 0]
+    probs = channel_probabilities([theta], KAPPA, None)[:, 0]
     return draw_counts(probs, derive_seeds(config.seed, repetitions), config)
 
 
@@ -66,7 +67,7 @@ def test_draws_match_one_generator_per_seed():
     # row i is four scalar draws, in channel order, from default_rng(seeds[i])
     config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
     seeds = np.concatenate([derive_seeds(42, 25), _seeds(0, 1, 2**64 - 1)])
-    probs = channel_probabilities(np.linspace(0.0, math.pi / 2, len(seeds)), KAPPA).T
+    probs = channel_probabilities(np.linspace(0.0, math.pi / 2, len(seeds)), KAPPA, None).T
     expected = draw_counts_per_row(probs, seeds, config).tolist()
     counts = draw_counts(probs, seeds, config)
     assert counts.dtype == np.int64 and counts.shape == (len(seeds), 4)
@@ -97,7 +98,7 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
     monkeypatch.setattr(counting, "_SEED_BLOCK", block)  # 3: the seeds span blocks
     config = AcquisitionConfig(seed=0, rate=700.0, duration=3.0)
-    probs = channel_probabilities([0.3], KAPPA)[:, 0]
+    probs = channel_probabilities([0.3], KAPPA, None)[:, 0]
     expected = draw_counts_per_row(probs, _seeds(*EDGE_SEEDS), config).tolist()
     assert draw_counts(probs, _seeds(*EDGE_SEEDS), config).tolist() == expected
     for seed, row in zip(EDGE_SEEDS, expected):
@@ -107,7 +108,7 @@ def test_edge_seeds_draw_as_default_rng(monkeypatch, block):
 def test_root_seeds_past_2_64_draw_through_derive_seeds():
     # numpy's SeedSequence takes any nonnegative root; the seeds it derives are uint64
     config = AcquisitionConfig(seed=2**128 + 5)
-    probs = channel_probabilities([0.3], KAPPA)[:, 0]
+    probs = channel_probabilities([0.3], KAPPA, None)[:, 0]
     seeds = derive_seeds(config.seed, 3)
     expected = draw_counts_per_row(probs, seeds, config).tolist()
     assert draw_counts(probs, seeds, config).tolist() == expected
@@ -160,7 +161,7 @@ def test_batches_about_the_few_rows_bound_draw_as_default_rng(n):
     # through a channel, and the copy draws what they have left from where
     # the channel began
     config = AcquisitionConfig(seed=0, rate=300.0, duration=1.0)
-    probs = channel_probabilities(np.linspace(0.0, math.pi / 2, n), KAPPA).T.copy()
+    probs = channel_probabilities(np.linspace(0.0, math.pi / 2, n), KAPPA, None).T.copy()
     probs[::3, 0] = 0.0  # zero means, first and inside the rows a pass leaves
     probs[1::3, 2] = 0.0
     probs /= probs.sum(axis=1, keepdims=True)
@@ -249,7 +250,7 @@ def test_table1_shaped_draw_broadcasts_each_point_over_its_repetitions(repetitio
     config = AcquisitionConfig(seed=0)
     monkeypatch.setattr(counting, "_SEED_BLOCK", block)
     thetas = np.radians([[20.0, 22.5, 25.0, 27.5], [67.5, 70.0, 72.5, 75.0]])
-    probs = np.stack([channel_probabilities(t, KAPPA).T for t in thetas])
+    probs = np.stack([channel_probabilities(t, KAPPA, None).T for t in thetas])
     seeds = derive_seeds(11, 4 * repetitions)
     counts = draw_counts(probs[:, :, None], seeds.reshape(4, repetitions), config)
     assert counts.shape == (2, 4, repetitions, 4)
@@ -262,7 +263,8 @@ def _guard_batch():
     """A batch whose channel means span both samplers, its seeds, and the
     rows one ``default_rng`` per seed draws."""
     config = AcquisitionConfig(seed=0, rate=1e4, duration=1.0)
-    probs = np.vstack([channel_probabilities(np.linspace(0.0, math.pi / 2, 500), KAPPA).T,
+    grid = np.linspace(0.0, math.pi / 2, 500)
+    probs = np.vstack([channel_probabilities(grid, KAPPA, None).T,
                        [[0.0, 1e-4, 0.5, 0.4999]] * 20])
     seeds = derive_seeds(9, len(probs))
     return config, probs, seeds, draw_counts_per_row(probs, seeds, config).tolist()
@@ -345,7 +347,7 @@ def test_max_expected_total_is_numpys_largest_poisson_mean():
 # at least _LAW_LEAST times, the rest joined to the last bin.  Its
 # Wilson-Hilferty cube root is about standard normal whatever the bins, and
 # must lie below the normal's upper 1e-4 point, _LAW_Z.
-_LAW_DRAWS, _LAW_LEAST, _LAW_Z = 10_000, 20.0, 3.719016485455709
+_LAW_DRAWS, _LAW_LEAST, _LAW_Z = 10_000, 20.0, LAW_Z
 _LAW_MEANS = [0.5, 3.0, 9.99, 10.0, 37.0, 1e4]  # about the switch at 10 to PTRS
 _LAW_ROUTES = {  # route -> (patched counting constants, root seed)
     "array": ({"_FEW_ROWS": 0}, 3101),  # one block, every try on the array path
@@ -369,6 +371,14 @@ def _poisson_bins(lam, n):
     return np.array(edges), np.array(expected)
 
 
+def _poisson_law(draws, lam):
+    """``(chi2, df, z)`` of draws against the Poisson law of mean ``lam``."""
+    edges, expected = _poisson_bins(lam, draws.size)
+    observed = np.bincount(np.searchsorted(edges, draws, side="right") - 1, minlength=edges.size)
+    chi2, df = float(((observed - expected) ** 2 / expected).sum()), edges.size - 1
+    return chi2, df, ((chi2 / df) ** (1 / 3) - 1 + 2 / (9 * df)) / math.sqrt(2 / (9 * df))
+
+
 @pytest.mark.parametrize("route", list(_LAW_ROUTES))
 @pytest.mark.parametrize("lam", _LAW_MEANS)
 def test_one_channel_draws_follow_the_poisson_law(route, lam):
@@ -378,12 +388,55 @@ def test_one_channel_draws_follow_the_poisson_law(route, lam):
     with mock.patch.multiple(counting, **patches):
         draws = draw_counts([1.0, 0.0, 0.0, 0.0], seeds, config, channels=1)
     assert not draws[:, 1:].any()
-    edges, expected = _poisson_bins(lam, _LAW_DRAWS)
-    observed = np.bincount(np.searchsorted(edges, draws[:, 0], side="right") - 1,
-                           minlength=edges.size)
-    chi2, df = float(((observed - expected) ** 2 / expected).sum()), edges.size - 1
-    z = ((chi2 / df) ** (1 / 3) - 1 + 2 / (9 * df)) / math.sqrt(2 / (9 * df))
+    chi2, df, z = _poisson_law(draws[:, 0], lam)
     assert df >= 3 and z < _LAW_Z, (chi2, df, z)
+
+
+# A 4-channel row of these means, each channel a draw of the full draw, from
+# seeds derived from _ROW_ROOT; and the rows of consecutive integer seeds
+# from _NEIGHBOUR_SEED on.
+_ROW_MEANS, _ROW_ROOT, _NEIGHBOUR_SEED = (3.0, 9.99, 37.0, 1e4), 3201, 3202 * 2**32
+
+
+def _row_draws(seeds):
+    """``_LAW_DRAWS`` rows of ``_ROW_MEANS`` drawn from ``seeds``, and their means."""
+    total = sum(_ROW_MEANS)
+    config = AcquisitionConfig(seed=0, rate=total, duration=1.0)
+    probs = np.array(_ROW_MEANS) / total
+    return draw_counts(probs, seeds, config), config.expected_total * probs
+
+
+def _uncorrelated(a, b):
+    """``(r, z)``: the correlation of two draws, and ``|r| sqrt(n)``, about
+    half-normal where they are independent."""
+    r = float(np.corrcoef(a, b)[0, 1])
+    return r, abs(r) * math.sqrt(a.size)
+
+
+@pytest.mark.parametrize("channel", range(4), ids=["mp", "mm", "pp", "pm"])
+def test_each_channel_of_a_row_follows_the_poisson_law(channel):
+    draws, means = _row_draws(derive_seeds(_ROW_ROOT, _LAW_DRAWS))
+    chi2, df, z = _poisson_law(draws[:, channel], float(means[channel]))
+    assert df >= 3 and z < _LAW_Z, (chi2, df, z)
+
+
+def test_the_channels_of_a_row_are_uncorrelated():
+    draws, _ = _row_draws(derive_seeds(_ROW_ROOT, _LAW_DRAWS))
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        r, z = _uncorrelated(draws[:, i], draws[:, j])
+        assert z < _LAW_Z, (i, j, r, z)
+
+
+@pytest.mark.parametrize("seeds", ["derived", "consecutive"])
+def test_rows_of_neighbouring_seeds_are_uncorrelated(seeds):
+    # lag 1: each channel of a row against the same channel of the next
+    # seed's row, of seeds derived in turn or of consecutive integers
+    seeds = (derive_seeds(_ROW_ROOT, _LAW_DRAWS) if seeds == "derived" else
+             np.arange(_NEIGHBOUR_SEED, _NEIGHBOUR_SEED + _LAW_DRAWS, dtype=np.uint64))
+    draws, _ = _row_draws(seeds)
+    for channel in range(4):
+        r, z = _uncorrelated(draws[:-1, channel], draws[1:, channel])
+        assert z < _LAW_Z, (channel, r, z)
 
 
 def test_draw_rejects_invalid_probabilities():
@@ -444,7 +497,7 @@ def test_weak_values_match_the_scalar_estimator_bit_for_bit():
 
 
 def test_seed_determinism():
-    probs = channel_probabilities(20 * D2R, KAPPA)
+    probs = channel_probabilities(20 * D2R, KAPPA, None)
     a = _draw(probs, AcquisitionConfig(seed=123))
     b = _draw(probs, AcquisitionConfig(seed=123))
     c = _draw(probs, AcquisitionConfig(seed=124))
@@ -571,7 +624,7 @@ def test_one_sigma_coverage_window():
     reps = 1000
     sigma_hats, variances = weak_values_from_counts(_batch(theta, config, reps), KAPPA, "minus")
     covered = int(np.sum(np.abs(sigma_hats - sigma_ideal) <= np.sqrt(variances)))
-    assert 0.62 <= covered / reps <= 0.74
+    assert within_binomial_bound(covered, reps, ONE_SIGMA), covered / reps
 
 
 def test_propagated_variance_tracks_empirical():

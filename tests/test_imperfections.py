@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (MINUS, PLUS, balance_operator, central_splitter_operator, circuit_channels,
                      dephase_computational, effective_kappa, imperfect_joint_probs,
-                     postselected_value, product_density, projector, signal)
+                     joint_channels, postselected_value, product_density, projector, signal)
 from weakps import (
     IDEAL_GATE,
     ImperfectionParams,
@@ -18,7 +18,7 @@ from weakps import (
 )
 from weakps.errors import AmbiguousBranch, GateStarved, ZeroPostselection
 from weakps.estimation import OK, channel_probabilities
-from weakps.imperfections import coincidence_probabilities, renormalized_probabilities
+from weakps.imperfections import channel_matrix
 
 D2R = math.pi / 180.0
 KAPPA = 0.335
@@ -30,7 +30,7 @@ REALISTIC_GATE = ImperfectionParams(visibility=0.78, t_h=0.98, t_v=0.34)
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 GATES = st.builds(ImperfectionParams, visibility=st.floats(0.0, 1.0),
                   t_h=st.floats(0.05, 1.0), t_v=st.floats(0.05, 1.0))
-MUS = st.floats(0.01, 0.99).map(lambda kappa: math.asin(kappa) / 4.0)
+KAPPAS = st.floats(0.01, 0.99)
 # gates whose curve is neither flat (v -> 0) nor starved of postselections
 # (full visibility with t_v -> 1), at strengths and postselections as Table 1 takes them
 FORM_GATES = st.builds(ImperfectionParams, visibility=st.floats(0.3, 1.0),
@@ -41,6 +41,13 @@ SIGNS = st.sampled_from(("minus", "plus"))
 
 def _sigma(theta, params, sign="minus", kappa=KAPPA):
     return postselected_value(imperfect_joint_probs(theta, MU, params), kappa, sign)
+
+
+def _per_attempt(thetas, kappa, gate):
+    """The four channels' per-attempt probabilities over the angles: the rows
+    of the channel matrix as trig forms, not renormalized."""
+    basis = kernels.trig_basis(thetas)
+    return np.stack([kernels.trig_form(row, basis) for row in channel_matrix(kappa, gate)])
 
 
 def test_params_validation():
@@ -141,36 +148,66 @@ def test_gate_starved():
     with pytest.raises(GateStarved):
         imperfect_joint_probs(0.0, MU, ImperfectionParams(1.0, 0.0, 1 / 3))
     with pytest.raises(GateStarved, match="theta = 0 deg"):
-        coincidence_probabilities([0.0, 0.3], MU, ImperfectionParams(1.0, 0.0, 1 / 3))
+        channel_probabilities([0.0, 0.3], KAPPA, ImperfectionParams(1.0, 0.0, 1 / 3))
 
-
-@PROPERTY
-@given(gate=GATES, mu=MUS, theta=st.floats(-math.pi, math.pi))
-def test_closed_form_matches_density_matrix_route(gate, mu, theta):
-    closed = renormalized_probabilities([theta], mu, gate)[:, 0]
-    np.testing.assert_allclose(closed, imperfect_joint_probs(theta, mu, gate), rtol=0, atol=1e-14)
 
 
 @PROPERTY
-@given(gate=GATES, mu=MUS, thetas=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
-@example(gate=REALISTIC_GATE, mu=MU, thetas=[20 * D2R, 22.5 * D2R, 25 * D2R, 27.5 * D2R])
-def test_a_batch_gives_each_angle_the_bits_of_its_own_call(gate, mu, thetas):
+@given(theta=st.floats(-math.pi, math.pi), kappa=st.floats(0.0, 1.0), gate=GATES, sign=SIGNS)
+@example(theta=20 * D2R, kappa=KAPPA, gate=REALISTIC_GATE, sign="minus")
+@example(theta=70 * D2R, kappa=1.0, gate=IDEAL_GATE, sign="plus")
+def test_channel_matrix_is_each_route_of_the_channels(theta, kappa, gate, sign):
+    # C.B against the Kraus route through the ideal gate, and renormalized
+    # against the density-matrix route through the lossy one, where the
+    # ideal gate's parameters give the ideal rows
+    ideal = _per_attempt(theta, kappa, None)
+    np.testing.assert_allclose(ideal, joint_channels(signal(theta), kappa), rtol=0, atol=1e-14)
+    lossy = _per_attempt(theta, kappa, gate)
+    np.testing.assert_allclose(lossy / lossy.sum(), imperfect_joint_probs(
+        theta, math.asin(kappa) / 4.0, gate), rtol=0, atol=1e-14)
+    textbook = _per_attempt(theta, kappa, IDEAL_GATE)
+    np.testing.assert_allclose(textbook / textbook.sum(), ideal, rtol=0, atol=1e-14)
+    # a postselected pair's (n, d) are the difference and the sum of its rows:
+    # of the ideal rows, bit for bit the closed forms (0, k/2, 0) and (1/2, 0, sign r/2)
+    pair = slice(0, 2) if sign == "minus" else slice(2, 4)
+    for imperfections in (None, gate):
+        (p0, p1), (n, d) = (channel_matrix(kappa, imperfections)[pair],
+                            ModelParams(kappa, sign, imperfections).coefficients)
+        assert n.tolist() == (p0 - p1).tolist() and d.tolist() == (p0 + p1).tolist()
+    r = math.sqrt(1.0 - kappa * kappa)
+    n, d = ModelParams(kappa, sign).coefficients
+    assert n.tolist() == [0.0, kappa / 2.0, 0.0]
+    assert d.tolist() == [0.5, 0.0, (r if sign == "plus" else -r) / 2.0]
+
+@PROPERTY
+@given(gate=GATES, kappa=KAPPAS, theta=st.floats(-math.pi, math.pi))
+def test_closed_form_matches_density_matrix_route(gate, kappa, theta):
+    closed = channel_probabilities([theta], kappa, gate)[:, 0]
+    np.testing.assert_allclose(closed, imperfect_joint_probs(theta, math.asin(kappa) / 4.0, gate),
+                               rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(gate=st.one_of(st.none(), GATES), kappa=KAPPAS,
+       thetas=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
+@example(gate=REALISTIC_GATE, kappa=KAPPA, thetas=[20 * D2R, 22.5 * D2R, 25 * D2R, 27.5 * D2R])
+def test_a_batch_gives_each_angle_the_bits_of_its_own_call(gate, kappa, thetas):
     # a simulated count depends on these bits, so they may not depend on
     # which other angles share the call
-    alone = [coincidence_probabilities([theta], mu, gate)[:, 0] for theta in thetas]
-    np.testing.assert_array_equal(coincidence_probabilities(thetas, mu, gate),
+    alone = [channel_probabilities([theta], kappa, gate)[:, 0] for theta in thetas]
+    np.testing.assert_array_equal(channel_probabilities(thetas, kappa, gate),
                                   np.stack(alone, axis=1))
 
 
 @PROPERTY
-@given(gate=GATES, mu=MUS, t_h=st.floats(0.05, 1.0))
-def test_renormalized_channels_sum_to_one_and_ignore_t_h(gate, mu, t_h):
+@given(gate=GATES, kappa=KAPPAS, t_h=st.floats(0.05, 1.0))
+def test_renormalized_channels_sum_to_one_and_ignore_t_h(gate, kappa, t_h):
     thetas = np.linspace(0.0, math.pi, 181)
-    probs = renormalized_probabilities(thetas, mu, gate)
+    probs = channel_probabilities(thetas, kappa, gate)
     np.testing.assert_allclose(probs.sum(axis=0), 1.0, rtol=0, atol=1e-15)
     # t_h scales every amplitude alike, so it cancels on renormalization
     other = ImperfectionParams(gate.visibility, t_h, gate.t_v)
-    np.testing.assert_allclose(renormalized_probabilities(thetas, mu, other), probs,
+    np.testing.assert_allclose(channel_probabilities(thetas, kappa, other), probs,
                                rtol=0, atol=1e-15)
 
 
@@ -187,7 +224,7 @@ def test_per_attempt_information_budget(gate, kappa, sign):
     step = math.radians(0.25)
     thetas = step * np.arange(361)  # the calibration grid on [0, 90] deg
     pairs = [0, 1] if sign == "minus" else [2, 3]  # the postselected channels
-    per_attempt = coincidence_probabilities(thetas, model.mu, gate)[pairs].sum(axis=0)
+    per_attempt = _per_attempt(thetas, kappa, gate)[pairs].sum(axis=0)
     if np.any(model.evaluate(thetas)["starved"]):
         # at full visibility with t_v at or within rounding of 1 (no
         # controlled phase) the postselection vanishes at a grid angle, to

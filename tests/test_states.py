@@ -7,6 +7,7 @@ from oracles import (CSIGN, MINUS, ONE, PLUS, ZERO, checked_density, circuit_cha
                      joint_channels, joint_probability, kraus_operators, product_density, signal)
 from weakps import ModelParams, Strength, kernels
 from weakps.counting import postselected_counts
+from weakps.estimation import channel_probabilities
 
 D2R = math.pi / 180.0
 
@@ -174,14 +175,14 @@ def test_ideal_record_matches_matrix_route():
     for _ in range(200):
         theta = float(rng.uniform(0, math.pi / 2))
         kappa = float(rng.uniform(0, 1))
-        fast = kernels.channel_probabilities(theta, kappa)
+        fast = channel_probabilities(theta, kappa, None)
         slow = joint_channels(signal(theta), kappa)
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
 
 
 def test_record_channel_selection():
     # the count path and the model keep the same pair: (mp, mm) for minus
-    probs = kernels.channel_probabilities(np.array([20 * D2R]), 0.335).T
+    probs = channel_probabilities(np.array([20 * D2R]), 0.335, None).T
     counts = np.round(probs * 1e6).astype(np.int64)  # rows of counts in the channels' order
     assert postselected_counts(counts, "minus").tolist() == counts[:, :2].tolist()
     assert postselected_counts(counts, "plus").tolist() == counts[:, 2:].tolist()

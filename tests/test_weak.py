@@ -7,6 +7,7 @@ from oracles import (fisher_ps_definition, four_outcome_bloch_angles, ideal_post
                      joint_channels, postselected_value, signal)
 from weakps import ModelParams, kernels, weak_values_from_counts
 from weakps.errors import DegenerateConditional, ZeroStrength
+from weakps.estimation import channel_probabilities
 from weakps.kernels import fisher_from_weak_value
 from weakps.states import sign_factor
 from weakps.weak import QUANTUM_FISHER_INFORMATION
@@ -22,7 +23,7 @@ def _sigma(thetas, kappa, sign):
 
 def _pipeline_pcs(theta, kappa, sign):
     """The conditional pair (pc0, pc1) from the four channel probabilities."""
-    probs = kernels.channel_probabilities(theta, kappa)
+    probs = channel_probabilities(theta, kappa, None)
     p0, p1 = probs[:2] if sign == "minus" else probs[2:]
     pc0 = float(p0 / (p0 + p1))
     return pc0, 1.0 - pc0
