@@ -59,15 +59,6 @@ _SLOPE_FLOOR = 1e-9
 _BRANCH_GRID = math.radians(0.05) * np.arange(1801)
 
 
-def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    """Index ranges [i, j] of the maximal monotone runs of ``values``; a run
-    ends where a step turns against the last step that was not flat."""
-    diffs = np.sign(np.diff(values))
-    steps = np.flatnonzero(diffs)
-    turns = steps[1:][diffs[steps[1:]] != diffs[steps[:-1]]].tolist()
-    return list(zip([0, *turns], [*turns, diffs.size]))
-
-
 def channel_probabilities(thetas: np.ndarray, kappa: float,
                           imperfections: ImperfectionParams | None,
                           basis: "tuple | None" = None) -> np.ndarray:
@@ -189,30 +180,30 @@ class ModelParams:
         return (p_ps + diff) / 2.0, (p_ps - diff) / 2.0, p_phi
 
     @cached_property
-    def _branches(self) -> dict[tuple[float, float], bool]:
-        """Each branch :meth:`branch_containing` picks from, in order, and if it is
-        monotone: if the one turning-point solve over the grid has no root within
-        half a cell of it (else its probe is left to :func:`_require_monotone`)."""
+    def _branches(self) -> list[tuple[float, float]]:
+        """The branches :meth:`branch_containing` picks from, in order: each
+        turning point snapped to the grid angle where the tabulated curve
+        turns (the end of its cell that is the more extreme for its kind,
+        the far end on a tie), and a branch from one grid angle past a
+        snapped turn to one short of the next."""
         grid = _BRANCH_GRID
-        last, half = grid.size - 1, grid[1] / 2.0
-        turns = kernels.trig_turning_points(*self.coefficients, grid[0], grid[-1])
-        first = 1 if np.any(turns < grid[1]) else 0
-        end = last - 1 if np.any(turns > grid[-2]) else last
-        ends = [(i + 1 if i else first, j - 1 if j < last else end)
-                for i, j in _monotone_runs(self.checked(grid)["sigma"])]
-        return {(float(grid[i]), float(grid[j])): not np.any(
-            (turns > grid[i] - half) & (turns < grid[j] + half)) for i, j in ends if i < j}
+        sigma = self.checked(grid)["sigma"]
+        turns, kinds = kernels.trig_turning_points(*self.coefficients, grid[0], grid[-1])
+        cells = np.searchsorted(grid, turns, side="right") - 1
+        snapped = cells + 1 - (kinds * (sigma[cells] - sigma[cells + 1]) > 0.0)
+        starts, stops = np.append(0, snapped + 1), np.append(snapped - 1, grid.size - 1)
+        keep = starts < stops
+        return list(zip(grid[starts[keep]].tolist(), grid[stops[keep]].tolist()))
 
     def branch_containing(self, theta: float) -> tuple[float, float]:
-        """Angle interval of the monotone branch containing ``theta``: a run of
-        the curve tabulated once per model on a 0.05 deg grid over [0, 90] deg,
-        pulled in by one cell at a tabulated turning point, and at an end of
-        the grid only where the model turns inside that end's cell.  Raises
-        OutOfRange off the grid, and AmbiguousBranch within a cell of a
-        turning point or where the branch still spans one."""
+        """Angle interval of the monotone branch containing ``theta``, from
+        the model's curve tabulated once on a 0.05 deg grid over [0, 90] deg
+        and its closed-form turning points: the branch ends one grid angle
+        inside the tabulated turn on either side, so that it holds none.
+        Raises OutOfRange off the grid, and AmbiguousBranch within a cell of
+        a turning point."""
         for lo, hi in self._branches:
             if lo <= theta <= hi:
-                _require_monotone(self, lo, hi)
                 return lo, hi
         if not _BRANCH_GRID[0] <= theta <= _BRANCH_GRID[-1]:
             raise OutOfRange(f"theta = {angle_text(theta)} outside the tabulated range")
@@ -221,26 +212,20 @@ class ModelParams:
         )
 
 
-def _require_monotone(model: ModelParams, lo: float, hi: float) -> None:
-    """Raise AmbiguousBranch where the model curve turns strictly inside [lo, hi]."""
-    checked = model.__dict__.get("_branches", {})  # flagged when tabulated; tabulates nothing
-    if not checked.get((lo, hi)) and kernels.trig_turning_points(*model.coefficients, lo, hi).size:
-        raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
-                              "it spans a turning point")
-
-
 def invert_branch(
     model: ModelParams, sigmas: "np.ndarray | list[float]", branch: tuple[float, float]
 ) -> np.ndarray:
     """Invert the model curve on a monotone branch for a batch of
     measured values, in closed form: one angle per value, NaN where the
     value falls outside the branch's range.  Raises AmbiguousBranch when the
-    branch spans a turning point.
+    branch spans a turning point, probed for each call.
     """
     lo, hi = float(branch[0]), float(branch[1])
     if hi <= lo:
         raise ValueError("branch must be a non-empty interval (lo, hi)")
-    _require_monotone(model, lo, hi)
+    if kernels.trig_turning_points(*model.coefficients, lo, hi)[0].size:
+        raise AmbiguousBranch(f"curve is not monotone on [{angle_text(lo)}, {angle_text(hi)}]; "
+                              "it spans a turning point")
     return kernels.invert_trig(*model.coefficients, model.kappa, sigmas, lo, hi)
 
 

@@ -113,16 +113,22 @@ def _trig_roots(a, b, g) -> tuple[np.ndarray, np.ndarray]:
         return np.arctan2(b, a), np.arccos(np.clip(g / np.hypot(a, b), -1.0, 1.0))
 
 
-def trig_turning_points(n: np.ndarray, d: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def trig_turning_points(n: np.ndarray, d: np.ndarray,
+                        lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Angles strictly inside (lo, hi), in order, where the slope of
-    :func:`trig_curve` vanishes; none where the curve is flat."""
+    :func:`trig_curve` vanishes, none where the curve is flat; and each
+    one's kind, -1 at a valley and +1 at a peak: the slope's numerator rises
+    through zero at one root per period and falls at the other."""
     g = _slope_numerator(n, d)
     phi, alpha = _trig_roots(g[1], g[2], -g[0])
     roots = phi + np.array([-alpha, alpha])
     first = roots + 2.0 * math.pi * np.ceil((4.0 * lo - roots) / (2.0 * math.pi))
     periods = 2.0 * math.pi * np.arange(math.ceil(2.0 * (hi - lo) / math.pi) + 1)
-    thetas = (first[:, None] + periods).ravel() / 4.0
-    return np.sort(thetas[(thetas > lo) & (thetas < hi)])
+    thetas = (first[:, None] + periods) / 4.0
+    kinds = np.broadcast_to(np.array([[-1.0], [1.0]]), thetas.shape)
+    inside = (thetas > lo) & (thetas < hi)
+    order = np.argsort(thetas[inside], kind="stable")
+    return thetas[inside][order], kinds[inside][order]
 
 
 def invert_trig(n: np.ndarray, d: np.ndarray, kappa: float, targets: np.ndarray,

@@ -14,7 +14,7 @@ from collections.abc import Callable
 import numpy as np
 
 from weakps import kernels
-from weakps.estimation import ModelParams
+from weakps.estimation import _BRANCH_GRID, ModelParams
 from weakps.errors import DegenerateConditional, GateStarved, ZeroPostselection
 from weakps.states import PROB_FLOOR, sign_factor
 from weakps.weak import SATURATION_TOL
@@ -346,3 +346,27 @@ def draw_counts(probs, seeds: np.ndarray, config) -> np.ndarray:
     counts = [[rng.poisson(m) for m in row]
               for rng, row in zip(map(np.random.default_rng, seeds.tolist()), rows, strict=True)]
     return np.array(counts, dtype=np.int64).reshape(len(seeds), 4)
+
+
+def monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [i, j] of the maximal monotone runs of ``values``; a run
+    ends where a step turns against the last step that was not flat."""
+    diffs = np.sign(np.diff(values))
+    steps = np.flatnonzero(diffs)
+    turns = steps[1:][diffs[steps[1:]] != diffs[steps[:-1]]].tolist()
+    return list(zip([0, *turns], [*turns, diffs.size]))
+
+
+def tabulated_branches(model: ModelParams) -> list[tuple[float, float]]:
+    """The tabulated route to :attr:`ModelParams._branches`: the monotone runs
+    of the model's curve on the branch grid, each pulled in by one grid angle
+    at a turn between runs, and at an end of the grid only where the model
+    turns inside that end's cell."""
+    grid = _BRANCH_GRID
+    last = grid.size - 1
+    turns = kernels.trig_turning_points(*model.coefficients, grid[0], grid[-1])[0]
+    first = 1 if np.any(turns < grid[1]) else 0
+    end = last - 1 if np.any(turns > grid[-2]) else last
+    ends = [(i + 1 if i else first, j - 1 if j < last else end)
+            for i, j in monotone_runs(model.checked(grid)["sigma"])]
+    return [(float(grid[i]), float(grid[j])) for i, j in ends if i < j]

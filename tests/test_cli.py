@@ -89,10 +89,9 @@ def test_sweep_pusey_schema(tmp_path):
 
 def test_table1_both_seeds_once_and_probes_each_branch_once(tmp_path, monkeypatch):
     # both postselections are drawn in one batch from the same seeds, each
-    # seeded once, and each model's branches are found monotone from one
-    # turning-point solve over its tabulated range, not probed again per
-    # branch, working point or inversion: 18 probes and 2 seedings before
-    # one batch, 8 probes before one solve per model
+    # seeded once, and each model's branches are built from one
+    # turning-point solve over its tabulated range, with no probe per
+    # branch, working point or inversion
     calls = {"trig_turning_points": 0, "_pcg64_states": 0}
     for module, name in ((weakps.kernels, "trig_turning_points"),
                          (weakps.counting, "_pcg64_states")):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (MINUS, PLUS, consolidated_channel, ideal_sigma, projector, pusey_functional,
                      pusey_sweep, signal)
-from weakps import decompose_consolidated, p_phi_from_postselection
+from weakps import ModelParams, decompose_consolidated, kernels, p_phi_from_postselection
 
 D2R = math.pi / 180.0
 # projector entries (phi_0^2, phi_1^2, phi_0 phi_1) of minus, as decompose takes them
@@ -113,6 +113,24 @@ def test_scan_projective_strength_has_wide_margin():
 def test_scan_weak_regime_finds_violation():
     grid = np.arange(0.0, 90.0, 0.1) * D2R
     assert _scan(0.01, "minus", grid)[0] > 0.0
+
+
+# The contextuality threshold in closed form: the ideal functional's largest
+# value is 0 where tan 2mu = c, i.e. at kappa* = 2c / (1 + c^2) = 0.2492032...
+_C_STAR = (2.0 * math.sqrt(6.0) - 3.0) / 15.0
+KAPPA_STAR = 2.0 * _C_STAR / (1.0 + _C_STAR * _C_STAR)
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_violation_ends_at_the_closed_form_threshold(sign):
+    # the library's functional on a fine grid changes sign within a relative
+    # 1e-5 of kappa*, where its largest value is about +-2.1e-6
+    grid = np.linspace(0.0, math.pi / 2.0, 200_001)
+    largest = []
+    for kappa in (KAPPA_STAR * (1.0 - 1e-5), KAPPA_STAR * (1.0 + 1e-5)):
+        p0, p1, p_phi = ModelParams(kappa, sign).joint_pair(grid)
+        largest.append(np.nanmax(kernels.pusey_functional(np.stack([p0, p1]), p_phi, kappa)))
+    assert largest[0] > 0.0 > largest[1]
 
 
 def test_weak_regime_violations_cooccur_with_anomalies():

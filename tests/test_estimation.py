@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (fisher_ps_definition, ideal_postselect_probability, ideal_sigma,
-                     imperfect_joint_probs, postselected_value)
+                     imperfect_joint_probs, monotone_runs, postselected_value,
+                     tabulated_branches)
 from weakps import (
     AcquisitionConfig,
     counting,
@@ -25,9 +26,9 @@ from weakps import (
     weak_values_from_counts,
 )
 from weakps.errors import (AmbiguousBranch, DegenerateConditional, FlatCurve, OutOfRange,
-                           ZeroPostselection, ZeroStrength)
-from weakps.estimation import (BUDGET_COLUMNS, DEGENERATE, FLAT_CURVE, OK, OUT_OF_RANGE,
-                               RAD2_TO_DEG2, TABLE1_THETAS_DEG, _monotone_runs,
+                           WeakpsError, ZeroPostselection, ZeroStrength)
+from weakps.estimation import (_BRANCH_GRID, BUDGET_COLUMNS, DEGENERATE, FLAT_CURVE, OK,
+                               OUT_OF_RANGE, RAD2_TO_DEG2, TABLE1_THETAS_DEG,
                                channel_probabilities)
 
 D2R = math.pi / 180.0
@@ -44,18 +45,18 @@ def _rows(thetas_deg, model, config, repetitions):
 def test_monotone_runs_of_a_rising_curve():
     values = MINUS_MODEL.checked(0.1 * D2R * np.arange(101))["sigma"]
     assert np.all(np.diff(values) > 0.0)
-    assert _monotone_runs(values) == [(0, 100)]
+    assert monotone_runs(values) == [(0, 100)]
 
 
 def test_monotone_runs_of_the_projective_curve():
     grid = 0.25 * D2R * np.arange(361)
-    runs = _monotone_runs(ModelParams(kappa=1.0, postselect_sign="minus").checked(grid)["sigma"])
+    runs = monotone_runs(ModelParams(kappa=1.0, postselect_sign="minus").checked(grid)["sigma"])
     assert len(runs) == 2  # falling then rising, split at 45 deg
     assert grid[runs[0][1]] == pytest.approx(45 * D2R, abs=0.3 * D2R)
 
 
 def _monotone_runs_by_loop(values):
-    """Reference for ``_monotone_runs``: one pass over the steps, where flat
+    """Reference for ``monotone_runs``: one pass over the steps, where flat
     steps extend the current run and leading flat steps join the first run."""
     diffs = np.sign(np.diff(values))
     runs = []
@@ -79,7 +80,7 @@ def _monotone_runs_by_loop(values):
 def test_branches_match_the_loop_on_random_curves(steps):
     # small step alphabet, so flat steps, flat starts and flat ends are common
     values = np.concatenate([[0.0], np.cumsum(steps)])
-    runs = _monotone_runs(values)
+    runs = monotone_runs(values)
     assert runs == _monotone_runs_by_loop(values)
     assert all(type(i) is int and type(j) is int for i, j in runs)
 
@@ -147,11 +148,11 @@ def test_branch_containing_shrinks_at_turning_points():
         MINUS_MODEL.branch_containing(theta_peak)
 
 
-def test_invert_branch_probes_every_bracket_the_model_has_not_checked():
-    # a tabulated branch is probed for turning points once, when tabulated;
-    # any other bracket is probed at each inversion, tabulated model or not
+def test_invert_branch_probes_every_bracket():
+    # every bracket is probed for turning points at each inversion, a
+    # tabulated branch as any other, whether the model is tabulated or not
     bracket = (10 * D2R, 40 * D2R)  # spans the minus curve's turning point near 27.4 deg
-    assert kernels.trig_turning_points(*MINUS_MODEL.coefficients, *bracket).size
+    assert kernels.trig_turning_points(*MINUS_MODEL.coefficients, *bracket)[0].size
     for model in (ModelParams(KAPPA, "minus"), MINUS_MODEL):
         with pytest.raises(AmbiguousBranch, match="not monotone"):
             invert_branch(model, [0.5], bracket)
@@ -169,7 +170,7 @@ def test_branch_containing_pulls_in_a_range_end_only_where_the_curve_turns_there
     # first cell: the branch through 10 deg starts one cell in, and inverts
     gate = ImperfectionParams(0.5836, 0.9941, 0.4407)
     model = ModelParams(kappa=0.9114, postselect_sign="minus", imperfections=gate)
-    assert kernels.trig_turning_points(*model.coefficients, 0.0, 0.05 * D2R) == pytest.approx(
+    assert kernels.trig_turning_points(*model.coefficients, 0.0, 0.05 * D2R)[0] == pytest.approx(
         [0.0066 * D2R], abs=1e-4 * D2R)
     lo, hi = model.branch_containing(10 * D2R)
     assert (lo, hi) == (math.radians(0.05), pytest.approx(34.9 * D2R, abs=1e-12))
@@ -461,6 +462,21 @@ def test_one_batch_over_both_postselections_is_each_pipeline(imperfections, kapp
             _same_rows(rows, alone)
 
 
+@pytest.mark.parametrize("seed, correlations", [(1, (0.055, 0.006)), (2, (0.066, 0.018))])
+def test_the_postselections_of_one_batch_are_correlated_as_documented(seed, correlations):
+    # repetition i of the j-th working point of each model shares one
+    # stream: the theta-hat correlations the table1_batch docstring states,
+    # the 20-67.5 deg one beyond 3 standard errors of an uncorrelated pair
+    repetitions = 20_000
+    minus, plus = table1_batch([[20.0, 22.5], [67.5, 70.0]],
+                               [ModelParams(KAPPA, "minus"), ModelParams(KAPPA, "plus")],
+                               AcquisitionConfig(seed=seed), repetitions)
+    assert [row.n_ok for row in minus + plus] == [repetitions] * 4  # aligned by repetition
+    found = [np.corrcoef(a.theta_hat_deg, b.theta_hat_deg)[0, 1] for a, b in zip(minus, plus)]
+    assert [round(value, 3) for value in found] == list(correlations)
+    assert found[0] > 3.0 / math.sqrt(repetitions)
+
+
 @pytest.mark.parametrize("repetitions, blocks", [(40, (80, 120, 39)), (2, (3, 6)), (1, (1, 2))])
 @pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
                          ids=["ideal", "table1-gate"])
@@ -500,18 +516,68 @@ def test_no_working_points_give_no_rows():
     assert list(table1_batch([], [], config, 3)) == []  # no model: no list of rows
 
 
+def _branches_as_tabulated(model):
+    """The model's branches equal the tabulated route's, or both raise the same
+    error; and no branch holds a turning point strictly inside."""
+    tables = []
+    for route in (lambda: model._branches, lambda: tabulated_branches(model)):
+        try:
+            tables.append(route())
+        except WeakpsError as exc:
+            tables.append(type(exc))
+    assert tables[0] == tables[1]
+    if isinstance(tables[0], list):
+        for lo, hi in tables[0]:
+            assert kernels.trig_turning_points(*model.coefficients, lo, hi)[0].size == 0
+
+
 @pytest.mark.parametrize("kappa", [0.05, KAPPA, math.sin(20 * D2R), 0.9, 1.0])
 @pytest.mark.parametrize("imperfections", [None, ImperfectionParams(0.78, 0.98, 0.34)],
                          ids=["ideal", "table1-gate"])
 @pytest.mark.parametrize("sign", ["minus", "plus"])
-def test_branches_flagged_monotone_hold_no_turning_point(kappa, imperfections, sign):
-    # a branch is flagged from the model's one turning-point solve over the
-    # grid; the probe of the branch alone never finds a turning point in one
-    # flagged monotone
-    model = ModelParams(kappa, sign, imperfections)
-    for (lo, hi), monotone in model._branches.items():
-        if monotone:
-            assert kernels.trig_turning_points(*model.coefficients, lo, hi).size == 0
+def test_branches_of_the_working_models_are_the_tabulated_runs(kappa, imperfections, sign):
+    # the branches from the closed-form turning points, each snapped to its
+    # grid cell, are the runs of the tabulated curve pulled in by one cell
+    _branches_as_tabulated(ModelParams(kappa, sign, imperfections))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@example(kappa=1.0, imperfections=None, sign="minus")
+@example(kappa=0.01, imperfections=ImperfectionParams(0.0, 0.7, 1.0 / 3.0), sign="plus")
+@example(kappa=0.02, imperfections=ImperfectionParams(1.0, 1.0, 0.0), sign="minus")
+@example(kappa=1.0, imperfections=ImperfectionParams(1.0, 0.5, 1.0), sign="plus")
+@given(kappa=st.one_of(st.just(1.0), st.floats(1e-4, 0.05), st.floats(0.05, 1.0)),
+       imperfections=st.one_of(st.none(), st.builds(
+           ImperfectionParams, visibility=st.one_of(st.sampled_from([0.0, 1.0]),
+                                                    st.floats(0.0, 1.0)),
+           t_h=st.floats(0.05, 1.0),
+           t_v=st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 1.0]), st.floats(0.0, 1.0)))),
+       sign=st.sampled_from(["minus", "plus"]))
+def test_branches_are_the_tabulated_runs_on_random_models(kappa, imperfections, sign):
+    _branches_as_tabulated(ModelParams(kappa, sign, imperfections))
+
+
+_PEAK_CELL = int(np.searchsorted(_BRANCH_GRID, math.asin(R) / 4.0, side="right")) - 1
+
+
+class _FlatAcrossThePeak(ModelParams):
+    """The ideal minus model, its curve on the branch grid flat across the
+    cell that holds its peak, at the larger of the cell's two ends."""
+
+    def checked(self, thetas):
+        columns = super().checked(thetas)
+        if np.shape(thetas) == _BRANCH_GRID.shape:
+            cell = columns["sigma"][_PEAK_CELL:_PEAK_CELL + 2]
+            cell[:] = cell.max()
+        return columns
+
+
+def test_a_tie_across_a_turns_cell_is_a_flat_step():
+    # the tabulated runs take the tie as a flat step, turning at the cell's
+    # far end: the branch after the peak starts one grid angle past that
+    model = _FlatAcrossThePeak(KAPPA, "minus")
+    _branches_as_tabulated(model)
+    assert model._branches[1][0] == _BRANCH_GRID[_PEAK_CELL + 2]
 
 
 class _SlopeFailsNear25(ModelParams):

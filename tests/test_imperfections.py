@@ -280,7 +280,8 @@ def test_analytic_slope_matches_central_difference_of_the_oracle(kappa, theta, g
 @given(kappa=FORM_KAPPAS, gate=FORM_GATES, sign=SIGNS)
 def test_turning_points_match_dense_grid_sign_changes(kappa, gate, sign):
     # the closed-form roots of the slope's numerator against where the curve,
-    # from the renormalized channel probabilities on a dense grid, turns
+    # from the renormalized channel probabilities on a dense grid, turns; a
+    # peak where it turns after rising, a valley after falling
     model = ModelParams(kappa, sign, gate)
     grid = np.linspace(0.0, math.pi / 2, 20001)
     p0, p1 = channel_probabilities(grid, kappa, gate)[[0, 1] if sign == "minus" else [2, 3]]
@@ -288,9 +289,10 @@ def test_turning_points_match_dense_grid_sign_changes(kappa, gate, sign):
     turns = np.flatnonzero(steps[1:] != steps[:-1])  # the curve turns in [grid[i], grid[i+2]]
     inner = (grid[4], grid[-5])
     turns = turns[(grid[turns] >= inner[0]) & (grid[turns + 2] <= inner[1])]
-    closed = kernels.trig_turning_points(*model.coefficients, *inner)
+    closed, kinds = kernels.trig_turning_points(*model.coefficients, *inner)
     assert closed.size == turns.size
     assert np.all((grid[turns] <= closed) & (closed <= grid[turns + 2]))
+    assert np.array_equal(kinds, steps[turns])
 
 
 @PROPERTY

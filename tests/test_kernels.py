@@ -214,7 +214,7 @@ def test_closed_form_inverse_matches_bisection(kappa, sign, gate, theta, cases):
         start, stop = model.branch_containing(theta)
     except AmbiguousBranch:
         assume(False)
-    assume(kernels.trig_turning_points(n, d, start, stop).size == 0)
+    assume(kernels.trig_turning_points(n, d, start, stop)[0].size == 0)
     curve = lambda t: kernels.trig_curve(n, d, kappa, kernels.trig_basis(t))
     for u, v, w, kind in cases:
         a, b = start + (stop - start) * min(u, v), start + (stop - start) * max(u, v)
