@@ -11,8 +11,9 @@ counting, and angle estimation with Cramér-Rao comparison.
 ``__all__`` is imported on first use (PEP 562).  The package changes
 nothing in the process.  ``weakps.cli`` alone does, each time once at its
 import (see its comments): it defaults ``OPENBLAS_NUM_THREADS`` to 1, a value
-already set winning, and it freezes the objects its imports built
-(``gc.freeze()``), leaving the collector enabled or disabled as it was.
+already set winning; it keeps the garbage collector off while its imports
+load and then freezes the objects they built (``gc.freeze()``), leaving the
+collector enabled or disabled as it was, also when an import fails.
 """
 
 import importlib

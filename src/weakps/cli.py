@@ -12,51 +12,64 @@ Relative output paths are resolved against ``WEAKPS_OUTPUT_DIR`` when set.
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import gc
-import json
-import math
-import os
-import sys
-from datetime import datetime, timezone
-from itertools import chain
-from types import SimpleNamespace
-from typing import TYPE_CHECKING
-if TYPE_CHECKING:  # argparse is imported on first use: help, usage, errors (see main)
-    import argparse
 
-# numpy's bundled OpenBLAS starts a worker thread when numpy is imported, at
-# 60-110 ms of CPU per process on 2 cores, whether or not weakps makes a BLAS
-# call (it makes none).  Set before numpy loads; a value the user has set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# What the imports build (numpy and weakps, ~22,000 objects) lives until the
+# process exits, so a collection that walks it finds nothing to free: none runs
+# while they load (~30 would), and gc.freeze() then moves it to the permanent
+# generation, once per process, where neither the collections in main nor those
+# at interpreter exit walk it again.  The collector is left on or off as the
+# caller had it, also when an import fails.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import contextlib
+    import json
+    import math
+    import os
+    import sys
+    from datetime import datetime, timezone
+    from itertools import chain
+    from types import SimpleNamespace
+    from typing import TYPE_CHECKING
+    if TYPE_CHECKING:  # argparse is imported on first use: help, usage, errors (see main)
+        import argparse
 
-import numpy as np  # noqa: E402
+    # numpy's bundled OpenBLAS starts a worker thread when numpy is imported, at
+    # 60-110 ms of CPU per process on 2 cores, whether or not weakps makes a BLAS
+    # call (it makes none).  Set before numpy loads; a value the user has set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, kernels
-from .contextuality import decompose_consolidated, p_phi_from_postselection
-from .counting import (
-    COUNT_COLUMNS,
-    AcquisitionConfig,
-    derive_seeds,
-    draw_counts,
-    empty_channel,
-    nonnegative_integer,
-    postselected_counts,
-    weak_values_from_counts,
-)
-from .errors import ConfigError, WeakpsError, ZeroStrength
-from .estimation import (
-    TABLE1_THETAS_DEG,
-    ModelParams,
-    assess_estimates,
-    channel_probabilities,
-    invert_branch,
-    load_baseline,
-    table1_batch,
-)
-from .imperfections import IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams
-from .weak import QUANTUM_FISHER_INFORMATION
+    import numpy as np
+
+    from . import __version__, kernels
+    from .contextuality import decompose_consolidated, p_phi_from_postselection
+    from .counting import (
+        COUNT_COLUMNS,
+        AcquisitionConfig,
+        derive_seeds,
+        draw_counts,
+        empty_channel,
+        nonnegative_integer,
+        postselected_counts,
+        weak_values_from_counts,
+    )
+    from .errors import ConfigError, WeakpsError, ZeroStrength
+    from .estimation import (
+        TABLE1_THETAS_DEG,
+        ModelParams,
+        assess_estimates,
+        channel_probabilities,
+        invert_branch,
+        load_baseline,
+        table1_batch,
+    )
+    from .imperfections import IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams
+    from .weak import QUANTUM_FISHER_INFORMATION
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 
 SCHEMA_VERSION = 1
 
@@ -327,7 +340,7 @@ def _resolve_imperfections(args: argparse.Namespace,
     if not given and not recorded:
         return None
     try:
-        return dataclasses.replace(IDEAL_GATE, **recorded, **given)
+        return IDEAL_GATE.replace(**recorded, **given)
     except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         # the message names its field first: a flag's, or one read from the file
         source = "" if str(exc).split(" ", 1)[0] in given else "input metadata: "
@@ -778,12 +791,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return 1
     return 0
 
-
-# What the imports built (numpy and weakps, ~22,000 objects) lives until the
-# process exits, so a collection that walks it finds nothing to free: move it
-# to the permanent generation, once per process, where neither the
-# collections in main nor those at interpreter exit walk it again.
-gc.freeze()
 
 if __name__ == "__main__":
     raise SystemExit(main())

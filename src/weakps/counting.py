@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyChannel, ZeroStrength
-from .states import Strength, as_strength, sign_factor
+from .states import Strength, _Record, as_strength, sign_factor
 
 __all__ = [
     "COUNT_COLUMNS",
@@ -71,8 +70,7 @@ def nonnegative_integer(name: str, value) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class AcquisitionConfig:
+class AcquisitionConfig(_Record):
     """One acquisition window.
 
     ``rate`` is the mean *total* coincidence rate before postselection
@@ -83,12 +81,12 @@ class AcquisitionConfig:
     error bars (0 disables the term).
     """
 
-    seed: int
-    rate: float = 2000.0
-    duration: float = 5.0
-    kappa_uncertainty: float = 0.0
+    _fields = ("seed", "rate", "duration", "kappa_uncertainty")
 
-    def __post_init__(self) -> None:
+    def __init__(self, seed: int, rate: float = 2000.0, duration: float = 5.0,
+                 kappa_uncertainty: float = 0.0) -> None:
+        self.__dict__.update(seed=seed, rate=rate, duration=duration,
+                             kappa_uncertainty=kappa_uncertainty)
         for name in ("rate", "duration", "kappa_uncertainty"):
             value = getattr(self, name)  # a number, and no bool read as 0 or 1
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatC
                      GateStarved, OutOfRange, WeakpsError, ZeroPostselection, ZeroStrength,
                      angle_text)
 from .imperfections import ImperfectionParams, channel_matrix
-from .states import PROB_FLOOR, as_strength, sign_factor
+from .states import PROB_FLOOR, _Record, as_strength, sign_factor
 from .weak import QUANTUM_FISHER_INFORMATION, SATURATION_TOL
 
 __all__ = [
@@ -72,7 +70,7 @@ def channel_probabilities(thetas: np.ndarray, kappa: float,
     GateStarved where the coincidence probability is at or below the floor."""
     thetas = np.asarray(thetas, dtype=np.float64)
     basis = kernels.trig_basis(thetas) if basis is None else basis
-    unit = None if imperfections is None else replace(imperfections, t_h=1.0)
+    unit = None if imperfections is None else imperfections.replace(t_h=1.0)
     probs = np.stack([kernels.trig_form(row, basis) for row in channel_matrix(kappa, unit)])
     if imperfections is None:
         return probs
@@ -84,17 +82,17 @@ def channel_probabilities(thetas: np.ndarray, kappa: float,
     return probs / total
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     """What generated (or is assumed to generate) the measured values."""
 
-    kappa: float
-    postselect_sign: str
-    imperfections: ImperfectionParams | None = None
+    _fields = ("kappa", "postselect_sign", "imperfections")
 
-    def __post_init__(self) -> None:
-        as_strength(self.kappa)
-        sign_factor(self.postselect_sign)
+    def __init__(self, kappa: float, postselect_sign: str,
+                 imperfections: ImperfectionParams | None = None) -> None:
+        self.__dict__.update(kappa=kappa, postselect_sign=postselect_sign,
+                             imperfections=imperfections)
+        as_strength(kappa)
+        sign_factor(postselect_sign)
 
     @property
     def mu(self) -> float:
@@ -237,8 +235,7 @@ STATUS_ERRORS = (None, OutOfRange, FlatCurve, DegenerateConditional)
 BUDGET_COLUMNS = ("theta_hat_deg", "variance_theta_deg2", "sigma_cr_deg2", "f_ps", "m_ps")
 
 
-@dataclass(frozen=True, eq=False)
-class EstimateBatch:
+class EstimateBatch(_Record):
     """Error budgets of a batch of estimates, as aligned arrays.
 
     ``status`` holds each estimate's status; the budget columns hold its
@@ -248,14 +245,17 @@ class EstimateBatch:
     (radians) and curve slopes are kept for :meth:`error`.
     """
 
-    theta_hat_deg: np.ndarray
-    variance_theta_deg2: np.ndarray
-    sigma_cr_deg2: np.ndarray
-    f_ps: np.ndarray
-    m_ps: np.ndarray
-    status: np.ndarray
-    theta_hats: np.ndarray = field(repr=False)
-    slopes: np.ndarray = field(repr=False)
+    _fields = ("theta_hat_deg", "variance_theta_deg2", "sigma_cr_deg2", "f_ps", "m_ps",
+               "status", "theta_hats", "slopes")
+    _hidden = ("theta_hats", "slopes")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity
+
+    def __init__(self, theta_hat_deg: np.ndarray, variance_theta_deg2: np.ndarray,
+                 sigma_cr_deg2: np.ndarray, f_ps: np.ndarray, m_ps: np.ndarray,
+                 status: np.ndarray, theta_hats: np.ndarray, slopes: np.ndarray) -> None:
+        self.__dict__.update(theta_hat_deg=theta_hat_deg, variance_theta_deg2=variance_theta_deg2,
+                             sigma_cr_deg2=sigma_cr_deg2, f_ps=f_ps, m_ps=m_ps, status=status,
+                             theta_hats=theta_hats, slopes=slopes)
 
     def error(self, i: int, model: ModelParams, branch: tuple[float, float],
               sigma_hat: float) -> WeakpsError | None:
@@ -328,20 +328,22 @@ def _mean(values: np.ndarray) -> float:
     return float(np.add.reduce(values, dtype=np.float64) / values.size) if values.size else math.nan
 
 
-@dataclass(frozen=True, eq=False)
-class Table1Row:
+class Table1Row(_Record):
     """All repetitions of one working point: the budget columns of those
     that succeeded, in repetition order, and the count of those that
     failed, by error type."""
 
-    theta_deg: float
-    postselect_sign: str
-    theta_hat_deg: np.ndarray
-    variance_theta_deg2: np.ndarray
-    sigma_cr_deg2: np.ndarray
-    f_ps: np.ndarray
-    m_ps: np.ndarray
-    failures_by_type: dict[str, int]
+    _fields = ("theta_deg", "postselect_sign", "theta_hat_deg", "variance_theta_deg2",
+               "sigma_cr_deg2", "f_ps", "m_ps", "failures_by_type")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity
+
+    def __init__(self, theta_deg: float, postselect_sign: str, theta_hat_deg: np.ndarray,
+                 variance_theta_deg2: np.ndarray, sigma_cr_deg2: np.ndarray, f_ps: np.ndarray,
+                 m_ps: np.ndarray, failures_by_type: dict[str, int]) -> None:
+        self.__dict__.update(theta_deg=theta_deg, postselect_sign=postselect_sign,
+                             theta_hat_deg=theta_hat_deg, variance_theta_deg2=variance_theta_deg2,
+                             sigma_cr_deg2=sigma_cr_deg2, f_ps=f_ps, m_ps=m_ps,
+                             failures_by_type=failures_by_type)
 
     @property
     def n_ok(self) -> int:
@@ -489,20 +491,30 @@ def table1_batch(theta_lists_deg: list, models: "list[ModelParams]",
                    thetas, failures, _assess_parts(model, columns, sizes) if sizes else [])]
 
 
+# The published comparison values, load_baseline's default
+_BASELINE = {
+    ("minus", 20.0): (0.085, 0.23), ("minus", 22.5): (0.036, 0.33),
+    ("minus", 25.0): (0.061, 0.41), ("minus", 27.5): (0.29, 0.35),
+    ("plus", 67.5): (0.12, 0.37), ("plus", 70.0): (0.041, 0.43),
+    ("plus", 72.5): (0.079, 0.43), ("plus", 75.0): (0.76, 0.3),
+}
+
+
 def load_baseline(path: "str | None" = None) -> dict[tuple[str, float], tuple[float, float]]:
     """Published comparison values keyed by (postselect_sign, theta_deg),
     each entry (measured variance, Cramér-Rao variance) in squared degrees.
 
     These are reference labels for side-by-side reporting only; the pipeline
     makes no claim of reproducing them (the underlying count rates are not
-    public).  Raises ValueError on a line without four comma-separated
-    fields or with a field that is not a number.
+    public).  A copy of ``_BASELINE`` without ``path``, else read from a
+    CSV file of ``postselect,theta_deg,variance_deg2,cramer_rao_deg2`` lines,
+    blank, ``#`` and header lines skipped.  Raises ValueError on a line
+    without four comma-separated fields or with a field that is not a number.
     """
     if path is None:
-        text = resources.files("weakps").joinpath("data/table1_baseline.csv").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        return dict(_BASELINE)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     out: dict[tuple[str, float], tuple[float, float]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

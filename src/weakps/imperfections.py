@@ -51,9 +51,10 @@ reproduces the ideal controlled-sign circuit exactly after renormalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .states import _Record
 
 __all__ = [
     "ImperfectionParams",
@@ -67,15 +68,13 @@ __all__ = [
 VISIBILITY_MODEL = "coherent-dephased-mixture-v1"
 
 
-@dataclass(frozen=True)
-class ImperfectionParams:
+class ImperfectionParams(_Record):
     """Gate nonideality parameters, all dimensionless in [0, 1]."""
 
-    visibility: float
-    t_h: float
-    t_v: float
+    _fields = ("visibility", "t_h", "t_v")
 
-    def __post_init__(self) -> None:
+    def __init__(self, visibility: float, t_h: float, t_v: float) -> None:
+        self.__dict__.update(visibility=visibility, t_h=t_h, t_v=t_v)
         for name in ("visibility", "t_h", "t_v"):
             v = getattr(self, name)
             if not math.isfinite(v) or not 0.0 <= v <= 1.0:

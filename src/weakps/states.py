@@ -18,7 +18,6 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "PROB_FLOOR",
@@ -44,20 +43,53 @@ def sign_factor(postselect_sign: str) -> float:
     raise ValueError(f"postselect_sign must be 'plus' or 'minus', got {postselect_sign!r}")
 
 
-@dataclass(frozen=True)
-class Strength:
+class _Record:
+    """A frozen record of the fields ``_fields`` names in order, which its
+    class's ``__init__`` sets in the instance ``__dict__``, with a
+    dataclass's repr (less the fields in ``_hidden``), equality and hash:
+    not a ``@dataclass``, whose methods Python 3.11 compiles with ``exec``."""
+
+    _hidden: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                          if name not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def replace(self, **changes):
+        """A new record, validated, of this one's fields but for ``changes``."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class Strength(_Record):
     """Measurement strength ``kappa`` in [0, 1].
 
     ``kappa = 0`` is the identity-limit (infinitely gentle) measurement,
     ``kappa = 1`` the projective limit.
     """
 
-    kappa: float
+    _fields = ("kappa",)
 
-    def __post_init__(self) -> None:
-        k = self.kappa
-        if not math.isfinite(k) or not 0.0 <= k <= 1.0:
-            raise ValueError(f"kappa must lie in [0, 1], got {k!r}")
+    def __init__(self, kappa: float) -> None:
+        if not math.isfinite(kappa) or not 0.0 <= kappa <= 1.0:
+            raise ValueError(f"kappa must lie in [0, 1], got {kappa!r}")
+        self.__dict__["kappa"] = kappa
 
     @property
     def dephasing_weight(self) -> float:

@@ -60,9 +60,11 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def test_every_definition_is_reached_from_the_cli():
-    # a name-based walk from cli.main and the subcommand registry: a
+    # a name-based walk from cli.main, the subcommand registry and each
+    # module-level statement that is not a definition (the import runs it): a
     # definition is reached when a reached definition uses its name
     definitions: dict[str, list[ast.AST]] = {}
+    statements: list[ast.AST] = []
     for path in sorted(Path(weakps.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -71,10 +73,12 @@ def test_every_definition_is_reached_from_the_cli():
                 for target in node.targets:
                     if isinstance(target, ast.Name) and not target.id.startswith("__"):
                         definitions.setdefault(target.id, []).append(node)
+            else:
+                statements.append(node)
     # the package's __getattr__ is a root too: the import system calls it
     roots = ("main", "_SUBCOMMANDS", "__getattr__")
     reached = set(roots)
-    todo = [node for name in roots for node in definitions[name]]
+    todo = [node for name in roots for node in definitions[name]] + statements
     while todo:
         names = set().union(*map(_names, todo)) & definitions.keys()
         todo = [node for name in names - reached for node in definitions[name]]

@@ -1,11 +1,13 @@
 import argparse
 import ast
+import compileall
 import contextlib
 import io
 import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -1119,6 +1121,63 @@ def test_cli_import_freezes_the_import_heap_once():
             "print(package, frozen > 0, gc.get_freeze_count() == frozen, gc.isenabled())\n")
     assert _python(code, "on") == "0 True True True"
     assert _python(code, "off") == "0 True True False"
+
+
+def _bare_python(code: str, tmp_path: Path, *args: str) -> str:
+    """Stripped stdout of ``code`` run by ``python -S``, so that no site hook
+    loads a module first, with numpy's install directory on its path and
+    weakps imported from a copy in ``tmp_path`` compiled ahead: compiling
+    ``cli.py`` from source builds ~1,250 objects before its first statement
+    can stop the collector."""
+    package = tmp_path / "weakps"
+    if not package.exists():
+        shutil.copytree(os.path.dirname(weakps.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert compileall.compile_dir(package, quiet=1)
+    path = os.pathsep.join([str(tmp_path), os.path.dirname(os.path.dirname(np.__file__))])
+    run = subprocess.run([sys.executable, "-S", "-c", code, *args],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return run.stdout.strip()
+
+
+def test_cli_import_adds_only_json_and_runs_no_collection(tmp_path):
+    # after numpy, the CLI's import loads weakps, json and __future__ alone
+    # (no importlib.resources, no dataclasses) and runs no collection; the
+    # count of allocations that starts one is reset first, so that a
+    # collection seen is one that the import's own allocations start
+    code = ("import gc, sys\n"
+            "import numpy\n"
+            "gc.collect()\n"
+            "before, phases = set(sys.modules), []\n"
+            "gc.callbacks.append(lambda phase, info: phases.append(phase))\n"
+            "import weakps.cli\n"
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(added - {'weakps', 'json', '_json', '__future__', 'gc'}),\n"
+            "      phases.count('start'), gc.isenabled())\n")
+    assert _bare_python(code, tmp_path) == "[] 0 True"
+
+
+def test_cli_import_stops_the_collector_while_numpy_loads(tmp_path):
+    # the collector is off when the CLI asks for numpy, and an import that
+    # fails there leaves the collector on or off as the caller had it
+    code = ("import gc, sys\n"
+            "if sys.argv[1] == 'off':\n"
+            "    gc.disable()\n"
+            "seen = []\n"
+            "class Refuse:\n"
+            "    @staticmethod\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(gc.isenabled())\n"
+            "            raise ImportError('numpy refused')\n"
+            "sys.meta_path.insert(0, Refuse)\n"
+            "try:\n"
+            "    import weakps.cli\n"
+            "except ImportError as exc:\n"
+            "    print(exc, seen, gc.isenabled())\n")
+    assert _bare_python(code, tmp_path, "on") == "numpy refused [False] True"
+    assert _bare_python(code, tmp_path, "off") == "numpy refused [False] False"
 
 
 def test_package_import_loads_no_numpy():

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -706,3 +707,13 @@ def test_load_baseline_packaged():
     assert base[("minus", 22.5)] == (0.036, 0.33)
     assert base[("plus", 75.0)] == (0.76, 0.3)
     assert len(base) == 8
+
+
+def test_the_published_baseline_reads_as_the_example_csv():
+    # tests/data/table1_baseline.csv, the published values as a --baseline
+    # file, is the format's example: it reads as the built-in table, and
+    # each call gets a copy of that table
+    example = load_baseline(str(Path(__file__).parent / "data" / "table1_baseline.csv"))
+    assert list(example.items()) == list(load_baseline().items())
+    load_baseline()[("minus", 20.0)] = (0.0, 0.0)
+    assert load_baseline() == example

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from oracles import (CSIGN, MINUS, ONE, PLUS, ZERO, checked_density, circuit_channels,
                      joint_channels, joint_probability, kraus_operators, product_density, signal)
-from weakps import ModelParams, Strength, kernels
+from weakps import (AcquisitionConfig, EstimateBatch, ImperfectionParams, ModelParams, Strength,
+                    Table1Row, kernels)
 from weakps.counting import postselected_counts
 from weakps.estimation import channel_probabilities
 
@@ -33,6 +35,78 @@ def test_strength_bounds():
         Strength(-0.1)
     with pytest.raises(ValueError):
         Strength(1.1)
+
+
+_GATE = ImperfectionParams(0.78, 0.98, 0.34)
+_VALUES, _COUNTS, _STATUS = np.array([1.0, 2.0]), np.array([3, 4]), np.array([0, 1], dtype=np.int8)
+
+# Per record class: its parameters in field order, their defaults, one
+# record's fields, and that record's repr as written by the dataclasses that
+# the classes were before
+RECORDS = {
+    Strength: (["kappa"], {}, (0.25,), "Strength(kappa=0.25)"),
+    AcquisitionConfig: (
+        ["seed", "rate", "duration", "kappa_uncertainty"],
+        {"rate": 2000.0, "duration": 5.0, "kappa_uncertainty": 0.0}, (7, 100.0, 2.0, 0.01),
+        "AcquisitionConfig(seed=7, rate=100.0, duration=2.0, kappa_uncertainty=0.01)"),
+    ImperfectionParams: (["visibility", "t_h", "t_v"], {}, (0.9, 1.0, 0.3),
+                         "ImperfectionParams(visibility=0.9, t_h=1.0, t_v=0.3)"),
+    ModelParams: (
+        ["kappa", "postselect_sign", "imperfections"], {"imperfections": None},
+        (0.3, "plus", _GATE),
+        "ModelParams(kappa=0.3, postselect_sign='plus', imperfections=ImperfectionParams("
+        "visibility=0.78, t_h=0.98, t_v=0.34))"),
+    EstimateBatch: (
+        ["theta_hat_deg", "variance_theta_deg2", "sigma_cr_deg2", "f_ps", "m_ps", "status",
+         "theta_hats", "slopes"], {}, (*[_VALUES] * 4, _COUNTS, _STATUS, _VALUES, _VALUES),
+        "EstimateBatch(theta_hat_deg=array([1., 2.]), variance_theta_deg2=array([1., 2.]), "
+        "sigma_cr_deg2=array([1., 2.]), f_ps=array([1., 2.]), m_ps=array([3, 4]), "
+        "status=array([0, 1], dtype=int8))"),
+    Table1Row: (
+        ["theta_deg", "postselect_sign", "theta_hat_deg", "variance_theta_deg2",
+         "sigma_cr_deg2", "f_ps", "m_ps", "failures_by_type"], {},
+        (20.0, "minus", *[_VALUES] * 4, _COUNTS, {"OutOfRange": 2}),
+        "Table1Row(theta_deg=20.0, postselect_sign='minus', theta_hat_deg=array([1., 2.]), "
+        "variance_theta_deg2=array([1., 2.]), sigma_cr_deg2=array([1., 2.]), "
+        "f_ps=array([1., 2.]), m_ps=array([3, 4]), failures_by_type={'OutOfRange': 2})"),
+}
+VALUE_TYPES = (Strength, AcquisitionConfig, ImperfectionParams, ModelParams)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_keep_their_dataclass_behaviour(cls):
+    names, defaults, fields, text = RECORDS[cls]
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == names  # st.builds and positional callers rely on the order
+    assert {name: p.default for name, p in parameters.items()
+            if p.default is not p.empty} == defaults
+    record = cls(*fields)
+    assert repr(record) == text
+    assert repr(cls(**dict(zip(names, fields)))) == text
+    given = len(names) - len(defaults)
+    assert repr(cls(*fields[:given])) == repr(cls(*fields[:given], **defaults))
+    twin = cls(*fields)
+    if cls in VALUE_TYPES:
+        assert record == twin and hash(record) == hash(twin)
+        assert record != type("Sub", (cls,), {})(*fields)  # nor equal to a subclass's
+        if defaults:
+            assert record != cls(*fields[:given])
+    else:
+        assert record != twin and record == record
+    for name in (names[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
+
+
+def test_replace_validates_the_new_record():
+    assert _GATE.replace(t_h=1.0) == ImperfectionParams(0.78, 1.0, 0.34)
+    with pytest.raises(ValueError, match=r"^t_v must lie in \[0, 1\], got 2.0$"):
+        _GATE.replace(t_v=2.0)
+    with pytest.raises(TypeError):
+        _GATE.replace(kappa=0.3)
 
 
 def test_kraus_limits():

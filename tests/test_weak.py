@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (fisher_ps_definition, four_outcome_bloch_angles, ideal_postselect_probability,
                      joint_channels, postselected_value, signal)
@@ -219,6 +221,24 @@ def test_budget_holds_and_is_beatable():
         seen_super = seen_super or f_ps > QUANTUM_FISHER_INFORMATION
         checked += 1
     assert seen_super
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kappa=st.floats(1e-150, 1.0, exclude_max=True), theta=st.floats(-math.pi, math.pi))
+def test_the_postselections_split_the_information_ledger(kappa, theta):
+    # p-F- + p+F+ = 16 k^2 / (1 - r^2 sin^2 4t), r = sqrt(1 - k^2): the
+    # information within the two postselections (ROADMAP item 4), why the
+    # per-attempt budget F_ps p_ps <= 16 holds; 1 - r^2 sin^2 4t is written
+    # cos^2 4t + k^2 sin^2 4t, which does not cancel.  Below ~1.5e-154, k^2
+    # is subnormal, and neither side keeps 9 digits
+    thetas = np.array([theta])
+    parts = [ModelParams(kappa, sign).evaluate(thetas) for sign in ("minus", "plus")]
+    if np.isnan([columns["f_ps"][0] for columns in parts]).any():
+        return  # a conditional probability vanishes: no information there
+    within = sum(float(columns["f_ps"][0] * columns["p_ps"][0]) for columns in parts)
+    c, s = math.cos(4.0 * theta), math.sin(4.0 * theta)
+    assert within == pytest.approx(16.0 * kappa * kappa / (c * c + kappa * kappa * s * s),
+                                   rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
