@@ -94,109 +94,39 @@ _NAMED_STATES = {"plus": (0.5, 0.5, 0.5), "minus": (0.5, 0.5, -0.5),
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta-start", type=float, default=0.0, help="grid start, degrees")
-    p.add_argument("--theta-end", type=float, default=90.0, help="grid end, degrees (exclusive)")
-    p.add_argument("--theta-step", type=float, default=0.5, help="grid step, degrees")
-
-
-def _add_strength_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kappa", type=float, default=None, help="measurement strength in [0, 1]")
-    p.add_argument("--mu", type=float, default=None,
-                   help="meter preparation angle in degrees (strength sin(4*mu))")
-
-
-def _add_postselect_flag(p: argparse.ArgumentParser, with_both: bool = True) -> None:
-    choices = ["plus", "minus"] + (["both"] if with_both else [])
-    p.add_argument("--postselect", choices=choices, default="both" if with_both else "minus")
-
-
-def _add_imperfection_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--visibility", type=float, default=None,
-                   help="two-photon interference visibility in [0, 1]")
-    p.add_argument("--t-h", type=float, default=None, help="H intensity transmission")
-    p.add_argument("--t-v", type=float, default=None, help="V intensity transmission")
-
-
-def _add_acquisition_flags(p: argparse.ArgumentParser, with_uncertainty: bool = True) -> None:
-    p.add_argument("--rate", type=float, default=2000.0,
-                   help="total coincidences per second before postselection")
-    p.add_argument("--duration", type=float, default=5.0, help="acquisition window, seconds")
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    if with_uncertainty:
-        p.add_argument("--kappa-uncertainty", type=float, default=0.0,
-                       help="one-sigma calibration error folded into error bars")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", default="-", help="output path; '-' writes to stdout")
-    p.add_argument("--config", default=None, help="key = value config file; flags win")
-
-
-def _sweep_weak_value_flags(p: argparse.ArgumentParser) -> None:
-    _add_strength_flags(p)
-    _add_grid_flags(p)
-    _add_postselect_flag(p)
-    _add_imperfection_flags(p)
-    _add_output_flags(p)
-
-
-def _sweep_pusey_flags(p: argparse.ArgumentParser) -> None:
-    _add_strength_flags(p)
-    _add_grid_flags(p)
-    _add_postselect_flag(p)
-    p.add_argument("--p-phi", choices=["model", "counts"], default="model",
-                   help="overlap from the exact states, or re-derived from the "
-                        "postselection probability and the calibrated strength")
-    p.add_argument("--simulate", action="store_true",
-                   help="evaluate from simulated coincidence counts instead of exact values")
-    _add_acquisition_flags(p, with_uncertainty=False)
-    _add_output_flags(p)
-
-
-def _sweep_fisher_flags(p: argparse.ArgumentParser) -> None:
-    _add_strength_flags(p)
-    _add_grid_flags(p)
-    _add_postselect_flag(p)
-    _add_output_flags(p)
-
-
-def _simulate_counts_flags(p: argparse.ArgumentParser) -> None:
-    _add_strength_flags(p)
-    _add_grid_flags(p)
-    _add_imperfection_flags(p)
-    _add_acquisition_flags(p)
-    _add_output_flags(p)
-
-
-def _estimate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="JSON file produced by simulate-counts")
-    _add_strength_flags(p)
-    _add_postselect_flag(p, with_both=False)
-    p.add_argument("--branch", required=True,
-                   help="monotone branch 'LO,HI' in degrees for the inversion")
-    _add_imperfection_flags(p)
-    _add_output_flags(p)
-
-
-def _table1_flags(p: argparse.ArgumentParser) -> None:
-    _add_strength_flags(p)
-    _add_postselect_flag(p)
-    p.add_argument("--repetitions", type=int, default=100)
-    p.add_argument("--baseline", default=None, help="override the packaged baseline CSV")
-    _add_imperfection_flags(p)
-    _add_acquisition_flags(p)
-    _add_output_flags(p)
-
-
-def _decompose_flags(p: argparse.ArgumentParser) -> None:
-    _add_strength_flags(p)
-    p.add_argument("--phi", choices=sorted(_NAMED_STATES), default=None,
-                   help="named postselection state")
-    p.add_argument("--phi-angle", type=float, default=None,
-                   help="postselection angle in degrees: cos(2a)|0> + sin(2a)|1>")
-    _add_output_flags(p)
+# Each flag once, as the keywords argparse's add_argument takes, by its name
+# (a tuple where it has more than one); a subcommand's table (_SUBCOMMANDS)
+# merges these groups and its own flags in the order its --help lists them.
+_STRENGTH = {
+    "--kappa": dict(type=float, default=None, help="measurement strength in [0, 1]"),
+    "--mu": dict(type=float, default=None,
+                 help="meter preparation angle in degrees (strength sin(4*mu))"),
+}
+_GRID = {
+    "--theta-start": dict(type=float, default=0.0, help="grid start, degrees"),
+    "--theta-end": dict(type=float, default=90.0, help="grid end, degrees (exclusive)"),
+    "--theta-step": dict(type=float, default=0.5, help="grid step, degrees"),
+}
+_POSTSELECT = {"--postselect": dict(choices=["plus", "minus", "both"], default="both")}
+_GATE = {
+    "--visibility": dict(type=float, default=None,
+                         help="two-photon interference visibility in [0, 1]"),
+    "--t-h": dict(type=float, default=None, help="H intensity transmission"),
+    "--t-v": dict(type=float, default=None, help="V intensity transmission"),
+}
+_ACQUISITION = {
+    "--rate": dict(type=float, default=2000.0,
+                   help="total coincidences per second before postselection"),
+    "--duration": dict(type=float, default=5.0, help="acquisition window, seconds"),
+    "--seed": dict(type=int, default=0, help="root RNG seed"),
+}
+_UNCERTAINTY = {"--kappa-uncertainty": dict(
+    type=float, default=0.0, help="one-sigma calibration error folded into error bars")}
+_OUTPUT = {
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--output": dict(default="-", help="output path; '-' writes to stdout"),
+    "--config": dict(default=None, help="key = value config file; flags win"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,30 +140,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"weakps {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_text))
+    for command, (help_text, flags, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for names, kwargs in flags.items():
+            p.add_argument(*(names if isinstance(names, tuple) else [names]), **kwargs)
     return parser
-
-
-class _Flags(dict):
-    """A flag adder's declarations, name -> keywords with the default filled in;
-    None for a flag :func:`_read_call` would misread (argparse types a str default)."""
-
-    def add_argument(self, *names: str, **kwargs) -> None:
-        self[names[0]] = {"default": False if "action" in kwargs else None, **kwargs} if (
-            len(names) == 1 and names[0].startswith("--")  # not a positional
-            and kwargs.keys() <= {"type", "default", "choices", "required", "help", "action"}
-            and kwargs.get("action", "store_true") == "store_true"
-            and not (isinstance(kwargs.get("default"), str) and "type" in kwargs)) else None
 
 
 def _read_call(command: str, tokens: list[str]) -> SimpleNamespace | None:
     """The arguments argparse gives a well-formed call of ``command``, else None.
-    Well-formed: each token is a flag its adder declares, named in full, a switch
+    Well-formed: each token is a flag its table declares, named in full, a switch
     or followed by a value not starting with '-' ('-' may) that its type converts
-    into its choices; every required flag is given."""
-    flags = _Flags()
-    _SUBCOMMANDS[command][1](flags)
+    into its choices; every required flag is given.  A table holding a
+    declaration this read would misread (a positional, a second name, another
+    keyword, an action other than store_true, a str default that argparse
+    types) leaves every call to argparse."""
+    flags = _SUBCOMMANDS[command][1]
+    if not all(isinstance(name, str) and name.startswith("--")
+               and spec.keys() <= {"type", "default", "choices", "required", "help", "action"}
+               and spec.get("action", "store_true") == "store_true"
+               and not (isinstance(spec.get("default"), str) and "type" in spec)
+               for name, spec in flags.items()):
+        return None
     given, rest = {}, iter(tokens)
     for name in rest:
         spec = flags.get(name)
@@ -249,16 +177,18 @@ def _read_call(command: str, tokens: list[str]) -> SimpleNamespace | None:
             return None
         if given[name] not in spec.get("choices", [given[name]]):
             return None
-    if any(spec is None or spec.get("required") and name not in given
-           for name, spec in flags.items()):
+    if any(spec.get("required") and name not in given for name, spec in flags.items()):
         return None
     return SimpleNamespace(command=command, **{name[2:].replace("-", "_"): given.get(
-        name, spec["default"]) for name, spec in flags.items()})
+        name, spec.get("default", False if "action" in spec else None))
+        for name, spec in flags.items()})
 
 
-def _load_config_tokens(path: str) -> list[str]:
+def _load_config_tokens(path: str, flags: dict) -> list[str]:
     """Turn a key = value config file into CLI tokens (prepended, so explicit
-    flags override)."""
+    flags override).  A value spelled true/yes/on or false/no/off gives or
+    drops a switch, a flag ``flags`` declares store_true; any other value
+    follows its flag."""
     tokens: list[str] = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -275,9 +205,10 @@ def _load_config_tokens(path: str) -> list[str]:
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         flag = "--" + key.replace("_", "-")
-        if value.lower() in {"true", "yes", "on"}:
+        switch = flags.get(flag, {}).get("action") == "store_true"
+        if switch and value.lower() in {"true", "yes", "on"}:
             tokens.append(flag)
-        elif value.lower() not in {"false", "no", "off"}:
+        elif not (switch and value.lower() in {"false", "no", "off"}):
             tokens.extend([flag, value])
     return tokens
 
@@ -298,26 +229,38 @@ def _apply_config(argv: list[str]) -> list[str]:
         return argv
     if not stripped:
         raise ConfigError("--config given without a subcommand")
-    return [stripped[0]] + _load_config_tokens(path) + stripped[1:]
+    flags = _SUBCOMMANDS[stripped[0]][1] if stripped[0] in _SUBCOMMANDS else {}
+    return [stripped[0]] + _load_config_tokens(path, flags) + stripped[1:]
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _resolve_strength(args: argparse.Namespace) -> tuple[float, float]:
-    """(kappa, mu_radians) from exactly one of --kappa / --mu."""
-    if (args.kappa is None) == (args.mu is None):
+def _resolve_strength(args: argparse.Namespace,
+                      meta: dict | None = None) -> tuple[float, float]:
+    """(kappa, mu_radians) from exactly one of --kappa / --mu; with neither,
+    from ``meta``, an input file's metadata, when that is given."""
+    if meta is not None and args.kappa is None and args.mu is None:
+        kappa = meta.get("kappa")
+        if kappa is None:
+            raise ConfigError("no --kappa/--mu given and none recorded in the input file")
+        numeric = isinstance(kappa, (int, float)) and not isinstance(kappa, bool)
+        if not (numeric and 0.0 <= kappa <= 1.0):
+            raise ConfigError(f"input metadata: kappa must be a number in [0, 1], got {kappa!r}")
+    elif (args.kappa is None) == (args.mu is None):
         raise ConfigError("provide exactly one of --kappa or --mu")
-    if args.kappa is not None:
-        if not 0.0 <= args.kappa <= 1.0:
-            raise ConfigError(f"--kappa must lie in [0, 1], got {args.kappa!r}")
-        return args.kappa, math.asin(args.kappa) / 4.0
-    # the models' meter angle is asin(kappa) / 4: past 22.5 deg, a gate at mu is another channel
-    if not 0.0 <= args.mu <= 22.5:
-        raise ConfigError(f"--mu must lie in [0, 22.5] deg, got {args.mu!r}")
-    mu = math.radians(args.mu)
-    return math.sin(4.0 * mu), mu
+    elif args.mu is not None:
+        # the models' meter angle is asin(kappa) / 4: past 22.5 deg, a gate at mu is another channel
+        if not 0.0 <= args.mu <= 22.5:
+            raise ConfigError(f"--mu must lie in [0, 22.5] deg, got {args.mu!r}")
+        mu = math.radians(args.mu)
+        return math.sin(4.0 * mu), mu
+    else:
+        kappa = args.kappa
+        if not 0.0 <= kappa <= 1.0:
+            raise ConfigError(f"--kappa must lie in [0, 1], got {kappa!r}")
+    return kappa, math.asin(kappa) / 4.0
 
 
 def _resolve_imperfections(args: argparse.Namespace,
@@ -369,21 +312,15 @@ def _signs(postselect: str) -> list[str]:
 
 
 def _acquisition(args: argparse.Namespace) -> AcquisitionConfig:
-    try:
-        return AcquisitionConfig(
-            seed=args.seed,
-            rate=args.rate,
-            duration=args.duration,
-            kappa_uncertainty=getattr(args, "kappa_uncertainty", 0.0),  # sweep-pusey has none
-        )
+    try:  # sweep-pusey has no --kappa-uncertainty
+        return AcquisitionConfig(seed=args.seed, rate=args.rate, duration=args.duration,
+                                 kappa_uncertainty=getattr(args, "kappa_uncertainty", 0.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _stamp(metadata: dict) -> dict:
@@ -447,20 +384,11 @@ def _write(output: str, fmt: str, metadata: dict, columns: list[str],
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _model_metadata(args, kappa: float, mu: float, imperfections: ImperfectionParams | None) -> dict:
-    meta = {
-        "command": args.command,
-        "kappa": kappa,
-        "mu_deg": math.degrees(mu),
-    }
-    if imperfections is not None:
-        meta.update(
-            visibility=imperfections.visibility,
-            t_h=imperfections.t_h,
-            t_v=imperfections.t_v,
-            visibility_model=VISIBILITY_MODEL,
-            transmission_convention="intensity",
-        )
+def _model_metadata(args, kappa: float, mu: float, gate: ImperfectionParams | None) -> dict:
+    meta = {"command": args.command, "kappa": kappa, "mu_deg": math.degrees(mu)}
+    if gate is not None:
+        meta.update(visibility=gate.visibility, t_h=gate.t_h, t_v=gate.t_v,
+                    visibility_model=VISIBILITY_MODEL, transmission_convention="intensity")
     return meta
 
 
@@ -550,15 +478,9 @@ def _cmd_simulate_counts(args) -> None:
     data.update(zip(COUNT_COLUMNS, draw_counts(probs.T, seeds, acquisition).T))
 
     meta = _model_metadata(args, kappa, mu, imperfections)
-    meta.update(
-        theta_start=args.theta_start,
-        theta_end=args.theta_end,
-        theta_step=args.theta_step,
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        kappa_uncertainty=args.kappa_uncertainty,
-    )
+    meta.update(theta_start=args.theta_start, theta_end=args.theta_end,
+                theta_step=args.theta_step, rate=args.rate, duration=args.duration,
+                seed=args.seed, kappa_uncertainty=args.kappa_uncertainty)
     _write(args.output, args.format, meta, ["theta_deg", *COUNT_COLUMNS, "seed"], data)
 
 
@@ -608,17 +530,8 @@ def _cmd_estimate(args) -> None:
     if not in_records:
         raise ConfigError("input file holds no count records")
 
-    if args.kappa is None and args.mu is None:
-        kappa = in_meta.get("kappa")
-        if kappa is None:
-            raise ConfigError("no --kappa/--mu given and none recorded in the input file")
-        numeric = isinstance(kappa, (int, float)) and not isinstance(kappa, bool)
-        if not (numeric and 0.0 <= kappa <= 1.0):
-            raise ConfigError(f"input metadata: kappa must be a number in [0, 1], got {kappa!r}")
-        mu = math.asin(kappa) / 4.0
-    else:
-        kappa, mu = _resolve_strength(args)
-    # each gate field without its flag from the gate the counts were simulated with
+    # the strength, and each gate field, without its flag from the input's metadata
+    kappa, mu = _resolve_strength(args, in_meta)
     imperfections = _resolve_imperfections(args, in_meta)
     sign = args.postselect
 
@@ -701,16 +614,10 @@ def _cmd_table1(args) -> None:
     ]
 
     meta = _model_metadata(args, kappa, mu, imperfections)
-    meta.update(
-        postselect=args.postselect,
-        repetitions=args.repetitions,
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        kappa_uncertainty=args.kappa_uncertainty,
-        baseline_source=args.baseline or "packaged",
-        baseline_note="baseline columns are published reference labels, not targets",
-    )
+    meta.update(postselect=args.postselect, repetitions=args.repetitions, rate=args.rate,
+                duration=args.duration, seed=args.seed, kappa_uncertainty=args.kappa_uncertainty,
+                baseline_source=args.baseline or "packaged",
+                baseline_note="baseline columns are published reference labels, not targets")
     _write(args.output, args.format, meta, columns, dict(zip(columns, zip(*rows))))
 
 
@@ -747,22 +654,43 @@ def _cmd_decompose(args) -> None:
     _write(args.output, args.format, meta, columns, {c: [v] for c, v in zip(columns, values)})
 
 
-# subcommand -> (help text, flag adder, handler), in the order --help lists them
+# subcommand -> (help text, flags, handler), in the order --help lists them
 _SUBCOMMANDS = {
     "sweep-weak-value": ("postselected-value curve over an angle grid",
-                         _sweep_weak_value_flags, _cmd_sweep_weak_value),
-    "sweep-pusey": ("non-contextuality functionals over an angle grid",
-                    _sweep_pusey_flags, _cmd_sweep_pusey),
+                         {**_STRENGTH, **_GRID, **_POSTSELECT, **_GATE, **_OUTPUT},
+                         _cmd_sweep_weak_value),
+    "sweep-pusey": ("non-contextuality functionals over an angle grid", {
+        **_STRENGTH, **_GRID, **_POSTSELECT,
+        "--p-phi": dict(choices=["model", "counts"], default="model",
+                        help="overlap from the exact states, or re-derived from the "
+                             "postselection probability and the calibrated strength"),
+        "--simulate": dict(action="store_true", help="evaluate from simulated coincidence "
+                                                     "counts instead of exact values"),
+        **_ACQUISITION, **_OUTPUT}, _cmd_sweep_pusey),
     "sweep-fisher": ("postselected Fisher information over an angle grid",
-                     _sweep_fisher_flags, _cmd_sweep_fisher),
-    "simulate-counts": ("Poissonian coincidence counts over an angle grid",
-                        _simulate_counts_flags, _cmd_simulate_counts),
-    "estimate": ("invert measured values from a simulate-counts JSON file",
-                 _estimate_flags, _cmd_estimate),
-    "table1": ("estimation pipeline at the standard working points",
-               _table1_flags, _cmd_table1),
-    "decompose": ("consolidated postselection operator decomposition",
-                  _decompose_flags, _cmd_decompose),
+                     {**_STRENGTH, **_GRID, **_POSTSELECT, **_OUTPUT}, _cmd_sweep_fisher),
+    "simulate-counts": ("Poissonian coincidence counts over an angle grid", {
+        **_STRENGTH, **_GRID, **_GATE, **_ACQUISITION, **_UNCERTAINTY, **_OUTPUT},
+        _cmd_simulate_counts),
+    "estimate": ("invert measured values from a simulate-counts JSON file", {
+        "--input": dict(required=True, help="JSON file produced by simulate-counts"),
+        **_STRENGTH,
+        "--postselect": dict(choices=["plus", "minus"], default="minus"),
+        "--branch": dict(required=True,
+                         help="monotone branch 'LO,HI' in degrees for the inversion"),
+        **_GATE, **_OUTPUT}, _cmd_estimate),
+    "table1": ("estimation pipeline at the standard working points", {
+        **_STRENGTH, **_POSTSELECT,
+        "--repetitions": dict(type=int, default=100),
+        "--baseline": dict(default=None, help="override the packaged baseline CSV"),
+        **_GATE, **_ACQUISITION, **_UNCERTAINTY, **_OUTPUT}, _cmd_table1),
+    "decompose": ("consolidated postselection operator decomposition", {
+        **_STRENGTH,
+        "--phi": dict(choices=sorted(_NAMED_STATES), default=None,
+                      help="named postselection state"),
+        "--phi-angle": dict(type=float, default=None,
+                            help="postselection angle in degrees: cos(2a)|0> + sin(2a)|1>"),
+        **_OUTPUT}, _cmd_decompose),
 }
 
 

@@ -35,7 +35,7 @@ import numbers
 import numpy as np
 
 from .errors import EmptyChannel, ZeroStrength
-from .states import Strength, _Record, as_strength, sign_factor
+from .states import Strength, _Record, as_strength, postselected_channels
 
 __all__ = [
     "COUNT_COLUMNS",
@@ -520,7 +520,7 @@ def postselected_counts(counts: np.ndarray, postselect_sign: str) -> np.ndarray:
         ints[ints != rows] = -1  # refused with the negative counts
     if ints.min(initial=0) < 0:
         raise ValueError(f"counts must be nonnegative integers, got {rows[ints < 0][0].item()!r}")
-    return ints[:, :2] if sign_factor(postselect_sign) < 0 else ints[:, 2:]
+    return ints[:, postselected_channels(postselect_sign)]
 
 
 def empty_channel(postselect_sign: str) -> EmptyChannel:

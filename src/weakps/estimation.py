@@ -28,7 +28,7 @@ from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatC
                      GateStarved, OutOfRange, WeakpsError, ZeroPostselection, ZeroStrength,
                      angle_text)
 from .imperfections import ImperfectionParams, channel_matrix
-from .states import PROB_FLOOR, _Record, as_strength, sign_factor
+from .states import PROB_FLOOR, _Record, as_strength, postselected_channels
 from .weak import QUANTUM_FISHER_INFORMATION, SATURATION_TOL
 
 __all__ = [
@@ -92,7 +92,7 @@ class ModelParams(_Record):
         self.__dict__.update(kappa=kappa, postselect_sign=postselect_sign,
                              imperfections=imperfections)
         as_strength(kappa)
-        sign_factor(postselect_sign)
+        postselected_channels(postselect_sign)
 
     @property
     def mu(self) -> float:
@@ -106,7 +106,7 @@ class ModelParams(_Record):
         and the sum of its two rows of :func:`~weakps.imperfections.channel_matrix`,
         per coincidence in the ideal model, per attempt under imperfections."""
         rows = channel_matrix(self.kappa, self.imperfections)
-        p0, p1 = rows[:2] if sign_factor(self.postselect_sign) < 0 else rows[2:]
+        p0, p1 = rows[postselected_channels(self.postselect_sign)]
         return p0 - p1, p0 + p1
 
     def evaluate(self, thetas: np.ndarray) -> dict[str, np.ndarray]:
@@ -478,7 +478,7 @@ def table1_batch(theta_lists_deg: list, models: "list[ModelParams]",
                       for thetas, model in zip(theta_lists_deg, models)])
     seeds = derive_seeds(acquisition.seed, probs.shape[1] * repetitions)
     counts = draw_counts(probs[:, :, None], seeds.reshape(-1, repetitions), acquisition,
-                         [2 if sign_factor(model.postselect_sign) < 0 else 4 for model in models])
+                         [postselected_channels(model.postselect_sign).stop for model in models])
     estimates = [_invert(*args, acquisition.kappa_uncertainty)
                  for args in zip(models, branches, counts)]
     del seeds, counts  # freed before each model's parts are joined

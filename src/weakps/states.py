@@ -23,6 +23,7 @@ __all__ = [
     "PROB_FLOOR",
     "Strength",
     "sign_factor",
+    "postselected_channels",
     "as_strength",
 ]
 
@@ -41,6 +42,12 @@ def sign_factor(postselect_sign: str) -> float:
     if postselect_sign == "plus":
         return 1.0
     raise ValueError(f"postselect_sign must be 'plus' or 'minus', got {postselect_sign!r}")
+
+
+def postselected_channels(postselect_sign: str) -> slice:
+    """The channels of a row ``(mp, mm, pp, pm)`` that a postselection reads,
+    outcome 0 first: ``(mp, mm)`` for ``<-|``, ``(pp, pm)`` for ``<+|``."""
+    return slice(0, 2) if sign_factor(postselect_sign) < 0 else slice(2, 4)
 
 
 class _Record:

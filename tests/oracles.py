@@ -14,9 +14,11 @@ from collections.abc import Callable
 import numpy as np
 
 from weakps import kernels
-from weakps.estimation import _BRANCH_GRID, ModelParams
+from weakps.counting import weak_values_from_counts
+from weakps.estimation import (_BRANCH_GRID, OK, ModelParams, assess_estimates,
+                               channel_probabilities, invert_branch)
 from weakps.errors import DegenerateConditional, GateStarved, ZeroPostselection
-from weakps.states import PROB_FLOOR, sign_factor
+from weakps.states import PROB_FLOOR, postselected_channels, sign_factor
 from weakps.weak import SATURATION_TOL
 
 # The named states |0>, |1> and the diagonal |+>, |->
@@ -370,3 +372,56 @@ def tabulated_branches(model: ModelParams) -> list[tuple[float, float]]:
     ends = [(i + 1 if i else first, j - 1 if j < last else end)
             for i, j in monotone_runs(model.checked(grid)["sigma"])]
     return [(float(grid[i]), float(grid[j])) for i, j in ends if i < j]
+
+
+def table1_exact_law(model: ModelParams, theta_deg: float,
+                     acquisition) -> tuple[float, float, float, float, float]:
+    """The exact law of one ``table1`` repetition's estimate at ``theta_deg``.
+
+    The estimate depends only on the postselected pair ``(n_a, n_b)``, two
+    independent Poisson counts whose means are ``expected_total`` times the
+    model's channel probabilities.  Their pmf is summed over each count's
+    window of 9 standard deviations about its mean (the standard deviation
+    taken as at least one count, so that a mean below 1 still spans 9
+    counts), through :func:`weak_values_from_counts`,
+    :func:`invert_branch` on the branch holding the angle and
+    :func:`assess_estimates`; the pair with no count is a failure
+    (EmptyChannel) and is skipped.  Returns P(OK); the mean, variance and
+    fourth central moment of the estimate in degrees given OK; and the mass
+    outside the window, from its tails.  Each count's pmf is taken out to
+    twice the window and normalised there, which cancels the rounding of its
+    log terms (P(OK) read 1 + 1.1e-13 without it).
+    """
+    sign = model.postselect_sign
+    theta = math.radians(theta_deg)
+    probs = channel_probabilities(np.array([theta]), model.kappa, model.imperfections)[:, 0]
+    axes, pmfs, tails = [], [], []
+    for mean in (acquisition.expected_total * probs[postselected_channels(sign)]).tolist():
+        half = 9.0 * math.sqrt(max(mean, 1.0))
+        lo, hi = max(0, math.floor(mean - half)), math.ceil(mean + half)
+        counts = np.arange(math.ceil(mean + 2.0 * half) + 1)
+        log_factorials = np.array([math.lgamma(n + 1.0) for n in counts.tolist()])
+        pmf = np.exp(counts * math.log(mean) - mean - log_factorials)
+        pmf /= pmf.sum()
+        axes.append(counts[lo : hi + 1])
+        pmfs.append(pmf[lo : hi + 1])
+        tails.append(float(pmf[:lo].sum() + pmf[hi + 1 :].sum()))
+    n_a, n_b = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+    mass = np.outer(*pmfs).ravel()
+    m_ps = n_a + n_b
+    kept = m_ps > 0
+    counts = np.zeros((int(kept.sum()), 4), dtype=np.int64)
+    counts[:, postselected_channels(sign)] = np.stack([n_a[kept], n_b[kept]], axis=1)
+    sigmas, variances = weak_values_from_counts(counts, model.kappa, sign,
+                                                acquisition.kappa_uncertainty)
+    theta_hats = invert_branch(model, sigmas, model.branch_containing(theta))
+    batch = assess_estimates(model, theta_hats, variances, m_ps[kept])
+    ok = batch.status == OK
+    weights, estimates = mass[kept][ok], batch.theta_hat_deg[ok]
+    p_ok = float(weights.sum())
+    mean = float(weights @ estimates) / p_ok
+    deviations = estimates - mean
+    variance = float(weights @ deviations**2) / p_ok
+    fourth = float(weights @ deviations**4) / p_ok
+    lost = tails[0] + tails[1] - tails[0] * tails[1]
+    return p_ok, mean, variance, fourth, lost

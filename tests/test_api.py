@@ -28,7 +28,7 @@ SUBMODULE_ALL = {
     "kernels": ["fisher_from_weak_value", "invert_trig",
                 "pusey_functional", "trig_basis", "trig_curve", "trig_form", "trig_slope",
                 "trig_turning_points"],
-    "states": ["PROB_FLOOR", "Strength", "as_strength", "sign_factor"],
+    "states": ["PROB_FLOOR", "Strength", "as_strength", "postselected_channels", "sign_factor"],
     "weak": ["QUANTUM_FISHER_INFORMATION", "SATURATION_TOL"],
 }
 

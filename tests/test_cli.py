@@ -283,7 +283,7 @@ def _subcommands(parser):
 
 def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
     # a well-formed call builds no ArgumentParser: it is read from the flags
-    # its adder declares; any other call builds the full parser, every
+    # its table declares; any other call builds the full parser, every
     # subparser, once
     everything = ["weakps", *(f"weakps {name}" for name in cli._SUBCOMMANDS)]
     assert _subcommands(cli.build_parser()) == list(cli._SUBCOMMANDS)
@@ -292,8 +292,8 @@ def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *args, **kwargs: parsers.append(kwargs.get("prog"))
                         or init(self, *args, **kwargs))
-    for name, (help_text, add_flags, _) in list(cli._SUBCOMMANDS.items()):
-        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, add_flags, lambda args: None))
+    for name, (help_text, flags, _) in list(cli._SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, flags, lambda args: None))
     for name in cli._SUBCOMMANDS:
         required = ["--input", "in.json", "--branch", "1,2"] if name == "estimate" else []
         # --kap also abbreviates --kappa-uncertainty where there is one: an error
@@ -316,11 +316,9 @@ def test_parser_builds_only_the_subparsers_a_call_needs(monkeypatch):
 
 
 def _declared(name):
-    """The flags the adder of subcommand ``name`` declares, as the direct read
-    records them."""
-    flags = cli._Flags()
-    cli._SUBCOMMANDS[name][1](flags)
-    return flags
+    """The flags the table of subcommand ``name`` declares: name -> the
+    keywords argparse's add_argument takes."""
+    return cli._SUBCOMMANDS[name][1]
 
 
 def _parsed(name, tokens):
@@ -335,29 +333,27 @@ def _parsed(name, tokens):
     return vars(args), extra
 
 
-def test_no_flag_adder_declares_what_the_direct_read_misreads():
+def test_no_table_declares_what_the_direct_read_misreads(monkeypatch):
     for name in cli._SUBCOMMANDS:
-        flags = _declared(name)
-        assert None not in flags.values(), name
-        assert {spec.get("type") for spec in flags.values()} <= {None, float, int}, name
-    # what the read does not implement is recorded as unreadable
-    flags = cli._Flags()
-    for names, kwargs in ((["-k", "--kappa"], {}), (["--kappa"], {"nargs": 2}),
-                          (["--kappa"], {"dest": "k"}), (["--kappa"], {"const": 1}),
-                          (["--kappa"], {"action": "append"}),
-                          (["--kappa"], {"type": float, "default": "0.3"}), (["path"], {})):
-        flags.add_argument(*names, **kwargs)
-        assert flags[names[0]] is None
+        required = ["--input", "in.json", "--branch", "1,2"] if name == "estimate" else []
+        assert cli._read_call(name, required) is not None, name
+        assert {spec.get("type") for spec in _declared(name).values()} <= {None, float, int}, name
+    # a table holding what the read does not implement leaves every call to argparse
+    help_text, flags, handler = cli._SUBCOMMANDS["decompose"]
+    for names, kwargs in ((("-k", "--kappa"), {}), ("--kappa", {"nargs": 2}),
+                          ("--kappa", {"dest": "k"}), ("--kappa", {"const": 1}),
+                          ("--kappa", {"action": "append"}),
+                          ("--kappa", {"type": float, "default": "0.3"}), ("path", {})):
+        monkeypatch.setitem(cli._SUBCOMMANDS, "decompose",
+                            (help_text, {**flags, names: kwargs}, handler))
+        assert cli._read_call("decompose", ["--kappa", "0.3", "--phi", "plus"]) is None
+        assert cli._read_call("decompose", ["--phi", "plus"]) is None
 
 
 def test_a_flag_the_direct_read_misreads_leaves_the_call_to_argparse(monkeypatch):
     ran = []
-
-    def add_flags(p):
-        cli._decompose_flags(p)
-        p.add_argument("--tag", nargs=2, default=["a", "b"])
-
-    monkeypatch.setitem(cli._SUBCOMMANDS, "decompose", ("", add_flags, ran.append))
+    flags = {**cli._SUBCOMMANDS["decompose"][1], "--tag": dict(nargs=2, default=["a", "b"])}
+    monkeypatch.setitem(cli._SUBCOMMANDS, "decompose", ("", flags, ran.append))
     argv = ["--kappa", "0.3", "--phi", "plus"]
     assert cli._read_call("decompose", argv) is None
     assert main(["decompose", *argv]) == 0
@@ -476,12 +472,12 @@ def test_usage_help_and_errors_are_the_full_parsers(tmp_path, argv, code, tail):
 
 def test_main_dispatches_every_registered_subcommand(monkeypatch):
     ran = []
-    for name, (help_text, add_flags, handler) in list(cli._SUBCOMMANDS.items()):
-        # each name is paired with its own flag adder and handler
-        assert add_flags.__name__ == f"_{name.replace('-', '_')}_flags"
+    for name, (help_text, flags, handler) in list(cli._SUBCOMMANDS.items()):
+        # each name is paired with its own handler, and its table with the output flags
+        assert flags.items() >= cli._OUTPUT.items()
         assert handler.__name__ == f"_cmd_{name.replace('-', '_')}"
         monkeypatch.setitem(cli._SUBCOMMANDS, name,
-                            (help_text, add_flags, lambda args: ran.append(args.command)))
+                            (help_text, flags, lambda args: ran.append(args.command)))
     for name in cli._SUBCOMMANDS:
         required = ["--input", "in.json", "--branch", "1,2"] if name == "estimate" else []
         assert main([name, *required]) == 0
@@ -718,6 +714,27 @@ def test_estimate_refuses_an_invalid_recorded_gate(tmp_path, capsys, metadata, m
     assert main(["estimate", "--input", str(counts), "--branch", "18,27",
                  "--output", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == f"error: input metadata: {message}\n"
+
+
+@pytest.mark.parametrize("metadata, message", [
+    ({}, "no --kappa/--mu given and none recorded in the input file"),
+    ({"kappa": None}, "no --kappa/--mu given and none recorded in the input file"),
+    ({"kappa": "0.335"}, "input metadata: kappa must be a number in [0, 1], got '0.335'"),
+    ({"kappa": True}, "input metadata: kappa must be a number in [0, 1], got True"),
+    ({"kappa": 1.5}, "input metadata: kappa must be a number in [0, 1], got 1.5"),
+], ids=["none", "null", "a-string", "true", "above-1"])
+def test_estimate_takes_its_strength_from_a_flag_else_the_metadata(tmp_path, capsys, metadata,
+                                                                    message):
+    counts = tmp_path / "counts.json"
+    call = ["estimate", "--input", str(counts), "--branch", "18,27", "--output", "-"]
+    counts.write_text(json.dumps({"metadata": metadata, "records": [_RECORD]}))
+    assert main(call) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main([*call, "--kappa", "0.335"]) == 0  # a flag needs no recorded strength
+    from_flag = _strip_timestamp(capsys.readouterr().out)
+    counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": [_RECORD]}))
+    assert main(call) == 0
+    assert _strip_timestamp(capsys.readouterr().out) == from_flag
 
 
 def test_estimate_takes_the_gate_its_counts_were_simulated_with(tmp_path):
@@ -1002,6 +1019,23 @@ def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kappa 0.3\n")
     assert main(["sweep-weak-value", "--config", str(bad)]) == 2
+
+
+def test_a_config_value_spelled_false_drops_only_a_switch(tmp_path):
+    # true/false spellings give or drop a store_true flag; any other flag
+    # takes them as its value, which argparse then judges
+    cfg, out = tmp_path / "run.cfg", str(tmp_path / "out.csv")
+    for value in ("off", "on"):
+        cfg.write_text(f"seed = {value}\n")
+        code, _, err = _outcome(main, ["simulate-counts", "--kappa", "0.335",
+                                       "--config", str(cfg), "--output", out])
+        assert code == 2
+        assert err.endswith(f"error: argument --seed: invalid int value: '{value}'\n")
+    for value, simulated in (("true", "True"), ("false", "False")):
+        cfg.write_text(f"simulate = {value}\n")
+        assert main(["sweep-pusey", "--kappa", "0.335", "--theta-step", "45",
+                     "--config", str(cfg), "--output", out]) == 0
+        assert _read_csv(Path(out))[0]["simulated_counts"] == simulated
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

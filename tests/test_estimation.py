@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from laws import LAW_Z, within_binomial_bound
 from oracles import (fisher_ps_definition, ideal_postselect_probability, ideal_sigma,
                      imperfect_joint_probs, monotone_runs, postselected_value,
-                     tabulated_branches)
+                     table1_exact_law, tabulated_branches)
 from weakps import (
     AcquisitionConfig,
     counting,
@@ -476,6 +477,31 @@ def test_the_postselections_of_one_batch_are_correlated_as_documented(seed, corr
     found = [np.corrcoef(a.theta_hat_deg, b.theta_hat_deg)[0, 1] for a, b in zip(minus, plus)]
     assert [round(value, 3) for value in found] == list(correlations)
     assert found[0] > 3.0 / math.sqrt(repetitions)
+
+
+def test_table1_follows_the_estimators_exact_law():
+    # the simulated rows of the 8 ideal working points against the exact law
+    # of one repetition's estimate (table1_exact_law): the OK count by the
+    # binomial bound, the mean and the sample variance of the OK estimates
+    # by their z, the variance's from the exact fourth central moment
+    repetitions = 20_000
+    acquisition = AcquisitionConfig(seed=1)
+    models = [ModelParams(KAPPA, sign) for sign in ("minus", "plus")]
+    batch = table1_batch([TABLE1_THETAS_DEG[m.postselect_sign] for m in models], models,
+                         acquisition, repetitions)
+    for model, rows in zip(models, batch):
+        for row in rows:
+            p_ok, mean, variance, fourth, lost = table1_exact_law(model, row.theta_deg,
+                                                                  acquisition)
+            n = row.n_ok
+            assert lost < 1e-12, (row.theta_deg, lost)
+            assert within_binomial_bound(n, repetitions, p_ok), (row.theta_deg, n, p_ok)
+            z_mean = (row.mean_theta_hat_deg - mean) / math.sqrt(variance / n)
+            # Var of the ddof=1 sample variance of n draws: (m4 - v^2 (n - 3) / (n - 1)) / n
+            spread = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
+            z_variance = (row.empirical_variance_deg2 - variance) / spread
+            assert abs(z_mean) < LAW_Z, (row.theta_deg, z_mean)
+            assert abs(z_variance) < LAW_Z, (row.theta_deg, z_variance)
 
 
 @pytest.mark.parametrize("repetitions, blocks", [(40, (80, 120, 39)), (2, (3, 6)), (1, (1, 2))])
