@@ -51,7 +51,6 @@ try:
         draw_counts,
         empty_channel,
         nonnegative_integer,
-        postselected_counts,
         weak_values_from_counts,
     )
     from .errors import ConfigError, WeakpsError, ZeroStrength
@@ -65,6 +64,7 @@ try:
         table1_batch,
     )
     from .imperfections import IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams
+    from .states import postselected_channels
     from .weak import QUANTUM_FISHER_INFORMATION
     gc.freeze()
 finally:
@@ -151,17 +151,11 @@ def _read_call(command: str, tokens: list[str]) -> SimpleNamespace | None:
     """The arguments argparse gives a well-formed call of ``command``, else None.
     Well-formed: each token is a flag its table declares, named in full, a switch
     or followed by a value not starting with '-' ('-' may) that its type converts
-    into its choices; every required flag is given.  A table holding a
-    declaration this read would misread (a positional, a second name, another
-    keyword, an action other than store_true, a str default that argparse
-    types) leaves every call to argparse."""
+    into its choices; every required flag is given.  The tables declare only
+    what this read follows (tests/test_cli.py checks it): long names, the
+    keywords type, default, choices, required, help and action=store_true,
+    and no str default beside a type."""
     flags = _SUBCOMMANDS[command][1]
-    if not all(isinstance(name, str) and name.startswith("--")
-               and spec.keys() <= {"type", "default", "choices", "required", "help", "action"}
-               and spec.get("action", "store_true") == "store_true"
-               and not (isinstance(spec.get("default"), str) and "type" in spec)
-               for name, spec in flags.items()):
-        return None
     given, rest = {}, iter(tokens)
     for name in rest:
         spec = flags.get(name)
@@ -205,6 +199,9 @@ def _load_config_tokens(path: str, flags: dict) -> list[str]:
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         flag = "--" + key.replace("_", "-")
+        if "--config".startswith(flag):  # read as args.config, which no code reads
+            raise ConfigError(f"{path}:{lineno}: a config file cannot name another, "
+                              f"got {raw.rstrip()!r}")
         switch = flags.get(flag, {}).get("action") == "store_true"
         if switch and value.lower() in {"true", "yes", "on"}:
             tokens.append(flag)
@@ -442,7 +439,7 @@ def _cmd_sweep_pusey(args) -> None:
         p0, p1, p_phi = model.joint_pair(grid, basis)
         if args.simulate:  # frequencies; NaN where no coincidence was counted
             with np.errstate(divide="ignore", invalid="ignore"):
-                p0, p1 = postselected_counts(counts, sign).T / totals
+                p0, p1 = counts[:, postselected_channels(sign)].T / totals
             if args.p_phi == "counts":
                 p_phi = p_phi_from_postselection(p0 + p1, kappa)
         i0, i1 = kernels.pusey_functional(np.stack([p0, p1]), p_phi, kappa)
@@ -491,10 +488,10 @@ def _read_counts(records: list, sign: str) -> tuple[np.ndarray, list[float]]:
     run with a ConfigError, the first without postselected counts with
     EmptyChannel."""
     counts = np.empty((len(records), 4), dtype=np.int64)
-    thetas = []
+    thetas, pair = [], postselected_channels(sign)
     for index, rec in enumerate(records):
         try:
-            counts[index] = [nonnegative_integer(name, rec[name]) for name in COUNT_COLUMNS]
+            counts[index] = row = [nonnegative_integer(name, rec[name]) for name in COUNT_COLUMNS]
             nonnegative_integer("seed", rec.get("seed", 0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
@@ -506,7 +503,7 @@ def _read_counts(records: list, sign: str) -> tuple[np.ndarray, list[float]]:
         except (TypeError, OverflowError):
             raise ConfigError(f"input record {index}: theta_deg must be a number, "
                               f"got {theta!r}") from None
-        m_ps = sum(postselected_counts(counts[index : index + 1], sign)[0].tolist())
+        m_ps = sum(row[pair])
         if m_ps > _INT64_MAX:
             raise ConfigError(f"input record {index}: postselected counts sum to {m_ps}, "
                               f"above the int64 limit {_INT64_MAX}")
@@ -559,7 +556,7 @@ def _cmd_estimate(args) -> None:
     counts, thetas = _read_counts(in_records, sign)
     sigmas, variances = weak_values_from_counts(counts, kappa, sign,
                                                 acquisition.kappa_uncertainty)
-    m_ps = postselected_counts(counts, sign).sum(axis=1)
+    m_ps = counts[:, postselected_channels(sign)].sum(axis=1)
     batch = assess_estimates(model, invert_branch(model, sigmas, branch), variances, m_ps)
     failed = np.flatnonzero(batch.status)
     if failed.size:  # the first failing record, in file order, stops the run

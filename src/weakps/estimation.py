@@ -22,8 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import counting, kernels
-from .counting import (AcquisitionConfig, derive_seeds, draw_counts,
-                       postselected_counts, weak_values_from_counts)
+from .counting import AcquisitionConfig, derive_seeds, draw_counts, weak_values_from_counts
 from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatCurve,
                      GateStarved, OutOfRange, WeakpsError, ZeroPostselection, ZeroStrength,
                      angle_text)
@@ -93,11 +92,6 @@ class ModelParams(_Record):
                              imperfections=imperfections)
         as_strength(kappa)
         postselected_channels(postselect_sign)
-
-    @property
-    def mu(self) -> float:
-        """Meter angle realizing the nominal strength."""
-        return math.asin(self.kappa) / 4.0
 
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -421,7 +415,7 @@ def _invert(model: ModelParams, branches: list, counts: np.ndarray, kappa_uncert
         rows = slice(start, start + step)
         lanes = counts[rows].reshape(-1, 4)
         sigmas, variances = weak_values_from_counts(lanes, model.kappa, sign, kappa_uncertainty)
-        m_ps = postselected_counts(lanes, sign).sum(axis=1)
+        m_ps = lanes[:, postselected_channels(sign)].sum(axis=1)
         keep = (m_ps > 0).reshape(-1, counts.shape[1])
         for branch, kept, n in zip(branches[rows], keep, keep.sum(axis=1).tolist()):
             failed = Counter({EmptyChannel.__name__: counts.shape[1] - n})

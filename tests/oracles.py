@@ -32,6 +32,12 @@ def signal(theta: float) -> np.ndarray:
     return np.array([math.cos(2.0 * theta), math.sin(2.0 * theta)])
 
 
+def meter_angle(kappa: float) -> float:
+    """The meter preparation angle ``mu = asin(kappa) / 4`` of strength
+    ``kappa = sin(4 mu)``."""
+    return math.asin(kappa) / 4.0
+
+
 def projector(amplitudes: np.ndarray) -> np.ndarray:
     return np.outer(amplitudes, amplitudes.conj())
 

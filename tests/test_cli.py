@@ -333,31 +333,19 @@ def _parsed(name, tokens):
     return vars(args), extra
 
 
-def test_no_table_declares_what_the_direct_read_misreads(monkeypatch):
+def test_no_table_declares_what_the_direct_read_misreads():
+    # _read_call follows only long names, these keywords, store_true switches
+    # and untyped str defaults; it reads every table with its required flags
+    keywords = {"type", "default", "choices", "required", "help", "action"}
     for name in cli._SUBCOMMANDS:
         required = ["--input", "in.json", "--branch", "1,2"] if name == "estimate" else []
         assert cli._read_call(name, required) is not None, name
-        assert {spec.get("type") for spec in _declared(name).values()} <= {None, float, int}, name
-    # a table holding what the read does not implement leaves every call to argparse
-    help_text, flags, handler = cli._SUBCOMMANDS["decompose"]
-    for names, kwargs in ((("-k", "--kappa"), {}), ("--kappa", {"nargs": 2}),
-                          ("--kappa", {"dest": "k"}), ("--kappa", {"const": 1}),
-                          ("--kappa", {"action": "append"}),
-                          ("--kappa", {"type": float, "default": "0.3"}), ("path", {})):
-        monkeypatch.setitem(cli._SUBCOMMANDS, "decompose",
-                            (help_text, {**flags, names: kwargs}, handler))
-        assert cli._read_call("decompose", ["--kappa", "0.3", "--phi", "plus"]) is None
-        assert cli._read_call("decompose", ["--phi", "plus"]) is None
-
-
-def test_a_flag_the_direct_read_misreads_leaves_the_call_to_argparse(monkeypatch):
-    ran = []
-    flags = {**cli._SUBCOMMANDS["decompose"][1], "--tag": dict(nargs=2, default=["a", "b"])}
-    monkeypatch.setitem(cli._SUBCOMMANDS, "decompose", ("", flags, ran.append))
-    argv = ["--kappa", "0.3", "--phi", "plus"]
-    assert cli._read_call("decompose", argv) is None
-    assert main(["decompose", *argv]) == 0
-    assert vars(ran[0]) == _parsed("decompose", argv)[0]
+        for flag, spec in _declared(name).items():
+            assert isinstance(flag, str) and flag.startswith("--"), (name, flag)
+            assert spec.keys() <= keywords, (name, flag)
+            assert spec.get("action", "store_true") == "store_true", (name, flag)
+            assert not (isinstance(spec.get("default"), str) and "type" in spec), (name, flag)
+            assert spec.get("type") in (None, float, int), (name, flag)
 
 
 # Values a flag of each type converts, none starting with '-' but '-' itself;
@@ -662,6 +650,17 @@ def test_estimate_stops_at_the_first_failing_record(tmp_path, capsys, records, r
                  "--output", str(tmp_path / "out.csv")]) == rc
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_estimate_reads_a_postselected_pair_summing_to_int64_max(tmp_path):
+    # the largest sum the bound lets through (postselected-sum-above-int64 is one more)
+    record = {"theta_deg": 22.5, "n_mp": 2**62, "n_mm": 2**62 - 1, "n_pp": 5, "n_pm": 5}
+    counts, out = tmp_path / "counts.json", tmp_path / "out.csv"
+    counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": [record]}))
+    assert main(["estimate", "--input", str(counts), "--branch", "18,27",
+                 "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert rows[0][header.index("m_ps")] == str(2**63 - 1)
 
 
 @pytest.mark.parametrize("command", [
@@ -1019,6 +1018,15 @@ def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kappa 0.3\n")
     assert main(["sweep-weak-value", "--config", str(bad)]) == 2
+    # a config file naming another, in full or abbreviated, is refused, not ignored
+    nested = tmp_path / "nested.cfg"
+    for key in ("config", "conf"):
+        nested.write_text(f"kappa = 0.3\n{key} = {missing}\n")
+        code, out, err = _outcome(main, ["sweep-weak-value", "--theta-step", "45",
+                                         "--config", str(nested)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {nested}:2: a config file cannot name another, "
+                       f"got {key + ' = ' + str(missing)!r}\n")
 
 
 def test_a_config_value_spelled_false_drops_only_a_switch(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from laws import LAW_Z, within_binomial_bound
 from oracles import (fisher_ps_definition, ideal_postselect_probability, ideal_sigma,
-                     imperfect_joint_probs, monotone_runs, postselected_value,
+                     imperfect_joint_probs, meter_angle, monotone_runs, postselected_value,
                      table1_exact_law, tabulated_branches)
 from weakps import (
     AcquisitionConfig,
@@ -92,8 +92,8 @@ def test_imperfect_curve_matches_pipeline():
     model = ModelParams(kappa=KAPPA, postselect_sign="minus", imperfections=params)
     grid = 1.0 * D2R * np.arange(46)
     for theta, sigma in zip(grid, model.checked(grid)["sigma"]):
-        oracle = postselected_value(imperfect_joint_probs(float(theta), model.mu, params), KAPPA,
-                                    "minus")
+        oracle = postselected_value(imperfect_joint_probs(float(theta), meter_angle(KAPPA), params),
+                                    KAPPA, "minus")
         assert sigma == pytest.approx(oracle, abs=1e-12)
 
 

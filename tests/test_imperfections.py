@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (MINUS, PLUS, balance_operator, central_splitter_operator, circuit_channels,
                      dephase_computational, effective_kappa, imperfect_joint_probs,
-                     joint_channels, postselected_value, product_density, projector, signal)
+                     joint_channels, meter_angle, postselected_value, product_density,
+                     projector, signal)
 from weakps import (
     IDEAL_GATE,
     ImperfectionParams,
@@ -256,10 +257,10 @@ def test_trig_form_matches_density_matrix_route(kappa, theta, gate, sign):
     # sigma and the per-attempt p_ps from (n, d) against the density matrices
     model = ModelParams(kappa, sign, gate)
     n, d = model.coefficients
-    oracle = postselected_value(imperfect_joint_probs(theta, model.mu, gate), kappa, sign)
+    oracle = postselected_value(imperfect_joint_probs(theta, meter_angle(kappa), gate), kappa, sign)
     sigma = model.checked(np.array([theta]))["sigma"][0]
     assert sigma == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-    p0, p1 = _per_attempt_pair(theta, model.mu, gate, sign)
+    p0, p1 = _per_attempt_pair(theta, meter_angle(kappa), gate, sign)
     basis = kernels.trig_basis(theta)
     assert kernels.trig_form(d, basis) == pytest.approx(p0 + p1, rel=1e-12, abs=1e-15)
     assert kernels.trig_form(n, basis) == pytest.approx(p0 - p1, rel=1e-12, abs=1e-15)
@@ -270,8 +271,8 @@ def test_trig_form_matches_density_matrix_route(kappa, theta, gate, sign):
 def test_analytic_slope_matches_central_difference_of_the_oracle(kappa, theta, gate, sign):
     model = ModelParams(kappa, sign, gate)
     step = 1e-6
-    ahead, behind = (postselected_value(imperfect_joint_probs(theta + h, model.mu, gate), kappa,
-                                        sign) for h in (step, -step))
+    ahead, behind = (postselected_value(imperfect_joint_probs(theta + h, meter_angle(kappa), gate),
+                                        kappa, sign) for h in (step, -step))
     assert model.checked(np.array([theta]))["slope"][0] == pytest.approx(
         (ahead - behind) / (2.0 * step), rel=1e-5, abs=1e-5)
 
