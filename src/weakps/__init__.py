@@ -29,7 +29,6 @@ _EXPORTS = {
     "assess_estimates": "estimation", "invert_branch": "estimation",
     "load_baseline": "estimation", "table1_batch": "estimation",
     "IDEAL_GATE": "imperfections", "ImperfectionParams": "imperfections",
-    "Strength": "states",
 }
 _SUBMODULES = ("contextuality", "counting", "errors", "estimation", "imperfections",
                "kernels", "states", "weak")

@@ -64,7 +64,7 @@ try:
         table1_batch,
     )
     from .imperfections import IDEAL_GATE, VISIBILITY_MODEL, ImperfectionParams
-    from .states import postselected_channels
+    from .states import postselected_channels, real_number, unit_interval
     from .weak import QUANTUM_FISHER_INFORMATION
     gc.freeze()
 finally:
@@ -199,7 +199,7 @@ def _load_config_tokens(path: str, flags: dict) -> list[str]:
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         flag = "--" + key.replace("_", "-")
-        if "--config".startswith(flag):  # read as args.config, which no code reads
+        if _is_config_flag(flag):
             raise ConfigError(f"{path}:{lineno}: a config file cannot name another, "
                               f"got {raw.rstrip()!r}")
         switch = flags.get(flag, {}).get("action") == "store_true"
@@ -210,18 +210,24 @@ def _load_config_tokens(path: str, flags: dict) -> list[str]:
     return tokens
 
 
+def _is_config_flag(name: str) -> bool:
+    """Whether argparse reads ``name`` as ``--config``: a prefix of it from ``--c`` on."""
+    return len(name) > 2 and "--config".startswith(name)
+
+
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file tokens right after the subcommand."""
+    """Splice the one config file's tokens right after the subcommand."""
     path, stripped, tokens = None, [], iter(argv)
     for tok in tokens:
-        if tok == "--config":
-            path = next(tokens, None)
-            if path is None:
-                raise ConfigError("--config needs a file path")
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-        else:
+        name, eq, value = tok.partition("=")
+        if not _is_config_flag(name):
             stripped.append(tok)
+            continue
+        if path is not None:
+            raise ConfigError("--config may be given only once")
+        path = value if eq else next(tokens, None)
+        if path is None:
+            raise ConfigError("--config needs a file path")
     if path is None:
         return argv
     if not stripped:
@@ -239,12 +245,9 @@ def _resolve_strength(args: argparse.Namespace,
     """(kappa, mu_radians) from exactly one of --kappa / --mu; with neither,
     from ``meta``, an input file's metadata, when that is given."""
     if meta is not None and args.kappa is None and args.mu is None:
-        kappa = meta.get("kappa")
+        kappa, source = meta.get("kappa"), "input metadata: "
         if kappa is None:
             raise ConfigError("no --kappa/--mu given and none recorded in the input file")
-        numeric = isinstance(kappa, (int, float)) and not isinstance(kappa, bool)
-        if not (numeric and 0.0 <= kappa <= 1.0):
-            raise ConfigError(f"input metadata: kappa must be a number in [0, 1], got {kappa!r}")
     elif (args.kappa is None) == (args.mu is None):
         raise ConfigError("provide exactly one of --kappa or --mu")
     elif args.mu is not None:
@@ -254,10 +257,11 @@ def _resolve_strength(args: argparse.Namespace,
         mu = math.radians(args.mu)
         return math.sin(4.0 * mu), mu
     else:
-        kappa = args.kappa
-        if not 0.0 <= kappa <= 1.0:
-            raise ConfigError(f"--kappa must lie in [0, 1], got {kappa!r}")
-    return kappa, math.asin(kappa) / 4.0
+        kappa, source = args.kappa, "--"  # the message then names the flag
+    try:
+        return kappa, math.asin(unit_interval("kappa", kappa)) / 4.0
+    except ValueError as exc:
+        raise ConfigError(f"{source}{exc}") from None
 
 
 def _resolve_imperfections(args: argparse.Namespace,
@@ -274,14 +278,13 @@ def _resolve_imperfections(args: argparse.Namespace,
     if recorded and meta.get("visibility_model") != VISIBILITY_MODEL:
         raise ConfigError(f"input metadata: visibility_model must be {VISIBILITY_MODEL!r}, "
                           f"got {meta.get('visibility_model')!r}")
-    for key, value in recorded.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"input metadata: {key} must be a number, got {value!r}")
     if not given and not recorded:
         return None
     try:
+        for key, value in recorded.items():  # a recorded field's type before any range
+            real_number(key, value)
         return IDEAL_GATE.replace(**recorded, **given)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
+    except ValueError as exc:
         # the message names its field first: a flag's, or one read from the file
         source = "" if str(exc).split(" ", 1)[0] in given else "input metadata: "
         raise ConfigError(f"{source}{exc}") from exc
@@ -494,15 +497,12 @@ def _read_counts(records: list, sign: str) -> tuple[np.ndarray, list[float]]:
             counts[index] = row = [nonnegative_integer(name, rec[name]) for name in COUNT_COLUMNS]
             nonnegative_integer("seed", rec.get("seed", 0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # TypeError: a record that is no object; OverflowError: a count past int64
             raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
-        theta = rec.get("theta_deg", math.nan)
         try:
-            if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-                raise TypeError
-            thetas.append(float(theta))
-        except (TypeError, OverflowError):
-            raise ConfigError(f"input record {index}: theta_deg must be a number, "
-                              f"got {theta!r}") from None
+            thetas.append(real_number("theta_deg", rec.get("theta_deg", math.nan)))
+        except ValueError as exc:
+            raise ConfigError(f"input record {index}: {exc}") from None
         m_ps = sum(row[pair])
         if m_ps > _INT64_MAX:
             raise ConfigError(f"input record {index}: postselected counts sum to {m_ps}, "

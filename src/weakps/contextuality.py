@@ -23,7 +23,7 @@ input state.  For the Kraus operators ``diag(a, b)`` and ``diag(b, a)``,
     sum_x M_x rho M_x^T = r rho + (1 - r) Delta(rho),   r = sqrt(1 - kappa^2),
 
 with ``Delta`` the dephasing in the computational basis, and the functional
-takes ``p_d = 1 - r`` (:attr:`weakps.states.Strength.dephasing_weight`).  On a
+takes ``p_d = 1 - r`` (:func:`weakps.kernels.dephasing_weight`).  On a
 real postselection state the channel's dual gives the consolidated operator
 
     S = r |phi><phi| + p_d E_d,   E_d = Delta(|phi><phi|) = diag(phi_0^2, phi_1^2).
@@ -44,7 +44,8 @@ import math
 
 import numpy as np
 
-from .states import Strength, as_strength
+from .kernels import dephasing_weight
+from .states import unit_interval
 
 __all__ = [
     "p_phi_from_postselection",
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 
-def p_phi_from_postselection(p_total: float, s: "Strength | float") -> float:
+def p_phi_from_postselection(p_total: float, kappa: float) -> float:
     """Model-based recovery of the overlap from a measured postselection
     probability ``p_total = p0 + p1``, using the calibrated strength.
 
@@ -61,21 +62,21 @@ def p_phi_from_postselection(p_total: float, s: "Strength | float") -> float:
     out.  Requires ``kappa < 1``.  Count noise can push the result outside
     [0, 1]; callers decide how to treat such points.
     """
-    kappa = as_strength(s).kappa
+    kappa = unit_interval("kappa", kappa)
     r = math.sqrt(1.0 - kappa * kappa)
     if r == 0.0:
         raise ValueError("overlap recovery needs kappa < 1")
     return (1.0 + (2.0 * p_total - 1.0) / r) / 2.0
 
 
-def decompose_consolidated(phi: "tuple[float, float, float]", s: "Strength | float"
+def decompose_consolidated(phi: "tuple[float, float, float]", kappa: float
                            ) -> tuple[float, np.ndarray, np.ndarray]:
     """``(p_d, S, E_d)`` of a real postselection state given by its projector
     entries ``(phi_0^2, phi_1^2, phi_0 phi_1)``, in closed form: ``S`` has the
     diagonal ``(phi_0^2, phi_1^2)`` and the off-diagonal ``r phi_0 phi_1``,
     and ``E_d = diag(phi_0^2, phi_1^2)`` at every strength."""
     p00, p11, p01 = phi
-    strength = as_strength(s)
-    off = math.sqrt(1.0 - strength.kappa * strength.kappa) * p01 + 0.0  # + 0.0: no -0 at r = 0
-    return (strength.dephasing_weight, np.array([[p00, off], [off, p11]]),
+    kappa = unit_interval("kappa", kappa)
+    off = math.sqrt(1.0 - kappa * kappa) * p01 + 0.0  # + 0.0: no -0 at r = 0
+    return (dephasing_weight(kappa), np.array([[p00, off], [off, p11]]),
             np.array([[p00, 0.0], [0.0, p11]]))

@@ -30,12 +30,11 @@ the calibration uncertainty on the strength.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .errors import EmptyChannel, ZeroStrength
-from .states import Strength, _Record, as_strength, postselected_channels
+from .states import _Record, postselected_channels, real_number, unit_interval
 
 __all__ = [
     "COUNT_COLUMNS",
@@ -61,11 +60,11 @@ _FLOAT_CUBE_BOUND = 1 << 26
 
 
 def nonnegative_integer(name: str, value) -> int:
-    """``value`` as an int; raises ValueError unless it is a nonnegative
-    integer value (so a fractional count is refused, not truncated, and a
-    bool is refused, not read as 0 or 1)."""
-    n = int(value)
-    if n != value or n < 0 or isinstance(value, bool):
+    """``value`` as an int, exact; raises ValueError naming ``name`` unless it
+    is a :func:`~weakps.states.real_number` of a nonnegative integer value (so
+    a fractional count is refused, not truncated)."""
+    n = int(value) if math.isfinite(real_number(name, value)) else -1
+    if n != value or n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return n
 
@@ -88,14 +87,7 @@ class AcquisitionConfig(_Record):
         self.__dict__.update(seed=seed, rate=rate, duration=duration,
                              kappa_uncertainty=kappa_uncertainty)
         for name in ("rate", "duration", "kappa_uncertainty"):
-            value = getattr(self, name)  # a number, and no bool read as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            try:  # math.isfinite raises on an integer past the float range
-                float(value)
-            except OverflowError:
-                raise ValueError(f"{name} must be a finite number, got an integer "
-                                 f"too large for a float") from None
+            real_number(name, getattr(self, name))
         if self.rate <= 0.0 or not math.isfinite(self.rate):
             raise ValueError(f"rate must be positive, got {self.rate!r}")
         if self.duration <= 0.0 or not math.isfinite(self.duration):
@@ -529,7 +521,7 @@ def empty_channel(postselect_sign: str) -> EmptyChannel:
 
 
 def weak_values_from_counts(
-    counts: np.ndarray, kappa: "Strength | float", postselect_sign: str,
+    counts: np.ndarray, kappa: float, postselect_sign: str,
     kappa_uncertainty: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the rescaled postselected value and its variance from count
@@ -544,7 +536,7 @@ def weak_values_from_counts(
     the first term from independent Poisson channel noise, the second from
     the strength calibration uncertainty ``dk``.
     """
-    k = as_strength(kappa).kappa
+    k = unit_interval("kappa", kappa)
     if k == 0.0:
         raise ZeroStrength("count rescaling undefined at kappa = 0")
     pair = postselected_counts(counts, postselect_sign)

@@ -27,7 +27,7 @@ from .errors import (AmbiguousBranch, DegenerateConditional, EmptyChannel, FlatC
                      GateStarved, OutOfRange, WeakpsError, ZeroPostselection, ZeroStrength,
                      angle_text)
 from .imperfections import ImperfectionParams, channel_matrix
-from .states import PROB_FLOOR, _Record, as_strength, postselected_channels
+from .states import PROB_FLOOR, _Record, postselected_channels, unit_interval
 from .weak import QUANTUM_FISHER_INFORMATION, SATURATION_TOL
 
 __all__ = [
@@ -90,7 +90,7 @@ class ModelParams(_Record):
                  imperfections: ImperfectionParams | None = None) -> None:
         self.__dict__.update(kappa=kappa, postselect_sign=postselect_sign,
                              imperfections=imperfections)
-        as_strength(kappa)
+        unit_interval("kappa", kappa)
         postselected_channels(postselect_sign)
 
     @cached_property

@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .states import _Record
+from .states import _Record, unit_interval
 
 __all__ = [
     "ImperfectionParams",
@@ -75,10 +75,8 @@ class ImperfectionParams(_Record):
 
     def __init__(self, visibility: float, t_h: float, t_v: float) -> None:
         self.__dict__.update(visibility=visibility, t_h=t_h, t_v=t_v)
-        for name in ("visibility", "t_h", "t_v"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        for name in self._fields:
+            unit_interval(name, getattr(self, name))
 
 
 IDEAL_GATE = ImperfectionParams(visibility=1.0, t_h=1.0, t_v=1.0 / 3.0)

@@ -1,8 +1,9 @@
 """Numpy array kernels: the closed forms of the model (postselected Fisher
 information in terms of any model's postselected value and slope, Pusey's
-functional), evaluated vectorized over an angle or probability array; the
-ideal model's postselected Fisher information ``16 k^2 / (2 p_ps)^2`` is
-written in :meth:`weakps.estimation.ModelParams.evaluate`.  The ``trig_*``
+functional and its dephasing weight), evaluated vectorized over an angle or
+probability array; the ideal model's postselected Fisher information
+``16 k^2 / (2 p_ps)^2`` is written in
+:meth:`weakps.estimation.ModelParams.evaluate`.  The ``trig_*``
 kernels and :func:`invert_trig` hold the form every channel of either model
 takes, ``c.B`` with ``B = (1, cos 4t, sin 4t)``: a channel probability is
 ``trig_form`` of its row of :func:`weakps.imperfections.channel_matrix`, and
@@ -13,8 +14,9 @@ closed-form inverse on a monotone branch.  The form, the curve and the slope
 take the angles' basis ``(cos 4t, sin 4t)`` from :func:`trig_basis`, so that
 one basis serves every column of the same angles.
 
-Kernels are deliberately unvalidated.  The functions that validate and then
-call them are :meth:`weakps.estimation.ModelParams.checked` and the CLI's
+Kernels are deliberately unvalidated, but for the strength that
+:func:`pusey_functional` takes.  The functions that validate and then call
+them are :meth:`weakps.estimation.ModelParams.checked` and the CLI's
 argument checks; they enforce ``0 <= kappa <= 1`` and the sign label, and
 map non-finite outputs to typed errors or NaN.  :mod:`weakps.estimation` and
 :mod:`weakps.cli` call the kernels on whole batches and grids.
@@ -26,9 +28,10 @@ import math
 
 import numpy as np
 
-from .states import PROB_FLOOR, Strength
+from .states import PROB_FLOOR, unit_interval
 
 __all__ = [
+    "dephasing_weight",
     "fisher_from_weak_value",
     "pusey_functional",
     "trig_basis",
@@ -43,6 +46,14 @@ __all__ = [
 _ROUNDING = 4.0 * np.finfo(np.float64).eps
 
 
+def dephasing_weight(kappa: float) -> float:
+    """The weight ``p_d = 1 - r`` of the dephasing in the consolidated channel
+    ``r rho + p_d Delta(rho)``, ``r = sqrt(1 - kappa^2)``; written
+    ``kappa^2 / (1 + r)``, which does not cancel at small kappa."""
+    k2 = kappa * kappa
+    return k2 / (1.0 + math.sqrt(1.0 - k2))
+
+
 def fisher_from_weak_value(sigma: np.ndarray, slope: np.ndarray, kappa: float) -> np.ndarray:
     """Fisher information of a binary postselected distribution with
     conditionals (1 +- k sigma) / 2, in terms of its rescaled value and the
@@ -54,11 +65,12 @@ def fisher_from_weak_value(sigma: np.ndarray, slope: np.ndarray, kappa: float) -
 
 def pusey_functional(p_x: np.ndarray, p_phi: np.ndarray, kappa: float) -> np.ndarray:
     """Non-contextuality functional p_x/p_phi - (1+k)/2 - p_d/p_phi, with
-    p_d the dephasing weight of the strength.  NaN where p_phi is at or below
-    the probability floor (or NaN)."""
+    p_d the :func:`dephasing_weight` of the strength, which is checked.  NaN
+    where p_phi is at or below the probability floor (or NaN)."""
+    kappa = unit_interval("kappa", kappa)
     p_x = np.asarray(p_x, dtype=np.float64)
     p_phi = np.asarray(p_phi, dtype=np.float64)
-    p_d = Strength(kappa).dephasing_weight
+    p_d = dephasing_weight(kappa)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = p_x / p_phi - (1.0 + kappa) / 2.0 - p_d / p_phi
     return np.where(p_phi <= PROB_FLOOR, np.nan, value)

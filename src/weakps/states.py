@@ -1,5 +1,5 @@
-"""The measurement strength, the postselection sign labels, and the
-conventions every module keeps.
+"""The conventions every module keeps, the postselection sign labels, and one
+check per kind of number (``real_number``; ``unit_interval`` for [0, 1]).
 
 Conventions (fixed once, used everywhere):
 
@@ -12,23 +12,45 @@ Conventions (fixed once, used everywhere):
   (outcome index 0), ``-`` to the second.  This labeling is anchored by
   requiring the rescaled postselected value to equal +1 at ``theta = 0``
   with ``<-|`` postselection.
-* All angles are radians.  Degree conversion happens only at the CLI.
+* Angles are radians in every computation; what a caller reads is in
+  degrees: the CLI, ``TABLE1_THETAS_DEG``, ``Table1Row``, ``EstimateBatch``
+  and the angles of every error text.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 
 __all__ = [
     "PROB_FLOOR",
-    "Strength",
+    "real_number",
+    "unit_interval",
     "sign_factor",
     "postselected_channels",
-    "as_strength",
 ]
 
 # Probabilities at or below this are treated as numerically zero.
 PROB_FLOOR = 1e-30
+
+
+def real_number(name: str, value) -> float:
+    """``float(value)``; raises ValueError naming ``name`` unless ``value`` is
+    a real number that fits in a float and no bool, read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be a finite number, got an integer "
+                         f"too large for a float") from None
+
+
+def unit_interval(name: str, value) -> float:
+    """:func:`real_number` of ``value``, which must also lie in [0, 1]."""
+    number = real_number(name, value)
+    if not 0.0 <= number <= 1.0:  # NaN too
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return number
 
 
 def sign_factor(postselect_sign: str) -> float:
@@ -82,30 +104,3 @@ class _Record:
     def replace(self, **changes):
         """A new record, validated, of this one's fields but for ``changes``."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
-
-
-class Strength(_Record):
-    """Measurement strength ``kappa`` in [0, 1].
-
-    ``kappa = 0`` is the identity-limit (infinitely gentle) measurement,
-    ``kappa = 1`` the projective limit.
-    """
-
-    _fields = ("kappa",)
-
-    def __init__(self, kappa: float) -> None:
-        if not math.isfinite(kappa) or not 0.0 <= kappa <= 1.0:
-            raise ValueError(f"kappa must lie in [0, 1], got {kappa!r}")
-        self.__dict__["kappa"] = kappa
-
-    @property
-    def dephasing_weight(self) -> float:
-        """The weight ``p_d = 1 - r`` of the dephasing in the consolidated
-        channel ``r rho + p_d Delta(rho)``, ``r = sqrt(1 - kappa^2)``; written
-        ``kappa^2 / (1 + r)``, which does not cancel at small kappa."""
-        k2 = self.kappa * self.kappa
-        return k2 / (1.0 + math.sqrt(1.0 - k2))
-
-
-def as_strength(s: "Strength | float") -> Strength:
-    return s if isinstance(s, Strength) else Strength(float(s))

@@ -11,7 +11,7 @@ import weakps
 
 PUBLIC = [
     "AcquisitionConfig", "EstimateBatch", "IDEAL_GATE", "ImperfectionParams", "ModelParams",
-    "Strength", "Table1Row", "assess_estimates", "contextuality", "counting",
+    "Table1Row", "assess_estimates", "contextuality", "counting",
     "decompose_consolidated", "derive_seeds", "draw_counts", "errors", "estimation",
     "imperfections", "invert_branch", "kernels", "load_baseline", "p_phi_from_postselection",
     "states", "table1_batch", "weak", "weak_values_from_counts",
@@ -25,10 +25,11 @@ SUBMODULE_ALL = {
                    "Table1Row", "assess_estimates", "channel_probabilities", "invert_branch",
                    "load_baseline", "table1_batch"],
     "imperfections": ["IDEAL_GATE", "ImperfectionParams", "VISIBILITY_MODEL", "channel_matrix"],
-    "kernels": ["fisher_from_weak_value", "invert_trig",
+    "kernels": ["dephasing_weight", "fisher_from_weak_value", "invert_trig",
                 "pusey_functional", "trig_basis", "trig_curve", "trig_form", "trig_slope",
                 "trig_turning_points"],
-    "states": ["PROB_FLOOR", "Strength", "as_strength", "postselected_channels", "sign_factor"],
+    "states": ["PROB_FLOOR", "postselected_channels", "real_number", "sign_factor",
+               "unit_interval"],
     "weak": ["QUANTUM_FISHER_INFORMATION", "SATURATION_TOL"],
 }
 

@@ -346,6 +346,8 @@ def test_no_table_declares_what_the_direct_read_misreads():
             assert spec.get("action", "store_true") == "store_true", (name, flag)
             assert not (isinstance(spec.get("default"), str) and "type" in spec), (name, flag)
             assert spec.get("type") in (None, float, int), (name, flag)
+            # so that argparse reads every prefix of --config from --c on as --config
+            assert flag == "--config" or not flag.startswith("--c"), (name, flag)
 
 
 # Values a flag of each type converts, none starting with '-' but '-' itself;
@@ -631,9 +633,14 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, payload):
       {"n_mp": 0, "n_mm": 0, "n_pp": 5, "n_pm": 5}], 2,
      "error: input record 0: missing or invalid count: seed must be a nonnegative integer"),
     ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": 5}, {"n_mp": "x"}], 2,
-     "error: input record 1: missing or invalid count: invalid literal"),
+     "error: input record 1: missing or invalid count: n_mp must be a number, got 'x'\n"),
     ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": math.inf}], 2,
-     "error: input record 0: missing or invalid count: cannot convert float infinity"),
+     "error: input record 0: missing or invalid count: n_pm must be a nonnegative integer, "
+     "got inf\n"),
+    # a record that is not an object, and a count past int64, each stop the run too
+    ([5], 2, "error: input record 0: missing or invalid count: "),
+    ([{"n_mp": 2**64, "n_mm": 100, "n_pp": 5, "n_pm": 5}], 2,
+     "error: input record 0: missing or invalid count: "),
     ([{"n_mp": 900.7, "n_mm": 100, "n_pp": 5, "n_pm": 5}], 2,
      "error: input record 0: missing or invalid count: n_mp must be a nonnegative integer, "
      "got 900.7"),
@@ -642,7 +649,8 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, payload):
       {"n_mp": 5 * 10**18, "n_mm": 5 * 10**18, "n_pp": 5, "n_pm": 5}], 2,
      "error: input record 1: postselected counts sum to 10000000000000000000, above the int64"),
 ], ids=["empty-pair-first", "negative-seed-first", "bad-count-second", "infinite-count",
-        "fractional-count", "postselected-sum-above-int64"])
+        "record-not-an-object", "count-above-int64", "fractional-count",
+        "postselected-sum-above-int64"])
 def test_estimate_stops_at_the_first_failing_record(tmp_path, capsys, records, rc, message):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": records}))
@@ -681,8 +689,11 @@ def test_a_negative_seed_is_refused_before_any_is_derived(tmp_path, capsys, comm
     *[({"metadata": {"kappa": 0.335, key: 10**400}, "records": [_RECORD]},
        f"error: input metadata: {key} must be a finite number, got an integer too large for a "
        f"float\n") for key in ("rate", "kappa_uncertainty")],
+    ({"metadata": {"kappa": 0.335}, "records": [{**_RECORD, "theta_deg": 10**400}]},
+     "error: input record 0: theta_deg must be a finite number, got an integer too large for "
+     "a float\n"),
 ], ids=["records-not-a-list", "metadata-rate-a-string", "metadata-rate-too-large",
-        "metadata-kappa_uncertainty-too-large"])
+        "metadata-kappa_uncertainty-too-large", "record-theta_deg-too-large"])
 def test_estimate_refuses_a_malformed_input_file(tmp_path, capsys, payload, message):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps(payload))
@@ -703,7 +714,8 @@ _GATE = {"visibility": 0.78, "t_h": 0.98, "t_v": 0.34,
     ({**_GATE, "visibility": "0.78"}, "visibility must be a number, got '0.78'"),
     ({**_GATE, "t_v": True}, "t_v must be a number, got True"),
     ({**_GATE, "t_h": 1.5}, "t_h must lie in [0, 1], got 1.5"),
-    ({**_GATE, "visibility": 10**400}, "int too large to convert to float"),
+    ({**_GATE, "visibility": 10**400},
+     "visibility must be a finite number, got an integer too large for a float"),
 ], ids=["other-model", "no-model", "visibility-a-string", "t_v-true", "t_h-above-1",
         "visibility-too-large"])
 def test_estimate_refuses_an_invalid_recorded_gate(tmp_path, capsys, metadata, message):
@@ -718,9 +730,9 @@ def test_estimate_refuses_an_invalid_recorded_gate(tmp_path, capsys, metadata, m
 @pytest.mark.parametrize("metadata, message", [
     ({}, "no --kappa/--mu given and none recorded in the input file"),
     ({"kappa": None}, "no --kappa/--mu given and none recorded in the input file"),
-    ({"kappa": "0.335"}, "input metadata: kappa must be a number in [0, 1], got '0.335'"),
-    ({"kappa": True}, "input metadata: kappa must be a number in [0, 1], got True"),
-    ({"kappa": 1.5}, "input metadata: kappa must be a number in [0, 1], got 1.5"),
+    ({"kappa": "0.335"}, "input metadata: kappa must be a number, got '0.335'"),
+    ({"kappa": True}, "input metadata: kappa must be a number, got True"),
+    ({"kappa": 1.5}, "input metadata: kappa must lie in [0, 1], got 1.5"),
 ], ids=["none", "null", "a-string", "true", "above-1"])
 def test_estimate_takes_its_strength_from_a_flag_else_the_metadata(tmp_path, capsys, metadata,
                                                                     message):
@@ -1027,6 +1039,24 @@ def test_config_file_errors(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err == (f"error: {nested}:2: a config file cannot name another, "
                        f"got {key + ' = ' + str(missing)!r}\n")
+    # a second file, in full or abbreviated, is refused, not read in place of the first
+    strength, grid = tmp_path / "k.cfg", tmp_path / "b.cfg"
+    strength.write_text("kappa = 0.3\n")
+    grid.write_text("theta_end = 5\n")
+    for second in (["--config", str(grid)], [f"--conf={grid}"]):
+        code, out, err = _outcome(main, ["sweep-fisher", "--config", str(strength), *second,
+                                         "--theta-step", "45"])
+        assert (code, out, err) == (2, "", "error: --config may be given only once\n")
+
+
+def test_config_is_read_under_each_spelling_argparse_takes(tmp_path):
+    cfg, out = tmp_path / "b.cfg", tmp_path / "out.csv"
+    cfg.write_text("theta_end = 5\n")
+    for spelling in (["--config", str(cfg)], ["--conf", str(cfg)], ["--c", str(cfg)],
+                     [f"--con={cfg}"]):
+        assert main(["sweep-fisher", "--kappa", "0.3", "--theta-step", "45", *spelling,
+                     "--output", str(out)]) == 0
+        assert [row[0] for row in _read_csv(out)[2]] == ["0"], spelling
 
 
 def test_a_config_value_spelled_false_drops_only_a_switch(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 
 from oracles import (CSIGN, MINUS, ONE, PLUS, ZERO, checked_density, circuit_channels,
                      joint_channels, joint_probability, kraus_operators, product_density, signal)
-from weakps import (AcquisitionConfig, EstimateBatch, ImperfectionParams, ModelParams, Strength,
-                    Table1Row, kernels)
+from weakps import (IDEAL_GATE, AcquisitionConfig, EstimateBatch, ImperfectionParams,
+                    ModelParams, Table1Row, decompose_consolidated, kernels,
+                    p_phi_from_postselection, weak_values_from_counts)
 from weakps.counting import postselected_counts
 from weakps.estimation import channel_probabilities
 
@@ -28,13 +29,29 @@ def test_states_normalized():
         assert abs(np.sum(state ** 2) - 1.0) < 1e-15
 
 
-def test_strength_bounds():
-    Strength(0.0)
-    Strength(1.0)
-    with pytest.raises(ValueError):
-        Strength(-0.1)
-    with pytest.raises(ValueError):
-        Strength(1.1)
+# Each numeric parameter of the library: its name, and a call passing it a value
+NUMERIC_PARAMETERS = {
+    "ModelParams-kappa": ("kappa", lambda v: ModelParams(v, "minus")),
+    "weak_values_from_counts-kappa": (
+        "kappa", lambda v: weak_values_from_counts(np.array([[3, 1, 0, 0]]), v, "minus")),
+    "p_phi_from_postselection-kappa": ("kappa", lambda v: p_phi_from_postselection(0.5, v)),
+    "decompose_consolidated-kappa": (
+        "kappa", lambda v: decompose_consolidated((0.5, 0.5, -0.5), v)),
+    "pusey_functional-kappa": ("kappa", lambda v: kernels.pusey_functional(0.2, 0.5, v)),
+    **{name: (name, lambda v, name=name: IDEAL_GATE.replace(**{name: v}))
+       for name in ("visibility", "t_h", "t_v")},
+    **{name: (name, lambda v, name=name: AcquisitionConfig(0, **{name: v}))
+       for name in ("rate", "duration", "kappa_uncertainty")},
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.3", 10**400, math.nan, -0.1],
+                         ids=["true", "a-string", "int-past-float", "nan", "negative"])
+@pytest.mark.parametrize("name, call", NUMERIC_PARAMETERS.values(), ids=NUMERIC_PARAMETERS)
+def test_every_numeric_parameter_refuses_what_is_not_a_number_in_its_range(name, call, value):
+    call(0.3)
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call(value)
 
 
 _GATE = ImperfectionParams(0.78, 0.98, 0.34)
@@ -44,7 +61,6 @@ _VALUES, _COUNTS, _STATUS = np.array([1.0, 2.0]), np.array([3, 4]), np.array([0,
 # record's fields, and that record's repr as written by the dataclasses that
 # the classes were before
 RECORDS = {
-    Strength: (["kappa"], {}, (0.25,), "Strength(kappa=0.25)"),
     AcquisitionConfig: (
         ["seed", "rate", "duration", "kappa_uncertainty"],
         {"rate": 2000.0, "duration": 5.0, "kappa_uncertainty": 0.0}, (7, 100.0, 2.0, 0.01),
@@ -70,7 +86,7 @@ RECORDS = {
         "variance_theta_deg2=array([1., 2.]), sigma_cr_deg2=array([1., 2.]), "
         "f_ps=array([1., 2.]), m_ps=array([3, 4]), failures_by_type={'OutOfRange': 2})"),
 }
-VALUE_TYPES = (Strength, AcquisitionConfig, ImperfectionParams, ModelParams)
+VALUE_TYPES = (AcquisitionConfig, ImperfectionParams, ModelParams)
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
