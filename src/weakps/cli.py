@@ -71,7 +71,10 @@ finally:
     if _collecting:
         gc.enable()
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# How a JSON record spells what '%.12g' writes as nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # Most points an angle grid, and most repetitions a working point, may hold; a
 # larger grid or count is refused before it is built.
@@ -82,7 +85,7 @@ MAX_GRID_POINTS = 1_000_000
 # on 1,800- and 90,000-row JSON sweeps; the time did not tell them apart.
 _BLOCK_ROWS = 256
 
-# Largest postselected count total an `estimate` record may hold: counts are int64.
+# Largest count, and postselected count total, an `estimate` record may hold: counts are int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # The named postselection states' projector entries (phi_0^2, phi_1^2, phi_0 phi_1), exact
@@ -340,19 +343,41 @@ def _open_output(output: str) -> contextlib.AbstractContextManager:
     return open(output, "w", encoding="utf-8")
 
 
+def _json_float(text: str) -> str:
+    """A float's ``'%.12g'`` text as a JSON record writes it: NaN and the
+    infinities spelled as ``json.dumps`` spells them, a whole value with a
+    ``.0``, so that it reads back as a float."""
+    if text.lstrip("-").isdigit():
+        return text + ".0"
+    return _JSON_NONFINITE.get(text, text)
+
+
 def _json_column(values: "np.ndarray | list") -> list[str]:
-    """Each value of a block of a column as ``json.dumps`` writes it: a numeric
-    array by one ``json.dumps``, a list value by value (a string may hold ", ")."""
-    if isinstance(values, np.ndarray):
+    """Each value of a block of a column as a JSON record writes it: a float
+    to 12 significant digits, as CSV writes it (:func:`_json_float`), a float
+    array by one ``'%.12g'`` block; an int or bool array by one ``json.dumps``;
+    any other value of a list by ``json.dumps`` (a string may hold ", ")."""
+    if not isinstance(values, np.ndarray):
+        return [_json_float("%.12g" % v) if isinstance(v, float) else json.dumps(v)
+                for v in values]
+    if values.dtype.kind != "f":
         return json.dumps(values.tolist())[1:-1].split(", ")
-    return [json.dumps(v) for v in values]
+    cells = ("%.12g," * values.size % tuple(values.tolist())).split(",")[:-1]
+    # the cells '%.12g' can write without a point: those within 12 digits of a
+    # whole value, and NaN and the infinities, which compare false
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near_whole = ~(np.abs(values - np.rint(values)) > 1e-11 * np.maximum(np.abs(values), 1.0))
+    for i in np.flatnonzero(near_whole).tolist():
+        cells[i] = _json_float(cells[i])
+    return cells
 
 
 def _write(output: str, fmt: str, metadata: dict, columns: list[str],
            data: "dict[str, np.ndarray | list]") -> None:
     """Write the columns of ``data`` under ``metadata``: as CSV with the
     header ``columns``, or as ``json.dumps({"metadata": ..., "records": ...},
-    indent=2)`` would write one record per row, keys in ``data``'s order.
+    indent=2)`` would write one record per row, keys in ``data``'s order, but
+    for the records' floats, written to 12 digits as in CSV (:func:`_json_column`).
     Each format sets a head, row template, separator, cell rule and tail; one
     loop writes the rows ``_BLOCK_ROWS`` at a time, a block by one ``%``."""
     metadata = _stamp(metadata)
@@ -487,18 +512,25 @@ def _cmd_simulate_counts(args) -> None:
 def _read_counts(records: list, sign: str) -> tuple[np.ndarray, list[float]]:
     """Count rows ``(n_mp, n_mm, n_pp, n_pm)`` of simulate-counts records, and
     their ``theta_deg`` (NaN where absent), checked in file order: the first
-    invalid record, or one whose postselected pair sums past int64, stops the
-    run with a ConfigError, the first without postselected counts with
-    EmptyChannel."""
+    invalid record (not an object, or a count missing, not a nonnegative
+    integer or past int64), or one whose postselected pair sums past int64,
+    stops the run with a ConfigError, the first without postselected counts
+    with EmptyChannel."""
     counts = np.empty((len(records), 4), dtype=np.int64)
     thetas, pair = [], postselected_channels(sign)
     for index, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ConfigError(f"input record {index}: must be an object, "
+                              f"got {type(rec).__name__}")
         try:
-            counts[index] = row = [nonnegative_integer(name, rec[name]) for name in COUNT_COLUMNS]
+            row = [nonnegative_integer(name, rec[name]) for name in COUNT_COLUMNS]
+            for name, n in zip(COUNT_COLUMNS, row):
+                if n > _INT64_MAX:
+                    raise ValueError(f"{name} must be at most {_INT64_MAX}, got {n}")
             nonnegative_integer("seed", rec.get("seed", 0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # TypeError: a record that is no object; OverflowError: a count past int64
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"input record {index}: missing or invalid count: {exc}") from exc
+        counts[index] = row
         try:
             thetas.append(real_number("theta_deg", rec.get("theta_deg", math.nan)))
         except ValueError as exc:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -57,7 +58,7 @@ def test_sweep_weak_value_schema_and_values(tmp_path):
     ]
     assert len(rows) == 180
     assert meta["kappa"] == "0.335"
-    assert meta["schema_version"] == "1"
+    assert meta["schema_version"] == "2"
     first = rows[0]
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
@@ -206,16 +207,45 @@ def _csv_value_by_value(meta, columns, data):
     return "\n".join(lines) + "\n"
 
 
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(value):
+    """One record cell as JSON text: a float to 12 significant digits, as CSV
+    writes it, with JSON's spelling of NaN and the infinities and a point in a
+    whole value; any other value as json.dumps writes it."""
+    if not isinstance(value, float):
+        return json.dumps(value)
+    text = f"{value:.12g}"
+    if not math.isfinite(value):
+        return _JSON_SPELLING[text]
+    return text if "." in text or "e" in text else text + ".0"
+
+
+def _json_value_by_value(meta, data):
+    """JSON text of ``_write``: json.dumps(..., indent=2) of the metadata and
+    the records, each record cell replaced by its ``_json_cell`` text."""
+    cells = []
+
+    def mark(value):
+        cells.append(_json_cell(value))
+        return f"\0{len(cells) - 1}\0"
+
+    records = [{key: mark(value) for key, value in row.items()} for row in _rows(data)]
+    text = json.dumps({"metadata": meta, "records": records}, indent=2) + "\n"
+    return re.sub(r'"\\u0000(\d+)\\u0000"', lambda m: cells[int(m[1])], text)
+
+
 @pytest.mark.parametrize("case", list(_WRITE_CASES))
 def test_write_matches_row_by_row_formatting(tmp_path, monkeypatch, case):
-    # JSON is exactly json.dumps(..., indent=2); CSV as _csv_value_by_value
+    # JSON as _json_value_by_value, CSV as _csv_value_by_value
     monkeypatch.setattr(cli, "_stamp", lambda metadata: metadata)
     data = _WRITE_CASES[case]
     meta = {"command": "test", "kappa": 0.335, "note": "a, b"}
     columns = list(data)[::-1]
 
     cli._write(str(tmp_path / "out.json"), "json", meta, columns, data)
-    expected = json.dumps({"metadata": meta, "records": _rows(data)}, indent=2) + "\n"
+    expected = _json_value_by_value(meta, data)
     assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
 
     cli._write(str(tmp_path / "out.csv"), "csv", meta, columns, data)
@@ -257,6 +287,29 @@ def test_write_csv_rows_match_value_by_value_formatting(data):
         cli._write("-", "csv", meta, list(data), data)
     written = [stdout.getvalue()]
     assert written == [_csv_value_by_value(meta, list(data), data)]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=_write_columns())
+@example(data={"float0": np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
+                                   20.0, -7.0, 123456789012.3, 0.9999999999999, 1e15]),
+               "list1": [math.nan, -math.inf, -0.0, 5e-324, 1e300, 20.0, 1 / 3, 2, "2.0",
+                         True, 0.15000000000000002, 1e-5]})
+def test_write_json_rows_match_value_by_value_formatting(data):
+    # each record float is written as CSV writes it, and reads back as the
+    # float of that text; the metadata keeps every digit
+    meta = {"command": "test", "kappa": 0.1 + 0.2}
+    stdout = io.StringIO()
+    with mock.patch.object(cli, "_stamp", lambda metadata: metadata), \
+            contextlib.redirect_stdout(stdout):
+        cli._write("-", "json", meta, list(data), data)
+    assert stdout.getvalue() == _json_value_by_value(meta, data)
+    payload = json.loads(stdout.getvalue())
+    assert payload["metadata"] == meta
+    typed = lambda v: (type(v), repr(v))
+    assert [{key: typed(value) for key, value in row.items()} for row in payload["records"]] == [
+        {key: typed(float(f"{value:.12g}") if isinstance(value, float) else value)
+         for key, value in row.items()} for row in _rows(data)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -543,6 +596,37 @@ def test_simulate_counts_then_estimate_round_trip(tmp_path):
     assert theta_hat == pytest.approx(20.0, abs=1.0)
 
 
+def test_estimate_reads_counts_at_12_digits_as_at_full_precision(tmp_path, monkeypatch):
+    # a grid of angles that 12 digits round (20 + 0.01 * 224 is written 22.24)
+    # and of whole angles (20.0, 21.0, 22.0)
+    counts, full = tmp_path / "counts.json", tmp_path / "full.json"
+    assert main(["simulate-counts", "--kappa", "0.335", "--theta-start", "20", "--theta-end",
+                 "22.3", "--theta-step", "0.01", "--seed", "4", "--format", "json",
+                 "--output", str(counts)]) == 0
+    text = counts.read_text()
+    assert '"theta_deg": 22.24,' in text and '"theta_deg": 21.0,' in text
+    payload = json.loads(text)
+    grid = (20.0 + 0.01 * np.arange(230)).tolist()
+    assert 22.240000000000002 in grid and 21.0 in grid
+    rounded = [rec["theta_deg"] for rec in payload["records"]]
+    assert rounded == [float(f"{t:.12g}") for t in grid] != grid
+    full.write_text(json.dumps({**payload, "records": [
+        {**rec, "theta_deg": t} for rec, t in zip(payload["records"], grid)]}))
+
+    written, write = [], cli._write
+    monkeypatch.setattr(cli, "_write", lambda *args: written.append(args[-1]) or write(*args))
+    for path in (counts, full):
+        assert main(["estimate", "--input", str(path), "--branch", "18,27", "--format", "json",
+                     "--output", str(tmp_path / "estimates.json")]) == 0
+    from_rounded, from_full = written
+    # every column but the echoed angle, bit for bit
+    assert from_rounded.pop("theta_deg") == rounded and from_full.pop("theta_deg") == grid
+    assert list(from_rounded) == list(from_full)
+    for key, column in from_rounded.items():
+        assert column.dtype == from_full[key].dtype
+        assert column.tobytes() == from_full[key].tobytes()
+
+
 def test_estimate_surfaces_branch_errors(tmp_path, capsys):
     counts_path = tmp_path / "counts.json"
     assert main(["simulate-counts", "--kappa", "0.335", "--theta-start", "20",
@@ -638,9 +722,13 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, payload):
      "error: input record 0: missing or invalid count: n_pm must be a nonnegative integer, "
      "got inf\n"),
     # a record that is not an object, and a count past int64, each stop the run too
-    ([5], 2, "error: input record 0: missing or invalid count: "),
+    ([5], 2, "error: input record 0: must be an object, got int\n"),
     ([{"n_mp": 2**64, "n_mm": 100, "n_pp": 5, "n_pm": 5}], 2,
-     "error: input record 0: missing or invalid count: "),
+     "error: input record 0: missing or invalid count: n_mp must be at most "
+     "9223372036854775807, got 18446744073709551616\n"),
+    ([{"n_mp": 900, "n_mm": 100, "n_pp": 5, "n_pm": 2**63}], 2,
+     "error: input record 0: missing or invalid count: n_pm must be at most "
+     "9223372036854775807, got 9223372036854775808\n"),
     ([{"n_mp": 900.7, "n_mm": 100, "n_pp": 5, "n_pm": 5}], 2,
      "error: input record 0: missing or invalid count: n_mp must be a nonnegative integer, "
      "got 900.7"),
@@ -649,8 +737,8 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, payload):
       {"n_mp": 5 * 10**18, "n_mm": 5 * 10**18, "n_pp": 5, "n_pm": 5}], 2,
      "error: input record 1: postselected counts sum to 10000000000000000000, above the int64"),
 ], ids=["empty-pair-first", "negative-seed-first", "bad-count-second", "infinite-count",
-        "record-not-an-object", "count-above-int64", "fractional-count",
-        "postselected-sum-above-int64"])
+        "record-not-an-object", "count-above-int64", "count-one-above-int64",
+        "fractional-count", "postselected-sum-above-int64"])
 def test_estimate_stops_at_the_first_failing_record(tmp_path, capsys, records, rc, message):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"metadata": {"kappa": 0.335}, "records": records}))

@@ -13,6 +13,7 @@ and say in the change log why they changed.
 """
 
 import io
+import json
 import os
 import re
 import sys
@@ -20,8 +21,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
+from weakps import cli
 from weakps.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -119,6 +122,27 @@ def _text(name: str) -> str:
 def test_output_matches_golden(tmp_path, name, fmt):
     expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
     assert _run(name, fmt, tmp_path / f"out.{fmt}") == expected
+
+
+# the cases whose JSON output holds records (decompose writes one object)
+RECORD_CASES = [name for name in CASES if name != "decompose"]
+
+
+@pytest.mark.parametrize("name", RECORD_CASES)
+def test_json_golden_records_are_the_values_at_12_digits(tmp_path, monkeypatch, name):
+    # each record float of the fixture is its column's value, as the records'
+    # json.dumps wrote it at schema_version 1, to 12 significant digits and a
+    # float still; every other value is the column's own
+    written, write = [], cli._write
+    monkeypatch.setattr(cli, "_write", lambda *args: written.append(args[-1]) or write(*args))
+    _run(name, "json", tmp_path / "out.json")
+    (data,) = written
+    records = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["records"]
+    typed = lambda v: (type(v), repr(v))
+    for key, column in data.items():
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        assert [typed(rec[key]) for rec in records] == [
+            typed(float(f"{v:.12g}") if isinstance(v, float) else v) for v in values]
 
 
 @pytest.mark.parametrize("name", list(TEXT_CASES))
